@@ -81,10 +81,13 @@ class StageError(RuntimeError):
 
 
 def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size: int,
-                     seed: int, time_limit=None, iterations=None):
+                     seed: int, time_limit=None, iterations=None, t_values=None):
     """Random partition into batches, independent schedules, DAG merge.
 
-    The caller routes the merged schedule (resolve_conflicts) afterwards.
+    t_values: per-order path times of a lower_bound over these orders (the
+    pipeline's lower-bound stage); batch warm starts reuse them instead of
+    solving κ again.  The caller routes the merged schedule
+    (resolve_conflicts) afterwards.
     """
     orders = list(orders)
     rng = random.Random(seed)
@@ -94,7 +97,9 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
     per_batch_limit = None if time_limit is None else time_limit / len(batches)
     schedules = []
     for bi, batch in enumerate(batches):
-        lb = scheduling.lower_bound(batch, placed, cfg.n_movers, cfg.eta_interface)
+        lb = scheduling.lower_bound(
+            batch, placed, cfg.n_movers, cfg.eta_interface, t_values=t_values
+        )
         schedules.append(
             scheduling.schedule(
                 batch,
@@ -218,6 +223,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                     seeds["batch"],
                     time_limit=pc.schedule_time_limit,
                     iterations=pc.schedule_iterations,
+                    t_values=lb.t_values if lb else None,
                 )
                 return merged
             warm = lb.assignment if lb else None

@@ -16,6 +16,16 @@ by mover index); an operation's feasible start is the first instant at or
 after mover-ready + travel for which its tile has a free slot of the required
 length.  Start times are therefore left-shifted for the chosen decisions.
 
+Slot rule: commits come in nondecreasing start order.  A mover that did not
+commit keeps a candidate start that can only grow as tiles fill, and the
+committing mover's next start is at least t + duration.  Every duration is at
+least one tick (eta >= 1 is enforced here, dispensing >= 1 by Order), so a new
+interval on a tile starts at or after every earlier interval's start there,
+hence at or after its end: the feasible start is max(mover-ready + travel,
+end of the tile's last interval), one "free" tick per tile.  The same order
+lets insertion time the plan without the new order once and resume each
+candidate from the state where its mover reaches the insertion point.
+
 The makespan lower bound follows the relaxation route: exact per-order path
 values feed a parallel-machines problem whose optimum (or, above the guard,
 the load bound max(max T, ceil(sum T / m))) bounds every valid schedule from
@@ -51,13 +61,6 @@ class OperationSpec:
     target: str  # drug name or "interface"
     duration: int
     kind: str  # start | dispensing | finish
-
-
-@dataclass(frozen=True)
-class AlternativeSpec:
-    mover: int
-    op_id: int
-    tile: Coord
 
 
 @dataclass(frozen=True)
@@ -161,19 +164,6 @@ def build_operations(orders, eta: int = 2) -> list[OperationSpec]:
         ops.append(OperationSpec(oid, order.id, INTERFACE, eta, FINISH))
         oid += 1
     return ops
-
-
-def build_alternatives(ops, placement, n_movers: int) -> list[AlternativeSpec]:
-    alts = []
-    for op in ops:
-        if op.kind in (START, FINISH):
-            tiles = sorted(placement.interfaces)
-        else:
-            tiles = list(placement.dispensers_for(op.target))
-        for m in range(n_movers):
-            for h in tiles:
-                alts.append(AlternativeSpec(m, op.op_id, h))
-    return alts
 
 
 # --- validator (the model) -------------------------------------------------------
@@ -351,20 +341,25 @@ def _lpt(times, m):
     return max(loads), assign
 
 
-def lower_bound(orders, placement, n_movers: int, eta: int) -> LowerBoundResult:
+def lower_bound(orders, placement, n_movers: int, eta: int,
+                t_values: dict[int, int] | None = None) -> LowerBoundResult:
     """Relaxation bound: exact per-order path times fed into parallel machines.
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
+    t_values: path times already computed by a lower_bound call on the same
+    placement and eta over a superset of these orders; κ is not solved again.
     """
     orders = list(orders)
-    kcache: dict[tuple, int] = {}
-    t_values: dict[int, int] = {}
-    for o in orders:
-        key = o.drugs
-        if key not in kcache:
-            kcache[key] = shppn.kappa(o, placement).kappa
-        t_values[o.id] = 2 * eta + kcache[key] + o.total_dispensing
+    if t_values is None:
+        kcache: dict[tuple, int] = {}
+        t_values = {}
+        for o in orders:
+            key = o.drugs
+            if key not in kcache:
+                kcache[key] = shppn.kappa(o, placement).kappa
+            t_values[o.id] = 2 * eta + kcache[key] + o.total_dispensing
+    t_values = {o.id: t_values[o.id] for o in orders}
 
     ids = [o.id for o in orders]
     times = [t_values[i] for i in ids]
@@ -469,6 +464,9 @@ def candidate_routes(order, placement, prev_loc, limit: int = 6,
 
 # --- timing engine ----------------------------------------------------------------
 
+_NEVER = math.inf  # next start of a mover with nothing left to commit
+
+
 class _Plan:
     """Per-mover sequences of (order, route); the search state."""
 
@@ -483,77 +481,143 @@ class _Plan:
         return p
 
 
-def _timing(plan: _Plan, instance: SchedulingInstance, op_ids):
-    """Deterministic left-shift timing; returns [(op_id, mover, tile, start)]."""
-    dist = instance.placement.layout.distance
-    eta = instance.eta
+class _Timer:
+    """Timing context of one schedule() call.
 
-    chains = []
-    for seq in plan.seqs:
-        chain = []
-        for order, route in seq:
-            chain.append((op_ids[(order.id, START, INTERFACE)], eta, route.start_iface))
+    Tiles are integer ids into an all-pairs distance table over the placed
+    tiles, built here and dropped with the call; its extra last row is the
+    "no location yet" origin, 0 ticks from every tile.  Each (order, route)
+    chain segment of (op_id, duration, tile id) is built once per search.
+    """
+
+    def __init__(self, placement, orders, eta: int):
+        specs = build_operations(orders, eta)
+        self.ops_by_id = {op.op_id: op for op in specs}
+        self.op_ids = {
+            (op.order_id, op.kind, op.target if op.kind == DISPENSING else INTERFACE): op.op_id
+            for op in specs
+        }
+        self.eta = eta
+        self.tiles = placement.coords()
+        self.tile_id = {t: i for i, t in enumerate(self.tiles)}
+        dist = placement.layout.distance
+        self.dist = [[dist(a, b) for b in self.tiles] for a in self.tiles]
+        self.dist.append([0] * len(self.tiles))
+        self._segments: dict[tuple[int, Route], tuple] = {}
+
+    def segment(self, order: Order, route: Route) -> tuple:
+        key = (order.id, route)
+        seg = self._segments.get(key)
+        if seg is None:
+            ids, tid = self.op_ids, self.tile_id
             dur = dict(order.items)
-            for g, t in route.stops:
-                chain.append((op_ids[(order.id, DISPENSING, g)], dur[g], t))
-            chain.append((op_ids[(order.id, FINISH, INTERFACE)], eta, route.end_iface))
-        chains.append(chain)
+            seg = (
+                (ids[(order.id, START, INTERFACE)], self.eta, tid[route.start_iface]),
+                *((ids[(order.id, DISPENSING, g)], dur[g], tid[t]) for g, t in route.stops),
+                (ids[(order.id, FINISH, INTERFACE)], self.eta, tid[route.end_iface]),
+            )
+            self._segments[key] = seg
+        return seg
 
-    tile_busy: dict[Coord, list[tuple[int, int]]] = {}
-    ptr = [0] * len(chains)
-    ready = [0] * len(chains)
-    loc: list[Coord | None] = [None] * len(chains)
-    placed: list[tuple[int, int, Coord, int]] = []
+    def chains(self, plan: _Plan) -> list[tuple]:
+        return [
+            tuple(op for order, route in seq for op in self.segment(order, route))
+            for seq in plan.seqs
+        ]
 
-    def earliest(tile, t0, dur):
-        t = t0
-        for s, e in tile_busy.get(tile, ()):
-            if t + dur <= s:
+    def origin(self, chains) -> tuple:
+        """State before the first commit: (ptr, nxt, wait, free, makespan, flow)."""
+        return (
+            [0] * len(chains),
+            [0 if c else _NEVER for c in chains],
+            [c[0][2] if c else -1 for c in chains],
+            [0] * len(self.tiles),
+            0,
+            0,
+        )
+
+
+def _run(chains, dist, ptr, nxt, wait, free, makespan=0, flow=0,
+         bound=(_NEVER, _NEVER), placed=None, marks=None, snaps=None):
+    """Commit the remaining ops of chains; return (makespan, flow).
+
+    The state is advanced in place: per mover, ops committed (ptr) and the
+    feasible start and tile id of its next op (nxt, wait; _NEVER and -1 once
+    done); per tile id, the end of its last busy interval (free); makespan
+    and flow (sum of op ends) so far.  Each step commits, among the movers'
+    next ops, the one with the earliest feasible start
+    max(ready + travel, tile free), ties by mover index.  Makespan and flow
+    only grow, so the run returns None as soon as (makespan, flow) reaches
+    bound: a returned key is below bound.  With placed, each commit is
+    appended as (op_id, mover, tile id, start).  With marks (a set of op
+    counts per mover), snaps[(m, k)] gets a copy of the state plus the end
+    and tile id of the commit right after mover m commits its k-th op; the
+    run ends once every mark is taken.
+    """
+    bound_makespan, bound_flow = bound
+    movers = range(len(chains))
+    remaining = sum(map(len, chains)) - sum(ptr)
+    pending = sum(map(len, marks)) if marks is not None else 0
+    while remaining:
+        t = min(nxt)
+        m = nxt.index(t)
+        chain = chains[m]
+        k = ptr[m]
+        op_id, dur, tile = chain[k]
+        end = t + dur
+        free[tile] = end
+        flow += end
+        if end > makespan:
+            makespan = end
+        if makespan >= bound_makespan and (makespan > bound_makespan or flow >= bound_flow):
+            return None
+        if placed is not None:
+            placed.append((op_id, m, tile, t))
+        k += 1
+        ptr[m] = k
+        if k < len(chain):
+            nxt_tile = chain[k][2]
+            t0 = end + dist[tile][nxt_tile]
+            f = free[nxt_tile]
+            nxt[m] = t0 if t0 > f else f
+            wait[m] = nxt_tile
+        else:
+            nxt[m] = _NEVER
+            wait[m] = -1
+        for o in movers:
+            if wait[o] == tile and nxt[o] < end:
+                nxt[o] = end
+        remaining -= 1
+        if marks is not None and k in marks[m]:
+            snaps[(m, k)] = (ptr[:], nxt[:], wait[:], free[:], makespan, flow, end, tile)
+            pending -= 1
+            if not pending:
                 break
-            t = max(t, e)
-        return t
-
-    total = sum(len(c) for c in chains)
-    while len(placed) < total:
-        cand = None
-        for m, chain in enumerate(chains):
-            if ptr[m] >= len(chain):
-                continue
-            op_id, dur, tile = chain[ptr[m]]
-            t0 = ready[m] + (dist(loc[m], tile) if loc[m] is not None else 0)
-            t = earliest(tile, t0, dur)
-            if cand is None or (t, m) < cand[:2]:
-                cand = (t, m, op_id, dur, tile)
-        t, m, op_id, dur, tile = cand
-        busy = tile_busy.setdefault(tile, [])
-        busy.append((t, t + dur))
-        busy.sort()
-        placed.append((op_id, m, tile, t))
-        ptr[m] += 1
-        ready[m] = t + dur
-        loc[m] = tile
-    return placed
+    return makespan, flow
 
 
-def _plan_to_schedule(plan, instance, ops_by_id, op_ids, trace=()) -> Schedule:
-    placed = _timing(plan, instance, op_ids)
+def _timing(plan: _Plan, timer: _Timer) -> list[tuple[int, int, Coord, int]]:
+    """Deterministic left-shift timing; [(op_id, mover, tile, start)] in commit order."""
+    chains = timer.chains(plan)
+    placed: list[tuple[int, int, int, int]] = []
+    _run(chains, timer.dist, *timer.origin(chains), placed=placed)
+    tiles = timer.tiles
+    return [(op_id, m, tiles[tile], start) for op_id, m, tile, start in placed]
+
+
+def _plan_to_schedule(plan: _Plan, timer: _Timer, trace=()) -> Schedule:
     sos = tuple(
-        ScheduledOp(ops_by_id[op_id], m, tile, start) for op_id, m, tile, start in placed
+        ScheduledOp(timer.ops_by_id[op_id], m, tile, start)
+        for op_id, m, tile, start in _timing(plan, timer)
     )
     makespan = max(s.end for s in sos) if sos else 0
     return Schedule(sos, makespan, tuple(trace))
 
 
-def _plan_makespan(plan, instance, op_ids, durations) -> tuple[int, int]:
-    placed = _timing(plan, instance, op_ids)
-    makespan = 0
-    flow = 0
-    for op_id, _m, _tile, start in placed:
-        end = start + durations[op_id]
-        flow += end
-        if end > makespan:
-            makespan = end
-    return makespan, flow
+def _plan_makespan(plan: _Plan, timer: _Timer, bound=(_NEVER, _NEVER)):
+    """(makespan, flow) of the timed plan, or None once it reaches bound."""
+    chains = timer.chains(plan)
+    return _run(chains, timer.dist, *timer.origin(chains), bound=bound)
 
 
 # --- scheduler --------------------------------------------------------------------
@@ -580,6 +644,8 @@ def schedule(
         raise ValueError("no orders to schedule")
     if n_movers < 1:
         raise ValueError("need at least one mover")
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
     for o in orders:
         for g in o.drugs:
             if not placement.dispensers_for(g):
@@ -587,27 +653,15 @@ def schedule(
     if not placement.interfaces:
         raise ValueError("placement has no interfaces")
 
-    instance = SchedulingInstance(tuple(orders), placement, n_movers, eta)
-    specs = build_operations(orders, eta)
-    ops_by_id = {op.op_id: op for op in specs}
-    op_ids = {}
-    for op in specs:
-        key = (op.order_id, op.kind, op.target if op.kind == DISPENSING else INTERFACE)
-        op_ids[key] = op.op_id
-    durations = {op.op_id: op.duration for op in specs}
-
+    timer = _Timer(placement, orders, eta)
     exhaustive = _exhaustive_count(orders, placement, n_movers)
     if exhaustive is not None and exhaustive <= EXHAUSTIVE_CAP:
-        plan, trace = _exhaustive_search(
-            orders, placement, instance, n_movers, op_ids, durations
+        plan, trace = _exhaustive_search(orders, placement, n_movers, timer)
+    else:
+        plan, trace = _lns_search(
+            orders, placement, n_movers, timer, warm_start, seed, time_limit, max_iterations
         )
-        return _plan_to_schedule(plan, instance, ops_by_id, op_ids, trace)
-
-    plan, trace = _lns_search(
-        orders, placement, instance, n_movers, op_ids, durations,
-        warm_start, seed, time_limit, max_iterations,
-    )
-    return _plan_to_schedule(plan, instance, ops_by_id, op_ids, trace)
+    return _plan_to_schedule(plan, timer, trace)
 
 
 def _exhaustive_count(orders, placement, n_movers):
@@ -637,10 +691,10 @@ def _exhaustive_count(orders, placement, n_movers):
     return total
 
 
-def _exhaustive_search(orders, placement, instance, n_movers, op_ids, durations):
+def _exhaustive_search(orders, placement, n_movers, timer):
     all_routes = [enumerate_routes(o, placement) for o in orders]
     best = None
-    best_key = (math.inf, math.inf)
+    best_key = (_NEVER, _NEVER)
     for assign in itertools.product(range(n_movers), repeat=len(orders)):
         groups: dict[int, list[int]] = {}
         for oi, m in enumerate(assign):
@@ -656,10 +710,10 @@ def _exhaustive_search(orders, placement, instance, n_movers, op_ids, durations)
                     for oi in perm:
                         plan.seqs[m].append((orders[oi], route_combo[ri]))
                         ri += 1
-                key = _plan_makespan(plan, instance, op_ids, durations)
-                if key < best_key:
+                key = _plan_makespan(plan, timer, best_key)
+                if key is not None:
                     best_key = key
-                    best = plan.copy()
+                    best = plan
     return best, (best_key[0],)
 
 
@@ -680,8 +734,8 @@ class _RouteCache:
         return self.store[key]
 
 
-def _lns_search(orders, placement, instance, n_movers, op_ids, durations,
-                warm_start, seed, time_limit, max_iterations):
+def _lns_search(orders, placement, n_movers, timer, warm_start, seed, time_limit,
+                max_iterations):
     rng = random.Random(seed)
     dist = placement.layout.distance
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -692,7 +746,7 @@ def _lns_search(orders, placement, instance, n_movers, op_ids, durations,
     if warm_start is None:
         rough = {
             o.id: min(r.length(dist) for r in routes.get(o, None))
-            + o.total_dispensing + 2 * instance.eta
+            + o.total_dispensing + 2 * timer.eta
             for o in orders
         }
         _, assign = p_cmax([rough[o.id] for o in orders], n_movers, mode="lpt")
@@ -701,9 +755,8 @@ def _lns_search(orders, placement, instance, n_movers, op_ids, durations,
     plan = _Plan(n_movers)
     for o in sorted(orders, key=lambda o: (-(o.total_dispensing), o.id)):
         m = warm_start.get(o.id, 0) % n_movers
-        _insert_best(plan, o, instance, op_ids, durations, routes, movers=[m])
+        best_key = _insert_best(plan, o, timer, routes, movers=[m])
     best = plan.copy()
-    best_key = _plan_makespan(best, instance, op_ids, durations)
     trace = [best_key[0]]
 
     stale = 0
@@ -722,8 +775,7 @@ def _lns_search(orders, placement, instance, n_movers, op_ids, durations,
         for m in range(n_movers):
             work.seqs[m] = [(o, r) for o, r in work.seqs[m] if o.id not in removed_ids]
         for o in sorted(removed, key=lambda o: (-(o.total_dispensing), o.id)):
-            _insert_best(work, o, instance, op_ids, durations, routes)
-        key = _plan_makespan(work, instance, op_ids, durations)
+            key = _insert_best(work, o, timer, routes)
         if key < best_key:
             best, best_key = work.copy(), key
             plan = work
@@ -741,21 +793,59 @@ def _lns_search(orders, placement, instance, n_movers, op_ids, durations,
     return best, trace
 
 
-def _insert_best(plan: _Plan, order: Order, instance, op_ids, durations,
-                 routes: _RouteCache, movers=None):
-    best = None
-    best_key = None
+def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
+                 movers=None) -> tuple[int, int]:
+    """Insert order where the plan's (makespan, flow) is least; return that key.
+
+    Candidates run mover by mover, position by position, route by route, and
+    the first strict minimum wins.  The plan without the order is timed once,
+    keeping the state right after each candidate mover m has committed the
+    ops of its first pos orders.  A candidate at (m, pos) takes exactly the
+    same steps up to that point, so it resumes from there with m's chain
+    spliced, and stops as soon as it can no longer beat the best key.
+    """
+    chains = timer.chains(plan)
+    dist = timer.dist
     candidates = range(len(plan.seqs)) if movers is None else movers
+    boundaries = {  # ops before each position, per candidate mover
+        m: list(itertools.accumulate((len(timer.segment(o, r)) for o, r in plan.seqs[m]),
+                                     initial=0))
+        for m in candidates
+    }
+    ptr, nxt, wait, free, _, _ = timer.origin(chains)
+    nowhere = len(timer.tiles)
+    snaps = {(m, 0): (ptr, nxt, wait, free, 0, 0, 0, nowhere) for m in candidates}
+    marks = [set(boundaries.get(m, (0,))[1:]) for m in range(len(chains))]
+    if any(marks):
+        _run(chains, dist, ptr[:], nxt[:], wait[:], free[:], marks=marks, snaps=snaps)
+
+    best = None
+    best_key = (_NEVER, _NEVER)
     for m in candidates:
         seq = plan.seqs[m]
-        for pos in range(len(seq) + 1):
+        base = chains[m]
+        for pos, k in enumerate(boundaries[m]):
             prev_loc = seq[pos - 1][1].end_iface if pos > 0 else None
-            for route in routes.get(order, prev_loc):
-                seq.insert(pos, (order, route))
-                key = _plan_makespan(plan, instance, op_ids, durations)
-                seq.pop(pos)
-                if best_key is None or key < best_key:
+            # fetched before pruning: a miss draws from the route cache's rng
+            options = routes.get(order, prev_loc)
+            ptr, nxt, wait, free, makespan, flow, ready, loc = snaps[(m, k)]
+            if (makespan, flow) >= best_key:
+                continue
+            for route in options:
+                seg = timer.segment(order, route)
+                chains[m] = base[:k] + seg + base[k:]
+                tile = seg[0][2]
+                t0 = ready + dist[loc][tile]
+                nxt_m = nxt[:]
+                nxt_m[m] = t0 if t0 > free[tile] else free[tile]
+                wait_m = wait[:]
+                wait_m[m] = tile
+                key = _run(chains, dist, ptr[:], nxt_m, wait_m, free[:], makespan, flow,
+                           best_key)
+                if key is not None:
                     best_key = key
                     best = (m, pos, route)
+        chains[m] = base
     m, pos, route = best
     plan.seqs[m].insert(pos, (order, route))
+    return best_key

@@ -14,7 +14,8 @@ from planarfab.pipeline import (
 )
 from planarfab.placement import GaParams
 from planarfab.routing import resolve_conflicts, validate_plan
-from planarfab.scheduling import SchedulingInstance, validate_schedule
+from planarfab import shppn
+from planarfab.scheduling import SchedulingInstance, lower_bound, validate_schedule
 
 from conftest import make_catalog, random_orders, random_placement
 
@@ -161,3 +162,24 @@ def test_schedule_batched_valid_and_merged(golden_placement):
     inst = SchedulingInstance(tuple(ordered), golden_placement, 2, 2)
     assert validate_schedule(_remap_merged_ids(merged, ordered), inst) == []
     assert plan.makespan >= merged.makespan
+
+
+def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkeypatch):
+    drugs = ["LISINOPRIL", "SIMVASTATIN", "OMEPRAZOLE", "ATORVASTATIN"]
+    orders = random_orders(drugs, 12, seed=9, size_range=(1, 3), dur_range=(3, 8))
+    config = InstanceConfig(n_dispensers=15, m_max=4, n_movers=2, seed=1)
+    fresh, fresh_parts = schedule_batched(
+        orders, golden_placement, config, batch_size=4, seed=1, iterations=5
+    )
+    lb = lower_bound(orders, golden_placement, 2, eta=2)
+
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("kappa solved again")
+
+    monkeypatch.setattr(shppn, "kappa", no_kappa)
+    reused, reused_parts = schedule_batched(
+        orders, golden_placement, config, batch_size=4, seed=1, iterations=5,
+        t_values=lb.t_values,
+    )
+    assert reused.ops == fresh.ops
+    assert [p.ops for p in reused_parts] == [p.ops for p in fresh_parts]

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,10 +12,16 @@ from planarfab.scheduling import (
     DISPENSING,
     FINISH,
     START,
+    Route,
     Schedule,
     ScheduledOp,
     SchedulingInstance,
-    build_alternatives,
+    _insert_best,
+    _Plan,
+    _plan_makespan,
+    _RouteCache,
+    _timing,
+    _Timer,
     build_operations,
     lower_bound,
     p_cmax,
@@ -51,6 +59,7 @@ def _oracle_routes(order, placement):
 
 
 def _oracle_timing(sequences, placement, eta):
+    """Commits [(mover, tile, start, duration)] in commit order."""
     dist = placement.layout.distance
     chains = []
     for seq in sequences:
@@ -63,7 +72,7 @@ def _oracle_timing(sequences, placement, eta):
     ptr = [0] * len(chains)
     ready = [0] * len(chains)
     loc = [None] * len(chains)
-    makespan = 0
+    commits = []
     remaining = sum(len(c) for c in chains)
     while remaining:
         pick = None
@@ -83,9 +92,9 @@ def _oracle_timing(sequences, placement, eta):
         ready[m] = t + dur
         loc[m] = tile
         ptr[m] += 1
-        makespan = max(makespan, t + dur)
+        commits.append((m, tile, t, dur))
         remaining -= 1
-    return makespan
+    return commits
 
 
 def oracle_best_makespan(orders, placement, n_movers, eta):
@@ -107,7 +116,8 @@ def oracle_best_makespan(orders, placement, n_movers, eta):
                     for oi in s:
                         sequences[m].append((orders[oi], combo[ci]))
                         ci += 1
-                best = min(best, _oracle_timing(sequences, placement, eta))
+                commits = _oracle_timing(sequences, placement, eta)
+                best = min(best, max(t + dur for _, _, t, dur in commits))
     return best
 
 
@@ -131,19 +141,6 @@ def test_operation_multiset_matches_gantt_structure():
     n_disp = sum(len(o.items) for o in orders)
     assert sum(1 for o in ops if o.kind == DISPENSING) == n_disp
     assert sum(1 for o in ops if o.kind in (START, FINISH)) == 2 * len(orders)
-
-
-def test_build_alternatives_respects_placement(golden_placement):
-    orders = [Order(0, (("ATORVASTATIN", 5),))]
-    ops = build_operations(orders, eta=2)
-    alts = build_alternatives(ops, golden_placement, 2)
-    disp_op = next(o for o in ops if o.kind == DISPENSING)
-    tiles = {a.tile for a in alts if a.op_id == disp_op.op_id}
-    assert tiles == {Coord(3, 1), Coord(4, 3)}
-    iface_op = next(o for o in ops if o.kind == START)
-    assert {a.tile for a in alts if a.op_id == iface_op.op_id} == set(
-        golden_placement.interfaces
-    )
 
 
 # --- toy examples --------------------------------------------------------------------
@@ -380,6 +377,8 @@ def test_schedule_errors(golden_placement):
         schedule([Order(0, (("nope", 1),))], golden_placement, 1)
     with pytest.raises(ValueError):
         schedule([Order(0, (("OMEPRAZOLE", 1),))], golden_placement, 0)
+    with pytest.raises(ValueError):
+        schedule([Order(0, (("OMEPRAZOLE", 1),))], golden_placement, 1, eta=0)
 
 
 def test_schedule_csv_and_json_roundtrip():
@@ -392,3 +391,138 @@ def test_schedule_csv_and_json_roundtrip():
     csv = s.to_csv()
     assert csv.splitlines()[0] == "op_id,order,drug,mover,tile_x,tile_y,start,end"
     assert len(csv.strip().splitlines()) == 1 + len(s.ops)
+
+
+# --- timing engine against the oracle ------------------------------------------------
+
+def _engine_layouts():
+    """Square grids (distance is l1) and a ring (distance is BFS around the hole)."""
+    return [
+        build_layout("square", (4, 4), 2),
+        build_layout("square", (5, 5), 3),
+        build_layout("ring", 5, 2),
+    ]
+
+
+def _random_plan(rng, placement, orders, n_movers):
+    """Random movers, sequences and routes, as an engine _Plan and as oracle sequences."""
+    plan = _Plan(n_movers)
+    sequences = [[] for _ in range(n_movers)]
+    ifaces = sorted(placement.interfaces)
+    for order in rng.sample(orders, len(orders)):
+        m = rng.randrange(n_movers)
+        drugs = list(order.drugs)
+        rng.shuffle(drugs)
+        stops = tuple((g, rng.choice(sorted(placement.dispensers_for(g)))) for g in drugs)
+        route = Route(rng.choice(ifaces), stops, rng.choice(ifaces))
+        plan.seqs[m].append((order, route))
+        dur = dict(order.items)
+        sequences[m].append((
+            order,
+            [("interface", route.start_iface, None)]
+            + [(g, t, dur[g]) for g, t in stops]
+            + [("interface", route.end_iface, None)],
+        ))
+    return plan, sequences
+
+
+def test_timing_matches_busy_list_oracle_on_random_plans():
+    drugs = list("abcdef")
+    ring = _engine_layouts()[2]
+    assert ring.distance(Coord(1, 3), Coord(5, 3)) == 8  # around the hole; l1 says 4
+    checked = 0
+    for li, layout in enumerate(_engine_layouts()):
+        for seed in range(60):
+            rng = random.Random(1000 * li + seed)
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+            orders = random_orders(drugs, rng.randint(1, 9), seed=seed,
+                                   size_range=(1, 4), dur_range=(1, 9))
+            n_movers = rng.randint(1, 4)
+            eta = rng.randint(1, 3)
+            plan, sequences = _random_plan(rng, pl, orders, n_movers)
+            placed = _timing(plan, _Timer(pl, orders, eta))
+            want = _oracle_timing(sequences, pl, eta)
+            assert [(m, tile, t) for _, m, tile, t in placed] == [
+                (m, tile, t) for m, tile, t, _ in want
+            ], (li, seed)
+            starts = [t for *_, t in placed]
+            assert starts == sorted(starts), (li, seed)
+            checked += 1
+    assert checked == 180
+
+
+def _naive_insert_best(plan, order, timer, routes, movers=None):
+    """Reference insertion: re-time the whole plan for every candidate."""
+    best = best_key = None
+    for m in range(len(plan.seqs)) if movers is None else movers:
+        seq = plan.seqs[m]
+        for pos in range(len(seq) + 1):
+            prev_loc = seq[pos - 1][1].end_iface if pos > 0 else None
+            for route in routes.get(order, prev_loc):
+                seq.insert(pos, (order, route))
+                key = _plan_makespan(plan, timer)
+                seq.pop(pos)
+                if best_key is None or key < best_key:
+                    best, best_key = (m, pos, route), key
+    return best, best_key
+
+
+def test_prefix_reusing_insertion_matches_naive_retiming():
+    drugs = list("abcdef")
+    for li, layout in enumerate(_engine_layouts()):
+        for seed in range(40):
+            rng = random.Random(7000 + 1000 * li + seed)
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+            orders = random_orders(drugs, rng.randint(2, 10), seed=seed + 50,
+                                   size_range=(1, 4), dur_range=(1, 9))
+            n_movers = rng.randint(1, 4)
+            timer = _Timer(pl, orders, eta=rng.randint(1, 3))
+            routes = _RouteCache(pl, random.Random(seed))
+            plan, _ = _random_plan(rng, pl, orders[1:], n_movers)
+            movers = None if seed % 3 else [rng.randrange(n_movers)]
+            (m, pos, route), want_key = _naive_insert_best(
+                plan, orders[0], timer, routes, movers
+            )
+            want = plan.copy()
+            want.seqs[m].insert(pos, (orders[0], route))
+            got_key = _insert_best(plan, orders[0], timer, routes, movers)
+            assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
+
+
+# --- outputs pinned across engine versions --------------------------------------------
+# sha256 of schedule(...).to_json() as produced by the busy-list timing engine
+# that preceded the free-slot one; the engine must keep every decision.
+
+def _digest(s):
+    return hashlib.sha256(s.to_json().encode()).hexdigest()
+
+
+def test_exhaustive_schedule_matches_pinned_digest():
+    layout = build_layout("square", (3, 3), 2)
+    pl = Placement(
+        layout,
+        {Coord(1, 1): ("a",), Coord(3, 3): ("b",), Coord(2, 2): ("a", "b")},
+        frozenset({Coord(1, 3), Coord(3, 1)}),
+    )
+    orders = [Order(0, (("a", 3), ("b", 3))), Order(1, (("a", 4),)), Order(2, (("b", 2),))]
+    s = schedule(orders, pl, 2, eta=2, seed=0)
+    assert s.makespan == 22
+    assert _digest(s) == "9e01b17dea22d46c96be0b6668de5bbbe3a39613912ce58f231d7e4d38340fd8"
+
+
+def test_lns_schedule_4x4_matches_pinned_digest():
+    pl = random_placement(build_layout("square", (4, 4), 2), list("abcd"), seed=8)
+    orders = random_orders(list("abcd"), 9, seed=9, size_range=(1, 3))
+    lb = lower_bound(orders, pl, 2, eta=2)
+    s = schedule(orders, pl, 2, eta=2, seed=5, warm_start=lb.assignment, max_iterations=40)
+    assert s.makespan == 115
+    assert _digest(s) == "f238779d4ab02160c766a0c4b926e7d582159e752795dff3583aa49a2d799958"
+
+
+def test_lns_schedule_8x8_matches_pinned_digest():
+    from test_acceptance import build_8x8_instance
+
+    pl, orders, _config = build_8x8_instance(3, 30, movers=4)
+    s = schedule(orders, pl, 4, eta=2, seed=11, max_iterations=5)
+    assert s.incumbent_trace == (4070, 4070, 4070, 4070, 4070, 4068)
+    assert _digest(s) == "1d49b5b0016d2e40efe9fa151e4845e5ff6bb2f562ed495e9c9d7e79dad54b3c"
