@@ -7,26 +7,22 @@ routing with batch merging.
 
 from .core import (
     Coord,
-    DistanceMatrix,
     DrugCatalog,
     InstanceConfig,
     Layout,
     Order,
     build_layout,
-    distance_matrix,
     manhattan,
     validate_instance,
 )
 
 __all__ = [
     "Coord",
-    "DistanceMatrix",
     "DrugCatalog",
     "InstanceConfig",
     "Layout",
     "Order",
     "build_layout",
-    "distance_matrix",
     "manhattan",
     "validate_instance",
 ]

@@ -2,9 +2,7 @@
 
 Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable inputs),
 3 infeasible instance, 4 time limit reached with no feasible result.
-PLANARFAB_SEED overrides the instance seed.  --threads is accepted for
-forward compatibility; the current engine is single-process and results are
-identical for any value.
+PLANARFAB_SEED overrides the instance seed.
 """
 
 from __future__ import annotations
@@ -318,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Planar-grid capsule manufacturing planner: packing, placement, "
         "scheduling, lower bounds and conflict-free routing.",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint (engine is single-process; output is identical)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("init-instance", help="write an instance JSON for the four topologies")
@@ -434,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.fn(args)
     except CliError as e:

@@ -8,6 +8,13 @@ Distances are shortest-path distances in the 4-adjacent tile graph.  On convex
 layouts (line, doubleline, square) this equals the Manhattan distance; on the
 ring topology movers must travel around the central hole, so the graph
 distance is the honest travel time there.
+
+Each layout holds one distance table, built on first use: a tile -> index map
+over the sorted tiles and an n x n int64 matrix of travel times (numpy
+broadcasting of |dx| + |dy| on l1 layouts, one BFS per tile otherwise).
+``Layout.distance`` reads one entry; ``Layout.distances`` slices a block of
+it, which is how placement, scheduling and κ get the matrix over the tiles
+they work on.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import csv
 import io
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -50,9 +58,6 @@ class Layout:
     tiles: frozenset[Coord]
     n_inter: int
     topology: str = "explicit"
-    _dist_cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
 
     def __post_init__(self):
         if self.n_inter < 0 or self.n_inter > len(self.tiles):
@@ -84,13 +89,31 @@ class Layout:
         """True when every graph distance equals the Manhattan distance."""
         return self.topology in ("line", "doubleline", "square")
 
+    @cached_property
+    def _table(self) -> tuple[dict[Coord, int], np.ndarray]:
+        # cached_property writes the instance __dict__, so it works on a frozen dataclass
+        tiles = self.sorted_tiles()
+        index = {t: i for i, t in enumerate(tiles)}
+        if self.l1_exact:
+            xy = np.array(tiles, dtype=np.int64)
+            table = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+        else:
+            table = np.array([_bfs(self, t, index) for t in tiles], dtype=np.int64)
+        table.flags.writeable = False  # shared by every caller of this layout
+        return index, table
+
     def distance(self, a: Coord, b: Coord) -> int:
         """Travel time in ticks between two tiles of the layout."""
-        if self.l1_exact:
-            return manhattan(a, b)
-        if a not in self._dist_cache:
-            self._dist_cache[a] = _bfs(self, a)
-        return self._dist_cache[a][b]
+        index, table = self._table
+        return table.item(index[a], index[b])
+
+    def distances(self, sources, targets=None) -> np.ndarray:
+        """int64 travel times from each source tile (rows) to each target tile
+        (columns; the sources again when omitted).  Tiles may repeat."""
+        index, table = self._table
+        rows = [index[t] for t in sources]
+        cols = rows if targets is None else [index[t] for t in targets]
+        return table[np.ix_(rows, cols)]
 
     def shortest_path(self, a: Coord, b: Coord) -> list[Coord]:
         """Tile sequence from a to b inclusive, one tile per tick.
@@ -135,16 +158,18 @@ def _connected(tiles: frozenset[Coord]) -> bool:
     return len(seen) == len(tiles)
 
 
-def _bfs(layout: Layout, src: Coord) -> dict[Coord, int]:
-    dist = {src: 0}
+def _bfs(layout: Layout, src: Coord, index: dict[Coord, int]) -> list[int]:
+    """Graph distance from src to every tile, as a row in index order."""
+    row = [-1] * len(index)
+    row[index[src]] = 0
     queue = deque([src])
     while queue:
         c = queue.popleft()
         for n in layout.neighbors(c):
-            if n not in dist:
-                dist[n] = dist[c] + 1
+            if row[index[n]] < 0:
+                row[index[n]] = row[index[c]] + 1
                 queue.append(n)
-    return dist
+    return row
 
 
 def _bfs_path(layout: Layout, a: Coord, b: Coord) -> list[Coord]:
@@ -286,31 +311,6 @@ class InstanceConfig:
             raise ValueError("eta_interface must be >= 1")
         if self.n_dispensers < 1 or self.n_movers < 1 or self.m_max < 1:
             raise ValueError("counts must be positive")
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Integer travel times between placed locations (the transition matrix)."""
-
-    coords: tuple[Coord, ...]
-    entries: np.ndarray
-
-    def __getitem__(self, pair) -> int:
-        a, b = pair
-        return int(self.entries[self.coords.index(a), self.coords.index(b)])
-
-
-def distance_matrix(placement) -> DistanceMatrix:
-    """Transition matrix over all placed locations of a placement."""
-    coords = tuple(sorted(placement.coords()))
-    layout = placement.layout
-    n = len(coords)
-    entries = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(coords):
-        for j in range(i + 1, n):
-            d = layout.distance(a, coords[j])
-            entries[i, j] = entries[j, i] = d
-    return DistanceMatrix(coords, entries)
 
 
 def validate_instance(layout: Layout, catalog: DrugCatalog, config: InstanceConfig) -> list[str]:

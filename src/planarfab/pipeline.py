@@ -1,7 +1,7 @@
 """End-to-end orchestration: orders -> pack -> place -> schedule -> route.
 
 All randomness flows from one master seed through named substreams (ordergen,
-ga, lns, routing); the derived seeds are logged in the run report so any stage
+ga, lns, batch); the derived seeds are logged in the run report so any stage
 can be reproduced in isolation.  Order sets larger than the batch threshold
 are split into random batches, scheduled independently and stitched by the
 routing module's DAG merge.
@@ -42,7 +42,7 @@ class PipelineConfig:
 
 
 def _substream(master: int, name: str) -> int:
-    names = {"ordergen": 1, "ga": 2, "lns": 3, "routing": 4, "batch": 5}
+    names = {"ordergen": 1, "ga": 2, "lns": 3, "batch": 5}
     return int(np.random.SeedSequence(master, spawn_key=(names[name],)).generate_state(1)[0])
 
 
@@ -119,7 +119,7 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
 def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> RunReport:
     """Execute the enabled stages; returns the report and writes artifacts."""
     master = pc.config.seed
-    seeds = {name: _substream(master, name) for name in ("ordergen", "ga", "lns", "routing", "batch")}
+    seeds = {name: _substream(master, name) for name in ("ordergen", "ga", "lns", "batch")}
     values: dict = {}
     times: dict = {}
     exact: dict = {}
@@ -194,16 +194,21 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
     if placed is None and (stages & {"lower-bound", "schedule", "route"}):
         raise StageError("place", "no placement available")
     if placed is not None:
+        # κ once per distinct drug set, for the analytical score and the lower bound
         try:
-            values["placement_analytical"] = placement_mod.analytical_cost(placed, orders)
-        except ValueError:
-            pass  # enumeration guard: skip the exact score on huge neighborhoods
+            kappas = placement_mod.per_order_kappa(placed, orders)
+        except ValueError as e:  # the placement does not serve these orders
+            raise StageError("place", e) from e
+        values["placement_analytical"] = sum(kappas) / len(kappas) if kappas else 0.0
 
     lb = None
     if "lower-bound" in stages:
+        eta = pc.config.eta_interface
+
         def bound():
+            t_values = {o.id: 2 * eta + k + o.total_dispensing for o, k in zip(orders, kappas)}
             return scheduling.lower_bound(
-                orders, placed, pc.config.n_movers, pc.config.eta_interface
+                orders, placed, pc.config.n_movers, eta, t_values=t_values
             )
 
         lb = run_stage("lower-bound", bound)

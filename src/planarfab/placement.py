@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from . import shppn
 from .core import INTERFACE, Coord, Layout
-
-ANALYTICAL_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -160,10 +157,8 @@ def _order_episodes(placement, order, interfaces, episodes, rng) -> float:
     tiles = sorted(tile_mask)
     masks = np.array([tile_mask[t] for t in tiles], dtype=np.int64)
 
-    locs = list(interfaces) + tiles
-    n_i, n_t = len(interfaces), len(tiles)
-    dist = placement.layout.distance
-    d_all = np.array([[dist(a, b) for b in locs] for a in locs], dtype=np.int64)
+    n_i = len(interfaces)
+    d_all = placement.layout.distances(list(interfaces) + tiles)
     to_tiles = d_all[:, n_i:]
     to_ifaces = d_all[:, :n_i]
 
@@ -198,27 +193,20 @@ def _order_episodes(placement, order, interfaces, episodes, rng) -> float:
 
 # --- exact analytical scorer -----------------------------------------------------
 
-def analytical_cost(placement: Placement, history, guard: int = ANALYTICAL_GUARD) -> float:
-    """Mean optimal per-order path value (exact; enumeration guard per order)."""
-    orders = list(history)
-    if not orders:
-        return 0.0
-    n_if = max(1, len(placement.interfaces))
-    total = 0
-    for order in orders:
-        count = math.factorial(len(order.drugs)) * n_if * n_if
-        for g in order.drugs:
-            count *= max(1, len(placement.dispensers_for(g)))
-            if count > guard:
-                raise ValueError(
-                    f"order {order.id}: sequence count exceeds analytical guard {guard}"
-                )
-        total += shppn.kappa(order, placement).kappa
-    return total / len(orders)
+def analytical_cost(placement: Placement, history) -> float:
+    """Mean optimal per-order path value (exact)."""
+    kappas = per_order_kappa(placement, history)
+    return sum(kappas) / len(kappas) if kappas else 0.0
 
 
 def per_order_kappa(placement: Placement, history) -> list[int]:
-    return [shppn.kappa(o, placement).kappa for o in history]
+    """Exact κ of each order, solved once per distinct drug set."""
+    orders = list(history)
+    solved: dict[tuple[str, ...], int] = {}
+    for o in orders:
+        if o.drugs not in solved:
+            solved[o.drugs] = shppn.kappa(o, placement).kappa
+    return [solved[o.drugs] for o in orders]
 
 
 # --- genetic search ---------------------------------------------------------------

@@ -40,9 +40,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import shppn
 from .core import INTERFACE, Coord, Order
+from .placement import per_order_kappa
 
 START = "start"
 DISPENSING = "dispensing"
@@ -174,6 +178,7 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance) -> list[
     orders = {o.id: o for o in instance.orders}
     placement = instance.placement
     dist = placement.layout.distance
+    on_layout = placement.layout.tiles
 
     expected = build_operations(instance.orders, instance.eta)
     want_ids = {op.op_id for op in expected}
@@ -202,6 +207,8 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance) -> list[
 
     for mover, seq in schedule.by_mover().items():
         for a, b in zip(seq, seq[1:]):
+            if a.tile not in on_layout or b.tile not in on_layout:
+                continue  # an off-layout op is reported by rule 1 or 5
             need = dist(a.tile, b.tile)
             if b.start < a.end + need:
                 issues.append(
@@ -347,18 +354,13 @@ def lower_bound(orders, placement, n_movers: int, eta: int,
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
-    t_values: path times already computed by a lower_bound call on the same
-    placement and eta over a superset of these orders; κ is not solved again.
+    t_values: path times 2 * eta + κ + dispensing already computed on the same
+    placement and eta for a superset of these orders; κ is not solved again.
     """
     orders = list(orders)
     if t_values is None:
-        kcache: dict[tuple, int] = {}
-        t_values = {}
-        for o in orders:
-            key = o.drugs
-            if key not in kcache:
-                kcache[key] = shppn.kappa(o, placement).kappa
-            t_values[o.id] = 2 * eta + kcache[key] + o.total_dispensing
+        kappas = per_order_kappa(placement, orders)
+        t_values = {o.id: 2 * eta + k + o.total_dispensing for o, k in zip(orders, kappas)}
     t_values = {o.id: t_values[o.id] for o in orders}
 
     ids = [o.id for o in orders]
@@ -400,17 +402,52 @@ def _route_count(order, placement, n_if: int) -> int:
     return count
 
 
+class _RouteSpace(NamedTuple):
+    """Every route of an order with its length, as arrays on the distance table.
+
+    Route (p, c, s, e) starts at interfaces[s], visits drug alts[i][0] at
+    alternative alts[i][1][grids[p][c, j]] for the j-th drug i of perms[p],
+    and ends at interfaces[e]; lengths[p, c, s, e] includes the leg from the
+    previous location.  Index order is the enumeration order: drug
+    permutation, dispenser combination (first stop slowest), start interface,
+    end interface.
+    """
+
+    interfaces: list[Coord]
+    alts: list[tuple[str, list[Coord]]]
+    perms: list[tuple[int, ...]]
+    grids: list[np.ndarray]
+    lengths: np.ndarray
+
+    def route(self, p: int, c: int, s: int, e: int) -> Route:
+        stops = tuple(
+            (self.alts[i][0], self.alts[i][1][self.grids[p][c, j]])
+            for j, i in enumerate(self.perms[p])
+        )
+        return Route(self.interfaces[s], stops, self.interfaces[e])
+
+
+def _route_space(order, placement, prev_loc=None) -> _RouteSpace:
+    interfaces, alts, _, d, to_iface = shppn.order_graph(order, placement)
+    offset = list(itertools.accumulate((len(ts) for _, ts in alts), initial=0))
+    lead = 0 if prev_loc is None else placement.layout.distances([prev_loc], interfaces)[0]
+    perms = list(itertools.permutations(range(len(alts))))
+    grids, lengths = [], []
+    for perm in perms:
+        grid = np.indices([len(alts[i][1]) for i in perm]).reshape(len(perm), -1).T
+        v = grid + np.array([offset[i] for i in perm])
+        inner = d[v[:, :-1], v[:, 1:]].sum(axis=1)
+        first = to_iface[v[:, 0]] + lead
+        last = to_iface[v[:, -1]]
+        grids.append(grid)
+        lengths.append(inner[:, None, None] + first[:, :, None] + last[:, None, :])
+    return _RouteSpace(interfaces, alts, perms, grids, np.stack(lengths))
+
+
 def enumerate_routes(order, placement) -> list[Route]:
-    interfaces = sorted(placement.interfaces)
-    alts = [(g, sorted(placement.dispensers_for(g))) for g in order.drugs]
-    routes = []
-    for perm in itertools.permutations(range(len(alts))):
-        for combo in itertools.product(*(alts[i][1] for i in perm)):
-            stops = tuple((alts[i][0], c) for i, c in zip(perm, combo))
-            for si in interfaces:
-                for ei in interfaces:
-                    routes.append(Route(si, stops, ei))
-    return routes
+    """Every route of an order, in enumeration order (see _RouteSpace)."""
+    space = _route_space(order, placement)
+    return [space.route(*idx) for idx in np.ndindex(space.lengths.shape)]
 
 
 def greedy_routes(order, placement, prev_loc, rng: random.Random | None = None) -> list[Route]:
@@ -444,22 +481,27 @@ def greedy_routes(order, placement, prev_loc, rng: random.Random | None = None) 
 
 def candidate_routes(order, placement, prev_loc, limit: int = 6,
                      rng: random.Random | None = None) -> list[Route]:
-    dist = placement.layout.distance
-    if _route_count(order, placement, len(placement.interfaces)) <= ROUTE_ENUM_CAP:
-        routes = enumerate_routes(order, placement)
+    """The limit shortest routes from prev_loc, ties by (start, stops, end).
+
+    Orders with at most ROUTE_ENUM_CAP routes are ranked exactly: lengths come
+    from one vectorized pass and Route objects are built only for routes no
+    longer than the limit-th smallest length.  Above the cap the ranking is
+    over the greedy routes.
+    """
+    if _route_count(order, placement, len(placement.interfaces)) > ROUTE_ENUM_CAP:
+        dist = placement.layout.distance
+        greedy = greedy_routes(order, placement, prev_loc, rng)
+        ranked = [(r.length(dist, prev_loc), r) for r in greedy]
     else:
-        routes = greedy_routes(order, placement, prev_loc, rng)
-    routes.sort(key=lambda r: (r.length(dist, prev_loc), r.start_iface, r.stops, r.end_iface))
-    seen = set()
-    out = []
-    for r in routes:
-        key = (r.start_iface, r.stops, r.end_iface)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-        if len(out) >= limit:
-            break
-    return out
+        space = _route_space(order, placement, prev_loc)
+        flat = space.lengths.ravel()
+        cut = np.partition(flat, limit - 1)[limit - 1] if limit < flat.size else flat.max()
+        ranked = [
+            (int(flat[i]), space.route(*np.unravel_index(i, space.lengths.shape)))
+            for i in np.flatnonzero(flat <= cut)
+        ]
+    ranked.sort(key=lambda x: (x[0], x[1].start_iface, x[1].stops, x[1].end_iface))
+    return [r for _, r in ranked[:limit]]
 
 
 # --- timing engine ----------------------------------------------------------------
@@ -484,9 +526,9 @@ class _Plan:
 class _Timer:
     """Timing context of one schedule() call.
 
-    Tiles are integer ids into an all-pairs distance table over the placed
-    tiles, built here and dropped with the call; its extra last row is the
-    "no location yet" origin, 0 ticks from every tile.  Each (order, route)
+    Tiles are integer ids into the layout's distance table sliced to the
+    placed tiles, as lists; its extra last row is the "no location yet"
+    origin, 0 ticks from every tile.  Each (order, route)
     chain segment of (op_id, duration, tile id) is built once per search.
     """
 
@@ -500,8 +542,7 @@ class _Timer:
         self.eta = eta
         self.tiles = placement.coords()
         self.tile_id = {t: i for i, t in enumerate(self.tiles)}
-        dist = placement.layout.distance
-        self.dist = [[dist(a, b) for b in self.tiles] for a in self.tiles]
+        self.dist = placement.layout.distances(self.tiles).tolist()
         self.dist.append([0] * len(self.tiles))
         self._segments: dict[tuple[int, Route], tuple] = {}
 

@@ -1,28 +1,28 @@
-"""Exact small-scale solvers for the inner path problems.
+"""Exact solvers for the inner path problems.
 
-An order's travel component is the shortest interface-to-interface path that
-visits one dispenser alternative per required drug.  Small instances are
-enumerated outright (vectorized); mid-size ones go through the Noon-Bean
-reduction from the generalized TSP to an asymmetric TSP (one virtual vertex
-turns the path into a tour) solved by Held-Karp; large neighborhoods use a
-cluster-subset DP.  The standalone TSP solver also carries a reduction-based
-branch and bound up to 25 vertices.  All arithmetic is integer; every route
-is exact.
+An order's travel component κ is the shortest interface-to-interface path
+that visits one dispenser alternative per required drug.  ``kappa`` solves it
+for every order size with one subset DP over the drug clusters (Held-Karp on
+clusters), vectorized over the (drug, tile) vertices on a slice of the
+layout's distance table; its cost grows as 2^drugs, not with the number of
+visiting sequences.  ``order_graph`` builds that slice; the scheduler ranks
+whole routes on the same graph.
+
+The Noon-Bean reduction of a generalized (clustered) TSP to an asymmetric TSP
+is kept as an API (``noon_bean``, ``solve_gtsp``, ``transform_dump``); the
+exact TSP behind it is Held-Karp up to HELD_KARP_LIMIT = 18 vertices.  All
+arithmetic is integer; every result is exact.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Coord
 
-ENUMERATION_LIMIT = 100_000
 HELD_KARP_LIMIT = 18
-TSP_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,13 @@ def solve_tsp(cost: np.ndarray) -> tuple[int, list[int]]:
     """Exact minimum Hamiltonian cycle; returns (cost, tour starting at 0)."""
     cost = np.asarray(cost, dtype=np.int64)
     n = cost.shape[0]
-    if n > TSP_LIMIT:
-        raise ValueError(f"TSP size {n} exceeds exact-solver guard {TSP_LIMIT}")
+    if n > HELD_KARP_LIMIT:
+        raise ValueError(f"TSP size {n} exceeds exact-solver guard {HELD_KARP_LIMIT}")
     if n == 1:
         return 0, [0]
     if n == 2:
         return int(cost[0, 1] + cost[1, 0]), [0, 1]
-    if n <= HELD_KARP_LIMIT:
-        return _held_karp(cost)
-    return _tsp_branch_and_bound(cost)
+    return _held_karp(cost)
 
 
 def _held_karp(cost: np.ndarray) -> tuple[int, list[int]]:
@@ -183,116 +181,17 @@ def _held_karp(cost: np.ndarray) -> tuple[int, list[int]]:
     return total, tour
 
 
-def _reduce(matrix: np.ndarray) -> int:
-    """In-place row/column reduction; returns the reduction total (bound term)."""
-    total = 0
-    for i in range(matrix.shape[0]):
-        m = matrix[i].min()
-        if 0 < m < math.inf:
-            matrix[i] -= m
-            total += m
-    for j in range(matrix.shape[1]):
-        m = matrix[:, j].min()
-        if 0 < m < math.inf:
-            matrix[:, j] -= m
-            total += m
-    return int(total)
-
-
-def _nearest_neighbor_tour(cost: np.ndarray) -> tuple[int, list[int]]:
-    n = cost.shape[0]
-    best = (math.inf, None)
-    for start in range(min(n, 4)):
-        tour = [start]
-        seen = {start}
-        total = 0
-        ok = True
-        while len(tour) < n:
-            cur = tour[-1]
-            cands = [(cost[cur, j], j) for j in range(n) if j not in seen]
-            c, j = min(cands)
-            if not np.isfinite(c):
-                ok = False
-                break
-            total += c
-            tour.append(j)
-            seen.add(j)
-        if ok and np.isfinite(cost[tour[-1], tour[0]]):
-            total += cost[tour[-1], tour[0]]
-            if total < best[0]:
-                best = (total, tour)
-    if best[1] is None:
-        return (np.iinfo(np.int64).max // 4, list(range(n)))
-    return int(best[0]), best[1]
-
-
-def _tsp_branch_and_bound(cost: np.ndarray) -> tuple[int, list[int]]:
-    """Reduction-based branch and bound on arcs (Little-style)."""
-    n = cost.shape[0]
-    work = cost.astype(float)
-    np.fill_diagonal(work, math.inf)
-
-    ub, ub_tour = _nearest_neighbor_tour(cost)
-    incumbent = {"cost": ub, "arcs": {ub_tour[i]: ub_tour[(i + 1) % n] for i in range(n)}}
-
-    def search(matrix, bound, chosen, start_of, end_of):
-        # exclude-branch runs as a loop; include-branch recurses
-        while True:
-            bound += _reduce(matrix)
-            if bound >= incumbent["cost"]:
-                return
-            if len(chosen) == n:
-                incumbent["cost"] = bound
-                incumbent["arcs"] = dict(chosen)
-                return
-            zeros = np.argwhere(matrix == 0)
-            if len(zeros) == 0:
-                return
-            best_pen, arc = -1.0, None
-            for i, j in zeros:
-                row = matrix[i].copy()
-                row[j] = math.inf
-                col = matrix[:, j].copy()
-                col[i] = math.inf
-                pen = row.min() + col.min()
-                if pen > best_pen:
-                    best_pen, arc = pen, (int(i), int(j))
-            i, j = arc
-
-            with_arc = matrix.copy()
-            with_arc[i, :] = math.inf
-            with_arc[:, j] = math.inf
-            with_arc[j, i] = math.inf
-            nc = dict(chosen)
-            nc[i] = j
-            frag_start = start_of.get(i, i)
-            frag_end = end_of.get(j, j)
-            ns, ne = dict(start_of), dict(end_of)
-            ns.pop(i, None)
-            ne.pop(j, None)
-            ns[frag_end] = frag_start
-            ne[frag_start] = frag_end
-            if len(nc) < n - 1:  # a full-length path may close into the tour
-                with_arc[frag_end, frag_start] = math.inf
-            search(with_arc, bound, nc, ns, ne)
-
-            matrix[i, j] = math.inf  # exclude the arc and iterate
-
-    search(work.copy(), 0, {}, {}, {})
-    if incumbent["cost"] >= np.iinfo(np.int64).max // 8:
-        raise ValueError("no finite-cost Hamiltonian cycle")
-    arcs = incumbent["arcs"]
-    tour = [0]
-    while len(tour) < n:
-        tour.append(arcs[tour[-1]])
-    total = sum(int(cost[tour[i], tour[(i + 1) % n]]) for i in range(n))
-    return total, tour
-
-
 # --- order-level path value ------------------------------------------------------
 
-def kappa(order, placement, enumeration_limit: int = ENUMERATION_LIMIT) -> PathResult:
-    """Exact optimal travel for one order: interface -> one dispenser per drug -> interface."""
+def order_graph(order, placement):
+    """The path graph of one order on the layout's distance table.
+
+    Returns (interfaces, alts, tiles, d, to_iface): the sorted interfaces; per
+    drug of the order, its sorted dispenser tiles; the (drug, tile) vertices'
+    tiles in alts order; travel times between vertices; and travel times from
+    each vertex to each interface, which are also those from each interface
+    to each vertex (graph distances are symmetric).
+    """
     interfaces = sorted(placement.interfaces)
     if not interfaces:
         raise ValueError("placement has no interfaces")
@@ -302,171 +201,50 @@ def kappa(order, placement, enumeration_limit: int = ENUMERATION_LIMIT) -> PathR
         if not tiles:
             raise ValueError(f"no dispenser placed for drug {g!r}")
         alts.append((g, sorted(tiles)))
-
-    dist = placement.layout.distance
-    k = len(alts)
-    n_seq = math.factorial(k)
-    for _, tiles in alts:
-        n_seq *= len(tiles)
-        if n_seq > enumeration_limit:
-            break
-    if n_seq <= enumeration_limit:
-        return _kappa_enumerate(alts, interfaces, dist)
-
-    drug_vertices = [(g, t) for g, tiles in alts for t in tiles]
-    n_transformed = len(drug_vertices) + 2 * len(interfaces) + 1
-    # beyond Held-Karp reach the branch-and-bound degrades badly on the
-    # M-shifted matrices, so large neighborhoods go to the exact cluster DP
-    if n_transformed <= HELD_KARP_LIMIT:
-        return _kappa_noon_bean(alts, interfaces, dist)
-    return _kappa_cluster_dp(alts, interfaces, dist)
-
-
-def _kappa_enumerate(alts, interfaces, dist) -> PathResult:
-    names = [g for g, _ in alts]
-    choices = [tiles for _, tiles in alts]
-    k = len(alts)
-    tiles = sorted({t for ts in choices for t in ts})
-    tix = {t: i for i, t in enumerate(tiles)}
-    n = len(tiles)
-    d = np.array([[dist(a, b) for b in tiles] for a in tiles], dtype=np.int64)
-    enter = np.array([min(dist(i, t) for i in interfaces) for t in tiles], dtype=np.int64)
-    leave = np.array([min(dist(t, i) for i in interfaces) for t in tiles], dtype=np.int64)
-
-    combos = np.array(
-        list(itertools.product(*(range(len(c)) for c in choices))), dtype=np.int64
-    )
-    tile_ids = [np.array([tix[t] for t in c], dtype=np.int64) for c in choices]
-
-    best = (math.inf, None, None)
-    for perm in itertools.permutations(range(k)):
-        ids = np.stack([tile_ids[p][combos[:, p]] for p in perm], axis=1)
-        cost = enter[ids[:, 0]] + leave[ids[:, -1]]
-        for j in range(k - 1):
-            cost = cost + d[ids[:, j], ids[:, j + 1]]
-        arg = int(cost.argmin())
-        if cost[arg] < best[0]:
-            best = (int(cost[arg]), perm, ids[arg])
-
-    total, perm, ids = best
-    visit = [tiles[i] for i in ids]
-    sd = min(interfaces, key=lambda i: (dist(i, visit[0]), i))
-    ed = min(interfaces, key=lambda i: (dist(visit[-1], i), i))
-    seq = (("interface", sd),) + tuple(
-        (names[p], t) for p, t in zip(perm, visit)
-    ) + (("interface", ed),)
-    return PathResult(int(total), seq)
-
-
-def _kappa_cluster_dp(alts, interfaces, dist) -> PathResult:
-    # Held-Karp over drug clusters; exact fallback for large neighborhoods.
-    k = len(alts)
-    names = [g for g, _ in alts]
     tiles = [t for _, ts in alts for t in ts]
-    owner = [gi for gi, (_, ts) in enumerate(alts) for _ in ts]
-    m = len(tiles)
-    entry = [min((dist(i, t), i) for i in interfaces) for t in tiles]
-    exit_ = [min((dist(t, i), i) for i in interfaces) for t in tiles]
+    layout = placement.layout
+    return interfaces, alts, tiles, layout.distances(tiles), layout.distances(tiles, interfaces)
 
-    big = math.inf
-    dp = {}
-    parent = {}
-    for v in range(m):
-        dp[(1 << owner[v], v)] = entry[v][0]
-        parent[(1 << owner[v], v)] = None
-    full = (1 << k) - 1
-    for mask in range(1, full + 1):
-        for v in range(m):
-            key = (mask, v)
-            if key not in dp:
-                continue
-            base = dp[key]
-            for w in range(m):
-                bit = 1 << owner[w]
-                if mask & bit:
-                    continue
-                nk = (mask | bit, w)
-                cand = base + dist(tiles[v], tiles[w])
-                if cand < dp.get(nk, big):
-                    dp[nk] = cand
-                    parent[nk] = key
-    best = (big, None)
-    for v in range(m):
-        key = (full, v)
-        if key in dp and dp[key] + exit_[v][0] < best[0]:
-            best = (dp[key] + exit_[v][0], key)
-    total, key = best
+
+def kappa(order, placement) -> PathResult:
+    """Exact optimal travel for one order: interface -> one dispenser per drug -> interface.
+
+    Vertices are (drug, tile) pairs; dp[mask, v] is the shortest path from the
+    nearest interface through one vertex of each drug in mask, ending at v.
+    """
+    interfaces, alts, tiles, d, to_iface = order_graph(order, placement)
+    bits = np.array([1 << gi for gi, (_, ts) in enumerate(alts) for _ in ts], dtype=np.int64)
+    nearest = to_iface.min(axis=1)
+
+    full = (1 << len(alts)) - 1
+    cols = np.arange(len(tiles))
+    dp = np.full((full + 1, len(tiles)), np.iinfo(np.int64).max // 4, dtype=np.int64)
+    parent = np.full((full + 1, len(tiles)), -1, dtype=np.int64)
+    dp[bits, cols] = nearest
+    for mask in range(1, full):  # every nonempty mask is reachable; supersets come later
+        ext = dp[mask][:, None] + d
+        arg = ext.argmin(axis=0)
+        best = ext[arg, cols]
+        w = np.flatnonzero(((bits & mask) == 0) & (best < dp[mask | bits, cols]))
+        dp[mask | bits[w], w] = best[w]
+        parent[mask | bits[w], w] = arg[w]
+
+    closing = dp[full] + nearest
+    v = int(closing.argmin())
+    total = int(closing[v])
     chain = []
-    while key is not None:
-        chain.append(key[1])
-        key = parent[key]
+    mask = full
+    while v >= 0:
+        chain.append(v)
+        v, mask = int(parent[mask, v]), mask ^ int(bits[v])
     chain.reverse()
-    seq = (("interface", entry[chain[0]][1]),) + tuple(
-        (names[owner[v]], tiles[v]) for v in chain
-    ) + (("interface", exit_[chain[-1]][1]),)
-    return PathResult(int(total), seq)
-
-
-def _kappa_noon_bean(alts, interfaces, dist) -> PathResult:
-    """Interface clusters + drug clusters + one virtual vertex closing the path."""
-    vertices: list[tuple[str, Coord | None]] = []
-    clusters: list[list[int]] = []
-
-    start_cluster = []
-    for i in interfaces:
-        start_cluster.append(len(vertices))
-        vertices.append(("interface", i))
-    clusters.append(start_cluster)
-
-    drug_clusters = []
-    for g, tiles in alts:
-        cl = []
-        for t in tiles:
-            cl.append(len(vertices))
-            vertices.append((g, t))
-        clusters.append(cl)
-        drug_clusters.append(cl)
-
-    end_cluster = []
-    for i in interfaces:
-        end_cluster.append(len(vertices))
-        vertices.append(("interface", i))
-    clusters.append(end_cluster)
-
-    virtual = len(vertices)
-    vertices.append(("virtual", None))
-    clusters.append([virtual])
-
-    n = len(vertices)
-    inf = math.inf
-    cost = np.full((n, n), inf)
-    start_set, end_set = set(start_cluster), set(end_cluster)
-    for u in range(n):
-        for w in range(n):
-            if u == w:
-                continue
-            if u == virtual:
-                if w in start_set:
-                    cost[u, w] = 0
-            elif w == virtual:
-                if u in end_set:
-                    cost[u, w] = 0
-            elif u in start_set and w in end_set:
-                cost[u, w] = dist(vertices[u][1], vertices[w][1])
-            elif u in end_set and w in start_set:
-                continue  # never travel "backwards" through the virtual join
-            elif u in start_set or w in end_set or (
-                u not in end_set and w not in start_set
-            ):
-                cost[u, w] = dist(vertices[u][1], vertices[w][1])
-
-    instance = GtspInstance(tuple(tuple(c) for c in clusters), cost)
-    total, chosen = solve_gtsp(instance)
-    # rotate the chosen cycle so it reads virtual -> start -> drugs -> end
-    vi = next(idx for idx, v in enumerate(chosen) if v == virtual)
-    ordered = chosen[vi + 1 :] + chosen[:vi]
-    seq = tuple((vertices[v][0], vertices[v][1]) for v in ordered)
-    return PathResult(int(total), seq)
+    owner = [g for g, ts in alts for _ in ts]
+    seq = (
+        (("interface", interfaces[int(to_iface[chain[0]].argmin())]),)
+        + tuple((owner[v], tiles[v]) for v in chain)
+        + (("interface", interfaces[int(to_iface[chain[-1]].argmin())]),)
+    )
+    return PathResult(total, seq)
 
 
 def order_time_bound(order, placement, eta: int) -> int:
@@ -483,18 +261,13 @@ def transform_dump(order, placement) -> dict:
         + [(g, t) for g, tiles in alts for t in tiles]
         + [("interface/end", i) for i in interfaces]
     )
-    dist = placement.layout.distance
     clusters = [tuple(range(len(interfaces)))]
     v = len(interfaces)
     for _, tiles in alts:
         clusters.append(tuple(range(v, v + len(tiles))))
         v += len(tiles)
     clusters.append(tuple(range(v, v + len(interfaces))))
-    n = v + len(interfaces)
-    cost = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            cost[i, j] = dist(vertices[i][1], vertices[j][1])
+    cost = placement.layout.distances([c for _, c in vertices])
     instance = GtspInstance(tuple(clusters), cost.astype(float))
     nb = noon_bean(instance)
     return {

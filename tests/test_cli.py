@@ -131,12 +131,6 @@ def test_cli_init_instance_roundtrip(tmp_path):
     assert doc["topology"] == "ring" and len(doc["tiles"]) == 16
 
 
-def test_cli_threads_flag_validated(capsys):
-    assert main(["--threads", "2", "render", "--out", "/tmp/x.svg"]) == CONFIG_ERROR
-    with pytest.raises(SystemExit):
-        main(["--threads", "0", "render", "--out", "/tmp/x.svg"])
-
-
 # --- renders -------------------------------------------------------------------------
 
 def test_render_gantt_structure():

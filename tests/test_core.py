@@ -9,7 +9,6 @@ from planarfab.core import (
     Layout,
     Order,
     build_layout,
-    distance_matrix,
     instance_from_json,
     instance_to_json,
     manhattan,
@@ -99,18 +98,56 @@ def test_shortest_path_on_ring_stays_on_tiles():
 
 
 def test_distance_matrix_trivial_and_fig6(golden_placement):
-    dm = distance_matrix(golden_placement)
-    assert dm[(Coord(2, 1), Coord(2, 1))] == 0
-    assert dm[(Coord(2, 1), Coord(3, 3))] == 3
-    assert np.all(dm.entries == dm.entries.T)
-    assert np.all(np.diag(dm.entries) == 0)
+    layout = golden_placement.layout
+    coords = golden_placement.coords()
+    dm = layout.distances(coords)
+    a, b = coords.index(Coord(2, 1)), coords.index(Coord(3, 3))
+    assert dm.dtype == np.int64 and dm.shape == (len(coords), len(coords))
+    assert dm[a, a] == 0
+    assert dm[a, b] == 3
+    assert np.all(dm == dm.T)
+    assert np.all(np.diag(dm) == 0)
+    d = layout.distance(Coord(2, 1), Coord(3, 3))
+    assert d == 3 and type(d) is int
+    # rectangular blocks, repeated tiles
+    block = layout.distances([Coord(2, 1), Coord(2, 1)], [Coord(3, 3), Coord(1, 1)])
+    assert block.tolist() == [[3, 1], [3, 1]]
+
+
+def _bfs_reference(layout):
+    """Graph distances by plain BFS over 4-neighbors, keyed by tile pair."""
+    out = {}
+    for src in layout.tiles:
+        dist, frontier = {src: 0}, [src]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for n in layout.neighbors(c):
+                    if n not in dist:
+                        dist[n] = dist[c] + 1
+                        nxt.append(n)
+            frontier = nxt
+        out.update({(src, t): v for t, v in dist.items()})
+    return out
 
 
 def test_distance_matrix_matches_manhattan(golden_placement):
-    dm = distance_matrix(golden_placement)
-    for i, a in enumerate(dm.coords):
-        for j, b in enumerate(dm.coords):
-            assert dm.entries[i, j] == manhattan(a, b)
+    dm = golden_placement.layout.distances(golden_placement.coords())
+    for i, a in enumerate(golden_placement.coords()):
+        for j, b in enumerate(golden_placement.coords()):
+            assert dm[i, j] == manhattan(a, b)
+    # every table equals BFS graph distances; on the ring it departs from l1
+    for layout in (build_layout("square", (3, 5), 0), build_layout("ring", 5, 2),
+                   build_layout("doubleline", 4, 1),
+                   build_layout("explicit", [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3)], 0)):
+        tiles = layout.sorted_tiles()
+        table = layout.distances(tiles)
+        want = _bfs_reference(layout)
+        assert table.tolist() == [[want[(a, b)] for b in tiles] for a in tiles]
+        if layout.topology != "ring":
+            continue
+        l1 = np.array([[manhattan(a, b) for b in tiles] for a in tiles])
+        assert np.any(table != l1)
 
 
 def test_validate_instance_pigeonhole():

@@ -47,7 +47,7 @@ def test_run_pipeline_produces_consistent_report(tmp_path):
     assert report.overhead_pct == pytest.approx(
         100.0 * (v["makespan_routed"] - v["makespan_scheduled"]) / v["makespan_scheduled"]
     )
-    assert set(report.seeds) == {"ordergen", "ga", "lns", "routing", "batch"}
+    assert set(report.seeds) == {"ordergen", "ga", "lns", "batch"}
     assert v["correlation_objective"] >= v["correlation_baseline"] - 1e-9
     # report file carries the recomputable overhead
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -172,6 +172,7 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5
     )
     lb = lower_bound(orders, golden_placement, 2, eta=2)
+    real_kappa = shppn.kappa
 
     def no_kappa(*args, **kwargs):
         raise AssertionError("kappa solved again")
@@ -183,3 +184,22 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
     )
     assert reused.ops == fresh.ops
     assert [p.ops for p in reused_parts] == [p.ops for p in fresh_parts]
+
+    # a pipeline run solves κ once per distinct drug set, for both the
+    # analytical score and the lower bound
+    solved = []
+
+    def counting_kappa(order, placement):
+        solved.append(order.drugs)
+        return real_kappa(order, placement)
+
+    monkeypatch.setattr(shppn, "kappa", counting_kappa)
+    pc = small_config()
+    pc.stages = ("lower-bound", "schedule")
+    pc.layout = golden_placement.layout
+    report = run_pipeline(pc, orders=orders, placed=golden_placement)
+    assert sorted(solved) == sorted({o.drugs for o in orders})
+    assert len({o.drugs for o in orders}) < len(orders)
+    assert report.stage_values["lower_bound"] == lb.value
+    want = sum(real_kappa(o, golden_placement).kappa for o in orders) / len(orders)
+    assert report.stage_values["placement_analytical"] == want

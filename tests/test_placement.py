@@ -15,6 +15,7 @@ from planarfab.placement import (
     ga_place,
     inversion_mutation,
     order_crossover,
+    per_order_kappa,
     trace_to_csv,
 )
 
@@ -97,13 +98,22 @@ def test_analytical_cost_matches_permutation_oracle():
         assert analytical_cost(pl, orders) == pytest.approx(oracle)
 
 
-def test_analytical_cost_enumeration_guard():
+def test_analytical_cost_exact_beyond_enumeration_size():
+    # a 9-drug order with up to 4 alternatives each, far past enumeration:
+    # κ is solved, not refused, and lies between the reach-and-return bound
+    # and every feasible greedy route
+    from planarfab.scheduling import greedy_routes
+
     layout = build_layout("square", (6, 6), 2)
     drugs = [f"d{i}" for i in range(9)]
     pl = random_placement(layout, drugs, seed=2, max_alternatives=4)
     big = [Order(0, tuple((g, 1) for g in drugs))]
-    with pytest.raises(ValueError):
-        analytical_cost(pl, big, guard=1000)
+    cost = analytical_cost(pl, big)
+    dist = layout.distance
+    required = [t for g in drugs for t in pl.dispensers_for(g)]
+    reach = min(dist(i, t) for i in pl.interfaces for t in required)
+    assert 2 * reach <= cost <= min(r.length(dist) for r in greedy_routes(big[0], pl, None))
+    assert cost == analytical_cost(pl, big * 3) == per_order_kappa(pl, big)[0]
 
 
 def test_fitness_dominates_analytical_statistically(golden_placement):
@@ -245,3 +255,36 @@ def test_placement_rejects_dispensers_on_interfaces():
         Placement(layout, {Coord(1, 1): ("a",)}, frozenset({Coord(1, 1)}))
     with pytest.raises(ValueError):
         Placement(layout, {Coord(5, 5): ("a",)}, frozenset({Coord(1, 1)}))
+
+
+def test_ga_place_8x8_matches_pinned_digest():
+    # sha256 of the GA trace CSV and placement.json on the 8x8~2 reference,
+    # recorded before the fitness sampler read the layout's distance table
+    import hashlib
+
+    from planarfab.core import InstanceConfig
+    from planarfab.ordergen import estimate_demand, sample_orders
+    from planarfab.packing import pack_min_load
+
+    from conftest import make_catalog
+
+    layout = build_layout("square", (8, 8), 2)
+    catalog = make_catalog(40, seed=1000, corr_scale=0.25, marg_range=(0.08, 0.45))
+    config = InstanceConfig(n_dispensers=82, m_max=12, n_movers=4, dispensing_speed=100, seed=0)
+    oset = sample_orders(catalog, 20, (3, 6), seed=1, dispensing_speed=100)
+    packed = pack_min_load(
+        estimate_demand(oset.orders), layout.n_tiles, config, drugs=catalog.drugs,
+        mode="heuristic", seed=1, restarts=3,
+    )
+    ga = ga_place(
+        packed, layout, oset.orders, GaParams(population=10, max_evaluations=60, episodes=5),
+        seed=2,
+    )
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    assert ga.best_fitness == pytest.approx(25.36)
+    assert digest(trace_to_csv(ga.trace)) == (
+        "3192db7837d21368516dcaf4498d25f9920db00355f07d10aef2708cfdd8371f"
+    )
+    assert digest(ga.placement.to_json()) == (
+        "e0b4ccbe385967bf300a9ed9caa34e008fda823cf10b9fd40666529aec293c75"
+    )

@@ -10,6 +10,7 @@ from planarfab.core import Coord, Order, build_layout
 from planarfab.placement import Placement
 from planarfab.scheduling import (
     DISPENSING,
+    ROUTE_ENUM_CAP,
     FINISH,
     START,
     Route,
@@ -22,7 +23,11 @@ from planarfab.scheduling import (
     _RouteCache,
     _timing,
     _Timer,
+    _route_count,
     build_operations,
+    candidate_routes,
+    enumerate_routes,
+    greedy_routes,
     lower_bound,
     p_cmax,
     schedule,
@@ -232,6 +237,26 @@ def test_validator_catches_wrong_tile_and_negative_time():
     assert any("rule 1" in v for v in validate_schedule(Schedule(wrong, s.makespan), inst))
     neg = tuple(ScheduledOp(so.op, so.mover, so.tile, so.start - 5) for so in s.ops)
     assert any("rule 8" in v for v in validate_schedule(Schedule(neg, s.makespan - 5), inst))
+
+
+def test_validator_reports_off_layout_tiles_without_raising():
+    # square and ring layouts; (3, 3) is in the ring's hole
+    for layout in (build_layout("square", (4, 4), 2), build_layout("ring", 5, 2)):
+        pl = random_placement(layout, list("ab"), seed=3)
+        orders = [Order(0, (("a", 4), ("b", 3))), Order(1, (("b", 5),))]
+        s = schedule(orders, pl, 1, eta=2, seed=0, max_iterations=3)
+        inst = SchedulingInstance(tuple(orders), pl, 1, 2)
+        assert validate_schedule(s, inst) == []
+        for kind, off in ((DISPENSING, Coord(3, 3)), (START, Coord(9, 9))):
+            if off in layout.tiles:
+                off = Coord(9, 9)
+            target = _lookup(s, 0, kind)
+            moved = tuple(
+                ScheduledOp(so.op, so.mover, off, so.start) if so is target else so
+                for so in s.ops
+            )
+            issues = validate_schedule(Schedule(moved, s.makespan), inst)
+            assert any(f"op {target.op.op_id} " in v for v in issues), (layout.topology, kind)
 
 
 def test_scheduler_outputs_valid_over_seeded_suite():
@@ -487,6 +512,68 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
             want.seqs[m].insert(pos, (orders[0], route))
             got_key = _insert_best(plan, orders[0], timer, routes, movers)
             assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
+
+
+# --- route oracle ------------------------------------------------------------------
+# The enumerate-and-sort ranking that the vectorized route oracle replaced:
+# build every Route, sort by (length from prev_loc, start, stops, end).
+
+def _reference_enumeration(order, placement):
+    interfaces = sorted(placement.interfaces)
+    alts = [(g, sorted(placement.dispensers_for(g))) for g in order.drugs]
+    routes = []
+    for perm in itertools.permutations(range(len(alts))):
+        for combo in itertools.product(*(alts[i][1] for i in perm)):
+            stops = tuple((alts[i][0], c) for i, c in zip(perm, combo))
+            for si in interfaces:
+                for ei in interfaces:
+                    routes.append(Route(si, stops, ei))
+    return routes
+
+
+def _reference_candidate_routes(order, placement, prev_loc, limit, rng):
+    dist = placement.layout.distance
+    if _route_count(order, placement, len(placement.interfaces)) <= ROUTE_ENUM_CAP:
+        routes = _reference_enumeration(order, placement)
+    else:
+        routes = greedy_routes(order, placement, prev_loc, rng)
+    routes.sort(key=lambda r: (r.length(dist, prev_loc), r.start_iface, r.stops, r.end_iface))
+    seen = set()
+    out = []
+    for r in routes:
+        key = (r.start_iface, r.stops, r.end_iface)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+        if len(out) >= limit:
+            break
+    return out
+
+
+def test_candidate_routes_match_enumerate_and_sort_reference():
+    layouts = [build_layout("square", (4, 4), 2), build_layout("ring", 5, 3),
+               build_layout("ring", 4, 1)]
+    drugs = list("abcde")
+    checked = shared = greedy = 0
+    for li, layout in enumerate(layouts):
+        for seed in range(6):
+            pl = random_placement(layout, drugs, seed=10 * li + seed, max_alternatives=3)
+            orders = random_orders(drugs, 5, seed=seed, size_range=(1, 5))
+            for o in orders:
+                tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
+                shared += len(tiles) != len(set(tiles))
+                enumerable = _route_count(o, pl, len(pl.interfaces)) <= ROUTE_ENUM_CAP
+                greedy += not enumerable
+                if enumerable and _route_count(o, pl, len(pl.interfaces)) <= 600:
+                    assert enumerate_routes(o, pl) == _reference_enumeration(o, pl)
+                for prev_loc in [None] + sorted(pl.interfaces):
+                    # the reference ranking for a smaller limit is a prefix of this one
+                    want = _reference_candidate_routes(o, pl, prev_loc, 6, random.Random(seed))
+                    for limit in range(1, 7):
+                        got = candidate_routes(o, pl, prev_loc, limit, random.Random(seed))
+                        assert got == want[:limit], (li, seed, o.id, prev_loc, limit)
+                        checked += 1
+    assert shared >= 10 and greedy >= 5 and checked > 1000
 
 
 # --- outputs pinned across engine versions --------------------------------------------

@@ -79,19 +79,9 @@ def test_tsp_matches_bruteforce_n9_many_seeds():
         assert sum(C[tour[i], tour[(i + 1) % n]] for i in range(n)) == got
 
 
-def test_tsp_dp_and_branch_and_bound_agree():
-    for seed, n in [(0, 12), (1, 12), (2, 13), (3, 14)]:
-        rng = np.random.default_rng(seed)
-        C = rng.integers(1, 60, (n, n)).astype(np.int64)
-        np.fill_diagonal(C, 0)
-        dp, _ = shppn._held_karp(C)
-        bb, _ = shppn._tsp_branch_and_bound(C)
-        assert dp == bb
-
-
 def test_tsp_size_guard():
     with pytest.raises(ValueError):
-        solve_tsp(np.zeros((26, 26), dtype=int))
+        solve_tsp(np.zeros((shppn.HELD_KARP_LIMIT + 1,) * 2, dtype=int))
 
 
 # --- noon_bean ----------------------------------------------------------------------
@@ -170,24 +160,29 @@ def test_kappa_sequence_consistent(golden_placement, golden_orders):
 
 
 def test_kappa_equals_bruteforce_on_random_instances():
-    layout = build_layout("square", (5, 5), 2)
-    drugs = [f"d{i}" for i in range(5)]
-    for seed in range(25):
-        pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
-        order = Order(0, tuple((g, 4) for g in drugs))
-        assert kappa(order, pl).kappa == brute_force_kappa(order, pl)
-
-
-def test_kappa_transform_route_matches_enumeration():
-    # force the Noon-Bean route by shrinking the enumeration budget
-    layout = build_layout("square", (5, 5), 2)
-    drugs = [f"d{i}" for i in range(4)]
-    for seed in range(10):
-        pl = random_placement(layout, drugs, seed=100 + seed, max_alternatives=2)
-        order = Order(0, tuple((g, 4) for g in drugs))
-        full = kappa(order, pl)
-        forced = kappa(order, pl, enumeration_limit=1)
-        assert forced.kappa == full.kappa
+    cases = [  # (layout, drugs per order, max alternatives, seeds)
+        (build_layout("square", (5, 5), 2), 5, 3, range(25)),
+        (build_layout("ring", 5, 2), 5, 3, range(10)),
+        (build_layout("ring", 4, 2), 6, 2, range(6)),
+        (build_layout("square", (3, 4), 2), 7, 2, range(3)),
+        (build_layout("ring", 4, 1), 7, 1, range(4)),
+    ]
+    shared = 0
+    for layout, k, alts, seeds in cases:
+        drugs = [f"d{i}" for i in range(k)]
+        for seed in seeds:
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=alts)
+            shared += any(len(ds) > 1 for ds in pl.drug_tiles.values())
+            order = Order(0, tuple((g, 4) for g in drugs))
+            got = kappa(order, pl)
+            assert got.kappa == brute_force_kappa(order, pl), (layout.topology, k, seed)
+            (_, start), *stops, (_, end) = got.sequence
+            assert start in pl.interfaces and end in pl.interfaces
+            assert sorted(g for g, _ in stops) == drugs
+            assert all(t in pl.dispensers_for(g) for g, t in stops)
+            path = [start] + [t for _, t in stops] + [end]
+            assert sum(map(layout.distance, path, path[1:])) == got.kappa
+    assert shared >= 10  # drugs sharing a tile are visited at zero distance
 
 
 def test_kappa_monotone_in_alternatives(golden_placement):
