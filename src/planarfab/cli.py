@@ -234,10 +234,24 @@ def cmd_lower_bound(args):
     return OK
 
 
+def _schedule_issues(sched, placed, config) -> list[str]:
+    """Ops the router cannot place: tiles off the layout, movers outside the fleet."""
+    issues = []
+    for so in sched.ops:
+        if so.tile not in placed.layout.tiles:
+            issues.append(f"op {so.op.op_id}: tile ({so.tile.x}, {so.tile.y}) is not on the layout")
+        if so.mover not in range(config.n_movers):
+            issues.append(f"op {so.op.op_id}: mover {so.mover} is outside the fleet of {config.n_movers}")
+    return issues
+
+
 def cmd_route(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load_placement(args.placement)
     sched = scheduling.Schedule.from_json(Path(args.schedule).read_text())
+    issues = _schedule_issues(sched, placed, config)
+    if issues:
+        raise CliError("; ".join(issues), INFEASIBLE)
     try:
         plan = routing.route_schedule(sched, placed)
     except routing.RoutingInfeasible as e:
@@ -257,6 +271,13 @@ def cmd_merge(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load_placement(args.placement)
     batches = [scheduling.Schedule.from_json(Path(p).read_text()) for p in args.schedules]
+    issues = [
+        f"{path}: {issue}"
+        for path, b in zip(args.schedules, batches)
+        for issue in _schedule_issues(b, placed, config)
+    ]
+    if issues:
+        raise CliError("; ".join(issues), INFEASIBLE)
     try:
         merged = routing.merge_batches(batches, placed, n_movers=config.n_movers)
         plan = routing.route_schedule(merged, placed)

@@ -259,6 +259,8 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         plan = run_stage("route", do_route)
         values["makespan_routed"] = plan.makespan
         values["routing_iterations"] = plan.iterations
+        values["routing_interruption_ticks"] = sum(plan.interruptions.values())
+        values["routing_exclusivity_repairs"] = plan.exclusivity_repairs
         values["resting_sites"] = len(plan.sites.sites)
         exact["resting_sites"] = plan.sites.exact
         save("routed.json", plan_to_json(plan))

@@ -15,12 +15,24 @@ by a source edge, mover chains carry interruption + duration + travel weights,
 and operations sharing a tile keep their original relative order with weight-1
 edges.  The ledger is monotone and bounded, so the iteration terminates; a cap
 of 100 guards pathological cases.
+
+Every pass of the fixpoint reads the layout's distance table in blocks:
+transit x site round trips are four table blocks (``_site_options``), and the
+regret greedy above 30 transits updates only the regrets an assignment
+touches.  Paths stay tick lists; conflict counting walks them once into a
+per-tile index of (tick, mover) transit occupancy and bisects each dispensing
+window in it, instead of scanning every dispensing tick against every mover.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby, repeat
+
+import numpy as np
 
 from .core import Coord
 from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp
@@ -176,6 +188,7 @@ def _sites_greedy(cands, caps):
             cap[s.tile_a] -= 1
             cap[s.tile_b] -= 1
             picked.append(s)
+    in_picked = set(picked)
     improved = True
     while improved:
         improved = False
@@ -183,14 +196,16 @@ def _sites_greedy(cands, caps):
             cap[s.tile_a] += 1
             cap[s.tile_b] += 1
             picked.remove(s)
+            in_picked.discard(s)
             added = []
             for c in cands:
-                if c not in picked and cap[c.tile_a] > 0 and cap[c.tile_b] > 0:
+                if c not in in_picked and cap[c.tile_a] > 0 and cap[c.tile_b] > 0:
                     cap[c.tile_a] -= 1
                     cap[c.tile_b] -= 1
                     added.append(c)
             if len(added) >= 2:
                 picked.extend(added)
+                in_picked.update(added)
                 improved = True
                 break
             for c in added:
@@ -199,6 +214,7 @@ def _sites_greedy(cands, caps):
             cap[s.tile_a] -= 1
             cap[s.tile_b] -= 1
             picked.append(s)
+            in_picked.add(s)
     return sorted(picked)
 
 
@@ -255,36 +271,24 @@ def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
     sites = list(sites)
     if not sites:
         raise RoutingInfeasible("idle transits exist but no resting sites", clique=list(range(len(transits))))
-    dist = placement.layout.distance
-
-    options = []
-    for i, tr in enumerate(transits):
-        opts = []
-        for j, s in enumerate(sites):
-            detour, via, _ = _site_cost(tr, s, dist)
-            if via <= tr.gap:
-                opts.append((detour, j))
+    options = _site_options(transits, sites, placement.layout)
+    for i, opts in enumerate(options):
         if not opts:
             raise RoutingInfeasible(
-                f"transit {i} (mover {tr.mover}) can reach no resting site in its gap",
+                f"transit {i} (mover {transits[i].mover}) can reach no resting site in its gap",
                 clique=[i],
             )
-        opts.sort()
-        options.append(opts)
 
-    overlap = [
-        [
-            i2
-            for i2, t2 in enumerate(transits)
-            if i2 != i1 and not (t2.arrive <= t1.depart or t1.arrive <= t2.depart)
-        ]
-        for i1, t1 in enumerate(transits)
-    ]
+    depart = np.array([t.depart for t in transits])
+    arrive = np.array([t.arrive for t in transits])
+    disjoint = (arrive[None, :] <= depart[:, None]) | (arrive[:, None] <= depart[None, :])
+    np.fill_diagonal(disjoint, True)
+    overlap = [np.flatnonzero(~row).tolist() for row in disjoint]
 
     if len(transits) <= ASSIGN_EXACT_LIMIT:
-        assign = _assign_exact(transits, options, overlap, len(sites))
+        assign = _assign_exact(transits, options, overlap)
     else:
-        assign = _assign_greedy(transits, options, overlap, len(sites))
+        assign = _assign_greedy(transits, options, overlap)
     if assign is None:
         clique = _overlap_clique(transits, overlap)
         raise RoutingInfeasible(
@@ -292,6 +296,29 @@ def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
             clique=clique,
         )
     return {i: sites[j] for i, j in assign.items()}
+
+
+def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
+    """Per transit, the sorted (detour, site index) of every site within its gap.
+
+    A site's best round trip (``_site_cost``) enters at tile a and leaves from
+    tile b; since the two tiles differ, min over (a, b) of
+    d(from, a) + [a != b] + d(b, to) is the minimum of four table blocks below.
+    """
+    frm = [t.from_tile for t in transits]
+    to = [t.to_tile for t in transits]
+    fa = layout.distances(frm, [s.tile_a for s in sites])
+    fb = layout.distances(frm, [s.tile_b for s in sites])
+    at = layout.distances(to, [s.tile_a for s in sites])
+    bt = layout.distances(to, [s.tile_b for s in sites])
+    via = np.minimum(np.minimum(fa + at, fb + bt), np.minimum(fa, fb) + 1 + np.minimum(at, bt))
+    detour = via - np.array([t.travel for t in transits])[:, None]
+    reachable = via <= np.array([t.gap for t in transits])[:, None]
+    options = []
+    for d_row, ok in zip(detour, reachable):
+        js = np.flatnonzero(ok)
+        options.append(sorted(zip(d_row[js].tolist(), js.tolist())))
+    return options
 
 
 def _overlap_clique(transits, overlap):
@@ -306,7 +333,7 @@ def _overlap_clique(transits, overlap):
     return sorted(best)
 
 
-def _assign_exact(transits, options, overlap, n_sites):
+def _assign_exact(transits, options, overlap):
     order = sorted(range(len(transits)), key=lambda i: len(options[i]))
     best = {"cost": math.inf, "assign": None}
     assign: dict[int, int] = {}
@@ -333,30 +360,50 @@ def _assign_exact(transits, options, overlap, n_sites):
     return best["assign"]
 
 
-def _assign_greedy(transits, options, overlap, n_sites):
-    # regret heuristic: place the transit with the largest cost spread first
-    assign: dict[int, int] = {}
-    pending = set(range(len(transits)))
-    while pending:
-        def regret(i):
-            feas = [
-                (d, j) for d, j in options[i] if all(assign.get(k) != j for k in overlap[i])
-            ]
-            if not feas:
-                return None
-            spread = (feas[1][0] - feas[0][0]) if len(feas) > 1 else math.inf
-            return (spread, feas[0])
+def _assign_greedy(transits, options, overlap):
+    """Regret heuristic: place the pending transit with the largest spread
+    between its two cheapest free sites first (a single free site counts as
+    an infinite spread; ties go to the lowest index) on its cheapest free site.
+    None when some pending transit has no free site left.
 
-        scored = []
-        for i in pending:
-            r = regret(i)
-            if r is None:
-                return None
-            scored.append((r[0], i, r[1]))
-        scored.sort(key=lambda x: (-x[0] if x[0] != math.inf else -1e18, x[1]))
-        _, i, (d, j) = scored[0]
+    A site is free for transit i unless an assigned transit in overlap[i]
+    holds it.  Each transit keeps its blocked sites and its regret; overlap
+    is symmetric, so assigning i changes only the regrets in overlap[i].
+    """
+    n = len(transits)
+    blocked: list[set] = [set() for _ in range(n)]
+
+    def regret(i):
+        feas = []
+        for dj in options[i]:
+            if dj[1] not in blocked[i]:
+                feas.append(dj)
+                if len(feas) == 2:
+                    break
+        if not feas:
+            return None
+        spread = (feas[1][0] - feas[0][0]) if len(feas) > 1 else math.inf
+        return ((-spread, i), feas[0][1])
+
+    pending: dict[int, tuple] = {}
+    for i in range(n):
+        r = regret(i)
+        if r is None:
+            return None
+        pending[i] = r
+    assign: dict[int, int] = {}
+    while pending:
+        key, j = min(pending.values())
+        i = key[1]
         assign[i] = j
-        pending.remove(i)
+        del pending[i]
+        for k in overlap[i]:
+            if k in pending and j not in blocked[k]:
+                blocked[k].add(j)
+                r = regret(k)
+                if r is None:
+                    return None
+                pending[k] = r
     return assign
 
 
@@ -384,6 +431,7 @@ def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
     horizon = max((e for (_m, _t, _s, e, _o) in realized.values()), default=0)
     layout = placement.layout
     dist = layout.distance
+    shortest_path = functools.cache(layout.shortest_path)
     paths: dict[int, list] = {}
 
     by_mover: dict[int, list] = {}
@@ -397,10 +445,14 @@ def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
             if 0 <= t <= horizon and pos[t] is None:
                 pos[t] = (xy[0], xy[1], state)
 
+        def fill(t0, t1, cell):  # one shared cell tuple at every free tick of [t0, t1)
+            for t in range(max(t0, 0), min(t1, horizon + 1)):
+                if pos[t] is None:
+                    pos[t] = cell
+
         for (_m, tile, s, e, op, op_id) in seq:
             state = DISPENSE if op.kind == DISPENSING else SWAP
-            for t in range(s, e):
-                pos[t] = (float(tile.x), float(tile.y), state)
+            pos[s:e] = [(float(tile.x), float(tile.y), state)] * (e - s)
         for (r1, r2) in zip(seq, seq[1:]):
             _m1, t1, _s1, e1, _o1, id1 = r1
             _m2, t2, s2, _e2, _o2, id2 = r2
@@ -410,23 +462,21 @@ def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
                 _detour, _via, (a, b) = _site_cost(
                     Transit(m, id1, id2, t1, t2, e1, s2, dist(t1, t2)), site, dist
                 )
-                p_in = layout.shortest_path(t1, a)
+                p_in = shortest_path(t1, a)
                 for j in range(1, len(p_in)):
                     put(e1 + j, (float(p_in[j].x), float(p_in[j].y)), MOVE)
                 arrive_a = e1 + len(p_in) - 1
                 depart_b = s2 - dist(b, t2)
-                for t in range(arrive_a + 1, depart_b):
-                    put(t, site.location, REST)
-                p_out = layout.shortest_path(b, t2)
+                fill(arrive_a + 1, depart_b, site.location + (REST,))
+                p_out = shortest_path(b, t2)
                 for j in range(len(p_out) - 1):
                     put(depart_b + j, (float(p_out[j].x), float(p_out[j].y)), MOVE)
             else:
                 # tight transit (or fallback wait at the previous tile)
                 travel = dist(t1, t2)
                 leave = s2 - travel
-                for t in range(e1, leave):
-                    put(t, (float(t1.x), float(t1.y)), REST)
-                p = layout.shortest_path(t1, t2)
+                fill(e1, leave, (float(t1.x), float(t1.y), REST))
+                p = shortest_path(t1, t2)
                 for j in range(1, len(p)):
                     put(leave + j, (float(p[j].x), float(p[j].y)), MOVE)
         paths[m] = pos
@@ -441,23 +491,28 @@ def detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
     exclusivity repair in resolve_conflicts, not a routing conflict.
     """
     pauses = pauses or {}
+    dispensing = [so for so in schedule.ops if so.op.kind == DISPENSING]
+    # dispensing tile center -> sorted (tick, mover) pairs in a transit state
+    occupancy: dict[tuple, list] = {
+        (float(so.tile.x), float(so.tile.y)): [] for so in dispensing
+    }
+    for m, pos in paths.items():
+        t = 0
+        for p, run in groupby(pos):  # runs of one position (build_paths shares their tuple)
+            n = len(list(run))
+            if p is not None and (p[2] == MOVE or p[2] == REST):
+                seq = occupancy.get((p[0], p[1]))
+                if seq is not None:
+                    seq.extend(zip(range(t, t + n), repeat(m)))
+            t += n
+    for seq in occupancy.values():
+        seq.sort()
     ledger: dict[int, int] = {}
-    movers = sorted(paths)
-    for so in schedule.ops:
-        if so.op.kind != DISPENSING:
-            continue
-        tile = (float(so.tile.x), float(so.tile.y))
+    for so in dispensing:
+        seq = occupancy[(float(so.tile.x), float(so.tile.y))]
         end = so.end + pauses.get(so.op.op_id, 0)
-        hits = 0
-        for t in range(so.start, end):
-            for m in movers:
-                if m == so.mover:
-                    continue
-                p = paths[m][t] if t < len(paths[m]) else None
-                if p is not None and p[2] in (MOVE, REST) and (p[0], p[1]) == tile:
-                    hits += 1
-                    break
-        ledger[so.op.op_id] = hits
+        lo, hi = bisect_left(seq, (so.start,)), bisect_left(seq, (end,))
+        ledger[so.op.op_id] = len({t for t, m in seq[lo:hi] if m != so.mover})
     return ledger
 
 

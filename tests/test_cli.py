@@ -80,6 +80,47 @@ def test_cli_exit_codes(tmp_path, instance_file):
                "--size-min", "1", "--size-max", "99", "--orders-out", orders) == INFEASIBLE
 
 
+def _route_inputs(tmp_path, edit):
+    """A placement and a one-order schedule on the 4x4 instance; edit(op) mutates each op."""
+    from planarfab.placement import Placement
+
+    layout = build_layout("square", (4, 4), 2)
+    pl = Placement(layout, {Coord(1, 2): ("drug00",)}, frozenset({Coord(1, 1), Coord(4, 4)}))
+    doc = json.loads(schedule([Order(0, (("drug00", 3),))], pl, 2, eta=2).to_json())
+    for op in doc["ops"]:
+        edit(op)
+    placement, sched = tmp_path / "placement.json", tmp_path / "schedule.json"
+    placement.write_text(pl.to_json())
+    sched.write_text(json.dumps(doc))
+    return placement, sched
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda op: op.update(tile=[9, 9]), "tile (9, 9) is not on the layout"),
+        (lambda op: op.update(mover=7), "mover 7 is outside the fleet of 2"),
+    ],
+    ids=["tile-off-layout", "mover-outside-fleet"],
+)
+@pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
+def test_cli_route_rejects_schedule_off_layout_or_fleet(tmp_path, instance_file, capsys,
+                                                        edit, message, command, flag):
+    placement, sched = _route_inputs(tmp_path, edit)
+    routed = tmp_path / "routed.json"
+    assert run(command, "--instance", instance_file, "--placement", placement,
+               flag, sched, "--out", routed) == INFEASIBLE
+    assert message in capsys.readouterr().err
+    assert not routed.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
+def test_cli_route_accepts_valid_schedule(tmp_path, instance_file, command, flag):
+    placement, sched = _route_inputs(tmp_path, lambda op: None)
+    assert run(command, "--instance", instance_file, "--placement", placement,
+               flag, sched, "--out", tmp_path / "routed.json") == OK
+
+
 def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -52,6 +52,10 @@ def test_run_pipeline_produces_consistent_report(tmp_path):
     # report file carries the recomputable overhead
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["stage_values"]["routing_overhead_pct"] == pytest.approx(report.overhead_pct)
+    routed = json.loads((tmp_path / "routed.json").read_text())
+    assert v["routing_iterations"] == routed["iterations"]
+    assert v["routing_interruption_ticks"] == sum(routed["interruptions"].values())
+    assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
 
 
 def test_pipeline_golden_fixture_reports_score_4(golden_placement, golden_orders):

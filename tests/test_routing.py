@@ -1,9 +1,14 @@
+import hashlib
+import math
+import random
+
 import networkx as nx
 import pytest
 
 from planarfab.core import Coord, Order, build_layout, manhattan
 from planarfab.placement import Placement
 from planarfab.routing import (
+    ASSIGN_EXACT_LIMIT,
     MOVE,
     REST,
     RestingSite,
@@ -17,6 +22,9 @@ from planarfab.routing import (
     generate_resting_sites,
     merge_batches,
     propagate_starts,
+    _assign_greedy,
+    _site_cost,
+    _site_options,
     resolve_conflicts,
     route_schedule,
     site_candidates,
@@ -223,6 +231,91 @@ def test_assign_respects_gap_reachability():
         assign_resting_sites([tr], [far], pl)
 
 
+def reference_assign_greedy(options, overlap):
+    """The regret greedy that recomputes every pending regret in every round."""
+    assign: dict[int, int] = {}
+    pending = set(range(len(options)))
+    while pending:
+        def regret(i):
+            feas = [
+                (d, j) for d, j in options[i] if all(assign.get(k) != j for k in overlap[i])
+            ]
+            if not feas:
+                return None
+            spread = (feas[1][0] - feas[0][0]) if len(feas) > 1 else math.inf
+            return (spread, feas[0])
+
+        scored = []
+        for i in pending:
+            r = regret(i)
+            if r is None:
+                return None
+            scored.append((r[0], i, r[1]))
+        scored.sort(key=lambda x: (-x[0] if x[0] != math.inf else -1e18, x[1]))
+        _, i, (d, j) = scored[0]
+        assign[i] = j
+        pending.remove(i)
+    return assign
+
+
+def test_incremental_greedy_matches_full_recompute():
+    outcomes = {"assigned": 0, "infeasible": 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(ASSIGN_EXACT_LIMIT + 1, ASSIGN_EXACT_LIMIT + 40)
+        n_sites = rng.randint(4, 24)
+        options = []
+        for _ in range(n):
+            js = rng.sample(range(n_sites), rng.randint(1, n_sites))
+            options.append(sorted((rng.randint(0, 6), j) for j in js))
+        if seed % 2:  # interval overlaps, as assign_resting_sites builds them
+            spans = []
+            for _ in range(n):
+                a = rng.randint(0, 60)
+                spans.append((a, a + rng.randint(1, 40)))
+            overlap = [
+                [k for k, (a2, b2) in enumerate(spans) if k != i and not (b2 <= a1 or b1 <= a2)]
+                for i, (a1, b1) in enumerate(spans)
+            ]
+        else:  # dense random symmetric overlaps
+            density = rng.uniform(0.2, 0.9)
+            overlap = [[] for _ in range(n)]
+            for i in range(n):
+                for k in range(i + 1, n):
+                    if rng.random() < density:
+                        overlap[i].append(k)
+                        overlap[k].append(i)
+        want = reference_assign_greedy(options, overlap)
+        assert _assign_greedy(list(range(n)), options, overlap) == want, seed
+        outcomes["infeasible" if want is None else "assigned"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("topology, size", [("square", (5, 5)), ("square", (3, 6)), ("ring", 5)])
+def test_site_options_match_per_site_cost(topology, size):
+    layout = build_layout(topology, size, 2)
+    tiles = layout.sorted_tiles()
+    sites = site_candidates(layout)
+    rng = random.Random(str(size))
+    transits = []
+    for k in range(60):
+        a, b = rng.choice(tiles), rng.choice(tiles)
+        travel = layout.distance(a, b)
+        depart = rng.randint(0, 20)
+        transits.append(Transit(k % 4, k, k + 1, a, b, depart, depart + travel + rng.randint(1, 12), travel))
+    if topology == "ring":  # the table is a BFS table there, not l1
+        assert any(layout.distance(a, b) != manhattan(a, b) for a in tiles for b in tiles)
+    got = _site_options(transits, sites, layout)
+    for tr, opts in zip(transits, got):
+        want = []
+        for j, site in enumerate(sites):
+            detour, via, _ = _site_cost(tr, site, layout.distance)
+            if via <= tr.gap:
+                want.append((detour, j))
+        assert opts == sorted(want)
+        assert all(type(d) is int and type(j) is int for d, j in opts)
+
+
 # --- paths and conflicts -------------------------------------------------------------
 
 def test_build_paths_staircase():
@@ -306,6 +399,26 @@ def test_detect_conflicts_constructed_crossing():
     assert all(v == 0 for k, v in ledger.items() if k != disp_a)
 
 
+def _tick_grid_conflicts(paths, s, pauses):
+    """Independent oracle: a global occupancy grid per tick."""
+    grid: dict = {}
+    for m, pos in paths.items():
+        for t, p in enumerate(pos):
+            if p is not None and p[2] in (MOVE, REST):
+                grid.setdefault(t, {}).setdefault((p[0], p[1]), set()).add(m)
+    want = {}
+    for so in s.ops:
+        if so.op.kind != DISPENSING:
+            continue
+        tile = (float(so.tile.x), float(so.tile.y))
+        want[so.op.op_id] = sum(
+            1
+            for t in range(so.start, so.end + pauses.get(so.op.op_id, 0))
+            if grid.get(t, {}).get(tile, set()) - {so.mover}
+        )
+    return want
+
+
 def test_detect_conflicts_matches_tick_grid_oracle():
     layout = build_layout("square", (4, 4), 2)
     drugs = list("abcd")
@@ -321,24 +434,32 @@ def test_detect_conflicts_matches_tick_grid_oracle():
             for i, x in assignment.items()
         }
         paths = build_paths(s, key_assignment, pl, transits=transits)
-        got = detect_conflicts(paths, s)
+        assert detect_conflicts(paths, s) == _tick_grid_conflicts(paths, s, {})
 
-        # independent oracle: global occupancy grid per tick
-        grid: dict = {}
-        for m, pos in paths.items():
-            for t, p in enumerate(pos):
-                if p is not None and p[2] in (MOVE, REST):
-                    grid.setdefault(t, {}).setdefault((p[0], p[1]), set()).add(m)
-        for so in s.ops:
-            if so.op.kind != DISPENSING:
-                continue
-            tile = (float(so.tile.x), float(so.tile.y))
-            want = sum(
-                1
-                for t in range(so.start, so.end)
-                if grid.get(t, {}).get(tile, set()) - {so.mover}
+    # routed plans, whose paths and schedule carry the fixpoint's pauses, then
+    # the same paths under random pauses that stretch windows past the paths
+    paused = 0
+    for topology, size, movers in (("square", (7, 7), 8), ("ring", 5, 4), ("ring", 6, 8)):
+        layout = build_layout(topology, size, 2)
+        drugs = list("abcdef")
+        for seed in range(6):
+            pl = random_placement(layout, drugs, seed=seed + 40)
+            orders = random_orders(drugs, 2 * movers, seed=seed, size_range=(1, 3), dur_range=(2, 9))
+            s = schedule(orders, pl, movers, eta=2, seed=seed, max_iterations=4)
+            plan = route_schedule(s, pl)
+            pauses = plan.interruptions
+            paused += bool(pauses)
+            paths = build_paths(plan.schedule, plan.resting_assignment, pl, pauses=pauses)
+            assert paths == plan.paths
+            assert detect_conflicts(paths, plan.schedule, pauses) == _tick_grid_conflicts(
+                paths, plan.schedule, pauses
             )
-            assert got[so.op.op_id] == want
+            rng = random.Random(seed)
+            extra = {so.op.op_id: rng.randint(0, 30) for so in plan.schedule.ops}
+            assert detect_conflicts(paths, plan.schedule, extra) == _tick_grid_conflicts(
+                paths, plan.schedule, extra
+            )
+    assert paused >= 6
 
 
 # --- resolution ----------------------------------------------------------------------
@@ -375,7 +496,6 @@ def test_ledger_and_makespan_monotone_across_iterations():
     prev_make = 0
     led: dict = {}
     for _ in range(4):
-        plan = resolve_conflicts(s, pl, sites, ledger=led, max_iterations=1) if False else None
         # drive the loop manually: one propagation per pass
         dag = build_dag(s, pl, led)
         starts = propagate_starts(dag, s)
@@ -453,6 +573,25 @@ def test_resting_paths_enter_sites_from_adjacent_tiles_only():
             prev = p
     inst = SchedulingInstance(tuple(orders), pl, 3, 2)
     assert validate_plan(plan, inst) == []
+
+
+def test_routed_8x8_batched_plan_matches_pinned_digest():
+    """100 orders, 8 movers, batches of 25 on the 8x8~2 reference: the routed
+    plan and its tick paths, recorded with the tick x mover conflict scan and
+    the per-round regret recomputation."""
+    from planarfab.pipeline import paths_to_csv, plan_to_json, schedule_batched
+    from test_acceptance import build_8x8_instance
+
+    pl, orders, config = build_8x8_instance(3, 100, movers=8)
+    merged, _ = schedule_batched(orders, pl, config, batch_size=25, seed=3, iterations=1)
+    plan = resolve_conflicts(merged, pl)
+    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (4, 72, 207)
+    assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == (
+        "be9aed981fb31b9b5630fd36ad3ffef5b5278897c0749e4bdc8d84db0352838e"
+    )
+    assert hashlib.sha256(paths_to_csv(plan).encode()).hexdigest() == (
+        "18c6160961b927a7fecb9f9be3a373fd92d7530aff2920b9944d6cb64ab990d4"
+    )
 
 
 # --- merging -------------------------------------------------------------------------
