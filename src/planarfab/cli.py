@@ -158,18 +158,28 @@ def cmd_pack(args):
     return OK
 
 
+def _ga_params(args) -> GaParams:
+    try:
+        return GaParams(
+            population=args.population,
+            max_evaluations=args.max_evaluations,
+            episodes=args.episodes,
+        )
+    except ValueError as e:
+        raise CliError(str(e), CONFIG_ERROR)
+
+
 def cmd_place(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load_orders(args.orders)
     packed = packing_from_json(Path(args.packing).read_text())
-    params = GaParams(
-        population=args.population,
-        max_evaluations=args.max_evaluations,
-        episodes=args.episodes,
-    )
-    result = placement_mod.ga_place(
-        packed, layout, orders, params, args.seed if args.seed is not None else config.seed
-    )
+    params = _ga_params(args)
+    try:
+        result = placement_mod.ga_place(
+            packed, layout, orders, params, args.seed if args.seed is not None else config.seed
+        )
+    except ValueError as e:  # more packed tiles than the layout holds, or an unplaced drug
+        raise CliError(str(e), INFEASIBLE)
     _write(args.out, result.placement.to_json())
     if args.trace_out:
         _write(args.trace_out, placement_mod.trace_to_csv(result.trace))
@@ -296,11 +306,7 @@ def cmd_pipeline(args):
         config=config,
         n_orders=args.n_orders,
         size_range=(args.size_min, args.size_max),
-        ga=GaParams(
-            population=args.population,
-            max_evaluations=args.max_evaluations,
-            episodes=args.episodes,
-        ),
+        ga=_ga_params(args),
         schedule_time_limit=args.time_limit,
         schedule_iterations=args.iterations,
         batch_size=args.batch_size,

@@ -13,8 +13,8 @@ Each layout holds one distance table, built on first use: a tile -> index map
 over the sorted tiles and an n x n int64 matrix of travel times (numpy
 broadcasting of |dx| + |dy| on l1 layouts, one BFS per tile otherwise).
 ``Layout.distance`` reads one entry; ``Layout.distances`` slices a block of
-it, which is how placement, scheduling and κ get the matrix over the tiles
-they work on.
+it, which is how scheduling and κ get the matrix over the tiles they work on.
+The placement sampler gathers rows of the table itself (``index_table``).
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ class Layout:
         return self.topology in ("line", "doubleline", "square")
 
     @cached_property
-    def _table(self) -> tuple[dict[Coord, int], np.ndarray]:
+    def index_table(self) -> tuple[dict[Coord, int], np.ndarray]:
+        """The tile -> row map and the read-only all-pairs table behind
+        ``distance``/``distances``, for callers that gather rows themselves."""
         # cached_property writes the instance __dict__, so it works on a frozen dataclass
         tiles = self.sorted_tiles()
         index = {t: i for i, t in enumerate(tiles)}
@@ -104,13 +106,13 @@ class Layout:
 
     def distance(self, a: Coord, b: Coord) -> int:
         """Travel time in ticks between two tiles of the layout."""
-        index, table = self._table
+        index, table = self.index_table
         return table.item(index[a], index[b])
 
     def distances(self, sources, targets=None) -> np.ndarray:
         """int64 travel times from each source tile (rows) to each target tile
         (columns; the sources again when omitted).  Tiles may repeat."""
-        index, table = self._table
+        index, table = self.index_table
         rows = [index[t] for t in sources]
         cols = rows if targets is None else [index[t] for t in targets]
         return table[np.ix_(rows, cols)]

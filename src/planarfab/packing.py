@@ -15,6 +15,15 @@ available for reporting).
 Empty tiles are permitted: when fewer dispensers than tiles exist the model's
 one-dispenser-per-tile floor is unsatisfiable, so tiles are treated as "up to
 n_tiles usable".
+
+Both local searches (stage-1 improvement, stage-2 correlation search) keep
+each tile's load (and stage-2 pair-correlation score) in a list and re-sum only
+the two tiles a trial move touches.  A tile's sum follows its list order, and
+undoing a rejected move re-appends the moved item, so the touched tiles are
+re-summed after the undo too; totals stay ``sum`` over that list.  Every
+comparison therefore sees the floats a full re-sum would give, and the
+searches return the groupings they returned when every trial re-summed every
+tile.
 """
 
 from __future__ import annotations
@@ -349,14 +358,21 @@ def _lpt_fill(items, pi, n_tiles, d_max):
 
 def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
     tiles = [list(t) for t in tiles]
+    loads = [sum(pi[g] for g in t) for t in tiles]
+
+    def resum(*touched):
+        # a tile's load is the sum over its list order, which a move or an
+        # undo (re-appending an item) changes; other tiles keep theirs
+        for ti in touched:
+            if ti < len(tiles):
+                loads[ti] = sum(pi[g] for g in tiles[ti])
 
     def profile():
-        return tuple(sorted((sum(pi[g] for g in t) for t in tiles), reverse=True))
+        return tuple(sorted(loads, reverse=True))
 
     for _ in range(max_passes):
         cur = profile()
         improved = False
-        loads = [sum(pi[g] for g in t) for t in tiles]
         peak = max(range(len(tiles)), key=loads.__getitem__)
         # relocate one dispenser off the peak tile
         for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
@@ -368,16 +384,20 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                 tiles[peak].remove(g)
                 if ti == len(tiles):
                     tiles.append([g])
+                    loads.append(0.0)
                 else:
                     tiles[ti].append(g)
+                resum(peak, ti)
                 if profile() < cur:
                     improved = True
                 else:
                     if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
                         tiles.pop()
+                        loads.pop()
                     else:
                         tiles[ti].remove(g)
                     tiles[peak].append(g)
+                    resum(peak, ti)
                 if improved:
                     break
             if improved:
@@ -398,6 +418,7 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                     tiles[peak].append(h)
                     tiles[ti].remove(h)
                     tiles[ti].append(g)
+                    resum(peak, ti)
                     if profile() < cur:
                         improved = True
                     else:
@@ -405,6 +426,7 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                         tiles[peak].append(g)
                         tiles[ti].remove(g)
                         tiles[ti].append(h)
+                        resum(peak, ti)
                     if improved:
                         break
                 if improved:
@@ -431,6 +453,8 @@ def pack_correlation(
 
     Multiplicities, per-dispenser loads and the stage-1 peak load are frozen;
     the result's objective never falls below the stage-1 grouping's own score.
+    Both searches are deterministic; ``seed`` is accepted for callers that
+    pass one and has no effect.
     """
     issues = validate_packing(stage1, config)
     if issues:
@@ -452,7 +476,7 @@ def pack_correlation(
             tiles, objective, exact = found
     if tiles is None:
         tiles, objective = _local_search_correlation(
-            stage1.tiles, z, pi, catalog, n_tiles, d_max, mu_cap, seed
+            stage1.tiles, pi, catalog, n_tiles, d_max, mu_cap
         )
         exact = False
     if objective < baseline - EPS:
@@ -530,26 +554,34 @@ def _exact_correlation(
     return best["tiles"], best["obj"], True
 
 
-def _local_search_correlation(tiles, z, pi, catalog, n_tiles, d_max, mu_cap, seed):
-    corr = catalog.correlation
+def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
+    corr = catalog.correlation.tolist()
     idx = {g: catalog.index(g) for t in tiles for g in t}
     tiles = [list(t) for t in tiles]
 
     def tile_score(t):
         return sum(
-            corr[idx[t[i]], idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
+            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
         )
-
-    def total():
-        return sum(tile_score(t) for t in tiles)
 
     def load(t):
         return sum(pi[g] for g in t)
 
+    scores = [tile_score(t) for t in tiles]
+    loads = [load(t) for t in tiles]
+
+    def resum(*touched):
+        # pair sums and loads follow the tile's list order, which a move or
+        # an undo (re-appending an item) changes; other tiles keep theirs
+        for ti in touched:
+            if ti < len(tiles):
+                scores[ti] = tile_score(tiles[ti])
+                loads[ti] = load(tiles[ti])
+
     improved = True
     while improved:
         improved = False
-        cur = total()
+        cur = sum(scores)
         for a in range(len(tiles)):
             for g in list(tiles[a]):
                 # relocation
@@ -557,24 +589,33 @@ def _local_search_correlation(tiles, z, pi, catalog, n_tiles, d_max, mu_cap, see
                     if b == a:
                         continue
                     if b < len(tiles) and (
-                        len(tiles[b]) >= d_max or g in tiles[b] or load(tiles[b]) + pi[g] > mu_cap
+                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
                     ):
                         continue
                     tiles[a].remove(g)
                     new_tile = b == len(tiles)
                     if new_tile:
                         tiles.append([g])
+                        scores.append(0)
+                        loads.append(0)
                     else:
                         tiles[b].append(g)
-                    if total() > cur + EPS and all(len(t) >= 1 for t in tiles if t):
+                    resum(a, b)
+                    if sum(scores) > cur + EPS:
                         improved = True
-                        tiles[:] = [t for t in tiles if t]
+                        kept = [i for i, t in enumerate(tiles) if t]
+                        tiles[:] = [tiles[i] for i in kept]
+                        scores[:] = [scores[i] for i in kept]
+                        loads[:] = [loads[i] for i in kept]
                         break
                     if new_tile:
                         tiles.pop()
+                        scores.pop()
+                        loads.pop()
                     else:
                         tiles[b].remove(g)
                     tiles[a].append(g)
+                    resum(a, b)
                 if improved:
                     break
                 # swaps
@@ -584,25 +625,27 @@ def _local_search_correlation(tiles, z, pi, catalog, n_tiles, d_max, mu_cap, see
                     for h in list(tiles[b]):
                         if h == g or h in tiles[a] or g in tiles[b]:
                             continue
-                        if load(tiles[a]) - pi[g] + pi[h] > mu_cap:
+                        if loads[a] - pi[g] + pi[h] > mu_cap:
                             continue
-                        if load(tiles[b]) - pi[h] + pi[g] > mu_cap:
+                        if loads[b] - pi[h] + pi[g] > mu_cap:
                             continue
                         tiles[a].remove(g)
                         tiles[a].append(h)
                         tiles[b].remove(h)
                         tiles[b].append(g)
-                        if total() > cur + EPS:
+                        resum(a, b)
+                        if sum(scores) > cur + EPS:
                             improved = True
                             break
                         tiles[a].remove(h)
                         tiles[a].append(g)
                         tiles[b].remove(g)
                         tiles[b].append(h)
+                        resum(a, b)
                     if improved:
                         break
                 if improved:
                     break
             if improved:
                 break
-    return [tuple(t) for t in tiles if t], total()
+    return [tuple(t) for t in tiles if t], sum(scores)

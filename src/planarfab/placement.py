@@ -11,6 +11,15 @@ the nearest dispenser is busy.
 The genetic search is permutation-encoded: every layout coordinate receives
 exactly one of {packed tile, interface, empty filler}, so order crossover and
 inversion mutation keep individuals valid by construction.
+
+A generation's children are bred from the previous generation's scores only,
+so ``ga_place`` breeds the whole generation first and scores its distinct
+unseen placements in one ``fitness_batch`` call.  That call samples every
+(placement, order) pair of the generation together, in stacks of pairs with
+the same candidate-tile count, gathering distances from the layout's table
+rows; ``fitness`` is its one-placement case.  Each pair keeps its own random
+stream, so a score does not depend on the batch it was sampled in, and the GA
+trace and placement are those of scoring one child at a time.
 """
 
 from __future__ import annotations
@@ -125,70 +134,186 @@ class GaParams:
             raise ValueError("population must be >= 2")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.max_evaluations < self.population:
+            raise ValueError("max_evaluations must be >= population")
 
 
 # --- stochastic fitness (episode sampler) ---------------------------------------
 
 def fitness(placement: Placement, history, episodes: int, seed: int) -> PlacementScore:
     """Expected mover steps per order under inverse-distance routing episodes."""
-    interfaces = sorted(placement.interfaces)
-    if not interfaces:
+    return fitness_batch([placement], history, episodes, [seed])[0]
+
+
+# pairs x episodes x candidate tiles per sampler call: bounds the temporaries
+_CHUNK = 1 << 13
+
+
+def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementScore]:
+    """``fitness`` of each placement under its own seed, sampled in one pass.
+
+    The placements share one layout.  Every (placement, order) pair keeps its
+    own stream, ``SeedSequence(seed, spawn_key=(order index,))``, which draws
+    the start interfaces and then one block of uniforms that the steps consume
+    in order; PCG64 doubles are not buffered, so this equals one draw per
+    step.  Pairs are stacked only with pairs of the same candidate-tile count:
+    padding rows to a common width would regroup numpy's pairwise sum of the
+    weights.  Each score is therefore the one its placement gets alone.
+    """
+    placements, seeds, orders = list(placements), list(seeds), list(history)
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    if not placements:
+        return []
+    layout = placements[0].layout
+    if any(pl.layout != layout for pl in placements):
+        raise ValueError("placements of one batch must share a layout")
+    if not layout.n_inter:
         raise ValueError("placement has no interfaces")
-    per_order = []
-    orders = list(history)
+    index, table = layout.index_table
+    interfaces = np.array(
+        [[index[c] for c in sorted(pl.interfaces)] for pl in placements], dtype=np.int64
+    )
+    hosts = _hosts(placements, orders, index)
+
+    # per candidate-tile count n: (placement rows, order index, drug count,
+    # candidate tiles, their drug bitmasks), candidates ascending in table order
+    stacks: dict[int, list[tuple]] = {}
     for oi, order in enumerate(orders):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(oi,)))
-        per_order.append(_order_episodes(placement, order, interfaces, episodes, rng))
-    mean = float(sum(per_order) / len(per_order)) if per_order else 0.0
-    return PlacementScore(mean, tuple(per_order), episodes, seed)
+        served = np.zeros((len(placements), len(index)), dtype=np.int64)  # drug bitmasks
+        for bit, g in enumerate(order.drugs):
+            held = hosts[g]
+            if not held.any(axis=1).all():
+                raise ValueError(f"no dispenser placed for drug {g!r}")
+            served[held] |= 1 << bit
+        counts = np.count_nonzero(served, axis=1)
+        k = len(order.drugs)
+        for n in set(counts.tolist()):  # not np.unique: it imports numpy.ma (~0.5 MB)
+            rows = np.flatnonzero(counts == n)
+            sub = served[rows].ravel()
+            cand = np.flatnonzero(sub)
+            stacks.setdefault(n, []).append((
+                rows, np.full(len(rows), oi), np.full(len(rows), k),
+                (cand % len(index)).reshape(-1, n), sub[cand].reshape(-1, n),
+            ))
+
+    per_order = np.zeros((len(placements), len(orders)))
+    for n, parts in stacks.items():
+        rows, cols, n_drugs, tiles, masks = (np.concatenate(f) for f in zip(*parts))
+        size = max(1, _CHUNK // (n * episodes))
+        for lo in range(0, len(rows), size):
+            part = slice(lo, lo + size)
+            keys = [(seeds[p], o, nd) for p, o, nd in zip(
+                rows[part].tolist(), cols[part].tolist(), n_drugs[part].tolist()
+            )]
+            per_order[rows[part], cols[part]] = _sample_pairs(
+                table, interfaces[rows[part]], tiles[part], masks[part],
+                (1 << n_drugs[part]) - 1, _Uniforms(keys, layout.n_inter, episodes),
+            )
+
+    scores = []
+    for steps, seed in zip(per_order.tolist(), seeds):
+        mean = float(sum(steps) / len(steps)) if steps else 0.0
+        scores.append(PlacementScore(mean, tuple(steps), episodes, seed))
+    return scores
 
 
-def _order_episodes(placement, order, interfaces, episodes, rng) -> float:
-    # candidate tiles = union of the order's dispenser alternatives,
-    # each with a bitmask of the order's drugs it can serve
-    drugs = order.drugs
-    for g in drugs:
-        if not placement.dispensers_for(g):
-            raise ValueError(f"no dispenser placed for drug {g!r}")
-    tile_mask: dict[Coord, int] = {}
-    for bit, g in enumerate(drugs):
-        for t in placement.dispensers_for(g):
-            tile_mask[t] = tile_mask.get(t, 0) | (1 << bit)
-    tiles = sorted(tile_mask)
-    masks = np.array([tile_mask[t] for t in tiles], dtype=np.int64)
+def _hosts(placements, orders, index) -> dict[str, np.ndarray]:
+    """For each drug of the orders, placements x table rows: where it is dispensed."""
+    drugs = {g for order in orders for g in order.drugs}
+    hosts = {g: np.zeros((len(placements), len(index)), dtype=bool) for g in drugs}
+    for p, pl in enumerate(placements):
+        for g, tiles in pl._by_drug.items():
+            if g in hosts:
+                hosts[g][p, [index[t] for t in tiles]] = True
+    return hosts
 
-    n_i = len(interfaces)
-    d_all = placement.layout.distances(list(interfaces) + tiles)
-    to_tiles = d_all[:, n_i:]
-    to_ifaces = d_all[:, :n_i]
 
-    full = (1 << len(drugs)) - 1
-    loc = rng.integers(0, n_i, size=episodes)  # uniform start interface
-    remaining = np.full(episodes, full, dtype=np.int64)
-    steps = np.zeros(episodes, dtype=np.int64)
+def _sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> np.ndarray:
+    """Mean episode steps of (placement, order) pairs with equal candidate counts.
 
+    One row per pair: its interfaces, its candidate tiles (table rows), each
+    candidate's drug bitmask and the bitmask of all the order's drugs.
+    Episode arrays are pairs x episodes; distances are gathered from the
+    layout's table rows at every step.
+    """
+    loc = np.take_along_axis(interfaces, uniforms.start, axis=1)
+    remaining = np.repeat(full[:, None], loc.shape[1], axis=1)
+    steps = np.zeros(loc.shape, dtype=np.int64)
     while True:
         alive = remaining != 0
         if not alive.any():
             break
-        d = to_tiles[loc[alive]]
-        usable = (masks[None, :] & remaining[alive, None]) != 0
-        w = np.where(d == 0, 1.0, 1.0 / np.maximum(d, 1))
-        w = np.where(usable, w, 0.0)
-        totals = w.sum(axis=1)
-        r = rng.random(alive.sum()) * totals
-        pick = (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
-        steps[alive] += d[np.arange(len(pick)), pick]
-        remaining[alive] &= ~masks[pick]
-        loc[alive] = n_i + pick
+        r, e = np.nonzero(alive)
+        cand = tiles[r]
+        d = table[loc[r, e][:, None], cand]
+        usable = (masks[r] & remaining[r, e][:, None]) != 0
+        pick = _choose(d, usable, uniforms.take(alive))
+        k = np.arange(len(pick))
+        steps[r, e] += d[k, pick]
+        remaining[r, e] &= ~masks[r, pick]
+        loc[r, e] = cand[k, pick]
 
-    d = to_ifaces[loc]
-    w = np.where(d == 0, 1.0, 1.0 / np.maximum(d, 1))
-    totals = w.sum(axis=1)
-    r = rng.random(episodes) * totals
-    pick = (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
-    steps += d[np.arange(episodes), pick]
-    return float(steps.sum() / episodes)
+    d = table[loc[:, :, None], interfaces[:, None, :]].reshape(loc.size, -1)
+    pick = _choose(d, None, uniforms.take(np.ones(loc.shape, dtype=bool)))
+    steps += d[np.arange(len(pick)), pick].reshape(loc.shape)
+    return steps.sum(axis=1) / loc.shape[1]
+
+
+def _choose(d, usable, u) -> np.ndarray:
+    """Per row, the column sampled with weight 1/distance (0 weighing as 1)."""
+    w = 1.0 / np.maximum(d, 1)
+    if usable is not None:
+        w[~usable] = 0.0
+    r = u * w.sum(axis=1)
+    return (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
+
+
+def _stream(seed, order, n_interfaces, episodes):
+    """A pair's generator and its uniform start interfaces, the stream's first draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(order,)))
+    return rng, rng.integers(0, n_interfaces, size=episodes)
+
+
+class _Uniforms:
+    """Each pair's start interfaces and uniforms, handed out in stream order.
+
+    ``keys`` holds each pair's (seed, order index, drug count).  An order of k
+    drugs takes at most k steps per episode plus the return, so
+    ``episodes * (k + 1)`` uniforms are drawn up front.  Only when rounding
+    puts a draw past the last cumulative weight does a pick land on an
+    unusable tile and cost an extra step; a block that runs dry is then
+    extended by replaying the pair's stream.
+    """
+
+    def __init__(self, keys, n_interfaces, episodes):
+        self.keys, self.n_interfaces, self.episodes = keys, n_interfaces, episodes
+        self.length = np.array([episodes * (k + 1) for _, _, k in keys])
+        self.block = np.empty((len(keys), int(self.length.max())))
+        self.start = np.empty((len(keys), episodes), dtype=np.int64)
+        for i, (seed, order, _) in enumerate(keys):
+            rng, self.start[i] = _stream(seed, order, n_interfaces, episodes)
+            rng.random(out=self.block[i, : self.length[i]])
+        self.used = np.zeros(len(keys), dtype=np.int64)
+
+    def take(self, mask) -> np.ndarray:
+        """One uniform per True of ``mask`` (pairs x episodes), row-major."""
+        need = self.used + mask.sum(axis=1)
+        short = np.nonzero(need > self.length)[0]
+        if len(short):
+            grow = int(need.max()) - self.block.shape[1]
+            if grow > 0:
+                self.block = np.pad(self.block, ((0, 0), (0, grow)))
+            for i in short:
+                seed, order, _ = self.keys[i]
+                rng, _ = _stream(seed, order, self.n_interfaces, self.episodes)
+                self.block[i, : need[i]] = rng.random(need[i])
+                self.length[i] = need[i]
+        r, e = np.nonzero(mask)
+        rank = np.cumsum(mask, axis=1)[r, e] - 1
+        u = self.block[r, self.used[r] + rank]
+        self.used = need
+        return u
 
 
 # --- exact analytical scorer -----------------------------------------------------
@@ -272,13 +397,15 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
     rng = random.Random(seed)
     cache: dict[bytes, float] = {}
 
-    def evaluate(perm) -> float:
-        pl = _decode(perm, contents, coords, layout)
-        sig = pl.signature()
-        if sig not in cache:
-            sub_seed = int.from_bytes(sig[:4], "big")
-            cache[sig] = fitness(pl, history, ga_params.episodes, sub_seed).mean_steps
-        return cache[sig]
+    def evaluate(perms) -> list[float]:
+        # one sampler pass per generation; each unseen placement is scored once
+        placed = [_decode(p, contents, coords, layout) for p in perms]
+        sigs = [pl.signature() for pl in placed]
+        fresh = {sig: pl for sig, pl in zip(sigs, placed) if sig not in cache}
+        seeds = [int.from_bytes(sig[:4], "big") for sig in fresh]
+        scored = fitness_batch(fresh.values(), history, ga_params.episodes, seeds)
+        cache.update(zip(fresh, (s.mean_steps for s in scored)))
+        return [cache[sig] for sig in sigs]
 
     n = len(contents)
     population = []
@@ -286,7 +413,7 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
         perm = list(range(n))
         rng.shuffle(perm)
         population.append(perm)
-    scores = [evaluate(p) for p in population]
+    scores = evaluate(population)
     evaluations = len(population)
 
     best_idx = min(range(len(scores)), key=scores.__getitem__)
@@ -296,9 +423,10 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
 
     while evaluations < ga_params.max_evaluations:
         generation += 1
-        next_pop = [list(best_perm)]  # elitism of one
-        next_scores = [best_score]
-        while len(next_pop) < ga_params.population:
+        # children breed from the previous generation's scores only, so the
+        # whole generation is scored after it is bred
+        children = []
+        while 1 + len(children) < ga_params.population:  # elitism of one
             def pick():
                 cand = rng.sample(range(len(population)), min(ga_params.tournament, len(population)))
                 return min(cand, key=scores.__getitem__)
@@ -310,12 +438,12 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
                 child = list(pa)
             if rng.random() < ga_params.mutation_rate:
                 child = inversion_mutation(child, rng)
-            next_pop.append(child)
-            next_scores.append(evaluate(child))
+            children.append(child)
             evaluations += 1
             if evaluations >= ga_params.max_evaluations:
                 break
-        population, scores = next_pop, next_scores
+        population = [list(best_perm)] + children
+        scores = [best_score] + evaluate(children)
         gen_best = min(range(len(scores)), key=scores.__getitem__)
         if scores[gen_best] < best_score:
             best_perm, best_score = list(population[gen_best]), scores[gen_best]

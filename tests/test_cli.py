@@ -259,3 +259,62 @@ def test_render_layout_sites_and_heat(golden_placement):
     svg_heat = render_layout(golden_placement, heat=heat)
     shades = set(re.findall(r'fill="rgb\(255,(\d+),\d+\)"', svg_heat))
     assert len(shades) == 1  # all-equal heat renders one uniform shade
+
+
+def _place_inputs(tmp_path, tiles, order_drugs):
+    """A packing of ``tiles`` and a one-order history over ``order_drugs``."""
+    from planarfab.core import orders_to_csv
+    from planarfab.packing import Packing
+    from planarfab.pipeline import packing_to_json
+
+    z = {}
+    for t in tiles:
+        for g in t:
+            z[g] = z.get(g, 0) + 1
+    packed = Packing(tuple(tiles), z, {g: 1.0 for g in z}, tuple(float(len(t)) for t in tiles),
+                     3.0, 0.0, False, len(tiles))
+    packing, orders = tmp_path / "packing.json", tmp_path / "orders.csv"
+    packing.write_text(packing_to_json(packed))
+    orders.write_text(orders_to_csv([Order(0, tuple((g, 4) for g in order_drugs))]))
+    return packing, orders
+
+
+GA_FLAGS = {
+    "population-1": ("--population", "1"),
+    "episodes-0": ("--episodes", "0"),
+    "evaluations-below-population": ("--population", "8", "--max-evaluations", "3"),
+}
+
+
+@pytest.mark.parametrize("flags", GA_FLAGS.values(), ids=GA_FLAGS.keys())
+@pytest.mark.parametrize("command", ["place", "pipeline"])
+def test_cli_bad_ga_params_are_config_errors(tmp_path, instance_file, capsys, command, flags):
+    out = tmp_path / "out"
+    if command == "place":
+        packing, orders = _place_inputs(tmp_path, [("drug00",), ("drug01", "drug02")], ["drug00"])
+        argv = ("place", "--instance", instance_file, "--orders", orders,
+                "--packing", packing, "--out", out)
+    else:
+        argv = ("pipeline", "--instance", instance_file, "--n-orders", "3",
+                "--size-min", "1", "--size-max", "2", "--out-dir", out)
+    assert run(*argv, *flags) == CONFIG_ERROR
+    assert "must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tiles, order_drugs, message",
+    [
+        ([(f"drug0{i % 5}",) for i in range(15)], ["drug00"], "15 packed tiles + 2 interfaces"),
+        ([("drug00",), ("drug01",)], ["drug00", "drug04"], "no dispenser placed for drug 'drug04'"),
+    ],
+    ids=["tiles-exceed-layout", "order-drug-not-packed"],
+)
+def test_cli_place_infeasible_inputs(tmp_path, instance_file, capsys, tiles, order_drugs, message):
+    packing, orders = _place_inputs(tmp_path, tiles, order_drugs)
+    out = tmp_path / "placement.json"
+    assert run("place", "--instance", instance_file, "--orders", orders, "--packing", packing,
+               "--population", "4", "--max-evaluations", "8", "--episodes", "2",
+               "--out", out) == INFEASIBLE
+    assert message in capsys.readouterr().err
+    assert not out.exists()

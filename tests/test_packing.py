@@ -7,6 +7,7 @@ import pytest
 from planarfab.core import DrugCatalog, InstanceConfig
 from planarfab.ordergen import DemandVector
 from planarfab.packing import (
+    EPS,
     PackingInfeasible,
     correlation_sum,
     pack_correlation,
@@ -257,3 +258,245 @@ def test_correlation_direction_matches_reference_improvement():
     q = pack_correlation(stage1, catalog, config)
     assert q.mu_max == pytest.approx(stage1.mu_max)
     assert q.correlation_objective >= correlation_sum(stage1.tiles, catalog) - 1e-12
+
+
+# --- touched-tile re-sums vs the full re-sum searches ------------------------------
+
+def reference_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
+    """Stage-1 improvement as it was before it cached tile loads: every trial
+    move re-sums every tile."""
+    tiles = [list(t) for t in tiles]
+
+    def profile():
+        return tuple(sorted((sum(pi[g] for g in t) for t in tiles), reverse=True))
+
+    for _ in range(max_passes):
+        cur = profile()
+        improved = False
+        loads = [sum(pi[g] for g in t) for t in tiles]
+        peak = max(range(len(tiles)), key=loads.__getitem__)
+        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
+            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                if ti == peak:
+                    continue
+                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
+                    continue
+                tiles[peak].remove(g)
+                if ti == len(tiles):
+                    tiles.append([g])
+                else:
+                    tiles[ti].append(g)
+                if profile() < cur:
+                    improved = True
+                else:
+                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
+                        tiles.pop()
+                    else:
+                        tiles[ti].remove(g)
+                    tiles[peak].append(g)
+                if improved:
+                    break
+            if improved:
+                break
+        if improved:
+            continue
+        for g in list(tiles[peak]):
+            for ti in range(len(tiles)):
+                if ti == peak:
+                    continue
+                for h in list(tiles[ti]):
+                    if h == g or pi[h] >= pi[g]:
+                        continue
+                    if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    tiles[peak].remove(g)
+                    tiles[peak].append(h)
+                    tiles[ti].remove(h)
+                    tiles[ti].append(g)
+                    if profile() < cur:
+                        improved = True
+                    else:
+                        tiles[peak].remove(h)
+                        tiles[peak].append(g)
+                        tiles[ti].remove(g)
+                        tiles[ti].append(h)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    tiles = [t for t in tiles if t]
+    return [tuple(t) for t in tiles]
+
+
+def reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
+    """Stage-2 local search as it was before it cached tile scores and loads:
+    every trial move re-sums every tile's correlations through numpy scalars."""
+    corr = catalog.correlation
+    idx = {g: catalog.index(g) for t in tiles for g in t}
+    tiles = [list(t) for t in tiles]
+
+    def tile_score(t):
+        return sum(
+            corr[idx[t[i]], idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
+        )
+
+    def total():
+        return sum(tile_score(t) for t in tiles)
+
+    def load(t):
+        return sum(pi[g] for g in t)
+
+    improved = True
+    while improved:
+        improved = False
+        cur = total()
+        for a in range(len(tiles)):
+            for g in list(tiles[a]):
+                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                    if b == a:
+                        continue
+                    if b < len(tiles) and (
+                        len(tiles[b]) >= d_max or g in tiles[b] or load(tiles[b]) + pi[g] > mu_cap
+                    ):
+                        continue
+                    tiles[a].remove(g)
+                    new_tile = b == len(tiles)
+                    if new_tile:
+                        tiles.append([g])
+                    else:
+                        tiles[b].append(g)
+                    if total() > cur + EPS:
+                        improved = True
+                        tiles[:] = [t for t in tiles if t]
+                        break
+                    if new_tile:
+                        tiles.pop()
+                    else:
+                        tiles[b].remove(g)
+                    tiles[a].append(g)
+                if improved:
+                    break
+                for b in range(len(tiles)):
+                    if b == a:
+                        continue
+                    for h in list(tiles[b]):
+                        if h == g or h in tiles[a] or g in tiles[b]:
+                            continue
+                        if load(tiles[a]) - pi[g] + pi[h] > mu_cap:
+                            continue
+                        if load(tiles[b]) - pi[h] + pi[g] > mu_cap:
+                            continue
+                        tiles[a].remove(g)
+                        tiles[a].append(h)
+                        tiles[b].remove(h)
+                        tiles[b].append(g)
+                        if total() > cur + EPS:
+                            improved = True
+                            break
+                        tiles[a].remove(h)
+                        tiles[a].append(g)
+                        tiles[b].remove(g)
+                        tiles[b].append(h)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return [tuple(t) for t in tiles if t], total()
+
+
+def random_tiles(rng, drugs, copies, n_used, d_max):
+    """Drug copies dealt onto n_used tiles, no drug twice on a tile, or None."""
+    tiles = [[] for _ in range(n_used)]
+    for g in drugs:
+        for _ in range(copies[g]):
+            room = [t for t in tiles if len(t) < d_max and g not in t]
+            if not room:
+                return None
+            room[int(rng.integers(len(room)))].append(g)
+    return [tuple(t) for t in tiles if t]
+
+
+def random_search_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n_drugs = int(rng.integers(2, 9))
+        drugs = [f"g{i}" for i in range(n_drugs)]
+        copies = {g: int(rng.integers(1, 4)) for g in drugs}
+        d_max = int(rng.integers(2, 5))
+        n_used = int(rng.integers(1, 8))
+        tiles = random_tiles(rng, drugs, copies, n_used, d_max)
+        if tiles is None:
+            continue
+        n_tiles = len(tiles) + int(rng.integers(0, 3))
+        # loads with repeated and irrational values so list order shows in the sums
+        pi = {g: float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 2.2, float(rng.uniform(0, 5))]))
+              for g in drugs}
+        made += 1
+        yield rng, drugs, tiles, pi, n_tiles, d_max
+
+
+def test_improve_min_load_matches_full_resum_reference():
+    from planarfab.packing import _improve_min_load
+
+    checked = moved = 0
+    for _, _, tiles, pi, n_tiles, d_max in random_search_instances(21, 150):
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == reference_improve_min_load(tiles, pi, n_tiles, d_max)
+        checked += 1
+        moved += got != tiles
+    assert checked == 150 and moved >= 30
+
+
+def test_local_search_correlation_matches_full_resum_reference():
+    from planarfab.packing import _local_search_correlation
+
+    checked = moved = 0
+    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(22, 150):
+        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
+        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
+        peak = max(sum(pi[g] for g in t) for t in tiles)
+        mu_cap = peak * float(rng.choice([1.0, 1.2, 2.0])) + EPS
+        got = _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+        want = reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+        assert got[0] == want[0]
+        assert got[1] == want[1]  # same objective, bit for bit
+        checked += 1
+        moved += got[0] != tiles
+    assert checked == 150 and moved >= 30
+
+
+# sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the
+# 8x8~2 reference, per order seed, recorded before either search cached tile sums
+PACKING_8X8_DIGESTS = {
+    1: "2c2dda98fe2bfcab2ff90d8a94291d912614453389579533168956d6f5571e57",
+    2: "bd1d83c88028fea27c9ef236131ba03ac7bfe3e27eff4dea21e5dc9e3e82771c",
+    3: "febd8833677ca6e743487d7aad9d03840d23923c384cf23db91fb76f0175b6af",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PACKING_8X8_DIGESTS))
+def test_packing_8x8_matches_pinned_digest(seed):
+    import hashlib
+
+    from planarfab.core import build_layout
+    from planarfab.ordergen import estimate_demand, sample_orders
+    from planarfab.pipeline import packing_to_json
+
+    layout = build_layout("square", (8, 8), 2)
+    catalog = make_catalog(40, seed=1000, corr_scale=0.25, marg_range=(0.08, 0.45))
+    config = InstanceConfig(n_dispensers=82, m_max=12, n_movers=4, dispensing_speed=100, seed=0)
+    oset = sample_orders(catalog, 30, (3, 6), seed=seed, dispensing_speed=100)
+    stage1 = pack_min_load(
+        estimate_demand(oset.orders), layout.n_tiles, config, drugs=catalog.drugs,
+        mode="heuristic", seed=seed,
+    )
+    stage2 = pack_correlation(stage1, catalog, config, mode="heuristic")
+    text = packing_to_json(stage1) + packing_to_json(stage2)
+    assert hashlib.sha256(text.encode()).hexdigest() == PACKING_8X8_DIGESTS[seed]

@@ -10,8 +10,11 @@ from planarfab.packing import Packing
 from planarfab.placement import (
     GaParams,
     Placement,
+    _Uniforms,
+    _choose,
     analytical_cost,
     fitness,
+    fitness_batch,
     ga_place,
     inversion_mutation,
     order_crossover,
@@ -74,6 +77,150 @@ def test_fitness_deterministic_per_seed():
     s2 = fitness(pl, orders, episodes=40, seed=11)
     assert s1 == s2
     assert s1 != fitness(pl, orders, episodes=40, seed=12)
+
+
+# --- batched sampler vs the per-placement reference ---------------------------------
+
+def reference_order_episodes(placement, order, interfaces, episodes, rng) -> float:
+    """The per-(placement, order) sampler that the batched one replaced."""
+    drugs = order.drugs
+    for g in drugs:
+        if not placement.dispensers_for(g):
+            raise ValueError(f"no dispenser placed for drug {g!r}")
+    tile_mask = {}
+    for bit, g in enumerate(drugs):
+        for t in placement.dispensers_for(g):
+            tile_mask[t] = tile_mask.get(t, 0) | (1 << bit)
+    tiles = sorted(tile_mask)
+    masks = np.array([tile_mask[t] for t in tiles], dtype=np.int64)
+
+    n_i = len(interfaces)
+    d_all = placement.layout.distances(list(interfaces) + tiles)
+    to_tiles = d_all[:, n_i:]
+    to_ifaces = d_all[:, :n_i]
+
+    full = (1 << len(drugs)) - 1
+    loc = rng.integers(0, n_i, size=episodes)
+    remaining = np.full(episodes, full, dtype=np.int64)
+    steps = np.zeros(episodes, dtype=np.int64)
+
+    while True:
+        alive = remaining != 0
+        if not alive.any():
+            break
+        d = to_tiles[loc[alive]]
+        usable = (masks[None, :] & remaining[alive, None]) != 0
+        w = np.where(d == 0, 1.0, 1.0 / np.maximum(d, 1))
+        w = np.where(usable, w, 0.0)
+        totals = w.sum(axis=1)
+        r = rng.random(alive.sum()) * totals
+        pick = (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
+        steps[alive] += d[np.arange(len(pick)), pick]
+        remaining[alive] &= ~masks[pick]
+        loc[alive] = n_i + pick
+
+    d = to_ifaces[loc]
+    w = np.where(d == 0, 1.0, 1.0 / np.maximum(d, 1))
+    totals = w.sum(axis=1)
+    r = rng.random(episodes) * totals
+    pick = (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
+    steps += d[np.arange(episodes), pick]
+    return float(steps.sum() / episodes)
+
+
+def reference_fitness(placement, history, episodes, seed):
+    """(mean, per-order steps) of one placement, one order at a time."""
+    interfaces = sorted(placement.interfaces)
+    per_order = []
+    for oi, order in enumerate(history):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(oi,)))
+        per_order.append(reference_order_episodes(placement, order, interfaces, episodes, rng))
+    return (float(sum(per_order) / len(per_order)) if per_order else 0.0), tuple(per_order)
+
+
+@pytest.mark.parametrize("episodes", [1, 3, 10, 20])
+@pytest.mark.parametrize("topology, size", [("square", (5, 5)), ("ring", 6)])
+def test_fitness_batch_matches_per_placement_reference(topology, size, episodes):
+    layout = build_layout(topology, size, 2)
+    drugs = [f"d{i}" for i in range(8)]
+    placements = [random_placement(layout, drugs, seed=s, max_alternatives=3) for s in range(6)]
+    seeds = [1000 + 17 * s for s in range(6)]
+    # duplicates in one batch: under their own seed and under another one
+    placements += [placements[0], placements[1], placements[1]]
+    seeds += [seeds[0], seeds[1], 7]
+    orders = random_orders(drugs, 14, seed=3, size_range=(1, 5))
+
+    # the batch covers single-drug orders, co-located drugs of one order and
+    # candidate counts of 8 or more, where numpy's sum turns pairwise
+    candidates = [
+        (set().union(*(pl.dispensers_for(g) for g in o.drugs)), o.drugs)
+        for pl in placements for o in orders
+    ]
+    assert any(len(o.drugs) == 1 for o in orders)
+    assert max(len(tiles) for tiles, _ in candidates) >= 8
+    assert any(
+        len(set(pl.drugs_at(t)) & set(o.drugs)) >= 2
+        for pl in placements for o in orders for t in pl.drug_tiles
+    )
+
+    scores = fitness_batch(placements, orders, episodes, seeds)
+    assert len(scores) == len(placements)
+    for pl, seed, score in zip(placements, seeds, scores):
+        mean, per_order = reference_fitness(pl, orders, episodes, seed)
+        assert score.mean_steps == mean
+        assert score.per_order_steps == per_order
+        assert (score.episodes, score.seed) == (episodes, seed)
+        assert score == fitness(pl, orders, episodes, seed)
+    assert scores[6] == scores[0] and scores[7] == scores[1]
+
+
+def test_fitness_batch_colocated_single_visit_matches_reference():
+    pl = line_placement(["IF", (), ("a", "b"), ("c",), ("a",), "IF"])
+    orders = [Order(0, (("a", 5), ("b", 5))), Order(1, (("c", 2),)), Order(2, (("a", 1), ("c", 1)))]
+    for episodes in (1, 5, 64):
+        (score,) = fitness_batch([pl], orders, episodes, [5])
+        want = reference_fitness(pl, orders, episodes, 5)
+        assert (score.mean_steps, score.per_order_steps) == want
+
+
+def test_fitness_batch_errors_and_empty_batch():
+    pl = line_placement(["IF", ("a",)])
+    assert fitness_batch([], [Order(0, (("a", 1),))], 4, []) == []
+    with pytest.raises(ValueError, match="'zz'"):
+        fitness_batch([pl, pl], [Order(0, (("a", 1),)), Order(1, (("a", 1), ("zz", 1)))], 4, [0, 1])
+    with pytest.raises(ValueError, match="episodes"):
+        fitness(pl, [Order(0, (("a", 1),))], episodes=0, seed=0)
+    other = line_placement(["IF", (), ("a",)])
+    with pytest.raises(ValueError, match="share a layout"):
+        fitness_batch([pl, other], [Order(0, (("a", 1),))], 4, [0, 1])
+
+
+def test_choose_rounding_can_pick_an_unusable_tile():
+    # numpy sums a row of 8 or more weights pairwise, which can exceed the last
+    # cumulative weight: the largest uniform below 1 then falls past every
+    # usable tile, argmax picks column 0 and the episode takes an extra step,
+    # so a pair can need more uniforms than its drugs suggest
+    d = np.array([[12, 9, 8, 4, 5, 1, 2, 1, 3]])
+    usable = np.arange(9)[None, :] > 0
+    assert _choose(d, usable, np.array([np.nextafter(1.0, 0.0)])).tolist() == [0]
+
+
+def test_uniforms_extend_a_dry_block_from_the_same_stream():
+    # (seed, order index, drug count): one drug per order gives blocks of
+    # 2 x episodes uniforms, which the takes below overrun
+    episodes = 3
+    uniforms = _Uniforms([(99, oi, 1) for oi in range(3)], 2, episodes)
+    streams = []
+    for oi in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(oi,)))
+        assert list(uniforms.start[oi]) == list(rng.integers(0, 2, size=episodes))
+        streams.append(rng)
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        mask = rng.random((3, episodes)) < 0.7
+        expected = np.concatenate([streams[i].random(int(mask[i].sum())) for i in range(3)])
+        assert uniforms.take(mask).tolist() == expected.tolist()
+    assert min(uniforms.length) > 2 * episodes  # every block was extended
 
 
 def test_analytical_cost_golden(golden_placement, golden_orders):
@@ -232,6 +379,16 @@ def test_ga_trace_monotone_nonincreasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
     csv = trace_to_csv(result.trace)
     assert csv.startswith("generation,best_fitness")
+
+
+def test_ga_params_validation():
+    with pytest.raises(ValueError, match="population"):
+        GaParams(population=1)
+    with pytest.raises(ValueError, match="episodes"):
+        GaParams(episodes=0)
+    with pytest.raises(ValueError, match="max_evaluations"):
+        GaParams(population=8, max_evaluations=3)
+    assert GaParams(population=8, max_evaluations=8).max_evaluations == 8
 
 
 def test_ga_size_mismatch_error():
