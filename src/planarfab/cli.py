@@ -226,7 +226,10 @@ def cmd_lower_bound(args):
     orders = _load_orders(args.orders)
     placed = _load_placement(args.placement)
     movers = args.movers or config.n_movers
-    lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
+    try:
+        lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
+    except ValueError as e:
+        raise CliError(str(e), INFEASIBLE)
     doc = {
         "value": lb.value,
         "exact": lb.exact,

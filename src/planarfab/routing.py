@@ -3,12 +3,12 @@
 Movers may share tiles freely while travelling; the one conflict that matters
 is a mover occupying a tile where another mover is actively dispensing, which
 pauses that dispensing.  The pipeline is: generate resting sites (edge
-midpoints where an idle mover obstructs nothing, a capacity-constrained
-maximum-independent-set selection), assign every idle transit to a site at
-minimum round-trip detour, realise tick-level paths (x-then-y staircases at
-one tile per tick), count interruption ticks per dispensing operation, and
-push start times right through a precedence DAG (longest path from a virtual
-source) until the interruption ledger stops growing.
+midpoints where an idle mover obstructs nothing, selected as a maximum
+b-matching of the tile grid by augmenting paths), assign every idle transit
+to a site at minimum round-trip detour, realise tick-level paths (x-then-y
+staircases at one tile per tick), count interruption ticks per dispensing
+operation, and push start times right through a precedence DAG (longest path
+from a virtual source) until the interruption ledger stops growing.
 
 Starts only ever move later: every operation is anchored at its original start
 by a source edge, mover chains carry interruption + duration + travel weights,
@@ -38,7 +38,6 @@ from .core import Coord
 from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp
 
 MAX_ITERATIONS = 100
-SITE_EXACT_LIMIT = 60
 ASSIGN_EXACT_LIMIT = 30
 
 MOVE, DISPENSE, SWAP, REST = "move", "dispense", "swap", "rest"
@@ -126,96 +125,57 @@ def generate_resting_sites(layout, interfaces) -> SiteSelection:
 
     A dispensing tile tolerates one adjacent resting site (the dispensing
     mover needs rotation clearance), an interface tile two (movers stay
-    centered during swaps).  Exact branch and bound up to 60 candidates,
-    greedy + swap improvement above.
+    centered during swaps).  Sites are edges of the tile grid, which is
+    bipartite under (x + y) parity, so the selection is a maximum b-matching:
+    a degree-ordered greedy pass seeds it, then BFS augmenting paths from the
+    even tiles with spare capacity to an odd one grow it until none is left,
+    which proves it maximum (max-flow/min-cut).  A maximum greedy seed comes
+    back unchanged.
     """
     cands = site_candidates(layout)
-    caps = {t: (2 if t in interfaces else 1) for t in layout.tiles}
-    if not cands:
-        return SiteSelection((), True)
-    if len(cands) <= SITE_EXACT_LIMIT:
-        sites, proven = _sites_exact(cands, caps)
-        return SiteSelection(tuple(sites), proven)
-    return SiteSelection(tuple(_sites_greedy(cands, caps)), False)
-
-
-def _sites_exact(cands, caps, node_cap=2_000_000):
-    cap = dict(caps)
-    incumbent = _sites_greedy(cands, caps)
-    best = {"sites": list(incumbent), "nodes": 0, "capped": False}
-    chosen: list[RestingSite] = []
-
-    def bound(i):
-        room = sum(
-            min(cap[t], sum(1 for s in cands[i:] if t in s.tiles)) for t in cap
-        )
-        return len(chosen) + min(len(cands) - i, room // 2)
-
-    def dfs(i):
-        best["nodes"] += 1
-        if best["nodes"] > node_cap:
-            best["capped"] = True
-            return
-        if len(chosen) > len(best["sites"]):
-            best["sites"] = list(chosen)
-        if i == len(cands) or bound(i) <= len(best["sites"]):
-            return
-        s = cands[i]
-        if cap[s.tile_a] > 0 and cap[s.tile_b] > 0:
-            cap[s.tile_a] -= 1
-            cap[s.tile_b] -= 1
-            chosen.append(s)
-            dfs(i + 1)
-            chosen.pop()
-            cap[s.tile_a] += 1
-            cap[s.tile_b] += 1
-        dfs(i + 1)
-
-    dfs(0)
-    return sorted(best["sites"]), not best["capped"]
-
-
-def _sites_greedy(cands, caps):
-    cap = dict(caps)
-    picked = []
-    # scarce tiles first: prefer sites whose tiles have few other options
-    degree = {t: 0 for t in cap}
+    cap = {t: (2 if t in interfaces else 1) for t in layout.tiles}
+    nbrs: dict[Coord, list[Coord]] = {t: [] for t in cap}
     for s in cands:
-        degree[s.tile_a] += 1
-        degree[s.tile_b] += 1
-    for s in sorted(cands, key=lambda s: (degree[s.tile_a] + degree[s.tile_b], s)):
+        nbrs[s.tile_a].append(s.tile_b)
+        nbrs[s.tile_b].append(s.tile_a)
+    picked = set()
+    # scarce tiles first: prefer sites whose tiles have few other options
+    for s in sorted(cands, key=lambda s: (len(nbrs[s.tile_a]) + len(nbrs[s.tile_b]), s)):
         if cap[s.tile_a] > 0 and cap[s.tile_b] > 0:
             cap[s.tile_a] -= 1
             cap[s.tile_b] -= 1
-            picked.append(s)
-    in_picked = set(picked)
-    improved = True
-    while improved:
-        improved = False
-        for s in list(picked):
-            cap[s.tile_a] += 1
-            cap[s.tile_b] += 1
-            picked.remove(s)
-            in_picked.discard(s)
-            added = []
-            for c in cands:
-                if c not in in_picked and cap[c.tile_a] > 0 and cap[c.tile_b] > 0:
-                    cap[c.tile_a] -= 1
-                    cap[c.tile_b] -= 1
-                    added.append(c)
-            if len(added) >= 2:
-                picked.extend(added)
-                in_picked.update(added)
-                improved = True
+            picked.add(s)
+
+    def site(u, v):
+        return RestingSite(min(u, v), max(u, v))
+
+    even = sorted(t for t in cap if (t.x + t.y) % 2 == 0)
+    while True:
+        # alternating BFS: even -> odd over unpicked sites, odd -> even over picked ones
+        frontier = [u for u in even if cap[u] > 0]
+        parent = dict.fromkeys(frontier)
+        end = None
+        for u in frontier:
+            for v in nbrs[u]:
+                if v in parent or site(u, v) in picked:
+                    continue
+                parent[v] = u
+                if cap[v] > 0:
+                    end = v
+                    break
+                for w in nbrs[v]:
+                    if w not in parent and site(v, w) in picked:
+                        parent[w] = v
+                        frontier.append(w)
+            if end is not None:
                 break
-            for c in added:
-                cap[c.tile_a] += 1
-                cap[c.tile_b] += 1
-            cap[s.tile_a] -= 1
-            cap[s.tile_b] -= 1
-            picked.append(s)
-            in_picked.add(s)
-    return sorted(picked)
+        if end is None:
+            return SiteSelection(tuple(sorted(picked)), True)
+        cap[end] -= 1
+        while parent[end] is not None:  # flip the path: one more site in total
+            picked ^= {site(parent[end], end)}
+            end = parent[end]
+        cap[end] -= 1
 
 
 # --- transits and site assignment -------------------------------------------------
@@ -649,8 +609,7 @@ def resolve_conflicts(
 
 def route_schedule(schedule: Schedule, placement, max_iterations: int = MAX_ITERATIONS) -> RoutedPlan:
     """Generate sites and resolve conflicts in one call."""
-    sites = generate_resting_sites(placement.layout, placement.interfaces)
-    return resolve_conflicts(schedule, placement, sites, max_iterations=max_iterations)
+    return resolve_conflicts(schedule, placement, max_iterations=max_iterations)
 
 
 def validate_plan(plan: RoutedPlan, instance) -> list[str]:

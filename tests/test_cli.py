@@ -121,6 +121,20 @@ def test_cli_route_accepts_valid_schedule(tmp_path, instance_file, command, flag
                flag, sched, "--out", tmp_path / "routed.json") == OK
 
 
+@pytest.mark.parametrize("command", ["lower-bound", "schedule"])
+def test_cli_order_naming_unplaced_drug_is_infeasible(tmp_path, instance_file, capsys, command):
+    from planarfab.core import orders_to_csv
+
+    placement, _ = _route_inputs(tmp_path, lambda op: None)
+    orders = tmp_path / "orders.csv"
+    orders.write_text(orders_to_csv([Order(0, (("drug00", 3), ("drug04", 3)))]))
+    out = tmp_path / "out.json"
+    assert run(command, "--instance", instance_file, "--orders", orders,
+               "--placement", placement, "--out", out) == INFEASIBLE
+    assert "no dispenser placed for drug 'drug04'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

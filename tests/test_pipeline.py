@@ -39,23 +39,27 @@ def small_config(seed=5):
 
 
 def test_run_pipeline_produces_consistent_report(tmp_path):
-    pc = small_config()
-    pc.out_dir = tmp_path
-    report = run_pipeline(pc)
-    v = report.stage_values
-    assert v["lower_bound"] <= v["makespan_scheduled"] <= v["makespan_routed"]
-    assert report.overhead_pct == pytest.approx(
-        100.0 * (v["makespan_routed"] - v["makespan_scheduled"]) / v["makespan_scheduled"]
-    )
-    assert set(report.seeds) == {"ordergen", "ga", "lns", "batch"}
-    assert v["correlation_objective"] >= v["correlation_baseline"] - 1e-9
-    # report file carries the recomputable overhead
-    doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["stage_values"]["routing_overhead_pct"] == pytest.approx(report.overhead_pct)
-    routed = json.loads((tmp_path / "routed.json").read_text())
-    assert v["routing_iterations"] == routed["iterations"]
-    assert v["routing_interruption_ticks"] == sum(routed["interruptions"].values())
-    assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
+    for side in (4, 8):  # 8x8: the site selection is certified on a full-size grid too
+        pc = small_config()
+        pc.layout = build_layout("square", (side, side), 2)
+        out = pc.out_dir = tmp_path / f"square{side}"
+        report = run_pipeline(pc)
+        v = report.stage_values
+        assert v["lower_bound"] <= v["makespan_scheduled"] <= v["makespan_routed"]
+        assert report.overhead_pct == pytest.approx(
+            100.0 * (v["makespan_routed"] - v["makespan_scheduled"]) / v["makespan_scheduled"]
+        )
+        assert set(report.seeds) == {"ordergen", "ga", "lns", "batch"}
+        assert v["correlation_objective"] >= v["correlation_baseline"] - 1e-9
+        # report file carries the recomputable overhead
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["stage_values"]["routing_overhead_pct"] == pytest.approx(report.overhead_pct)
+        routed = json.loads((out / "routed.json").read_text())
+        assert v["routing_iterations"] == routed["iterations"]
+        assert v["routing_interruption_ticks"] == sum(routed["interruptions"].values())
+        assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
+        assert doc["exactness"]["resting_sites"] is True
+        assert v["resting_sites"] == len(routed["resting_sites"])
 
 
 def test_pipeline_golden_fixture_reports_score_4(golden_placement, golden_orders):

@@ -124,11 +124,79 @@ def test_sites_match_oracle_on_random_small_layouts():
         assert len(sel.sites) == matching_oracle_max_sites(layout, interfaces), seed
 
 
-def test_sites_greedy_mode_flags_inexact():
-    layout = build_layout("square", (8, 8), 2)
-    sel = generate_resting_sites(layout, {Coord(1, 1), Coord(8, 8)})
-    assert not sel.exact
-    assert len(sel.sites) >= 20  # sanity: a healthy selection, not a stub
+def flow_oracle_max_sites(layout, interfaces):
+    """Maximum site count as one max-flow over the (x + y) parity split.
+
+    Source -> even tile (capacity 1, or 2 at an interface), one unit per
+    candidate site, odd tile -> sink.  Unlike matching_oracle_max_sites it
+    holds when interface tiles are adjacent.
+    """
+    G = nx.DiGraph()
+    G.add_nodes_from(["source", "sink"])
+    for t in layout.tiles:
+        cap = 2 if t in interfaces else 1
+        if (t.x + t.y) % 2 == 0:
+            G.add_edge("source", t, capacity=cap)
+        else:
+            G.add_edge(t, "sink", capacity=cap)
+    for s in site_candidates(layout):
+        a, b = s.tiles if (s.tile_a.x + s.tile_a.y) % 2 == 0 else s.tiles[::-1]
+        G.add_edge(a, b, capacity=1)
+    return nx.maximum_flow_value(G, "source", "sink")
+
+
+def greedy_site_pass(layout, interfaces):
+    """Reference degree-ordered greedy pass: sites in (endpoint degree sum,
+    site) order, taken while both tiles have capacity left."""
+    cands = site_candidates(layout)
+    cap = {t: (2 if t in interfaces else 1) for t in layout.tiles}
+    degree = dict.fromkeys(cap, 0)
+    for s in cands:
+        degree[s.tile_a] += 1
+        degree[s.tile_b] += 1
+    picked = []
+    for s in sorted(cands, key=lambda s: (degree[s.tile_a] + degree[s.tile_b], s)):
+        if cap[s.tile_a] > 0 and cap[s.tile_b] > 0:
+            cap[s.tile_a] -= 1
+            cap[s.tile_b] -= 1
+            picked.append(s)
+    return tuple(sorted(picked))
+
+
+def test_sites_maximum_by_flow_oracle_sweep():
+    """420 cases, 15 layouts x 28 random sets of 1-4 interfaces (adjacent
+    ones allowed): the selection always has the max-flow cardinality, uses
+    only candidate sites and respects capacities, and a maximum greedy pass
+    comes back unchanged."""
+    layouts = [build_layout("square", n, 2) for n in range(4, 13)] + [
+        build_layout("ring", 5, 2),
+        build_layout("ring", 17, 2),
+        build_layout("line", 30, 2),
+        build_layout("line", 64, 2),
+        build_layout("doubleline", 16, 2),
+        build_layout("doubleline", 32, 2),
+    ]
+    rng = random.Random(6)
+    greedy_short = 0
+    for layout in layouts:
+        for _ in range(28):
+            interfaces = set(rng.sample(sorted(layout.tiles), rng.randint(1, 4)))
+            sel = generate_resting_sites(layout, interfaces)
+            best = flow_oracle_max_sites(layout, interfaces)
+            assert sel.exact is True
+            assert len(sel.sites) == best, (layout.n_tiles, sorted(interfaces))
+            assert set(sel.sites) <= set(site_candidates(layout))
+            used: dict = {}
+            for s in sel.sites:
+                for t in s.tiles:
+                    used[t] = used.get(t, 0) + 1
+            assert all(c <= (2 if t in interfaces else 1) for t, c in used.items())
+            seed = greedy_site_pass(layout, interfaces)
+            if len(seed) == best:
+                assert sel.sites == seed
+            else:
+                greedy_short += 1
+    assert greedy_short > 0  # the sweep exercises augmenting paths, not only the seed
 
 
 # --- transits ------------------------------------------------------------------------
