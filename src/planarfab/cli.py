@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable inputs),
-3 infeasible instance, 4 time limit reached with no feasible result.
+Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable or
+malformed inputs), 3 infeasible instance, 4 time limit reached with no
+feasible result.
 PLANARFAB_SEED overrides the instance seed.
 """
 
@@ -46,11 +47,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_instance(path):
+def _load(what, path, parse):
+    """Parse one input artifact.  A file that cannot be read or parsed, or
+    whose content has the wrong shape (missing keys, wrong types, values that
+    do not fit together), is a configuration error."""
     try:
-        layout, catalog, config = instance_from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise CliError(f"cannot read instance {path}: {e}", CONFIG_ERROR)
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise CliError(f"cannot read {what} {path}: {e}", CONFIG_ERROR)
+
+
+def _load_instance(path):
+    layout, catalog, config = _load("instance", path, instance_from_json)
     seed_override = os.environ.get("PLANARFAB_SEED")
     if seed_override is not None:
         config = InstanceConfig(
@@ -66,17 +74,15 @@ def _load_instance(path):
 
 
 def _load_orders(path):
-    try:
-        return orders_from_csv(Path(path).read_text())
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot read orders {path}: {e}", CONFIG_ERROR)
+    return _load("orders", path, orders_from_csv)
 
 
 def _load_placement(path):
-    try:
-        return Placement.from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise CliError(f"cannot read placement {path}: {e}", CONFIG_ERROR)
+    return _load("placement", path, Placement.from_json)
+
+
+def _load_schedule(path):
+    return _load("schedule", path, scheduling.Schedule.from_json)
 
 
 def _write(path, text):
@@ -172,7 +178,7 @@ def _ga_params(args) -> GaParams:
 def cmd_place(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load_orders(args.orders)
-    packed = packing_from_json(Path(args.packing).read_text())
+    packed = _load("packing", args.packing, packing_from_json)
     params = _ga_params(args)
     try:
         result = placement_mod.ga_place(
@@ -261,7 +267,7 @@ def _schedule_issues(sched, placed, config) -> list[str]:
 def cmd_route(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load_placement(args.placement)
-    sched = scheduling.Schedule.from_json(Path(args.schedule).read_text())
+    sched = _load_schedule(args.schedule)
     issues = _schedule_issues(sched, placed, config)
     if issues:
         raise CliError("; ".join(issues), INFEASIBLE)
@@ -283,7 +289,7 @@ def cmd_route(args):
 def cmd_merge(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load_placement(args.placement)
-    batches = [scheduling.Schedule.from_json(Path(p).read_text()) for p in args.schedules]
+    batches = [_load_schedule(p) for p in args.schedules]
     issues = [
         f"{path}: {issue}"
         for path, b in zip(args.schedules, batches)
@@ -332,7 +338,7 @@ def cmd_render(args):
             sites = routing.generate_resting_sites(placed.layout, placed.interfaces).sites
         _write(args.out, render_layout(placed, sites=sites))
     elif args.schedule:
-        sched = scheduling.Schedule.from_json(Path(args.schedule).read_text())
+        sched = _load_schedule(args.schedule)
         _write(args.out, render_gantt(sched))
     else:
         raise CliError("render needs --placement or --schedule", CONFIG_ERROR)

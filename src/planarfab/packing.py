@@ -24,6 +24,13 @@ re-summed after the undo too; totals stay ``sum`` over that list.  Every
 comparison therefore sees the floats a full re-sum would give, and the
 searches return the groupings they returned when every trial re-summed every
 tile.
+
+Both searches also screen each trial before touching a list: when a cheap
+test proves that the exact comparison must fail, the trial is skipped, and
+the tiles are left as its undo would have left them (the moved items
+re-appended last and their tiles re-summed), because later sums follow that
+order.  Trials that pass the screen run the exact move, re-sum and compare
+step, so every accepted move, and every grouping returned, is unchanged.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import DrugCatalog, InstanceConfig
 
@@ -367,6 +376,13 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
             if ti < len(tiles):
                 loads[ti] = sum(pi[g] for g in tiles[ti])
 
+    def to_end(ti, g):
+        # what a rejected trial's undo leaves behind: g re-appended last
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            resum(ti)
+
     def profile():
         return tuple(sorted(loads, reverse=True))
 
@@ -380,6 +396,14 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                 if ti == peak:
                     continue
                 if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
+                    continue
+                # screen: ti's load after the move, summed in the order resum
+                # sums it (g appended); above cur[0] it leads the new profile,
+                # which then sorts after cur, so profile() < cur must fail.  A
+                # new or empty tile is never screened: its load is pi[g], at
+                # most the peak's
+                if ti < len(tiles) and sum(pi[h] for h in (*tiles[ti], g)) > cur[0]:
+                    to_end(peak, g)
                     continue
                 tiles[peak].remove(g)
                 if ti == len(tiles):
@@ -413,6 +437,11 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                     if h == g or pi[h] >= pi[g]:
                         continue
                     if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    # screen: as for a relocation, ti's load after the swap
+                    if sum(pi[x] for x in (*tiles[ti], g) if x != h) > cur[0]:
+                        to_end(peak, g)
+                        to_end(ti, h)
                         continue
                     tiles[peak].remove(g)
                     tiles[peak].append(h)
@@ -554,6 +583,32 @@ def _exact_correlation(
     return best["tiles"], best["obj"], True
 
 
+def _screen_margin(corr, n_tiles, d_max) -> float:
+    """How far the exact test's ``sum(scores) - cur`` can exceed a trial's
+    estimated gain, for the drugs' correlation matrix ``corr``.
+
+    Both totals are float sums of at most ``pairs`` co-located correlations
+    of magnitude at most ``cmax``, each term passing through at most
+    n_tiles + d_max**2 additions; the gain adds four partner sums (d_max
+    terms each, plus padding zeros) and one pair term.  By the recursive
+    summation bound |fl(sum x) - sum x| <= gamma_k * sum |x|, with
+    gamma_k = k u / (1 - k u) <= 2 k u for the unit roundoff u = 2**-53, each
+    lies within the terms below of its real value, and the real totals differ
+    by exactly the real gain.  A catalog symmetric only up to rounding adds
+    ``asym`` per pair, since a tile's sum takes each pair in list order.  The
+    bound is doubled for the rounding of ``EPS - margin`` itself.
+    """
+    if not len(corr):
+        return 0.0
+    cmax = float(np.abs(corr).max())
+    asym = float(np.abs(corr - corr.T).max())
+    pairs = n_tiles * d_max * (d_max - 1) // 2
+    gamma = 2.0**-52  # 2u: gamma_k <= k * gamma while k u <= 1/2
+    total = (n_tiles + d_max * d_max) * gamma * pairs * cmax
+    gain = (len(corr) + 6) * gamma * (4 * d_max + 2) * cmax
+    return 2 * (2 * total + gain + 2 * pairs * asym)
+
+
 def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     corr = catalog.correlation.tolist()
     idx = {g: catalog.index(g) for t in tiles for g in t}
@@ -578,10 +633,29 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
                 scores[ti] = tile_score(tiles[ti])
                 loads[ti] = load(tiles[ti])
 
+    def to_end(ti, g):
+        # what a rejected trial's undo leaves behind: g re-appended last
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            resum(ti)
+
+    # screen: a trial's gain is estimated from partner sums, part[t][col[x]]
+    # being x's correlation with the drugs of tile t other than x; when the
+    # estimate is at most EPS - margin (_screen_margin), sum(scores) > cur + EPS
+    # must fail.  The partner sums hold between accepted moves, since a
+    # skipped or undone trial only reorders lists
+    col = {g: i for i, g in enumerate(idx)}
+    sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
+    partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
+    floor = EPS - _screen_margin(sub, n_tiles, d_max)
+
     improved = True
     while improved:
         improved = False
         cur = sum(scores)
+        member = [[col[g] for g in t] + [len(col)] * (d_max - len(t)) for t in tiles]
+        part = partner[member].sum(axis=1).tolist()
         for a in range(len(tiles)):
             for g in list(tiles[a]):
                 # relocation
@@ -591,6 +665,10 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
                     if b < len(tiles) and (
                         len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
                     ):
+                        continue
+                    ig = col[g]  # gain: g's partners on b less its partners on a
+                    if (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig] <= floor:
+                        to_end(a, g)
                         continue
                     tiles[a].remove(g)
                     new_tile = b == len(tiles)
@@ -628,6 +706,14 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
                         if loads[a] - pi[g] + pi[h] > mu_cap:
                             continue
                         if loads[b] - pi[h] + pi[g] > mu_cap:
+                            continue
+                        # gain: h joins a's partners other than g, g joins
+                        # b's other than h; part counts g-h on both sides
+                        ig, ih = col[g], col[h]
+                        gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
+                        if gain - 2 * corr[idx[g]][idx[h]] <= floor:
+                            to_end(a, g)
+                            to_end(b, h)
                             continue
                         tiles[a].remove(g)
                         tiles[a].append(h)

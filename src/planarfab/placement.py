@@ -17,13 +17,21 @@ so ``ga_place`` breeds the whole generation first and scores its distinct
 unseen placements in one ``fitness_batch`` call.  That call samples every
 (placement, order) pair of the generation together, in stacks of pairs with
 the same candidate-tile count, gathering distances from the layout's table
-rows; ``fitness`` is its one-placement case.  Each pair keeps its own random
-stream, so a score does not depend on the batch it was sampled in, and the GA
-trace and placement are those of scoring one child at a time.
+rows; ``fitness`` is its one-placement case.
+
+Each pair keeps its own random stream, numpy's
+``default_rng(SeedSequence(seed, spawn_key=(order index,)))``, so a score
+does not depend on the batch it was sampled in, and the GA trace and
+placement are those of scoring one child at a time.  The streams are not
+built one generator at a time: SeedSequence hashing is uint32 arithmetic and
+PCG64 a 128-bit LCG, so a stream is a pure function of (seed, order) and
+``_pcg_states``/``_draw`` compute a whole run of pairs' streams in a few
+array passes, bit for bit what numpy's generators draw.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -147,16 +155,22 @@ def fitness(placement: Placement, history, episodes: int, seed: int) -> Placemen
 
 # pairs x episodes x candidate tiles per sampler call: bounds the temporaries
 _CHUNK = 1 << 13
+# uniforms drawn per stream pass: bounds the block that fitness_batch holds
+_STREAM = 1 << 14
 
 
 def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementScore]:
     """``fitness`` of each placement under its own seed, sampled in one pass.
 
-    The placements share one layout.  Every (placement, order) pair keeps its
-    own stream, ``SeedSequence(seed, spawn_key=(order index,))``, which draws
-    the start interfaces and then one block of uniforms that the steps consume
-    in order; PCG64 doubles are not buffered, so this equals one draw per
-    step.  Pairs are stacked only with pairs of the same candidate-tile count:
+    The placements share one layout; seeds are integers in [0, 2**128).
+    Every (placement, order) pair keeps its own stream, what
+    ``default_rng(SeedSequence(seed, spawn_key=(order index,)))`` would draw:
+    the start interfaces (``integers``), then one block of uniforms
+    (``random``) that the steps consume in order; PCG64 doubles are not
+    buffered, so this equals one draw per step.  The streams of a run of
+    chunks (about ``_STREAM`` uniforms) are seeded, jumped and stepped
+    together in numpy (``_Uniforms``); no generator is built per pair.
+    Pairs are stacked only with pairs of the same candidate-tile count:
     padding rows to a common width would regroup numpy's pairwise sum of the
     weights.  Each score is therefore the one its placement gets alone.
     """
@@ -174,10 +188,34 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
     interfaces = np.array(
         [[index[c] for c in sorted(pl.interfaces)] for pl in placements], dtype=np.int64
     )
-    hosts = _hosts(placements, orders, index)
+    stacks = _stacks(placements, orders, index)
+    per_order = np.zeros((len(placements), len(orders)))
+    words = _seed_words(seeds)
+    for run in _runs(_chunks(stacks, episodes), episodes):
+        rows, cols, n_drugs = (np.concatenate(f) for f in list(zip(*run))[:3])
+        uniforms = _Uniforms(
+            _pcg_states(words[rows], cols), layout.n_inter, episodes,
+            episodes * (int(n_drugs.max()) + 1),
+        )
+        at = 0
+        for rows, cols, n_drugs, tiles, masks in run:
+            per_order[rows, cols] = _sample_pairs(
+                table, interfaces[rows], tiles, masks, (1 << n_drugs) - 1,
+                uniforms.rows(at, at + len(rows)),
+            )
+            at += len(rows)
 
-    # per candidate-tile count n: (placement rows, order index, drug count,
-    # candidate tiles, their drug bitmasks), candidates ascending in table order
+    scores = []
+    for steps, seed in zip(per_order.tolist(), seeds):
+        mean = float(sum(steps) / len(steps)) if steps else 0.0
+        scores.append(PlacementScore(mean, tuple(steps), episodes, seed))
+    return scores
+
+
+def _stacks(placements, orders, index) -> dict[int, list[tuple]]:
+    """Per candidate-tile count n: (placement rows, order index, drug count,
+    candidate tiles, their drug bitmasks), candidates ascending in table order."""
+    hosts = _hosts(placements, orders, index)
     stacks: dict[int, list[tuple]] = {}
     for oi, order in enumerate(orders):
         served = np.zeros((len(placements), len(index)), dtype=np.int64)  # drug bitmasks
@@ -192,30 +230,40 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
             rows = np.flatnonzero(counts == n)
             sub = served[rows].ravel()
             cand = np.flatnonzero(sub)
-            stacks.setdefault(n, []).append((
-                rows, np.full(len(rows), oi), np.full(len(rows), k),
-                (cand % len(index)).reshape(-1, n), sub[cand].reshape(-1, n),
-            ))
+            stacks.setdefault(n, []).append(
+                (rows, oi, k, (cand % len(index)).reshape(-1, n), sub[cand].reshape(-1, n))
+            )
+    return stacks
 
-    per_order = np.zeros((len(placements), len(orders)))
-    for n, parts in stacks.items():
-        rows, cols, n_drugs, tiles, masks = (np.concatenate(f) for f in zip(*parts))
+
+def _chunks(stacks, episodes):
+    """Each stack's pairs as (placement rows, order index, drug count, tiles,
+    masks), in chunks of at most ``_CHUNK`` samples; a stack is freed as it
+    is cut."""
+    for n in list(stacks):
+        parts = stacks.pop(n)
+        rows, tiles, masks = (np.concatenate([p[i] for p in parts]) for i in (0, 3, 4))
+        cols, n_drugs = (np.repeat([p[i] for p in parts], [len(p[0]) for p in parts])
+                         for i in (1, 2))
         size = max(1, _CHUNK // (n * episodes))
         for lo in range(0, len(rows), size):
             part = slice(lo, lo + size)
-            keys = [(seeds[p], o, nd) for p, o, nd in zip(
-                rows[part].tolist(), cols[part].tolist(), n_drugs[part].tolist()
-            )]
-            per_order[rows[part], cols[part]] = _sample_pairs(
-                table, interfaces[rows[part]], tiles[part], masks[part],
-                (1 << n_drugs[part]) - 1, _Uniforms(keys, layout.n_inter, episodes),
-            )
+            yield rows[part], cols[part], n_drugs[part], tiles[part], masks[part]
 
-    scores = []
-    for steps, seed in zip(per_order.tolist(), seeds):
-        mean = float(sum(steps) / len(steps)) if steps else 0.0
-        scores.append(PlacementScore(mean, tuple(steps), episodes, seed))
-    return scores
+
+def _runs(chunks, episodes):
+    """Consecutive chunks whose streams are drawn in one pass, each run
+    holding about ``_STREAM`` uniforms (at least one chunk)."""
+    run, size = [], 0
+    for chunk in chunks:
+        cost = len(chunk[0]) * episodes * (int(chunk[2].max()) + 1)
+        if run and size + cost > _STREAM:
+            yield run
+            run, size = [], 0
+        run.append(chunk)
+        size += cost
+    if run:
+        yield run
 
 
 def _hosts(placements, orders, index) -> dict[str, np.ndarray]:
@@ -269,46 +317,215 @@ def _choose(d, usable, u) -> np.ndarray:
     return (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
 
 
-def _stream(seed, order, n_interfaces, episodes):
-    """A pair's generator and its uniform start interfaces, the stream's first draw."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(order,)))
-    return rng, rng.integers(0, n_interfaces, size=episodes)
+# --- per-pair random streams ----------------------------------------------------
+#
+# A pair's stream is numpy's ``default_rng(SeedSequence(seed, spawn_key=(order,)))``.
+# SeedSequence hashes its entropy with uint32 multiply/xor/shift rounds, and
+# PCG64 is a 128-bit LCG with an XSL-RR output permutation (O'Neill 2014), so
+# the stream is a pure function of (seed, order): it is computed here for a
+# whole run of pairs at once, in uint64 halves of the 128-bit state.
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's default multiplier
+_PCG_MULT_HALVES = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence constants
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_LANES = 1 << 12  # rows x lanes stepped together by _pcg_raw
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Each seed's entropy as four uint32 words, low word first."""
+    seeds = [int(s) for s in seeds]
+    if any(not 0 <= s <= _MASK128 for s in seeds):
+        raise ValueError("seeds must be integers in [0, 2**128)")
+    return np.array(
+        [[(s >> 32 * i) & _MASK32 for i in range(4)] for s in seeds], dtype=np.uint32
+    ).reshape(-1, 4)
+
+
+def _pcg_states(words, orders):
+    """PCG64 (state, increment) as (high, low) uint64 halves, one per pair.
+
+    ``words`` is pairs x 4 seed words (``_seed_words``), ``orders`` the spawn
+    keys.  A seed below 2**128 fills at most the pool's four words, and numpy
+    zero-pads it there because a spawn key follows, so every pair hashes the
+    same five-word entropy layout and the hash constants run in lockstep.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> 16)
+
+    orders = np.asarray(orders).astype(np.uint32)
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for dst in range(4):
+        pool[dst] = mix(pool[dst], hashmix(orders))
+
+    # generate_state(4, uint64): eight hashed pool words, paired low word first
+    hash_const, state = _HASH_INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    v0, v1, v2, v3 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+
+    # pcg64_set_seed: inc = (v2:v3) << 1 | 1; state = ((0 * M + inc) + (v0:v1)) * M + inc
+    inc = ((v2 << 1) | (v3 >> 63), (v3 << 1) | 1)
+    state = _add128(*inc, v0, v1)
+    state = _add128(*_mul128(*state, *_PCG_MULT_HALVES), *inc)
+    return state + inc
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(ah, al, bh, bl):
+    """(a * b) mod 2**128 in (high, low) uint64 halves."""
+    return ah * bl + al * bh + _mulhi64(al, bl), al * bl
+
+
+def _add128(ah, al, bh, bl):
+    """(a + b) mod 2**128 in (high, low) uint64 halves."""
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _halves(values):
+    """128-bit Python integers as (high, low) uint64 arrays."""
+    values = list(values)
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _pcg_raw(state, n) -> np.ndarray:
+    """The next ``n`` 64-bit outputs of each stream (``random_raw``), rows x n.
+
+    Few rows with long streams are split into lanes that start ``steps``
+    outputs apart (jump-ahead: after k steps the state is M**k s + G_k inc,
+    G_k = M**(k-1) + ... + 1), so every step advances about ``_LANES`` states
+    at once.
+    """
+    sh, sl, ih, il = state
+    rows = len(sh)
+    lanes = max(1, min(n, _LANES // max(rows, 1)))
+    steps = max(1, -(-n // lanes))
+    lanes = -(-n // steps)
+    mult, grow = 1, 0  # M**steps and G_steps
+    for _ in range(steps):
+        mult, grow = mult * _PCG_MULT & _MASK128, (grow * _PCG_MULT + 1) & _MASK128
+    jump = [(1, 0)]
+    for _ in range(lanes - 1):
+        a, g = jump[-1]
+        jump.append((a * mult & _MASK128, (g * mult + grow) & _MASK128))
+    inc = (ih[:, None], il[:, None])
+    h, lo = _add128(
+        *_mul128(sh[:, None], sl[:, None], *_halves(a for a, _ in jump)),
+        *_mul128(*inc, *_halves(g for _, g in jump)),
+    )
+    inc = tuple(np.broadcast_to(v, h.shape) for v in inc)
+    out = np.empty((rows, lanes, steps), dtype=np.uint64)
+    for t in range(steps):
+        h, lo = _add128(*_mul128(h, lo, *_PCG_MULT_HALVES), *inc)
+        x, rot = h ^ lo, h >> 58  # XSL-RR
+        out[:, :, t] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out.reshape(rows, lanes * steps)[:, :n]
+
+
+def _draw(state, n_interfaces, episodes, width):
+    """Each stream's start interfaces, then its next ``width`` uniforms.
+
+    The same draws as ``rng.integers(0, n_interfaces, episodes)`` followed by
+    ``rng.random(width)``.  ``integers`` draws nothing for one interface and
+    otherwise runs Lemire's method on the generator's buffered uint32 halves,
+    low half first; ``random`` takes whole outputs, ``(x >> 11) * 2**-53``.
+    """
+    rows = len(state[0])
+    skip = (episodes + 1) // 2 if n_interfaces > 1 else 0
+    raw = _pcg_raw(state, skip + width)
+    start = np.zeros((rows, episodes), dtype=np.int64)
+    if n_interfaces > 1:
+        halves = np.stack([raw[:, :skip] & _MASK32, raw[:, :skip] >> 32], axis=2)
+        m = halves.reshape(rows, 2 * skip)[:, :episodes] * np.uint64(n_interfaces)
+        start[:] = m >> 32
+        rejected = ((m & _MASK32) < (1 << 32) % n_interfaces).any(axis=1)
+        for i in np.flatnonzero(rejected):
+            start[i], raw[i, skip:] = _lemire_row(
+                tuple(s[i : i + 1] for s in state), n_interfaces, episodes, width
+            )
+    block = np.right_shift(raw[:, skip:], 11, out=raw[:, skip:]).astype(np.float64)
+    block *= 2.0**-53
+    return start, block
+
+
+def _lemire_row(state, n_interfaces, episodes, width):
+    """One stream whose Lemire draw was rejected: numpy draws another uint32
+    until the low product word reaches 2**32 mod n, so later draws shift."""
+    threshold = (1 << 32) % n_interfaces
+    extra = 1
+    while True:
+        raw = _pcg_raw(state, (episodes + 1) // 2 + extra + width)[0]
+        halves = [w for x in raw.tolist() for w in (x & _MASK32, x >> 32)]
+        start, pos = [], 0
+        while len(start) < episodes and pos < len(halves):
+            m = halves[pos] * n_interfaces
+            pos += 1
+            if m & _MASK32 >= threshold:
+                start.append(m >> 32)
+        skip = (pos + 1) // 2
+        if len(start) == episodes and skip + width <= len(raw):
+            return start, raw[skip : skip + width]
+        extra *= 2
 
 
 class _Uniforms:
     """Each pair's start interfaces and uniforms, handed out in stream order.
 
-    ``keys`` holds each pair's (seed, order index, drug count).  An order of k
-    drugs takes at most k steps per episode plus the return, so
-    ``episodes * (k + 1)`` uniforms are drawn up front.  Only when rounding
-    puts a draw past the last cumulative weight does a pick land on an
-    unusable tile and cost an extra step; a block that runs dry is then
-    extended by replaying the pair's stream.
+    ``state`` holds the pairs' seeded generators (``_pcg_states``); ``width``
+    uniforms per pair are drawn up front.  An order of k drugs takes at most
+    k steps per episode plus the return, so ``episodes * (k + 1)`` suffice
+    unless rounding puts a draw past the last cumulative weight: the pick
+    then lands on an unusable tile and costs an extra step.  A block that
+    runs dry is drawn again from the same streams, wider.
     """
 
-    def __init__(self, keys, n_interfaces, episodes):
-        self.keys, self.n_interfaces, self.episodes = keys, n_interfaces, episodes
-        self.length = np.array([episodes * (k + 1) for _, _, k in keys])
-        self.block = np.empty((len(keys), int(self.length.max())))
-        self.start = np.empty((len(keys), episodes), dtype=np.int64)
-        for i, (seed, order, _) in enumerate(keys):
-            rng, self.start[i] = _stream(seed, order, n_interfaces, episodes)
-            rng.random(out=self.block[i, : self.length[i]])
-        self.used = np.zeros(len(keys), dtype=np.int64)
+    def __init__(self, state, n_interfaces, episodes, width):
+        self.state, self.n_interfaces, self.episodes = state, n_interfaces, episodes
+        self.start, self.block = _draw(state, n_interfaces, episodes, width)
+        self.used = np.zeros(len(self.start), dtype=np.int64)
+
+    def rows(self, lo, hi) -> "_Uniforms":
+        """Pairs ``lo`` to ``hi - 1``, handed out on their own."""
+        part = copy.copy(self)
+        part.state = tuple(s[lo:hi] for s in self.state)
+        part.start, part.block, part.used = self.start[lo:hi], self.block[lo:hi], self.used[lo:hi]
+        return part
 
     def take(self, mask) -> np.ndarray:
         """One uniform per True of ``mask`` (pairs x episodes), row-major."""
         need = self.used + mask.sum(axis=1)
-        short = np.nonzero(need > self.length)[0]
-        if len(short):
-            grow = int(need.max()) - self.block.shape[1]
-            if grow > 0:
-                self.block = np.pad(self.block, ((0, 0), (0, grow)))
-            for i in short:
-                seed, order, _ = self.keys[i]
-                rng, _ = _stream(seed, order, self.n_interfaces, self.episodes)
-                self.block[i, : need[i]] = rng.random(need[i])
-                self.length[i] = need[i]
+        if need.max(initial=0) > self.block.shape[1]:
+            _, self.block = _draw(self.state, self.n_interfaces, self.episodes, int(need.max()))
         r, e = np.nonzero(mask)
         rank = np.cumsum(mask, axis=1)[r, e] - 1
         u = self.block[r, self.used[r] + rank]

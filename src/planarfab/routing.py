@@ -297,6 +297,12 @@ def _assign_exact(transits, options, overlap):
     order = sorted(range(len(transits)), key=lambda i: len(options[i]))
     best = {"cost": math.inf, "assign": None}
     assign: dict[int, int] = {}
+    # cheapest detours of order[pos:], a bound on what is left to assign
+    rest = [0] * (len(order) + 1)
+    for pos in range(len(order) - 1, -1, -1):
+        rest[pos] = rest[pos + 1] + options[order[pos]][0][0]
+    # held[i][j]: how many transits of overlap[i] hold site j now
+    held: list[dict[int, int]] = [{} for _ in transits]
 
     def dfs(pos, cost):
         if cost >= best["cost"]:
@@ -306,14 +312,17 @@ def _assign_exact(transits, options, overlap):
             best["assign"] = dict(assign)
             return
         i = order[pos]
-        remaining_min = sum(options[order[p]][0][0] for p in range(pos + 1, len(order)))
-        if cost + options[i][0][0] + remaining_min >= best["cost"]:
+        if cost + rest[pos] >= best["cost"]:
             return
         for detour, j in options[i]:
-            if any(assign.get(k) == j for k in overlap[i]):
+            if held[i].get(j):
                 continue
             assign[i] = j
+            for k in overlap[i]:
+                held[k][j] = held[k].get(j, 0) + 1
             dfs(pos + 1, cost + detour)
+            for k in overlap[i]:
+                held[k][j] -= 1
             del assign[i]
 
     dfs(0, 0)

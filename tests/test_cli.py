@@ -80,6 +80,50 @@ def test_cli_exit_codes(tmp_path, instance_file):
                "--size-min", "1", "--size-max", "99", "--orders-out", orders) == INFEASIBLE
 
 
+def _broken_orders_header(tmp_path, instance_file):
+    orders = tmp_path / "orders.csv"
+    assert run("gen-orders", "--instance", instance_file, "--n", "3",
+               "--size-min", "1", "--size-max", "2", "--orders-out", orders) == OK
+    lines = orders.read_text().splitlines()
+    orders.write_text("\n".join([lines[0].replace("duration_ticks", "duration")] + lines[1:]))
+    return ("pack", "--instance", instance_file, "--orders", orders,
+            "--out", tmp_path / "out.json")
+
+
+def _ops_not_a_list(tmp_path, instance_file):
+    placement, sched = _route_inputs(tmp_path, lambda op: None)
+    doc = json.loads(sched.read_text())
+    sched.write_text(json.dumps({**doc, "ops": {"op": doc["ops"][0]}}))
+    return ("route", "--instance", instance_file, "--placement", placement,
+            "--schedule", sched, "--out", tmp_path / "out.json")
+
+
+def _marginals_not_matching_drugs(tmp_path, instance_file):
+    doc = json.loads(instance_file.read_text())
+    doc["marginals"] = doc["marginals"][:-1]
+    instance_file.write_text(json.dumps(doc))
+    return ("gen-orders", "--instance", instance_file, "--n", "3",
+            "--orders-out", tmp_path / "out.json")
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_broken_orders_header, "cannot read orders"),
+        (_ops_not_a_list, "cannot read schedule"),
+        (_marginals_not_matching_drugs, "cannot read instance"),
+    ],
+    ids=["orders-wrong-header", "schedule-ops-not-a-list", "marginals-not-matching-drugs"],
+)
+def test_cli_malformed_artifacts_are_config_errors(tmp_path, instance_file, capsys,
+                                                   make_argv, message):
+    argv = make_argv(tmp_path, instance_file)
+    capsys.readouterr()
+    assert run(*argv) == CONFIG_ERROR
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def _route_inputs(tmp_path, edit):
     """A placement and a one-order schedule on the 4x4 instance; edit(op) mutates each op."""
     from planarfab.placement import Placement

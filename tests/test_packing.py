@@ -472,6 +472,245 @@ def test_local_search_correlation_matches_full_resum_reference():
     assert checked == 150 and moved >= 30
 
 
+# --- screened trials vs the searches they screen -----------------------------------
+#
+# The two functions below are the searches as they were before they screened
+# trial moves (touched-tile re-sums, every trial mutated, compared and undone),
+# kept verbatim.  The screened searches must return exactly what they return.
+
+def cached_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
+    tiles = [list(t) for t in tiles]
+    loads = [sum(pi[g] for g in t) for t in tiles]
+
+    def resum(*touched):
+        # a tile's load is the sum over its list order, which a move or an
+        # undo (re-appending an item) changes; other tiles keep theirs
+        for ti in touched:
+            if ti < len(tiles):
+                loads[ti] = sum(pi[g] for g in tiles[ti])
+
+    def profile():
+        return tuple(sorted(loads, reverse=True))
+
+    for _ in range(max_passes):
+        cur = profile()
+        improved = False
+        peak = max(range(len(tiles)), key=loads.__getitem__)
+        # relocate one dispenser off the peak tile
+        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
+            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                if ti == peak:
+                    continue
+                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
+                    continue
+                tiles[peak].remove(g)
+                if ti == len(tiles):
+                    tiles.append([g])
+                    loads.append(0.0)
+                else:
+                    tiles[ti].append(g)
+                resum(peak, ti)
+                if profile() < cur:
+                    improved = True
+                else:
+                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
+                        tiles.pop()
+                        loads.pop()
+                    else:
+                        tiles[ti].remove(g)
+                    tiles[peak].append(g)
+                    resum(peak, ti)
+                if improved:
+                    break
+            if improved:
+                break
+        if improved:
+            continue
+        # pairwise swap involving the peak tile
+        for g in list(tiles[peak]):
+            for ti in range(len(tiles)):
+                if ti == peak:
+                    continue
+                for h in list(tiles[ti]):
+                    if h == g or pi[h] >= pi[g]:
+                        continue
+                    if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    tiles[peak].remove(g)
+                    tiles[peak].append(h)
+                    tiles[ti].remove(h)
+                    tiles[ti].append(g)
+                    resum(peak, ti)
+                    if profile() < cur:
+                        improved = True
+                    else:
+                        tiles[peak].remove(h)
+                        tiles[peak].append(g)
+                        tiles[ti].remove(g)
+                        tiles[ti].append(h)
+                        resum(peak, ti)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    tiles = [t for t in tiles if t]
+    return [tuple(t) for t in tiles]
+
+
+def cached_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
+    corr = catalog.correlation.tolist()
+    idx = {g: catalog.index(g) for t in tiles for g in t}
+    tiles = [list(t) for t in tiles]
+
+    def tile_score(t):
+        return sum(
+            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
+        )
+
+    def load(t):
+        return sum(pi[g] for g in t)
+
+    scores = [tile_score(t) for t in tiles]
+    loads = [load(t) for t in tiles]
+
+    def resum(*touched):
+        # pair sums and loads follow the tile's list order, which a move or
+        # an undo (re-appending an item) changes; other tiles keep theirs
+        for ti in touched:
+            if ti < len(tiles):
+                scores[ti] = tile_score(tiles[ti])
+                loads[ti] = load(tiles[ti])
+
+    improved = True
+    while improved:
+        improved = False
+        cur = sum(scores)
+        for a in range(len(tiles)):
+            for g in list(tiles[a]):
+                # relocation
+                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                    if b == a:
+                        continue
+                    if b < len(tiles) and (
+                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
+                    ):
+                        continue
+                    tiles[a].remove(g)
+                    new_tile = b == len(tiles)
+                    if new_tile:
+                        tiles.append([g])
+                        scores.append(0)
+                        loads.append(0)
+                    else:
+                        tiles[b].append(g)
+                    resum(a, b)
+                    if sum(scores) > cur + EPS:
+                        improved = True
+                        kept = [i for i, t in enumerate(tiles) if t]
+                        tiles[:] = [tiles[i] for i in kept]
+                        scores[:] = [scores[i] for i in kept]
+                        loads[:] = [loads[i] for i in kept]
+                        break
+                    if new_tile:
+                        tiles.pop()
+                        scores.pop()
+                        loads.pop()
+                    else:
+                        tiles[b].remove(g)
+                    tiles[a].append(g)
+                    resum(a, b)
+                if improved:
+                    break
+                # swaps
+                for b in range(len(tiles)):
+                    if b == a:
+                        continue
+                    for h in list(tiles[b]):
+                        if h == g or h in tiles[a] or g in tiles[b]:
+                            continue
+                        if loads[a] - pi[g] + pi[h] > mu_cap:
+                            continue
+                        if loads[b] - pi[h] + pi[g] > mu_cap:
+                            continue
+                        tiles[a].remove(g)
+                        tiles[a].append(h)
+                        tiles[b].remove(h)
+                        tiles[b].append(g)
+                        resum(a, b)
+                        if sum(scores) > cur + EPS:
+                            improved = True
+                            break
+                        tiles[a].remove(h)
+                        tiles[a].append(g)
+                        tiles[b].remove(g)
+                        tiles[b].append(h)
+                        resum(a, b)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return [tuple(t) for t in tiles if t], sum(scores)
+
+
+def screen_instances(seed, count):
+    """Small packings built to hit the screens' edge cases: loads tied at the
+    peak (pi drawn from a few exact values), zero-demand drugs, correlations
+    tied at zero gain, a correlation matrix symmetric only up to rounding,
+    and d_max from 1 to 4."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        d_max = 1 + made % 4
+        n_drugs = int(rng.integers(2, 9))
+        drugs = [f"g{i}" for i in range(n_drugs)]
+        copies = {g: int(rng.integers(1, 4)) for g in drugs}
+        n_used = int(rng.integers(1, 9))
+        tiles = random_tiles(rng, drugs, copies, n_used, d_max)
+        if tiles is None:
+            continue
+        n_tiles = len(tiles) + int(rng.integers(0, 3))
+        pi = {g: float(rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 1 / 3, 2.0])) for g in drugs}
+        corr = rng.choice([-0.5, -0.25, 0.0, 0.0, 0.25, 0.5], size=(n_drugs, n_drugs))
+        corr = np.triu(corr, 1) + np.triu(corr, 1).T
+        if made % 3 == 0:  # off-symmetric by less than the catalog's tolerance
+            corr = corr + np.triu(rng.uniform(-1e-9, 1e-9, (n_drugs, n_drugs)), 1)
+        catalog = DrugCatalog(tuple(drugs), (0.5,) * n_drugs, corr)
+        made += 1
+        yield tiles, pi, n_tiles, d_max, catalog
+
+
+def test_screened_searches_match_unscreened_reference():
+    from planarfab.packing import _improve_min_load, _loads, _local_search_correlation
+
+    ties = zeros = moved = 0
+    for tiles, pi, n_tiles, d_max, catalog in screen_instances(23, 400):
+        loads = _loads(tiles, pi)
+        ties += loads.count(max(loads)) > 1
+        zeros += any(pi[g] == 0.0 for t in tiles for g in t)
+
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        want = cached_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == want
+        assert _loads(got, pi) == _loads(want, pi)
+        moved += got != tiles
+
+        peak = max(_loads(got, pi))
+        for mu_cap in (peak + EPS, 2 * peak + EPS):
+            got_c = _local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
+            want_c = cached_local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
+            assert got_c[0] == want_c[0]
+            assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
+            assert got_c[1] == want_c[1]  # same objective, bit for bit
+            moved += got_c[0] != got
+    assert ties >= 100 and zeros >= 100 and moved >= 100
+
+
 # sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the
 # 8x8~2 reference, per order seed, recorded before either search cached tile sums
 PACKING_8X8_DIGESTS = {

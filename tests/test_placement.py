@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planarfab.core import Coord, Order, build_layout
 from planarfab.packing import Packing
@@ -12,6 +12,10 @@ from planarfab.placement import (
     Placement,
     _Uniforms,
     _choose,
+    _draw,
+    _pcg_raw,
+    _pcg_states,
+    _seed_words,
     analytical_cost,
     fitness,
     fitness_batch,
@@ -206,10 +210,11 @@ def test_choose_rounding_can_pick_an_unusable_tile():
 
 
 def test_uniforms_extend_a_dry_block_from_the_same_stream():
-    # (seed, order index, drug count): one drug per order gives blocks of
-    # 2 x episodes uniforms, which the takes below overrun
+    # blocks of 2 x episodes uniforms (one drug per order), which the takes
+    # below overrun
     episodes = 3
-    uniforms = _Uniforms([(99, oi, 1) for oi in range(3)], 2, episodes)
+    state = _pcg_states(_seed_words([99] * 3), range(3))
+    uniforms = _Uniforms(state, 2, episodes, 2 * episodes)
     streams = []
     for oi in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(oi,)))
@@ -220,7 +225,94 @@ def test_uniforms_extend_a_dry_block_from_the_same_stream():
         mask = rng.random((3, episodes)) < 0.7
         expected = np.concatenate([streams[i].random(int(mask[i].sum())) for i in range(3)])
         assert uniforms.take(mask).tolist() == expected.tolist()
-    assert min(uniforms.length) > 2 * episodes  # every block was extended
+    assert uniforms.block.shape[1] > 2 * episodes  # the block was extended
+
+
+# --- batched streams vs numpy's per-pair generators -------------------------------
+
+pair_lists = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10_000)), min_size=1, max_size=5
+)
+
+
+@given(pair_lists, st.integers(1, 12), st.integers(1, 5), st.integers(1, 40))
+@example([(0, 0), (2**32 - 1, 10_000)], 1, 1, 1)
+@example([(0, 0), (1, 1)], 7, 3, 2)
+@settings(max_examples=60, deadline=None)
+def test_batched_streams_match_default_rng(pairs, episodes, n_interfaces, width):
+    state = _pcg_states(_seed_words([s for s, _ in pairs]), [o for _, o in pairs])
+    raw = _pcg_raw(state, 2 * width)
+    start, block = _draw(state, n_interfaces, episodes, width)
+    uniforms = _Uniforms(state, n_interfaces, episodes, 1)
+    mask = np.ones((len(pairs), episodes), dtype=bool)
+    taken = np.concatenate([uniforms.take(mask) for _ in range(3)]).reshape(3, len(pairs), -1)
+    for i, (seed, order) in enumerate(pairs):
+        want = lambda: np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(order,)))  # noqa: E731
+        assert raw[i].tolist() == want().bit_generator.random_raw(2 * width).tolist()
+        rng = want()
+        assert start[i].tolist() == rng.integers(0, n_interfaces, size=episodes).tolist()
+        assert uniforms.start[i].tolist() == start[i].tolist()
+        assert block[i].tolist() == rng.random(width).tolist()
+        rng = want()
+        rng.integers(0, n_interfaces, size=episodes)
+        # one uniform per pair is drawn up front, so every take refills
+        assert taken[:, i].ravel().tolist() == rng.random(3 * episodes).tolist()
+
+
+def test_draw_redraws_a_rejected_lemire_sample_as_numpy_does():
+    # a PCG64 state whose next output is 0 (equal state halves, so XSL-RR
+    # gives 0): each uint32 half times n has low word 0 < 2**32 mod n, so
+    # numpy's Lemire step rejects both and draws on; later draws shift
+    from planarfab.placement import _PCG_MULT
+
+    mod = 1 << 128
+    inc = (0x9E3779B97F4A7C15 << 1) | 1
+    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    before = (after - inc) * pow(_PCG_MULT, -1, mod) % mod
+    state = tuple(
+        np.array([v], dtype=np.uint64)
+        for v in (before >> 64, before & (2**64 - 1), inc >> 64, inc & (2**64 - 1))
+    )
+
+    def numpy_rng():
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+    assert numpy_rng().bit_generator.random_raw() == 0
+    for n_interfaces, episodes in [(3, 4), (5, 5), (3, 1)]:
+        rng = numpy_rng()
+        start, block = _draw(state, n_interfaces, episodes, 6)
+        assert start[0].tolist() == rng.integers(0, n_interfaces, size=episodes).tolist()
+        assert block[0].tolist() == rng.random(6).tolist()
+
+
+def test_fitness_batch_builds_no_generator_per_pair(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-pair generator")
+
+    layout = build_layout("square", (4, 4), 2)
+    drugs = ["a", "b", "c"]
+    placements = [random_placement(layout, drugs, seed=s) for s in range(3)]
+    orders = random_orders(drugs, 5, seed=5)
+    want = fitness_batch(placements, orders, 6, [1, 2, 3])
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert fitness_batch(placements, orders, 6, [1, 2, 3]) == want
+
+
+def test_fitness_seed_range():
+    pl = line_placement(["IF", ("a",), (), ("a",), "IF"])
+    orders = [Order(0, (("a", 5),)), Order(1, (("a", 1),))]
+    big = 2**128 - 1
+    score = fitness(pl, orders, episodes=3, seed=big)
+    assert score.per_order_steps == reference_fitness(pl, orders, 3, big)[1]
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match="seeds"):
+            fitness(pl, orders, episodes=3, seed=bad)
 
 
 def test_analytical_cost_golden(golden_placement, golden_orders):
