@@ -61,6 +61,11 @@ def _load_instance(path):
     layout, catalog, config = _load("instance", path, instance_from_json)
     seed_override = os.environ.get("PLANARFAB_SEED")
     if seed_override is not None:
+        try:
+            seed = int(seed_override)
+        except ValueError:
+            raise CliError(f"PLANARFAB_SEED must be an integer, got {seed_override!r}",
+                           CONFIG_ERROR) from None
         config = InstanceConfig(
             n_dispensers=config.n_dispensers,
             d_max=config.d_max,
@@ -68,7 +73,7 @@ def _load_instance(path):
             n_movers=config.n_movers,
             eta_interface=config.eta_interface,
             dispensing_speed=config.dispensing_speed,
-            seed=int(seed_override),
+            seed=seed,
         )
     return layout, catalog, config
 

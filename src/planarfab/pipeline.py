@@ -330,7 +330,7 @@ def plan_to_json(plan: routing.RoutedPlan) -> str:
                 }
                 for k, s in sorted(plan.resting_assignment.items())
             ],
-            "schedule": json.loads(plan.schedule.to_json()),
+            "schedule": plan.schedule.to_dict(),
         },
         indent=2,
     )

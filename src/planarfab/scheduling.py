@@ -103,26 +103,27 @@ class Schedule:
             )
         return "\n".join(lines) + "\n"
 
+    def to_dict(self) -> dict:
+        """The JSON document of to_json, as plain dicts and lists."""
+        return {
+            "makespan": self.makespan,
+            "ops": [
+                {
+                    "op_id": so.op.op_id,
+                    "order": so.op.order_id,
+                    "target": so.op.target,
+                    "kind": so.op.kind,
+                    "duration": so.op.duration,
+                    "mover": so.mover,
+                    "tile": [so.tile.x, so.tile.y],
+                    "start": so.start,
+                }
+                for so in sorted(self.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "makespan": self.makespan,
-                "ops": [
-                    {
-                        "op_id": so.op.op_id,
-                        "order": so.op.order_id,
-                        "target": so.op.target,
-                        "kind": so.op.kind,
-                        "duration": so.op.duration,
-                        "mover": so.mover,
-                        "tile": [so.tile.x, so.tile.y],
-                        "start": so.start,
-                    }
-                    for so in sorted(self.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Schedule":
@@ -545,6 +546,7 @@ class _Timer:
         self.dist = placement.layout.distances(self.tiles).tolist()
         self.dist.append([0] * len(self.tiles))
         self._segments: dict[tuple[int, Route], tuple] = {}
+        self._segment_tails: dict[tuple[int, Route], tuple] = {}
 
     def segment(self, order: Order, route: Route) -> tuple:
         key = (order.id, route)
@@ -560,11 +562,24 @@ class _Timer:
             self._segments[key] = seg
         return seg
 
+    def segment_tails(self, order: Order, route: Route) -> tuple[list[int], list[int]]:
+        """_tails of the order's segment on its own."""
+        key = (order.id, route)
+        tails = self._segment_tails.get(key)
+        if tails is None:
+            tails = self._segment_tails[key] = _tails(self.segment(order, route), self.dist)
+        return tails
+
     def chains(self, plan: _Plan) -> list[tuple]:
         return [
             tuple(op for order, route in seq for op in self.segment(order, route))
             for seq in plan.seqs
         ]
+
+    def tails(self, chains) -> tuple[list[list[int]], list[list[int]]]:
+        """(spans, flows): _tails of every chain."""
+        spans, flows = zip(*(_tails(c, self.dist) for c in chains))
+        return list(spans), list(flows)
 
     def origin(self, chains) -> tuple:
         """State before the first commit: (ptr, nxt, wait, free, makespan, flow)."""
@@ -578,7 +593,68 @@ class _Timer:
         )
 
 
-def _run(chains, dist, ptr, nxt, wait, free, makespan=0, flow=0,
+def _tails(chain, dist) -> tuple[list[int], list[int]]:
+    """Per position k of chain, its ops k.. run back to back from op k's start.
+
+    span[k] is the time from op k's start to the last op's end, and flow[k]
+    the sum over ops k.. of their end minus op k's start; both are 0 at
+    k = len(chain).  No timing can do better: an op starts no earlier than
+    the end of the previous op plus the travel between their tiles.
+    """
+    n = len(chain)
+    span = [0] * (n + 1)
+    flow = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        _, dur, tile = chain[k]
+        if k + 1 < n:
+            step = dur + dist[tile][chain[k + 1][2]]
+            span[k] = step + span[k + 1]
+            flow[k] = dur + (n - k - 1) * step + flow[k + 1]
+        else:
+            span[k] = flow[k] = dur
+    return span, flow
+
+
+def _splice_tails(span, flow, k, seg_tails, d):
+    """_tails of chain[:k] + seg + chain[k:] from position k on.
+
+    span, flow are the chain's _tails, seg_tails the segment's own, and d
+    the travel from the segment's last tile to chain[k] (0 when k is the
+    chain's end).  Entries before k stay the chain's: a run resumed at
+    position k never reads them.
+    """
+    seg_span, seg_flow = seg_tails
+    left = len(span) - 1 - k
+    if not left:
+        return span[:k] + seg_span, flow[:k] + seg_flow
+    after = d + span[k]
+    return (
+        span[:k] + [x + after for x in seg_span[:-1]] + span[k:],
+        flow[:k]
+        + [f + left * (x + d) + flow[k] for x, f in zip(seg_span[:-1], seg_flow[:-1])]
+        + flow[k:],
+    )
+
+
+def _lower_bound(chains, tails, ptr, nxt, makespan, flow) -> tuple[int, int]:
+    """(makespan, flow) bound of every completion of a timing state.
+
+    Mover m's remaining ops end no earlier than nxt[m] plus their back-to-back
+    offsets: its last op at nxt[m] + span[ptr[m]], and their ends sum to at
+    least r * nxt[m] + flow[ptr[m]] for r = ops left.
+    """
+    spans, flows = tails
+    for o, k in enumerate(ptr):
+        r = len(chains[o]) - k
+        if r:
+            t = nxt[o]
+            if t + spans[o][k] > makespan:
+                makespan = t + spans[o][k]
+            flow += r * t + flows[o][k]
+    return makespan, flow
+
+
+def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
          bound=(_NEVER, _NEVER), placed=None, marks=None, snaps=None):
     """Commit the remaining ops of chains; return (makespan, flow).
 
@@ -587,15 +663,28 @@ def _run(chains, dist, ptr, nxt, wait, free, makespan=0, flow=0,
     done); per tile id, the end of its last busy interval (free); makespan
     and flow (sum of op ends) so far.  Each step commits, among the movers'
     next ops, the one with the earliest feasible start
-    max(ready + travel, tile free), ties by mover index.  Makespan and flow
-    only grow, so the run returns None as soon as (makespan, flow) reaches
-    bound: a returned key is below bound.  With placed, each commit is
+    max(ready + travel, tile free), ties by mover index.  tails holds each
+    chain's _tails.
+
+    Bound: the run keeps the _lower_bound (lb_makespan, lb_flow) of its
+    completion.  Both parts only grow, and only when a next start moves past
+    its back-to-back time (the mover waits for a busy tile, or another mover
+    occupies the tile it waits for): the makespan part is a running max of
+    nxt[m] + span, and the flow part grows by (ops left) x (the delay).  It
+    is tested before the first commit and after every change, and the run
+    returns None as soon as it reaches bound; at the end it equals the key.
+    So the run returns None exactly when its (makespan, flow) would be at
+    least bound, and the key otherwise.  With placed, each commit is
     appended as (op_id, mover, tile id, start).  With marks (a set of op
     counts per mover), snaps[(m, k)] gets a copy of the state plus the end
     and tile id of the commit right after mover m commits its k-th op; the
     run ends once every mark is taken.
     """
     bound_makespan, bound_flow = bound
+    spans = tails[0]
+    lb_makespan, lb_flow = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
+    if (lb_makespan, lb_flow) >= bound:
+        return None
     movers = range(len(chains))
     remaining = sum(map(len, chains)) - sum(ptr)
     pending = sum(map(len, marks)) if marks is not None else 0
@@ -610,24 +699,38 @@ def _run(chains, dist, ptr, nxt, wait, free, makespan=0, flow=0,
         flow += end
         if end > makespan:
             makespan = end
-        if makespan >= bound_makespan and (makespan > bound_makespan or flow >= bound_flow):
-            return None
         if placed is not None:
             placed.append((op_id, m, tile, t))
         k += 1
         ptr[m] = k
+        grew = False
         if k < len(chain):
             nxt_tile = chain[k][2]
             t0 = end + dist[tile][nxt_tile]
             f = free[nxt_tile]
-            nxt[m] = t0 if t0 > f else f
+            if f > t0:
+                nxt[m] = f
+                lb_flow += (len(chain) - k) * (f - t0)
+                if f + spans[m][k] > lb_makespan:
+                    lb_makespan = f + spans[m][k]
+                grew = True
+            else:
+                nxt[m] = t0
             wait[m] = nxt_tile
         else:
             nxt[m] = _NEVER
             wait[m] = -1
         for o in movers:
             if wait[o] == tile and nxt[o] < end:
+                lb_flow += (len(chains[o]) - ptr[o]) * (end - nxt[o])
+                if end + spans[o][ptr[o]] > lb_makespan:
+                    lb_makespan = end + spans[o][ptr[o]]
                 nxt[o] = end
+                grew = True
+        if grew and lb_makespan >= bound_makespan and (
+            lb_makespan > bound_makespan or lb_flow >= bound_flow
+        ):
+            return None
         remaining -= 1
         if marks is not None and k in marks[m]:
             snaps[(m, k)] = (ptr[:], nxt[:], wait[:], free[:], makespan, flow, end, tile)
@@ -641,7 +744,7 @@ def _timing(plan: _Plan, timer: _Timer) -> list[tuple[int, int, Coord, int]]:
     """Deterministic left-shift timing; [(op_id, mover, tile, start)] in commit order."""
     chains = timer.chains(plan)
     placed: list[tuple[int, int, int, int]] = []
-    _run(chains, timer.dist, *timer.origin(chains), placed=placed)
+    _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains), placed=placed)
     tiles = timer.tiles
     return [(op_id, m, tiles[tile], start) for op_id, m, tile, start in placed]
 
@@ -658,7 +761,7 @@ def _plan_to_schedule(plan: _Plan, timer: _Timer, trace=()) -> Schedule:
 def _plan_makespan(plan: _Plan, timer: _Timer, bound=(_NEVER, _NEVER)):
     """(makespan, flow) of the timed plan, or None once it reaches bound."""
     chains = timer.chains(plan)
-    return _run(chains, timer.dist, *timer.origin(chains), bound=bound)
+    return _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains), bound=bound)
 
 
 # --- scheduler --------------------------------------------------------------------
@@ -838,15 +941,26 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
                  movers=None) -> tuple[int, int]:
     """Insert order where the plan's (makespan, flow) is least; return that key.
 
-    Candidates run mover by mover, position by position, route by route, and
-    the first strict minimum wins.  The plan without the order is timed once,
-    keeping the state right after each candidate mover m has committed the
-    ops of its first pos orders.  A candidate at (m, pos) takes exactly the
-    same steps up to that point, so it resumes from there with m's chain
-    spliced, and stops as soon as it can no longer beat the best key.
+    The winner is the least key, ties by enumeration index (mover, position,
+    route): the first strict minimum of the enumeration.  The plan without
+    the order is timed once, keeping the state right after each candidate
+    mover m has committed the ops of its first pos orders.  A candidate at
+    (m, pos) takes exactly the same steps up to that point, so it resumes
+    from there with m's chain spliced.
+
+    Best first: each candidate's starting _lower_bound is taken from its
+    resume state, and candidates run in ascending order of (bound, index).
+    A candidate that comes later in the enumeration than the incumbent must
+    beat its key; one that comes earlier also wins on an equal key, so it
+    runs against (makespan, flow + 1) (keys are integers).  _run stops a
+    candidate as soon as its bound reaches that, and the search ends at the
+    first candidate whose starting bound reaches (makespan, flow + 1).
+    Route candidates are fetched in enumeration order, as a cache miss draws
+    from the route cache's rng.
     """
     chains = timer.chains(plan)
     dist = timer.dist
+    spans, flows = timer.tails(chains)
     candidates = range(len(plan.seqs)) if movers is None else movers
     boundaries = {  # ops before each position, per candidate mover
         m: list(itertools.accumulate((len(timer.segment(o, r)) for o, r in plan.seqs[m]),
@@ -858,35 +972,55 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     snaps = {(m, 0): (ptr, nxt, wait, free, 0, 0, 0, nowhere) for m in candidates}
     marks = [set(boundaries.get(m, (0,))[1:]) for m in range(len(chains))]
     if any(marks):
-        _run(chains, dist, ptr[:], nxt[:], wait[:], free[:], marks=marks, snaps=snaps)
+        _run(chains, (spans, flows), dist, ptr[:], nxt[:], wait[:], free[:], marks=marks,
+             snaps=snaps)
 
-    best = None
-    best_key = (_NEVER, _NEVER)
+    queue = []  # (starting bound, index, m, pos, k, route, first start, m's spliced tails)
     for m in candidates:
         seq = plan.seqs[m]
         base = chains[m]
         for pos, k in enumerate(boundaries[m]):
             prev_loc = seq[pos - 1][1].end_iface if pos > 0 else None
-            # fetched before pruning: a miss draws from the route cache's rng
             options = routes.get(order, prev_loc)
             ptr, nxt, wait, free, makespan, flow, ready, loc = snaps[(m, k)]
-            if (makespan, flow) >= best_key:
-                continue
+            # the bound of the other movers: m counts as done here
+            others = _lower_bound(chains, (spans, flows), ptr[:m] + [len(base)] + ptr[m + 1:],
+                                  nxt, makespan, flow)
             for route in options:
                 seg = timer.segment(order, route)
-                chains[m] = base[:k] + seg + base[k:]
                 tile = seg[0][2]
                 t0 = ready + dist[loc][tile]
-                nxt_m = nxt[:]
-                nxt_m[m] = t0 if t0 > free[tile] else free[tile]
-                wait_m = wait[:]
-                wait_m[m] = tile
-                key = _run(chains, dist, ptr[:], nxt_m, wait_m, free[:], makespan, flow,
-                           best_key)
-                if key is not None:
-                    best_key = key
-                    best = (m, pos, route)
-        chains[m] = base
+                start = t0 if t0 > free[tile] else free[tile]
+                tails_m = _splice_tails(spans[m], flows[m], k, timer.segment_tails(order, route),
+                                        dist[seg[-1][2]][base[k][2]] if k < len(base) else 0)
+                lb = (max(others[0], start + tails_m[0][k]),
+                      others[1] + (len(seg) + len(base) - k) * start + tails_m[1][k])
+                queue.append((lb, len(queue), m, pos, k, route, start, tails_m))
+    queue.sort(key=lambda c: c[:2])
+
+    best = None
+    best_key = (_NEVER, _NEVER)
+    best_index = len(queue)
+    for lb, index, m, pos, k, route, start, tails_m in queue:
+        tie_wins = (best_key[0], best_key[1] + 1)
+        if lb >= tie_wins:
+            break
+        bound = tie_wins if index < best_index else best_key
+        if lb >= bound:
+            continue
+        ptr, nxt, wait, free, makespan, flow, _, _ = snaps[(m, k)]
+        seg = timer.segment(order, route)
+        run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
+        run_chains[m] = chains[m][:k] + seg + chains[m][k:]
+        run_spans[m], run_flows[m] = tails_m
+        nxt_m = nxt[:]
+        nxt_m[m] = start
+        wait_m = wait[:]
+        wait_m[m] = seg[0][2]
+        key = _run(run_chains, (run_spans, run_flows), dist, ptr[:], nxt_m, wait_m, free[:],
+                   makespan, flow, bound)
+        if key is not None:
+            best, best_key, best_index = (m, pos, route), key, index
     m, pos, route = best
     plan.seqs[m].insert(pos, (order, route))
     return best_key

@@ -4,9 +4,9 @@ An order's travel component κ is the shortest interface-to-interface path
 that visits one dispenser alternative per required drug.  ``kappa`` solves it
 for every order size with one subset DP over the drug clusters (Held-Karp on
 clusters), vectorized over the (drug, tile) vertices on a slice of the
-layout's distance table; its cost grows as 2^drugs, not with the number of
-visiting sequences.  ``order_graph`` builds that slice; the scheduler ranks
-whole routes on the same graph.
+layout's distance table and over all subsets of one size at a time; its cost
+grows as 2^drugs, not with the number of visiting sequences.  ``order_graph``
+builds that slice; the scheduler ranks whole routes on the same graph.
 
 The Noon-Bean reduction of a generalized (clustered) TSP to an asymmetric TSP
 is kept as an API (``noon_bean``, ``solve_gtsp``, ``transform_dump``); the
@@ -23,6 +23,7 @@ import numpy as np
 from .core import Coord
 
 HELD_KARP_LIMIT = 18
+_KAPPA_PASS = 1 << 20  # (mask, vertex, vertex) entries relaxed per numpy pass of kappa
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,10 @@ def kappa(order, placement) -> PathResult:
 
     Vertices are (drug, tile) pairs; dp[mask, v] is the shortest path from the
     nearest interface through one vertex of each drug in mask, ending at v.
+    Each state (mask | bit(v), v) has exactly one predecessor mask, so the DP
+    runs one popcount layer at a time: all masks of a layer are relaxed in one
+    (masks, V, V) pass, argmin over the predecessor vertex (first minimum, as
+    a mask-by-mask pass would take it), then scattered to the next layer.
     """
     interfaces, alts, tiles, d, to_iface = order_graph(order, placement)
     bits = np.array([1 << gi for gi, (_, ts) in enumerate(alts) for _ in ts], dtype=np.int64)
@@ -221,13 +226,19 @@ def kappa(order, placement) -> PathResult:
     dp = np.full((full + 1, len(tiles)), np.iinfo(np.int64).max // 4, dtype=np.int64)
     parent = np.full((full + 1, len(tiles)), -1, dtype=np.int64)
     dp[bits, cols] = nearest
-    for mask in range(1, full):  # every nonempty mask is reachable; supersets come later
-        ext = dp[mask][:, None] + d
-        arg = ext.argmin(axis=0)
-        best = ext[arg, cols]
-        w = np.flatnonzero(((bits & mask) == 0) & (best < dp[mask | bits, cols]))
-        dp[mask | bits[w], w] = best[w]
-        parent[mask | bits[w], w] = arg[w]
+    masks = np.arange(full + 1, dtype=np.int64)
+    popcount = ((masks[:, None] >> np.arange(len(alts))) & 1).sum(axis=1)
+    step = max(1, _KAPPA_PASS // len(tiles) ** 2)  # masks per pass, bounding its memory
+    for layer in range(1, len(alts)):  # every nonempty mask is reachable
+        members = masks[popcount == layer]
+        for lo in range(0, len(members), step):
+            m = members[lo:lo + step]
+            ext = dp[m][:, :, None] + d
+            arg = ext.argmin(axis=1)
+            rows, w = np.nonzero((m[:, None] & bits) == 0)  # v's drug not in the mask yet
+            to = m[rows] | bits[w]
+            dp[to, w] = ext[rows, arg[rows, w], w]
+            parent[to, w] = arg[rows, w]
 
     closing = dp[full] + nearest
     v = int(closing.argmin())

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planarfab
 from planarfab.cli import CONFIG_ERROR, INFEASIBLE, OK, main
 from planarfab.core import (
     Coord,
@@ -192,6 +197,21 @@ def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
         "--size-min", "1", "--size-max", "3", "--orders-out", c)
     assert a.read_text() != b.read_text()
     assert b.read_text() == c.read_text()
+
+
+def test_cli_bad_seed_env_is_config_error(tmp_path, instance_file):
+    src = str(Path(planarfab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PLANARFAB_SEED="abc",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarfab.cli", "gen-orders", "--instance", str(instance_file),
+         "--n", "5", "--orders-out", str(tmp_path / "a.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == CONFIG_ERROR
+    assert "PLANARFAB_SEED must be an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_cli_pipeline_and_report_consistency(tmp_path, instance_file, capsys):

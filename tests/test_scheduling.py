@@ -21,6 +21,8 @@ from planarfab.scheduling import (
     _Plan,
     _plan_makespan,
     _RouteCache,
+    _lower_bound,
+    _run,
     _timing,
     _Timer,
     _route_count,
@@ -477,8 +479,12 @@ def test_timing_matches_busy_list_oracle_on_random_plans():
 
 
 def _naive_insert_best(plan, order, timer, routes, movers=None):
-    """Reference insertion: re-time the whole plan for every candidate."""
+    """Reference insertion: re-time the whole plan for every candidate.
+
+    Returns the first strict minimum and the number of candidates whose key
+    equals it."""
     best = best_key = None
+    ties = 0
     for m in range(len(plan.seqs)) if movers is None else movers:
         seq = plan.seqs[m]
         for pos in range(len(seq) + 1):
@@ -488,30 +494,83 @@ def _naive_insert_best(plan, order, timer, routes, movers=None):
                 key = _plan_makespan(plan, timer)
                 seq.pop(pos)
                 if best_key is None or key < best_key:
-                    best, best_key = (m, pos, route), key
-    return best, best_key
+                    best, best_key, ties = (m, pos, route), key, 1
+                elif key == best_key:
+                    ties += 1
+    return best, best_key, ties
 
 
 def test_prefix_reusing_insertion_matches_naive_retiming():
     drugs = list("abcdef")
-    for li, layout in enumerate(_engine_layouts()):
-        for seed in range(40):
-            rng = random.Random(7000 + 1000 * li + seed)
+    layouts = _engine_layouts()
+    # (0, 184): identical orders where a later candidate with a lower starting
+    # bound ties the winner's key, so only the tie rule picks the earlier one
+    cases = [(li, seed) for li in range(len(layouts)) for seed in range(40)] + [(0, 184)]
+    tied = 0
+    for li, seed in cases:
+        layout = layouts[li]
+        rng = random.Random(7000 + 1000 * li + seed)
+        pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+        orders = random_orders(drugs, rng.randint(2, 12), seed=seed + 50,
+                               size_range=(1, 4), dur_range=(1, 9))
+        if seed % 4 == 0:  # identical orders: many candidates share the least key
+            orders = [Order(o.id, orders[0].items) for o in orders]
+        n_movers = rng.randint(1, 8)
+        timer = _Timer(pl, orders, eta=rng.randint(1, 3))
+        plan, _ = _random_plan(rng, pl, orders[1:], n_movers)
+        movers = None if seed % 3 else [rng.randrange(n_movers)]
+        # separate caches with one seed: both must draw routes in the same order
+        (m, pos, route), want_key, ties = _naive_insert_best(
+            plan, orders[0], timer, _RouteCache(pl, random.Random(seed)), movers
+        )
+        tied += ties > 1
+        want = plan.copy()
+        want.seqs[m].insert(pos, (orders[0], route))
+        got_key = _insert_best(plan, orders[0], timer, _RouteCache(pl, random.Random(seed)),
+                               movers)
+        assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
+    assert tied >= 20
+
+
+def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
+    drugs = list("abcdefgh")
+    layouts = _engine_layouts() + [build_layout("square", (3, 3), 1)]  # 3x3: shared tiles
+    checked = 0
+    for li, layout in enumerate(layouts):
+        for seed in range(25):
+            rng = random.Random(9000 + 1000 * li + seed)
             pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
-            orders = random_orders(drugs, rng.randint(2, 10), seed=seed + 50,
-                                   size_range=(1, 4), dur_range=(1, 9))
-            n_movers = rng.randint(1, 4)
+            orders = random_orders(drugs, rng.randint(1, 14), seed=seed + 70,
+                                   size_range=(1, 5), dur_range=(1, 9))
+            n_movers = 8 if seed % 2 else rng.randint(1, 7)
             timer = _Timer(pl, orders, eta=rng.randint(1, 3))
-            routes = _RouteCache(pl, random.Random(seed))
-            plan, _ = _random_plan(rng, pl, orders[1:], n_movers)
-            movers = None if seed % 3 else [rng.randrange(n_movers)]
-            (m, pos, route), want_key = _naive_insert_best(
-                plan, orders[0], timer, routes, movers
-            )
-            want = plan.copy()
-            want.seqs[m].insert(pos, (orders[0], route))
-            got_key = _insert_best(plan, orders[0], timer, routes, movers)
-            assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
+            plan, _ = _random_plan(rng, pl, orders, n_movers)
+            chains = timer.chains(plan)
+            tails = timer.tails(chains)
+            # resume from the origin or from the state after some mover's k-th op
+            states = [timer.origin(chains)]
+            busy = [m for m, c in enumerate(chains) if c]
+            m = rng.choice(busy)
+            k = rng.randint(1, len(chains[m]))
+            marks = [{k} if o == m else set() for o in range(n_movers)]
+            snaps = {}
+            _run(chains, tails, timer.dist, *timer.origin(chains), marks=marks, snaps=snaps)
+            states.append(snaps[(m, k)][:6])
+            for ptr, nxt, wait, free, makespan, flow in states:
+                def resume(bound=(math.inf, math.inf)):
+                    return _run(chains, tails, timer.dist, ptr[:], nxt[:], wait[:], free[:],
+                                makespan, flow, bound)
+
+                key = resume()
+                lb = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
+                assert lb[0] <= key[0] and lb[1] <= key[1], (li, seed)
+                for dm in (-3, -1, 0, 1, 2):
+                    for df in (-40, -1, 0, 1, 25):
+                        bound = (key[0] + dm, key[1] + df)
+                        got = resume(bound)
+                        assert got == (None if key >= bound else key), (li, seed, bound)
+                        checked += 1
+    assert checked == 4 * 25 * 2 * 25
 
 
 # --- route oracle ------------------------------------------------------------------

@@ -185,6 +185,60 @@ def test_kappa_equals_bruteforce_on_random_instances():
     assert shared >= 10  # drugs sharing a tile are visited at zero distance
 
 
+def mask_by_mask_kappa(order, placement):
+    """The subset DP relaxed one mask at a time, in increasing mask order."""
+    interfaces, alts, tiles, d, to_iface = shppn.order_graph(order, placement)
+    bits = np.array([1 << gi for gi, (_, ts) in enumerate(alts) for _ in ts], dtype=np.int64)
+    nearest = to_iface.min(axis=1)
+    full = (1 << len(alts)) - 1
+    cols = np.arange(len(tiles))
+    dp = np.full((full + 1, len(tiles)), np.iinfo(np.int64).max // 4, dtype=np.int64)
+    parent = np.full((full + 1, len(tiles)), -1, dtype=np.int64)
+    dp[bits, cols] = nearest
+    for mask in range(1, full):
+        ext = dp[mask][:, None] + d
+        arg = ext.argmin(axis=0)
+        best = ext[arg, cols]
+        w = np.flatnonzero(((bits & mask) == 0) & (best < dp[mask | bits, cols]))
+        dp[mask | bits[w], w] = best[w]
+        parent[mask | bits[w], w] = arg[w]
+    closing = dp[full] + nearest
+    v = int(closing.argmin())
+    total = int(closing[v])
+    chain = []
+    mask = full
+    while v >= 0:
+        chain.append(v)
+        v, mask = int(parent[mask, v]), mask ^ int(bits[v])
+    chain.reverse()
+    owner = [g for g, ts in alts for _ in ts]
+    seq = (
+        (("interface", interfaces[int(to_iface[chain[0]].argmin())]),)
+        + tuple((owner[v], tiles[v]) for v in chain)
+        + (("interface", interfaces[int(to_iface[chain[-1]].argmin())]),)
+    )
+    return shppn.PathResult(total, seq)
+
+
+def test_layered_kappa_matches_mask_by_mask_dp():
+    cases = [  # (layout, max alternatives, seeds per order size)
+        (build_layout("square", (5, 5), 2), 3, range(4)),
+        (build_layout("square", (8, 8), 2), 2, range(3)),
+        (build_layout("ring", 5, 2), 3, range(4)),
+        (build_layout("ring", 6, 1), 2, range(3)),
+    ]
+    shared = 0
+    for layout, alts, seeds in cases:
+        for k in range(1, 9):
+            drugs = [f"d{i}" for i in range(k)]
+            for seed in seeds:
+                pl = random_placement(layout, drugs, seed=100 * k + seed, max_alternatives=alts)
+                shared += any(len(ds) > 1 for ds in pl.drug_tiles.values())
+                order = Order(0, tuple((g, 4) for g in drugs))
+                assert kappa(order, pl) == mask_by_mask_kappa(order, pl), (layout.topology, k, seed)
+    assert shared >= 10
+
+
 def test_kappa_monotone_in_alternatives(golden_placement):
     order = Order(0, (("LISINOPRIL", 5), ("SIMVASTATIN", 5)))
     base = kappa(order, golden_placement).kappa
