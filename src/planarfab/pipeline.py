@@ -62,14 +62,15 @@ class RunReport:
         return 100.0 * (post - pre) / pre
 
     def to_json(self) -> str:
+        values = dict(self.stage_values)
+        if self.overhead_pct is not None:
+            values["routing_overhead_pct"] = self.overhead_pct
         doc = {
             "seeds": self.seeds,
-            "stage_values": self.stage_values,
+            "stage_values": values,
             "wall_times_s": {k: round(v, 4) for k, v in self.wall_times.items()},
             "exactness": self.exactness,
         }
-        if self.overhead_pct is not None:
-            doc["stage_values"]["routing_overhead_pct"] = self.overhead_pct
         return json.dumps(doc, indent=2)
 
 
@@ -127,9 +128,14 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    def save(name, text):
+    artifacts = 0.0  # seconds spent encoding and writing files
+
+    def save(name, render):
+        nonlocal artifacts
         if out:
-            (out / name).write_text(text)
+            t0 = time.perf_counter()
+            (out / name).write_text(render())
+            artifacts += time.perf_counter() - t0
 
     stages = set(pc.stages)
 
@@ -144,7 +150,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
 
     if "gen-orders" in stages:
         def gen():
-            oset = ordergen.sample_orders(
+            return ordergen.sample_orders(
                 pc.catalog,
                 pc.n_orders,
                 pc.size_range,
@@ -152,10 +158,9 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                 seed=seeds["ordergen"],
                 dispensing_speed=pc.config.dispensing_speed,
             )
-            save("orders.csv", orders_to_csv(oset.orders))
-            return oset
 
         orders = run_stage("gen-orders", gen).orders
+        save("orders.csv", lambda: orders_to_csv(orders))
     if orders is None:
         raise StageError("gen-orders", "no orders provided and stage disabled")
     values["n_orders"] = len(orders)
@@ -176,7 +181,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["correlation_objective"] = packed.correlation_objective
         values["correlation_baseline"] = packing.correlation_sum(stage1.tiles, pc.catalog)
         exact["packing"] = stage1.exact
-        save("packing.json", packing_to_json(packed))
+        save("packing.json", lambda: packing_to_json(packed))
 
     if "place" in stages and placed is None:
         if packed is None:
@@ -188,17 +193,19 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         ga_result = run_stage("place", place)
         placed = ga_result.placement
         values["placement_fitness"] = ga_result.best_fitness
-        save("placement.json", placed.to_json())
-        save("placement_trace.csv", placement_mod.trace_to_csv(ga_result.trace))
-        save("layout.svg", render_layout(placed))
+        save("placement.json", placed.to_json)
+        save("placement_trace.csv", lambda: placement_mod.trace_to_csv(ga_result.trace))
+        save("layout.svg", lambda: render_layout(placed))
     if placed is None and (stages & {"lower-bound", "schedule", "route"}):
         raise StageError("place", "no placement available")
     if placed is not None:
         # κ once per distinct drug set, for the analytical score and the lower bound
+        t0 = time.perf_counter()
         try:
             kappas = placement_mod.per_order_kappa(placed, orders)
         except ValueError as e:  # the placement does not serve these orders
             raise StageError("place", e) from e
+        times["kappa"] = time.perf_counter() - t0
         values["placement_analytical"] = sum(kappas) / len(kappas) if kappas else 0.0
 
     lb = None
@@ -245,9 +252,9 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
 
         sched = run_stage("schedule", do_schedule)
         values["makespan_scheduled"] = sched.makespan
-        save("schedule.json", sched.to_json())
-        save("schedule.csv", sched.to_csv())
-        save("gantt.svg", render_gantt(sched))
+        save("schedule.json", sched.to_json)
+        save("schedule.csv", sched.to_csv)
+        save("gantt.svg", lambda: render_gantt(sched))
 
     if "route" in stages:
         if sched is None:
@@ -263,19 +270,17 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["routing_exclusivity_repairs"] = plan.exclusivity_repairs
         values["resting_sites"] = len(plan.sites.sites)
         exact["resting_sites"] = plan.sites.exact
-        save("routed.json", plan_to_json(plan))
-        save("paths.csv", paths_to_csv(plan))
+        save("routed.json", lambda: plan_to_json(plan))
+        save("paths.csv", lambda: paths_to_csv(plan))
         save(
             "gantt_routed.svg",
-            render_gantt(plan.schedule, interruptions=plan.interruptions),
+            lambda: render_gantt(plan.schedule, interruptions=plan.interruptions),
         )
-        save(
-            "layout_sites.svg",
-            render_layout(placed, sites=plan.sites.sites),
-        )
+        save("layout_sites.svg", lambda: render_layout(placed, sites=plan.sites.sites))
 
+    times["artifacts"] = artifacts
     report = RunReport(seeds, values, times, exact)
-    save("report.json", report.to_json())
+    save("report.json", report.to_json)
     return report
 
 
@@ -337,10 +342,17 @@ def plan_to_json(plan: routing.RoutedPlan) -> str:
 
 
 def paths_to_csv(plan: routing.RoutedPlan) -> str:
-    lines = ["tick,mover,x,y,state"]
+    """One row per tick a mover holds a cell, by mover, then tick.
+
+    Each run formats its row suffix once; its rows are a join over one shared
+    table of tick strings.
+    """
+    top = max((runs[-1][1] for runs in plan.paths.values() if runs), default=0)
+    ticks = list(map(str, range(top)))
+    parts = ["tick,mover,x,y,state\n"]
     for m in sorted(plan.paths):
-        for tick, p in enumerate(plan.paths[m]):
-            if p is not None:
-                x, y, state = p
-                lines.append(f"{tick},{m},{x:g},{y:g},{state}")
-    return "\n".join(lines) + "\n"
+        for t0, t1, (x, y, state) in plan.paths[m]:
+            row = f",{m},{x:g},{y:g},{state}\n"
+            parts.append(row.join(ticks[t0:t1]))
+            parts.append(row)
+    return "".join(parts)

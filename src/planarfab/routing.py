@@ -19,18 +19,21 @@ of 100 guards pathological cases.
 Every pass of the fixpoint reads the layout's distance table in blocks:
 transit x site round trips are four table blocks (``_site_options``), and the
 regret greedy above 30 transits updates only the regrets an assignment
-touches.  Paths stay tick lists; conflict counting walks them once into a
-per-tile index of (tick, mover) transit occupancy and bisects each dispensing
-window in it, instead of scanning every dispensing tick against every mover.
+touches.  A mover's path is a sorted list of maximal runs (t0, t1, (x, y,
+state)), one per stretch of ticks on one cell, so building, checking and
+writing paths costs O(runs), not O(horizon): conflict counting indexes the
+transit-state runs on each dispensing tile and takes, per dispensing window,
+the length of the union of other movers' runs inside it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -102,7 +105,7 @@ class PrecedenceDag:
 class RoutedPlan:
     schedule: Schedule  # adjusted start times, nominal durations
     interruptions: dict[int, int]  # op_id -> accounted pause ticks
-    paths: dict[int, list]  # mover -> tick-indexed (x, y, state) or None
+    paths: dict[int, list]  # mover -> sorted runs (t0, t1, (x, y, state)), ticks [t0, t1)
     resting_assignment: dict[tuple[int, int, int], RestingSite]
     sites: SiteSelection
     makespan: int  # latest realized finish (duration + pauses)
@@ -376,16 +379,58 @@ def _assign_greedy(transits, options, overlap):
     return assign
 
 
-# --- tick-level paths and conflicts ------------------------------------------------
+# --- paths as runs and conflicts --------------------------------------------------
+
+def _first_writer(writes, top) -> list:
+    """Sorted runs (t0, t1, cell) of ticks [0, top) after each write of
+    ``writes``, in order, takes the ticks of its [t0, t1) that no earlier
+    write took."""
+    runs: list = []
+    ends: list[int] = []
+    for run in writes:
+        t0, t1, cell = run
+        if t0 < 0 or t1 > top:
+            t0, t1 = max(t0, 0), min(t1, top)
+            run = (t0, t1, cell)
+        k = bisect_right(ends, t0)  # the first run ending after t0
+        while t0 < t1 and k < len(runs) and runs[k][0] < t1:
+            held = runs[k][0]
+            if t0 < held:
+                runs.insert(k, (t0, held, cell))
+                ends.insert(k, held)
+                k += 1
+            t0 = ends[k]
+            k += 1
+            run = (t0, t1, cell)
+        if t0 < t1:
+            runs.insert(k, run)
+            ends.insert(k, t1)
+    return runs
+
+
+def _joined(runs) -> list:
+    """Maximal runs: neighbours holding one cell become one run."""
+    out: list = []
+    for run in runs:
+        if out and out[-1][1] == run[0] and out[-1][2] == run[2]:
+            out[-1] = (out[-1][0], run[1], run[2])
+        else:
+            out.append(run)
+    return out
+
 
 def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
                 transits=None):
-    """Per-mover tick-indexed positions (x, y, state); None = off-grid.
+    """Per-mover runs (t0, t1, (x, y, state)): the mover holds that cell for
+    ticks [t0, t1).  Runs are sorted, disjoint and maximal; off-grid ticks have
+    none, and no run reaches past the latest realized end.
 
     Movement segments are x-then-y staircases at one tile per tick (BFS paths
     on non-convex layouts); idle transits detour through their assigned
     resting site and wait at its midpoint, leaving just in time to arrive at
-    the next operation's start.
+    the next operation's start.  The first writer of a tick wins: operations
+    come first (of two that share a tick, the later-starting one), then each
+    transit's segments in order.
     """
     pauses = pauses or {}
     realized = _realized_ops(schedule, pauses)
@@ -395,60 +440,49 @@ def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
     site_of = {}
     for idx, site in resting_assignment.items():
         tr = transits[idx] if isinstance(idx, int) else t_by_key[idx]
-        site_of[(tr.mover, tr.from_op, tr.to_op)] = site
+        site_of[(tr.mover, tr.from_op, tr.to_op)] = (tr, site)
 
-    horizon = max((e for (_m, _t, _s, e, _o) in realized.values()), default=0)
+    top = max((e for (_m, _t, _s, e, _o) in realized.values()), default=0) + 1
     layout = placement.layout
     dist = layout.distance
-    shortest_path = functools.cache(layout.shortest_path)
-    paths: dict[int, list] = {}
+    move = {t: (float(t.x), float(t.y), MOVE) for t in layout.tiles}
 
+    @functools.cache
+    def steps(a, b):  # the MOVE cell of every tile of the a -> b path
+        return [move[c] for c in layout.shortest_path(a, b)]
+
+    paths: dict[int, list] = {}
     by_mover: dict[int, list] = {}
     for op_id, rec in realized.items():
         by_mover.setdefault(rec[0], []).append(rec + (op_id,))
     for m, seq in sorted(by_mover.items()):
         seq.sort(key=lambda r: r[2])
-        pos = [None] * (horizon + 1)
-
-        def put(t, xy, state):
-            if 0 <= t <= horizon and pos[t] is None:
-                pos[t] = (xy[0], xy[1], state)
-
-        def fill(t0, t1, cell):  # one shared cell tuple at every free tick of [t0, t1)
-            for t in range(max(t0, 0), min(t1, horizon + 1)):
-                if pos[t] is None:
-                    pos[t] = cell
-
-        for (_m, tile, s, e, op, op_id) in seq:
-            state = DISPENSE if op.kind == DISPENSING else SWAP
-            pos[s:e] = [(float(tile.x), float(tile.y), state)] * (e - s)
-        for (r1, r2) in zip(seq, seq[1:]):
+        ops = [
+            (s, e, (float(tile.x), float(tile.y), DISPENSE if op.kind == DISPENSING else SWAP))
+            for (_m, tile, s, e, op, _id) in seq
+        ]
+        writes = ops[::-1]  # ops in reverse: the last writer among them wins
+        for r1, r2 in zip(seq, seq[1:]):
             _m1, t1, _s1, e1, _o1, id1 = r1
             _m2, t2, s2, _e2, _o2, id2 = r2
-            put(e1, (float(t1.x), float(t1.y)), MOVE)  # departure tick
-            site = site_of.get((m, id1, id2))
-            if site is not None:
-                _detour, _via, (a, b) = _site_cost(
-                    Transit(m, id1, id2, t1, t2, e1, s2, dist(t1, t2)), site, dist
-                )
-                p_in = shortest_path(t1, a)
-                for j in range(1, len(p_in)):
-                    put(e1 + j, (float(p_in[j].x), float(p_in[j].y)), MOVE)
+            assigned = site_of.get((m, id1, id2))
+            if assigned is not None:
+                tr, site = assigned
+                _detour, _via, (a, b) = _site_cost(tr, site, dist)
+                p_in = steps(t1, a)  # from the departure tick e1 on
                 arrive_a = e1 + len(p_in) - 1
                 depart_b = s2 - dist(b, t2)
-                fill(arrive_a + 1, depart_b, site.location + (REST,))
-                p_out = shortest_path(b, t2)
-                for j in range(len(p_out) - 1):
-                    put(depart_b + j, (float(p_out[j].x), float(p_out[j].y)), MOVE)
+                writes += zip(range(e1, arrive_a + 1), range(e1 + 1, arrive_a + 2), p_in)
+                writes.append((arrive_a + 1, depart_b, site.location + (REST,)))
+                writes += zip(range(depart_b, s2), range(depart_b + 1, s2 + 1), steps(b, t2))
             else:
                 # tight transit (or fallback wait at the previous tile)
-                travel = dist(t1, t2)
-                leave = s2 - travel
-                fill(e1, leave, (float(t1.x), float(t1.y), REST))
-                p = shortest_path(t1, t2)
-                for j in range(1, len(p)):
-                    put(leave + j, (float(p[j].x), float(p[j].y)), MOVE)
-        paths[m] = pos
+                leave = s2 - dist(t1, t2)
+                p = steps(t1, t2)
+                writes.append((e1, e1 + 1, p[0]))  # departure tick
+                writes.append((e1, leave, (float(t1.x), float(t1.y), REST)))
+                writes += zip(range(leave + 1, s2 + 1), range(leave + 2, s2 + 2), p[1:])
+        paths[m] = _joined(_first_writer(writes, top))
     return paths
 
 
@@ -461,27 +495,34 @@ def detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
     """
     pauses = pauses or {}
     dispensing = [so for so in schedule.ops if so.op.kind == DISPENSING]
-    # dispensing tile center -> sorted (tick, mover) pairs in a transit state
+    # dispensing tile center -> (t0, t1, mover) transit-state runs on it
     occupancy: dict[tuple, list] = {
         (float(so.tile.x), float(so.tile.y)): [] for so in dispensing
     }
-    for m, pos in paths.items():
-        t = 0
-        for p, run in groupby(pos):  # runs of one position (build_paths shares their tuple)
-            n = len(list(run))
-            if p is not None and (p[2] == MOVE or p[2] == REST):
-                seq = occupancy.get((p[0], p[1]))
+    for m, runs in paths.items():
+        for t0, t1, (x, y, state) in runs:
+            if state == MOVE or state == REST:
+                seq = occupancy.get((x, y))
                 if seq is not None:
-                    seq.extend(zip(range(t, t + n), repeat(m)))
-            t += n
-    for seq in occupancy.values():
+                    seq.append((t0, t1, m))
+    index = {}
+    for tile, seq in occupancy.items():
         seq.sort()
+        # reach[k]: the latest end among seq[:k + 1], so runs before
+        # bisect_right(reach, s) all end by tick s
+        index[tile] = (seq, [r[0] for r in seq], list(accumulate((r[1] for r in seq), max)))
     ledger: dict[int, int] = {}
     for so in dispensing:
-        seq = occupancy[(float(so.tile.x), float(so.tile.y))]
+        seq, starts, reach = index[(float(so.tile.x), float(so.tile.y))]
         end = so.end + pauses.get(so.op.op_id, 0)
-        lo, hi = bisect_left(seq, (so.start,)), bisect_left(seq, (end,))
-        ledger[so.op.op_id] = len({t for t, m in seq[lo:hi] if m != so.mover})
+        covered, done = 0, so.start  # ticks before `done` are counted or excluded
+        for k in range(bisect_right(reach, so.start), bisect_left(starts, end)):
+            t0, t1, m = seq[k]
+            if m != so.mover and t1 > done:  # the union of other movers' runs
+                t1 = min(t1, end)
+                covered += t1 - max(t0, done)
+                done = t1
+        ledger[so.op.op_id] = covered
     return ledger
 
 
@@ -655,17 +696,16 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
             continue
         issues.append(v)
 
-    for m, pos in plan.paths.items():
-        prev = None
-        for t, p in enumerate(pos):
-            if p is None:
+    for m, runs in plan.paths.items():
+        prev, prev_end = None, 0
+        for t0, t1, p in runs:
+            if t0 != prev_end:  # off-grid ticks in between
                 prev = None
-                continue
             x, y, state = p
             if prev is not None:
                 step = abs(x - prev[0]) + abs(y - prev[1])
                 if step > 1.0 + 1e-9:
-                    issues.append(f"path: mover {m} jumps {step} tiles at tick {t}")
+                    issues.append(f"path: mover {m} jumps {step} tiles at tick {t0}")
             on_center = float(x).is_integer() and float(y).is_integer()
             if state == REST and not on_center:
                 site = RestingSite(
@@ -679,18 +719,22 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
                             f"path: mover {m} enters site {site.location} from {frm}"
                         )
             elif not on_center and state != REST:
-                issues.append(f"path: mover {m} off-center at tick {t} in state {state}")
-            prev = p
+                issues += [f"path: mover {m} off-center at tick {t} in state {state}"
+                           for t in range(t0, t1)]
+            prev, prev_end = p, t1
     for so in plan.schedule.ops:
+        center = (float(so.tile.x), float(so.tile.y))
         end = so.end + pauses.get(so.op.op_id, 0)
-        pos = plan.paths.get(so.mover, [])
-        for t in range(so.start, min(end, len(pos))):
-            p = pos[t]
-            if p is None or (p[0], p[1]) != (float(so.tile.x), float(so.tile.y)):
-                issues.append(
-                    f"path: mover {so.mover} absent from op {so.op.op_id} tile at tick {t}"
-                )
-                break
+        runs = plan.paths.get(so.mover)
+        if runs is None:
+            continue
+        t = so.start  # first tick of the op not yet seen at its tile
+        k = bisect_right(runs, t, key=itemgetter(1))
+        while t < end and k < len(runs) and runs[k][0] <= t and runs[k][2][:2] == center:
+            t = runs[k][1]
+            k += 1
+        if t < end:
+            issues.append(f"path: mover {so.mover} absent from op {so.op.op_id} tile at tick {t}")
     return issues
 
 

@@ -79,3 +79,14 @@ def random_orders(drugs, n_orders, seed=0, size_range=(1, 3), dur_range=(3, 12))
         chosen = rng.sample(list(drugs), min(k, len(drugs)))
         orders.append(Order(i, tuple((g, rng.randint(*dur_range)) for g in chosen)))
     return orders
+
+
+def tick_list(runs, length=None):
+    """Expand a mover's runs (t0, t1, cell) to one cell or None per tick of
+    [0, length); length defaults to the end of the last run."""
+    if length is None:
+        length = runs[-1][1] if runs else 0
+    pos = [None] * length
+    for t0, t1, cell in runs:
+        pos[t0:t1] = [cell] * (t1 - t0)
+    return pos

@@ -6,6 +6,7 @@ from planarfab.core import InstanceConfig, build_layout
 from planarfab.packing import Packing
 from planarfab.pipeline import (
     PipelineConfig,
+    RunReport,
     StageError,
     packing_from_json,
     packing_to_json,
@@ -17,7 +18,7 @@ from planarfab.routing import resolve_conflicts, validate_plan
 from planarfab import shppn
 from planarfab.scheduling import SchedulingInstance, lower_bound, validate_schedule
 
-from conftest import make_catalog, random_orders, random_placement
+from conftest import make_catalog, random_orders, random_placement, tick_list
 
 
 def small_config(seed=5):
@@ -60,6 +61,33 @@ def test_run_pipeline_produces_consistent_report(tmp_path):
         assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
         assert doc["exactness"]["resting_sites"] is True
         assert v["resting_sites"] == len(routed["resting_sites"])
+
+
+def test_report_wall_times_cover_kappa_and_artifacts(tmp_path):
+    import time
+
+    pc = small_config()
+    pc.out_dir = tmp_path
+    t0 = time.perf_counter()
+    report = run_pipeline(pc)
+    elapsed = time.perf_counter() - t0
+    stages = ("gen-orders", "pack", "place", "kappa", "lower-bound", "schedule", "route", "artifacts")
+    assert list(report.wall_times) == list(stages)
+    assert report.wall_times["artifacts"] > 0
+    assert sum(report.wall_times.values()) <= elapsed
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert list(doc["wall_times_s"]) == list(stages)
+
+
+def test_report_to_json_leaves_stage_values_unchanged():
+    values = {"makespan_scheduled": 200, "makespan_routed": 210}
+    report = RunReport({"lns": 1}, values, {"route": 0.5}, {"packing": True})
+    text = report.to_json()
+    assert report.stage_values == {"makespan_scheduled": 200, "makespan_routed": 210}
+    assert report.to_json() == text
+    doc = json.loads(text)
+    assert doc["stage_values"] == {**values, "routing_overhead_pct": 5.0}
+    assert list(doc) == ["seeds", "stage_values", "wall_times_s", "exactness"]
 
 
 def test_pipeline_golden_fixture_reports_score_4(golden_placement, golden_orders):
@@ -146,8 +174,8 @@ def test_ring_routing_paths_stay_on_tiles():
     s = schedule(orders, pl, 3, eta=2, seed=4, max_iterations=8)
     plan = route_schedule(s, pl)
     hole = {(float(x), float(y)) for x in range(2, 5) for y in range(2, 5)}
-    for pos in plan.paths.values():
-        for p in pos:
+    for runs in plan.paths.values():
+        for p in tick_list(runs):
             if p is not None and float(p[0]).is_integer() and float(p[1]).is_integer():
                 assert (p[0], p[1]) not in hole, "path cut through the ring hole"
     inst = SchedulingInstance(tuple(orders), pl, 3, 2)

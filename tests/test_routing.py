@@ -1,6 +1,10 @@
+import dataclasses
+import functools
 import hashlib
 import math
 import random
+from bisect import bisect_left
+from itertools import groupby, repeat
 
 import networkx as nx
 import pytest
@@ -9,9 +13,12 @@ from planarfab.core import Coord, Order, build_layout, manhattan
 from planarfab.placement import Placement
 from planarfab.routing import (
     ASSIGN_EXACT_LIMIT,
+    DISPENSE,
     MOVE,
     REST,
+    SWAP,
     RestingSite,
+    RoutedPlan,
     RoutingInfeasible,
     Transit,
     assign_resting_sites,
@@ -23,8 +30,10 @@ from planarfab.routing import (
     merge_batches,
     propagate_starts,
     _assign_greedy,
+    _realized_ops,
     _site_cost,
     _site_options,
+    _transits_of,
     resolve_conflicts,
     route_schedule,
     site_candidates,
@@ -34,6 +43,7 @@ from planarfab.scheduling import (
     DISPENSING,
     FINISH,
     START,
+    OperationSpec,
     Schedule,
     ScheduledOp,
     SchedulingInstance,
@@ -42,7 +52,7 @@ from planarfab.scheduling import (
     validate_schedule,
 )
 
-from conftest import random_orders, random_placement
+from conftest import random_orders, random_placement, tick_list
 from test_placement import line_placement
 
 
@@ -398,7 +408,7 @@ def test_build_paths_staircase():
     )
     s = Schedule(sos, 13)
     paths = build_paths(s, {}, pl)
-    pos = paths[0]
+    pos = tick_list(paths[0])
     assert pos[2][:2] == (1.0, 1.0)  # departure tick
     assert pos[3][:2] == (2.0, 1.0)  # x first
     assert pos[4][:2] == (3.0, 1.0)
@@ -414,9 +424,9 @@ def test_build_paths_segment_lengths_match_distance():
         orders = random_orders(drugs, 5, seed=seed, size_range=(1, 3))
         s = schedule(orders, pl, 2, eta=2, seed=seed, max_iterations=10)
         plan = route_schedule(s, pl)
-        for m, pos in plan.paths.items():
+        for m, runs in plan.paths.items():
             prev = None
-            for p in pos:
+            for p in tick_list(runs):
                 if p is None:
                     continue
                 if prev is not None:
@@ -470,8 +480,8 @@ def test_detect_conflicts_constructed_crossing():
 def _tick_grid_conflicts(paths, s, pauses):
     """Independent oracle: a global occupancy grid per tick."""
     grid: dict = {}
-    for m, pos in paths.items():
-        for t, p in enumerate(pos):
+    for m, runs in paths.items():
+        for t, p in enumerate(tick_list(runs)):
             if p is not None and p[2] in (MOVE, REST):
                 grid.setdefault(t, {}).setdefault((p[0], p[1]), set()).add(m)
     want = {}
@@ -627,9 +637,9 @@ def test_resting_paths_enter_sites_from_adjacent_tiles_only():
     s = schedule(orders, pl, 3, eta=2, seed=7, max_iterations=10)
     plan = route_schedule(s, pl)
     rest_ticks = 0
-    for m, pos in plan.paths.items():
+    for m, runs in plan.paths.items():
         prev = None
-        for p in pos:
+        for p in tick_list(runs):
             if p is not None and p[2] == REST and not float(p[0]).is_integer() or (
                 p is not None and p[2] == REST and not float(p[1]).is_integer()
             ):
@@ -660,6 +670,324 @@ def test_routed_8x8_batched_plan_matches_pinned_digest():
     assert hashlib.sha256(paths_to_csv(plan).encode()).hexdigest() == (
         "18c6160961b927a7fecb9f9be3a373fd92d7530aff2920b9944d6cb64ab990d4"
     )
+
+
+# --- runs against the tick-list references -------------------------------------------
+#
+# ref_build_paths, ref_detect_conflicts and ref_validate_plan are the tick-list
+# versions that paths as runs replaced (one cell or None per tick), kept as
+# they were to pin the run versions to them.
+
+def ref_build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
+                    transits=None):
+    """Per-mover tick-indexed positions (x, y, state); None = off-grid.
+
+    Movement segments are x-then-y staircases at one tile per tick (BFS paths
+    on non-convex layouts); idle transits detour through their assigned
+    resting site and wait at its midpoint, leaving just in time to arrive at
+    the next operation's start.
+    """
+    pauses = pauses or {}
+    realized = _realized_ops(schedule, pauses)
+    if transits is None:
+        transits = _transits_of(realized, placement.layout.distance)
+    t_by_key = {(t.mover, t.from_op, t.to_op): t for t in transits}
+    site_of = {}
+    for idx, site in resting_assignment.items():
+        tr = transits[idx] if isinstance(idx, int) else t_by_key[idx]
+        site_of[(tr.mover, tr.from_op, tr.to_op)] = site
+
+    horizon = max((e for (_m, _t, _s, e, _o) in realized.values()), default=0)
+    layout = placement.layout
+    dist = layout.distance
+    shortest_path = functools.cache(layout.shortest_path)
+    paths: dict[int, list] = {}
+
+    by_mover: dict[int, list] = {}
+    for op_id, rec in realized.items():
+        by_mover.setdefault(rec[0], []).append(rec + (op_id,))
+    for m, seq in sorted(by_mover.items()):
+        seq.sort(key=lambda r: r[2])
+        pos = [None] * (horizon + 1)
+
+        def put(t, xy, state):
+            if 0 <= t <= horizon and pos[t] is None:
+                pos[t] = (xy[0], xy[1], state)
+
+        def fill(t0, t1, cell):  # one shared cell tuple at every free tick of [t0, t1)
+            for t in range(max(t0, 0), min(t1, horizon + 1)):
+                if pos[t] is None:
+                    pos[t] = cell
+
+        for (_m, tile, s, e, op, op_id) in seq:
+            state = DISPENSE if op.kind == DISPENSING else SWAP
+            pos[s:e] = [(float(tile.x), float(tile.y), state)] * (e - s)
+        for (r1, r2) in zip(seq, seq[1:]):
+            _m1, t1, _s1, e1, _o1, id1 = r1
+            _m2, t2, s2, _e2, _o2, id2 = r2
+            put(e1, (float(t1.x), float(t1.y)), MOVE)  # departure tick
+            site = site_of.get((m, id1, id2))
+            if site is not None:
+                _detour, _via, (a, b) = _site_cost(
+                    Transit(m, id1, id2, t1, t2, e1, s2, dist(t1, t2)), site, dist
+                )
+                p_in = shortest_path(t1, a)
+                for j in range(1, len(p_in)):
+                    put(e1 + j, (float(p_in[j].x), float(p_in[j].y)), MOVE)
+                arrive_a = e1 + len(p_in) - 1
+                depart_b = s2 - dist(b, t2)
+                fill(arrive_a + 1, depart_b, site.location + (REST,))
+                p_out = shortest_path(b, t2)
+                for j in range(len(p_out) - 1):
+                    put(depart_b + j, (float(p_out[j].x), float(p_out[j].y)), MOVE)
+            else:
+                # tight transit (or fallback wait at the previous tile)
+                travel = dist(t1, t2)
+                leave = s2 - travel
+                fill(e1, leave, (float(t1.x), float(t1.y), REST))
+                p = shortest_path(t1, t2)
+                for j in range(1, len(p)):
+                    put(leave + j, (float(p[j].x), float(p[j].y)), MOVE)
+        paths[m] = pos
+    return paths
+
+
+def ref_detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
+    """Ticks per dispensing op during which another mover transits its tile.
+
+    Only transit-state occupancy (moving or resting) pauses dispensing; two
+    operations parked on one tile are a scheduling overlap, handled by the
+    exclusivity repair in resolve_conflicts, not a routing conflict.
+    """
+    pauses = pauses or {}
+    dispensing = [so for so in schedule.ops if so.op.kind == DISPENSING]
+    # dispensing tile center -> sorted (tick, mover) pairs in a transit state
+    occupancy: dict[tuple, list] = {
+        (float(so.tile.x), float(so.tile.y)): [] for so in dispensing
+    }
+    for m, pos in paths.items():
+        t = 0
+        for p, run in groupby(pos):  # runs of one position (build_paths shares their tuple)
+            n = len(list(run))
+            if p is not None and (p[2] == MOVE or p[2] == REST):
+                seq = occupancy.get((p[0], p[1]))
+                if seq is not None:
+                    seq.extend(zip(range(t, t + n), repeat(m)))
+            t += n
+    for seq in occupancy.values():
+        seq.sort()
+    ledger: dict[int, int] = {}
+    for so in dispensing:
+        seq = occupancy[(float(so.tile.x), float(so.tile.y))]
+        end = so.end + pauses.get(so.op.op_id, 0)
+        lo, hi = bisect_left(seq, (so.start,)), bisect_left(seq, (end,))
+        ledger[so.op.op_id] = len({t for t, m in seq[lo:hi] if m != so.mover})
+    return ledger
+
+
+def ref_validate_plan(plan: RoutedPlan, instance) -> list[str]:
+    """Full plan check: realized schedule validity plus path consistency.
+
+    The adjusted schedule is validated with durations inflated by the accounted
+    pauses; travel gaps are re-verified against the realized paths (one tile
+    per tick, segments matching the schedule, sites entered only from their
+    two adjacent tiles).
+    """
+    issues = []
+    pauses = plan.interruptions
+    real_ops = tuple(
+        ScheduledOp(
+            OperationSpec(
+                so.op.op_id,
+                so.op.order_id,
+                so.op.target,
+                so.op.duration + pauses.get(so.op.op_id, 0),
+                so.op.kind,
+            ),
+            so.mover,
+            so.tile,
+            so.start,
+        )
+        for so in plan.schedule.ops
+    )
+    realized = Schedule(real_ops, max(o.end for o in real_ops))
+    for v in validate_schedule(realized, instance):
+        # realized durations legitimately exceed the nominal ones
+        if "rule 6" in v or ("rule 1" in v and "does not match" in v):
+            continue
+        issues.append(v)
+
+    for m, pos in plan.paths.items():
+        prev = None
+        for t, p in enumerate(pos):
+            if p is None:
+                prev = None
+                continue
+            x, y, state = p
+            if prev is not None:
+                step = abs(x - prev[0]) + abs(y - prev[1])
+                if step > 1.0 + 1e-9:
+                    issues.append(f"path: mover {m} jumps {step} tiles at tick {t}")
+            on_center = float(x).is_integer() and float(y).is_integer()
+            if state == REST and not on_center:
+                site = RestingSite(
+                    Coord(int(x - 0.5), int(y)) if x != int(x) else Coord(int(x), int(y - 0.5)),
+                    Coord(int(x + 0.5), int(y)) if x != int(x) else Coord(int(x), int(y + 0.5)),
+                )
+                if prev is not None and prev[:2] != (x, y):
+                    frm = Coord(int(prev[0]), int(prev[1]))
+                    if frm not in site.tiles:
+                        issues.append(
+                            f"path: mover {m} enters site {site.location} from {frm}"
+                        )
+            elif not on_center and state != REST:
+                issues.append(f"path: mover {m} off-center at tick {t} in state {state}")
+            prev = p
+    for so in plan.schedule.ops:
+        end = so.end + pauses.get(so.op.op_id, 0)
+        pos = plan.paths.get(so.mover, [])
+        for t in range(so.start, min(end, len(pos))):
+            p = pos[t]
+            if p is None or (p[0], p[1]) != (float(so.tile.x), float(so.tile.y)):
+                issues.append(
+                    f"path: mover {so.mover} absent from op {so.op.op_id} tile at tick {t}"
+                )
+                break
+    return issues
+
+
+def _horizon(schedule, pauses):
+    """Length of the reference tick lists: the latest realized end, plus one."""
+    return max(so.end + pauses.get(so.op.op_id, 0) for so in schedule.ops) + 1
+
+
+def _assert_runs_expand_to(runs_by_mover, ticks_by_mover):
+    assert set(runs_by_mover) == set(ticks_by_mover)
+    for m, runs in runs_by_mover.items():
+        ref = ticks_by_mover[m]
+        assert all(t0 < t1 for t0, t1, _ in runs), m
+        for (_a0, a1, a), (b0, _b1, b) in zip(runs, runs[1:]):
+            assert a1 < b0 or (a1 == b0 and a != b), m  # sorted, disjoint and maximal
+        assert tick_list(runs, len(ref)) == ref, m
+
+
+def _routing_instances():
+    for topology, size, movers in (("square", (5, 5), 3), ("ring", 5, 4), ("square", (7, 7), 8),
+                                   ("ring", 6, 8)):
+        layout = build_layout(topology, size, 2)
+        drugs = list("abcdef")
+        for seed in range(4):
+            pl = random_placement(layout, drugs, seed=seed + 90)
+            orders = random_orders(drugs, 2 * movers, seed=seed, size_range=(1, 3), dur_range=(2, 9))
+            yield pl, orders, movers, schedule(orders, pl, movers, eta=2, seed=seed, max_iterations=4)
+
+
+def test_runs_match_tick_reference_on_every_fixpoint_iteration(monkeypatch):
+    import planarfab.routing as routing
+
+    build, detect = routing.build_paths, routing.detect_conflicts
+    calls = {"build": 0, "detect": 0}
+
+    def checked_build(s, assignment, pl, pauses=None, transits=None):
+        runs = build(s, assignment, pl, pauses=pauses, transits=transits)
+        _assert_runs_expand_to(runs, ref_build_paths(s, assignment, pl, pauses=pauses, transits=transits))
+        calls["build"] += 1
+        return runs
+
+    def checked_detect(paths, s, pauses=None):
+        ledger = detect(paths, s, pauses=pauses)
+        n = _horizon(s, pauses or {})
+        ticks = {m: tick_list(runs, n) for m, runs in paths.items()}
+        assert ledger == ref_detect_conflicts(ticks, s, pauses=pauses)
+        calls["detect"] += 1
+        return ledger
+
+    monkeypatch.setattr(routing, "build_paths", checked_build)
+    monkeypatch.setattr(routing, "detect_conflicts", checked_detect)
+    paused = 0
+    for pl, _orders, _movers, s in _routing_instances():
+        plan = route_schedule(s, pl)
+        paused += bool(plan.interruptions)
+    assert paused >= 4
+    assert calls["build"] == calls["detect"] > 16  # some instances iterate more than once
+
+
+def test_runs_match_tick_reference_under_foreign_pauses():
+    """Pauses that differ from the ones the transits and sites were chosen
+    under stretch ops into their successors, so ops overwrite ops and transit
+    segments land on ticks written before them."""
+    overlaps = jumps = 0
+    for pl, orders, movers, s in _routing_instances():
+        plan = route_schedule(s, pl)
+        transits = extract_transits(plan.schedule, pl, pauses=plan.interruptions)
+        inst = SchedulingInstance(tuple(orders), pl, movers, 2)
+        rng = random.Random(len(transits))
+        for trial in range(3):
+            extra = {so.op.op_id: rng.choice((0, 0, rng.randint(1, 4), rng.randint(5, 30)))
+                     for so in plan.schedule.ops}
+            kw = {"pauses": extra, "transits": transits} if trial else {"pauses": extra}
+            assignment = plan.resting_assignment if trial else {}
+            runs = build_paths(plan.schedule, assignment, pl, **kw)
+            ref = ref_build_paths(plan.schedule, assignment, pl, **kw)
+            _assert_runs_expand_to(runs, ref)
+            assert detect_conflicts(runs, plan.schedule, extra) == ref_detect_conflicts(
+                ref, plan.schedule, extra
+            )
+            # paths handed to other movers: a mover's own runs on its tile count now
+            ids = sorted(runs)
+            moved = dict(zip(ids[1:] + ids[:1], (runs[m] for m in ids)))
+            moved_ref = dict(zip(ids[1:] + ids[:1], (ref[m] for m in ids)))
+            assert detect_conflicts(moved, plan.schedule, extra) == ref_detect_conflicts(
+                moved_ref, plan.schedule, extra
+            )
+            paused = dataclasses.replace(plan, interruptions=extra, paths=runs)
+            issues = validate_plan(paused, inst)
+            assert issues == ref_validate_plan(dataclasses.replace(paused, paths=ref), inst)
+            jumps += any("jumps" in v for v in issues)
+            realized = sorted((so.mover, so.start, so.end + extra[so.op.op_id]) for so in plan.schedule.ops)
+            overlaps += sum(a[0] == b[0] and a[2] > b[1] for a, b in zip(realized, realized[1:]))
+    assert overlaps > 0 and jumps > 0
+
+
+def _corrupt(plan, m, k, new_runs):
+    """plan with mover m's k-th run replaced by new_runs."""
+    runs = list(plan.paths[m])
+    runs[k : k + 1] = new_runs
+    return dataclasses.replace(plan, paths={**plan.paths, m: runs})
+
+
+def test_validate_plan_matches_tick_reference_on_corrupted_runs():
+    layout = build_layout("square", (5, 5), 2)
+    drugs = list("ab")
+    pl = random_placement(layout, drugs, seed=8)
+    orders = random_orders(drugs, 8, seed=8, size_range=(1, 2), dur_range=(2, 5))
+    s = schedule(orders, pl, 3, eta=2, seed=8, max_iterations=10)
+    plan = route_schedule(s, pl)
+    assert len(plan.resting_assignment) == 5
+    inst = SchedulingInstance(tuple(orders), pl, 3, 2)
+    assert validate_plan(plan, inst) == []
+    n = _horizon(plan.schedule, plan.interruptions)
+    kinds = set()
+    for m, runs in plan.paths.items():
+        for k, (t0, t1, (x, y, state)) in enumerate(runs):
+            bad = []  # (run index, the runs that replace it)
+            if state == MOVE:  # a jump; an off-center move
+                bad += [(k, [(t0, t1, (x + 2.0, y, MOVE))]), (k, [(t0, t1, (x + 0.5, y, MOVE))])]
+            if state == REST and not float(x).is_integer() and k and runs[k - 1][1] == t0:
+                p0, p1, (px, py, _) = runs[k - 1]  # the tile the site is entered from, moved away
+                bad.append((k - 1, [(p0, p1, (px - 1.0, py + 1.0, MOVE))]))
+            if state == DISPENSE:  # absent from its op: the whole op, its first tick, one inside
+                cell = (x, y, state)
+                bad += [(k, []), (k, [(t0 + 1, t1, cell)])]
+                if t1 - t0 >= 3:
+                    bad.append((k, [(t0, t0 + 1, cell), (t0 + 2, t1, cell)]))
+            for j, new_runs in bad:
+                corrupted = _corrupt(plan, m, j, new_runs)
+                issues = validate_plan(corrupted, inst)
+                ticks = {i: tick_list(r, n) for i, r in corrupted.paths.items()}
+                assert issues == ref_validate_plan(dataclasses.replace(corrupted, paths=ticks), inst)
+                kinds.update(v.split()[3] for v in issues if v.startswith("path:"))
+    assert kinds >= {"jumps", "off-center", "enters", "absent"}
 
 
 # --- merging -------------------------------------------------------------------------
