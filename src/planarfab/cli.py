@@ -278,7 +278,7 @@ def cmd_route(args):
         raise CliError("; ".join(issues), INFEASIBLE)
     try:
         plan = routing.route_schedule(sched, placed)
-    except routing.RoutingInfeasible as e:
+    except ValueError as e:  # RoutingInfeasible, or ops whose tile order breaks start order
         raise CliError(str(e), INFEASIBLE)
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:

@@ -12,9 +12,11 @@ from a virtual source) until the interruption ledger stops growing.
 
 Starts only ever move later: every operation is anchored at its original start
 by a source edge, mover chains carry interruption + duration + travel weights,
-and operations sharing a tile keep their original relative order with weight-1
-edges.  The ledger is monotone and bounded, so the iteration terminates; a cap
-of 100 guards pathological cases.
+and operations sharing a tile keep their original relative order with edges
+weighted by the earlier operation's realized duration (duration + pauses), so
+one longest-path pass per round leaves no two of them overlapping.  The ledger
+is monotone and bounded, so the iteration terminates; a cap of 100 guards
+pathological cases.
 
 Every pass of the fixpoint reads the layout's distance table in blocks:
 transit x site round trips are four table blocks (``_site_options``), and the
@@ -96,7 +98,6 @@ class Transit:
 
 @dataclass(frozen=True)
 class PrecedenceDag:
-    n_ops: int
     # (u, v, weight, kind); u == -1 is the virtual source
     edges: tuple[tuple[int, int, int, str], ...]
 
@@ -110,7 +111,8 @@ class RoutedPlan:
     sites: SiteSelection
     makespan: int  # latest realized finish (duration + pauses)
     iterations: int
-    exclusivity_repairs: int = 0  # same-tile overlaps separated beyond weight-1 edges
+    # same-dispenser edges whose realized duration alone sets the later start
+    exclusivity_repairs: int = 0
 
 
 def site_candidates(layout) -> list[RestingSite]:
@@ -490,8 +492,8 @@ def detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
     """Ticks per dispensing op during which another mover transits its tile.
 
     Only transit-state occupancy (moving or resting) pauses dispensing; two
-    operations parked on one tile are a scheduling overlap, handled by the
-    exclusivity repair in resolve_conflicts, not a routing conflict.
+    operations parked on one tile are a scheduling overlap, kept apart by the
+    realized-duration same-dispenser edges of build_dag, not a routing conflict.
     """
     pauses = pauses or {}
     dispensing = [so for so in schedule.ops if so.op.kind == DISPENSING]
@@ -548,17 +550,18 @@ def build_dag(schedule: Schedule, placement, ledger) -> PrecedenceDag:
     for tile, seq in sorted(by_tile.items()):
         seq.sort(key=lambda s: (s.start, s.op.op_id))
         for a, b in zip(seq, seq[1:]):
-            edges.append((a.op.op_id, b.op.op_id, 1, "same-dispenser"))
-    return PrecedenceDag(len(ops), tuple(edges))
+            w = ledger.get(a.op.op_id, 0) + a.op.duration
+            edges.append((a.op.op_id, b.op.op_id, w, "same-dispenser"))
+    return PrecedenceDag(tuple(edges))
 
 
-def propagate_starts(dag: PrecedenceDag, schedule: Schedule, extra=()) -> dict[int, int]:
+def propagate_starts(dag: PrecedenceDag, schedule: Schedule) -> dict[int, int]:
     """Longest path from the source in original-start topological order."""
     order = [so.op.op_id for so in sorted(schedule.ops, key=lambda s: (s.start, s.mover, s.op.op_id))]
     rank = {op_id: i for i, op_id in enumerate(order)}
     starts = {op_id: 0 for op_id in order}
     incoming: dict[int, list] = {op_id: [] for op_id in order}
-    for u, v, w, kind in list(dag.edges) + list(extra):
+    for u, v, w, kind in dag.edges:
         if u != -1 and rank[u] >= rank[v]:
             raise ValueError("precedence DAG has a backward edge (cycle risk)")
         incoming[v].append((u, w))
@@ -571,24 +574,21 @@ def propagate_starts(dag: PrecedenceDag, schedule: Schedule, extra=()) -> dict[i
     return starts
 
 
-def _exclusivity_repairs(schedule: Schedule, starts, ledger):
-    """Extra same-tile edges for pairs whose realized intervals overlap.
+def _binding_tile_edges(dag: PrecedenceDag, starts) -> int:
+    """Same-dispenser edges whose realized duration alone sets the later start.
 
-    The weight-1 same-dispenser edges keep original tile order but cannot
-    prevent overlap once interruptions shift an earlier operation into a
-    later one; overlapping pairs get a full-duration edge instead.
+    Counts edges a -> b with starts[a] + w above b's anchor, its same-mover
+    bound and starts[a] + 1 (what tile order alone would ask for).
     """
-    repairs = []
-    by_tile: dict[Coord, list] = {}
-    for so in schedule.ops:
-        by_tile.setdefault(so.tile, []).append(so)
-    for tile, seq in by_tile.items():
-        seq.sort(key=lambda s: (s.start, s.op.op_id))
-        for a, b in zip(seq, seq[1:]):
-            dur_a = a.op.duration + ledger.get(a.op.op_id, 0)
-            if starts[b.op.op_id] < starts[a.op.op_id] + dur_a:
-                repairs.append((a.op.op_id, b.op.op_id, dur_a, "exclusivity"))
-    return repairs
+    other: dict[int, int] = {}
+    for u, v, w, kind in dag.edges:
+        if kind != "same-dispenser":
+            other[v] = max(other.get(v, 0), (0 if u == -1 else starts[u]) + w)
+    return sum(
+        starts[u] + w > max(other[v], starts[u] + 1)
+        for u, v, w, kind in dag.edges
+        if kind == "same-dispenser"
+    )
 
 
 def resolve_conflicts(
@@ -608,14 +608,6 @@ def resolve_conflicts(
         iterations += 1
         dag = build_dag(schedule, placement, ledger)
         starts = propagate_starts(dag, schedule)
-        extra: list = []
-        while True:  # minimal exclusivity repair; bounded by same-tile pairs
-            repairs = _exclusivity_repairs(schedule, starts, ledger)
-            new = [r for r in repairs if r not in extra]
-            if not new:
-                break
-            extra.extend(new)
-            starts = propagate_starts(dag, schedule, extra)
         current = Schedule(
             tuple(
                 ScheduledOp(so.op, so.mover, so.tile, starts[so.op.op_id])
@@ -647,7 +639,7 @@ def resolve_conflicts(
                 sites,
                 realized_makespan,
                 iterations,
-                exclusivity_repairs=len(extra),
+                exclusivity_repairs=_binding_tile_edges(dag, starts),
             )
         ledger = new_ledger
     residual = {k: v for k, v in ledger.items() if v}

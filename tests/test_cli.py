@@ -144,13 +144,24 @@ def _route_inputs(tmp_path, edit):
     return placement, sched
 
 
+def _tile_order_against_start_order(op):
+    """Start and finish (op ids 0 and 2) share their interface tile and start
+    tick, the lower id on the higher mover: the precedence DAG gets a
+    backward edge."""
+    if op["op_id"] == 0:
+        op["mover"] = 1
+    if op["op_id"] == 2:
+        op["start"] = 0
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda op: op.update(tile=[9, 9]), "tile (9, 9) is not on the layout"),
         (lambda op: op.update(mover=7), "mover 7 is outside the fleet of 2"),
+        (_tile_order_against_start_order, "backward edge"),
     ],
-    ids=["tile-off-layout", "mover-outside-fleet"],
+    ids=["tile-off-layout", "mover-outside-fleet", "tile-order-against-start-order"],
 )
 @pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
 def test_cli_route_rejects_schedule_off_layout_or_fleet(tmp_path, instance_file, capsys,

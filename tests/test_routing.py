@@ -597,7 +597,8 @@ def test_ledger_and_makespan_monotone_across_iterations():
 
 def test_dag_structure_and_slack():
     pl, orders, s = hand_crossing_fixture()
-    dag = build_dag(s, pl, {})
+    ledger = {so.op.op_id: so.op.op_id % 3 for so in s.ops}
+    dag = build_dag(s, pl, ledger)
     kinds = {k for *_ab, k in dag.edges}
     assert kinds == {"anchor", "same-mover", "same-dispenser"}
     starts = propagate_starts(dag, s)
@@ -605,14 +606,18 @@ def test_dag_structure_and_slack():
     for u, v, w, kind in dag.edges:
         base = 0 if u == -1 else starts[u]
         assert starts[v] >= base + w or u == -1 and starts[v] >= w  # slack >= 0
-    # same-dispenser edges keep original order with weight 1
+    # same-dispenser edges keep original tile order, weighted by the earlier
+    # op's realized duration
     tile_edges = [(u, v, w) for u, v, w, k in dag.edges if k == "same-dispenser"]
+    assert tile_edges
     for u, v, w in tile_edges:
-        assert w == 1
-        assert by_id[u].start <= by_id[v].start
+        assert w == by_id[u].op.duration + ledger[u]
+        assert by_id[u].tile == by_id[v].tile
+        assert (by_id[u].start, u) < (by_id[v].start, v)
 
 
-def test_routed_plans_reach_fixpoint_and_validate_fuzz():
+def test_routed_plans_reach_fixpoint_and_validate_fuzz(monkeypatch):
+    rounds = check_rounds_against_repair_loop(monkeypatch)
     layout = build_layout("square", (5, 5), 2)
     drugs = list("abcde")
     for seed in range(20):
@@ -620,22 +625,27 @@ def test_routed_plans_reach_fixpoint_and_validate_fuzz():
         orders = random_orders(drugs, 6 + seed % 5, seed=seed, size_range=(1, 3), dur_range=(2, 8))
         movers = 2 + seed % 3
         s = schedule(orders, pl, movers, eta=2, seed=seed, max_iterations=10)
+        before = len(rounds)
         plan = route_schedule(s, pl)
+        assert len(rounds) - before == plan.iterations  # one propagation per round
         assert plan.iterations <= 100
         assert plan.makespan >= s.makespan
         found = detect_conflicts(plan.paths, plan.schedule, pauses=plan.interruptions)
         assert all(v <= plan.interruptions.get(k, 0) for k, v in found.items())
         inst = SchedulingInstance(tuple(orders), pl, movers, 2)
         assert validate_plan(plan, inst) == [], seed
+    # a round where pauses push an op into its tile successor: a repair binds
+    assert any(ledger and repairs for ledger, repairs in rounds)
 
 
 def test_resting_paths_enter_sites_from_adjacent_tiles_only():
     layout = build_layout("square", (5, 5), 2)
     drugs = list("ab")
-    pl = random_placement(layout, drugs, seed=77)
-    orders = random_orders(drugs, 8, seed=7, size_range=(1, 2), dur_range=(2, 5))
-    s = schedule(orders, pl, 3, eta=2, seed=7, max_iterations=10)
+    pl = random_placement(layout, drugs, seed=8)
+    orders = random_orders(drugs, 8, seed=8, size_range=(1, 2), dur_range=(2, 5))
+    s = schedule(orders, pl, 3, eta=2, seed=8, max_iterations=10)
     plan = route_schedule(s, pl)
+    assert plan.resting_assignment
     rest_ticks = 0
     for m, runs in plan.paths.items():
         prev = None
@@ -649,27 +659,114 @@ def test_resting_paths_enter_sites_from_adjacent_tiles_only():
                     dx = abs(prev[0] - p[0]) + abs(prev[1] - p[1])
                     assert dx == pytest.approx(0.5)
             prev = p
+    assert rest_ticks > 0
     inst = SchedulingInstance(tuple(orders), pl, 3, 2)
     assert validate_plan(plan, inst) == []
 
 
-def test_routed_8x8_batched_plan_matches_pinned_digest():
+def test_routed_8x8_batched_plan_matches_pinned_digest(monkeypatch):
     """100 orders, 8 movers, batches of 25 on the 8x8~2 reference: the routed
-    plan and its tick paths, recorded with the tick x mover conflict scan and
-    the per-round regret recomputation."""
+    plan and its tick paths, recorded with the tick x mover conflict scan, the
+    per-round regret recomputation and the nested exclusivity-repair loop."""
     from planarfab.pipeline import paths_to_csv, plan_to_json, schedule_batched
     from test_acceptance import build_8x8_instance
 
     pl, orders, config = build_8x8_instance(3, 100, movers=8)
     merged, _ = schedule_batched(orders, pl, config, batch_size=25, seed=3, iterations=1)
+    rounds = check_rounds_against_repair_loop(monkeypatch)
     plan = resolve_conflicts(merged, pl)
-    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (4, 72, 207)
+    assert len(rounds) == plan.iterations
+    # the repair loop added 72 edges in the last round; 64 of them set a start
+    assert len(rounds[-1][1]) == 72
+    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (4, 64, 207)
     assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == (
         "be9aed981fb31b9b5630fd36ad3ffef5b5278897c0749e4bdc8d84db0352838e"
     )
     assert hashlib.sha256(paths_to_csv(plan).encode()).hexdigest() == (
         "18c6160961b927a7fecb9f9be3a373fd92d7530aff2920b9944d6cb64ab990d4"
     )
+
+
+# --- one longest-path pass against the repair loop ----------------------------------
+#
+# ref_propagate_with_repairs is the nested exclusivity-repair loop that the
+# realized-duration same-dispenser edges replaced, kept to pin build_dag and
+# propagate_starts to it.
+
+def ref_propagate_with_repairs(schedule: Schedule, placement, ledger):
+    """Starts of one fixpoint round as the nested repair loop computed them.
+
+    Weight-1 same-dispenser edges keep tile order; each same-tile pair that
+    still overlaps gets a full-duration edge, and the whole DAG is propagated
+    again until no pair overlaps.  Returns the starts and the repair edges.
+    """
+    dist = placement.layout.distance
+    order = sorted(schedule.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
+    edges = [(-1, so.op.op_id, so.start) for so in order]
+    by_mover: dict = {}
+    by_tile: dict = {}
+    for so in order:
+        by_mover.setdefault(so.mover, []).append(so)
+        by_tile.setdefault(so.tile, []).append(so)
+    for seq in by_mover.values():
+        seq.sort(key=lambda s: (s.start, s.op.op_id))
+        edges += [(a.op.op_id, b.op.op_id, ledger.get(a.op.op_id, 0) + a.op.duration + dist(a.tile, b.tile))
+                  for a, b in zip(seq, seq[1:])]
+    pairs = []
+    for seq in by_tile.values():
+        seq.sort(key=lambda s: (s.start, s.op.op_id))
+        pairs += zip(seq, seq[1:])
+    edges += [(a.op.op_id, b.op.op_id, 1) for a, b in pairs]
+
+    def longest_path(edges):
+        incoming: dict = {}
+        for u, v, w in edges:
+            incoming.setdefault(v, []).append((u, w))
+        starts: dict = {}
+        for so in order:
+            starts[so.op.op_id] = max((0 if u == -1 else starts[u]) + w for u, w in incoming[so.op.op_id])
+        return starts
+
+    starts = longest_path(edges)
+    extra: list = []
+    while True:
+        new = []
+        for a, b in pairs:
+            dur_a = a.op.duration + ledger.get(a.op.op_id, 0)
+            r = (a.op.op_id, b.op.op_id, dur_a)
+            if starts[b.op.op_id] < starts[a.op.op_id] + dur_a and r not in extra:
+                new.append(r)
+        if not new:
+            return starts, extra
+        extra += new
+        starts = longest_path(edges + extra)
+
+
+def check_rounds_against_repair_loop(monkeypatch):
+    """Check every propagate_starts call of resolve_conflicts against
+    ref_propagate_with_repairs; returns one (ledger, repairs) per round."""
+    import planarfab.routing as routing
+
+    build, propagate = routing.build_dag, routing.propagate_starts
+    rounds: list = []
+    built: dict = {}  # the arguments of the last build_dag call
+
+    def recording_build(s, pl, ledger):
+        built.update(s=s, pl=pl, ledger=dict(ledger))
+        return build(s, pl, ledger)
+
+    def checked_propagate(dag, s):
+        starts = propagate(dag, s)
+        assert built["s"] is s
+        ledger = built["ledger"]
+        ref, repairs = ref_propagate_with_repairs(s, built["pl"], ledger)
+        assert starts == ref
+        rounds.append((ledger, repairs))
+        return starts
+
+    monkeypatch.setattr(routing, "build_dag", recording_build)
+    monkeypatch.setattr(routing, "propagate_starts", checked_propagate)
+    return rounds
 
 
 # --- runs against the tick-list references -------------------------------------------
