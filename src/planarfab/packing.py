@@ -31,6 +31,11 @@ the tiles are left as its undo would have left them (the moved items
 re-appended last and their tiles re-summed), because later sums follow that
 order.  Trials that pass the screen run the exact move, re-sum and compare
 step, so every accepted move, and every grouping returned, is unchanged.
+Stage 1 screens all of a dispenser's relocations off the peak tile at once,
+one array pass over the tiles; the screen allows for the rounding of
+Python's float ``sum`` (recursive, or compensated from Python 3.12 on), so
+it never skips a trial that the exact test could accept.  The skipped
+relocations' undo is applied once, before the surviving trials run.
 """
 
 from __future__ import annotations
@@ -346,16 +351,20 @@ def _lpt_fill(items, pi, n_tiles, d_max):
     bins: list[list[str]] = []
     loads: list[float] = []
     for g in items:
-        cands = [
-            i for i in range(len(bins)) if len(bins[i]) < d_max and g not in bins[i]
-        ]
-        if len(bins) < n_tiles:
-            cands.append(-1)
-        if not cands:
-            return None
-        pick = min(
-            cands, key=lambda i: (loads[i] if i >= 0 else 0.0, i if i >= 0 else len(bins))
-        )
+        if len(bins) < n_tiles and min(loads, default=1.0) > 0.0:
+            # a new bin's key (0.0, len(bins)) beats every open bin's
+            pick = -1
+        else:
+            cands = [
+                i for i in range(len(bins)) if len(bins[i]) < d_max and g not in bins[i]
+            ]
+            if len(bins) < n_tiles:
+                cands.append(-1)
+            if not cands:
+                return None
+            pick = min(
+                cands, key=lambda i: (loads[i] if i >= 0 else 0.0, i if i >= 0 else len(bins))
+            )
         if pick == -1:
             bins.append([g])
             loads.append(pi[g])
@@ -386,24 +395,39 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
     def profile():
         return tuple(sorted(loads, reverse=True))
 
+    # relative rounding allowance of the relocation screen: a float sum of
+    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
+    # sum), is within k unit roundoffs u of the real sum, so two such sums
+    # differ by at most 2 k u; this allows 8 u per term and two terms more
+    slack = (d_max + 2) * 2.0**-50
     for _ in range(max_passes):
         cur = profile()
         improved = False
         peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile
+        # relocate one dispenser off the peak tile.  Until a move is accepted
+        # the other tiles keep their lists (a rejected trial undoes its move),
+        # so each g's eligible tiles and screen values are taken for all
+        # tiles at once: room and no g (which rules out the peak)
+        room = np.array([len(t) < d_max for t in tiles])
+        load = np.array(loads)
+        spare = [len(tiles)] if len(tiles) < n_tiles else []
         for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                if ti == peak:
-                    continue
-                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
-                    continue
-                # screen: ti's load after the move, summed in the order resum
-                # sums it (g appended); above cur[0] it leads the new profile,
-                # which then sorts after cur, so profile() < cur must fail.  A
-                # new or empty tile is never screened: its load is pi[g], at
-                # most the peak's
+            eligible = room & np.array([g not in t for t in tiles])
+            if not (spare or eligible.any()):
+                continue
+            # screen: ti's load after the move, as resum sums it (g appended),
+            # above cur[0] leads the new profile, which then sorts after cur,
+            # so profile() < cur must fail.  load + pi[g] is that sum up to
+            # rounding, so only tiles above cur[0] by more than ``slack``
+            # relative are skipped, and the rest take the exact test; a new
+            # tile is never screened (its load pi[g] is at most the peak's).
+            # Every skipped trial leaves what its undo would: g re-appended
+            # last on the peak, the peak re-summed
+            after = load + pi[g]
+            eligible &= after - cur[0] <= after * slack
+            to_end(peak, g)
+            for ti in np.flatnonzero(eligible).tolist() + spare:
                 if ti < len(tiles) and sum(pi[h] for h in (*tiles[ti], g)) > cur[0]:
-                    to_end(peak, g)
                     continue
                 tiles[peak].remove(g)
                 if ti == len(tiles):
@@ -414,16 +438,14 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                 resum(peak, ti)
                 if profile() < cur:
                     improved = True
-                else:
-                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
-                        tiles.pop()
-                        loads.pop()
-                    else:
-                        tiles[ti].remove(g)
-                    tiles[peak].append(g)
-                    resum(peak, ti)
-                if improved:
                     break
+                if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
+                    tiles.pop()
+                    loads.pop()
+                else:
+                    tiles[ti].remove(g)
+                tiles[peak].append(g)
+                resum(peak, ti)
             if improved:
                 break
         if improved:
@@ -475,15 +497,13 @@ def pack_correlation(
     catalog: DrugCatalog,
     config: InstanceConfig,
     mode: str = "auto",
-    seed: int = 0,
     node_cap: int = 500_000,
 ) -> Packing:
     """Re-group dispensers to maximize co-located drug correlation.
 
     Multiplicities, per-dispenser loads and the stage-1 peak load are frozen;
     the result's objective never falls below the stage-1 grouping's own score.
-    Both searches are deterministic; ``seed`` is accepted for callers that
-    pass one and has no effect.
+    Both searches are deterministic.
     """
     issues = validate_packing(stage1, config)
     if issues:

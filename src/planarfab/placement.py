@@ -14,10 +14,15 @@ inversion mutation keep individuals valid by construction.
 
 A generation's children are bred from the previous generation's scores only,
 so ``ga_place`` breeds the whole generation first and scores its distinct
-unseen placements in one ``fitness_batch`` call.  That call samples every
-(placement, order) pair of the generation together, in stacks of pairs with
-the same candidate-tile count, gathering distances from the layout's table
-rows; ``fitness`` is its one-placement case.
+unseen placements in one ``fitness_batch`` call; ``fitness`` is its
+one-placement case.  That call samples every (placement, order) pair of the
+generation together, in one stack per candidate-tile count that holds the
+pairs of every order and placement with that count.  The pairs of a stack
+may come in any order: each draws from its own stream and sums its own
+weight rows.  Each chunk of a stack gathers once, per pair, the distances
+from its interfaces and candidates (its slots) to its candidates and
+interfaces, with their weights, and every step reads whole rows of these
+tables.
 
 Each pair keeps its own random stream, numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(order index,)))``, so a score
@@ -144,6 +149,8 @@ class GaParams:
             raise ValueError("episodes must be >= 1")
         if self.max_evaluations < self.population:
             raise ValueError("max_evaluations must be >= population")
+        if self.tournament < 1:
+            raise ValueError("tournament must be >= 1")
 
 
 # --- stochastic fitness (episode sampler) ---------------------------------------
@@ -153,30 +160,41 @@ def fitness(placement: Placement, history, episodes: int, seed: int) -> Placemen
     return fitness_batch([placement], history, episodes, [seed])[0]
 
 
-# pairs x episodes x candidate tiles per sampler call: bounds the temporaries
-_CHUNK = 1 << 13
-# uniforms drawn per stream pass: bounds the block that fitness_batch holds
-_STREAM = 1 << 14
+# a stack (every pair of one candidate count, across orders and placements)
+# is sampled in chunks of at most _CHUNK pairs x max(episodes, slots) x
+# candidates, which bounds the episode arrays and the slot tables; a chunk
+# may start at any pair, as the pairs of a stack are independent
+_CHUNK = 1 << 15
+# uniforms drawn per stream pass over consecutive chunks, of one stack or
+# more: bounds the block that fitness_batch holds
+_STREAM = 1 << 16
 
 
 def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementScore]:
     """``fitness`` of each placement under its own seed, sampled in one pass.
 
-    The placements share one layout; seeds are integers in [0, 2**128).
-    Every (placement, order) pair keeps its own stream, what
+    The placements share one layout; seeds are integers in [0, 2**128), one
+    per placement.  Every (placement, order) pair keeps its own stream, what
     ``default_rng(SeedSequence(seed, spawn_key=(order index,)))`` would draw:
     the start interfaces (``integers``), then one block of uniforms
     (``random``) that the steps consume in order; PCG64 doubles are not
     buffered, so this equals one draw per step.  The streams of a run of
     chunks (about ``_STREAM`` uniforms) are seeded, jumped and stepped
     together in numpy (``_Uniforms``); no generator is built per pair.
-    Pairs are stacked only with pairs of the same candidate-tile count:
-    padding rows to a common width would regroup numpy's pairwise sum of the
-    weights.  Each score is therefore the one its placement gets alone.
+
+    All pairs of the batch with the same candidate-tile count n form one
+    stack, across orders and placements (``_stacks``).  Pairs are stacked
+    only with pairs of the same n: padding rows to a common width would
+    regroup numpy's pairwise sum of the weights.  Within a stack the order of
+    the pairs is free, because a pair draws from its own stream and each of
+    its weight rows is summed on its own, so each score is the one its
+    placement gets alone.
     """
     placements, seeds, orders = list(placements), list(seeds), list(history)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if len(seeds) != len(placements):
+        raise ValueError(f"{len(seeds)} seeds for {len(placements)} placements")
     if not placements:
         return []
     layout = placements[0].layout
@@ -188,19 +206,21 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
     interfaces = np.array(
         [[index[c] for c in sorted(pl.interfaces)] for pl in placements], dtype=np.int64
     )
-    stacks = _stacks(placements, orders, index)
+    n_drugs = np.array([len(o.drugs) for o in orders], dtype=np.int64)
     per_order = np.zeros((len(placements), len(orders)))
     words = _seed_words(seeds)
-    for run in _runs(_chunks(stacks, episodes), episodes):
-        rows, cols, n_drugs = (np.concatenate(f) for f in list(zip(*run))[:3])
+    stacks = _stacks(placements, orders, index)
+    for run in _runs(_chunks(stacks, episodes, layout.n_inter), episodes, n_drugs):
+        rows, cols = (np.concatenate(f) for f in list(zip(*run))[:2])
         uniforms = _Uniforms(
             _pcg_states(words[rows], cols), layout.n_inter, episodes,
-            episodes * (int(n_drugs.max()) + 1),
+            episodes * (int(n_drugs[cols].max()) + 1),
         )
         at = 0
-        for rows, cols, n_drugs, tiles, masks in run:
+        for rows, cols, tiles, masks in run:
+            full = ((1 << n_drugs[cols]) - 1).astype(masks.dtype)
             per_order[rows, cols] = _sample_pairs(
-                table, interfaces[rows], tiles, masks, (1 << n_drugs) - 1,
+                table, interfaces[rows], tiles, masks, full,
                 uniforms.rows(at, at + len(rows)),
             )
             at += len(rows)
@@ -212,51 +232,66 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
     return scores
 
 
-def _stacks(placements, orders, index) -> dict[int, list[tuple]]:
-    """Per candidate-tile count n: (placement rows, order index, drug count,
-    candidate tiles, their drug bitmasks), candidates ascending in table order."""
-    hosts = _hosts(placements, orders, index)
-    stacks: dict[int, list[tuple]] = {}
+def _stacks(placements, orders, index) -> dict[int, tuple]:
+    """Per candidate-tile count n, every (placement, order) pair with n
+    candidates: (placement rows, order indices, candidate tiles, their drug
+    bitmasks), one pair per row, candidates ascending in table order.
+
+    A drug's host plane marks, per placement, the table rows that dispense
+    it; an order's served plane ORs the host planes of its k drugs, shifted
+    to bits 0 to k - 1, so each tile holds the bitmask of the order's drugs
+    it dispenses and the nonzero tiles are the pair's candidates.
+    """
+    drugs = {g: i for i, g in enumerate(dict.fromkeys(g for o in orders for g in o.drugs))}
+    width = max((len(o.drugs) for o in orders), default=0)
+    mask_type = np.min_scalar_type((1 << width) - 1)
+    # drug x placement x table row, plus an empty plane that pads orders to width
+    hosts = np.zeros((len(drugs) + 1, len(placements), len(index)), dtype=mask_type)
+    held = [
+        (drugs[g], p, index[t])
+        for p, pl in enumerate(placements)
+        for g, tiles in pl._by_drug.items() if g in drugs
+        for t in tiles
+    ]
+    if held:
+        hosts[tuple(np.array(held).T)] = 1
+    everywhere = hosts[:-1].any(axis=2).all(axis=1)
+    for g, i in drugs.items():
+        if not everywhere[i]:
+            raise ValueError(f"no dispenser placed for drug {g!r}")
+
+    members = np.full((len(orders), width), len(drugs))
     for oi, order in enumerate(orders):
-        served = np.zeros((len(placements), len(index)), dtype=np.int64)  # drug bitmasks
-        for bit, g in enumerate(order.drugs):
-            held = hosts[g]
-            if not held.any(axis=1).all():
-                raise ValueError(f"no dispenser placed for drug {g!r}")
-            served[held] |= 1 << bit
-        counts = np.count_nonzero(served, axis=1)
-        k = len(order.drugs)
-        for n in set(counts.tolist()):  # not np.unique: it imports numpy.ma (~0.5 MB)
-            rows = np.flatnonzero(counts == n)
-            sub = served[rows].ravel()
-            cand = np.flatnonzero(sub)
-            stacks.setdefault(n, []).append(
-                (rows, oi, k, (cand % len(index)).reshape(-1, n), sub[cand].reshape(-1, n))
-            )
+        members[oi, : len(order.drugs)] = [drugs[g] for g in order.drugs]
+    served = np.zeros((len(orders), len(placements), len(index)), dtype=mask_type)
+    for bit in range(width):
+        served |= hosts[members[:, bit]] << bit
+    counts = np.count_nonzero(served, axis=2)
+    stacks = {}
+    for n in set(counts.ravel().tolist()):  # not np.unique: it imports numpy.ma (~0.5 MB)
+        cols, rows = np.nonzero(counts == n)
+        sub = served[cols, rows]
+        tiles = np.nonzero(sub)[1].reshape(-1, n)
+        stacks[n] = (rows, cols, tiles, np.take_along_axis(sub, tiles, axis=1))
     return stacks
 
 
-def _chunks(stacks, episodes):
-    """Each stack's pairs as (placement rows, order index, drug count, tiles,
-    masks), in chunks of at most ``_CHUNK`` samples; a stack is freed as it
-    is cut."""
+def _chunks(stacks, episodes, n_inter):
+    """Each stack's pairs as (placement rows, order indices, tiles, masks),
+    in chunks of at most ``_CHUNK`` samples or slot-table entries."""
     for n in list(stacks):
-        parts = stacks.pop(n)
-        rows, tiles, masks = (np.concatenate([p[i] for p in parts]) for i in (0, 3, 4))
-        cols, n_drugs = (np.repeat([p[i] for p in parts], [len(p[0]) for p in parts])
-                         for i in (1, 2))
-        size = max(1, _CHUNK // (n * episodes))
-        for lo in range(0, len(rows), size):
-            part = slice(lo, lo + size)
-            yield rows[part], cols[part], n_drugs[part], tiles[part], masks[part]
+        stack = stacks.pop(n)
+        size = max(1, _CHUNK // (n * max(episodes, n_inter + n)))
+        for lo in range(0, len(stack[0]), size):
+            yield tuple(a[lo : lo + size] for a in stack)
 
 
-def _runs(chunks, episodes):
+def _runs(chunks, episodes, n_drugs):
     """Consecutive chunks whose streams are drawn in one pass, each run
     holding about ``_STREAM`` uniforms (at least one chunk)."""
     run, size = [], 0
     for chunk in chunks:
-        cost = len(chunk[0]) * episodes * (int(chunk[2].max()) + 1)
+        cost = len(chunk[0]) * episodes * (int(n_drugs[chunk[1]].max()) + 1)
         if run and size + cost > _STREAM:
             yield run
             run, size = [], 0
@@ -266,53 +301,52 @@ def _runs(chunks, episodes):
         yield run
 
 
-def _hosts(placements, orders, index) -> dict[str, np.ndarray]:
-    """For each drug of the orders, placements x table rows: where it is dispensed."""
-    drugs = {g for order in orders for g in order.drugs}
-    hosts = {g: np.zeros((len(placements), len(index)), dtype=bool) for g in drugs}
-    for p, pl in enumerate(placements):
-        for g, tiles in pl._by_drug.items():
-            if g in hosts:
-                hosts[g][p, [index[t] for t in tiles]] = True
-    return hosts
-
-
 def _sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> np.ndarray:
     """Mean episode steps of (placement, order) pairs with equal candidate counts.
 
     One row per pair: its interfaces, its candidate tiles (table rows), each
     candidate's drug bitmask and the bitmask of all the order's drugs.
-    Episode arrays are pairs x episodes; distances are gathered from the
-    layout's table rows at every step.
+    Episode arrays are pairs x episodes.  A pair's slots are its interfaces
+    followed by its candidates; the distances from every slot to every
+    candidate and to every interface, and their weights, are gathered once,
+    one table row per (pair, slot), and ``loc`` holds that row.
     """
-    loc = np.take_along_axis(interfaces, uniforms.start, axis=1)
+    pairs, n_inter = interfaces.shape
+    slots = np.concatenate([interfaces, tiles], axis=1)
+    to_tiles = table[slots[:, :, None], tiles[:, None, :]].reshape(-1, tiles.shape[1])
+    to_inter = table[slots[:, :, None], interfaces[:, None, :]].reshape(-1, n_inter)
+    first = np.arange(pairs) * slots.shape[1]  # each pair's first row
+    loc = first[:, None] + uniforms.start
     remaining = np.repeat(full[:, None], loc.shape[1], axis=1)
     steps = np.zeros(loc.shape, dtype=np.int64)
+    weights = _weights(to_tiles)
     while True:
         alive = remaining != 0
         if not alive.any():
             break
         r, e = np.nonzero(alive)
-        cand = tiles[r]
-        d = table[loc[r, e][:, None], cand]
-        usable = (masks[r] & remaining[r, e][:, None]) != 0
-        pick = _choose(d, usable, uniforms.take(alive))
-        k = np.arange(len(pick))
-        steps[r, e] += d[k, pick]
-        remaining[r, e] &= ~masks[r, pick]
-        loc[r, e] = cand[k, pick]
+        at, bits = loc[r, e], masks[r]
+        w = weights.take(at, axis=0)
+        w *= (bits & remaining[r, e][:, None]) != 0  # unusable tiles weigh 0
+        pick = _choose(w, uniforms.take(alive))
+        steps[r, e] += to_tiles[at, pick]
+        remaining[r, e] &= ~bits[np.arange(len(pick)), pick]
+        loc[r, e] = first[r] + n_inter + pick
 
-    d = table[loc[:, :, None], interfaces[:, None, :]].reshape(loc.size, -1)
-    pick = _choose(d, None, uniforms.take(np.ones(loc.shape, dtype=bool)))
-    steps += d[np.arange(len(pick)), pick].reshape(loc.shape)
+    at = loc.ravel()
+    w = _weights(to_inter).take(at, axis=0)
+    pick = _choose(w, uniforms.take(np.ones(loc.shape, dtype=bool)))
+    steps += to_inter[at, pick].reshape(loc.shape)
     return steps.sum(axis=1) / loc.shape[1]
 
 
-def _choose(d, usable, u) -> np.ndarray:
-    """Per row, the column sampled with weight 1/distance (0 weighing as 1)."""
-    w = 1.0 / np.maximum(d, 1)
-    if usable is not None:
-        w[~usable] = 0.0
+def _weights(d) -> np.ndarray:
+    """Sampling weight 1/distance of each distance, 0 weighing as 1."""
+    return 1.0 / np.maximum(d, 1)
+
+
+def _choose(w, u) -> np.ndarray:
+    """Per row, the column sampled with the row's weights ``w``."""
     r = u * w.sum(axis=1)
     return (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
 

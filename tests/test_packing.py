@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -709,6 +710,184 @@ def test_screened_searches_match_unscreened_reference():
             assert got_c[1] == want_c[1]  # same objective, bit for bit
             moved += got_c[0] != got
     assert ties >= 100 and zeros >= 100 and moved >= 100
+
+
+# --- LPT fill and array-form relocations vs the per-tile loops --------------------
+#
+# reference_lpt_fill and screened_improve_min_load are the stage-1 fill and
+# search as they were before the fill opened new bins directly and the search
+# screened each dispenser's relocations in one array pass, kept verbatim.
+
+def reference_lpt_fill(items, pi, n_tiles, d_max):
+    bins: list[list[str]] = []
+    loads: list[float] = []
+    for g in items:
+        cands = [
+            i for i in range(len(bins)) if len(bins[i]) < d_max and g not in bins[i]
+        ]
+        if len(bins) < n_tiles:
+            cands.append(-1)
+        if not cands:
+            return None
+        pick = min(
+            cands, key=lambda i: (loads[i] if i >= 0 else 0.0, i if i >= 0 else len(bins))
+        )
+        if pick == -1:
+            bins.append([g])
+            loads.append(pi[g])
+        else:
+            bins[pick].append(g)
+            loads[pick] += pi[g]
+    return [tuple(b) for b in bins]
+
+
+def screened_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
+    tiles = [list(t) for t in tiles]
+    loads = [sum(pi[g] for g in t) for t in tiles]
+
+    def resum(*touched):
+        # a tile's load is the sum over its list order, which a move or an
+        # undo (re-appending an item) changes; other tiles keep theirs
+        for ti in touched:
+            if ti < len(tiles):
+                loads[ti] = sum(pi[g] for g in tiles[ti])
+
+    def to_end(ti, g):
+        # what a rejected trial's undo leaves behind: g re-appended last
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            resum(ti)
+
+    def profile():
+        return tuple(sorted(loads, reverse=True))
+
+    for _ in range(max_passes):
+        cur = profile()
+        improved = False
+        peak = max(range(len(tiles)), key=loads.__getitem__)
+        # relocate one dispenser off the peak tile
+        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
+            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                if ti == peak:
+                    continue
+                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
+                    continue
+                # screen: ti's load after the move, summed in the order resum
+                # sums it (g appended); above cur[0] it leads the new profile,
+                # which then sorts after cur, so profile() < cur must fail.  A
+                # new or empty tile is never screened: its load is pi[g], at
+                # most the peak's
+                if ti < len(tiles) and sum(pi[h] for h in (*tiles[ti], g)) > cur[0]:
+                    to_end(peak, g)
+                    continue
+                tiles[peak].remove(g)
+                if ti == len(tiles):
+                    tiles.append([g])
+                    loads.append(0.0)
+                else:
+                    tiles[ti].append(g)
+                resum(peak, ti)
+                if profile() < cur:
+                    improved = True
+                else:
+                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
+                        tiles.pop()
+                        loads.pop()
+                    else:
+                        tiles[ti].remove(g)
+                    tiles[peak].append(g)
+                    resum(peak, ti)
+                if improved:
+                    break
+            if improved:
+                break
+        if improved:
+            continue
+        # pairwise swap involving the peak tile
+        for g in list(tiles[peak]):
+            for ti in range(len(tiles)):
+                if ti == peak:
+                    continue
+                for h in list(tiles[ti]):
+                    if h == g or pi[h] >= pi[g]:
+                        continue
+                    if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    # screen: as for a relocation, ti's load after the swap
+                    if sum(pi[x] for x in (*tiles[ti], g) if x != h) > cur[0]:
+                        to_end(peak, g)
+                        to_end(ti, h)
+                        continue
+                    tiles[peak].remove(g)
+                    tiles[peak].append(h)
+                    tiles[ti].remove(h)
+                    tiles[ti].append(g)
+                    resum(peak, ti)
+                    if profile() < cur:
+                        improved = True
+                    else:
+                        tiles[peak].remove(h)
+                        tiles[peak].append(g)
+                        tiles[ti].remove(g)
+                        tiles[ti].append(h)
+                        resum(peak, ti)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    tiles = [t for t in tiles if t]
+    return [tuple(t) for t in tiles]
+
+
+def fill_instances():
+    """Both instance generators above, plus packings with a zero-demand drug
+    (an open bin of load 0.0 sends the fill back to its scan) and with spare
+    tiles (relocations onto a new tile)."""
+    for _, _, tiles, pi, n_tiles, d_max in random_search_instances(24, 150):
+        yield tiles, pi, n_tiles, d_max
+    for tiles, pi, n_tiles, d_max, _ in screen_instances(25, 150):
+        yield tiles, pi, n_tiles, d_max
+    rng = np.random.default_rng(26)
+    for made in range(100):
+        d_max = 2 + made % 3
+        drugs = [f"g{i}" for i in range(int(rng.integers(3, 9)))]
+        pi = {g: float(rng.choice([0.0, 1 / 3, 0.7, 2.2, float(rng.uniform(0, 5))])) for g in drugs}
+        pi[drugs[made % len(drugs)]] = 0.0
+        copies = {g: int(rng.integers(1, 4)) for g in drugs}
+        tiles = random_tiles(rng, drugs, copies, int(rng.integers(1, 6)), d_max)
+        if tiles is not None:
+            yield tiles, pi, len(tiles) + int(rng.integers(1, 4)), d_max
+
+
+def test_lpt_fill_and_relocations_match_per_tile_reference():
+    from planarfab.packing import _improve_min_load, _loads, _lpt_fill
+
+    scanned = spread = checked = 0
+    for tiles, pi, n_tiles, d_max in fill_instances():
+        items = sorted((g for t in tiles for g in t), key=lambda g: (-pi[g], g))
+        rng = random.Random(checked)
+        for attempt in range(3):
+            if attempt:
+                rng.shuffle(items)
+            got = _lpt_fill(items, pi, n_tiles, d_max)
+            assert got == reference_lpt_fill(items, pi, n_tiles, d_max)
+            # fewer than n_tiles bins throughout and a bin of load 0.0 open
+            # before the last item: the items after it took the scan
+            scanned += (got is not None and len(got) < n_tiles
+                        and 0.0 in (pi[g] for g in items[:-1]))
+
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        want = screened_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == want
+        assert _loads(got, pi) == _loads(want, pi)
+        spread += len(got) > len(tiles)
+        checked += 1
+    assert checked >= 300 and scanned >= 25 and spread >= 100
 
 
 # sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the

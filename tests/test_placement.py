@@ -12,10 +12,14 @@ from planarfab.placement import (
     Placement,
     _Uniforms,
     _choose,
+    _chunks,
     _draw,
     _pcg_raw,
     _pcg_states,
+    _sample_pairs,
     _seed_words,
+    _stacks,
+    _weights,
     analytical_cost,
     fitness,
     fitness_batch,
@@ -190,6 +194,9 @@ def test_fitness_batch_colocated_single_visit_matches_reference():
 def test_fitness_batch_errors_and_empty_batch():
     pl = line_placement(["IF", ("a",)])
     assert fitness_batch([], [Order(0, (("a", 1),))], 4, []) == []
+    for seeds in ([0], [0, 1, 2]):  # one seed per placement, no fewer, no more
+        with pytest.raises(ValueError, match="seeds for 2 placements"):
+            fitness_batch([pl, pl], [Order(0, (("a", 1),))], 4, seeds)
     with pytest.raises(ValueError, match="'zz'"):
         fitness_batch([pl, pl], [Order(0, (("a", 1),)), Order(1, (("a", 1), ("zz", 1)))], 4, [0, 1])
     with pytest.raises(ValueError, match="episodes"):
@@ -199,14 +206,156 @@ def test_fitness_batch_errors_and_empty_batch():
         fitness_batch([pl, other], [Order(0, (("a", 1),))], 4, [0, 1])
 
 
+# --- one stack per candidate count vs the per-order stacks and sampler ------------
+#
+# reference_stacks, reference_sample_pairs and reference_choose are the stack
+# build and the sampler as they were before the stacks spanned orders and the
+# sampler read per-pair slot tables, kept verbatim.
+
+def reference_stacks(placements, orders, index) -> dict[int, list[tuple]]:
+    """Per candidate-tile count n: (placement rows, order index, drug count,
+    candidate tiles, their drug bitmasks), one entry per order."""
+    drugs = {g for order in orders for g in order.drugs}
+    hosts = {g: np.zeros((len(placements), len(index)), dtype=bool) for g in drugs}
+    for p, pl in enumerate(placements):
+        for g, tiles in pl._by_drug.items():
+            if g in hosts:
+                hosts[g][p, [index[t] for t in tiles]] = True
+    stacks: dict[int, list[tuple]] = {}
+    for oi, order in enumerate(orders):
+        served = np.zeros((len(placements), len(index)), dtype=np.int64)  # drug bitmasks
+        for bit, g in enumerate(order.drugs):
+            held = hosts[g]
+            if not held.any(axis=1).all():
+                raise ValueError(f"no dispenser placed for drug {g!r}")
+            served[held] |= 1 << bit
+        counts = np.count_nonzero(served, axis=1)
+        k = len(order.drugs)
+        for n in set(counts.tolist()):
+            rows = np.flatnonzero(counts == n)
+            sub = served[rows].ravel()
+            cand = np.flatnonzero(sub)
+            stacks.setdefault(n, []).append(
+                (rows, oi, k, (cand % len(index)).reshape(-1, n), sub[cand].reshape(-1, n))
+            )
+    return stacks
+
+
+def reference_choose(d, usable, u) -> np.ndarray:
+    w = 1.0 / np.maximum(d, 1)
+    if usable is not None:
+        w[~usable] = 0.0
+    r = u * w.sum(axis=1)
+    return (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
+
+
+def reference_sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> np.ndarray:
+    loc = np.take_along_axis(interfaces, uniforms.start, axis=1)
+    remaining = np.repeat(full[:, None], loc.shape[1], axis=1)
+    steps = np.zeros(loc.shape, dtype=np.int64)
+    while True:
+        alive = remaining != 0
+        if not alive.any():
+            break
+        r, e = np.nonzero(alive)
+        cand = tiles[r]
+        d = table[loc[r, e][:, None], cand]
+        usable = (masks[r] & remaining[r, e][:, None]) != 0
+        pick = reference_choose(d, usable, uniforms.take(alive))
+        k = np.arange(len(pick))
+        steps[r, e] += d[k, pick]
+        remaining[r, e] &= ~masks[r, pick]
+        loc[r, e] = cand[k, pick]
+
+    d = table[loc[:, :, None], interfaces[:, None, :]].reshape(loc.size, -1)
+    pick = reference_choose(d, None, uniforms.take(np.ones(loc.shape, dtype=bool)))
+    steps += d[np.arange(len(pick)), pick].reshape(loc.shape)
+    return steps.sum(axis=1) / loc.shape[1]
+
+
+def wide_batch(topology, size):
+    """Placements and orders of 1 to 9 drugs, whose pairs have from fewer
+    than 8 to more than 16 candidate tiles."""
+    layout = build_layout(topology, size, 2)
+    drugs = [f"d{i}" for i in range(12)]
+    placements = [random_placement(layout, drugs, seed=s, max_alternatives=4) for s in range(5)]
+    return layout, placements, random_orders(drugs, 12, seed=8, size_range=(1, 9))
+
+
+def pairs_by_count(stacks):
+    """{n: {(placement row, order index): (tiles, masks)}} of stacks given as
+    {n: [(placement rows, order indices, tiles, masks), ...]}."""
+    out = {}
+    for n, parts in stacks.items():
+        for rows, cols, tiles, masks in parts:
+            pairs = zip(rows.tolist(), cols.tolist())
+            for pair, t, m in zip(pairs, tiles.tolist(), masks.tolist()):
+                assert pair not in out.setdefault(n, {})
+                out[n][pair] = (t, m)
+    return out
+
+
+@pytest.mark.parametrize("topology, size", [("square", (6, 6)), ("ring", 8)])
+def test_stacks_hold_the_per_order_stacks_pairs(topology, size):
+    layout, placements, orders = wide_batch(topology, size)
+    index, _ = layout.index_table
+    got = _stacks(placements, orders, index)
+    want = {
+        n: [(rows, np.full(len(rows), oi), tiles, masks) for rows, oi, _, tiles, masks in parts]
+        for n, parts in reference_stacks(placements, orders, index).items()
+    }
+    assert sorted(got) == sorted(want)
+    assert min(got) < 8 and any(8 <= n < 16 for n in got) and max(got) >= 16
+    assert pairs_by_count({n: [stack] for n, stack in got.items()}) == pairs_by_count(want)
+    for n, (rows, cols, tiles, masks) in got.items():
+        # bitmasks of up to 9 drugs in the narrowest type that holds them
+        assert tiles.shape == masks.shape == (len(rows), n) and masks.dtype == np.uint16
+
+
+@pytest.mark.parametrize("episodes", [1, 10])
+@pytest.mark.parametrize("topology, size", [("square", (6, 6)), ("ring", 8)])
+def test_sample_pairs_matches_per_step_reference(topology, size, episodes):
+    # each side samples its own stacks, chunked as fitness_batch chunks them,
+    # from its pairs' streams; every pair's mean steps must agree bit for bit
+    layout, placements, orders = wide_batch(topology, size)
+    index, table = layout.index_table
+    words = _seed_words([31 * p + 5 for p in range(len(placements))])
+    interfaces = np.array([[index[c] for c in sorted(pl.interfaces)] for pl in placements])
+    n_drugs = np.array([len(o.drugs) for o in orders])
+
+    def uniforms(rows, cols):
+        width = episodes * (int(n_drugs[cols].max()) + 1)
+        return _Uniforms(_pcg_states(words[rows], cols), layout.n_inter, episodes, width)
+
+    got, counts = {}, set()
+    stacks = _stacks(placements, orders, index)
+    for rows, cols, tiles, masks in _chunks(stacks, episodes, layout.n_inter):
+        full = ((1 << n_drugs[cols]) - 1).astype(masks.dtype)
+        steps = _sample_pairs(table, interfaces[rows], tiles, masks, full, uniforms(rows, cols))
+        got.update(zip(zip(rows.tolist(), cols.tolist()), steps.tolist()))
+        counts.add(tiles.shape[1])
+    want = {}
+    for n, parts in reference_stacks(placements, orders, index).items():
+        for rows, oi, k, tiles, masks in parts:
+            cols = np.full(len(rows), oi)
+            full = np.full(len(rows), (1 << k) - 1, dtype=np.int64)
+            steps = reference_sample_pairs(
+                table, interfaces[rows], tiles, masks, full, uniforms(rows, cols)
+            )
+            want.update(zip(zip(rows.tolist(), cols.tolist()), steps.tolist()))
+    assert min(counts) < 8 and any(8 <= n < 16 for n in counts) and max(counts) >= 16
+    assert len(got) == len(placements) * len(orders)
+    assert got == want
+
+
 def test_choose_rounding_can_pick_an_unusable_tile():
     # numpy sums a row of 8 or more weights pairwise, which can exceed the last
     # cumulative weight: the largest uniform below 1 then falls past every
     # usable tile, argmax picks column 0 and the episode takes an extra step,
     # so a pair can need more uniforms than its drugs suggest
     d = np.array([[12, 9, 8, 4, 5, 1, 2, 1, 3]])
-    usable = np.arange(9)[None, :] > 0
-    assert _choose(d, usable, np.array([np.nextafter(1.0, 0.0)])).tolist() == [0]
+    w = _weights(d) * (np.arange(9)[None, :] > 0)  # column 0 unusable
+    assert _choose(w, np.array([np.nextafter(1.0, 0.0)])).tolist() == [0]
 
 
 def test_uniforms_extend_a_dry_block_from_the_same_stream():
@@ -480,6 +629,10 @@ def test_ga_params_validation():
         GaParams(episodes=0)
     with pytest.raises(ValueError, match="max_evaluations"):
         GaParams(population=8, max_evaluations=3)
+    for tournament in (0, -1):  # an empty tournament picks no parent
+        with pytest.raises(ValueError, match="tournament"):
+            GaParams(tournament=tournament)
+    assert GaParams(tournament=1).tournament == 1
     assert GaParams(population=8, max_evaluations=8).max_evaluations == 8
 
 
