@@ -23,7 +23,7 @@ import csv
 import io
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -272,6 +272,7 @@ class Order:
 
     id: int
     items: tuple[tuple[str, int], ...]
+    drugs: tuple[str, ...] = field(init=False, compare=False, repr=False)  # items' drugs, sorted
 
     def __post_init__(self):
         drugs = [g for g, _ in self.items]
@@ -282,10 +283,7 @@ class Order:
         if any(d < 1 for _, d in self.items):
             raise ValueError(f"order {self.id}: durations must be >= 1 tick")
         object.__setattr__(self, "items", tuple(sorted(self.items)))
-
-    @property
-    def drugs(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.items)
+        object.__setattr__(self, "drugs", tuple(g for g, _ in self.items))
 
     @property
     def total_dispensing(self) -> int:

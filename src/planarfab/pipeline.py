@@ -23,6 +23,7 @@ from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
 
 BATCH_THRESHOLD = 150
+_str = json.encoder.encode_basestring_ascii  # json.dumps's string escaping (ensure_ascii)
 
 
 @dataclass
@@ -252,6 +253,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
 
         sched = run_stage("schedule", do_schedule)
         values["makespan_scheduled"] = sched.makespan
+        values["greedy_route_orders"] = scheduling.greedy_route_orders(orders, placed)
         save("schedule.json", sched.to_json)
         save("schedule.csv", sched.to_csv)
         save("gantt.svg", lambda: render_gantt(sched))
@@ -317,27 +319,31 @@ def packing_from_json(text: str) -> packing.Packing:
 
 
 def plan_to_json(plan: routing.RoutedPlan) -> str:
-    return json.dumps(
-        {
-            "makespan": plan.makespan,
-            "iterations": plan.iterations,
-            "interruptions": {str(k): v for k, v in plan.interruptions.items() if v},
-            "resting_sites": [
-                {"tiles": [[s.tile_a.x, s.tile_a.y], [s.tile_b.x, s.tile_b.y]]}
-                for s in plan.sites.sites
-            ],
-            "assignments": [
-                {
-                    "mover": k[0],
-                    "from_op": k[1],
-                    "to_op": k[2],
-                    "site": [[s.tile_a.x, s.tile_a.y], [s.tile_b.x, s.tile_b.y]],
-                }
-                for k, s in sorted(plan.resting_assignment.items())
-            ],
-            "schedule": plan.schedule.to_dict(),
-        },
-        indent=2,
+    """routed.json, byte-equal to json.dumps(doc, indent=2) and written directly
+    like Schedule.to_json; the schedule nests one level deep."""
+
+    def pair(site):  # a site's [[x, y], [x, y]], as the value of a key 6 spaces deep
+        a, b, q = site.tile_a, site.tile_b, " " * 8
+        return (f"[\n{q}[\n{q}  {a.x},\n{q}  {a.y}\n{q}],\n"
+                f"{q}[\n{q}  {b.x},\n{q}  {b.y}\n{q}]\n      ]")
+
+    def block(brackets, items):  # a top-level list or object
+        return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}" if items else brackets
+
+    interruptions = block("{}", [f"    {_str(str(k))}: {v}"
+                                 for k, v in plan.interruptions.items() if v])
+    sites = block("[]", [f'    {{\n      "tiles": {pair(s)}\n    }}'
+                         for s in plan.sites.sites])
+    assignments = block("[]", [
+        f'    {{\n      "mover": {k[0]},\n      "from_op": {k[1]},\n      "to_op": {k[2]},\n'
+        f'      "site": {pair(s)}\n    }}'
+        for k, s in sorted(plan.resting_assignment.items())
+    ])
+    return (
+        f'{{\n  "makespan": {plan.makespan},\n  "iterations": {plan.iterations},\n'
+        f'  "interruptions": {interruptions},\n  "resting_sites": {sites},\n'
+        f'  "assignments": {assignments},\n'
+        f'  "schedule": {scheduling.schedule_json(plan.schedule, "  ")}\n}}'
     )
 
 

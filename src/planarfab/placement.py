@@ -576,12 +576,10 @@ def analytical_cost(placement: Placement, history) -> float:
 
 
 def per_order_kappa(placement: Placement, history) -> list[int]:
-    """Exact κ of each order, solved once per distinct drug set."""
+    """Exact κ of each order, solved once per distinct drug set (shppn.kappa_batch)."""
     orders = list(history)
-    solved: dict[tuple[str, ...], int] = {}
-    for o in orders:
-        if o.drugs not in solved:
-            solved[o.drugs] = shppn.kappa(o, placement).kappa
+    sets = list(dict.fromkeys(o.drugs for o in orders))
+    solved = dict(zip(sets, shppn.kappa_batch(sets, placement)))
     return [solved[o.drugs] for o in orders]
 
 

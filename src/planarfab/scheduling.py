@@ -30,6 +30,15 @@ The makespan lower bound follows the relaxation route: exact per-order path
 values feed a parallel-machines problem whose optimum (or, above the guard,
 the load bound max(max T, ceil(sum T / m))) bounds every valid schedule from
 below; its machine assignment doubles as the scheduler warm start.
+
+Routes: each schedule() call builds one path table per order (_OrderPaths)
+on the layout's tile ids, and every insertion candidate of that order is
+read from it.  Orders with at most ROUTE_ENUM_CAP routes are ranked exactly
+over their whole route space, computed once for all drug permutations; the
+lead-in leg from the previous location is added per call.  Larger orders
+take nearest-neighbour routes, one per start interface, from per-location
+candidate lists ranked once per table.  Schedule documents are written as
+indent-2 JSON text directly, byte-equal to json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -40,13 +49,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
-from . import shppn
 from .core import INTERFACE, Coord, Order
 from .placement import per_order_kappa
+
+_str = json.encoder.encode_basestring_ascii  # json.dumps's string escaping (ensure_ascii)
 
 START = "start"
 DISPENSING = "dispensing"
@@ -103,27 +113,9 @@ class Schedule:
             )
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> dict:
-        """The JSON document of to_json, as plain dicts and lists."""
-        return {
-            "makespan": self.makespan,
-            "ops": [
-                {
-                    "op_id": so.op.op_id,
-                    "order": so.op.order_id,
-                    "target": so.op.target,
-                    "kind": so.op.kind,
-                    "duration": so.op.duration,
-                    "mover": so.mover,
-                    "tile": [so.tile.x, so.tile.y],
-                    "start": so.start,
-                }
-                for so in sorted(self.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The schedule document, byte-equal to json.dumps(doc, indent=2)."""
+        return schedule_json(self, "")
 
     @staticmethod
     def from_json(text: str) -> "Schedule":
@@ -138,6 +130,25 @@ class Schedule:
             for o in doc["ops"]
         )
         return Schedule(ops, doc["makespan"])
+
+
+def schedule_json(schedule: Schedule, pad: str) -> str:
+    """Schedule.to_json's text with pad before every line but the first.
+
+    Written directly, one f-string per op: with an indent, json.dumps runs
+    its pure-Python encoder.  Strings go through json's own escaping.  pad
+    nests the document in another one (routed.json).
+    """
+    a, b, c = pad + "    ", pad + "      ", pad + "        "
+    ops = ",\n".join(
+        f'{a}{{\n{b}"op_id": {so.op.op_id},\n{b}"order": {so.op.order_id},\n'
+        f'{b}"target": {_str(so.op.target)},\n{b}"kind": {_str(so.op.kind)},\n'
+        f'{b}"duration": {so.op.duration},\n{b}"mover": {so.mover},\n'
+        f'{b}"tile": [\n{c}{so.tile.x},\n{c}{so.tile.y}\n{b}],\n{b}"start": {so.start}\n{a}}}'
+        for so in sorted(schedule.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
+    )
+    ops = f"[\n{ops}\n{pad}  ]" if ops else "[]"
+    return f'{{\n{pad}  "makespan": {schedule.makespan},\n{pad}  "ops": {ops}\n{pad}}}'
 
 
 @dataclass(frozen=True)
@@ -403,102 +414,189 @@ def _route_count(order, placement, n_if: int) -> int:
     return count
 
 
-class _RouteSpace(NamedTuple):
-    """Every route of an order with its length, as arrays on the distance table.
+def greedy_route_orders(orders, placement) -> int:
+    """How many orders take insertion candidates from the greedy fallback
+    (more than ROUTE_ENUM_CAP routes) rather than from the exact ranking."""
+    n_if = len(placement.interfaces)
+    return sum(_route_count(o, placement, n_if) > ROUTE_ENUM_CAP for o in orders)
 
-    Route (p, c, s, e) starts at interfaces[s], visits drug alts[i][0] at
-    alternative alts[i][1][grids[p][c, j]] for the j-th drug i of perms[p],
-    and ends at interfaces[e]; lengths[p, c, s, e] includes the leg from the
-    previous location.  Index order is the enumeration order: drug
-    permutation, dispenser combination (first stop slowest), start interface,
-    end interface.
+
+class _OrderPaths:
+    """One order's routes on the layout's tile ids; the scheduler builds it once per call.
+
+    Tile ids index the layout's sorted tiles (Layout.index_table), so id
+    order is Coord order.  The order's vertices are its (drug, dispenser
+    tile) pairs, drugs in order and tiles sorted.  Route space (exact):
+    route (p, c, s, e) starts at interfaces[s], makes stop j at vertex
+    stops[p, c, j] and ends at interfaces[e]; lengths[p, c, s, e] leaves
+    out the lead-in leg from the previous location.  Index order is the
+    enumeration order: drug permutation, dispenser combination (first stop
+    slowest), start interface, end interface.  The greedy fallback reads
+    distance rows between the order's distinct tiles instead.
     """
 
-    interfaces: list[Coord]
-    alts: list[tuple[str, list[Coord]]]
-    perms: list[tuple[int, ...]]
-    grids: list[np.ndarray]
-    lengths: np.ndarray
+    def __init__(self, order, placement):
+        index, table = placement.layout.index_table
+        self.interfaces = sorted(placement.interfaces)
+        if not self.interfaces:
+            raise ValueError("placement has no interfaces")
+        self.drugs = order.drugs
+        self.alts = []
+        for g in order.drugs:
+            tiles = placement.dispensers_for(g)
+            if not tiles:
+                raise ValueError(f"no dispenser placed for drug {g!r}")
+            self.alts.append(tiles)
+        self.greedy = _route_count(order, placement, len(self.interfaces)) > ROUTE_ENUM_CAP
+        self._index, self._table = index, table
+        self._iface_ids = [index[c] for c in self.interfaces]
+
+    def lead(self, prev_loc) -> np.ndarray:
+        """Travel from prev_loc to each interface (0 without a previous location)."""
+        if prev_loc is None:
+            return np.zeros(len(self.interfaces), dtype=np.int64)
+        return self._table[self._index[prev_loc], self._iface_ids]
+
+    @cached_property
+    def space(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stops, lengths) of every route, all permutations in one gather."""
+        vertices = [self._index[t] for ts in self.alts for t in ts]
+        d = self._table[np.ix_(vertices, vertices)]
+        to_iface = self._table[np.ix_(vertices, self._iface_ids)]
+        n = np.array([len(ts) for ts in self.alts], dtype=np.int64)
+        offset = np.cumsum(n) - n
+        perms = np.array(list(itertools.permutations(range(len(n)))), dtype=np.int64)
+        sizes = n[perms]
+        strides = np.ones_like(sizes)  # combination c picks (c // stride) % size at each stop
+        strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
+        combos = np.arange(int(n.prod()), dtype=np.int64)[None, :, None]
+        stops = combos // strides[:, None, :] % sizes[:, None, :] + offset[perms][:, None, :]
+        inner = d[stops[..., :-1], stops[..., 1:]].sum(axis=2)
+        lengths = (inner[..., None, None] + to_iface[stops[..., 0]][..., :, None]
+                   + to_iface[stops[..., -1]][..., None, :])
+        return stops, lengths
+
+    @cached_property
+    def _vertices(self) -> list[tuple[str, Coord]]:
+        return [(g, t) for g, ts in zip(self.drugs, self.alts) for t in ts]
 
     def route(self, p: int, c: int, s: int, e: int) -> Route:
-        stops = tuple(
-            (self.alts[i][0], self.alts[i][1][self.grids[p][c, j]])
-            for j, i in enumerate(self.perms[p])
-        )
+        vertices = self._vertices
+        stops = tuple(vertices[v] for v in self.space[0][p, c].tolist())
         return Route(self.interfaces[s], stops, self.interfaces[e])
 
+    @cached_property
+    def _greedy_tables(self):
+        """(tiles, back, hosts, ranked) over the order's distinct tiles u (sorted).
 
-def _route_space(order, placement, prev_loc=None) -> _RouteSpace:
-    interfaces, alts, _, d, to_iface = shppn.order_graph(order, placement)
-    offset = list(itertools.accumulate((len(ts) for _, ts in alts), initial=0))
-    lead = 0 if prev_loc is None else placement.layout.distances([prev_loc], interfaces)[0]
-    perms = list(itertools.permutations(range(len(alts))))
-    grids, lengths = [], []
-    for perm in perms:
-        grid = np.indices([len(alts[i][1]) for i in perm]).reshape(len(perm), -1).T
-        v = grid + np.array([offset[i] for i in perm])
-        inner = d[v[:, :-1], v[:, 1:]].sum(axis=1)
-        first = to_iface[v[:, 0]] + lead
-        last = to_iface[v[:, -1]]
-        grids.append(grid)
-        lengths.append(inner[:, None, None] + first[:, :, None] + last[:, None, :])
-    return _RouteSpace(interfaces, alts, perms, grids, np.stack(lengths))
+        back[u] is the travel from u to each interface and hosts[u] the
+        drugs u hosts.  The candidate (distance, tile u, drug i) ranks as one
+        integer (distance * len(tiles) + u) * len(drugs) + i; ranked[r]
+        lists every candidate from location r in rank order: from interface
+        r for r < len(interfaces), else from tile r - len(interfaces).
+        """
+        tiles = sorted({t for ts in self.alts for t in ts})
+        local = {t: u for u, t in enumerate(tiles)}
+        hosts = [set() for _ in tiles]
+        pairs = []  # (u, i) per vertex
+        for i, ts in enumerate(self.alts):
+            for t in ts:
+                hosts[local[t]].add(i)
+                pairs += (local[t], i)
+        u, i = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        rows = np.array(self._iface_ids + [self._index[t] for t in tiles], dtype=np.int64)
+        ids = rows[len(self.interfaces):]
+        ranked = np.sort((self._table[rows[:, None], ids[u]] * len(tiles) + u) * len(self.drugs) + i,
+                         axis=1)
+        back = self._table[ids[:, None], self._iface_ids].tolist()
+        return tiles, back, hosts, ranked.tolist()
+
+    def greedy_routes(self, lead, rng: random.Random | None = None) -> list[tuple[int, Route]]:
+        """(length from the previous location, route) of the nearest-neighbour
+        route from each start interface.
+
+        From the current location, the next stop is the least candidate
+        (distance, tile, drug) over the drugs left, or with rng, the second
+        least with probability 0.3; every drug left that the tile hosts is
+        served there, in the order of the drugs left.  rng shuffles the drugs
+        once per start interface and draws only when two candidates or more
+        are left.
+        """
+        tiles, back, hosts, ranked = self._greedy_tables
+        k = len(self.drugs)
+        span = len(tiles) * k
+        n_if = len(self.interfaces)
+        out = []
+        for s, start in enumerate(self.interfaces):
+            left = list(range(k))
+            if rng is not None:
+                rng.shuffle(left)
+            alive = [True] * k
+            r = s
+            length = lead[s]
+            stops = []
+            while left:
+                first = second = -1
+                for key in ranked[r]:
+                    if alive[key % k]:
+                        if first < 0:
+                            first = key
+                            if rng is None:
+                                break
+                        else:
+                            second = key
+                            break
+                if second >= 0 and rng.random() < 0.3:
+                    first = second
+                u = first % span // k
+                hosted = hosts[u]
+                for i in left:
+                    if i in hosted:
+                        stops.append((self.drugs[i], tiles[u]))
+                        alive[i] = False
+                left = [i for i in left if alive[i]]
+                length += first // span
+                r = n_if + u
+            to_iface = back[u]
+            e = to_iface.index(min(to_iface))
+            out.append((length + to_iface[e], Route(start, tuple(stops), self.interfaces[e])))
+        return out
 
 
 def enumerate_routes(order, placement) -> list[Route]:
-    """Every route of an order, in enumeration order (see _RouteSpace)."""
-    space = _route_space(order, placement)
-    return [space.route(*idx) for idx in np.ndindex(space.lengths.shape)]
+    """Every route of an order, in enumeration order (see _OrderPaths)."""
+    paths = _OrderPaths(order, placement)
+    return [paths.route(*idx) for idx in np.ndindex(paths.space[1].shape)]
 
 
 def greedy_routes(order, placement, prev_loc, rng: random.Random | None = None) -> list[Route]:
     """Nearest-neighbor route from each start interface (cheap, always available)."""
-    interfaces = sorted(placement.interfaces)
-    dist = placement.layout.distance
-    out = []
-    for si in interfaces:
-        remaining = list(order.drugs)
-        if rng is not None:
-            rng.shuffle(remaining)
-        cur = si
-        stops = []
-        while remaining:
-            cands = []
-            for g in remaining:
-                for t in placement.dispensers_for(g):
-                    cands.append((dist(cur, t), t, g))
-            d0, t0, g0 = min(cands)
-            if rng is not None and len(cands) > 1 and rng.random() < 0.3:
-                d0, t0, g0 = sorted(cands)[1]
-            served = [g for g in remaining if t0 in placement.dispensers_for(g)]
-            for g in served:
-                stops.append((g, t0))
-                remaining.remove(g)
-            cur = t0
-        ei = min(interfaces, key=lambda i: (dist(cur, i), i))
-        out.append(Route(si, tuple(stops), ei))
-    return out
+    paths = _OrderPaths(order, placement)
+    return [r for _, r in paths.greedy_routes(paths.lead(prev_loc).tolist(), rng)]
 
 
 def candidate_routes(order, placement, prev_loc, limit: int = 6,
-                     rng: random.Random | None = None) -> list[Route]:
+                     rng: random.Random | None = None, paths: _OrderPaths | None = None
+                     ) -> list[Route]:
     """The limit shortest routes from prev_loc, ties by (start, stops, end).
 
-    Orders with at most ROUTE_ENUM_CAP routes are ranked exactly: lengths come
-    from one vectorized pass and Route objects are built only for routes no
-    longer than the limit-th smallest length.  Above the cap the ranking is
-    over the greedy routes.
+    Orders with at most ROUTE_ENUM_CAP routes are ranked exactly: the
+    order's route lengths plus the lead-in leg, with Route objects built
+    only for routes no longer than the limit-th smallest length.  Above the
+    cap the ranking is over the greedy routes.  paths: the order's
+    _OrderPaths, when the caller keeps them.
     """
-    if _route_count(order, placement, len(placement.interfaces)) > ROUTE_ENUM_CAP:
-        dist = placement.layout.distance
-        greedy = greedy_routes(order, placement, prev_loc, rng)
-        ranked = [(r.length(dist, prev_loc), r) for r in greedy]
+    if paths is None:
+        paths = _OrderPaths(order, placement)
+    lead = paths.lead(prev_loc)
+    if paths.greedy:
+        ranked = paths.greedy_routes(lead.tolist(), rng)
     else:
-        space = _route_space(order, placement, prev_loc)
-        flat = space.lengths.ravel()
+        lengths = paths.space[1] + lead[:, None]
+        flat = lengths.ravel()
         cut = np.partition(flat, limit - 1)[limit - 1] if limit < flat.size else flat.max()
         ranked = [
-            (int(flat[i]), space.route(*np.unravel_index(i, space.lengths.shape)))
+            (int(flat[i]), paths.route(*np.unravel_index(i, lengths.shape)))
             for i in np.flatnonzero(flat <= cut)
         ]
     ranked.sort(key=lambda x: (x[0], x[1].start_iface, x[1].stops, x[1].end_iface))
@@ -862,20 +960,25 @@ def _exhaustive_search(orders, placement, n_movers, timer):
 
 
 class _RouteCache:
-    """Insertion candidates per (order, previous location)."""
+    """Insertion candidates per (order, previous location), on one _OrderPaths per order."""
 
     def __init__(self, placement, rng):
         self.placement = placement
         self.rng = rng
         self.store: dict[tuple, list[Route]] = {}
+        self.paths: dict[int, _OrderPaths] = {}
 
     def get(self, order, prev_loc, limit=4):
         key = (order.id, prev_loc)
-        if key not in self.store:
-            self.store[key] = candidate_routes(
-                order, self.placement, prev_loc, limit=limit, rng=self.rng
+        routes = self.store.get(key)
+        if routes is None:
+            paths = self.paths.get(order.id)
+            if paths is None:
+                paths = self.paths[order.id] = _OrderPaths(order, self.placement)
+            routes = self.store[key] = candidate_routes(
+                order, self.placement, prev_loc, limit=limit, rng=self.rng, paths=paths
             )
-        return self.store[key]
+        return routes
 
 
 def _lns_search(orders, placement, n_movers, timer, warm_start, seed, time_limit,

@@ -181,6 +181,28 @@ def test_cli_route_accepts_valid_schedule(tmp_path, instance_file, command, flag
                flag, sched, "--out", tmp_path / "routed.json") == OK
 
 
+def test_cli_route_writes_routed_json_as_json_dumps(tmp_path, instance_file):
+    from planarfab.placement import Placement
+    from planarfab.routing import route_schedule
+
+    from conftest import random_orders, random_placement
+    from test_pipeline import plan_doc
+
+    drugs = [f"drug0{i}" for i in range(5)]
+    pl = random_placement(build_layout("square", (4, 4), 2), drugs, seed=3)
+    orders = random_orders(drugs, 8, seed=3, size_range=(1, 3))
+    placement, sched = tmp_path / "placement.json", tmp_path / "schedule.json"
+    placement.write_text(pl.to_json())
+    sched.write_text(schedule(orders, pl, 2, eta=2, max_iterations=5).to_json())
+    routed = tmp_path / "routed.json"
+    assert run("route", "--instance", instance_file, "--placement", placement,
+               "--schedule", sched, "--out", routed) == OK
+    plan = route_schedule(Schedule.from_json(sched.read_text()),
+                          Placement.from_json(placement.read_text()))
+    assert plan.sites.sites and plan.interruptions
+    assert routed.read_text() == json.dumps(plan_doc(plan), indent=2)
+
+
 @pytest.mark.parametrize("command", ["lower-bound", "schedule"])
 def test_cli_order_naming_unplaced_drug_is_infeasible(tmp_path, instance_file, capsys, command):
     from planarfab.core import orders_to_csv

@@ -39,7 +39,7 @@ def small_config(seed=5):
     )
 
 
-def test_run_pipeline_produces_consistent_report(tmp_path):
+def test_run_pipeline_produces_consistent_report(tmp_path, golden_placement, golden_orders):
     for side in (4, 8):  # 8x8: the site selection is certified on a full-size grid too
         pc = small_config()
         pc.layout = build_layout("square", (side, side), 2)
@@ -61,6 +61,21 @@ def test_run_pipeline_produces_consistent_report(tmp_path):
         assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
         assert doc["exactness"]["resting_sites"] is True
         assert v["resting_sites"] == len(routed["resting_sites"])
+        # orders of at most 3 drugs: every insertion candidate is ranked exactly
+        assert v["greedy_route_orders"] == doc["stage_values"]["greedy_route_orders"] == 0
+
+    # most orders of 3-6 drugs on the 8x8~2 reference outgrow the exact
+    # ranking; the golden 4x4 orders do not
+    from test_acceptance import build_8x8_instance
+
+    ref_placement, ref_orders, _ = build_8x8_instance(3, 12, movers=2)
+    for placed, orders, greedy in ((ref_placement, ref_orders, True),
+                                   (golden_placement, golden_orders, False)):
+        pc = small_config()
+        pc.layout = placed.layout
+        pc.stages = ("schedule",)
+        v = run_pipeline(pc, orders=orders, placed=placed).stage_values
+        assert (v["greedy_route_orders"] > 0) == greedy
 
 
 def test_report_wall_times_cover_kappa_and_artifacts(tmp_path):
@@ -208,12 +223,13 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5
     )
     lb = lower_bound(orders, golden_placement, 2, eta=2)
-    real_kappa = shppn.kappa
+    real_kappa, real_batch = shppn.kappa, shppn.kappa_batch
 
     def no_kappa(*args, **kwargs):
         raise AssertionError("kappa solved again")
 
     monkeypatch.setattr(shppn, "kappa", no_kappa)
+    monkeypatch.setattr(shppn, "kappa_batch", no_kappa)
     reused, reused_parts = schedule_batched(
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5,
         t_values=lb.t_values,
@@ -222,14 +238,21 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
     assert [p.ops for p in reused_parts] == [p.ops for p in fresh_parts]
 
     # a pipeline run solves κ once per distinct drug set, for both the
-    # analytical score and the lower bound
+    # analytical score and the lower bound: count the drug sets handed to
+    # the batched solver, and any single-order solve besides
     solved = []
 
     def counting_kappa(order, placement):
         solved.append(order.drugs)
         return real_kappa(order, placement)
 
+    def counting_batch(drug_sets, placement):
+        drug_sets = list(drug_sets)
+        solved.extend(drug_sets)
+        return real_batch(drug_sets, placement)
+
     monkeypatch.setattr(shppn, "kappa", counting_kappa)
+    monkeypatch.setattr(shppn, "kappa_batch", counting_batch)
     pc = small_config()
     pc.stages = ("lower-bound", "schedule")
     pc.layout = golden_placement.layout
@@ -239,3 +262,125 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
     assert report.stage_values["lower_bound"] == lb.value
     want = sum(real_kappa(o, golden_placement).kappa for o in orders) / len(orders)
     assert report.stage_values["placement_analytical"] == want
+
+
+# --- artifact JSON written directly -------------------------------------------------
+# Schedule.to_json and plan_to_json write the indent-2 text themselves; the
+# documents below are what they used to hand to json.dumps(doc, indent=2).
+
+def schedule_doc(s):
+    return {
+        "makespan": s.makespan,
+        "ops": [
+            {
+                "op_id": so.op.op_id,
+                "order": so.op.order_id,
+                "target": so.op.target,
+                "kind": so.op.kind,
+                "duration": so.op.duration,
+                "mover": so.mover,
+                "tile": [so.tile.x, so.tile.y],
+                "start": so.start,
+            }
+            for so in sorted(s.ops, key=lambda so: (so.start, so.mover, so.op.op_id))
+        ],
+    }
+
+
+def plan_doc(plan):
+    return {
+        "makespan": plan.makespan,
+        "iterations": plan.iterations,
+        "interruptions": {str(k): v for k, v in plan.interruptions.items() if v},
+        "resting_sites": [
+            {"tiles": [[s.tile_a.x, s.tile_a.y], [s.tile_b.x, s.tile_b.y]]}
+            for s in plan.sites.sites
+        ],
+        "assignments": [
+            {
+                "mover": k[0],
+                "from_op": k[1],
+                "to_op": k[2],
+                "site": [[s.tile_a.x, s.tile_a.y], [s.tile_b.x, s.tile_b.y]],
+            }
+            for k, s in sorted(plan.resting_assignment.items())
+        ],
+        "schedule": schedule_doc(plan.schedule),
+    }
+
+
+AWKWARD_NAMES = ['say "hi"', "back\\slash", "tab\tline\nfeed", "nul\x00bell\x07esc\x1b",
+                 "émigré", "薬局", "line\u2028sep", "emoji \U0001F48A", "plain", "/slash"]
+
+
+def random_schedule(rng, n_ops):
+    from planarfab.core import Coord
+    from planarfab.scheduling import OperationSpec, Schedule, ScheduledOp
+
+    ops = tuple(
+        ScheduledOp(
+            OperationSpec(i, rng.randint(0, 9), rng.choice(AWKWARD_NAMES + ["interface"]),
+                          rng.randint(1, 500), rng.choice(["start", "dispensing", "finish"])),
+            rng.randint(0, 11),
+            Coord(rng.randint(1, 99), rng.randint(1, 99)),
+            rng.randint(0, 10**7),
+        )
+        for i in range(n_ops)
+    )
+    return Schedule(ops, rng.randint(0, 10**7))
+
+
+def test_schedule_json_is_json_dumps_indent_2():
+    import random
+
+    from planarfab.scheduling import Schedule
+
+    rng = random.Random(12)
+    for n_ops in [0, 1, 2] + [rng.randint(3, 60) for _ in range(40)]:
+        s = random_schedule(rng, n_ops)
+        text = s.to_json()
+        assert text == json.dumps(schedule_doc(s), indent=2)
+        assert set(Schedule.from_json(text).ops) == set(s.ops)
+    assert Schedule((), 0).to_json() == '{\n  "makespan": 0,\n  "ops": []\n}'
+
+
+def test_plan_json_is_json_dumps_indent_2():
+    import random
+
+    from planarfab.core import Coord
+    from planarfab.pipeline import plan_to_json
+    from planarfab.routing import RestingSite, RoutedPlan, SiteSelection
+
+    rng = random.Random(13)
+    for trial in range(40):
+        s = random_schedule(rng, rng.choice([0, 1, rng.randint(2, 30)]))
+        ids = [so.op.op_id for so in s.ops] or [0]
+        sites = tuple(
+            RestingSite(Coord(x, y), Coord(x + 1, y))
+            for x, y in {(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))}
+        )
+        # empty and non-empty ledgers and assignments, zero entries left out
+        interruptions = {rng.choice(ids): rng.randint(0, 3) for _ in range(rng.randint(0, 5))}
+        assignments = {
+            (rng.randint(0, 3), rng.choice(ids), rng.choice(ids)): rng.choice(sites)
+            for _ in range(rng.randint(0, 4) if sites else 0)
+        }
+        plan = RoutedPlan(s, interruptions, {}, assignments, SiteSelection(sites, True),
+                          rng.randint(0, 10**6), rng.randint(1, 9))
+        assert plan_to_json(plan) == json.dumps(plan_doc(plan), indent=2), trial
+    assert json.loads(plan_to_json(plan))["interruptions"] == {
+        str(k): v for k, v in interruptions.items() if v}
+
+
+def test_routed_plan_json_on_a_batched_plan(golden_placement):
+    from planarfab.pipeline import plan_to_json
+    from planarfab.routing import route_schedule
+
+    orders = random_orders(["LISINOPRIL", "SIMVASTATIN", "OMEPRAZOLE", "ATORVASTATIN"], 12,
+                           seed=4, size_range=(1, 3))
+    config = InstanceConfig(n_dispensers=15, m_max=4, n_movers=3, seed=1)
+    merged, _ = schedule_batched(orders, golden_placement, config, batch_size=4, seed=2,
+                                 iterations=3)
+    plan = route_schedule(merged, golden_placement)
+    assert plan.interruptions and plan.resting_assignment
+    assert plan_to_json(plan) == json.dumps(plan_doc(plan), indent=2)

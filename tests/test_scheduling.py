@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from planarfab import shppn
 from planarfab.core import Coord, Order, build_layout
 from planarfab.placement import Placement
 from planarfab.scheduling import (
@@ -18,6 +19,7 @@ from planarfab.scheduling import (
     ScheduledOp,
     SchedulingInstance,
     _insert_best,
+    _OrderPaths,
     _Plan,
     _plan_makespan,
     _RouteCache,
@@ -590,12 +592,58 @@ def _reference_enumeration(order, placement):
     return routes
 
 
+def _reference_greedy_routes(order, placement, prev_loc, rng=None):
+    """The nearest-neighbour fallback as a Coord loop through Layout.distance."""
+    interfaces = sorted(placement.interfaces)
+    dist = placement.layout.distance
+    out = []
+    for si in interfaces:
+        remaining = list(order.drugs)
+        if rng is not None:
+            rng.shuffle(remaining)
+        cur = si
+        stops = []
+        while remaining:
+            cands = []
+            for g in remaining:
+                for t in placement.dispensers_for(g):
+                    cands.append((dist(cur, t), t, g))
+            d0, t0, g0 = min(cands)
+            if rng is not None and len(cands) > 1 and rng.random() < 0.3:
+                d0, t0, g0 = sorted(cands)[1]
+            served = [g for g in remaining if t0 in placement.dispensers_for(g)]
+            for g in served:
+                stops.append((g, t0))
+                remaining.remove(g)
+            cur = t0
+        ei = min(interfaces, key=lambda i: (dist(cur, i), i))
+        out.append(Route(si, tuple(stops), ei))
+    return out
+
+
+def _reference_route_space(order, placement, prev_loc=None):
+    """(stops, lengths) of every route, one numpy pass per drug permutation."""
+    interfaces, alts, _, d, to_iface = shppn.order_graph(order, placement)
+    offset = list(itertools.accumulate((len(ts) for _, ts in alts), initial=0))
+    lead = 0 if prev_loc is None else placement.layout.distances([prev_loc], interfaces)[0]
+    stops, lengths = [], []
+    for perm in itertools.permutations(range(len(alts))):
+        grid = np.indices([len(alts[i][1]) for i in perm]).reshape(len(perm), -1).T
+        v = grid + np.array([offset[i] for i in perm])
+        inner = d[v[:, :-1], v[:, 1:]].sum(axis=1)
+        first = to_iface[v[:, 0]] + lead
+        last = to_iface[v[:, -1]]
+        stops.append(v)
+        lengths.append(inner[:, None, None] + first[:, :, None] + last[:, None, :])
+    return np.stack(stops), np.stack(lengths)
+
+
 def _reference_candidate_routes(order, placement, prev_loc, limit, rng):
     dist = placement.layout.distance
     if _route_count(order, placement, len(placement.interfaces)) <= ROUTE_ENUM_CAP:
         routes = _reference_enumeration(order, placement)
     else:
-        routes = greedy_routes(order, placement, prev_loc, rng)
+        routes = _reference_greedy_routes(order, placement, prev_loc, rng)
     routes.sort(key=lambda r: (r.length(dist, prev_loc), r.start_iface, r.stops, r.end_iface))
     seen = set()
     out = []
@@ -633,6 +681,57 @@ def test_candidate_routes_match_enumerate_and_sort_reference():
                         assert got == want[:limit], (li, seed, o.id, prev_loc, limit)
                         checked += 1
     assert shared >= 10 and greedy >= 5 and checked > 1000
+
+
+def test_greedy_routes_match_coord_loop_reference():
+    # shared tiles, orders of 1-8 drugs, every previous location; one rng per
+    # order across its calls, as the route cache draws them
+    layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 5, 3),
+               build_layout("ring", 4, 1), build_layout("square", (3, 4), 2)]
+    drugs = [f"d{i}" for i in range(8)]
+    checked = shared = draws = 0
+    for li, layout in enumerate(layouts):
+        dist = layout.distance
+        for seed in range(5):
+            pl = random_placement(layout, drugs, seed=40 * li + seed, max_alternatives=3)
+            for o in random_orders(drugs, 6, seed=seed, size_range=(1, 8)):
+                tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
+                shared += len(tiles) != len(set(tiles))
+                paths = _OrderPaths(o, pl)
+                want_rng, got_rng = random.Random(o.id), random.Random(o.id)
+                for prev_loc in [None] + sorted(layout.tiles):
+                    for rng_w, rng_g in ((want_rng, got_rng), (None, None)):
+                        want = _reference_greedy_routes(o, pl, prev_loc, rng_w)
+                        got = paths.greedy_routes(paths.lead(prev_loc).tolist(), rng_g)
+                        assert [r for _, r in got] == want, (li, seed, o.id, prev_loc)
+                        assert [n for n, _ in got] == [r.length(dist, prev_loc) for r in want]
+                        if rng_w is None:
+                            assert greedy_routes(o, pl, prev_loc) == want
+                        checked += 1
+                    assert want_rng.getstate() == got_rng.getstate()
+                draws += want_rng.getstate() != random.Random(o.id).getstate()
+    assert shared >= 20 and draws > 50 and checked > 2000
+
+
+def test_route_space_matches_per_permutation_reference():
+    layouts = [build_layout("square", (4, 4), 2), build_layout("ring", 5, 3),
+               build_layout("line", 7, 1)]
+    drugs = list("abcde")
+    checked = 0
+    for li, layout in enumerate(layouts):
+        for seed in range(5):
+            pl = random_placement(layout, drugs, seed=70 * li + seed, max_alternatives=3)
+            for o in random_orders(drugs, 5, seed=seed, size_range=(1, 5)):
+                if _route_count(o, pl, len(pl.interfaces)) > ROUTE_ENUM_CAP:
+                    continue
+                paths = _OrderPaths(o, pl)
+                stops, lengths = paths.space
+                for prev_loc in [None] + sorted(pl.interfaces) + sorted(layout.tiles)[:3]:
+                    want_stops, want = _reference_route_space(o, pl, prev_loc)
+                    assert np.array_equal(stops, want_stops)
+                    assert np.array_equal(lengths + paths.lead(prev_loc)[:, None], want)
+                    checked += 1
+    assert checked > 200
 
 
 # --- outputs pinned across engine versions --------------------------------------------

@@ -239,6 +239,60 @@ def test_layered_kappa_matches_mask_by_mask_dp():
     assert shared >= 10
 
 
+def per_order_kappa_loop(placement, orders):
+    """κ of each order by one single-order kappa per distinct drug set."""
+    solved = {}
+    for o in orders:
+        if o.drugs not in solved:
+            solved[o.drugs] = kappa(o, placement).kappa
+    return [solved[o.drugs] for o in orders]
+
+
+def test_kappa_batch_matches_per_order_loop():
+    from planarfab.placement import per_order_kappa
+
+    from conftest import random_orders
+
+    cases = [  # (layout, max alternatives, order sizes)
+        (build_layout("square", (8, 8), 2), 4, (1, 8)),
+        (build_layout("ring", 7, 2), 3, (1, 6)),
+        (build_layout("square", (5, 5), 1), 2, (2, 5)),
+    ]
+    drugs = [f"d{i:02d}" for i in range(10)]
+    multiplicities = set()
+    for layout, alts, sizes in cases:
+        for seed in range(4):
+            pl = random_placement(layout, drugs, seed=500 + seed, max_alternatives=alts)
+            multiplicities |= {len(pl.dispensers_for(g)) for g in drugs}
+            orders = random_orders(drugs, 30, seed=seed, size_range=sizes)
+            orders += [Order(100 + o.id, o.items) for o in orders[::3]]  # repeated drug sets
+            assert len({len(o.drugs) for o in orders}) > 2
+            assert per_order_kappa(pl, orders) == per_order_kappa_loop(pl, orders)
+    assert multiplicities == {1, 2, 3, 4}
+    assert per_order_kappa(pl, []) == shppn.kappa_batch([], pl) == []
+
+
+def test_kappa_batch_chunks_match_per_order_loop(monkeypatch):
+    # 40 distinct 8-drug sets of 16 vertices each: several sets per pass at
+    # the real pass size, and one set and a few masks per pass at a tiny one
+    from planarfab.placement import Placement
+
+    layout = build_layout("square", (8, 8), 2)
+    drugs = [f"d{i:02d}" for i in range(12)]
+    ifaces = frozenset({Coord(1, 1), Coord(8, 8)})
+    coords = [c for c in sorted(layout.tiles) if c not in ifaces]
+    pl = Placement(layout, {c: (drugs[i % 12],) for i, c in enumerate(coords[:24])}, ifaces)
+    sets = list(itertools.combinations(drugs, 8))[::12][:40]
+    orders = [Order(i, tuple((g, 1) for g in s)) for i, s in enumerate(sets)]
+    assert len(orders) == 40 and {len(pl.dispensers_for(g)) for g in drugs} == {2}
+    per_pass = shppn._KAPPA_PASS // (math.comb(8, 4) * 16 * 16)
+    assert 1 < per_pass < len(orders)
+    want = per_order_kappa_loop(pl, orders)
+    assert shppn.kappa_batch([o.drugs for o in orders], pl) == want
+    monkeypatch.setattr(shppn, "_KAPPA_PASS", 600)
+    assert shppn.kappa_batch([o.drugs for o in orders[:6]], pl) == want[:6]
+
+
 def test_kappa_monotone_in_alternatives(golden_placement):
     order = Order(0, (("LISINOPRIL", 5), ("SIMVASTATIN", 5)))
     base = kappa(order, golden_placement).kappa
