@@ -9,6 +9,7 @@ PLANARFAB_SEED overrides the instance seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -180,6 +181,13 @@ def _ga_params(args) -> GaParams:
         raise CliError(str(e), CONFIG_ERROR)
 
 
+def _batch_size(args):
+    """--batch-size, or None when not given."""
+    if args.batch_size is not None and args.batch_size < 1:
+        raise CliError("--batch-size must be >= 1", CONFIG_ERROR)
+    return args.batch_size
+
+
 def cmd_place(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load_orders(args.orders)
@@ -204,10 +212,11 @@ def cmd_schedule(args):
     placed = _load_placement(args.placement)
     movers = args.movers or config.n_movers
     seed = args.seed if args.seed is not None else config.seed
+    batch_size = _batch_size(args)
     try:
-        if args.batch_size and len(orders) > args.batch_size:
+        if batch_size and len(orders) > batch_size:
             sched, _ = schedule_batched(
-                orders, placed, config, args.batch_size, seed,
+                orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
                 time_limit=args.time_limit, iterations=args.iterations,
             )
         else:
@@ -323,7 +332,7 @@ def cmd_pipeline(args):
         ga=_ga_params(args),
         schedule_time_limit=args.time_limit,
         schedule_iterations=args.iterations,
-        batch_size=args.batch_size,
+        batch_size=_batch_size(args),
         out_dir=Path(args.out_dir),
     )
     try:

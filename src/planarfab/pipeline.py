@@ -91,6 +91,8 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
     solving κ again.  The caller routes the merged schedule
     (resolve_conflicts) afterwards.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     orders = list(orders)
     rng = random.Random(seed)
     shuffled = list(orders)

@@ -31,14 +31,18 @@ values feed a parallel-machines problem whose optimum (or, above the guard,
 the load bound max(max T, ceil(sum T / m))) bounds every valid schedule from
 below; its machine assignment doubles as the scheduler warm start.
 
-Routes: each schedule() call builds one path table per order (_OrderPaths)
-on the layout's tile ids, and every insertion candidate of that order is
-read from it.  Orders with at most ROUTE_ENUM_CAP routes are ranked exactly
-over their whole route space, computed once for all drug permutations; the
-lead-in leg from the previous location is added per call.  Larger orders
-take nearest-neighbour routes, one per start interface, from per-location
-candidate lists ranked once per table.  Schedule documents are written as
-indent-2 JSON text directly, byte-equal to json.dumps(doc, indent=2).
+Routes: the scheduler has one tile-id space, the layout's sorted tiles
+(Layout.index_table), shared by the route oracle and the timing engine;
+Coords appear only in the ScheduledOps.  Each schedule() call builds one
+path table per order (_OrderPaths), and every insertion candidate of that
+order is read from it as a Route that carries its chain segment of
+(op_id, duration, tile id) and the segment's tails.  Orders with at most
+ROUTE_ENUM_CAP routes are ranked exactly over their whole route space,
+computed once for all drug permutations; the lead-in leg from the previous
+location is added per call.  Larger orders take nearest-neighbour routes,
+one per start interface, from per-location candidate lists ranked once per
+table.  Schedule documents are written as indent-2 JSON text directly,
+byte-equal to json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,19 +395,21 @@ def lower_bound(orders, placement, n_movers: int, eta: int,
 
 # --- routes -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Route:
-    start_iface: Coord
-    stops: tuple[tuple[str, Coord], ...]  # (drug, tile) visit order
-    end_iface: Coord
+class Route(NamedTuple):
+    """One insertion candidate of an order, on the layout's tile ids.
 
-    def length(self, dist, prev_loc=None) -> int:
-        total = 0 if prev_loc is None else dist(prev_loc, self.start_iface)
-        cur = self.start_iface
-        for _, t in self.stops:
-            total += dist(cur, t)
-            cur = t
-        return total + dist(cur, self.end_iface)
+    (length, start, stops, end) is its ranking key: the travel from the
+    previous location to the start interface, through the (drug, tile)
+    stops and on to the end interface.  seg is the order's chain segment of
+    (op_id, duration, tile) and tails its _tails.
+    """
+
+    length: int
+    start: int
+    stops: tuple[tuple[str, int], ...]
+    end: int
+    seg: tuple[tuple[int, int, int], ...]
+    tails: tuple[list[int], list[int]]
 
 
 def _route_count(order, placement, n_if: int) -> int:
@@ -424,20 +431,24 @@ def greedy_route_orders(orders, placement) -> int:
 class _OrderPaths:
     """One order's routes on the layout's tile ids; the scheduler builds it once per call.
 
-    Tile ids index the layout's sorted tiles (Layout.index_table), so id
-    order is Coord order.  The order's vertices are its (drug, dispenser
-    tile) pairs, drugs in order and tiles sorted.  Route space (exact):
-    route (p, c, s, e) starts at interfaces[s], makes stop j at vertex
-    stops[p, c, j] and ends at interfaces[e]; lengths[p, c, s, e] leaves
-    out the lead-in leg from the previous location.  Index order is the
-    enumeration order: drug permutation, dispenser combination (first stop
-    slowest), start interface, end interface.  The greedy fallback reads
-    distance rows between the order's distinct tiles instead.
+    Tile ids index the layout's sorted tiles (Layout.index_table), as in the
+    timer, so id order is Coord order.  The order's vertices are its (drug,
+    dispenser tile) pairs, drugs in order and tiles sorted.  Route space
+    (exact): route (p, c, s, e) starts at interfaces[s], makes stop j at
+    vertex stops[p, c, j] and ends at interfaces[e]; lengths[p, c, s, e]
+    leaves out the lead-in leg from the previous location.  Index order is
+    the enumeration order: drug permutation, dispenser combination (first
+    stop slowest), start interface, end interface.  The greedy fallback
+    reads distance rows between the order's distinct tiles instead.  Both
+    rank plain (length, start, stops, end) keys; route turns a key into a
+    Route with its segment: the start op at the start interface, one
+    dispensing op per stop, the finish op at the end interface.
     """
 
-    def __init__(self, order, placement):
-        index, table = placement.layout.index_table
-        self.interfaces = sorted(placement.interfaces)
+    def __init__(self, order, timer):
+        placement = timer.placement
+        index, self._table = placement.layout.index_table
+        self.interfaces = sorted(index[c] for c in placement.interfaces)
         if not self.interfaces:
             raise ValueError("placement has no interfaces")
         self.drugs = order.drugs
@@ -446,23 +457,27 @@ class _OrderPaths:
             tiles = placement.dispensers_for(g)
             if not tiles:
                 raise ValueError(f"no dispenser placed for drug {g!r}")
-            self.alts.append(tiles)
+            self.alts.append([index[t] for t in tiles])
         self.greedy = _route_count(order, placement, len(self.interfaces)) > ROUTE_ENUM_CAP
-        self._index, self._table = index, table
-        self._iface_ids = [index[c] for c in self.interfaces]
+        self._vertices = [(g, t) for g, ts in zip(self.drugs, self.alts) for t in ts]
+        self._timer = timer
+        ids = timer.op_ids
+        self._start_op = ids[(order.id, START, INTERFACE)]
+        self._finish_op = ids[(order.id, FINISH, INTERFACE)]
+        self._dispensing = {g: (ids[(order.id, DISPENSING, g)], d) for g, d in order.items}
 
     def lead(self, prev_loc) -> np.ndarray:
         """Travel from prev_loc to each interface (0 without a previous location)."""
         if prev_loc is None:
             return np.zeros(len(self.interfaces), dtype=np.int64)
-        return self._table[self._index[prev_loc], self._iface_ids]
+        return self._table[prev_loc, self.interfaces]
 
     @cached_property
     def space(self) -> tuple[np.ndarray, np.ndarray]:
         """(stops, lengths) of every route, all permutations in one gather."""
-        vertices = [self._index[t] for ts in self.alts for t in ts]
+        vertices = [t for ts in self.alts for t in ts]
         d = self._table[np.ix_(vertices, vertices)]
-        to_iface = self._table[np.ix_(vertices, self._iface_ids)]
+        to_iface = self._table[np.ix_(vertices, self.interfaces)]
         n = np.array([len(ts) for ts in self.alts], dtype=np.int64)
         offset = np.cumsum(n) - n
         perms = np.array(list(itertools.permutations(range(len(n)))), dtype=np.int64)
@@ -476,14 +491,23 @@ class _OrderPaths:
                    + to_iface[stops[..., -1]][..., None, :])
         return stops, lengths
 
-    @cached_property
-    def _vertices(self) -> list[tuple[str, Coord]]:
-        return [(g, t) for g, ts in zip(self.drugs, self.alts) for t in ts]
-
-    def route(self, p: int, c: int, s: int, e: int) -> Route:
+    def key(self, length: int, p: int, c: int, s: int, e: int) -> tuple:
+        """(length, start, stops, end) of route (p, c, s, e) of the route space."""
         vertices = self._vertices
         stops = tuple(vertices[v] for v in self.space[0][p, c].tolist())
-        return Route(self.interfaces[s], stops, self.interfaces[e])
+        return length, self.interfaces[s], stops, self.interfaces[e]
+
+    def route(self, length: int, start: int, stops, end: int) -> Route:
+        """The Route of a ranking key, with its segment and the segment's _tails."""
+        eta, dispensing = self._timer.eta, self._dispensing
+        seg = ((self._start_op, eta, start), *((*dispensing[g], t) for g, t in stops),
+               (self._finish_op, eta, end))
+        return Route(length, start, stops, end, seg, _tails(seg, self._timer.dist))
+
+    def every_route(self) -> list[Route]:
+        """Every route in enumeration order, without a lead-in leg."""
+        lengths = self.space[1]
+        return [self.route(*self.key(int(lengths[i]), *i)) for i in np.ndindex(lengths.shape)]
 
     @cached_property
     def _greedy_tables(self):
@@ -504,16 +528,16 @@ class _OrderPaths:
                 hosts[local[t]].add(i)
                 pairs += (local[t], i)
         u, i = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        rows = np.array(self._iface_ids + [self._index[t] for t in tiles], dtype=np.int64)
+        rows = np.array(self.interfaces + tiles, dtype=np.int64)
         ids = rows[len(self.interfaces):]
         ranked = np.sort((self._table[rows[:, None], ids[u]] * len(tiles) + u) * len(self.drugs) + i,
                          axis=1)
-        back = self._table[ids[:, None], self._iface_ids].tolist()
+        back = self._table[ids[:, None], self.interfaces].tolist()
         return tiles, back, hosts, ranked.tolist()
 
-    def greedy_routes(self, lead, rng: random.Random | None = None) -> list[tuple[int, Route]]:
-        """(length from the previous location, route) of the nearest-neighbour
-        route from each start interface.
+    def greedy_routes(self, lead, rng: random.Random | None = None) -> list[tuple]:
+        """(length, start, stops, end) of the nearest-neighbour route from each
+        start interface, length from the previous location.
 
         From the current location, the next stop is the least candidate
         (distance, tile, drug) over the drugs left, or with rng, the second
@@ -559,35 +583,20 @@ class _OrderPaths:
                 r = n_if + u
             to_iface = back[u]
             e = to_iface.index(min(to_iface))
-            out.append((length + to_iface[e], Route(start, tuple(stops), self.interfaces[e])))
+            out.append((length + to_iface[e], start, tuple(stops), self.interfaces[e]))
         return out
 
 
-def enumerate_routes(order, placement) -> list[Route]:
-    """Every route of an order, in enumeration order (see _OrderPaths)."""
-    paths = _OrderPaths(order, placement)
-    return [paths.route(*idx) for idx in np.ndindex(paths.space[1].shape)]
-
-
-def greedy_routes(order, placement, prev_loc, rng: random.Random | None = None) -> list[Route]:
-    """Nearest-neighbor route from each start interface (cheap, always available)."""
-    paths = _OrderPaths(order, placement)
-    return [r for _, r in paths.greedy_routes(paths.lead(prev_loc).tolist(), rng)]
-
-
-def candidate_routes(order, placement, prev_loc, limit: int = 6,
-                     rng: random.Random | None = None, paths: _OrderPaths | None = None
-                     ) -> list[Route]:
-    """The limit shortest routes from prev_loc, ties by (start, stops, end).
+def candidate_routes(paths: _OrderPaths, prev_loc: int | None, limit: int = 6,
+                     rng: random.Random | None = None) -> list[Route]:
+    """The limit shortest routes of paths' order from tile prev_loc, ties by
+    (start, stops, end).
 
     Orders with at most ROUTE_ENUM_CAP routes are ranked exactly: the
-    order's route lengths plus the lead-in leg, with Route objects built
-    only for routes no longer than the limit-th smallest length.  Above the
-    cap the ranking is over the greedy routes.  paths: the order's
-    _OrderPaths, when the caller keeps them.
+    order's route lengths plus the lead-in leg, with keys built only for
+    routes no longer than the limit-th smallest length.  Above the cap the
+    ranking is over the greedy routes.  Only the kept keys become Routes.
     """
-    if paths is None:
-        paths = _OrderPaths(order, placement)
     lead = paths.lead(prev_loc)
     if paths.greedy:
         ranked = paths.greedy_routes(lead.tolist(), rng)
@@ -596,11 +605,11 @@ def candidate_routes(order, placement, prev_loc, limit: int = 6,
         flat = lengths.ravel()
         cut = np.partition(flat, limit - 1)[limit - 1] if limit < flat.size else flat.max()
         ranked = [
-            (int(flat[i]), paths.route(*np.unravel_index(i, lengths.shape)))
+            paths.key(int(flat[i]), *np.unravel_index(i, lengths.shape))
             for i in np.flatnonzero(flat <= cut)
         ]
-    ranked.sort(key=lambda x: (x[0], x[1].start_iface, x[1].stops, x[1].end_iface))
-    return [r for _, r in ranked[:limit]]
+    ranked.sort()
+    return [paths.route(*key) for key in ranked[:limit]]
 
 
 # --- timing engine ----------------------------------------------------------------
@@ -609,7 +618,7 @@ _NEVER = math.inf  # next start of a mover with nothing left to commit
 
 
 class _Plan:
-    """Per-mover sequences of (order, route); the search state."""
+    """Per-mover sequences of (order, Route); the search state."""
 
     __slots__ = ("seqs",)
 
@@ -625,10 +634,11 @@ class _Plan:
 class _Timer:
     """Timing context of one schedule() call.
 
-    Tiles are integer ids into the layout's distance table sliced to the
-    placed tiles, as lists; its extra last row is the "no location yet"
-    origin, 0 ticks from every tile.  Each (order, route)
-    chain segment of (op_id, duration, tile id) is built once per search.
+    Tiles are the layout's tile ids (Layout.index_table, sorted tiles), the
+    ids that each order's path table builds its Routes on.  dist is the
+    layout's distance table as lists, with an extra last row: the "no
+    location yet" origin, 0 ticks from every tile.  A plan's chains are its
+    Routes' segments, built once per route by the path table.
     """
 
     def __init__(self, placement, orders, eta: int):
@@ -639,40 +649,12 @@ class _Timer:
             for op in specs
         }
         self.eta = eta
-        self.tiles = placement.coords()
-        self.tile_id = {t: i for i, t in enumerate(self.tiles)}
-        self.dist = placement.layout.distances(self.tiles).tolist()
-        self.dist.append([0] * len(self.tiles))
-        self._segments: dict[tuple[int, Route], tuple] = {}
-        self._segment_tails: dict[tuple[int, Route], tuple] = {}
-
-    def segment(self, order: Order, route: Route) -> tuple:
-        key = (order.id, route)
-        seg = self._segments.get(key)
-        if seg is None:
-            ids, tid = self.op_ids, self.tile_id
-            dur = dict(order.items)
-            seg = (
-                (ids[(order.id, START, INTERFACE)], self.eta, tid[route.start_iface]),
-                *((ids[(order.id, DISPENSING, g)], dur[g], tid[t]) for g, t in route.stops),
-                (ids[(order.id, FINISH, INTERFACE)], self.eta, tid[route.end_iface]),
-            )
-            self._segments[key] = seg
-        return seg
-
-    def segment_tails(self, order: Order, route: Route) -> tuple[list[int], list[int]]:
-        """_tails of the order's segment on its own."""
-        key = (order.id, route)
-        tails = self._segment_tails.get(key)
-        if tails is None:
-            tails = self._segment_tails[key] = _tails(self.segment(order, route), self.dist)
-        return tails
+        self.placement = placement
+        self.dist = placement.layout.index_table[1].tolist()
+        self.dist.append([0] * len(self.dist))
 
     def chains(self, plan: _Plan) -> list[tuple]:
-        return [
-            tuple(op for order, route in seq for op in self.segment(order, route))
-            for seq in plan.seqs
-        ]
+        return [tuple(op for _, route in seq for op in route.seg) for seq in plan.seqs]
 
     def tails(self, chains) -> tuple[list[list[int]], list[list[int]]]:
         """(spans, flows): _tails of every chain."""
@@ -685,7 +667,7 @@ class _Timer:
             [0] * len(chains),
             [0 if c else _NEVER for c in chains],
             [c[0][2] if c else -1 for c in chains],
-            [0] * len(self.tiles),
+            [0] * (len(self.dist) - 1),
             0,
             0,
         )
@@ -843,7 +825,7 @@ def _timing(plan: _Plan, timer: _Timer) -> list[tuple[int, int, Coord, int]]:
     chains = timer.chains(plan)
     placed: list[tuple[int, int, int, int]] = []
     _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains), placed=placed)
-    tiles = timer.tiles
+    tiles = timer.placement.layout.sorted_tiles()
     return [(op_id, m, tiles[tile], start) for op_id, m, tile, start in placed]
 
 
@@ -898,10 +880,10 @@ def schedule(
     timer = _Timer(placement, orders, eta)
     exhaustive = _exhaustive_count(orders, placement, n_movers)
     if exhaustive is not None and exhaustive <= EXHAUSTIVE_CAP:
-        plan, trace = _exhaustive_search(orders, placement, n_movers, timer)
+        plan, trace = _exhaustive_search(orders, n_movers, timer)
     else:
         plan, trace = _lns_search(
-            orders, placement, n_movers, timer, warm_start, seed, time_limit, max_iterations
+            orders, n_movers, timer, warm_start, seed, time_limit, max_iterations
         )
     return _plan_to_schedule(plan, timer, trace)
 
@@ -933,8 +915,8 @@ def _exhaustive_count(orders, placement, n_movers):
     return total
 
 
-def _exhaustive_search(orders, placement, n_movers, timer):
-    all_routes = [enumerate_routes(o, placement) for o in orders]
+def _exhaustive_search(orders, n_movers, timer):
+    all_routes = [_OrderPaths(o, timer).every_route() for o in orders]
     best = None
     best_key = (_NEVER, _NEVER)
     for assign in itertools.product(range(n_movers), repeat=len(orders)):
@@ -962,8 +944,8 @@ def _exhaustive_search(orders, placement, n_movers, timer):
 class _RouteCache:
     """Insertion candidates per (order, previous location), on one _OrderPaths per order."""
 
-    def __init__(self, placement, rng):
-        self.placement = placement
+    def __init__(self, timer, rng):
+        self.timer = timer
         self.rng = rng
         self.store: dict[tuple, list[Route]] = {}
         self.paths: dict[int, _OrderPaths] = {}
@@ -974,25 +956,21 @@ class _RouteCache:
         if routes is None:
             paths = self.paths.get(order.id)
             if paths is None:
-                paths = self.paths[order.id] = _OrderPaths(order, self.placement)
-            routes = self.store[key] = candidate_routes(
-                order, self.placement, prev_loc, limit=limit, rng=self.rng, paths=paths
-            )
+                paths = self.paths[order.id] = _OrderPaths(order, self.timer)
+            routes = self.store[key] = candidate_routes(paths, prev_loc, limit=limit, rng=self.rng)
         return routes
 
 
-def _lns_search(orders, placement, n_movers, timer, warm_start, seed, time_limit,
-                max_iterations):
+def _lns_search(orders, n_movers, timer, warm_start, seed, time_limit, max_iterations):
     rng = random.Random(seed)
-    dist = placement.layout.distance
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if max_iterations is None:
         max_iterations = 10_000_000 if time_limit is not None else 2_000
-    routes = _RouteCache(placement, random.Random(seed + 1))
+    routes = _RouteCache(timer, random.Random(seed + 1))
 
     if warm_start is None:
         rough = {
-            o.id: min(r.length(dist) for r in routes.get(o, None))
+            o.id: min(r.length for r in routes.get(o, None))
             + o.total_dispensing + 2 * timer.eta
             for o in orders
         }
@@ -1066,12 +1044,11 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     spans, flows = timer.tails(chains)
     candidates = range(len(plan.seqs)) if movers is None else movers
     boundaries = {  # ops before each position, per candidate mover
-        m: list(itertools.accumulate((len(timer.segment(o, r)) for o, r in plan.seqs[m]),
-                                     initial=0))
+        m: list(itertools.accumulate((len(r.seg) for _, r in plan.seqs[m]), initial=0))
         for m in candidates
     }
     ptr, nxt, wait, free, _, _ = timer.origin(chains)
-    nowhere = len(timer.tiles)
+    nowhere = len(dist) - 1
     snaps = {(m, 0): (ptr, nxt, wait, free, 0, 0, 0, nowhere) for m in candidates}
     marks = [set(boundaries.get(m, (0,))[1:]) for m in range(len(chains))]
     if any(marks):
@@ -1083,18 +1060,18 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         seq = plan.seqs[m]
         base = chains[m]
         for pos, k in enumerate(boundaries[m]):
-            prev_loc = seq[pos - 1][1].end_iface if pos > 0 else None
+            prev_loc = seq[pos - 1][1].end if pos > 0 else None
             options = routes.get(order, prev_loc)
             ptr, nxt, wait, free, makespan, flow, ready, loc = snaps[(m, k)]
             # the bound of the other movers: m counts as done here
             others = _lower_bound(chains, (spans, flows), ptr[:m] + [len(base)] + ptr[m + 1:],
                                   nxt, makespan, flow)
             for route in options:
-                seg = timer.segment(order, route)
-                tile = seg[0][2]
+                seg = route.seg
+                tile = route.start
                 t0 = ready + dist[loc][tile]
                 start = t0 if t0 > free[tile] else free[tile]
-                tails_m = _splice_tails(spans[m], flows[m], k, timer.segment_tails(order, route),
+                tails_m = _splice_tails(spans[m], flows[m], k, route.tails,
                                         dist[seg[-1][2]][base[k][2]] if k < len(base) else 0)
                 lb = (max(others[0], start + tails_m[0][k]),
                       others[1] + (len(seg) + len(base) - k) * start + tails_m[1][k])
@@ -1112,14 +1089,13 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         if lb >= bound:
             continue
         ptr, nxt, wait, free, makespan, flow, _, _ = snaps[(m, k)]
-        seg = timer.segment(order, route)
         run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
-        run_chains[m] = chains[m][:k] + seg + chains[m][k:]
+        run_chains[m] = chains[m][:k] + route.seg + chains[m][k:]
         run_spans[m], run_flows[m] = tails_m
         nxt_m = nxt[:]
         nxt_m[m] = start
         wait_m = wait[:]
-        wait_m[m] = seg[0][2]
+        wait_m[m] = route.start
         key = _run(run_chains, (run_spans, run_flows), dist, ptr[:], nxt_m, wait_m, free[:],
                    makespan, flow, bound)
         if key is not None:

@@ -217,6 +217,47 @@ def test_cli_order_naming_unplaced_drug_is_infeasible(tmp_path, instance_file, c
     assert not out.exists()
 
 
+def _schedule_inputs(tmp_path):
+    """A placement of the instance's five drugs and six orders on the 4x4 layout."""
+    from planarfab.core import orders_to_csv
+
+    from conftest import random_orders, random_placement
+
+    drugs = [f"drug0{i}" for i in range(5)]
+    pl = random_placement(build_layout("square", (4, 4), 2), drugs, seed=3)
+    placement, orders = tmp_path / "placement.json", tmp_path / "orders.csv"
+    placement.write_text(pl.to_json())
+    orders.write_text(orders_to_csv(random_orders(drugs, 6, seed=3, size_range=(1, 3))))
+    return placement, orders
+
+
+def test_cli_schedule_batches_use_movers_flag(tmp_path, instance_file):
+    # the instance has 2 movers; --movers 1 holds for the batched run too
+    placement, orders = _schedule_inputs(tmp_path)
+    out = tmp_path / "schedule.json"
+    assert run("schedule", "--instance", instance_file, "--orders", orders,
+               "--placement", placement, "--movers", "1", "--batch-size", "3",
+               "--iterations", "5", "--out", out) == OK
+    assert {so.mover for so in Schedule.from_json(out.read_text()).ops} == {0}
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+@pytest.mark.parametrize("command", ["schedule", "pipeline"])
+def test_cli_batch_size_below_one_is_config_error(tmp_path, instance_file, capsys, command,
+                                                  batch_size):
+    out = tmp_path / "out"
+    if command == "schedule":
+        placement, orders = _schedule_inputs(tmp_path)
+        argv = ("schedule", "--instance", instance_file, "--orders", orders,
+                "--placement", placement, "--time-limit", "1", "--out", out)
+    else:
+        argv = ("pipeline", "--instance", instance_file, "--n-orders", "3",
+                "--size-min", "1", "--size-max", "2", "--out-dir", out)
+    assert run(*argv, "--batch-size", batch_size) == CONFIG_ERROR
+    assert "--batch-size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -215,6 +215,14 @@ def test_schedule_batched_valid_and_merged(golden_placement):
     assert plan.makespan >= merged.makespan
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_schedule_batched_rejects_batch_size_below_one(golden_placement, batch_size):
+    orders = random_orders(["LISINOPRIL", "OMEPRAZOLE"], 4, seed=9, size_range=(1, 2))
+    config = InstanceConfig(n_dispensers=15, m_max=4, n_movers=2, seed=1)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        schedule_batched(orders, golden_placement, config, batch_size, seed=1, time_limit=1.0)
+
+
 def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkeypatch):
     drugs = ["LISINOPRIL", "SIMVASTATIN", "OMEPRAZOLE", "ATORVASTATIN"]
     orders = random_orders(drugs, 12, seed=9, size_range=(1, 3), dur_range=(3, 8))

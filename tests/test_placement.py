@@ -490,7 +490,7 @@ def test_analytical_cost_exact_beyond_enumeration_size():
     # a 9-drug order with up to 4 alternatives each, far past enumeration:
     # κ is solved, not refused, and lies between the reach-and-return bound
     # and every feasible greedy route
-    from planarfab.scheduling import greedy_routes
+    from planarfab.scheduling import _OrderPaths, _Timer
 
     layout = build_layout("square", (6, 6), 2)
     drugs = [f"d{i}" for i in range(9)]
@@ -500,7 +500,8 @@ def test_analytical_cost_exact_beyond_enumeration_size():
     dist = layout.distance
     required = [t for g in drugs for t in pl.dispensers_for(g)]
     reach = min(dist(i, t) for i in pl.interfaces for t in required)
-    assert 2 * reach <= cost <= min(r.length(dist) for r in greedy_routes(big[0], pl, None))
+    paths = _OrderPaths(big[0], _Timer(pl, big, 2))
+    assert 2 * reach <= cost <= min(n for n, *_ in paths.greedy_routes(paths.lead(None).tolist()))
     assert cost == analytical_cost(pl, big * 3) == per_order_kappa(pl, big)[0]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from planarfab.scheduling import (
     ROUTE_ENUM_CAP,
     FINISH,
     START,
-    Route,
     Schedule,
     ScheduledOp,
     SchedulingInstance,
@@ -30,8 +30,6 @@ from planarfab.scheduling import (
     _route_count,
     build_operations,
     candidate_routes,
-    enumerate_routes,
-    greedy_routes,
     lower_bound,
     p_cmax,
     schedule,
@@ -40,6 +38,34 @@ from planarfab.scheduling import (
 
 from conftest import random_orders, random_placement
 from test_placement import line_placement
+
+
+class Route(NamedTuple):
+    """A route on Coords: the form the references below build and compare."""
+
+    start_iface: Coord
+    stops: tuple  # (drug, tile) visit order
+    end_iface: Coord
+
+    def length(self, dist, prev_loc=None):
+        total = 0 if prev_loc is None else dist(prev_loc, self.start_iface)
+        cur = self.start_iface
+        for _, t in self.stops:
+            total += dist(cur, t)
+            cur = t
+        return total + dist(cur, self.end_iface)
+
+
+def _coords(layout, route):
+    """The Coord form of a scheduler Route or ranking key (length, start, stops,
+    end): tile ids map back through Layout.sorted_tiles()."""
+    tiles = layout.sorted_tiles()
+    _, start, stops, end = route[:4]
+    return Route(tiles[start], tuple((g, tiles[t]) for g, t in stops), tiles[end])
+
+
+def _tile_id(layout, tile):
+    return None if tile is None else layout.index_table[0][tile]
 
 
 # --- independent exhaustive oracle --------------------------------------------------
@@ -433,8 +459,10 @@ def _engine_layouts():
     ]
 
 
-def _random_plan(rng, placement, orders, n_movers):
+def _random_plan(rng, timer, orders, n_movers):
     """Random movers, sequences and routes, as an engine _Plan and as oracle sequences."""
+    placement = timer.placement
+    layout = placement.layout
     plan = _Plan(n_movers)
     sequences = [[] for _ in range(n_movers)]
     ifaces = sorted(placement.interfaces)
@@ -444,7 +472,10 @@ def _random_plan(rng, placement, orders, n_movers):
         rng.shuffle(drugs)
         stops = tuple((g, rng.choice(sorted(placement.dispensers_for(g)))) for g in drugs)
         route = Route(rng.choice(ifaces), stops, rng.choice(ifaces))
-        plan.seqs[m].append((order, route))
+        plan.seqs[m].append((order, _OrderPaths(order, timer).route(
+            route.length(layout.distance), _tile_id(layout, route.start_iface),
+            tuple((g, _tile_id(layout, t)) for g, t in stops), _tile_id(layout, route.end_iface),
+        )))
         dur = dict(order.items)
         sequences[m].append((
             order,
@@ -468,8 +499,9 @@ def test_timing_matches_busy_list_oracle_on_random_plans():
                                    size_range=(1, 4), dur_range=(1, 9))
             n_movers = rng.randint(1, 4)
             eta = rng.randint(1, 3)
-            plan, sequences = _random_plan(rng, pl, orders, n_movers)
-            placed = _timing(plan, _Timer(pl, orders, eta))
+            timer = _Timer(pl, orders, eta)
+            plan, sequences = _random_plan(rng, timer, orders, n_movers)
+            placed = _timing(plan, timer)
             want = _oracle_timing(sequences, pl, eta)
             assert [(m, tile, t) for _, m, tile, t in placed] == [
                 (m, tile, t) for m, tile, t, _ in want
@@ -490,7 +522,7 @@ def _naive_insert_best(plan, order, timer, routes, movers=None):
     for m in range(len(plan.seqs)) if movers is None else movers:
         seq = plan.seqs[m]
         for pos in range(len(seq) + 1):
-            prev_loc = seq[pos - 1][1].end_iface if pos > 0 else None
+            prev_loc = seq[pos - 1][1].end if pos > 0 else None
             for route in routes.get(order, prev_loc):
                 seq.insert(pos, (order, route))
                 key = _plan_makespan(plan, timer)
@@ -519,16 +551,16 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
             orders = [Order(o.id, orders[0].items) for o in orders]
         n_movers = rng.randint(1, 8)
         timer = _Timer(pl, orders, eta=rng.randint(1, 3))
-        plan, _ = _random_plan(rng, pl, orders[1:], n_movers)
+        plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
         movers = None if seed % 3 else [rng.randrange(n_movers)]
         # separate caches with one seed: both must draw routes in the same order
         (m, pos, route), want_key, ties = _naive_insert_best(
-            plan, orders[0], timer, _RouteCache(pl, random.Random(seed)), movers
+            plan, orders[0], timer, _RouteCache(timer, random.Random(seed)), movers
         )
         tied += ties > 1
         want = plan.copy()
         want.seqs[m].insert(pos, (orders[0], route))
-        got_key = _insert_best(plan, orders[0], timer, _RouteCache(pl, random.Random(seed)),
+        got_key = _insert_best(plan, orders[0], timer, _RouteCache(timer, random.Random(seed)),
                                movers)
         assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
     assert tied >= 20
@@ -546,7 +578,7 @@ def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
                                    size_range=(1, 5), dur_range=(1, 9))
             n_movers = 8 if seed % 2 else rng.randint(1, 7)
             timer = _Timer(pl, orders, eta=rng.randint(1, 3))
-            plan, _ = _random_plan(rng, pl, orders, n_movers)
+            plan, _ = _random_plan(rng, timer, orders, n_movers)
             chains = timer.chains(plan)
             tails = timer.tails(chains)
             # resume from the origin or from the state after some mover's k-th op
@@ -663,22 +695,31 @@ def test_candidate_routes_match_enumerate_and_sort_reference():
     drugs = list("abcde")
     checked = shared = greedy = 0
     for li, layout in enumerate(layouts):
+        dist = layout.distance
         for seed in range(6):
             pl = random_placement(layout, drugs, seed=10 * li + seed, max_alternatives=3)
             orders = random_orders(drugs, 5, seed=seed, size_range=(1, 5))
+            timer = _Timer(pl, orders, 2)
             for o in orders:
                 tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
                 shared += len(tiles) != len(set(tiles))
                 enumerable = _route_count(o, pl, len(pl.interfaces)) <= ROUTE_ENUM_CAP
                 greedy += not enumerable
                 if enumerable and _route_count(o, pl, len(pl.interfaces)) <= 600:
-                    assert enumerate_routes(o, pl) == _reference_enumeration(o, pl)
+                    every = _OrderPaths(o, timer).every_route()
+                    want = _reference_enumeration(o, pl)
+                    assert [_coords(layout, r) for r in every] == want
+                    assert [r.length for r in every] == [r.length(dist) for r in want]
                 for prev_loc in [None] + sorted(pl.interfaces):
                     # the reference ranking for a smaller limit is a prefix of this one
                     want = _reference_candidate_routes(o, pl, prev_loc, 6, random.Random(seed))
                     for limit in range(1, 7):
-                        got = candidate_routes(o, pl, prev_loc, limit, random.Random(seed))
-                        assert got == want[:limit], (li, seed, o.id, prev_loc, limit)
+                        got = candidate_routes(_OrderPaths(o, timer), _tile_id(layout, prev_loc),
+                                               limit, random.Random(seed))
+                        assert [_coords(layout, r) for r in got] == want[:limit], (
+                            li, seed, o.id, prev_loc, limit)
+                        assert [r.length for r in got] == [
+                            r.length(dist, prev_loc) for r in want[:limit]]
                         checked += 1
     assert shared >= 10 and greedy >= 5 and checked > 1000
 
@@ -697,16 +738,15 @@ def test_greedy_routes_match_coord_loop_reference():
             for o in random_orders(drugs, 6, seed=seed, size_range=(1, 8)):
                 tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
                 shared += len(tiles) != len(set(tiles))
-                paths = _OrderPaths(o, pl)
+                paths = _OrderPaths(o, _Timer(pl, [o], 2))
                 want_rng, got_rng = random.Random(o.id), random.Random(o.id)
                 for prev_loc in [None] + sorted(layout.tiles):
+                    lead = paths.lead(_tile_id(layout, prev_loc)).tolist()
                     for rng_w, rng_g in ((want_rng, got_rng), (None, None)):
                         want = _reference_greedy_routes(o, pl, prev_loc, rng_w)
-                        got = paths.greedy_routes(paths.lead(prev_loc).tolist(), rng_g)
-                        assert [r for _, r in got] == want, (li, seed, o.id, prev_loc)
-                        assert [n for n, _ in got] == [r.length(dist, prev_loc) for r in want]
-                        if rng_w is None:
-                            assert greedy_routes(o, pl, prev_loc) == want
+                        got = paths.greedy_routes(lead, rng_g)
+                        assert [_coords(layout, r) for r in got] == want, (li, seed, o.id, prev_loc)
+                        assert [n for n, *_ in got] == [r.length(dist, prev_loc) for r in want]
                         checked += 1
                     assert want_rng.getstate() == got_rng.getstate()
                 draws += want_rng.getstate() != random.Random(o.id).getstate()
@@ -724,12 +764,13 @@ def test_route_space_matches_per_permutation_reference():
             for o in random_orders(drugs, 5, seed=seed, size_range=(1, 5)):
                 if _route_count(o, pl, len(pl.interfaces)) > ROUTE_ENUM_CAP:
                     continue
-                paths = _OrderPaths(o, pl)
+                paths = _OrderPaths(o, _Timer(pl, [o], 2))
                 stops, lengths = paths.space
                 for prev_loc in [None] + sorted(pl.interfaces) + sorted(layout.tiles)[:3]:
                     want_stops, want = _reference_route_space(o, pl, prev_loc)
+                    lead = paths.lead(_tile_id(layout, prev_loc))
                     assert np.array_equal(stops, want_stops)
-                    assert np.array_equal(lengths + paths.lead(prev_loc)[:, None], want)
+                    assert np.array_equal(lengths + lead[:, None], want)
                     checked += 1
     assert checked > 200
 
@@ -771,3 +812,19 @@ def test_lns_schedule_8x8_matches_pinned_digest():
     s = schedule(orders, pl, 4, eta=2, seed=11, max_iterations=5)
     assert s.incumbent_trace == (4070, 4070, 4070, 4070, 4070, 4068)
     assert _digest(s) == "1d49b5b0016d2e40efe9fa151e4845e5ff6bb2f562ed495e9c9d7e79dad54b3c"
+
+
+def test_schedules_on_ring_with_empty_tiles_match_pinned_digests():
+    # pinned while the timing engine still ran on placed-tile positions: on
+    # this ring 10 of 16 tiles are empty, so those positions differ from the
+    # layout's tile ids, and travel goes around the hole, not by l1
+    layout = build_layout("ring", 5, 2)
+    pl = random_placement(layout, list("abcd"), seed=4, max_alternatives=2)
+    assert len(pl.coords()) == 6
+    orders = random_orders(list("abcd"), 8, seed=6, size_range=(1, 3))
+    s = schedule(orders, pl, 2, eta=2, seed=3, max_iterations=30)
+    assert s.makespan == 109
+    assert _digest(s) == "a8af1a0a5ac59298f8a2078dd9cde4b84e05a59ca71457f01501f0d3824d1efc"
+    s = schedule(orders[:2], pl, 2, eta=2, seed=0)  # exhaustive
+    assert s.makespan == 32
+    assert _digest(s) == "c1809de364845a588341504d67c563fa4ab240638f0e0a00c198830fc1796e13"
