@@ -278,7 +278,9 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         save("paths.csv", lambda: paths_to_csv(plan))
         save(
             "gantt_routed.svg",
-            lambda: render_gantt(plan.schedule, interruptions=plan.interruptions),
+            lambda: render_gantt(
+                plan.schedule, interruptions=plan.interruptions, transits=plan.transits
+            ),
         )
         save("layout_sites.svg", lambda: render_layout(placed, sites=plan.sites.sites))
 

@@ -47,6 +47,10 @@ def render_gantt(schedule: Schedule, interruptions=None, transits=None) -> str:
     ), schedule.makespan)
     scale = (width - pad_left - 20) / span
     idx: dict[str, int] = {}
+    idle_by_mover: dict[int, list] = {}
+    for tr in transits or ():
+        if tr.idle > 0:
+            idle_by_mover.setdefault(tr.mover, []).append(tr)
 
     for r, m in enumerate(movers):
         y = pad_top + r * row_h
@@ -74,16 +78,13 @@ def render_gantt(schedule: Schedule, interruptions=None, transits=None) -> str:
                     f'height="{row_h - 8}" fill="{color}" stroke="#c00" '
                     f'stroke-width="1.5" fill-opacity="0.45"/>'
                 )
-        if transits:
-            for tr in transits:
-                if tr.mover != m or tr.idle <= 0:
-                    continue
-                x = pad_left + tr.depart * scale
-                w = max(1.0, tr.gap * scale)
-                body.append(
-                    f'<rect class="transit" x="{x:.1f}" y="{y + 8}" width="{w:.1f}" '
-                    f'height="{row_h - 16}" fill="url(#hatch)"/>'
-                )
+        for tr in idle_by_mover.get(m, ()):
+            x = pad_left + tr.depart * scale
+            w = max(1.0, tr.gap * scale)
+            body.append(
+                f'<rect class="transit" x="{x:.1f}" y="{y + 8}" width="{w:.1f}" '
+                f'height="{row_h - 16}" fill="url(#hatch)"/>'
+            )
     height = pad_top + max(1, len(movers)) * row_h + 30
     body.append(
         f'<line x1="{pad_left}" y1="{height - 24}" x2="{width - 20}" y2="{height - 24}" '

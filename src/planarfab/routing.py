@@ -18,19 +18,24 @@ one longest-path pass per round leaves no two of them overlapping.  The ledger
 is monotone and bounded, so the iteration terminates; a cap of 100 guards
 pathological cases.
 
-Every pass of the fixpoint reads the layout's distance table in blocks:
-transit x site round trips are four table blocks (``_site_options``), and the
-regret greedy above 30 transits updates only the regrets an assignment
-touches.  A mover's path is a sorted list of maximal runs (t0, t1, (x, y,
-state)), one per stretch of ticks on one cell, so building, checking and
-writing paths costs O(runs), not O(horizon): conflict counting indexes the
+Each resolve_conflicts call builds what its rounds share once, since only
+the pause ledger changes between rounds: the precedence DAG of the input
+schedule with ledger-free weights (``propagate_starts`` adds each round's
+pauses), and a frame over the layout's distance table (``_Frame``: rows of
+tile ids, and the MOVE cells of every path asked for, keyed by tile id pair).
+Every round reads distances from that table: transit x site round trips are
+four table blocks (``_site_options``), and the regret greedy above 30
+transits updates only the regrets an assignment touches.  A mover's path is a
+sorted list of maximal runs (t0, t1, (x, y, state)), one per stretch of ticks
+on one cell, so building, checking and writing paths costs O(runs), not
+O(horizon): a movement segment is written once as a leg and expanded to one
+run per tick after the first-writer pass, and conflict counting indexes the
 transit-state runs on each dispensing tile and takes, per dispensing window,
 the length of the union of other movers' runs inside it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -98,8 +103,11 @@ class Transit:
 
 @dataclass(frozen=True)
 class PrecedenceDag:
-    # (u, v, weight, kind); u == -1 is the virtual source
+    # (u, v, weight, kind); u == -1 is the virtual source.  Weights leave out
+    # the ledger: propagate_starts adds u's pauses to every edge out of u.
     edges: tuple[tuple[int, int, int, str], ...]
+    # per op in topological order: (op_id, anchor, ((u, weight), ...) into it)
+    rows: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
 
 @dataclass
@@ -113,6 +121,7 @@ class RoutedPlan:
     iterations: int
     # same-dispenser edges whose realized duration alone sets the later start
     exclusivity_repairs: int = 0
+    transits: tuple[Transit, ...] = ()  # the final round's transits
 
 
 def site_candidates(layout) -> list[RestingSite]:
@@ -185,10 +194,59 @@ def generate_resting_sites(layout, interfaces) -> SiteSelection:
 
 # --- transits and site assignment -------------------------------------------------
 
-def extract_transits(schedule: Schedule, placement, pauses=None) -> list[Transit]:
-    """Idle transits of a schedule (gap exceeding travel), per mover."""
-    realized = _realized_ops(schedule, pauses or {})
-    return _transits_of(realized, placement.layout.distance)
+class _Frame:
+    """What every round of one resolve_conflicts call reads of the layout:
+    the distance table as rows of tile ids (``Layout.index_table``), one
+    (x, y, state) cell per tile and state, and the MOVE cells of every path
+    asked for so far, keyed by (from, to) tile id.  It lives for one call
+    only, so no path cache outlasts the plan it was built for."""
+
+    def __init__(self, placement):
+        layout = placement.layout
+        self.placement = placement
+        self.layout = layout
+        self.index, table = layout.index_table
+        self.rows = table.tolist()
+        self.tiles = layout.sorted_tiles()  # tile id -> Coord
+        self.cells = {
+            state: [(float(t.x), float(t.y), state) for t in self.tiles]
+            for state in (MOVE, DISPENSE, SWAP, REST)
+        }
+        self._steps: dict[tuple[int, int], list] = {}
+
+    def dist(self, a: Coord, b: Coord) -> int:
+        index = self.index
+        return self.rows[index[a]][index[b]]
+
+    def steps(self, a: int, b: int) -> list:
+        """The MOVE cell of every tile of the a -> b path, a and b tile ids."""
+        cells = self._steps.get((a, b))
+        if cells is None:
+            move, index = self.cells[MOVE], self.index
+            path = self.layout.shortest_path(self.tiles[a], self.tiles[b])
+            cells = self._steps[(a, b)] = [move[index[c]] for c in path]
+        return cells
+
+
+class Realized:
+    """One fixpoint round: a schedule, its pauses and its realized ops
+    (``_realized_ops``), on the frame of the call the round belongs to."""
+
+    def __init__(self, schedule: Schedule, pauses, frame: _Frame):
+        self.schedule = schedule
+        self.pauses = pauses
+        self.frame = frame
+        self.ops = _realized_ops(schedule, pauses)
+
+
+def realize(schedule: Schedule, placement, pauses=None) -> Realized:
+    """A schedule realized under ``pauses`` on a frame of its own."""
+    return Realized(schedule, pauses or {}, _Frame(placement))
+
+
+def extract_transits(realized: Realized) -> list[Transit]:
+    """Idle transits of a realized schedule (gap exceeding travel), per mover."""
+    return _transits_of(realized.ops, realized.frame.dist)
 
 
 def _realized_ops(schedule: Schedule, pauses):
@@ -384,45 +442,54 @@ def _assign_greedy(transits, options, overlap):
 # --- paths as runs and conflicts --------------------------------------------------
 
 def _first_writer(writes, top) -> list:
-    """Sorted runs (t0, t1, cell) of ticks [0, top) after each write of
-    ``writes``, in order, takes the ticks of its [t0, t1) that no earlier
-    write took."""
+    """Sorted runs (t0, t1, what) of ticks [0, top) after each write
+    (t0, t1, what) of ``writes``, in order, takes the ticks of its [t0, t1)
+    that no earlier write took.  ``what`` is a cell or a leg (``_expanded``)."""
     runs: list = []
     ends: list[int] = []
     for run in writes:
-        t0, t1, cell = run
+        t0, t1, what = run
         if t0 < 0 or t1 > top:
             t0, t1 = max(t0, 0), min(t1, top)
-            run = (t0, t1, cell)
+            run = (t0, t1, what)
         k = bisect_right(ends, t0)  # the first run ending after t0
         while t0 < t1 and k < len(runs) and runs[k][0] < t1:
             held = runs[k][0]
             if t0 < held:
-                runs.insert(k, (t0, held, cell))
+                runs.insert(k, (t0, held, what))
                 ends.insert(k, held)
                 k += 1
             t0 = ends[k]
             k += 1
-            run = (t0, t1, cell)
+            run = (t0, t1, what)
         if t0 < t1:
             runs.insert(k, run)
             ends.insert(k, t1)
     return runs
 
 
-def _joined(runs) -> list:
-    """Maximal runs: neighbours holding one cell become one run."""
+def _expanded(runs) -> list:
+    """Maximal runs of cells from runs holding a cell (x, y, state) or a leg
+    (cells, base), whose tick t holds cells[t - base]: a leg piece becomes one
+    run per tick, and neighbours holding one cell become one run.  The cells
+    of a leg are the tiles of a path, so no two neighbours in it are equal."""
     out: list = []
-    for run in runs:
-        if out and out[-1][1] == run[0] and out[-1][2] == run[2]:
-            out[-1] = (out[-1][0], run[1], run[2])
+    for t0, t1, cell in runs:
+        rest = ()
+        if len(cell) == 2:  # a leg piece: its first tick here, the others in rest
+            cells, base = cell
+            cell = cells[t0 - base]
+            rest = zip(range(t0 + 1, t1), range(t0 + 2, t1 + 1), cells[t0 + 1 - base : t1 - base])
+            t1 = t0 + 1
+        if out and out[-1][1] == t0 and out[-1][2] == cell:
+            out[-1] = (out[-1][0], t1, cell)
         else:
-            out.append(run)
+            out.append((t0, t1, cell))
+        out += rest
     return out
 
 
-def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
-                transits=None):
+def build_paths(realized: Realized, resting_assignment, transits=None):
     """Per-mover runs (t0, t1, (x, y, state)): the mover holds that cell for
     ticks [t0, t1).  Runs are sorted, disjoint and maximal; off-grid ticks have
     none, and no run reaches past the latest realized end.
@@ -432,59 +499,58 @@ def build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
     resting site and wait at its midpoint, leaving just in time to arrive at
     the next operation's start.  The first writer of a tick wins: operations
     come first (of two that share a tick, the later-starting one), then each
-    transit's segments in order.
+    transit's segments in order.  A movement segment is written once, as a
+    leg ``(cells, base)`` over its ticks, and expanded after the first-writer
+    pass.
     """
-    pauses = pauses or {}
-    realized = _realized_ops(schedule, pauses)
+    frame = realized.frame
+    ops_of = realized.ops
     if transits is None:
-        transits = _transits_of(realized, placement.layout.distance)
+        transits = _transits_of(ops_of, frame.dist)
     t_by_key = {(t.mover, t.from_op, t.to_op): t for t in transits}
     site_of = {}
     for idx, site in resting_assignment.items():
         tr = transits[idx] if isinstance(idx, int) else t_by_key[idx]
         site_of[(tr.mover, tr.from_op, tr.to_op)] = (tr, site)
 
-    top = max((e for (_m, _t, _s, e, _o) in realized.values()), default=0) + 1
-    layout = placement.layout
-    dist = layout.distance
-    move = {t: (float(t.x), float(t.y), MOVE) for t in layout.tiles}
-
-    @functools.cache
-    def steps(a, b):  # the MOVE cell of every tile of the a -> b path
-        return [move[c] for c in layout.shortest_path(a, b)]
+    top = max((e for (_m, _t, _s, e, _o) in ops_of.values()), default=0) + 1
+    index, rows, steps = frame.index, frame.rows, frame.steps
+    dispense, swap, rest = frame.cells[DISPENSE], frame.cells[SWAP], frame.cells[REST]
 
     paths: dict[int, list] = {}
     by_mover: dict[int, list] = {}
-    for op_id, rec in realized.items():
+    for op_id, rec in ops_of.items():
         by_mover.setdefault(rec[0], []).append(rec + (op_id,))
     for m, seq in sorted(by_mover.items()):
         seq.sort(key=lambda r: r[2])
-        ops = [
-            (s, e, (float(tile.x), float(tile.y), DISPENSE if op.kind == DISPENSING else SWAP))
-            for (_m, tile, s, e, op, _id) in seq
+        # ops in reverse: the last writer among them wins
+        writes = [
+            (s, e, (dispense if op.kind == DISPENSING else swap)[index[tile]])
+            for (_m, tile, s, e, op, _id) in reversed(seq)
         ]
-        writes = ops[::-1]  # ops in reverse: the last writer among them wins
         for r1, r2 in zip(seq, seq[1:]):
             _m1, t1, _s1, e1, _o1, id1 = r1
             _m2, t2, s2, _e2, _o2, id2 = r2
+            i1, i2 = index[t1], index[t2]
             assigned = site_of.get((m, id1, id2))
             if assigned is not None:
                 tr, site = assigned
-                _detour, _via, (a, b) = _site_cost(tr, site, dist)
-                p_in = steps(t1, a)  # from the departure tick e1 on
-                arrive_a = e1 + len(p_in) - 1
-                depart_b = s2 - dist(b, t2)
-                writes += zip(range(e1, arrive_a + 1), range(e1 + 1, arrive_a + 2), p_in)
-                writes.append((arrive_a + 1, depart_b, site.location + (REST,)))
-                writes += zip(range(depart_b, s2), range(depart_b + 1, s2 + 1), steps(b, t2))
+                _detour, _via, (a, b) = _site_cost(tr, site, frame.dist)
+                ib = index[b]
+                p_in = steps(i1, index[a])  # from the departure tick e1 on
+                arrive_a = e1 + len(p_in)
+                depart_b = s2 - rows[ib][i2]
+                writes.append((e1, arrive_a, (p_in, e1)))
+                writes.append((arrive_a, depart_b, site.location + (REST,)))
+                writes.append((depart_b, s2, (steps(ib, i2), depart_b)))
             else:
                 # tight transit (or fallback wait at the previous tile)
-                leave = s2 - dist(t1, t2)
-                p = steps(t1, t2)
+                leave = s2 - rows[i1][i2]
+                p = steps(i1, i2)
                 writes.append((e1, e1 + 1, p[0]))  # departure tick
-                writes.append((e1, leave, (float(t1.x), float(t1.y), REST)))
-                writes += zip(range(leave + 1, s2 + 1), range(leave + 2, s2 + 2), p[1:])
-        paths[m] = _joined(_first_writer(writes, top))
+                writes.append((e1, leave, rest[i1]))
+                writes.append((leave + 1, s2 + 1, (p, leave)))
+        paths[m] = _expanded(_first_writer(writes, top))
     return paths
 
 
@@ -530,8 +596,15 @@ def detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
 
 # --- DAG propagation ---------------------------------------------------------------
 
-def build_dag(schedule: Schedule, placement, ledger) -> PrecedenceDag:
-    dist = placement.layout.distance
+def build_dag(schedule: Schedule, placement) -> PrecedenceDag:
+    """The precedence DAG of a schedule, with ledger-free weights.
+
+    Anchors carry the original start, same-mover edges duration + travel and
+    same-dispenser edges the duration; ``propagate_starts`` adds the earlier
+    op's pauses to every edge out of it.  Raises ValueError on an edge that
+    runs against the original-start topological order.
+    """
+    index, table = placement.layout.index_table
     ops = sorted(schedule.ops, key=lambda s: (s.start, s.mover, s.op.op_id))
     edges = []
     for so in ops:
@@ -542,7 +615,7 @@ def build_dag(schedule: Schedule, placement, ledger) -> PrecedenceDag:
     for m, seq in sorted(by_mover.items()):
         seq.sort(key=lambda s: (s.start, s.op.op_id))
         for a, b in zip(seq, seq[1:]):
-            w = ledger.get(a.op.op_id, 0) + a.op.duration + dist(a.tile, b.tile)
+            w = a.op.duration + table.item(index[a.tile], index[b.tile])
             edges.append((a.op.op_id, b.op.op_id, w, "same-mover"))
     by_tile: dict[Coord, list] = {}
     for so in ops:
@@ -550,42 +623,47 @@ def build_dag(schedule: Schedule, placement, ledger) -> PrecedenceDag:
     for tile, seq in sorted(by_tile.items()):
         seq.sort(key=lambda s: (s.start, s.op.op_id))
         for a, b in zip(seq, seq[1:]):
-            w = ledger.get(a.op.op_id, 0) + a.op.duration
-            edges.append((a.op.op_id, b.op.op_id, w, "same-dispenser"))
-    return PrecedenceDag(tuple(edges))
+            edges.append((a.op.op_id, b.op.op_id, a.op.duration, "same-dispenser"))
+
+    rank = {so.op.op_id: i for i, so in enumerate(ops)}
+    incoming: dict[int, list] = {so.op.op_id: [] for so in ops}
+    for u, v, w, kind in edges:
+        if u != -1:
+            if rank[u] >= rank[v]:
+                raise ValueError("precedence DAG has a backward edge (cycle risk)")
+            incoming[v].append((u, w))
+    # starts are never negative: the longest path starts from 0
+    rows = tuple((so.op.op_id, max(so.start, 0), tuple(incoming[so.op.op_id])) for so in ops)
+    return PrecedenceDag(tuple(edges), rows)
 
 
-def propagate_starts(dag: PrecedenceDag, schedule: Schedule) -> dict[int, int]:
-    """Longest path from the source in original-start topological order."""
-    order = [so.op.op_id for so in sorted(schedule.ops, key=lambda s: (s.start, s.mover, s.op.op_id))]
-    rank = {op_id: i for i, op_id in enumerate(order)}
-    starts = {op_id: 0 for op_id in order}
-    incoming: dict[int, list] = {op_id: [] for op_id in order}
-    for u, v, w, kind in dag.edges:
-        if u != -1 and rank[u] >= rank[v]:
-            raise ValueError("precedence DAG has a backward edge (cycle risk)")
-        incoming[v].append((u, w))
-    for op_id in order:
-        s = 0
-        for u, w in incoming[op_id]:
-            base = 0 if u == -1 else starts[u]
-            s = max(s, base + w)
-        starts[op_id] = s
+def propagate_starts(dag: PrecedenceDag, ledger) -> dict[int, int]:
+    """Longest path from the source in original-start topological order; an
+    edge out of op u weighs its base weight plus u's pauses in ``ledger``."""
+    starts: dict[int, int] = {}
+    for v, s, preds in dag.rows:
+        for u, w in preds:
+            t = starts[u] + w + ledger.get(u, 0)
+            if t > s:
+                s = t
+        starts[v] = s
     return starts
 
 
-def _binding_tile_edges(dag: PrecedenceDag, starts) -> int:
+def _binding_tile_edges(dag: PrecedenceDag, starts, ledger) -> int:
     """Same-dispenser edges whose realized duration alone sets the later start.
 
     Counts edges a -> b with starts[a] + w above b's anchor, its same-mover
-    bound and starts[a] + 1 (what tile order alone would ask for).
+    bound and starts[a] + 1 (what tile order alone would ask for), where w is
+    the edge's weight under ``ledger``.
     """
     other: dict[int, int] = {}
     for u, v, w, kind in dag.edges:
         if kind != "same-dispenser":
-            other[v] = max(other.get(v, 0), (0 if u == -1 else starts[u]) + w)
+            reach = w if u == -1 else starts[u] + w + ledger.get(u, 0)
+            other[v] = max(other.get(v, 0), reach)
     return sum(
-        starts[u] + w > max(other[v], starts[u] + 1)
+        starts[u] + w + ledger.get(u, 0) > max(other[v], starts[u] + 1)
         for u, v, w, kind in dag.edges
         if kind == "same-dispenser"
     )
@@ -598,16 +676,20 @@ def resolve_conflicts(
     ledger: dict[int, int] | None = None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> RoutedPlan:
-    """Iterate path building, conflict counting and DAG repropagation to a fixpoint."""
+    """Iterate path building, conflict counting and DAG repropagation to a fixpoint.
+
+    The DAG and the layout frame (distance rows, path cache) are built once
+    per call: between rounds only the ledger changes.
+    """
     if sites is None:
         sites = generate_resting_sites(placement.layout, placement.interfaces)
     ledger = dict(ledger or {})
-    current = schedule
+    dag = build_dag(schedule, placement)
+    frame = _Frame(placement)
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        dag = build_dag(schedule, placement, ledger)
-        starts = propagate_starts(dag, schedule)
+        starts = propagate_starts(dag, ledger)
         current = Schedule(
             tuple(
                 ScheduledOp(so.op, so.mover, so.tile, starts[so.op.op_id])
@@ -616,13 +698,14 @@ def resolve_conflicts(
             max(starts[so.op.op_id] + so.op.duration for so in schedule.ops),
             schedule.incumbent_trace,
         )
-        transits = extract_transits(current, placement, pauses=ledger)
+        realized = Realized(current, ledger, frame)
+        transits = extract_transits(realized)
         assignment = assign_resting_sites(transits, sites.sites, placement) if transits else {}
         key_assignment = {
             (transits[i].mover, transits[i].from_op, transits[i].to_op): s
             for i, s in assignment.items()
         }
-        paths = build_paths(current, key_assignment, placement, pauses=ledger, transits=transits)
+        paths = build_paths(realized, key_assignment, transits)
         found = detect_conflicts(paths, current, pauses=ledger)
         new_ledger = {k: max(ledger.get(k, 0), v) for k, v in found.items() if v > 0}
         for k, v in ledger.items():
@@ -639,7 +722,8 @@ def resolve_conflicts(
                 sites,
                 realized_makespan,
                 iterations,
-                exclusivity_repairs=_binding_tile_edges(dag, starts),
+                exclusivity_repairs=_binding_tile_edges(dag, starts, ledger),
+                transits=tuple(transits),
             )
         ledger = new_ledger
     residual = {k: v for k, v in ledger.items() if v}

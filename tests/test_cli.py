@@ -342,7 +342,7 @@ def test_render_gantt_structure():
 
 
 def test_render_gantt_transit_hatching():
-    from planarfab.routing import extract_transits
+    from planarfab.routing import extract_transits, realize
     from planarfab.scheduling import OperationSpec, ScheduledOp, START, DISPENSING, FINISH
 
     pl = line_placement(["IF", ("a",)])
@@ -352,7 +352,7 @@ def test_render_gantt_transit_hatching():
         ScheduledOp(OperationSpec(2, 0, "interface", 2, FINISH), 0, Coord(1, 1), 15),
     )
     s = Schedule(sos, 17)
-    transits = extract_transits(s, pl)
+    transits = extract_transits(realize(s, pl))
     svg = render_gantt(s, transits=transits)
     assert svg.count('class="transit"') == 1
     assert "url(#hatch)" in svg
@@ -360,7 +360,7 @@ def test_render_gantt_transit_hatching():
 
 def test_render_gantt_four_mover_rows_with_hatches():
     # four movers, one idle transit each
-    from planarfab.routing import extract_transits
+    from planarfab.routing import extract_transits, realize
     from planarfab.scheduling import OperationSpec, ScheduledOp, START, DISPENSING, FINISH
 
     pl = line_placement(["IF", ("a",), ("b",), ("c",), ("d",), "IF"])
@@ -375,7 +375,7 @@ def test_render_gantt_four_mover_rows_with_hatches():
         sos.append(ScheduledOp(OperationSpec(op, m, drug, 4, DISPENSING), m, drug_tile, disp_start)); op += 1
         sos.append(ScheduledOp(OperationSpec(op, m, "interface", 2, FINISH), m, iface, disp_start + 4 + travel)); op += 1
     s = Schedule(tuple(sos), max(x.end for x in sos))
-    transits = extract_transits(s, pl)
+    transits = extract_transits(realize(s, pl))
     svg = render_gantt(s, transits=transits)
     assert svg.count("mover ") == 4
     assert svg.count('class="transit"') == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -176,6 +177,30 @@ def test_pipeline_across_topologies(topology, size):
     v = report.stage_values
     assert v["lower_bound"] <= v["makespan_scheduled"] <= v["makespan_routed"]
     assert v["routing_iterations"] <= 100
+
+
+def test_routed_gantt_hatches_the_final_rounds_idle_transits(tmp_path, monkeypatch):
+    from planarfab import routing
+
+    calls = []
+    route = routing.route_schedule
+
+    def recording_route(sched, placed):
+        calls.append((placed, route(sched, placed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(routing, "route_schedule", recording_route)
+    pc = small_config()
+    pc.n_orders, pc.config = 10, dataclasses.replace(pc.config, n_movers=4)
+    pc.out_dir = tmp_path
+    run_pipeline(pc)
+    ((placed, plan),) = calls
+    idle = sum(tr.idle > 0 for tr in plan.transits)
+    assert idle > 0
+    assert (tmp_path / "gantt_routed.svg").read_text().count('class="transit"') == idle
+    # the final round's transits are those of the routed schedule under its pauses
+    realized = routing.realize(plan.schedule, placed, plan.interruptions)
+    assert list(plan.transits) == routing.extract_transits(realized)
 
 
 def test_ring_routing_paths_stay_on_tiles():

@@ -29,6 +29,7 @@ from planarfab.routing import (
     generate_resting_sites,
     merge_batches,
     propagate_starts,
+    realize,
     _assign_greedy,
     _realized_ops,
     _site_cost,
@@ -232,7 +233,7 @@ def test_extract_transits_idle_and_tight():
         ScheduledOp(OperationSpec(2, 0, "interface", 2, FINISH), 0, iface, 17),  # gap 1 == travel
     )
     s = Schedule(sos, 19)
-    transits = extract_transits(s, pl)
+    transits = extract_transits(realize(s, pl))
     assert len(transits) == 1
     (tr,) = transits
     assert tr.gap == 10 and tr.travel == 1 and tr.idle == 9
@@ -256,7 +257,7 @@ def test_extract_transits_four_mover_structure():
         sos.append(ScheduledOp(OperationSpec(op, m, drug, 4, DISPENSING), m, drug_tile, disp_start)); op += 1
         sos.append(ScheduledOp(OperationSpec(op, m, "interface", 2, FINISH), m, iface, disp_start + 4 + travel)); op += 1
     s = Schedule(tuple(sos), max(x.end for x in sos))
-    transits = [t for t in extract_transits(s, pl) if t.idle > 0]
+    transits = [t for t in extract_transits(realize(s, pl)) if t.idle > 0]
     assert len(transits) == 4
     assert sorted({t.mover for t in transits}) == [0, 1, 2, 3]
 
@@ -407,7 +408,7 @@ def test_build_paths_staircase():
         ScheduledOp(OperationSpec(2, 0, "interface", 2, FINISH), 0, Coord(1, 1), 11),
     )
     s = Schedule(sos, 13)
-    paths = build_paths(s, {}, pl)
+    paths = build_paths(realize(s, pl), {})
     pos = tick_list(paths[0])
     assert pos[2][:2] == (1.0, 1.0)  # departure tick
     assert pos[3][:2] == (2.0, 1.0)  # x first
@@ -437,7 +438,7 @@ def test_build_paths_segment_lengths_match_distance():
 def test_detect_conflicts_single_mover_zero():
     pl = line_placement(["IF", ("a",)])
     s = schedule([Order(0, (("a", 5),))], pl, 1, eta=2)
-    paths = build_paths(s, {}, pl)
+    paths = build_paths(realize(s, pl), {})
     assert all(v == 0 for v in detect_conflicts(paths, s).values())
 
 
@@ -470,7 +471,7 @@ def test_detect_conflicts_constructed_crossing():
     pl, orders, s = hand_crossing_fixture()
     inst = SchedulingInstance(orders, pl, 2, 2)
     assert validate_schedule(s, inst) == []
-    paths = build_paths(s, {}, pl)
+    paths = build_paths(realize(s, pl), {})
     ledger = detect_conflicts(paths, s)
     disp_a = next(so.op.op_id for so in s.ops if so.op.target == "a")
     assert ledger[disp_a] == 1  # mover 1 crosses (1,2) at tick 8
@@ -504,14 +505,14 @@ def test_detect_conflicts_matches_tick_grid_oracle():
         pl = random_placement(layout, drugs, seed=seed + 30)
         orders = random_orders(drugs, 8, seed=seed, size_range=(1, 3), dur_range=(2, 6))
         s = schedule(orders, pl, 4, eta=2, seed=seed, max_iterations=8)
-        transits = extract_transits(s, pl)
+        transits = extract_transits(realize(s, pl))
         sel = generate_resting_sites(pl.layout, pl.interfaces)
         assignment = assign_resting_sites(transits, sel.sites, pl) if transits else {}
         key_assignment = {
             (transits[i].mover, transits[i].from_op, transits[i].to_op): x
             for i, x in assignment.items()
         }
-        paths = build_paths(s, key_assignment, pl, transits=transits)
+        paths = build_paths(realize(s, pl), key_assignment, transits)
         assert detect_conflicts(paths, s) == _tick_grid_conflicts(paths, s, {})
 
     # routed plans, whose paths and schedule carry the fixpoint's pauses, then
@@ -527,7 +528,7 @@ def test_detect_conflicts_matches_tick_grid_oracle():
             plan = route_schedule(s, pl)
             pauses = plan.interruptions
             paused += bool(pauses)
-            paths = build_paths(plan.schedule, plan.resting_assignment, pl, pauses=pauses)
+            paths = build_paths(realize(plan.schedule, pl, pauses), plan.resting_assignment)
             assert paths == plan.paths
             assert detect_conflicts(paths, plan.schedule, pauses) == _tick_grid_conflicts(
                 paths, plan.schedule, pauses
@@ -573,21 +574,22 @@ def test_ledger_and_makespan_monotone_across_iterations():
     prev_led: dict = {}
     prev_make = 0
     led: dict = {}
+    dag = build_dag(s, pl)
     for _ in range(4):
         # drive the loop manually: one propagation per pass
-        dag = build_dag(s, pl, led)
-        starts = propagate_starts(dag, s)
+        starts = propagate_starts(dag, led)
         cur = Schedule(
             tuple(ScheduledOp(so.op, so.mover, so.tile, starts[so.op.op_id]) for so in s.ops),
             max(starts[so.op.op_id] + so.op.duration for so in s.ops),
         )
-        transits = extract_transits(cur, pl, pauses=led)
+        r = realize(cur, pl, led)
+        transits = extract_transits(r)
         sel = assign_resting_sites(transits, sites.sites, pl) if transits else {}
         key_sel = {
             (transits[i].mover, transits[i].from_op, transits[i].to_op): x
             for i, x in sel.items()
         }
-        paths = build_paths(cur, key_sel, pl, pauses=led, transits=transits)
+        paths = build_paths(r, key_sel, transits)
         found = detect_conflicts(paths, cur, pauses=led)
         led = {k: max(led.get(k, 0), v) for k, v in found.items()}
         assert all(led.get(k, 0) >= v for k, v in prev_led.items())
@@ -598,20 +600,21 @@ def test_ledger_and_makespan_monotone_across_iterations():
 def test_dag_structure_and_slack():
     pl, orders, s = hand_crossing_fixture()
     ledger = {so.op.op_id: so.op.op_id % 3 for so in s.ops}
-    dag = build_dag(s, pl, ledger)
+    dag = build_dag(s, pl)
     kinds = {k for *_ab, k in dag.edges}
     assert kinds == {"anchor", "same-mover", "same-dispenser"}
-    starts = propagate_starts(dag, s)
+    starts = propagate_starts(dag, ledger)
     by_id = {so.op.op_id: so for so in s.ops}
     for u, v, w, kind in dag.edges:
-        base = 0 if u == -1 else starts[u]
+        base = 0 if u == -1 else starts[u] + ledger[u]  # u's pauses weigh on every edge out of u
         assert starts[v] >= base + w or u == -1 and starts[v] >= w  # slack >= 0
     # same-dispenser edges keep original tile order, weighted by the earlier
-    # op's realized duration
+    # op's duration; propagated, by its realized duration
     tile_edges = [(u, v, w) for u, v, w, k in dag.edges if k == "same-dispenser"]
     assert tile_edges
     for u, v, w in tile_edges:
-        assert w == by_id[u].op.duration + ledger[u]
+        assert w == by_id[u].op.duration
+        assert starts[v] >= starts[u] + by_id[u].op.duration + ledger[u]
         assert by_id[u].tile == by_id[v].tile
         assert (by_id[u].start, u) < (by_id[v].start, v)
 
@@ -687,6 +690,103 @@ def test_routed_8x8_batched_plan_matches_pinned_digest(monkeypatch):
     )
 
 
+
+def _pinned_plan(topology, size, movers, n_orders, drugs, seed):
+    layout = build_layout(topology, size, 2)
+    pl = random_placement(layout, list(drugs), seed=seed)
+    orders = random_orders(list(drugs), n_orders, seed=seed, size_range=(1, 3), dur_range=(2, 9))
+    return pl, schedule(orders, pl, movers, eta=2, seed=seed, max_iterations=4)
+
+
+def _plan_digests(plan):
+    from planarfab.pipeline import paths_to_csv, plan_to_json
+
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (plan_to_json(plan), paths_to_csv(plan)))
+
+
+def test_routed_ring_plan_matches_pinned_digest(monkeypatch):
+    """Ring 9, 6 movers, 24 orders: paths leave the staircase and come from
+    the layout's BFS, which the 8x8 pin never reaches.  Recorded with paths
+    rebuilt in every fixpoint round."""
+    import planarfab.core as core
+
+    bfs, calls = core._bfs_path, []
+
+    def counted_bfs(*args):
+        calls.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(core, "_bfs_path", counted_bfs)
+    pl, s = _pinned_plan("ring", 9, 6, 24, "abcdefghij", 1)
+    plan = route_schedule(s, pl)
+    assert calls
+    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values()),
+            len(plan.resting_assignment)) == (5, 19, 64, 19)
+    assert _plan_digests(plan) == (
+        "f9fcde960d97a16e1cb5c22d927cd4736ff31e12e7886e7d10c830227c83b1ee",
+        "493ec10d5c8b5baee2ad8e0ad9916cf7330837db116ab278dfb5d0a933001eae",
+    )
+
+
+def test_routed_small_plan_matches_pinned_digest(monkeypatch):
+    """Square 6x6, 4 movers, 10 orders: every round assigns at most
+    ASSIGN_EXACT_LIMIT transits, so sites come from the exact search, which
+    the 8x8 pin never reaches.  Recorded with paths rebuilt in every round."""
+    import planarfab.routing as routing
+
+    exact, greedy, sizes = routing._assign_exact, routing._assign_greedy, []
+
+    def counted_exact(transits, *args):
+        sizes.append(len(transits))
+        return exact(transits, *args)
+
+    def no_greedy(*args):
+        raise AssertionError("the regret greedy ran")
+
+    monkeypatch.setattr(routing, "_assign_exact", counted_exact)
+    monkeypatch.setattr(routing, "_assign_greedy", no_greedy)
+    pl, s = _pinned_plan("square", (6, 6), 4, 10, "abcdef", 2)
+    plan = route_schedule(s, pl)
+    assert len(sizes) == plan.iterations and 0 < max(sizes) <= ASSIGN_EXACT_LIMIT
+    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values()),
+            len(plan.resting_assignment)) == (2, 10, 18, 10)
+    assert _plan_digests(plan) == (
+        "c2a294f30837dd2d0ab678640a451a2289b23f26bfacb33864df81aed4444a8e",
+        "2e9f10e5e152f35cd9e42e55a70a6a4e47707ab7cde55965498f4a5d69c35418",
+    )
+
+
+def test_one_dag_per_call_and_one_path_per_tile_pair(monkeypatch):
+    """The DAG is built once per resolve_conflicts call and propagated once
+    per round; each (from, to) path is asked of the layout once per call."""
+    import planarfab.core as core
+    import planarfab.routing as routing
+
+    build, propagate, shortest = routing.build_dag, routing.propagate_starts, core.Layout.shortest_path
+    calls = {"build_dag": 0, "propagate_starts": 0}
+    pairs: dict = {}
+
+    def counted_build(*args):
+        calls["build_dag"] += 1
+        return build(*args)
+
+    def counted_propagate(*args):
+        calls["propagate_starts"] += 1
+        return propagate(*args)
+
+    def counted_shortest(layout, a, b):
+        pairs[(a, b)] = pairs.get((a, b), 0) + 1
+        return shortest(layout, a, b)
+
+    monkeypatch.setattr(routing, "build_dag", counted_build)
+    monkeypatch.setattr(routing, "propagate_starts", counted_propagate)
+    monkeypatch.setattr(core.Layout, "shortest_path", counted_shortest)
+    pl, s = _pinned_plan("ring", 9, 6, 24, "abcdefghij", 1)
+    plan = resolve_conflicts(s, pl)
+    assert plan.iterations > 1
+    assert calls == {"build_dag": 1, "propagate_starts": plan.iterations}
+    assert pairs and max(pairs.values()) == 1
+
 # --- one longest-path pass against the repair loop ----------------------------------
 #
 # ref_propagate_with_repairs is the nested exclusivity-repair loop that the
@@ -749,17 +849,17 @@ def check_rounds_against_repair_loop(monkeypatch):
 
     build, propagate = routing.build_dag, routing.propagate_starts
     rounds: list = []
-    built: dict = {}  # the arguments of the last build_dag call
+    built: dict = {}  # the arguments and the result of the last build_dag call
 
-    def recording_build(s, pl, ledger):
-        built.update(s=s, pl=pl, ledger=dict(ledger))
-        return build(s, pl, ledger)
+    def recording_build(s, pl):
+        built.update(s=s, pl=pl, dag=build(s, pl))
+        return built["dag"]
 
-    def checked_propagate(dag, s):
-        starts = propagate(dag, s)
-        assert built["s"] is s
-        ledger = built["ledger"]
-        ref, repairs = ref_propagate_with_repairs(s, built["pl"], ledger)
+    def checked_propagate(dag, ledger):
+        starts = propagate(dag, ledger)
+        assert built["dag"] is dag
+        ledger = dict(ledger)
+        ref, repairs = ref_propagate_with_repairs(built["s"], built["pl"], ledger)
         assert starts == ref
         rounds.append((ledger, repairs))
         return starts
@@ -985,9 +1085,11 @@ def test_runs_match_tick_reference_on_every_fixpoint_iteration(monkeypatch):
     build, detect = routing.build_paths, routing.detect_conflicts
     calls = {"build": 0, "detect": 0}
 
-    def checked_build(s, assignment, pl, pauses=None, transits=None):
-        runs = build(s, assignment, pl, pauses=pauses, transits=transits)
-        _assert_runs_expand_to(runs, ref_build_paths(s, assignment, pl, pauses=pauses, transits=transits))
+    def checked_build(realized, assignment, transits=None):
+        runs = build(realized, assignment, transits)
+        ref = ref_build_paths(realized.schedule, assignment, realized.frame.placement,
+                              pauses=realized.pauses, transits=transits)
+        _assert_runs_expand_to(runs, ref)
         calls["build"] += 1
         return runs
 
@@ -1016,16 +1118,16 @@ def test_runs_match_tick_reference_under_foreign_pauses():
     overlaps = jumps = 0
     for pl, orders, movers, s in _routing_instances():
         plan = route_schedule(s, pl)
-        transits = extract_transits(plan.schedule, pl, pauses=plan.interruptions)
+        transits = extract_transits(realize(plan.schedule, pl, plan.interruptions))
         inst = SchedulingInstance(tuple(orders), pl, movers, 2)
         rng = random.Random(len(transits))
         for trial in range(3):
             extra = {so.op.op_id: rng.choice((0, 0, rng.randint(1, 4), rng.randint(5, 30)))
                      for so in plan.schedule.ops}
-            kw = {"pauses": extra, "transits": transits} if trial else {"pauses": extra}
+            given = transits if trial else None
             assignment = plan.resting_assignment if trial else {}
-            runs = build_paths(plan.schedule, assignment, pl, **kw)
-            ref = ref_build_paths(plan.schedule, assignment, pl, **kw)
+            runs = build_paths(realize(plan.schedule, pl, extra), assignment, given)
+            ref = ref_build_paths(plan.schedule, assignment, pl, pauses=extra, transits=given)
             _assert_runs_expand_to(runs, ref)
             assert detect_conflicts(runs, plan.schedule, extra) == ref_detect_conflicts(
                 ref, plan.schedule, extra
@@ -1045,6 +1147,65 @@ def test_runs_match_tick_reference_under_foreign_pauses():
             overlaps += sum(a[0] == b[0] and a[2] > b[1] for a, b in zip(realized, realized[1:]))
     assert overlaps > 0 and jumps > 0
 
+
+def test_build_paths_matches_tick_reference_on_adversarial_rounds():
+    """Inputs the fuzz rarely builds, each against ref_build_paths: a mover's
+    ops that overlap, a gap shorter than the travel (the mover leaves before
+    its op ends), rests of zero ticks, and segments clipped at tick 0 and at
+    the end of the horizon.  Pins the expansion of movement legs to the
+    tick-list reference."""
+    layout = build_layout("square", (4, 4), 1)
+    pl = Placement(layout, {Coord(4, 4): ("a",)}, frozenset({Coord(1, 1)}))
+
+    def op(op_id, mover, tile, start, duration=2, kind=DISPENSING):
+        return ScheduledOp(OperationSpec(op_id, op_id, "a", duration, kind), mover, Coord(*tile), start)
+
+    site = RestingSite(Coord(3, 1), Coord(4, 1))
+    cases = [
+        # overlap: op 1 starts before op 0 ends; leaving at 3 - 6 clips the move at tick 0
+        ([op(0, 0, (1, 1), 0, 5), op(1, 0, (4, 4), 3)], {}, None),
+        # gap 2 shorter than travel 4: the mover leaves at tick 2, before op 0 ends at 4
+        ([op(0, 0, (1, 1), 0, 4), op(1, 0, (3, 3), 6)], {}, None),
+        # gap equal to travel: a rest of zero ticks at the previous tile
+        ([op(0, 0, (1, 1), 0), op(1, 0, (1, 3), 4), op(2, 1, (2, 2), 1, 5, SWAP)], {}, None),
+        # a site reached just in time: a rest of zero ticks at its midpoint
+        ([op(0, 0, (1, 1), 0), op(1, 0, (2, 1), 6)], {}, "site"),
+        # op 0 paused to the last tick: the detour to the site is clipped at the top
+        ([op(0, 0, (1, 1), 0, 3), op(1, 0, (2, 1), 5)], {0: 10}, "site"),
+    ]
+    for ops, pauses, with_site in cases:
+        s = Schedule(tuple(ops), max(o.end for o in ops))
+        # transits and sites chosen without the pauses, as in a round whose pauses grew
+        transits = extract_transits(realize(s, pl)) if with_site else None
+        assignment = {}
+        if with_site:
+            (tr,) = transits
+            assignment = {(tr.mover, tr.from_op, tr.to_op): site}
+        runs = build_paths(realize(s, pl, pauses), assignment, transits)
+        _assert_runs_expand_to(runs, ref_build_paths(s, assignment, pl, pauses=pauses, transits=transits))
+
+    # the same kinds of rounds at random: starts that overlap or leave short
+    # gaps, foreign pauses, and sites assigned to any transit
+    rng = random.Random(5)
+    sites = generate_resting_sites(layout, pl.interfaces).sites
+    tiles = layout.sorted_tiles()
+    for trial in range(200):
+        ops, op_id = [], 0
+        for m in range(rng.randint(1, 3)):
+            t = rng.randint(-2, 3)
+            for _ in range(rng.randint(2, 5)):
+                kind = rng.choice((DISPENSING, SWAP))
+                ops.append(op(op_id, m, rng.choice(tiles), max(t, 0), rng.randint(1, 4), kind))
+                op_id += 1
+                t += rng.randint(-3, 8)
+        s = Schedule(tuple(ops), max(o.end for o in ops))
+        transits = extract_transits(realize(s, pl))
+        assignment = {
+            (tr.mover, tr.from_op, tr.to_op): rng.choice(sites) for tr in transits if rng.random() < 0.6
+        }
+        pauses = {o.op.op_id: rng.choice((0, 0, 1, 3, 9)) for o in ops}
+        runs = build_paths(realize(s, pl, pauses), assignment, transits)
+        _assert_runs_expand_to(runs, ref_build_paths(s, assignment, pl, pauses=pauses, transits=transits))
 
 def _corrupt(plan, m, k, new_runs):
     """plan with mover m's k-th run replaced by new_runs."""
