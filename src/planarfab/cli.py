@@ -67,15 +67,7 @@ def _load_instance(path):
         except ValueError:
             raise CliError(f"PLANARFAB_SEED must be an integer, got {seed_override!r}",
                            CONFIG_ERROR) from None
-        config = InstanceConfig(
-            n_dispensers=config.n_dispensers,
-            d_max=config.d_max,
-            m_max=config.m_max,
-            n_movers=config.n_movers,
-            eta_interface=config.eta_interface,
-            dispensing_speed=config.dispensing_speed,
-            seed=seed,
-        )
+        config = dataclasses.replace(config, seed=seed)
     return layout, catalog, config
 
 

@@ -139,6 +139,22 @@ def _copula_matrix(catalog: DrugCatalog, mode: str) -> np.ndarray:
     return nearest_psd(corr)
 
 
+def _latent_model(catalog: DrugCatalog, copula_mode: str):
+    """Factor F and thresholds of the latent normal model.
+
+    A draw is ``F @ standard_normal(k)``; drug g is included when its
+    component is at most its threshold, the normal quantile of its marginal.
+    """
+    sigma = _copula_matrix(catalog, copula_mode)
+    eigval, eigvec = np.linalg.eigh(sigma)
+    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    thresholds = np.array(
+        [_NORMAL.inv_cdf(p) if 0.0 < p < 1.0 else (math.inf if p >= 1.0 else -math.inf)
+         for p in catalog.marginals]
+    )
+    return factor, thresholds
+
+
 def sample_orders(
     catalog: DrugCatalog,
     n_orders: int,
@@ -160,14 +176,7 @@ def sample_orders(
     if duration_rule not in ("fixed", "dose"):
         raise ValueError(f"unknown duration rule {duration_rule!r}")
 
-    sigma = _copula_matrix(catalog, copula_mode)
-    eigval, eigvec = np.linalg.eigh(sigma)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    thresholds = np.array(
-        [_NORMAL.inv_cdf(p) if 0.0 < p < 1.0 else (math.inf if p >= 1.0 else -math.inf)
-         for p in catalog.marginals]
-    )
-
+    factor, thresholds = _latent_model(catalog, copula_mode)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     k = catalog.n_drugs
     orders = []
@@ -210,13 +219,7 @@ def sample_inclusion_matrix(
 
     Used to check marginal fidelity before rejection sampling distorts it.
     """
-    sigma = _copula_matrix(catalog, copula_mode)
-    eigval, eigvec = np.linalg.eigh(sigma)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    thresholds = np.array(
-        [_NORMAL.inv_cdf(p) if 0.0 < p < 1.0 else (math.inf if p >= 1.0 else -math.inf)
-         for p in catalog.marginals]
-    )
+    factor, thresholds = _latent_model(catalog, copula_mode)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z = rng.standard_normal((n_samples, catalog.n_drugs)) @ factor.T
     return z <= thresholds

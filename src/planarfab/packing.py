@@ -17,25 +17,23 @@ one-dispenser-per-tile floor is unsatisfiable, so tiles are treated as "up to
 n_tiles usable".
 
 Both local searches (stage-1 improvement, stage-2 correlation search) keep
-each tile's load (and stage-2 pair-correlation score) in a list and re-sum only
-the two tiles a trial move touches.  A tile's sum follows its list order, and
-undoing a rejected move re-appends the moved item, so the touched tiles are
-re-summed after the undo too; totals stay ``sum`` over that list.  Every
-comparison therefore sees the floats a full re-sum would give, and the
-searches return the groupings they returned when every trial re-summed every
-tile.
+each tile's load (and stage-2 pair-correlation score) in a list.  A trial
+move never edits a tile: it builds the lists the move would leave on the one
+or two tiles it touches, sums them in that list order, and compares the load
+profile (stage 1) or the total score (stage 2) with only those entries
+replaced.  An accepted trial commits its lists.  A rejected one only moves
+its items last on their tiles, as undoing the move would, and re-sums those
+tiles, since a tile's sum follows its list order.  Every comparison
+therefore sees the floats a full re-sum would give, and the searches return
+the groupings they returned when every trial re-summed every tile.
 
-Both searches also screen each trial before touching a list: when a cheap
-test proves that the exact comparison must fail, the trial is skipped, and
-the tiles are left as its undo would have left them (the moved items
-re-appended last and their tiles re-summed), because later sums follow that
-order.  Trials that pass the screen run the exact move, re-sum and compare
-step, so every accepted move, and every grouping returned, is unchanged.
-Stage 1 screens all of a dispenser's relocations off the peak tile at once,
-one array pass over the tiles; the screen allows for the rounding of
-Python's float ``sum`` (recursive, or compensated from Python 3.12 on), so
-it never skips a trial that the exact test could accept.  The skipped
-relocations' undo is applied once, before the surviving trials run.
+Both searches also screen each trial before building its lists: when a
+cheap test proves that the exact comparison must fail, the trial is
+rejected unsummed, leaving what any rejected trial leaves.  Stage 1 screens
+all of a dispenser's relocations off the peak tile at once, one array pass
+over the tiles; the screen allows for the rounding of Python's float
+``sum`` (recursive, or compensated from Python 3.12 on), so it never skips a
+trial that the exact test could accept.
 """
 
 from __future__ import annotations
@@ -276,7 +274,6 @@ def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter, node_ca
         counter["nodes"] += 1
         if counter["nodes"] > node_cap:
             return
-        used = sum(1 for b in bins if b)
         lb = max(cur_max, (sum(loads) + remaining) / n_tiles)
         if lb >= best["mu"] - EPS:
             return
@@ -374,26 +371,37 @@ def _lpt_fill(items, pi, n_tiles, d_max):
     return [tuple(b) for b in bins]
 
 
+def _without(t, g):
+    """Tile list t less the drug g (a tile holds each drug at most once)."""
+    return [x for x in t if x != g]
+
+
 def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
     tiles = [list(t) for t in tiles]
     loads = [sum(pi[g] for g in t) for t in tiles]
 
-    def resum(*touched):
-        # a tile's load is the sum over its list order, which a move or an
-        # undo (re-appending an item) changes; other tiles keep theirs
-        for ti in touched:
-            if ti < len(tiles):
-                loads[ti] = sum(pi[g] for g in tiles[ti])
-
     def to_end(ti, g):
-        # what a rejected trial's undo leaves behind: g re-appended last
+        # what a rejected trial leaves behind: g last on its tile
         if tiles[ti][-1] != g:
             tiles[ti].remove(g)
             tiles[ti].append(g)
-            resum(ti)
+            loads[ti] = sum(pi[h] for h in tiles[ti])
 
-    def profile():
-        return tuple(sorted(loads, reverse=True))
+    def lowers(cur, peak, ti, at_peak, at_ti):
+        # commits the trial leaving at_peak on the peak and at_ti on tile ti
+        # (a new tile when ti == len(tiles)) if its load profile, with those
+        # two loads summed in list order, sorts before cur
+        new = sum(pi[h] for h in at_ti)
+        if new > cur[0]:  # it would lead the profile, which then sorts after cur
+            return False
+        after = loads[:] if ti < len(tiles) else [*loads, new]
+        after[peak], after[ti] = sum(pi[h] for h in at_peak), new
+        if not tuple(sorted(after, reverse=True)) < cur:
+            return False
+        if ti == len(tiles):
+            tiles.append(at_ti)
+        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
+        return True
 
     # relative rounding allowance of the relocation screen: a float sum of
     # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
@@ -401,13 +409,13 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
     # differ by at most 2 k u; this allows 8 u per term and two terms more
     slack = (d_max + 2) * 2.0**-50
     for _ in range(max_passes):
-        cur = profile()
+        cur = tuple(sorted(loads, reverse=True))
         improved = False
         peak = max(range(len(tiles)), key=loads.__getitem__)
         # relocate one dispenser off the peak tile.  Until a move is accepted
-        # the other tiles keep their lists (a rejected trial undoes its move),
-        # so each g's eligible tiles and screen values are taken for all
-        # tiles at once: room and no g (which rules out the peak)
+        # the other tiles keep their lists, so each g's eligible tiles and
+        # screen values are taken for all tiles at once: room and no g (which
+        # rules out the peak)
         room = np.array([len(t) < d_max for t in tiles])
         load = np.array(loads)
         spare = [len(tiles)] if len(tiles) < n_tiles else []
@@ -415,37 +423,20 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
             eligible = room & np.array([g not in t for t in tiles])
             if not (spare or eligible.any()):
                 continue
-            # screen: ti's load after the move, as resum sums it (g appended),
-            # above cur[0] leads the new profile, which then sorts after cur,
-            # so profile() < cur must fail.  load + pi[g] is that sum up to
+            # screen: ti's load after the move, summed with g appended, above
+            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
             # rounding, so only tiles above cur[0] by more than ``slack``
-            # relative are skipped, and the rest take the exact test; a new
-            # tile is never screened (its load pi[g] is at most the peak's).
-            # Every skipped trial leaves what its undo would: g re-appended
-            # last on the peak, the peak re-summed
+            # relative are skipped; a new tile is never screened (its load
+            # pi[g] is at most the peak's).  Every trial of g, skipped or
+            # rejected, leaves g last on the peak
             after = load + pi[g]
             eligible &= after - cur[0] <= after * slack
             to_end(peak, g)
-            for ti in np.flatnonzero(eligible).tolist() + spare:
-                if ti < len(tiles) and sum(pi[h] for h in (*tiles[ti], g)) > cur[0]:
-                    continue
-                tiles[peak].remove(g)
-                if ti == len(tiles):
-                    tiles.append([g])
-                    loads.append(0.0)
-                else:
-                    tiles[ti].append(g)
-                resum(peak, ti)
-                if profile() < cur:
-                    improved = True
-                    break
-                if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
-                    tiles.pop()
-                    loads.pop()
-                else:
-                    tiles[ti].remove(g)
-                tiles[peak].append(g)
-                resum(peak, ti)
+            at_peak = _without(tiles[peak], g)
+            improved = any(
+                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
+                for ti in np.flatnonzero(eligible).tolist() + spare
+            )
             if improved:
                 break
         if improved:
@@ -460,26 +451,13 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
                         continue
                     if h in tiles[peak] or g in tiles[ti]:
                         continue
-                    # screen: as for a relocation, ti's load after the swap
-                    if sum(pi[x] for x in (*tiles[ti], g) if x != h) > cur[0]:
-                        to_end(peak, g)
-                        to_end(ti, h)
-                        continue
-                    tiles[peak].remove(g)
-                    tiles[peak].append(h)
-                    tiles[ti].remove(h)
-                    tiles[ti].append(g)
-                    resum(peak, ti)
-                    if profile() < cur:
+                    if lowers(
+                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
+                    ):
                         improved = True
-                    else:
-                        tiles[peak].remove(h)
-                        tiles[peak].append(g)
-                        tiles[ti].remove(g)
-                        tiles[ti].append(h)
-                        resum(peak, ti)
-                    if improved:
                         break
+                    to_end(peak, g)
+                    to_end(ti, h)
                 if improved:
                     break
             if improved:
@@ -645,26 +623,33 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     scores = [tile_score(t) for t in tiles]
     loads = [load(t) for t in tiles]
 
-    def resum(*touched):
-        # pair sums and loads follow the tile's list order, which a move or
-        # an undo (re-appending an item) changes; other tiles keep theirs
-        for ti in touched:
-            if ti < len(tiles):
-                scores[ti] = tile_score(tiles[ti])
-                loads[ti] = load(tiles[ti])
-
     def to_end(ti, g):
-        # what a rejected trial's undo leaves behind: g re-appended last
+        # what a rejected trial leaves behind: g last on its tile
         if tiles[ti][-1] != g:
             tiles[ti].remove(g)
             tiles[ti].append(g)
-            resum(ti)
+            scores[ti], loads[ti] = tile_score(tiles[ti]), load(tiles[ti])
+
+    def raises(cur, a, b, at_a, at_b):
+        # commits the trial leaving at_a on tile a and at_b on tile b (a new
+        # tile when b == len(tiles)) if the total score, with those two tiles'
+        # pair sums taken in list order, exceeds cur + EPS
+        after = scores[:] if b < len(tiles) else [*scores, 0]
+        after[a], after[b] = tile_score(at_a), tile_score(at_b)
+        if not sum(after) > cur + EPS:
+            return False
+        if b == len(tiles):
+            tiles.append(at_b)
+            loads.append(0)
+        tiles[a], tiles[b], scores[:] = at_a, at_b, after
+        loads[a], loads[b] = load(at_a), load(at_b)
+        return True
 
     # screen: a trial's gain is estimated from partner sums, part[t][col[x]]
     # being x's correlation with the drugs of tile t other than x; when the
-    # estimate is at most EPS - margin (_screen_margin), sum(scores) > cur + EPS
-    # must fail.  The partner sums hold between accepted moves, since a
-    # skipped or undone trial only reorders lists
+    # estimate is at most EPS - margin (_screen_margin), the trial must fail.
+    # The partner sums hold between accepted moves, since a rejected trial
+    # only reorders lists
     col = {g: i for i, g in enumerate(idx)}
     sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
     partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
@@ -687,33 +672,17 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
                     ):
                         continue
                     ig = col[g]  # gain: g's partners on b less its partners on a
-                    if (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig] <= floor:
-                        to_end(a, g)
-                        continue
-                    tiles[a].remove(g)
-                    new_tile = b == len(tiles)
-                    if new_tile:
-                        tiles.append([g])
-                        scores.append(0)
-                        loads.append(0)
-                    else:
-                        tiles[b].append(g)
-                    resum(a, b)
-                    if sum(scores) > cur + EPS:
+                    gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
+                    if gain > floor and raises(
+                        cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
+                    ):
                         improved = True
                         kept = [i for i, t in enumerate(tiles) if t]
                         tiles[:] = [tiles[i] for i in kept]
                         scores[:] = [scores[i] for i in kept]
                         loads[:] = [loads[i] for i in kept]
                         break
-                    if new_tile:
-                        tiles.pop()
-                        scores.pop()
-                        loads.pop()
-                    else:
-                        tiles[b].remove(g)
-                    tiles[a].append(g)
-                    resum(a, b)
+                    to_end(a, g)
                 if improved:
                     break
                 # swaps
@@ -731,23 +700,13 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
                         # b's other than h; part counts g-h on both sides
                         ig, ih = col[g], col[h]
                         gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
-                        if gain - 2 * corr[idx[g]][idx[h]] <= floor:
-                            to_end(a, g)
-                            to_end(b, h)
-                            continue
-                        tiles[a].remove(g)
-                        tiles[a].append(h)
-                        tiles[b].remove(h)
-                        tiles[b].append(g)
-                        resum(a, b)
-                        if sum(scores) > cur + EPS:
+                        if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
+                            cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
+                        ):
                             improved = True
                             break
-                        tiles[a].remove(h)
-                        tiles[a].append(g)
-                        tiles[b].remove(g)
-                        tiles[b].append(h)
-                        resum(a, b)
+                        to_end(a, g)
+                        to_end(b, h)
                     if improved:
                         break
                 if improved:

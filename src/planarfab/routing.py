@@ -45,7 +45,14 @@ from operator import itemgetter
 import numpy as np
 
 from .core import Coord
-from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp
+from .scheduling import (
+    DISPENSING,
+    OperationSpec,
+    Schedule,
+    ScheduledOp,
+    build_operations,
+    validate_schedule,
+)
 
 MAX_ITERATIONS = 100
 ASSIGN_EXACT_LIMIT = 30
@@ -502,16 +509,16 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     transit's segments in order.  A movement segment is written once, as a
     leg ``(cells, base)`` over its ticks, and expanded after the first-writer
     pass.
+
+    ``resting_assignment`` maps a transit's ``(mover, from_op, to_op)`` key to
+    its resting site; ``transits`` defaults to the realized schedule's own.
     """
     frame = realized.frame
     ops_of = realized.ops
     if transits is None:
         transits = _transits_of(ops_of, frame.dist)
     t_by_key = {(t.mover, t.from_op, t.to_op): t for t in transits}
-    site_of = {}
-    for idx, site in resting_assignment.items():
-        tr = transits[idx] if isinstance(idx, int) else t_by_key[idx]
-        site_of[(tr.mover, tr.from_op, tr.to_op)] = (tr, site)
+    site_of = {key: (t_by_key[key], site) for key, site in resting_assignment.items()}
 
     top = max((e for (_m, _t, _s, e, _o) in ops_of.values()), default=0) + 1
     index, rows, steps = frame.index, frame.rows, frame.steps
@@ -742,14 +749,18 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
     """Full plan check: realized schedule validity plus path consistency.
 
     The adjusted schedule is validated with durations inflated by the accounted
-    pauses; travel gaps are re-verified against the realized paths (one tile
-    per tick, segments matching the schedule, sites entered only from their
-    two adjacent tiles).
+    pauses, and each nominal op must match the instance, so the pauses are the
+    only duration change tolerated; travel gaps are re-verified against the
+    realized paths (one tile per tick, segments matching the schedule, sites
+    entered only from their two adjacent tiles).
     """
-    from .scheduling import validate_schedule  # local import to stay cycle-free
-
-    issues = []
     pauses = plan.interruptions
+    expected = {op.op_id: op for op in build_operations(instance.orders, instance.eta)}
+    issues = [
+        f"rule 1: op {so.op.op_id} does not match the instance"
+        for so in plan.schedule.ops
+        if expected.get(so.op.op_id, so.op) != so.op
+    ]
     real_ops = tuple(
         ScheduledOp(
             OperationSpec(
@@ -767,7 +778,8 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
     )
     realized = Schedule(real_ops, max(o.end for o in real_ops))
     for v in validate_schedule(realized, instance):
-        # realized durations legitimately exceed the nominal ones
+        # realized durations exceed the nominal ones by the pauses; the
+        # nominal ops were matched above
         if "rule 6" in v or ("rule 1" in v and "does not match" in v):
             continue
         issues.append(v)

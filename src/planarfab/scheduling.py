@@ -106,9 +106,6 @@ class Schedule:
             out.setdefault(so.mover, []).append(so)
         return out
 
-    def mover_of_order(self) -> dict[int, int]:
-        return {so.op.order_id: so.mover for so in self.ops}
-
     def to_csv(self) -> str:
         lines = ["op_id,order,drug,mover,tile_x,tile_y,start,end"]
         for so in sorted(self.ops, key=lambda s: (s.start, s.mover, s.op.op_id)):

@@ -1214,6 +1214,44 @@ def _corrupt(plan, m, k, new_runs):
     return dataclasses.replace(plan, paths={**plan.paths, m: runs})
 
 
+def test_validate_plan_tolerates_only_the_pauses_in_an_ops_duration():
+    layout = build_layout("square", (4, 4), 2)
+    drugs = list("abc")
+    pl = random_placement(layout, drugs, seed=2)
+    orders = random_orders(drugs, 8, seed=1, size_range=(1, 3), dur_range=(2, 6))
+    s = schedule(orders, pl, 2, eta=2, seed=1, max_iterations=10)
+    plan = route_schedule(s, pl)
+    inst = SchedulingInstance(tuple(orders), pl, 2, 2)
+    assert validate_plan(plan, inst) == []  # realized durations include the pauses
+
+    def edited(op_id, **change):
+        ops = tuple(
+            dataclasses.replace(so, op=dataclasses.replace(so.op, **change))
+            if so.op.op_id == op_id else so
+            for so in plan.schedule.ops
+        )
+        return dataclasses.replace(plan, schedule=dataclasses.replace(plan.schedule, ops=ops))
+
+    # a dispensing op given the other drug of its two-drug tile: same paths
+    so = next(
+        so for so in plan.schedule.ops
+        if so.op.kind == DISPENSING and len(pl.drug_tiles[so.tile]) == 2
+    )
+    other = next(g for g in pl.drug_tiles[so.tile] if g != so.op.target)
+    swapped = edited(so.op.op_id, target=other)
+    want = [f"rule 1: op {so.op.op_id} does not match the instance"]
+    assert validate_schedule(swapped.schedule, inst) == want
+    assert validate_plan(swapped, inst) == want
+
+    # a paused op whose nominal duration is short by its pauses: the realized
+    # duration, and so the paths, match the instance, the op does not
+    op_id, pause = next((k, v) for k, v in sorted(plan.interruptions.items()) if v)
+    short = next(so for so in plan.schedule.ops if so.op.op_id == op_id)
+    assert validate_plan(edited(op_id, duration=short.op.duration - pause), inst) == [
+        f"rule 1: op {op_id} does not match the instance"
+    ]
+
+
 def test_validate_plan_matches_tick_reference_on_corrupted_runs():
     layout = build_layout("square", (5, 5), 2)
     drugs = list("ab")
