@@ -89,17 +89,19 @@ def _write(path, text):
 
 
 def cmd_init_instance(args):
-    layout = build_layout(args.topology, _size_params(args), args.interfaces)
-    marg = [float(x) for x in args.marginals.split(",")] if args.marginals else []
-    drugs = args.drugs.split(",") if args.drugs else [f"drug{i}" for i in range(len(marg))]
-    if not marg:
-        raise CliError("provide --marginals", CONFIG_ERROR)
     import numpy as np
 
-    corr = np.zeros((len(drugs), len(drugs)))
     from .core import DrugCatalog
 
-    catalog = DrugCatalog(tuple(drugs), tuple(marg), corr)
+    try:
+        layout = build_layout(args.topology, _size_params(args), args.interfaces)
+        marg = [float(x) for x in args.marginals.split(",")] if args.marginals else []
+        drugs = args.drugs.split(",") if args.drugs else [f"drug{i}" for i in range(len(marg))]
+        if not marg:
+            raise CliError("provide --marginals", CONFIG_ERROR)
+        catalog = DrugCatalog(tuple(drugs), tuple(marg), np.zeros((len(drugs), len(drugs))))
+    except ValueError as e:  # a malformed --size, --marginals or --drugs, or a bad size
+        raise CliError(f"bad instance arguments: {e}", CONFIG_ERROR) from None
     config = InstanceConfig(
         n_dispensers=args.dispensers,
         d_max=args.d_max,

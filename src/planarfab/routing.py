@@ -561,43 +561,63 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     return paths
 
 
-def detect_conflicts(paths, schedule: Schedule, pauses=None) -> dict[int, int]:
+def _conflict_index(schedule: Schedule):
+    """What detect_conflicts reads of a schedule apart from its starts: per
+    dispensing op (position in schedule.ops, op id, mover, duration, tile
+    slot), the slot of each transit-state cell (MOVE or REST) on a
+    dispensing tile, and the number of slots.  Every round of one
+    resolve_conflicts call has the same ops in the same order, so the call
+    builds it once."""
+    slots: dict = {}
+    cells: dict = {}
+    dispensing = []
+    for i, so in enumerate(schedule.ops):
+        if so.op.kind == DISPENSING:
+            x, y = float(so.tile.x), float(so.tile.y)
+            slot = slots.setdefault((x, y), len(slots))
+            cells[(x, y, MOVE)] = cells[(x, y, REST)] = slot
+            dispensing.append((i, so.op.op_id, so.mover, so.op.duration, slot))
+    return dispensing, cells, len(slots)
+
+
+def detect_conflicts(paths, schedule: Schedule, pauses=None, index=None) -> dict[int, int]:
     """Ticks per dispensing op during which another mover transits its tile.
 
     Only transit-state occupancy (moving or resting) pauses dispensing; two
     operations parked on one tile are a scheduling overlap, kept apart by the
     realized-duration same-dispenser edges of build_dag, not a routing conflict.
+    ``index`` is ``_conflict_index`` of a schedule with the same ops in the
+    same order (only starts may differ); without it one is built.
     """
     pauses = pauses or {}
-    dispensing = [so for so in schedule.ops if so.op.kind == DISPENSING]
-    # dispensing tile center -> (t0, t1, mover) transit-state runs on it
-    occupancy: dict[tuple, list] = {
-        (float(so.tile.x), float(so.tile.y)): [] for so in dispensing
-    }
+    dispensing, cells, n_slots = index or _conflict_index(schedule)
+    # per dispensing tile slot: (t0, t1, mover) transit-state runs on it
+    occupancy: list[list] = [[] for _ in range(n_slots)]
     for m, runs in paths.items():
-        for t0, t1, (x, y, state) in runs:
-            if state == MOVE or state == REST:
-                seq = occupancy.get((x, y))
-                if seq is not None:
-                    seq.append((t0, t1, m))
-    index = {}
-    for tile, seq in occupancy.items():
+        for t0, t1, cell in runs:
+            slot = cells.get(cell)
+            if slot is not None:
+                occupancy[slot].append((t0, t1, m))
+    tables = []
+    for seq in occupancy:
         seq.sort()
         # reach[k]: the latest end among seq[:k + 1], so runs before
         # bisect_right(reach, s) all end by tick s
-        index[tile] = (seq, [r[0] for r in seq], list(accumulate((r[1] for r in seq), max)))
+        tables.append((seq, [r[0] for r in seq], list(accumulate((r[1] for r in seq), max))))
+    ops = schedule.ops
     ledger: dict[int, int] = {}
-    for so in dispensing:
-        seq, starts, reach = index[(float(so.tile.x), float(so.tile.y))]
-        end = so.end + pauses.get(so.op.op_id, 0)
-        covered, done = 0, so.start  # ticks before `done` are counted or excluded
-        for k in range(bisect_right(reach, so.start), bisect_left(starts, end)):
+    for i, op_id, mover, duration, slot in dispensing:
+        seq, starts, reach = tables[slot]
+        start = ops[i].start
+        end = start + duration + pauses.get(op_id, 0)
+        covered, done = 0, start  # ticks before `done` are counted or excluded
+        for k in range(bisect_right(reach, start), bisect_left(starts, end)):
             t0, t1, m = seq[k]
-            if m != so.mover and t1 > done:  # the union of other movers' runs
+            if m != mover and t1 > done:  # the union of other movers' runs
                 t1 = min(t1, end)
                 covered += t1 - max(t0, done)
                 done = t1
-        ledger[so.op.op_id] = covered
+        ledger[op_id] = covered
     return ledger
 
 
@@ -685,14 +705,16 @@ def resolve_conflicts(
 ) -> RoutedPlan:
     """Iterate path building, conflict counting and DAG repropagation to a fixpoint.
 
-    The DAG and the layout frame (distance rows, path cache) are built once
-    per call: between rounds only the ledger changes.
+    The DAG, the layout frame (distance rows, path cache) and the
+    dispensing index of detect_conflicts are built once per call: between
+    rounds only the ledger changes.
     """
     if sites is None:
         sites = generate_resting_sites(placement.layout, placement.interfaces)
     ledger = dict(ledger or {})
     dag = build_dag(schedule, placement)
     frame = _Frame(placement)
+    index = _conflict_index(schedule)
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -713,7 +735,7 @@ def resolve_conflicts(
             for i, s in assignment.items()
         }
         paths = build_paths(realized, key_assignment, transits)
-        found = detect_conflicts(paths, current, pauses=ledger)
+        found = detect_conflicts(paths, current, pauses=ledger, index=index)
         new_ledger = {k: max(ledger.get(k, 0), v) for k, v in found.items() if v > 0}
         for k, v in ledger.items():
             new_ledger[k] = max(new_ledger.get(k, 0), v)

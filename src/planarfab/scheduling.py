@@ -615,16 +615,27 @@ _NEVER = math.inf  # next start of a mover with nothing left to commit
 
 
 class _Plan:
-    """Per-mover sequences of (order, Route); the search state."""
+    """Per-mover sequences of (order, Route); the search state.
 
-    __slots__ = ("seqs",)
+    timing[m] keeps mover m's timing inputs (chain, span, flow), its chain
+    and the chain's _tails, across insertions; None means not built.
+    _insert_best builds every None entry.  Whoever changes seqs[m]
+    resets timing[m] to None: _insert_best the winner's mover after
+    inserting, _lns_search every mover that a removal shortened.  _timing
+    and _plan_makespan read seqs alone, so a plan whose seqs are edited
+    directly is still timed right.
+    """
+
+    __slots__ = ("seqs", "timing")
 
     def __init__(self, n_movers: int):
         self.seqs: list[list[tuple[Order, Route]]] = [[] for _ in range(n_movers)]
+        self.timing: list[tuple | None] = [None] * n_movers
 
     def copy(self) -> "_Plan":
         p = _Plan(len(self.seqs))
         p.seqs = [list(s) for s in self.seqs]
+        p.timing = self.timing[:]
         return p
 
 
@@ -651,7 +662,7 @@ class _Timer:
         self.dist.append([0] * len(self.dist))
 
     def chains(self, plan: _Plan) -> list[tuple]:
-        return [tuple(op for _, route in seq for op in route.seg) for seq in plan.seqs]
+        return [_chain(seq) for seq in plan.seqs]
 
     def tails(self, chains) -> tuple[list[list[int]], list[list[int]]]:
         """(spans, flows): _tails of every chain."""
@@ -668,6 +679,11 @@ class _Timer:
             0,
             0,
         )
+
+
+def _chain(seq) -> tuple:
+    """The ops (op_id, duration, tile id) of a mover's sequence, in order."""
+    return tuple(op for _, route in seq for op in route.seg)
 
 
 def _tails(chain, dist) -> tuple[list[int], list[int]]:
@@ -711,6 +727,26 @@ def _splice_tails(span, flow, k, seg_tails, d):
         + [f + left * (x + d) + flow[k] for x, f in zip(seg_span[:-1], seg_flow[:-1])]
         + flow[k:],
     )
+
+
+def _splice_heads(chain, span, flow, k, routes, dist) -> list[tuple[int, int]]:
+    """Entry k of _splice_tails(span, flow, k, route.tails, d) for each route, O(1) each.
+
+    The spliced chain runs the route's segment from position k, then
+    chain[k:] after the travel d from the segment's last tile to chain[k]:
+    span seg_span[0] + d + span[k] and flow seg_flow[0] + left * (seg_span[0]
+    + d) + flow[k] for left = len(chain) - k ops after it; at the chain's
+    end, the segment's own seg_span[0] and seg_flow[0].
+    """
+    left = len(chain) - k
+    if not left:
+        return [(r.tails[0][0], r.tails[1][0]) for r in routes]
+    rest, after_span, after_flow = chain[k][2], span[k], flow[k]
+    heads = []
+    for r in routes:
+        lead = r.tails[0][0] + dist[r.seg[-1][2]][rest]  # seg_span[0] + d
+        heads.append((lead + after_span, r.tails[1][0] + left * lead + after_flow))
+    return heads
 
 
 def _lower_bound(chains, tails, ptr, nxt, makespan, flow) -> tuple[int, int]:
@@ -763,12 +799,14 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
     if (lb_makespan, lb_flow) >= bound:
         return None
     movers = range(len(chains))
-    remaining = sum(map(len, chains)) - sum(ptr)
+    lens = [len(c) for c in chains]
+    remaining = sum(lens) - sum(ptr)
     pending = sum(map(len, marks)) if marks is not None else 0
     while remaining:
         t = min(nxt)
         m = nxt.index(t)
         chain = chains[m]
+        n = lens[m]
         k = ptr[m]
         op_id, dur, tile = chain[k]
         end = t + dur
@@ -781,13 +819,13 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
         k += 1
         ptr[m] = k
         grew = False
-        if k < len(chain):
+        if k < n:
             nxt_tile = chain[k][2]
             t0 = end + dist[tile][nxt_tile]
             f = free[nxt_tile]
             if f > t0:
                 nxt[m] = f
-                lb_flow += (len(chain) - k) * (f - t0)
+                lb_flow += (n - k) * (f - t0)
                 if f + spans[m][k] > lb_makespan:
                     lb_makespan = f + spans[m][k]
                 grew = True
@@ -797,13 +835,14 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
         else:
             nxt[m] = _NEVER
             wait[m] = -1
-        for o in movers:
-            if wait[o] == tile and nxt[o] < end:
-                lb_flow += (len(chains[o]) - ptr[o]) * (end - nxt[o])
-                if end + spans[o][ptr[o]] > lb_makespan:
-                    lb_makespan = end + spans[o][ptr[o]]
-                nxt[o] = end
-                grew = True
+        if tile in wait:  # another mover waits for the tile just taken
+            for o in movers:
+                if wait[o] == tile and nxt[o] < end:
+                    lb_flow += (lens[o] - ptr[o]) * (end - nxt[o])
+                    if end + spans[o][ptr[o]] > lb_makespan:
+                        lb_makespan = end + spans[o][ptr[o]]
+                    nxt[o] = end
+                    grew = True
         if grew and lb_makespan >= bound_makespan and (
             lb_makespan > bound_makespan or lb_flow >= bound_flow
         ):
@@ -994,8 +1033,11 @@ def _lns_search(orders, n_movers, timer, warm_start, seed, time_limit, max_itera
         removed = rng.sample(orders, min(k, len(orders)))
         work = plan.copy()
         removed_ids = {o.id for o in removed}
-        for m in range(n_movers):
-            work.seqs[m] = [(o, r) for o, r in work.seqs[m] if o.id not in removed_ids]
+        for m, seq in enumerate(work.seqs):
+            kept = [(o, r) for o, r in seq if o.id not in removed_ids]
+            if len(kept) < len(seq):
+                work.seqs[m] = kept
+                work.timing[m] = None
         for o in sorted(removed, key=lambda o: (-(o.total_dispensing), o.id)):
             key = _insert_best(work, o, timer, routes)
         if key < best_key:
@@ -1035,10 +1077,20 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     first candidate whose starting bound reaches (makespan, flow + 1).
     Route candidates are fetched in enumeration order, as a cache miss draws
     from the route cache's rng.
+
+    Cost: a starting bound reads m's spliced tails at k only, O(1) from the
+    route's tails and m's (_splice_heads), so queueing a candidate is O(1);
+    only a candidate that runs pays for its spliced chain and tails
+    (_splice_tails).  The movers' (chain, span, flow) come from plan.timing,
+    which rebuilds only the entries reset since they were last built.
     """
-    chains = timer.chains(plan)
     dist = timer.dist
-    spans, flows = timer.tails(chains)
+    timing = plan.timing
+    for m, entry in enumerate(timing):
+        if entry is None:
+            chain = _chain(plan.seqs[m])
+            timing[m] = (chain, *_tails(chain, dist))
+    chains, spans, flows = (list(x) for x in zip(*timing))
     candidates = range(len(plan.seqs)) if movers is None else movers
     boundaries = {  # ops before each position, per candidate mover
         m: list(itertools.accumulate((len(r.seg) for _, r in plan.seqs[m]), initial=0))
@@ -1052,7 +1104,7 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         _run(chains, (spans, flows), dist, ptr[:], nxt[:], wait[:], free[:], marks=marks,
              snaps=snaps)
 
-    queue = []  # (starting bound, index, m, pos, k, route, first start, m's spliced tails)
+    queue = []  # (starting bound, index, m, pos, k, route, first start): no chain built yet
     for m in candidates:
         seq = plan.seqs[m]
         base = chains[m]
@@ -1063,22 +1115,21 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
             # the bound of the other movers: m counts as done here
             others = _lower_bound(chains, (spans, flows), ptr[:m] + [len(base)] + ptr[m + 1:],
                                   nxt, makespan, flow)
-            for route in options:
-                seg = route.seg
+            left = len(base) - k
+            heads = _splice_heads(base, spans[m], flows[m], k, options, dist)
+            for route, (span_k, flow_k) in zip(options, heads):
                 tile = route.start
                 t0 = ready + dist[loc][tile]
                 start = t0 if t0 > free[tile] else free[tile]
-                tails_m = _splice_tails(spans[m], flows[m], k, route.tails,
-                                        dist[seg[-1][2]][base[k][2]] if k < len(base) else 0)
-                lb = (max(others[0], start + tails_m[0][k]),
-                      others[1] + (len(seg) + len(base) - k) * start + tails_m[1][k])
-                queue.append((lb, len(queue), m, pos, k, route, start, tails_m))
-    queue.sort(key=lambda c: c[:2])
+                lb = (max(others[0], start + span_k),
+                      others[1] + (len(route.seg) + left) * start + flow_k)
+                queue.append((lb, len(queue), m, pos, k, route, start))
+    queue.sort()  # by (bound, index): indexes are distinct, so no comparison reads further
 
     best = None
     best_key = (_NEVER, _NEVER)
     best_index = len(queue)
-    for lb, index, m, pos, k, route, start, tails_m in queue:
+    for lb, index, m, pos, k, route, start in queue:
         tie_wins = (best_key[0], best_key[1] + 1)
         if lb >= tie_wins:
             break
@@ -1086,9 +1137,12 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         if lb >= bound:
             continue
         ptr, nxt, wait, free, makespan, flow, _, _ = snaps[(m, k)]
+        base = chains[m]
         run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
-        run_chains[m] = chains[m][:k] + route.seg + chains[m][k:]
-        run_spans[m], run_flows[m] = tails_m
+        run_chains[m] = base[:k] + route.seg + base[k:]
+        run_spans[m], run_flows[m] = _splice_tails(
+            spans[m], flows[m], k, route.tails,
+            dist[route.seg[-1][2]][base[k][2]] if k < len(base) else 0)
         nxt_m = nxt[:]
         nxt_m[m] = start
         wait_m = wait[:]
@@ -1099,4 +1153,5 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
             best, best_key, best_index = (m, pos, route), key, index
     m, pos, route = best
     plan.seqs[m].insert(pos, (order, route))
+    timing[m] = None
     return best_key

@@ -324,6 +324,28 @@ def test_cli_init_instance_roundtrip(tmp_path):
     assert doc["topology"] == "ring" and len(doc["tiles"]) == 16
 
 
+@pytest.mark.parametrize(
+    "topology, size, extra",
+    [
+        ("square", "4", ("--marginals", "0.3,abc")),
+        ("square", "4xq", ("--marginals", "0.3")),
+        ("square", "4", ("--marginals", "0.3,0.4", "--drugs", "a")),
+        ("ring", "0", ("--marginals", "0.3")),
+        ("line", "-2", ("--marginals", "0.3")),
+    ],
+    ids=["bad-marginals", "bad-square-size", "drugs-mismatch", "ring-too-small",
+         "line-negative"],
+)
+def test_cli_init_instance_bad_arguments_are_config_errors(tmp_path, capsys, topology, size,
+                                                          extra):
+    out = tmp_path / "inst.json"
+    assert run("init-instance", "--topology", topology, "--size", size, *extra,
+               "--dispensers", "4", "--out", out) == CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 # --- renders -------------------------------------------------------------------------
 
 def test_render_gantt_structure():

@@ -1093,8 +1093,8 @@ def test_runs_match_tick_reference_on_every_fixpoint_iteration(monkeypatch):
         calls["build"] += 1
         return runs
 
-    def checked_detect(paths, s, pauses=None):
-        ledger = detect(paths, s, pauses=pauses)
+    def checked_detect(paths, s, pauses=None, index=None):
+        ledger = detect(paths, s, pauses=pauses, index=index)
         n = _horizon(s, pauses or {})
         ticks = {m: tick_list(runs, n) for m, runs in paths.items()}
         assert ledger == ref_detect_conflicts(ticks, s, pauses=pauses)

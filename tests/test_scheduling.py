@@ -28,6 +28,9 @@ from planarfab.scheduling import (
     _timing,
     _Timer,
     _route_count,
+    _splice_heads,
+    _splice_tails,
+    _tails,
     build_operations,
     candidate_routes,
     lower_bound,
@@ -564,6 +567,79 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
                                movers)
         assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
     assert tied >= 20
+
+
+def test_splice_heads_match_spliced_tails_at_every_candidate():
+    """The O(1) starting-bound tails of every (mover, position, route)
+    candidate equal _splice_tails at k and the _tails of the spliced chain."""
+    drugs = list("abcdef")
+    checked = at_end = 0
+    for li, layout in enumerate(_engine_layouts()):
+        for seed in range(20):
+            rng = random.Random(3000 + 1000 * li + seed)
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+            orders = random_orders(drugs, rng.randint(2, 12), seed=seed + 30,
+                                   size_range=(1, 4), dur_range=(1, 9))
+            n_movers = 8 if seed % 2 else rng.randint(1, 7)
+            timer = _Timer(pl, orders, eta=rng.randint(1, 3))
+            plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
+            routes = _RouteCache(timer, random.Random(seed))
+            dist = timer.dist
+            for seq, chain in zip(plan.seqs, timer.chains(plan)):
+                span, flow = _tails(chain, dist)
+                k = 0
+                for pos in range(len(seq) + 1):
+                    prev_loc = seq[pos - 1][1].end if pos > 0 else None
+                    options = routes.get(orders[0], prev_loc)
+                    heads = _splice_heads(chain, span, flow, k, options, dist)
+                    assert len(heads) == len(options)
+                    for route, head in zip(options, heads):
+                        d = dist[route.seg[-1][2]][chain[k][2]] if k < len(chain) else 0
+                        spliced = _splice_tails(span, flow, k, route.tails, d)
+                        full = _tails(chain[:k] + route.seg + chain[k:], dist)
+                        assert head == (spliced[0][k], spliced[1][k]), (li, seed, pos)
+                        assert head == (full[0][k], full[1][k]), (li, seed, pos)
+                        checked += 1
+                        at_end += k == len(chain)
+                    if pos < len(seq):
+                        k += len(seq[pos][1].seg)
+    assert at_end >= 100 and checked - at_end >= 1000
+
+
+@pytest.mark.parametrize("n_movers", [1, 8])
+def test_plan_timing_entries_match_sequences_around_every_insertion(monkeypatch, n_movers):
+    """Every (chain, span, flow) that a plan keeps equals the chain and tails
+    recomputed from its sequences, before and after each insertion of the
+    construction and of at least 20 LNS iterations."""
+    import planarfab.scheduling as scheduling
+
+    insert = scheduling._insert_best
+    calls = {"insertions": 0, "kept": 0}
+
+    def check(plan, timer):
+        chains = timer.chains(plan)
+        spans, flows = timer.tails(chains)
+        for m, entry in enumerate(plan.timing):
+            if entry is not None:
+                assert entry == (chains[m], spans[m], flows[m]), m
+                calls["kept"] += 1
+
+    def checked_insert(plan, order, timer, routes, movers=None):
+        check(plan, timer)
+        key = insert(plan, order, timer, routes, movers)
+        check(plan, timer)
+        calls["insertions"] += 1
+        return key
+
+    monkeypatch.setattr(scheduling, "_insert_best", checked_insert)
+    drugs = list("abcdefgh")
+    pl = random_placement(build_layout("square", (5, 5), 2), drugs, seed=4, max_alternatives=3)
+    orders = random_orders(drugs, 16, seed=5, size_range=(1, 4), dur_range=(1, 9))
+    got = schedule(orders, pl, n_movers, seed=3, max_iterations=25)
+    assert validate_schedule(got, SchedulingInstance(tuple(orders), pl, n_movers, 2)) == []
+    assert len(got.incumbent_trace) == 26  # the construction, then 25 LNS iterations
+    assert calls["insertions"] > len(orders) + 25
+    assert calls["kept"] >= calls["insertions"] * (n_movers - 1)
 
 
 def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
