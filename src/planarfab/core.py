@@ -15,6 +15,8 @@ broadcasting of |dx| + |dy| on l1 layouts, one BFS per tile otherwise).
 ``Layout.distance`` reads one entry; ``Layout.distances`` slices a block of
 it, which is how scheduling and κ get the matrix over the tiles they work on.
 The placement sampler gathers rows of the table itself (``index_table``).
+The same BFS checks that a layout is connected, and paths off the x-then-y
+staircase are walked down the table's row of the target tile.
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ class Layout:
     topology: str = "explicit"
 
     def __post_init__(self):
+        if not self.tiles:
+            raise ValueError("layout needs at least one tile")
         if self.n_inter < 0 or self.n_inter > len(self.tiles):
             raise ValueError(
                 f"n_inter={self.n_inter} out of range for {len(self.tiles)} tiles"
             )
-        if not self.tiles:
-            raise ValueError("layout needs at least one tile")
-        if not _connected(self.tiles):
+        if len(_bfs(self, next(iter(self.tiles)))) < len(self.tiles):
             raise ValueError("layout tiles must be connected under 4-adjacency")
 
     @property
@@ -100,7 +102,8 @@ class Layout:
             xy = np.array(tiles, dtype=np.int64)
             table = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
         else:
-            table = np.array([_bfs(self, t, index) for t in tiles], dtype=np.int64)
+            dists = [_bfs(self, t) for t in tiles]
+            table = np.array([[d[u] for u in tiles] for d in dists], dtype=np.int64)
         table.flags.writeable = False  # shared by every caller of this layout
         return index, table
 
@@ -120,8 +123,9 @@ class Layout:
     def shortest_path(self, a: Coord, b: Coord) -> list[Coord]:
         """Tile sequence from a to b inclusive, one tile per tick.
 
-        Prefers the x-then-y staircase; falls back to a BFS path when the
-        staircase leaves the tile set (ring layouts).
+        The x-then-y staircase where it stays on the tiles and is shortest;
+        otherwise (ring layouts) the lexicographically least shortest path,
+        walked on the distance table (``_walk``).
         """
         a, b = Coord(*a), Coord(*b)
         path = _staircase(a, b)
@@ -129,7 +133,7 @@ class Layout:
             self.l1_exact or len(path) - 1 == self.distance(a, b)
         ):
             return path
-        return _bfs_path(self, a, b)
+        return _walk(self, a, b)
 
 
 def _staircase(a: Coord, b: Coord) -> list[Coord]:
@@ -146,51 +150,30 @@ def _staircase(a: Coord, b: Coord) -> list[Coord]:
     return path
 
 
-def _connected(tiles: frozenset[Coord]) -> bool:
-    start = next(iter(tiles))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, y = queue.popleft()
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = Coord(x + d[0], y + d[1])
-            if n in tiles and n not in seen:
-                seen.add(n)
-                queue.append(n)
-    return len(seen) == len(tiles)
-
-
-def _bfs(layout: Layout, src: Coord, index: dict[Coord, int]) -> list[int]:
-    """Graph distance from src to every tile, as a row in index order."""
-    row = [-1] * len(index)
-    row[index[src]] = 0
+def _bfs(layout: Layout, src: Coord) -> dict[Coord, int]:
+    """Graph distance from src to every tile it reaches."""
+    dist = {src: 0}
     queue = deque([src])
     while queue:
         c = queue.popleft()
         for n in layout.neighbors(c):
-            if row[index[n]] < 0:
-                row[index[n]] = row[index[c]] + 1
+            if n not in dist:
+                dist[n] = dist[c] + 1
                 queue.append(n)
-    return row
+    return dist
 
 
-def _bfs_path(layout: Layout, a: Coord, b: Coord) -> list[Coord]:
-    if a == b:
-        return [a]
-    prev: dict[Coord, Coord] = {a: a}
-    queue = deque([a])
-    while queue:
-        c = queue.popleft()
-        if c == b:
-            break
-        for n in sorted(layout.neighbors(c)):
-            if n not in prev:
-                prev[n] = c
-                queue.append(n)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
+def _walk(layout: Layout, a: Coord, b: Coord) -> list[Coord]:
+    """The lexicographically least shortest path from a to b: from each tile,
+    step to the least neighbour one tick closer to b (the table is symmetric,
+    so b's row holds every tile's distance to b)."""
+    index, table = layout.index_table
+    to_b = table[index[b]].tolist()
+    path = [a]
+    while a != b:
+        closer = to_b[index[a]] - 1
+        a = min(n for n in layout.neighbors(a) if to_b[index[n]] == closer)
+        path.append(a)
     return path
 
 
@@ -200,12 +183,12 @@ def build_layout(topology: str, size_params, n_inter: int) -> Layout:
     size_params: line/doubleline length, ring side, square (rows, cols) or a
     single side, or an explicit iterable of (x, y) pairs.
     """
-    if topology == "line":
+    if topology in ("line", "doubleline"):
         n = int(size_params)
-        tiles = {Coord(1, j) for j in range(1, n + 1)}
-    elif topology == "doubleline":
-        n = int(size_params)
-        tiles = {Coord(i, j) for i in (1, 2) for j in range(1, n + 1)}
+        if n < 1:
+            raise ValueError(f"{topology} length must be at least 1, got {n}")
+        rows = (1,) if topology == "line" else (1, 2)
+        tiles = {Coord(i, j) for i in rows for j in range(1, n + 1)}
     elif topology == "ring":
         s = int(size_params)
         if s < 3:
@@ -221,6 +204,8 @@ def build_layout(topology: str, size_params, n_inter: int) -> Layout:
             rows, cols = size_params
         else:
             rows = cols = int(size_params)
+        if rows < 1 or cols < 1:
+            raise ValueError(f"square sides must be at least 1, got {rows}x{cols}")
         tiles = {
             Coord(i, j) for i in range(1, cols + 1) for j in range(1, rows + 1)
         }

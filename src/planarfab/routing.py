@@ -5,10 +5,11 @@ is a mover occupying a tile where another mover is actively dispensing, which
 pauses that dispensing.  The pipeline is: generate resting sites (edge
 midpoints where an idle mover obstructs nothing, selected as a maximum
 b-matching of the tile grid by augmenting paths), assign every idle transit
-to a site at minimum round-trip detour, realise tick-level paths (x-then-y
-staircases at one tile per tick), count interruption ticks per dispensing
-operation, and push start times right through a precedence DAG (longest path
-from a virtual source) until the interruption ledger stops growing.
+to a site at minimum round-trip detour, realise tick-level paths (the
+layout's shortest paths at one tile per tick), count interruption ticks per
+dispensing operation, and push start times right through a precedence DAG
+(longest path from a virtual source) until the interruption ledger stops
+growing.
 
 Starts only ever move later: every operation is anchored at its original start
 by a source edge, mover chains carry interruption + duration + travel weights,
@@ -45,14 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import Coord
-from .scheduling import (
-    DISPENSING,
-    OperationSpec,
-    Schedule,
-    ScheduledOp,
-    build_operations,
-    validate_schedule,
-)
+from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp, validate_schedule
 
 MAX_ITERATIONS = 100
 ASSIGN_EXACT_LIMIT = 30
@@ -132,13 +126,10 @@ class RoutedPlan:
 
 
 def site_candidates(layout) -> list[RestingSite]:
-    cands = []
-    for t in layout.sorted_tiles():
-        for d in ((1, 0), (0, 1)):
-            n = Coord(t.x + d[0], t.y + d[1])
-            if n in layout.tiles:
-                cands.append(RestingSite(t, n))
-    return sorted(cands)
+    """Every edge of the tile grid as a site, sorted."""
+    return sorted(
+        RestingSite(t, n) for t in layout.sorted_tiles() for n in layout.neighbors(t) if n > t
+    )
 
 
 def generate_resting_sites(layout, interfaces) -> SiteSelection:
@@ -501,10 +492,10 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     ticks [t0, t1).  Runs are sorted, disjoint and maximal; off-grid ticks have
     none, and no run reaches past the latest realized end.
 
-    Movement segments are x-then-y staircases at one tile per tick (BFS paths
-    on non-convex layouts); idle transits detour through their assigned
-    resting site and wait at its midpoint, leaving just in time to arrive at
-    the next operation's start.  The first writer of a tick wins: operations
+    Movement segments are the layout's shortest paths at one tile per tick
+    (x-then-y staircases wherever those are shortest); idle transits detour
+    through their assigned resting site and wait at its midpoint, leaving
+    just in time to arrive at the next operation's start.  The first writer of a tick wins: operations
     come first (of two that share a tick, the later-starting one), then each
     transit's segments in order.  A movement segment is written once, as a
     leg ``(cells, base)`` over its ticks, and expanded after the first-writer
@@ -696,27 +687,20 @@ def _binding_tile_edges(dag: PrecedenceDag, starts, ledger) -> int:
     )
 
 
-def resolve_conflicts(
-    schedule: Schedule,
-    placement,
-    sites: SiteSelection | None = None,
-    ledger: dict[int, int] | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> RoutedPlan:
+def resolve_conflicts(schedule: Schedule, placement) -> RoutedPlan:
     """Iterate path building, conflict counting and DAG repropagation to a fixpoint.
 
-    The DAG, the layout frame (distance rows, path cache) and the
-    dispensing index of detect_conflicts are built once per call: between
-    rounds only the ledger changes.
+    The resting sites, the DAG, the layout frame (distance rows, path cache)
+    and the dispensing index of detect_conflicts are built once per call:
+    between rounds only the ledger changes.
     """
-    if sites is None:
-        sites = generate_resting_sites(placement.layout, placement.interfaces)
-    ledger = dict(ledger or {})
+    sites = generate_resting_sites(placement.layout, placement.interfaces)
+    ledger: dict[int, int] = {}
     dag = build_dag(schedule, placement)
     frame = _Frame(placement)
     index = _conflict_index(schedule)
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         starts = propagate_starts(dag, ledger)
         current = Schedule(
@@ -757,55 +741,29 @@ def resolve_conflicts(
         ledger = new_ledger
     residual = {k: v for k, v in ledger.items() if v}
     raise RoutingInfeasible(
-        f"conflict resolution did not reach a fixpoint in {max_iterations} iterations; "
+        f"conflict resolution did not reach a fixpoint in {MAX_ITERATIONS} iterations; "
         f"residual interruptions: {residual}"
     )
 
 
-def route_schedule(schedule: Schedule, placement, max_iterations: int = MAX_ITERATIONS) -> RoutedPlan:
-    """Generate sites and resolve conflicts in one call."""
-    return resolve_conflicts(schedule, placement, max_iterations=max_iterations)
+def route_schedule(schedule: Schedule, placement) -> RoutedPlan:
+    """The routed plan of a schedule (``resolve_conflicts``)."""
+    return resolve_conflicts(schedule, placement)
 
 
 def validate_plan(plan: RoutedPlan, instance) -> list[str]:
-    """Full plan check: realized schedule validity plus path consistency.
+    """Full plan check: schedule validity under the plan's pauses plus path
+    consistency.
 
-    The adjusted schedule is validated with durations inflated by the accounted
-    pauses, and each nominal op must match the instance, so the pauses are the
-    only duration change tolerated; travel gaps are re-verified against the
-    realized paths (one tile per tick, segments matching the schedule, sites
-    entered only from their two adjacent tiles).
+    The adjusted schedule is validated with each op's realized end (its
+    nominal end plus its accounted pauses, ``validate_schedule``'s
+    ``pauses``) and each nominal op must match the instance, so the pauses
+    are the only duration change tolerated.  Travel gaps are re-verified
+    against the realized paths (one tile per tick, segments matching the
+    schedule, sites entered only from their two adjacent tiles).
     """
     pauses = plan.interruptions
-    expected = {op.op_id: op for op in build_operations(instance.orders, instance.eta)}
-    issues = [
-        f"rule 1: op {so.op.op_id} does not match the instance"
-        for so in plan.schedule.ops
-        if expected.get(so.op.op_id, so.op) != so.op
-    ]
-    real_ops = tuple(
-        ScheduledOp(
-            OperationSpec(
-                so.op.op_id,
-                so.op.order_id,
-                so.op.target,
-                so.op.duration + pauses.get(so.op.op_id, 0),
-                so.op.kind,
-            ),
-            so.mover,
-            so.tile,
-            so.start,
-        )
-        for so in plan.schedule.ops
-    )
-    realized = Schedule(real_ops, max(o.end for o in real_ops))
-    for v in validate_schedule(realized, instance):
-        # realized durations exceed the nominal ones by the pauses; the
-        # nominal ops were matched above
-        if "rule 6" in v or ("rule 1" in v and "does not match" in v):
-            continue
-        issues.append(v)
-
+    issues = validate_schedule(plan.schedule, instance, pauses)
     for m, runs in plan.paths.items():
         prev, prev_end = None, 0
         for t0, t1, p in runs:

@@ -186,9 +186,20 @@ def build_operations(orders, eta: int = 2) -> list[OperationSpec]:
 
 # --- validator (the model) -------------------------------------------------------
 
-def validate_schedule(schedule: Schedule, instance: SchedulingInstance) -> list[str]:
-    """The eight validity rules; an empty report certifies the schedule."""
+def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=None) -> list[str]:
+    """The eight validity rules; an empty report certifies the schedule.
+
+    ``pauses`` (op id -> ticks, a routed plan's interruptions) lengthens each
+    op's realized end, so travel gaps (rule 2) and tile overlaps (rule 4) are
+    checked from ``so.end + pauses.get(op_id, 0)``; every other rule reads the
+    nominal ops.
+    """
     issues = []
+    pauses = pauses or {}
+
+    def end(so):
+        return so.end + pauses.get(so.op.op_id, 0)
+
     orders = {o.id: o for o in instance.orders}
     placement = instance.placement
     dist = placement.layout.distance
@@ -224,10 +235,10 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance) -> list[
             if a.tile not in on_layout or b.tile not in on_layout:
                 continue  # an off-layout op is reported by rule 1 or 5
             need = dist(a.tile, b.tile)
-            if b.start < a.end + need:
+            if b.start < end(a) + need:
                 issues.append(
                     f"rule 2: mover {mover} ops {a.op.op_id}->{b.op.op_id} "
-                    f"gap {b.start - a.end} < travel {need}"
+                    f"gap {b.start - end(a)} < travel {need}"
                 )
         # take-give: orders must form contiguous blocks, start first, finish last
         seen_done: set[int] = set()
@@ -270,7 +281,7 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance) -> list[
     for tile, sos in by_tile.items():
         sos.sort(key=lambda s: s.start)
         for a, b in zip(sos, sos[1:]):
-            if b.start < a.end:
+            if b.start < end(a):
                 issues.append(
                     f"rule 4: tile {tile} ops {a.op.op_id},{b.op.op_id} overlap"
                 )

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -67,12 +70,23 @@ def test_paper_layout_examples():
 
 
 def test_build_layout_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown topology 'hexagon'"):
         build_layout("hexagon", 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ring side must be at least 3"):
         build_layout("ring", 2, 1)
-    with pytest.raises(ValueError):
-        build_layout("line", 3, 4)  # n_inter > tiles
+    with pytest.raises(ValueError, match="n_inter=4 out of range for 3 tiles"):
+        build_layout("line", 3, 4)
+    # a size below 1 is blamed on the size, not on the interfaces
+    with pytest.raises(ValueError, match="line length must be at least 1, got -2"):
+        build_layout("line", -2, 2)
+    with pytest.raises(ValueError, match="doubleline length must be at least 1, got 0"):
+        build_layout("doubleline", 0, 1)
+    with pytest.raises(ValueError, match="square sides must be at least 1, got 0x4"):
+        build_layout("square", (0, 4), 1)
+    with pytest.raises(ValueError, match="square sides must be at least 1, got -1x-1"):
+        build_layout("square", -1, 0)
+    with pytest.raises(ValueError, match="layout needs at least one tile"):
+        Layout(frozenset(), 2)
 
 
 def test_ring_distance_wraps_around_hole():
@@ -95,6 +109,68 @@ def test_shortest_path_on_ring_stays_on_tiles():
     assert all(p in ring.tiles for p in path)
     for a, b in zip(path, path[1:]):
         assert manhattan(a, b) == 1
+
+
+def ref_bfs_path(layout: Layout, a: Coord, b: Coord) -> list[Coord]:
+    """A shortest path by BFS over sorted neighbours, the reference that
+    ``shortest_path``'s walk on the distance table is pinned to."""
+    if a == b:
+        return [a]
+    prev: dict[Coord, Coord] = {a: a}
+    queue = deque([a])
+    while queue:
+        c = queue.popleft()
+        if c == b:
+            break
+        for n in sorted(layout.neighbors(c)):
+            if n not in prev:
+                prev[n] = c
+                queue.append(n)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def _random_connected_tiles(rng, n, side):
+    """n tiles grown from (1, 1) inside a side x side box, one random
+    neighbour of a random tile at a time: connected, often with holes."""
+    tiles = [(1, 1)]
+    seen = set(tiles)
+    while len(tiles) < n:
+        x, y = rng.choice(tiles)
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        t = (x + dx, y + dy)
+        if 1 <= t[0] <= side and 1 <= t[1] <= side and t not in seen:
+            seen.add(t)
+            tiles.append(t)
+    return tiles
+
+
+def test_shortest_path_matches_bfs_reference_on_every_pair():
+    rng = random.Random(3)
+    layouts = [build_layout("ring", s, 0) for s in (5, 9, 17)] + [
+        build_layout("explicit", _random_connected_tiles(rng, 40, 9), 0) for _ in range(3)
+    ]
+    walked = 0
+    for layout in layouts:
+        tiles = layout.sorted_tiles()
+        for a in tiles:
+            for b in tiles:
+                path = layout.shortest_path(a, b)
+                assert path[0] == a and path[-1] == b
+                assert len(path) - 1 == layout.distance(a, b)
+                assert all(manhattan(p, q) == 1 and q in layout.tiles for p, q in zip(path, path[1:]))
+                staircase = [Coord(x, a.y) for x in range(a.x, b.x, 1 if b.x > a.x else -1)] + [
+                    Coord(b.x, y) for y in range(a.y, b.y, 1 if b.y > a.y else -1)
+                ] + [b]
+                if all(c in layout.tiles for c in staircase) and len(staircase) == len(path):
+                    assert path == staircase
+                else:
+                    assert path == ref_bfs_path(layout, a, b)
+                    walked += 1
+    assert walked > 1000
 
 
 def test_distance_matrix_trivial_and_fig6(golden_placement):

@@ -84,6 +84,15 @@ def matching_oracle_max_sites(layout, interfaces):
 
 # --- resting sites -------------------------------------------------------------------
 
+def test_site_candidates_are_the_4_adjacent_tile_pairs():
+    l_shape = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]
+    for layout in (build_layout("ring", 5, 0), build_layout("square", (3, 4), 0),
+                   build_layout("explicit", l_shape, 0)):
+        tiles = layout.tiles
+        pairs = sorted((a, b) for a in tiles for b in tiles if a < b and manhattan(a, b) == 1)
+        assert [s.tiles for s in site_candidates(layout)] == pairs
+
+
 def test_sites_two_tile_layout():
     layout = build_layout("line", 2, 1)
     sel = generate_resting_sites(layout, {Coord(1, 1)})
@@ -705,18 +714,18 @@ def _plan_digests(plan):
 
 
 def test_routed_ring_plan_matches_pinned_digest(monkeypatch):
-    """Ring 9, 6 movers, 24 orders: paths leave the staircase and come from
-    the layout's BFS, which the 8x8 pin never reaches.  Recorded with paths
-    rebuilt in every fixpoint round."""
+    """Ring 9, 6 movers, 24 orders: paths leave the staircase and are walked
+    on the layout's distance table, which the 8x8 pin never reaches.
+    Recorded with paths rebuilt in every fixpoint round, and with BFS paths."""
     import planarfab.core as core
 
-    bfs, calls = core._bfs_path, []
+    walk, calls = core._walk, []
 
-    def counted_bfs(*args):
+    def counted_walk(*args):
         calls.append(args)
-        return bfs(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(core, "_bfs_path", counted_bfs)
+    monkeypatch.setattr(core, "_walk", counted_walk)
     pl, s = _pinned_plan("ring", 9, 6, 24, "abcdefghij", 1)
     plan = route_schedule(s, pl)
     assert calls
@@ -1250,6 +1259,20 @@ def test_validate_plan_tolerates_only_the_pauses_in_an_ops_duration():
     assert validate_plan(edited(op_id, duration=short.op.duration - pause), inst) == [
         f"rule 1: op {op_id} does not match the instance"
     ]
+
+
+def test_validate_plan_reports_a_stale_stored_makespan():
+    layout = build_layout("square", (4, 4), 2)
+    drugs = list("abc")
+    pl = random_placement(layout, drugs, seed=2)
+    orders = random_orders(drugs, 8, seed=1, size_range=(1, 3), dur_range=(2, 6))
+    plan = route_schedule(schedule(orders, pl, 2, eta=2, seed=1, max_iterations=10), pl)
+    assert plan.interruptions  # the realized ends differ from the nominal ones
+    inst = SchedulingInstance(tuple(orders), pl, 2, 2)
+    stale = dataclasses.replace(
+        plan, schedule=dataclasses.replace(plan.schedule, makespan=plan.schedule.makespan + 1)
+    )
+    assert validate_plan(stale, inst) == ["rule 7: stored makespan is not the latest finish"]
 
 
 def test_validate_plan_matches_tick_reference_on_corrupted_runs():

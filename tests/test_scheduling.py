@@ -272,6 +272,32 @@ def test_validator_catches_wrong_tile_and_negative_time():
     assert any("rule 8" in v for v in validate_schedule(Schedule(neg, s.makespan - 5), inst))
 
 
+def test_validator_checks_travel_and_overlaps_on_realized_ends():
+    """Pauses lengthen an op's realized end: one pause makes an op overrun
+    the next op on its tile (rule 4), another its mover's travel (rule 2)."""
+    pl = line_placement(["IF", ("a",), ("b",)])
+    iface, ta, tb = Coord(1, 1), Coord(1, 2), Coord(1, 3)
+    orders = [Order(0, (("a", 4),)), Order(1, (("b", 4),))]
+    # ops 0-2 (order 0) on mover 0, ops 3-5 (order 1) on mover 1
+    placed = [(0, iface, 0), (0, ta, 5), (0, iface, 10), (1, iface, 2), (1, tb, 6), (1, iface, 12)]
+    ops = tuple(
+        ScheduledOp(op, mover, tile, start)
+        for op, (mover, tile, start) in zip(build_operations(orders, eta=2), placed)
+    )
+    s = Schedule(ops, 14)
+    inst = SchedulingInstance(tuple(orders), pl, 2, 2)
+    assert validate_schedule(s, inst) == []
+    # op 0 ends at 3 on the interface, where op 3 starts at 2; it still
+    # reaches op 1 in time.  Op 1 ends at 10 and op 2 starts at 10, one tile away.
+    pauses = {0: 1, 1: 1}
+    assert validate_schedule(s, inst, pauses) == [
+        "rule 2: mover 0 ops 1->2 gap 0 < travel 1",
+        f"rule 4: tile {iface} ops 0,3 overlap",
+    ]
+    assert validate_schedule(s, inst, {0: 1}) == [f"rule 4: tile {iface} ops 0,3 overlap"]
+    assert validate_schedule(s, inst, {1: 1}) == ["rule 2: mover 0 ops 1->2 gap 0 < travel 1"]
+
+
 def test_validator_reports_off_layout_tiles_without_raising():
     # square and ring layouts; (3, 3) is in the ring's hole
     for layout in (build_layout("square", (4, 4), 2), build_layout("ring", 5, 2)):
