@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable or
-malformed inputs), 3 infeasible instance, 4 time limit reached with no
-feasible result.
+malformed inputs), 3 infeasible instance.  A time limit stops only the
+search: the best schedule found is returned.  Commands raise; ``main`` maps
+each exception to its code once.
 PLANARFAB_SEED overrides the instance seed.
 """
 
@@ -39,7 +40,7 @@ from .pipeline import (
 from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
 
-OK, CONFIG_ERROR, INFEASIBLE, NO_FEASIBLE = 0, 2, 3, 4
+OK, CONFIG_ERROR, INFEASIBLE = 0, 2, 3
 
 
 class CliError(Exception):
@@ -69,18 +70,6 @@ def _load_instance(path):
                            CONFIG_ERROR) from None
         config = dataclasses.replace(config, seed=seed)
     return layout, catalog, config
-
-
-def _load_orders(path):
-    return _load("orders", path, orders_from_csv)
-
-
-def _load_placement(path):
-    return _load("placement", path, Placement.from_json)
-
-
-def _load_schedule(path):
-    return _load("schedule", path, scheduling.Schedule.from_json)
 
 
 def _write(path, text):
@@ -128,18 +117,15 @@ def _size_params(args):
 
 def cmd_gen_orders(args):
     layout, catalog, config = _load_instance(args.instance)
-    try:
-        oset = ordergen.sample_orders(
-            catalog,
-            args.n,
-            (args.size_min, args.size_max),
-            duration_rule=args.duration_rule,
-            seed=args.seed if args.seed is not None else config.seed,
-            dispensing_speed=config.dispensing_speed,
-            copula_mode=args.copula,
-        )
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e), INFEASIBLE)
+    oset = ordergen.sample_orders(
+        catalog,
+        args.n,
+        (args.size_min, args.size_max),
+        duration_rule=args.duration_rule,
+        seed=args.seed if args.seed is not None else config.seed,
+        dispensing_speed=config.dispensing_speed,
+        copula_mode=args.copula,
+    )
     _write(args.orders_out, orders_to_csv(oset.orders))
     print(f"wrote {args.orders_out} ({len(oset.orders)} orders)")
     return OK
@@ -147,15 +133,11 @@ def cmd_gen_orders(args):
 
 def cmd_pack(args):
     layout, catalog, config = _load_instance(args.instance)
-    orders = _load_orders(args.orders)
+    orders = _load("orders", args.orders, orders_from_csv)
     demand = ordergen.estimate_demand(orders)
-    try:
-        stage1 = packing.pack_min_load(demand, layout.n_tiles, config, drugs=catalog.drugs)
-        packed = stage1
-        if not args.skip_correlation:
-            packed = packing.pack_correlation(stage1, catalog, config)
-    except packing.PackingInfeasible as e:
-        raise CliError(str(e), INFEASIBLE)
+    packed = packing.pack_min_load(demand, layout.n_tiles, config, drugs=catalog.drugs)
+    if not args.skip_correlation:
+        packed = packing.pack_correlation(packed, catalog, config)
     _write(args.out, packing_to_json(packed))
     print(
         f"wrote {args.out} (mu_max={packed.mu_max:.2f}, lb={packed.lower_bound:.2f}, "
@@ -172,7 +154,7 @@ def _ga_params(args) -> GaParams:
             episodes=args.episodes,
         )
     except ValueError as e:
-        raise CliError(str(e), CONFIG_ERROR)
+        raise CliError(f"bad GA parameters: {e}", CONFIG_ERROR) from None
 
 
 def _batch_size(args):
@@ -182,17 +164,21 @@ def _batch_size(args):
     return args.batch_size
 
 
+def _movers(args, config):
+    """--movers, or the instance's fleet when not given."""
+    if args.movers is not None and args.movers < 1:
+        raise CliError("--movers must be >= 1", CONFIG_ERROR)
+    return args.movers or config.n_movers
+
+
 def cmd_place(args):
     layout, catalog, config = _load_instance(args.instance)
-    orders = _load_orders(args.orders)
+    orders = _load("orders", args.orders, orders_from_csv)
     packed = _load("packing", args.packing, packing_from_json)
     params = _ga_params(args)
-    try:
-        result = placement_mod.ga_place(
-            packed, layout, orders, params, args.seed if args.seed is not None else config.seed
-        )
-    except ValueError as e:  # more packed tiles than the layout holds, or an unplaced drug
-        raise CliError(str(e), INFEASIBLE)
+    result = placement_mod.ga_place(
+        packed, layout, orders, params, args.seed if args.seed is not None else config.seed
+    )
     _write(args.out, result.placement.to_json())
     if args.trace_out:
         _write(args.trace_out, placement_mod.trace_to_csv(result.trace))
@@ -202,32 +188,29 @@ def cmd_place(args):
 
 def cmd_schedule(args):
     layout, catalog, config = _load_instance(args.instance)
-    orders = _load_orders(args.orders)
-    placed = _load_placement(args.placement)
-    movers = args.movers or config.n_movers
+    orders = _load("orders", args.orders, orders_from_csv)
+    placed = _load("placement", args.placement, Placement.from_json)
+    movers = _movers(args, config)
     seed = args.seed if args.seed is not None else config.seed
     batch_size = _batch_size(args)
-    try:
-        if batch_size and len(orders) > batch_size:
-            sched, _ = schedule_batched(
-                orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
-                time_limit=args.time_limit, iterations=args.iterations,
-            )
-        else:
-            warm = None
-            if args.warm_start:
-                lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
-                warm = lb.assignment
-            sched = scheduling.schedule(
-                orders, placed, movers,
-                time_limit=args.time_limit,
-                warm_start=warm,
-                seed=seed,
-                eta=config.eta_interface,
-                max_iterations=args.iterations,
-            )
-    except ValueError as e:
-        raise CliError(str(e), INFEASIBLE)
+    if batch_size and len(orders) > batch_size:
+        sched, _ = schedule_batched(
+            orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
+            time_limit=args.time_limit, iterations=args.iterations,
+        )
+    else:
+        warm = None
+        if args.warm_start:
+            lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
+            warm = lb.assignment
+        sched = scheduling.schedule(
+            orders, placed, movers,
+            time_limit=args.time_limit,
+            warm_start=warm,
+            seed=seed,
+            eta=config.eta_interface,
+            max_iterations=args.iterations,
+        )
     _write(args.out, sched.to_json())
     if args.csv_out:
         _write(args.csv_out, sched.to_csv())
@@ -237,13 +220,10 @@ def cmd_schedule(args):
 
 def cmd_lower_bound(args):
     layout, catalog, config = _load_instance(args.instance)
-    orders = _load_orders(args.orders)
-    placed = _load_placement(args.placement)
-    movers = args.movers or config.n_movers
-    try:
-        lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
-    except ValueError as e:
-        raise CliError(str(e), INFEASIBLE)
+    orders = _load("orders", args.orders, orders_from_csv)
+    placed = _load("placement", args.placement, Placement.from_json)
+    movers = _movers(args, config)
+    lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
     doc = {
         "value": lb.value,
         "exact": lb.exact,
@@ -274,15 +254,12 @@ def _schedule_issues(sched, placed, config) -> list[str]:
 
 def cmd_route(args):
     layout, catalog, config = _load_instance(args.instance)
-    placed = _load_placement(args.placement)
-    sched = _load_schedule(args.schedule)
+    placed = _load("placement", args.placement, Placement.from_json)
+    sched = _load("schedule", args.schedule, scheduling.Schedule.from_json)
     issues = _schedule_issues(sched, placed, config)
     if issues:
         raise CliError("; ".join(issues), INFEASIBLE)
-    try:
-        plan = routing.route_schedule(sched, placed)
-    except ValueError as e:  # RoutingInfeasible, or ops whose tile order breaks start order
-        raise CliError(str(e), INFEASIBLE)
+    plan = routing.route_schedule(sched, placed)
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:
         _write(args.paths_csv, paths_to_csv(plan))
@@ -296,8 +273,8 @@ def cmd_route(args):
 
 def cmd_merge(args):
     layout, catalog, config = _load_instance(args.instance)
-    placed = _load_placement(args.placement)
-    batches = [_load_schedule(p) for p in args.schedules]
+    placed = _load("placement", args.placement, Placement.from_json)
+    batches = [_load("schedule", p, scheduling.Schedule.from_json) for p in args.schedules]
     issues = [
         f"{path}: {issue}"
         for path, b in zip(args.schedules, batches)
@@ -305,11 +282,8 @@ def cmd_merge(args):
     ]
     if issues:
         raise CliError("; ".join(issues), INFEASIBLE)
-    try:
-        merged = routing.merge_batches(batches, placed, n_movers=config.n_movers)
-        plan = routing.route_schedule(merged, placed)
-    except (ValueError, routing.RoutingInfeasible) as e:
-        raise CliError(str(e), INFEASIBLE)
+    merged = routing.merge_batches(batches, placed, n_movers=config.n_movers)
+    plan = routing.route_schedule(merged, placed)
     _write(args.out, plan_to_json(plan))
     print(f"wrote {args.out} (merged makespan={plan.makespan})")
     return OK
@@ -329,24 +303,19 @@ def cmd_pipeline(args):
         batch_size=_batch_size(args),
         out_dir=Path(args.out_dir),
     )
-    try:
-        report = run_pipeline(pc)
-    except StageError as e:
-        code = INFEASIBLE if isinstance(e.cause, (packing.PackingInfeasible, routing.RoutingInfeasible, ValueError)) else CONFIG_ERROR
-        raise CliError(str(e), code)
-    print(report.to_json())
+    print(run_pipeline(pc).to_json())
     return OK
 
 
 def cmd_render(args):
     if args.placement:
-        placed = _load_placement(args.placement)
+        placed = _load("placement", args.placement, Placement.from_json)
         sites = None
         if args.sites:
             sites = routing.generate_resting_sites(placed.layout, placed.interfaces).sites
         _write(args.out, render_layout(placed, sites=sites))
     elif args.schedule:
-        sched = _load_schedule(args.schedule)
+        sched = _load("schedule", args.schedule, scheduling.Schedule.from_json)
         _write(args.out, render_gantt(sched))
     else:
         raise CliError("render needs --placement or --schedule", CONFIG_ERROR)
@@ -477,11 +446,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+        error, code = e, e.code
     except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return CONFIG_ERROR
+        error, code = e, CONFIG_ERROR
+    except StageError as e:  # PackingInfeasible and RoutingInfeasible are ValueErrors
+        error, code = e, INFEASIBLE if isinstance(e.cause, ValueError) else CONFIG_ERROR
+    except ValueError as e:  # a stage found the inputs infeasible
+        error, code = e, INFEASIBLE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -320,6 +320,32 @@ def validate_instance(layout: Layout, catalog: DrugCatalog, config: InstanceConf
 
 # --- instance (de)serialisation -------------------------------------------------
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          list: "a list", dict: "an object"}
+
+
+def check_json(value, schema, where=""):
+    """value, a parsed JSON document, once its fields have the schema's types;
+    else a ValueError naming the first field that does not.
+
+    A schema is a type (matched exactly, so a bool is no integer, but an
+    integer is a number: float), a one-item list [schema of every item] or a
+    dict {key: schema}, whose keys are checked where present (the loader's
+    own lookup reports a missing one).
+    """
+    kind = type(schema) if isinstance(schema, (list, dict)) else schema
+    if not (type(value) is kind or kind is float and type(value) is int):
+        raise ValueError(f"{where or 'document'} must be {_KINDS[kind]}, got {value!r}")
+    if isinstance(schema, list):
+        for i, item in enumerate(value):
+            check_json(item, schema[0], f"{where}[{i}]")
+    elif isinstance(schema, dict):
+        for key, sub in schema.items():
+            if key in value:
+                check_json(value[key], sub, f"{where}.{key}" if where else key)
+    return value
+
+
 def instance_to_json(layout: Layout, catalog: DrugCatalog, config: InstanceConfig) -> str:
     doc = {
         "topology": layout.topology,
@@ -342,7 +368,12 @@ def instance_to_json(layout: Layout, catalog: DrugCatalog, config: InstanceConfi
 
 
 def instance_from_json(text: str) -> tuple[Layout, DrugCatalog, InstanceConfig]:
-    doc = json.loads(text)
+    doc = check_json(json.loads(text), {
+        "tiles": [[int]], "n_inter": int, "topology": str, "drugs": [str],
+        "marginals": [float], "correlation": [[float]],
+        "config": dict.fromkeys(("n_dispensers", "d_max", "m_max", "n_movers", "eta_interface",
+                                 "dispensing_speed", "seed"), int),
+    })
     layout = Layout(
         frozenset(Coord(x, y) for x, y in doc["tiles"]),
         doc["n_inter"],

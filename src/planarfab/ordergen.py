@@ -24,6 +24,7 @@ from .core import DrugCatalog, Order
 _NORMAL = NormalDist()
 
 PSD_TOLERANCE = 1e-8
+MAX_REJECTIONS = 10_000  # whole-order redraws per order before the size range is given up
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,16 @@ class DemandVector:
         return self.u.get(drug, 0.0)
 
 
-def nearest_psd(corr: np.ndarray, tolerance: float = PSD_TOLERANCE) -> np.ndarray:
+def nearest_psd(corr: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues to zero and renormalise the diagonal to 1."""
     sym = (corr + corr.T) / 2.0
     eigval, eigvec = np.linalg.eigh(sym)
-    if eigval.min() >= -tolerance:
+    if eigval.min() >= -PSD_TOLERANCE:
         repaired = sym
     else:
         eigval = np.clip(eigval, 0.0, None)
         repaired = (eigvec * eigval) @ eigvec.T
-    d = np.sqrt(np.clip(np.diag(repaired), tolerance, None))
+    d = np.sqrt(np.clip(np.diag(repaired), PSD_TOLERANCE, None))
     repaired = repaired / np.outer(d, d)
     np.fill_diagonal(repaired, 1.0)
     return repaired
@@ -163,7 +164,6 @@ def sample_orders(
     seed: int = 0,
     dispensing_speed: int = 100,
     copula_mode: str = "raw",
-    max_rejections: int = 10_000,
 ) -> OrderSet:
     """Draw ``n_orders`` prescriptions matching the catalog's marginals/correlation.
 
@@ -181,16 +181,16 @@ def sample_orders(
     k = catalog.n_drugs
     orders = []
     for oid in range(n_orders):
-        for _ in range(max_rejections):
+        for _ in range(MAX_REJECTIONS):
             z = factor @ rng.standard_normal(k)
             mask = z <= thresholds
             size = int(mask.sum())
             if lo <= size <= hi:
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"rejection sampling failed to hit sizes {size_range} "
-                f"within {max_rejections} draws; marginals too extreme"
+                f"within {MAX_REJECTIONS} draws; marginals too extreme"
             )
         items = []
         for gi in np.flatnonzero(mask):

@@ -9,8 +9,7 @@ seeded local search above it.  A certified lower bound is always reported.
 
 Stage 2 keeps the multiplicities, per-dispenser loads and the achieved maximum
 load fixed and re-groups dispensers to maximize the sum of pairwise drug
-correlations on shared tiles (unordered pairs counted once; the doubled sum is
-available for reporting).
+correlations on shared tiles (unordered pairs counted once).
 
 Empty tiles are permitted: when fewer dispensers than tiles exist the model's
 one-dispenser-per-tile floor is unsatisfiable, so tiles are treated as "up to
@@ -47,6 +46,8 @@ import numpy as np
 from .core import DrugCatalog, InstanceConfig
 
 EPS = 1e-9
+NODE_CAP = 500_000  # search nodes of each exact packing search before it gives up
+MAX_PASSES = 200  # improvement passes of the stage-1 local search
 
 
 class PackingInfeasible(ValueError):
@@ -140,14 +141,14 @@ def tile_utilization(packing: Packing, demand) -> list[tuple[list[tuple[str, flo
     return out
 
 
-def correlation_sum(tiles, catalog: DrugCatalog, ordered: bool = False) -> float:
+def correlation_sum(tiles, catalog: DrugCatalog) -> float:
     """Sum of pairwise correlations of drugs sharing a tile."""
     total = 0.0
     for t in tiles:
         for i in range(len(t)):
             for j in range(i + 1, len(t)):
                 total += catalog.correlation[catalog.index(t[i]), catalog.index(t[j])]
-    return 2.0 * total if ordered else total
+    return total
 
 
 # --- stage 1: minimize the maximum expected tile load ----------------------------
@@ -207,7 +208,7 @@ def _certified_lower_bound(u, drugs, n_tiles, z_cap, budget) -> float:
     return max(lb1, lb2)
 
 
-def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower, node_cap=500_000):
+def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower):
     order = sorted(drugs, key=lambda g: (-u[g], g))
     best = {"mu": math.inf, "tiles": None, "z": None, "nodes": 0}
 
@@ -222,7 +223,7 @@ def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower, node_cap=500
         return max(cur, opt, lower)
 
     def dfs_z(idx, z_partial, spent):
-        if best["nodes"] > node_cap:
+        if best["nodes"] > NODE_CAP:
             return
         if best["mu"] <= lower + EPS:
             return
@@ -235,7 +236,7 @@ def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower, node_cap=500
                 return
             pi = {g: u[g] / z_partial[g] for g in order}
             packed = _exact_bin_pack(
-                order, z_partial, pi, n_tiles, d_max, best["mu"], best, node_cap
+                order, z_partial, pi, n_tiles, d_max, best["mu"], best
             )
             if packed is not None:
                 mu, tiles = packed
@@ -254,12 +255,12 @@ def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower, node_cap=500
         del z_partial[g]
 
     dfs_z(0, {}, 0)
-    if best["tiles"] is None or best["nodes"] > node_cap:
+    if best["tiles"] is None or best["nodes"] > NODE_CAP:
         return None
     return best["tiles"], best["z"]
 
 
-def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter, node_cap):
+def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter):
     """Exact min-max packing of dispenser copies into at most n_tiles tiles."""
     items = []
     for g in order:
@@ -272,7 +273,7 @@ def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter, node_ca
 
     def dfs(i, cur_max, remaining):
         counter["nodes"] += 1
-        if counter["nodes"] > node_cap:
+        if counter["nodes"] > NODE_CAP:
             return
         lb = max(cur_max, (sum(loads) + remaining) / n_tiles)
         if lb >= best["mu"] - EPS:
@@ -376,7 +377,7 @@ def _without(t, g):
     return [x for x in t if x != g]
 
 
-def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
+def _improve_min_load(tiles, pi, n_tiles, d_max):
     tiles = [list(t) for t in tiles]
     loads = [sum(pi[g] for g in t) for t in tiles]
 
@@ -408,7 +409,7 @@ def _improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
     # sum), is within k unit roundoffs u of the real sum, so two such sums
     # differ by at most 2 k u; this allows 8 u per term and two terms more
     slack = (d_max + 2) * 2.0**-50
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         cur = tuple(sorted(loads, reverse=True))
         improved = False
         peak = max(range(len(tiles)), key=loads.__getitem__)
@@ -475,7 +476,6 @@ def pack_correlation(
     catalog: DrugCatalog,
     config: InstanceConfig,
     mode: str = "auto",
-    node_cap: int = 500_000,
 ) -> Packing:
     """Re-group dispensers to maximize co-located drug correlation.
 
@@ -497,7 +497,7 @@ def pack_correlation(
     tiles, objective, exact = None, baseline, False
     if use_exact:
         found = _exact_correlation(
-            drugs, z, pi, catalog, n_tiles, d_max, mu_cap, baseline, stage1.tiles, node_cap
+            drugs, z, pi, catalog, n_tiles, d_max, mu_cap, baseline, stage1.tiles
         )
         if found is not None:
             tiles, objective, exact = found
@@ -523,7 +523,7 @@ def pack_correlation(
 
 
 def _exact_correlation(
-    drugs, z, pi, catalog, n_tiles, d_max, mu_cap, baseline, fallback_tiles, node_cap
+    drugs, z, pi, catalog, n_tiles, d_max, mu_cap, baseline, fallback_tiles
 ):
     items = [g for g in sorted(drugs, key=lambda g: (-pi[g], g)) for _ in range(z[g])]
     corr = catalog.correlation
@@ -543,7 +543,7 @@ def _exact_correlation(
 
     def dfs(i, score):
         best["nodes"] += 1
-        if best["nodes"] > node_cap:
+        if best["nodes"] > NODE_CAP:
             best["capped"] = True
             return
         if score + suffix[i] <= best["obj"] + EPS:

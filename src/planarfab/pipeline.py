@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ordergen, packing, placement as placement_mod, routing, scheduling
-from .core import DrugCatalog, InstanceConfig, Layout, orders_to_csv
+from .core import DrugCatalog, InstanceConfig, Layout, check_json, orders_to_csv
 from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
 
@@ -33,7 +33,6 @@ class PipelineConfig:
     config: InstanceConfig
     n_orders: int = 20
     size_range: tuple[int, int] = (3, 8)
-    duration_rule: str = "fixed"
     ga: GaParams = field(default_factory=lambda: GaParams(population=30, max_evaluations=600, episodes=10))
     schedule_time_limit: float | None = 30.0
     schedule_iterations: int | None = None
@@ -157,7 +156,6 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                 pc.catalog,
                 pc.n_orders,
                 pc.size_range,
-                duration_rule=pc.duration_rule,
                 seed=seeds["ordergen"],
                 dispensing_speed=pc.config.dispensing_speed,
             )
@@ -308,7 +306,10 @@ def packing_to_json(p: packing.Packing) -> str:
 
 
 def packing_from_json(text: str) -> packing.Packing:
-    doc = json.loads(text)
+    doc = check_json(json.loads(text), {
+        "tiles": [[str]], "z": dict, "pi": dict, "mu": [float], "mu_max": float,
+        "lower_bound": float, "exact": bool, "n_tiles_available": int,
+    })
     return packing.Packing(
         tuple(tuple(t) for t in doc["tiles"]),
         {k: int(v) for k, v in doc["z"].items()},

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shppn
-from .core import INTERFACE, Coord, Layout
+from .core import INTERFACE, Coord, Layout, check_json
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,10 @@ class Placement:
 
     @staticmethod
     def from_json(text: str) -> "Placement":
-        doc = json.loads(text)
+        doc = check_json(json.loads(text), {
+            "layout": {"tiles": [[int]], "n_inter": int, "topology": str},
+            "cells": [{"coord": [int], "kind": str, "drugs": [str]}],
+        })
         lay = doc["layout"]
         layout = Layout(
             frozenset(Coord(x, y) for x, y in lay["tiles"]),
@@ -133,14 +136,16 @@ class PlacementScore:
     seed: int
 
 
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.2
+TOURNAMENT = 3  # parents are the fittest of this many distinct draws
+
+
 @dataclass(frozen=True)
 class GaParams:
     population: int = 150
     max_evaluations: int = 50_000
     episodes: int = 20
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.2
-    tournament: int = 3
 
     def __post_init__(self):
         if self.population < 2:
@@ -149,8 +154,6 @@ class GaParams:
             raise ValueError("episodes must be >= 1")
         if self.max_evaluations < self.population:
             raise ValueError("max_evaluations must be >= population")
-        if self.tournament < 1:
-            raise ValueError("tournament must be >= 1")
 
 
 # --- stochastic fitness (episode sampler) ---------------------------------------
@@ -677,15 +680,15 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
         children = []
         while 1 + len(children) < ga_params.population:  # elitism of one
             def pick():
-                cand = rng.sample(range(len(population)), min(ga_params.tournament, len(population)))
+                cand = rng.sample(range(len(population)), min(TOURNAMENT, len(population)))
                 return min(cand, key=scores.__getitem__)
 
             pa, pb = population[pick()], population[pick()]
-            if rng.random() < ga_params.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 child = order_crossover(pa, pb, rng)
             else:
                 child = list(pa)
-            if rng.random() < ga_params.mutation_rate:
+            if rng.random() < MUTATION_RATE:
                 child = inversion_mutation(child, rng)
             children.append(child)
             evaluations += 1

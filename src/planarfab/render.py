@@ -100,9 +100,9 @@ def render_gantt(schedule: Schedule, interruptions=None, transits=None) -> str:
     return _svg(width, height, body)
 
 
-def render_layout(placement, sites=None, heat=None) -> str:
+def render_layout(placement, sites=None) -> str:
     """Grid map: drug stripes per tile, interfaces highlighted, optional
-    resting-site markers and heat shading."""
+    resting-site markers."""
     layout = placement.layout
     xs = [t.x for t in layout.tiles]
     ys = [t.y for t in layout.tiles]
@@ -117,20 +117,11 @@ def render_layout(placement, sites=None, heat=None) -> str:
         # y axis points up in layout coordinates, down in SVG
         return (pad + (t.x - x0) * cell, pad + (y_max - t.y) * cell)
 
-    if heat:
-        lo = min(heat.values())
-        hi = max(heat.values())
-
     for t in layout.sorted_tiles():
         x, y = corner(t)
-        fill = "#eeeeee"
-        if heat and t in heat:
-            v = 0.5 if hi == lo else (heat[t] - lo) / (hi - lo)
-            shade = int(235 - 130 * v)
-            fill = f"rgb(255,{shade},{shade})"
         body.append(
             f'<rect class="cell" x="{x}" y="{y}" width="{cell}" height="{cell}" '
-            f'fill="{fill}" stroke="#444"/>'
+            'fill="#eeeeee" stroke="#444"/>'
         )
         if t in placement.interfaces:
             body.append(

@@ -627,11 +627,7 @@ def build_dag(schedule: Schedule, placement) -> PrecedenceDag:
     edges = []
     for so in ops:
         edges.append((-1, so.op.op_id, so.start, "anchor"))
-    by_mover: dict[int, list] = {}
-    for so in ops:
-        by_mover.setdefault(so.mover, []).append(so)
-    for m, seq in sorted(by_mover.items()):
-        seq.sort(key=lambda s: (s.start, s.op.op_id))
+    for seq in schedule.by_mover().values():
         for a, b in zip(seq, seq[1:]):
             w = a.op.duration + table.item(index[a.tile], index[b.tile])
             edges.append((a.op.op_id, b.op.op_id, w, "same-mover"))
@@ -824,33 +820,31 @@ def merge_batches(batch_schedules, placement, n_movers: int | None = None) -> Sc
             stray = {s.mover for s in b.ops} - set(range(n_movers))
             if stray:
                 raise ValueError(f"batch {bi} uses movers {sorted(stray)} outside the fleet")
-    dist = placement.layout.distance
+    index, table = placement.layout.index_table
 
     merged_ops: list[ScheduledOp] = []
     mover_last: dict[int, ScheduledOp] = {}
     tile_last_end: dict[Coord, int] = {}
     next_id = 0
     for b in batches:
-        ops = sorted(b.ops, key=lambda s: s.op.op_id)
-        shift = 0
+        timed = sorted(b.ops, key=lambda s: (s.start, s.op.op_id))
         firsts: dict[int, ScheduledOp] = {}
-        for so in sorted(b.ops, key=lambda s: (s.start, s.op.op_id)):
+        tile_first: dict[Coord, ScheduledOp] = {}
+        for so in timed:
             firsts.setdefault(so.mover, so)
+            tile_first.setdefault(so.tile, so)
+        shift = 0
         for m, first in firsts.items():
             prev = mover_last.get(m)
             if prev is not None:
-                need = prev.end + dist(prev.tile, first.tile) - first.start
+                need = prev.end + table.item(index[prev.tile], index[first.tile]) - first.start
                 shift = max(shift, need)
-        tile_first: dict[Coord, ScheduledOp] = {}
-        for so in sorted(b.ops, key=lambda s: (s.start, s.op.op_id)):
-            tile_first.setdefault(so.tile, so)
         for tile, first in tile_first.items():
             if tile in tile_last_end:
                 shift = max(shift, tile_last_end[tile] - first.start)
-        remap: dict[int, int] = {}
-        for so in ops:
-            remap[so.op.op_id] = next_id
-            next_id += 1
+        ids = sorted(so.op.op_id for so in b.ops)
+        remap = dict(zip(ids, range(next_id, next_id + len(ids))))
+        next_id += len(ids)
         for so in sorted(b.ops, key=lambda s: (s.start, s.mover, s.op.op_id)):
             spec = OperationSpec(
                 remap[so.op.op_id], so.op.order_id, so.op.target, so.op.duration, so.op.kind

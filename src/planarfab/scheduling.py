@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INTERFACE, Coord, Order
+from .core import INTERFACE, Coord, Order, check_json
 from .placement import per_order_kappa
 
 _str = json.encoder.encode_basestring_ascii  # json.dumps's string escaping (ensure_ascii)
@@ -70,7 +70,7 @@ FINISH = "finish"
 EXHAUSTIVE_CAP = 300_000
 ROUTE_ENUM_CAP = 4_000
 P_CMAX_EXACT_LIMIT = 20
-LOWER_BOUND_EXACT_ORDERS = 20
+CANDIDATES = 4  # insertion candidates per (order, previous location)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,10 @@ class Schedule:
 
     @staticmethod
     def from_json(text: str) -> "Schedule":
-        doc = json.loads(text)
+        doc = check_json(json.loads(text), {"makespan": int, "ops": [{
+            "op_id": int, "order": int, "target": str, "kind": str, "duration": int,
+            "mover": int, "tile": [int], "start": int,
+        }]})
         ops = tuple(
             ScheduledOp(
                 OperationSpec(o["op_id"], o["order"], o["target"], o["duration"], o["kind"]),
@@ -187,7 +190,17 @@ def build_operations(orders, eta: int = 2) -> list[OperationSpec]:
 # --- validator (the model) -------------------------------------------------------
 
 def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=None) -> list[str]:
-    """The eight validity rules; an empty report certifies the schedule.
+    """The validity rules; an empty report certifies the schedule.
+
+    Rule 1: every op of the instance is scheduled once, as the instance
+    specifies it (kind, target, order and duration; a changed duration is a
+    "does not match the instance" issue, since ``ScheduledOp.end`` is start
+    plus that duration), on a known mover and, for a dispensing op, at a tile
+    holding its drug.  Rule 2: each mover's consecutive ops leave room for
+    the travel between them.  Rule 3: each order is one contiguous block on
+    one mover, start first and finish last.  Rule 4: no two ops overlap on a
+    tile.  Rule 5: start and finish ops sit on interfaces.  Rule 7: the
+    stored makespan is the latest end.  Rule 8: no op starts before tick 0.
 
     ``pauses`` (op id -> ticks, a routed plan's interruptions) lengthens each
     op's realized end, so travel gaps (rule 2) and tile overlaps (rule 4) are
@@ -287,8 +300,6 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=N
                 )
 
     for so in schedule.ops:
-        if so.end - so.start != so.op.duration:
-            issues.append(f"rule 6: op {so.op.op_id} duration violated")
         if so.start < 0:
             issues.append(f"rule 8: op {so.op.op_id} starts before tick 0")
     if schedule.ops and schedule.makespan != max(so.end for so in schedule.ops):
@@ -390,7 +401,7 @@ def lower_bound(orders, placement, n_movers: int, eta: int,
 
     ids = [o.id for o in orders]
     times = [t_values[i] for i in ids]
-    if len(orders) <= LOWER_BOUND_EXACT_ORDERS:
+    if len(orders) <= P_CMAX_EXACT_LIMIT:
         value, assign = p_cmax(times, n_movers, mode="exact")
         exact = True
     else:
@@ -595,7 +606,7 @@ class _OrderPaths:
         return out
 
 
-def candidate_routes(paths: _OrderPaths, prev_loc: int | None, limit: int = 6,
+def candidate_routes(paths: _OrderPaths, prev_loc: int | None, limit: int,
                      rng: random.Random | None = None) -> list[Route]:
     """The limit shortest routes of paths' order from tile prev_loc, ties by
     (start, stops, end).
@@ -936,30 +947,18 @@ def schedule(
 
 
 def _exhaustive_count(orders, placement, n_movers):
+    """How many plans _exhaustive_search times, or None above its size guards.
+
+    Timing tie-breaks by mover index, so relabelled assignments are NOT
+    interchangeable: the search lays the n orders into n_movers ordered
+    sequences, m (m + 1) ... (m + n - 1) ways, times every route choice.
+    """
     if len(orders) > 3 or n_movers > 2:
         return None
-    total = 0
-    route_counts = []
-    for o in orders:
-        c = _route_count(o, placement, len(placement.interfaces))
-        if c > 64:
-            return None
-        route_counts.append(c)
-    # timing tie-breaks by mover index, so relabelled assignments are NOT
-    # interchangeable; every one of the n_movers^n maps is enumerated
-    for assign in itertools.product(range(n_movers), repeat=len(orders)):
-        groups: dict[int, list[int]] = {}
-        for oi, m in enumerate(assign):
-            groups.setdefault(m, []).append(oi)
-        combos = 1
-        for m, members in groups.items():
-            combos *= math.factorial(len(members))
-        for oi in range(len(orders)):
-            combos *= route_counts[oi]
-        total += combos
-        if total > EXHAUSTIVE_CAP:
-            return total
-    return total
+    route_counts = [_route_count(o, placement, len(placement.interfaces)) for o in orders]
+    if any(c > 64 for c in route_counts):
+        return None
+    return math.prod(range(n_movers, n_movers + len(orders))) * math.prod(route_counts)
 
 
 def _exhaustive_search(orders, n_movers, timer):
@@ -997,14 +996,14 @@ class _RouteCache:
         self.store: dict[tuple, list[Route]] = {}
         self.paths: dict[int, _OrderPaths] = {}
 
-    def get(self, order, prev_loc, limit=4):
+    def get(self, order, prev_loc):
         key = (order.id, prev_loc)
         routes = self.store.get(key)
         if routes is None:
             paths = self.paths.get(order.id)
             if paths is None:
                 paths = self.paths[order.id] = _OrderPaths(order, self.timer)
-            routes = self.store[key] = candidate_routes(paths, prev_loc, limit=limit, rng=self.rng)
+            routes = self.store[key] = candidate_routes(paths, prev_loc, CANDIDATES, self.rng)
         return routes
 
 

@@ -1,6 +1,8 @@
+import csv
+import io
 import json
 import os
-import re
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +260,17 @@ def test_cli_batch_size_below_one_is_config_error(tmp_path, instance_file, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("movers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["schedule", "lower-bound"])
+def test_cli_movers_below_one_is_config_error(tmp_path, instance_file, capsys, command, movers):
+    placement, orders = _schedule_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    assert run(command, "--instance", instance_file, "--orders", orders,
+               "--placement", placement, "--movers", movers, "--out", out) == CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: --movers must be >= 1"]
+    assert not out.exists()
+
+
 def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -422,17 +435,12 @@ def test_render_layout_fig6(golden_placement):
     assert svg.count('class="stripe"') == total_dispensers
 
 
-def test_render_layout_sites_and_heat(golden_placement):
+def test_render_layout_sites(golden_placement):
     sites = generate_resting_sites(
         golden_placement.layout, golden_placement.interfaces
     ).sites
     svg = render_layout(golden_placement, sites=sites)
     assert svg.count('class="site"') == len(sites) == 9
-
-    heat = {t: 1.0 for t in golden_placement.layout.tiles}
-    svg_heat = render_layout(golden_placement, heat=heat)
-    shades = set(re.findall(r'fill="rgb\(255,(\d+),\d+\)"', svg_heat))
-    assert len(shades) == 1  # all-equal heat renders one uniform shade
 
 
 def _place_inputs(tmp_path, tiles, order_drugs):
@@ -492,3 +500,111 @@ def test_cli_place_infeasible_inputs(tmp_path, instance_file, capsys, tiles, ord
                "--out", out) == INFEASIBLE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- malformed-artifact fuzzing ------------------------------------------------------
+
+_DELETE = object()  # the mutation that deletes the field
+FUZZ_VALUES = (None, -1, 0, 2**62, "x", [], {}, [1], 1.5, True, _DELETE)
+
+
+def _json_fields(doc, path=()):
+    """Every key path of a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _json_fields(v, path + (k,))
+
+
+def _mutate_json(text, path, value):
+    doc = json.loads(text)
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _csv_fields(text):
+    return [(r, c) for r, row in enumerate(csv.reader(io.StringIO(text))) for c in range(len(row))]
+
+
+def _mutate_csv(text, cell, value):
+    rows = list(csv.reader(io.StringIO(text)))
+    r, c = cell
+    if value is _DELETE:
+        del rows[r][c]
+    else:
+        rows[r][c] = "" if value is None else value if isinstance(value, str) else json.dumps(value)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _fuzz_inputs(tmp_path, instance_file):
+    """Valid artifacts of one small chain, and the commands that read each."""
+    f = {"instance": instance_file}
+    f.update((name, tmp_path / name) for name in ("orders", "packing", "placement", "schedule"))
+    assert run("gen-orders", "--instance", f["instance"], "--n", "4", "--size-min", "1",
+               "--size-max", "3", "--orders-out", f["orders"]) == OK
+    assert run("pack", "--instance", f["instance"], "--orders", f["orders"],
+               "--out", f["packing"]) == OK
+    ga = ("--population", "4", "--max-evaluations", "8", "--episodes", "2")
+    place = ("place", "--instance", f["instance"], "--orders", f["orders"],
+             "--packing", f["packing"], *ga)
+    assert run(*place, "--out", f["placement"]) == OK
+    sched = ("schedule", "--instance", f["instance"], "--orders", f["orders"],
+             "--placement", f["placement"], "--iterations", "3")
+    assert run(*sched, "--out", f["schedule"]) == OK
+    out = tmp_path / "out"
+    inst, placed = ("--instance", f["instance"]), ("--placement", f["placement"])
+    commands = {
+        "gen-orders": ("gen-orders", *inst, "--n", "3", "--size-min", "1", "--size-max", "2",
+                       "--orders-out", out),
+        "pack": ("pack", *inst, "--orders", f["orders"], "--out", out),
+        "place": (*place, "--out", out),
+        "schedule": (*sched, "--out", out),
+        "lower-bound": ("lower-bound", *inst, "--orders", f["orders"], *placed, "--out", out),
+        "route": ("route", *inst, *placed, "--schedule", f["schedule"], "--out", out),
+        "merge": ("merge", *inst, *placed, "--schedules", f["schedule"], "--out", out),
+        "pipeline": ("pipeline", *inst, "--n-orders", "3", "--size-min", "1", "--size-max", "2",
+                     *ga, "--iterations", "2", "--out-dir", out),
+        "render-placement": ("render", *placed, "--sites", "--out", out),
+        "render-schedule": ("render", "--schedule", f["schedule"], "--out", out),
+    }
+    readers = {
+        "instance": ["gen-orders", "pack", "place", "schedule", "lower-bound", "route", "merge",
+                     "pipeline"],
+        "orders": ["pack", "place", "schedule", "lower-bound"],
+        "packing": ["place"],
+        "placement": ["schedule", "lower-bound", "route", "merge", "render-placement"],
+        "schedule": ["route", "merge", "render-schedule"],
+    }
+    return f, {name: [commands[c] for c in cmds] for name, cmds in readers.items()}
+
+
+def test_cli_malformed_artifacts_exit_with_a_code(tmp_path, instance_file, capsys):
+    """One seeded field mutation of each input artifact at a time: every command
+    that reads the file ends with exit 0, 2 or 3, never an exception."""
+    files, readers = _fuzz_inputs(tmp_path, instance_file)
+    rng = random.Random(7)
+    for name, commands in readers.items():
+        text = files[name].read_text()
+        if name == "orders":
+            fields, mutate = _csv_fields(text), _mutate_csv
+        else:
+            fields, mutate = list(_json_fields(json.loads(text))), _mutate_json
+        cases = [(f, v) for f in fields for v in FUZZ_VALUES]
+        for field, value in rng.sample(cases, 40):
+            files[name].write_text(mutate(text, field, value))
+            for argv in commands:
+                try:
+                    code = run(*argv)
+                except Exception as e:  # noqa: BLE001 - name the case that escaped
+                    pytest.fail(f"{name} {field} = {value!r}, {argv[0]}: {e!r}")
+                assert code in (OK, CONFIG_ERROR, INFEASIBLE), (name, field, value, argv[0])
+        files[name].write_text(text)
+    capsys.readouterr()

@@ -245,7 +245,6 @@ def test_correlation_objective_counts_unordered_pairs_once():
     catalog = catalog_for({("a", "b"): 0.5}, ["a", "b"])
     tiles = (("a", "b"),)
     assert correlation_sum(tiles, catalog) == pytest.approx(0.5)
-    assert correlation_sum(tiles, catalog, ordered=True) == pytest.approx(1.0)
 
 
 def test_correlation_direction_matches_reference_improvement():

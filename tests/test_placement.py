@@ -630,10 +630,6 @@ def test_ga_params_validation():
         GaParams(episodes=0)
     with pytest.raises(ValueError, match="max_evaluations"):
         GaParams(population=8, max_evaluations=3)
-    for tournament in (0, -1):  # an empty tournament picks no parent
-        with pytest.raises(ValueError, match="tournament"):
-            GaParams(tournament=tournament)
-    assert GaParams(tournament=1).tournament == 1
     assert GaParams(population=8, max_evaluations=8).max_evaluations == 8
 
 

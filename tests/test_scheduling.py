@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -296,6 +297,25 @@ def test_validator_checks_travel_and_overlaps_on_realized_ends():
     ]
     assert validate_schedule(s, inst, {0: 1}) == [f"rule 4: tile {iface} ops 0,3 overlap"]
     assert validate_schedule(s, inst, {1: 1}) == ["rule 2: mover 0 ops 1->2 gap 0 < travel 1"]
+
+
+def test_validator_reports_a_changed_duration_once_under_rule_1():
+    """ScheduledOp.end is start plus the op's own duration, so a duration that
+    differs from the instance shows only as a rule 1 mismatch."""
+    pl = line_placement(["IF", ("a",), ("b",)])
+    iface, ta, tb = Coord(1, 1), Coord(1, 2), Coord(1, 3)
+    orders = [Order(0, (("a", 4),)), Order(1, (("b", 4),))]
+    placed = [(0, iface, 0), (0, ta, 5), (0, iface, 10), (1, iface, 2), (1, tb, 6), (1, iface, 12)]
+    ops = [
+        ScheduledOp(op, mover, tile, start)
+        for op, (mover, tile, start) in zip(build_operations(orders, eta=2), placed)
+    ]
+    inst = SchedulingInstance(tuple(orders), pl, 2, 2)
+    assert validate_schedule(Schedule(tuple(ops), 14), inst) == []
+    ops[1] = ScheduledOp(dataclasses.replace(ops[1].op, duration=3), 0, ta, 5)
+    assert validate_schedule(Schedule(tuple(ops), 14), inst) == [
+        "rule 1: op 1 does not match the instance"
+    ]
 
 
 def test_validator_reports_off_layout_tiles_without_raising():
@@ -875,6 +895,68 @@ def test_route_space_matches_per_permutation_reference():
                     assert np.array_equal(lengths + lead[:, None], want)
                     checked += 1
     assert checked > 200
+
+
+# --- exhaustive size rule ------------------------------------------------------------
+
+def reference_exhaustive_count(orders, placement, n_movers):
+    """The enumeration that _exhaustive_count replaced: over every order-to-mover
+    map, the per-mover order permutations times every order's route count.
+    It stopped once past EXHAUSTIVE_CAP; here it runs to the end."""
+    if len(orders) > 3 or n_movers > 2:
+        return None
+    total = 0
+    route_counts = []
+    for o in orders:
+        c = _route_count(o, placement, len(placement.interfaces))
+        if c > 64:
+            return None
+        route_counts.append(c)
+    for assign in itertools.product(range(n_movers), repeat=len(orders)):
+        groups: dict[int, list[int]] = {}
+        for oi, m in enumerate(assign):
+            groups.setdefault(m, []).append(oi)
+        combos = 1
+        for m, members in groups.items():
+            combos *= math.factorial(len(members))
+        for oi in range(len(orders)):
+            combos *= route_counts[oi]
+        total += combos
+    return total
+
+
+def test_exhaustive_count_matches_enumeration_and_picks_the_path(monkeypatch):
+    """The closed form equals the enumeration for every n <= 3 and m <= 2, on
+    both sides of EXHAUSTIVE_CAP, and schedule() searches exhaustively
+    exactly when the enumerated count is within the cap."""
+    import planarfab.scheduling as scheduling
+
+    class Taken(Exception):
+        pass
+
+    def stop(path):
+        def search(*args):
+            raise Taken(path)
+        return search
+
+    monkeypatch.setattr(scheduling, "_exhaustive_search", stop("exhaustive"))
+    monkeypatch.setattr(scheduling, "_lns_search", stop("lns"))
+    layout = build_layout("square", (4, 4), 2)
+    drugs = [f"d{i}" for i in range(4)]
+    within = set()
+    for seed in range(12):
+        pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+        orders = random_orders(drugs, 3, seed=seed, size_range=(1, 2))
+        for n, m in itertools.product((1, 2, 3), (1, 2)):
+            want = reference_exhaustive_count(orders[:n], pl, m)
+            assert scheduling._exhaustive_count(orders[:n], pl, m) == want, (seed, n, m)
+            exhaustive = want is not None and want <= scheduling.EXHAUSTIVE_CAP
+            with pytest.raises(Taken) as took:
+                schedule(orders[:n], pl, m, max_iterations=1)
+            assert took.value.args[0] == ("exhaustive" if exhaustive else "lns"), (seed, n, m)
+            if want is not None:
+                within.add(exhaustive)
+    assert within == {True, False}
 
 
 # --- outputs pinned across engine versions --------------------------------------------
