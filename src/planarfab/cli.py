@@ -242,9 +242,12 @@ def cmd_lower_bound(args):
 
 
 def _schedule_issues(sched, placed, config) -> list[str]:
-    """Ops the router cannot place: tiles off the layout, movers outside the fleet."""
+    """Ops the router cannot place: tiles off the layout, movers outside the
+    fleet, durations below the one tick that every op lasts."""
     issues = []
     for so in sched.ops:
+        if so.op.duration < 1:
+            issues.append(f"op {so.op.op_id}: duration {so.op.duration} is below 1 tick")
         if so.tile not in placed.layout.tiles:
             issues.append(f"op {so.op.op_id}: tile ({so.tile.x}, {so.tile.y}) is not on the layout")
         if so.mover not in range(config.n_movers):

@@ -21,8 +21,9 @@ pairs of every order and placement with that count.  The pairs of a stack
 may come in any order: each draws from its own stream and sums its own
 weight rows.  Each chunk of a stack gathers once, per pair, the distances
 from its interfaces and candidates (its slots) to its candidates and
-interfaces, with their weights, and every step reads whole rows of these
-tables.
+interfaces, with their weights.  Every step reads whole rows of these tables
+for the alive episodes, kept in flat arrays, and takes their uniforms from
+one cursor per pair.
 
 Each pair keeps its own random stream, numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(order index,)))``, so a score
@@ -308,39 +309,43 @@ def _sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> np.ndarray
     """Mean episode steps of (placement, order) pairs with equal candidate counts.
 
     One row per pair: its interfaces, its candidate tiles (table rows), each
-    candidate's drug bitmask and the bitmask of all the order's drugs.
-    Episode arrays are pairs x episodes.  A pair's slots are its interfaces
-    followed by its candidates; the distances from every slot to every
-    candidate and to every interface, and their weights, are gathered once,
-    one table row per (pair, slot), and ``loc`` holds that row.
+    candidate's drug bitmask and the bitmask of all the order's drugs.  A
+    pair's slots are its interfaces followed by its candidates; the
+    distances from every slot to every candidate and to every interface, and
+    their weights, are gathered once, one table row per (pair, slot).  Only
+    the alive episodes are stepped, in flat arrays in row-major order.
     """
-    pairs, n_inter = interfaces.shape
+    (pairs, n_inter), n = interfaces.shape, tiles.shape[1]
+    episodes = uniforms.start.shape[1]
     slots = np.concatenate([interfaces, tiles], axis=1)
-    to_tiles = table[slots[:, :, None], tiles[:, None, :]].reshape(-1, tiles.shape[1])
+    to_tiles = table[slots[:, :, None], tiles[:, None, :]].reshape(-1, n)
     to_inter = table[slots[:, :, None], interfaces[:, None, :]].reshape(-1, n_inter)
     first = np.arange(pairs) * slots.shape[1]  # each pair's first row
-    loc = first[:, None] + uniforms.start
-    remaining = np.repeat(full[:, None], loc.shape[1], axis=1)
-    steps = np.zeros(loc.shape, dtype=np.int64)
+    every = np.repeat(np.arange(pairs), episodes)  # pair row of each flat index
+    loc, total = (first[:, None] + uniforms.start).ravel(), np.zeros(every.size, dtype=np.int64)
+    # alive episodes: pair row, slot-table row, drugs left, steps, flat index
+    row, at, left, steps, flat = every, loc.copy(), full[every], total.copy(), np.arange(every.size)
     weights = _weights(to_tiles)
     while True:
-        alive = remaining != 0
-        if not alive.any():
+        done = left == 0
+        if done.any():  # retired: slot row and steps written once
+            gone, keep = flat[done], ~done
+            loc[gone], total[gone] = at[done], steps[done]
+            row, at, left, steps, flat = row[keep], at[keep], left[keep], steps[keep], flat[keep]
+        if not len(row):
             break
-        r, e = np.nonzero(alive)
-        at, bits = loc[r, e], masks[r]
+        bits = masks.take(row, axis=0)
         w = weights.take(at, axis=0)
-        w *= (bits & remaining[r, e][:, None]) != 0  # unusable tiles weigh 0
-        pick = _choose(w, uniforms.take(alive))
-        steps[r, e] += to_tiles[at, pick]
-        remaining[r, e] &= ~bits[np.arange(len(pick)), pick]
-        loc[r, e] = first[r] + n_inter + pick
+        w *= (bits & left[:, None]) != 0  # unusable tiles weigh 0
+        pick = _choose(w, uniforms.take(row))
+        steps += to_tiles.take(at * n + pick)
+        left &= ~bits.take(np.arange(0, bits.size, n) + pick)
+        at = first[row] + n_inter + pick
 
-    at = loc.ravel()
-    w = _weights(to_inter).take(at, axis=0)
-    pick = _choose(w, uniforms.take(np.ones(loc.shape, dtype=bool)))
-    steps += to_inter[at, pick].reshape(loc.shape)
-    return steps.sum(axis=1) / loc.shape[1]
+    w = _weights(to_inter).take(loc, axis=0)
+    pick = _choose(w, uniforms.take(every))
+    total += to_inter.take(loc * n_inter + pick)
+    return total.reshape(pairs, episodes).sum(axis=1) / episodes
 
 
 def _weights(d) -> np.ndarray:
@@ -539,7 +544,8 @@ class _Uniforms:
     """Each pair's start interfaces and uniforms, handed out in stream order.
 
     ``state`` holds the pairs' seeded generators (``_pcg_states``); ``width``
-    uniforms per pair are drawn up front.  An order of k drugs takes at most
+    uniforms per pair are drawn up front, and ``used`` counts each pair's
+    uniforms handed out.  An order of k drugs takes at most
     k steps per episode plus the return, so ``episodes * (k + 1)`` suffice
     unless rounding puts a draw past the last cumulative weight: the pick
     then lands on an unusable tile and costs an extra step.  A block that
@@ -558,16 +564,17 @@ class _Uniforms:
         part.start, part.block, part.used = self.start[lo:hi], self.block[lo:hi], self.used[lo:hi]
         return part
 
-    def take(self, mask) -> np.ndarray:
-        """One uniform per True of ``mask`` (pairs x episodes), row-major."""
-        need = self.used + mask.sum(axis=1)
+    def take(self, rows) -> np.ndarray:
+        """Each pair's next uniforms in stream order, one per entry of ``rows``
+        (pair indices, ascending)."""
+        counts = np.bincount(rows, minlength=len(self.used))
+        need = self.used + counts
         if need.max(initial=0) > self.block.shape[1]:
             _, self.block = _draw(self.state, self.n_interfaces, self.episodes, int(need.max()))
-        r, e = np.nonzero(mask)
-        rank = np.cumsum(mask, axis=1)[r, e] - 1
-        u = self.block[r, self.used[r] + rank]
+        # entry i of pair r: flat block index r * width + used[r] + i - (r's first entry)
+        skip = np.arange(len(counts)) * self.block.shape[1] + self.used - np.cumsum(counts) + counts
         self.used = need
-        return u
+        return self.block.take(skip[rows] + np.arange(len(rows)))
 
 
 # --- exact analytical scorer -----------------------------------------------------

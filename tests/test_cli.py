@@ -176,6 +176,22 @@ def test_cli_route_rejects_schedule_off_layout_or_fleet(tmp_path, instance_file,
     assert not routed.exists()
 
 
+@pytest.mark.parametrize("duration", [0, -5])
+@pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
+def test_cli_route_rejects_durations_below_one_tick(tmp_path, instance_file, capsys,
+                                                    duration, command, flag):
+    def edit(op):
+        if op["kind"] == "dispensing":
+            op["duration"] = duration
+
+    placement, sched = _route_inputs(tmp_path, edit)
+    routed = tmp_path / "routed.json"
+    assert run(command, "--instance", instance_file, "--placement", placement,
+               flag, sched, "--out", routed) == INFEASIBLE
+    assert f"duration {duration} is below 1 tick" in capsys.readouterr().err
+    assert not routed.exists()
+
+
 @pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
 def test_cli_route_accepts_valid_schedule(tmp_path, instance_file, command, flag):
     placement, sched = _route_inputs(tmp_path, lambda op: None)

@@ -261,14 +261,14 @@ def reference_sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> n
         cand = tiles[r]
         d = table[loc[r, e][:, None], cand]
         usable = (masks[r] & remaining[r, e][:, None]) != 0
-        pick = reference_choose(d, usable, uniforms.take(alive))
+        pick = reference_choose(d, usable, uniforms.take(np.nonzero(alive)[0]))
         k = np.arange(len(pick))
         steps[r, e] += d[k, pick]
         remaining[r, e] &= ~masks[r, pick]
         loc[r, e] = cand[k, pick]
 
     d = table[loc[:, :, None], interfaces[:, None, :]].reshape(loc.size, -1)
-    pick = reference_choose(d, None, uniforms.take(np.ones(loc.shape, dtype=bool)))
+    pick = reference_choose(d, None, uniforms.take(np.nonzero(np.ones(loc.shape, dtype=bool))[0]))
     steps += d[np.arange(len(pick)), pick].reshape(loc.shape)
     return steps.sum(axis=1) / loc.shape[1]
 
@@ -358,6 +358,61 @@ def test_choose_rounding_can_pick_an_unusable_tile():
     assert _choose(w, np.array([np.nextafter(1.0, 0.0)])).tolist() == [0]
 
 
+def test_sample_pairs_matches_reference_when_the_block_runs_dry_after_retirements():
+    # one stack of two candidates holds a one-drug and a two-drug order; a
+    # block of one uniform per episode runs dry at step 2, when the one-drug
+    # pair's episodes have all retired and only the other pair takes uniforms
+    pl = line_placement(["IF", ("a",), ("b",), (), ("a",), ("c",), "IF"])
+    orders = [Order(0, (("a", 1),)), Order(1, (("b", 1), ("c", 1)))]
+    index, table = pl.layout.index_table
+    (rows, cols, tiles, masks), = _stacks([pl], orders, index).values()
+    full = np.array([1, 3], dtype=masks.dtype)[cols]
+    assert sorted(full.tolist()) == [1, 3]
+    interfaces = np.array([[index[c] for c in sorted(pl.interfaces)]])[rows]
+    episodes = 6
+    state = _pcg_states(_seed_words([41] * len(rows)), cols)
+
+    def sample(kernel, width):
+        uniforms = _Uniforms(state, 2, episodes, width)
+        steps = kernel(table, interfaces, tiles, masks, full, uniforms)
+        return steps.tolist(), uniforms.block.shape[1]
+
+    got, width = sample(_sample_pairs, episodes)
+    assert width > episodes  # the block was drawn again, wider
+    assert (got, width) == sample(reference_sample_pairs, episodes)
+    # drawn again from the same streams: as if the block had been wide enough
+    assert got == sample(_sample_pairs, 3 * episodes)[0]
+
+
+def test_sample_pairs_matches_reference_on_a_rounding_pick_of_an_unusable_tile():
+    # the row of test_choose_rounding_can_pick_an_unusable_tile: from the
+    # tile of drug a (column 0), already dispensed, the largest uniform
+    # below 1 picks column 0 again, so episode 0 takes an extra step
+    table = np.zeros((10, 10), dtype=np.int64)
+    table[0, 1:] = table[1:, 0] = np.arange(1, 10)  # slot 0 is the interface
+    table[1, 2:] = [9, 8, 4, 5, 1, 2, 1, 3]
+    interfaces, tiles = np.array([[0]]), np.arange(1, 10)[None, :]
+    masks = np.array([[1] + [2] * 8], dtype=np.uint8)  # drug a, then drug b
+    full = np.array([3], dtype=np.uint8)
+    top = np.nextafter(1.0, 0.0)
+    # in stream order: step 1 of episodes 0 and 1, step 2 of both, step 3 of
+    # episode 0 (its extra one), then both returns
+    values = [0.0, 0.0, top, 0.5, 0.5, 0.25, 0.25]
+    state = _pcg_states(_seed_words([3]), [0])
+
+    def sample(kernel):
+        uniforms = _Uniforms(state, 1, 2, 8)
+        uniforms.block[0, : len(values)] = values
+        steps = kernel(table, interfaces, tiles, masks, full, uniforms)
+        return steps.tolist(), uniforms.used.tolist()
+
+    got = sample(_sample_pairs)
+    assert got == sample(reference_sample_pairs)
+    # episode 0: 1 to a, 0 for the extra pick, 2 to b, 7 back; episode 1:
+    # 1 to a, 2 to b, 7 back; seven uniforms, one more than without rounding
+    assert got == ([(10 + 10) / 2], [7])
+
+
 def test_uniforms_extend_a_dry_block_from_the_same_stream():
     # blocks of 2 x episodes uniforms (one drug per order), which the takes
     # below overrun
@@ -373,7 +428,7 @@ def test_uniforms_extend_a_dry_block_from_the_same_stream():
     for _ in range(6):
         mask = rng.random((3, episodes)) < 0.7
         expected = np.concatenate([streams[i].random(int(mask[i].sum())) for i in range(3)])
-        assert uniforms.take(mask).tolist() == expected.tolist()
+        assert uniforms.take(np.nonzero(mask)[0]).tolist() == expected.tolist()
     assert uniforms.block.shape[1] > 2 * episodes  # the block was extended
 
 
@@ -394,7 +449,8 @@ def test_batched_streams_match_default_rng(pairs, episodes, n_interfaces, width)
     start, block = _draw(state, n_interfaces, episodes, width)
     uniforms = _Uniforms(state, n_interfaces, episodes, 1)
     mask = np.ones((len(pairs), episodes), dtype=bool)
-    taken = np.concatenate([uniforms.take(mask) for _ in range(3)]).reshape(3, len(pairs), -1)
+    rows = np.nonzero(mask)[0]
+    taken = np.concatenate([uniforms.take(rows) for _ in range(3)]).reshape(3, len(pairs), -1)
     for i, (seed, order) in enumerate(pairs):
         want = lambda: np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(order,)))  # noqa: E731
         assert raw[i].tolist() == want().bit_generator.random_raw(2 * width).tolist()
