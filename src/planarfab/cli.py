@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable or
-malformed inputs), 3 infeasible instance.  A time limit stops only the
-search: the best schedule found is returned.  Commands raise; ``main`` maps
-each exception to its code once.
+malformed inputs), 3 infeasible instance, or a schedule that ``route`` or
+``merge`` finds breaking ``scheduling.schedule_issues``.  A time limit stops
+only the search: the best schedule found is returned.  Commands raise;
+``main`` maps each exception to its code once.
 PLANARFAB_SEED overrides the instance seed.
 """
 
@@ -41,6 +42,7 @@ from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
 
 OK, CONFIG_ERROR, INFEASIBLE = 0, 2, 3
+MAX_ISSUES = 20  # schedule issues printed before the rest are counted
 
 
 class CliError(Exception):
@@ -241,27 +243,19 @@ def cmd_lower_bound(args):
     return OK
 
 
-def _schedule_issues(sched, placed, config) -> list[str]:
-    """Ops the router cannot place: tiles off the layout, movers outside the
-    fleet, durations below the one tick that every op lasts."""
-    issues = []
-    for so in sched.ops:
-        if so.op.duration < 1:
-            issues.append(f"op {so.op.op_id}: duration {so.op.duration} is below 1 tick")
-        if so.tile not in placed.layout.tiles:
-            issues.append(f"op {so.op.op_id}: tile ({so.tile.x}, {so.tile.y}) is not on the layout")
-        if so.mover not in range(config.n_movers):
-            issues.append(f"op {so.op.op_id}: mover {so.mover} is outside the fleet of {config.n_movers}")
-    return issues
+def _reject(issues):
+    """Exit 3 with one schedule issue per line, the first MAX_ISSUES of them."""
+    if issues:
+        more = [f"… and {len(issues) - MAX_ISSUES} more"] if len(issues) > MAX_ISSUES else []
+        lines = [f"  {issue}" for issue in issues[:MAX_ISSUES] + more]
+        raise CliError("\n".join(["the schedule fails its checks:", *lines]), INFEASIBLE)
 
 
 def cmd_route(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load("placement", args.placement, Placement.from_json)
     sched = _load("schedule", args.schedule, scheduling.Schedule.from_json)
-    issues = _schedule_issues(sched, placed, config)
-    if issues:
-        raise CliError("; ".join(issues), INFEASIBLE)
+    _reject(scheduling.schedule_issues(sched, placed, config.n_movers))
     plan = routing.route_schedule(sched, placed)
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:
@@ -278,14 +272,12 @@ def cmd_merge(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load("placement", args.placement, Placement.from_json)
     batches = [_load("schedule", p, scheduling.Schedule.from_json) for p in args.schedules]
-    issues = [
+    _reject([
         f"{path}: {issue}"
         for path, b in zip(args.schedules, batches)
-        for issue in _schedule_issues(b, placed, config)
-    ]
-    if issues:
-        raise CliError("; ".join(issues), INFEASIBLE)
-    merged = routing.merge_batches(batches, placed, n_movers=config.n_movers)
+        for issue in scheduling.schedule_issues(b, placed, config.n_movers)
+    ])
+    merged = routing.merge_batches(batches, placed)
     plan = routing.route_schedule(merged, placed)
     _write(args.out, plan_to_json(plan))
     print(f"wrote {args.out} (merged makespan={plan.makespan})")

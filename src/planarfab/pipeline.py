@@ -4,7 +4,7 @@ All randomness flows from one master seed through named substreams (ordergen,
 ga, lns, batch); the derived seeds are logged in the run report so any stage
 can be reproduced in isolation.  Order sets larger than the batch threshold
 are split into random batches, scheduled independently and stitched by the
-routing module's DAG merge.
+routing module's merge, which shifts each batch uniformly past the one before.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class StageError(RuntimeError):
 
 def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size: int,
                      seed: int, time_limit=None, iterations=None, t_values=None):
-    """Random partition into batches, independent schedules, DAG merge.
+    """Random partition into batches, independent schedules, merged by uniform shifts.
 
     t_values: per-order path times of a lower_bound over these orders (the
     pipeline's lower-bound stage); batch warm starts reuse them instead of
@@ -115,7 +115,7 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
                 max_iterations=iterations,
             )
         )
-    merged = routing.merge_batches(schedules, placed, n_movers=cfg.n_movers)
+    merged = routing.merge_batches(schedules, placed)
     return merged, schedules
 
 
@@ -356,14 +356,17 @@ def paths_to_csv(plan: routing.RoutedPlan) -> str:
     """One row per tick a mover holds a cell, by mover, then tick.
 
     Each run formats its row suffix once; its rows are a join over one shared
-    table of tick strings.
+    table of tick strings.  The table stops at the number of rows, so a plan
+    that starts late does not pay for its empty ticks; a run past the table's
+    end formats its own ticks.
     """
     top = max((runs[-1][1] for runs in plan.paths.values() if runs), default=0)
-    ticks = list(map(str, range(top)))
+    rows = sum(t1 - t0 for runs in plan.paths.values() for t0, t1, _ in runs)
+    ticks = list(map(str, range(min(top, rows))))
     parts = ["tick,mover,x,y,state\n"]
     for m in sorted(plan.paths):
         for t0, t1, (x, y, state) in plan.paths[m]:
             row = f",{m},{x:g},{y:g},{state}\n"
-            parts.append(row.join(ticks[t0:t1]))
+            parts.append(row.join(ticks[t0:t1] if t1 <= len(ticks) else map(str, range(t0, t1))))
             parts.append(row)
     return "".join(parts)

@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import Coord
-from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp, validate_schedule
+from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp, op_key, validate_schedule
 
 MAX_ITERATIONS = 100
 ASSIGN_EXACT_LIMIT = 30
@@ -780,7 +780,7 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
                     frm = Coord(int(prev[0]), int(prev[1]))
                     if frm not in site.tiles:
                         issues.append(
-                            f"path: mover {m} enters site {site.location} from {frm}"
+                            f"path: mover {m} enters site {site.location} from {tuple(frm)}"
                         )
             elif not on_center and state != REST:
                 issues += [f"path: mover {m} off-center at tick {t} in state {state}"
@@ -804,28 +804,29 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
 
 # --- batch merging -----------------------------------------------------------------
 
-def merge_batches(batch_schedules, placement, n_movers: int | None = None) -> Schedule:
+def merge_batches(batch_schedules, placement) -> Schedule:
     """Concatenate independently scheduled batches into one left-anchored schedule.
 
     Per mover, batch b starts only after its last op in batch b-1 plus travel;
     tiles stay exclusive across the seam.  Start times are propagated batch by
     batch with a uniform shift (internal timings are preserved), then the
-    caller runs resolve_conflicts on the merged whole.
+    caller runs resolve_conflicts on the merged whole.  Each op takes the id
+    it has in ``build_operations`` over all the batches' orders in id order
+    (``op_key``); an op found twice (an order in two batches) is a ValueError.
     """
     batches = [b for b in batch_schedules if b.ops]
     if not batches:
         raise ValueError("nothing to merge")
-    if n_movers is not None:
-        for bi, b in enumerate(batches):
-            stray = {s.mover for s in b.ops} - set(range(n_movers))
-            if stray:
-                raise ValueError(f"batch {bi} uses movers {sorted(stray)} outside the fleet")
+    keys = sorted(op_key(so.op) for b in batches for so in b.ops)
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise ValueError(f"order {a[0]} appears twice in the batches")
+    ids = {k: i for i, k in enumerate(keys)}
     index, table = placement.layout.index_table
 
     merged_ops: list[ScheduledOp] = []
     mover_last: dict[int, ScheduledOp] = {}
     tile_last_end: dict[Coord, int] = {}
-    next_id = 0
     for b in batches:
         timed = sorted(b.ops, key=lambda s: (s.start, s.op.op_id))
         firsts: dict[int, ScheduledOp] = {}
@@ -842,13 +843,9 @@ def merge_batches(batch_schedules, placement, n_movers: int | None = None) -> Sc
         for tile, first in tile_first.items():
             if tile in tile_last_end:
                 shift = max(shift, tile_last_end[tile] - first.start)
-        ids = sorted(so.op.op_id for so in b.ops)
-        remap = dict(zip(ids, range(next_id, next_id + len(ids))))
-        next_id += len(ids)
         for so in sorted(b.ops, key=lambda s: (s.start, s.mover, s.op.op_id)):
-            spec = OperationSpec(
-                remap[so.op.op_id], so.op.order_id, so.op.target, so.op.duration, so.op.kind
-            )
+            op = so.op
+            spec = OperationSpec(ids[op_key(op)], op.order_id, op.target, op.duration, op.kind)
             shifted = ScheduledOp(spec, so.mover, so.tile, so.start + shift)
             merged_ops.append(shifted)
             mover_last[so.mover] = shifted

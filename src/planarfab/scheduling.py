@@ -52,6 +52,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -189,18 +190,26 @@ def build_operations(orders, eta: int = 2) -> list[OperationSpec]:
 
 # --- validator (the model) -------------------------------------------------------
 
-def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=None) -> list[str]:
-    """The validity rules; an empty report certifies the schedule.
+_KIND_RANK = {START: 0, DISPENSING: 1, FINISH: 2}  # an op's place within its order
 
-    Rule 1: every op of the instance is scheduled once, as the instance
-    specifies it (kind, target, order and duration; a changed duration is a
-    "does not match the instance" issue, since ``ScheduledOp.end`` is start
-    plus that duration), on a known mover and, for a dispensing op, at a tile
-    holding its drug.  Rule 2: each mover's consecutive ops leave room for
-    the travel between them.  Rule 3: each order is one contiguous block on
-    one mover, start first and finish last.  Rule 4: no two ops overlap on a
-    tile.  Rule 5: start and finish ops sit on interfaces.  Rule 7: the
-    stored makespan is the latest end.  Rule 8: no op starts before tick 0.
+
+def op_key(op: OperationSpec) -> tuple:
+    """(order, kind rank, target): sorted, the ops of ``build_operations`` over
+    the orders in id order, since ``Order`` sorts its items by drug."""
+    return op.order_id, _KIND_RANK[op.kind], op.target
+
+
+def schedule_issues(schedule: Schedule, placement, n_movers: int, pauses=None) -> list[str]:
+    """The validity rules that need no order list; an empty report certifies
+    every rule of ``validate_schedule`` but the instance's own.
+
+    Rule 1 (order-free part): op ids are unique, every op has a known kind,
+    lasts at least one tick, runs on a mover of the fleet and sits on the
+    layout, a dispensing op at a tile holding its drug.  Rule 2: each
+    mover's consecutive ops leave room for the travel between them.  Rule 4:
+    no two ops overlap on a tile.  Rule 5: start and finish ops sit on
+    interfaces.  Rule 7: the stored makespan is the latest end.  Rule 8: no
+    op starts before tick 0.
 
     ``pauses`` (op id -> ticks, a routed plan's interruptions) lengthens each
     op's realized end, so travel gaps (rule 2) and tile overlaps (rule 4) are
@@ -213,80 +222,41 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=N
     def end(so):
         return so.end + pauses.get(so.op.op_id, 0)
 
-    orders = {o.id: o for o in instance.orders}
-    placement = instance.placement
     dist = placement.layout.distance
     on_layout = placement.layout.tiles
 
-    expected = build_operations(instance.orders, instance.eta)
-    want_ids = {op.op_id for op in expected}
-    got_ids = [so.op.op_id for so in schedule.ops]
-    if sorted(got_ids) != sorted(want_ids):
-        issues.append("rule 1: operations not scheduled exactly once")
-    spec_by_id = {op.op_id: op for op in expected}
+    uses = Counter(so.op.op_id for so in schedule.ops)
+    issues += [f"rule 1: op id {i} is used {n} times" for i, n in uses.items() if n > 1]
     for so in schedule.ops:
-        spec = spec_by_id.get(so.op.op_id)
-        if spec is not None and (spec.kind, spec.target, spec.order_id, spec.duration) != (
-            so.op.kind,
-            so.op.target,
-            so.op.order_id,
-            so.op.duration,
-        ):
-            issues.append(f"rule 1: op {so.op.op_id} does not match the instance")
-        if so.mover < 0 or so.mover >= instance.n_movers:
-            issues.append(f"rule 1: op {so.op.op_id} on unknown mover {so.mover}")
-        if so.op.kind == DISPENSING:
-            if so.tile not in placement.dispensers_for(so.op.target):
+        op, tile = so.op, so.tile
+        if op.kind not in _KIND_RANK:
+            issues.append(f"rule 1: op {op.op_id} kind {op.kind!r} is unknown")
+        if op.duration < 1:
+            issues.append(f"rule 1: op {op.op_id} duration {op.duration} is below 1 tick")
+        if so.mover not in range(n_movers):
+            issues.append(
+                f"rule 1: op {op.op_id} mover {so.mover} is outside the fleet of {n_movers}"
+            )
+        if tile not in on_layout:
+            issues.append(f"rule 1: op {op.op_id} tile {tuple(tile)} is not on the layout")
+        elif op.kind == DISPENSING:
+            if tile not in placement.dispensers_for(op.target):
                 issues.append(
-                    f"rule 1: op {so.op.op_id} tile {so.tile} lacks a {so.op.target} dispenser"
+                    f"rule 1: op {op.op_id} tile {tuple(tile)} lacks a {op.target} dispenser"
                 )
-        elif so.tile not in placement.interfaces:
-            issues.append(f"rule 5: op {so.op.op_id} ({so.op.kind}) off-interface")
+        elif tile not in placement.interfaces:
+            issues.append(f"rule 5: op {op.op_id} ({op.kind}) off-interface")
 
     for mover, seq in schedule.by_mover().items():
         for a, b in zip(seq, seq[1:]):
             if a.tile not in on_layout or b.tile not in on_layout:
-                continue  # an off-layout op is reported by rule 1 or 5
+                continue  # an off-layout op is reported by rule 1
             need = dist(a.tile, b.tile)
             if b.start < end(a) + need:
                 issues.append(
                     f"rule 2: mover {mover} ops {a.op.op_id}->{b.op.op_id} "
                     f"gap {b.start - end(a)} < travel {need}"
                 )
-        # take-give: orders must form contiguous blocks, start first, finish last
-        seen_done: set[int] = set()
-        current = None
-        block: list[ScheduledOp] = []
-
-        def close(block):
-            if not block:
-                return
-            kinds = [s.op.kind for s in block]
-            oid = block[0].op.order_id
-            n_items = len(orders[oid].items) if oid in orders else -1
-            if kinds[0] != START or kinds[-1] != FINISH or len(block) != n_items + 2:
-                issues.append(f"rule 3: order {oid} block malformed on mover {block[0].mover}")
-
-        for so in seq:
-            if so.op.order_id != current:
-                if current is not None:
-                    close(block)
-                    seen_done.add(current)
-                if so.op.order_id in seen_done:
-                    issues.append(
-                        f"rule 3: order {so.op.order_id} interleaved on mover {mover}"
-                    )
-                current = so.op.order_id
-                block = []
-            block.append(so)
-        close(block)
-
-    per_order: dict[int, list[ScheduledOp]] = {}
-    for so in schedule.ops:
-        per_order.setdefault(so.op.order_id, []).append(so)
-    for oid, sos in per_order.items():
-        if len({s.mover for s in sos}) != 1:
-            issues.append(f"rule 3: order {oid} split across movers")
 
     by_tile: dict[Coord, list[ScheduledOp]] = {}
     for so in schedule.ops:
@@ -295,9 +265,7 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=N
         sos.sort(key=lambda s: s.start)
         for a, b in zip(sos, sos[1:]):
             if b.start < end(a):
-                issues.append(
-                    f"rule 4: tile {tile} ops {a.op.op_id},{b.op.op_id} overlap"
-                )
+                issues.append(f"rule 4: tile {tuple(tile)} ops {a.op.op_id},{b.op.op_id} overlap")
 
     for so in schedule.ops:
         if so.start < 0:
@@ -305,6 +273,46 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=N
     if schedule.ops and schedule.makespan != max(so.end for so in schedule.ops):
         issues.append("rule 7: stored makespan is not the latest finish")
     return issues
+
+
+def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=None) -> list[str]:
+    """The validity rules; an empty report certifies the schedule.
+
+    Rule 1: every op of the instance is scheduled once, as the instance
+    specifies it (kind, target, order and duration; a changed duration is a
+    "does not match the instance" issue, since ``ScheduledOp.end`` is start
+    plus that duration).  Rule 3: each order is one contiguous block on one
+    mover, start first and finish last.  Every other rule, and ``pauses``,
+    are those of ``schedule_issues``.
+    """
+    issues = []
+    expected = {op.op_id: op for op in build_operations(instance.orders, instance.eta)}
+    if sorted(so.op.op_id for so in schedule.ops) != sorted(expected):
+        issues.append("rule 1: operations not scheduled exactly once")
+    for so in schedule.ops:
+        spec = expected.get(so.op.op_id)
+        if spec is not None and spec != so.op:
+            issues.append(f"rule 1: op {so.op.op_id} does not match the instance")
+
+    orders = {o.id: o for o in instance.orders}
+    for mover, seq in schedule.by_mover().items():
+        # take-give: orders must form contiguous blocks, start first, finish last
+        done: set[int] = set()
+        for oid, block in itertools.groupby(seq, key=lambda s: s.op.order_id):
+            kinds = [s.op.kind for s in block]
+            if oid in done:
+                issues.append(f"rule 3: order {oid} interleaved on mover {mover}")
+            done.add(oid)
+            n_items = len(orders[oid].items) if oid in orders else -1
+            if kinds[0] != START or kinds[-1] != FINISH or len(kinds) != n_items + 2:
+                issues.append(f"rule 3: order {oid} block malformed on mover {mover}")
+    movers: dict[int, set[int]] = {}
+    for so in schedule.ops:
+        movers.setdefault(so.op.order_id, set()).add(so.mover)
+    issues += [
+        f"rule 3: order {oid} split across movers" for oid, ms in movers.items() if len(ms) > 1
+    ]
+    return issues + schedule_issues(schedule, instance.placement, instance.n_movers, pauses)
 
 
 # --- P||Cmax ----------------------------------------------------------------------

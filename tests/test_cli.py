@@ -148,8 +148,8 @@ def _route_inputs(tmp_path, edit):
 
 def _tile_order_against_start_order(op):
     """Start and finish (op ids 0 and 2) share their interface tile and start
-    tick, the lower id on the higher mover: the precedence DAG gets a
-    backward edge."""
+    tick, the lower id on the higher mover: they overlap on the tile, which
+    would give the router's precedence DAG a backward edge."""
     if op["op_id"] == 0:
         op["mover"] = 1
     if op["op_id"] == 2:
@@ -161,9 +161,12 @@ def _tile_order_against_start_order(op):
     [
         (lambda op: op.update(tile=[9, 9]), "tile (9, 9) is not on the layout"),
         (lambda op: op.update(mover=7), "mover 7 is outside the fleet of 2"),
-        (_tile_order_against_start_order, "backward edge"),
+        (_tile_order_against_start_order, "rule 4: tile (1, 1) ops 0,2 overlap"),
+        (lambda op: op["op_id"] == 1 and op.update(op_id=0), "rule 1: op id 0 is used 2 times"),
+        (lambda op: op["op_id"] == 2 and op.update(kind="swap"), "op 2 kind 'swap' is unknown"),
     ],
-    ids=["tile-off-layout", "mover-outside-fleet", "tile-order-against-start-order"],
+    ids=["tile-off-layout", "mover-outside-fleet", "tile-order-against-start-order",
+         "op-id-repeated", "kind-unknown"],
 )
 @pytest.mark.parametrize("command, flag", [("route", "--schedule"), ("merge", "--schedules")])
 def test_cli_route_rejects_schedule_off_layout_or_fleet(tmp_path, instance_file, capsys,
@@ -174,6 +177,26 @@ def test_cli_route_rejects_schedule_off_layout_or_fleet(tmp_path, instance_file,
                flag, sched, "--out", routed) == INFEASIBLE
     assert message in capsys.readouterr().err
     assert not routed.exists()
+
+
+def test_cli_merge_rejects_an_order_in_two_batches(tmp_path, instance_file, capsys):
+    placement, sched = _route_inputs(tmp_path, lambda op: None)
+    routed = tmp_path / "routed.json"
+    assert run("merge", "--instance", instance_file, "--placement", placement,
+               "--schedules", sched, sched, "--out", routed) == INFEASIBLE
+    assert "order 0 appears twice in the batches" in capsys.readouterr().err
+    assert not routed.exists()
+
+
+def test_cli_prints_the_first_twenty_schedule_issues_one_per_line(tmp_path, instance_file,
+                                                                 capsys):
+    placement, sched = _route_inputs(tmp_path, lambda op: op.update(mover=7))
+    assert run("merge", "--instance", instance_file, "--placement", placement,
+               "--schedules", *[sched] * 8, "--out", tmp_path / "routed.json") == INFEASIBLE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: the schedule fails its checks:"
+    assert lines[1:] == [f"  {sched}: rule 1: op {i % 3} mover 7 is outside the fleet of 2"
+                         for i in range(20)] + ["  … and 4 more"]
 
 
 @pytest.mark.parametrize("duration", [0, -5])

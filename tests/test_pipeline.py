@@ -232,11 +232,8 @@ def test_schedule_batched_valid_and_merged(golden_placement):
     assert len(parts) == 3
     assert merged.makespan >= max(p.makespan for p in parts)
     plan = resolve_conflicts(merged, golden_placement)
-    ordered = sorted(orders, key=lambda o: o.id)
-    from test_acceptance import _remap_merged_ids
-
-    inst = SchedulingInstance(tuple(ordered), golden_placement, 2, 2)
-    assert validate_schedule(_remap_merged_ids(merged, ordered), inst) == []
+    inst = SchedulingInstance(tuple(sorted(orders, key=lambda o: o.id)), golden_placement, 2, 2)
+    assert validate_schedule(merged, inst) == []
     assert plan.makespan >= merged.makespan
 
 
@@ -417,3 +414,61 @@ def test_routed_plan_json_on_a_batched_plan(golden_placement):
     plan = route_schedule(merged, golden_placement)
     assert plan.interruptions and plan.resting_assignment
     assert plan_to_json(plan) == json.dumps(plan_doc(plan), indent=2)
+
+
+def test_batched_pipeline_artifacts_validate_against_orders_as_written(tmp_path):
+    """A batched run's schedule.json, and routed.json with paths.csv, pass the
+    validators against orders.csv as written: merged ops carry the ids of
+    ``build_operations`` over the orders."""
+    from planarfab.core import orders_from_csv
+    from planarfab.placement import Placement
+    from planarfab.routing import RoutedPlan
+    from planarfab.scheduling import Schedule
+
+    pc = small_config()
+    pc.n_orders, pc.batch_size = 12, 5
+    out = pc.out_dir = tmp_path
+    run_pipeline(pc)
+    orders = orders_from_csv((out / "orders.csv").read_text())
+    placed = Placement.from_json((out / "placement.json").read_text())
+    inst = SchedulingInstance(tuple(orders), placed, pc.config.n_movers, pc.config.eta_interface)
+    assert validate_schedule(Schedule.from_json((out / "schedule.json").read_text()), inst) == []
+
+    routed = json.loads((out / "routed.json").read_text())
+    paths: dict = {}
+    for row in (out / "paths.csv").read_text().splitlines()[1:]:
+        t, m, x, y, state = row.split(",")
+        paths.setdefault(int(m), []).append((int(t), int(t) + 1, (float(x), float(y), state)))
+    plan = RoutedPlan(
+        Schedule.from_json(json.dumps(routed["schedule"])),
+        {int(k): v for k, v in routed["interruptions"].items()},
+        paths, {}, None, routed["makespan"], routed["iterations"],
+    )
+    assert validate_plan(plan, inst) == []
+
+
+def test_paths_csv_memory_follows_its_rows_not_the_horizon(golden_placement, golden_orders):
+    """A plan shifted 10**6 ticks late writes the same rows, shifted, without
+    a table of every tick before its first."""
+    import tracemalloc
+
+    from planarfab.pipeline import paths_to_csv
+    from planarfab.routing import route_schedule
+    from planarfab.scheduling import schedule
+
+    off = 10**6
+    plan = route_schedule(schedule(golden_orders[:1], golden_placement, 1, eta=2), golden_placement)
+    late = dataclasses.replace(plan, paths={
+        m: [(t0 + off, t1 + off, cell) for t0, t1, cell in runs] for m, runs in plan.paths.items()
+    })
+    tracemalloc.start()
+    try:
+        text = paths_to_csv(late)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    header, *rows = paths_to_csv(plan).splitlines(keepends=True)
+    assert len(rows) > 1
+    assert text == header + "".join(f"{int(t) + off},{rest}" for t, rest in
+                                    (row.split(",", 1) for row in rows))

@@ -692,11 +692,12 @@ def test_routed_8x8_batched_plan_matches_pinned_digest(monkeypatch):
     assert len(rounds[-1][1]) == 72
     assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (4, 64, 207)
     assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == (
-        "be9aed981fb31b9b5630fd36ad3ffef5b5278897c0749e4bdc8d84db0352838e"
+        "ac4080b8598bcfad067b6b3e902242d8ab612a7846167d5de20f352d8fb2207a"
     )
     assert hashlib.sha256(paths_to_csv(plan).encode()).hexdigest() == (
         "18c6160961b927a7fecb9f9be3a373fd92d7530aff2920b9944d6cb64ab990d4"
     )
+    assert validate_plan(plan, SchedulingInstance(tuple(orders), pl, 8, 2)) == []
 
 
 
@@ -1044,7 +1045,7 @@ def ref_validate_plan(plan: RoutedPlan, instance) -> list[str]:
                     frm = Coord(int(prev[0]), int(prev[1]))
                     if frm not in site.tiles:
                         issues.append(
-                            f"path: mover {m} enters site {site.location} from {frm}"
+                            f"path: mover {m} enters site {site.location} from {tuple(frm)}"
                         )
             elif not on_center and state != REST:
                 issues.append(f"path: mover {m} off-center at tick {t} in state {state}")
@@ -1329,7 +1330,6 @@ def test_merge_two_single_order_batches_one_mover():
     direct = schedule([o1, o2], pl, 1, eta=2)
     assert merged.makespan == direct.makespan == 32
     inst = SchedulingInstance((o1, o2), pl, 1, 2)
-    # re-id ops to the canonical numbering before validating
     assert validate_schedule(merged, inst) == []
 
 
@@ -1348,8 +1348,15 @@ def test_merge_makespan_at_least_max_batch():
     assert validate_plan(plan, inst) == []
 
 
-def test_merge_fleet_mismatch_error():
-    pl = line_placement(["IF", ("a",)])
-    s = schedule([Order(0, (("a", 5),))], pl, 1, eta=2)
-    with pytest.raises(ValueError):
-        merge_batches([s], pl, n_movers=0)
+def test_merge_numbers_ops_as_build_operations_over_orders_in_id_order():
+    """Batches list their orders in any order; the merged ids follow the
+    orders' ids, and an order in two batches is refused."""
+    pl = line_placement(["IF", ("a",), ("b",)])
+    orders = [Order(2, (("a", 3), ("b", 4))), Order(0, (("b", 2),)), Order(1, (("a", 5),))]
+    b1 = schedule(orders[:2], pl, 2, eta=2)
+    b2 = schedule(orders[2:], pl, 2, eta=2)
+    merged = merge_batches([b1, b2], pl)
+    ordered = sorted(orders, key=lambda o: o.id)
+    assert validate_schedule(merged, SchedulingInstance(tuple(ordered), pl, 2, 2)) == []
+    with pytest.raises(ValueError, match="order 1 appears twice"):
+        merge_batches([b1, b2, b2], pl)

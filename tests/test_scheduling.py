@@ -37,6 +37,7 @@ from planarfab.scheduling import (
     lower_bound,
     p_cmax,
     schedule,
+    schedule_issues,
     validate_schedule,
 )
 
@@ -293,9 +294,9 @@ def test_validator_checks_travel_and_overlaps_on_realized_ends():
     pauses = {0: 1, 1: 1}
     assert validate_schedule(s, inst, pauses) == [
         "rule 2: mover 0 ops 1->2 gap 0 < travel 1",
-        f"rule 4: tile {iface} ops 0,3 overlap",
+        "rule 4: tile (1, 1) ops 0,3 overlap",
     ]
-    assert validate_schedule(s, inst, {0: 1}) == [f"rule 4: tile {iface} ops 0,3 overlap"]
+    assert validate_schedule(s, inst, {0: 1}) == ["rule 4: tile (1, 1) ops 0,3 overlap"]
     assert validate_schedule(s, inst, {1: 1}) == ["rule 2: mover 0 ops 1->2 gap 0 < travel 1"]
 
 
@@ -315,6 +316,21 @@ def test_validator_reports_a_changed_duration_once_under_rule_1():
     ops[1] = ScheduledOp(dataclasses.replace(ops[1].op, duration=3), 0, ta, 5)
     assert validate_schedule(Schedule(tuple(ops), 14), inst) == [
         "rule 1: op 1 does not match the instance"
+    ]
+
+
+def test_schedule_issues_reports_movers_outside_the_fleet_and_repeated_ids():
+    """The order-free rules: a fleet too small for the schedule's movers, and
+    two ops under one id."""
+    pl = line_placement(["IF", ("a",)])
+    s = schedule([Order(0, (("a", 5),))], pl, 1, eta=2)
+    assert schedule_issues(s, pl, 1) == []
+    assert sorted(schedule_issues(s, pl, 0)) == [
+        f"rule 1: op {i} mover 0 is outside the fleet of 0" for i in range(3)
+    ]
+    ops = [dataclasses.replace(so, op=dataclasses.replace(so.op, op_id=0)) for so in s.ops]
+    assert schedule_issues(Schedule(tuple(ops), s.makespan), pl, 1) == [
+        "rule 1: op id 0 is used 3 times"
     ]
 
 
