@@ -32,13 +32,35 @@ rejected unsummed, leaving what any rejected trial leaves.  Stage 1 screens
 all of a dispenser's relocations off the peak tile at once, one array pass
 over the tiles; the screen allows for the rounding of Python's float
 ``sum`` (recursive, or compensated from Python 3.12 on), so it never skips a
-trial that the exact test could accept.
+trial that the exact test could accept.  A stage-1 trial changes two entries
+of the load profile; while the loads still hold the pass's profile (no
+rejected trial's re-sum has changed a value), the new profile sorts first
+exactly when the largest value whose count changes loses a copy, which those
+two entries decide without sorting the profile.
+
+Stage 2 runs each pass, the stretch between two accepted moves, as one array
+pass.  Within a pass no tile changes its members, sizes or partner sums, so
+every trial's load tests and screen are taken at once for a block of rows
+(dispensers), in the scan's float expressions; Python walks the rows in scan
+order and runs the scan itself only from a row's first trial that passes the
+screen.  For the other rows it replays what their rejected trials leave: the
+dispenser last on its tile when any trial was eligible, and on each other
+tile the eligible swap partners last, in order.  A tile of one never
+changes; a tile of two only needs its order, since float addition commutes
+and, with an exactly symmetric catalog, its pair score is the same either
+way; a tile of three or more (or of two, with an asymmetric catalog) is
+re-summed in its new order before the scan reads a sum.  Such a re-sum can
+move a load by a rounding error, and with it a load test: when a test of a
+tile of three or more lies within that rounding of mu_cap, the pass runs
+through the scan, one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from itertools import accumulate, compress
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,15 +152,6 @@ def validate_packing(packing: Packing, config: InstanceConfig, demand=None) -> l
     if loads and abs(max(loads) - packing.mu_max) > 1e-6:
         issues.append("stored mu_max disagrees with recomputation")
     return issues
-
-
-def tile_utilization(packing: Packing, demand) -> list[tuple[list[tuple[str, float]], float]]:
-    """Per-tile (drug, contribution) breakdown and its sum."""
-    out = []
-    for t in packing.tiles:
-        parts = [(g, float(demand[g]) / packing.z[g] if packing.z[g] else 0.0) for g in t]
-        out.append((parts, sum(c for _, c in parts)))
-    return out
 
 
 def correlation_sum(tiles, catalog: DrugCatalog) -> float:
@@ -380,13 +393,16 @@ def _without(t, g):
 def _improve_min_load(tiles, pi, n_tiles, d_max):
     tiles = [list(t) for t in tiles]
     loads = [sum(pi[g] for g in t) for t in tiles]
+    steady = True  # loads holds the floats of the pass's profile cur
 
     def to_end(ti, g):
         # what a rejected trial leaves behind: g last on its tile
+        nonlocal steady
         if tiles[ti][-1] != g:
             tiles[ti].remove(g)
             tiles[ti].append(g)
-            loads[ti] = sum(pi[h] for h in tiles[ti])
+            was, loads[ti] = loads[ti], sum(pi[h] for h in tiles[ti])
+            steady = steady and loads[ti] == was
 
     def lowers(cur, peak, ti, at_peak, at_ti):
         # commits the trial leaving at_peak on the peak and at_ti on tile ti
@@ -395,9 +411,18 @@ def _improve_min_load(tiles, pi, n_tiles, d_max):
         new = sum(pi[h] for h in at_ti)
         if new > cur[0]:  # it would lead the profile, which then sorts after cur
             return False
+        rest = sum(pi[h] for h in at_peak)
+        # while loads holds cur's floats, the entries the trial replaces
+        # decide: the profile sorts first iff the largest value whose count
+        # changes loses a copy, that is iff the new entries sort first (a
+        # new tile's entry counts as added)
+        if steady and not sorted((rest, new), reverse=True) < sorted(
+            (loads[peak], loads[ti]) if ti < len(tiles) else (loads[peak],), reverse=True
+        ):
+            return False
         after = loads[:] if ti < len(tiles) else [*loads, new]
-        after[peak], after[ti] = sum(pi[h] for h in at_peak), new
-        if not tuple(sorted(after, reverse=True)) < cur:
+        after[peak], after[ti] = rest, new
+        if not (steady or tuple(sorted(after, reverse=True)) < cur):
             return False
         if ti == len(tiles):
             tiles.append(at_ti)
@@ -411,6 +436,7 @@ def _improve_min_load(tiles, pi, n_tiles, d_max):
     slack = (d_max + 2) * 2.0**-50
     for _ in range(MAX_PASSES):
         cur = tuple(sorted(loads, reverse=True))
+        steady = True
         improved = False
         peak = max(range(len(tiles)), key=loads.__getitem__)
         # relocate one dispenser off the peak tile.  Until a move is accepted
@@ -654,63 +680,197 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
     partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
     floor = EPS - _screen_margin(sub, n_tiles, d_max)
+    # a reordered tile of two keeps its load (float addition commutes) and,
+    # with an exactly symmetric catalog, its score; a larger tile's sums
+    # follow its order
+    asym = not np.array_equal(sub, sub.T)
+    twice = 2 * sub
+    pis = np.array([pi[g] for g in col], dtype=float)
+    slack = (d_max + 2) * 2.0**-50  # stage 1's allowance for two orders of a sum
+    steadies = {}
 
-    improved = True
-    while improved:
-        improved = False
-        cur = sum(scores)
-        member = [[col[g] for g in t] + [len(col)] * (d_max - len(t)) for t in tiles]
-        part = partner[member].sum(axis=1).tolist()
-        for a in range(len(tiles)):
-            for g in list(tiles[a]):
-                # relocation
-                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                    if b == a:
+    def steady(t, at):
+        # whether every load test reads the same for any order of the tile
+        # list t of three or more, given its load at, which a re-sum in
+        # another order moves by less than spread.  The tests, that load
+        # (less one of t's dispensers) plus any dispenser's pi against
+        # mu_cap, are monotone in it, so they are taken at both ends
+        key = (frozenset(t), at)
+        if key not in steadies:
+            spread = slack * sum(abs(pi[g]) for g in t)
+            lo, hi = (np.array([x, *(x - pi[g] for g in t)])[:, None] + pis > mu_cap
+                      for x in (at - spread, at + spread))
+            steadies[key] = bool((lo == hi).all())
+        return steadies[key]
+
+    def trials(cur, part, a, g, relocs, swaps):
+        # g's trials off tile a in scan order: relocations onto the tiles
+        # relocs (len(tiles): a new tile), then swaps with the dispensers of
+        # the tiles swaps; True once one is accepted
+        ig = col[g]
+        for b in relocs:
+            if b == a:
+                continue
+            if b < len(tiles) and (
+                len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
+            ):
+                continue
+            gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
+            if gain > floor and raises(
+                cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
+            ):
+                kept = [i for i, t in enumerate(tiles) if t]
+                tiles[:] = [tiles[i] for i in kept]
+                scores[:] = [scores[i] for i in kept]
+                loads[:] = [loads[i] for i in kept]
+                return True
+            to_end(a, g)
+        for b in swaps:
+            if b == a:
+                continue
+            for h in list(tiles[b]):
+                if h == g or h in tiles[a] or g in tiles[b]:
+                    continue
+                if loads[a] - pi[g] + pi[h] > mu_cap:
+                    continue
+                if loads[b] - pi[h] + pi[g] > mu_cap:
+                    continue
+                # gain: h joins a's partners other than g, g joins b's other
+                # than h; part counts g-h on both sides
+                ih = col[h]
+                gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
+                if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
+                    cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
+                ):
+                    return True
+                to_end(a, g)
+                to_end(b, h)
+        return False
+
+    def sweep(cur):
+        # one pass, up to its first accepted move (True) or to its end.  Rows
+        # r are the dispensers (a, g) in tile order, columns the tiles b or
+        # the dispensers (b, h).  Rows are screened in blocks of whole tiles,
+        # doubling, since most passes accept a move within their first rows
+        n = len(tiles)
+        new = [n] if n < n_tiles else []
+        items = [g for t in tiles for g in t]
+        if not items:
+            return False
+        sizes = [len(t) for t in tiles]
+        first = [0, *accumulate(sizes)]
+        size = np.array(sizes)
+        ta = np.repeat(np.arange(n), size)
+        ca = np.fromiter(map(col.__getitem__, items), np.intp, len(items))
+        pa = np.fromiter(map(pi.__getitem__, items), float, len(items))
+        member = np.full((n, d_max), len(col))
+        member[ta, np.arange(len(items)) - np.array(first)[ta]] = ca
+        part = partner[member].sum(axis=1)
+        has = np.zeros((n, len(col)), dtype=bool)
+        has[ta, ca] = True
+        on = has[:, ca]  # on[b, s]: dispenser s's drug is on tile b
+        across = part[:, ca]  # across[b, s] = part[b][col of s's drug]
+        own = part[ta, ca]  # part[a][col[g]] of each row
+        level = np.array(loads, dtype=float)
+        tail = level[ta] - pa  # each dispenser's tile load less its pi
+        room = size < d_max
+        twos = [(b, first[b]) for b, m in enumerate(sizes) if m == 2]
+        pair = np.array([k for _, k in twos], dtype=np.intp)  # first dispenser of each
+        bigs = [b for b, m in enumerate(sizes) if m > 2]
+        inbig = [k for b in bigs for k in range(first[b], first[b + 1])]
+        ends = list(accumulate(sizes[b] for b in bigs))
+        spans = list(zip(bigs, [0, *ends], ends))  # each one's dispensers in inbig
+        dealt = [items[k] for k in inbig]
+        sensitive = [b for b, m in enumerate(sizes) if m > 2 or asym and m == 2]
+
+        def resum():
+            for t in sensitive:
+                scores[t], loads[t] = tile_score(tiles[t]), load(tiles[t])
+
+        def replay(flip, last, deal, below):
+            # a rejected swap moves its partner h last on h's tile: the moves
+            # of one row's rejected swaps onto the tiles before below.  A tile
+            # of two changes when one of its dispensers is an eligible
+            # partner (flip; last: the second one), a larger tile when some
+            # are (deal)
+            for (b, k), second in compress(zip(twos, last), flip):
+                if b >= below:
+                    break
+                t = tiles[b]
+                if t[1] != items[k + second]:
+                    t.reverse()
+            for b, lo, hi in spans:
+                if b < below:
+                    s = set(compress(dealt[lo:hi], deal[lo:hi]))
+                    t = tiles[b]
+                    tiles[b] = [x for x in t if x not in s] + [x for x in t if x in s]
+
+        if not all(steady(tiles[b], loads[b]) for b in bigs):
+            for a in range(n):
+                for g in list(tiles[a]):
+                    if trials(cur, part, a, g, range(n + len(new)), range(n)):
+                        return True
+            return False
+
+        a0, width = 0, 16
+        while a0 < n:
+            a1 = min(n, bisect_left(first, first[a0] + width))
+            rows = slice(first[a0], first[a1])
+            ra, rc, rp, mine = ta[rows], ca[rows], pa[rows], own[rows]
+            # every test of the scan, then its screen, in the scan's float
+            # expressions, for each trial of the block's rows
+            g_on = on[:, rows].T  # g's drug on tile b
+            reloc = ~(g_on | (level + rp[:, None] > mu_cap)) & room
+            swap = ~(
+                on[ra] | g_on[:, ta] | (tail[rows][:, None] + pa > mu_cap)
+                | (tail + rp[:, None] > mu_cap)
+            )
+            onto = across[:, rows].T  # part[b][col[g]]
+            hop = reloc & (onto - mine[:, None] > floor)
+            gain = across[ra] - mine[:, None] + onto[:, ta] - own - twice[rc][:, ca]
+            jump = swap & (gain > floor)
+            hit = hop.any(1) | jump.any(1)
+            busy = reloc.any(1) | swap.any(1)
+            if new:
+                fresh = 0.0 - mine > floor  # onto a new tile
+                hit |= fresh
+                busy[:] = True
+            hit, busy = hit.tolist(), busy.tolist()
+            last = swap[:, pair + 1]
+            flips = (swap[:, pair] != last).tolist()
+            lasts, deals = last.tolist(), swap[:, inbig].tolist()
+            for a in range(a0, a1):
+                for g in list(tiles[a]):
+                    r = items.index(g, first[a], first[a + 1]) - first[a0]  # g's row
+                    if not hit[r]:
+                        # every trial fails: replay what the rejected trials leave
+                        t = tiles[a]
+                        if busy[r] and t[-1] != g:
+                            t.remove(g)
+                            t.append(g)
+                        replay(flips[r], lasts[r], deals[r], n)
                         continue
-                    if b < len(tiles) and (
-                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
-                    ):
-                        continue
-                    ig = col[g]  # gain: g's partners on b less its partners on a
-                    gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
-                    if gain > floor and raises(
-                        cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
-                    ):
-                        improved = True
-                        kept = [i for i, t in enumerate(tiles) if t]
-                        tiles[:] = [tiles[i] for i in kept]
-                        scores[:] = [scores[i] for i in kept]
-                        loads[:] = [loads[i] for i in kept]
-                        break
+                    # a trial passes the screen.  The row's trials before the
+                    # first such one leave g last on a, as the first will,
+                    # and their swap partners last: replay those, then scan
+                    # the rest of the row
                     to_end(a, g)
-                if improved:
-                    break
-                # swaps
-                for b in range(len(tiles)):
-                    if b == a:
-                        continue
-                    for h in list(tiles[b]):
-                        if h == g or h in tiles[a] or g in tiles[b]:
-                            continue
-                        if loads[a] - pi[g] + pi[h] > mu_cap:
-                            continue
-                        if loads[b] - pi[h] + pi[g] > mu_cap:
-                            continue
-                        # gain: h joins a's partners other than g, g joins
-                        # b's other than h; part counts g-h on both sides
-                        ig, ih = col[g], col[h]
-                        gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
-                        if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
-                            cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
-                        ):
-                            improved = True
-                            break
-                        to_end(a, g)
-                        to_end(b, h)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+                    relocs = np.flatnonzero(reloc[r]).tolist() + new
+                    swaps = list(dict.fromkeys(ta[swap[r]].tolist()))
+                    hops = np.flatnonzero(hop[r]).tolist() + (new if new and fresh[r] else [])
+                    if hops:
+                        relocs = relocs[relocs.index(hops[0]):]
+                    else:
+                        b0 = int(ta[np.argmax(jump[r])])
+                        replay(flips[r], lasts[r], deals[r], b0)
+                        relocs, swaps = [], swaps[swaps.index(b0):]
+                    resum()
+                    if trials(cur, part, a, g, relocs, swaps):
+                        return True
+            a0, width = a1, 2 * width
+        resum()
+        return False
+
+    while sweep(sum(scores)):
+        pass
     return [tuple(t) for t in tiles if t], sum(scores)

@@ -182,6 +182,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["correlation_objective"] = packed.correlation_objective
         values["correlation_baseline"] = packing.correlation_sum(stage1.tiles, pc.catalog)
         exact["packing"] = stage1.exact
+        exact["packing_correlation"] = packed.exact
         save("packing.json", lambda: packing_to_json(packed))
 
     if "place" in stages and placed is None:

@@ -285,7 +285,10 @@ def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
     """Min-detour assignment; overlapping transits never share a site.
 
     Exact branch and bound up to 30 transits, regret-greedy above.  Raises
-    RoutingInfeasible with the violating clique when no assignment exists.
+    RoutingInfeasible with the largest overlap clique found when no
+    assignment is found; its message says whether that clique outnumbers the
+    sites, the exact search proved that none exists, or the greedy only met a
+    dead end (not a proof).
     """
     if not transits:
         return {}
@@ -307,15 +310,24 @@ def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
     overlap = [np.flatnonzero(~row).tolist() for row in disjoint]
 
     if len(transits) <= ASSIGN_EXACT_LIMIT:
-        assign = _assign_exact(transits, options, overlap)
+        assign, stuck = _assign_exact(transits, options, overlap), None
     else:
-        assign = _assign_greedy(transits, options, overlap)
+        assign, stuck = _assign_greedy(transits, options, overlap)
     if assign is None:
         clique = _overlap_clique(transits, overlap)
-        raise RoutingInfeasible(
-            f"{len(clique)} mutually overlapping transits exceed available sites",
-            clique=clique,
-        )
+        if len(clique) > len(sites):
+            why = f"{len(clique)} mutually overlapping transits exceed {len(sites)} available sites"
+        elif stuck is None:
+            why = (
+                f"no assignment exists: the exact search found none for {len(transits)} "
+                f"transits on {len(sites)} sites"
+            )
+        else:
+            why = (
+                f"greedy dead end at transit {stuck} (mover {transits[stuck].mover}), "
+                f"not a proof: no free site left for it among {len(transits)} transits"
+            )
+        raise RoutingInfeasible(why, clique=clique)
     return {i: sites[j] for i, j in assign.items()}
 
 
@@ -394,7 +406,8 @@ def _assign_greedy(transits, options, overlap):
     """Regret heuristic: place the pending transit with the largest spread
     between its two cheapest free sites first (a single free site counts as
     an infinite spread; ties go to the lowest index) on its cheapest free site.
-    None when some pending transit has no free site left.
+    Returns (assignment, None), or (None, i) when pending transit i has no
+    free site left.
 
     A site is free for transit i unless an assigned transit in overlap[i]
     holds it.  Each transit keeps its blocked sites and its regret; overlap
@@ -419,7 +432,7 @@ def _assign_greedy(transits, options, overlap):
     for i in range(n):
         r = regret(i)
         if r is None:
-            return None
+            return None, i
         pending[i] = r
     assign: dict[int, int] = {}
     while pending:
@@ -432,9 +445,9 @@ def _assign_greedy(transits, options, overlap):
                 blocked[k].add(j)
                 r = regret(k)
                 if r is None:
-                    return None
+                    return None, k
                 pending[k] = r
-    return assign
+    return assign, None
 
 
 # --- paths as runs and conflicts --------------------------------------------------

@@ -366,6 +366,22 @@ def test_cli_pipeline_reproducible(tmp_path, instance_file):
         assert (r1 / name).read_text() == (r2 / name).read_text(), name
 
 
+def test_cli_report_names_each_packing_stage_exactness(tmp_path):
+    # the CI ring instance: stage 1 (peak load) falls back to its heuristic,
+    # stage 2 (correlation) is solved exactly; packing.json is stage 2's
+    inst, out_dir = tmp_path / "ring.json", tmp_path / "ring"
+    assert run("init-instance", "--topology", "ring", "--size", "6",
+               "--marginals", "0.3,0.4,0.2,0.5,0.35,0.25", "--dispensers", "12",
+               "--movers", "3", "--out", inst) == OK
+    assert run("pipeline", "--instance", inst, "--n-orders", "12", "--size-min", "1",
+               "--size-max", "3", "--population", "6", "--max-evaluations", "12",
+               "--episodes", "2", "--iterations", "3", "--out-dir", out_dir) == OK
+    exactness = json.loads((out_dir / "report.json").read_text())["exactness"]
+    packing = json.loads((out_dir / "packing.json").read_text())
+    assert exactness["packing"] is False and exactness["packing_correlation"] is True
+    assert exactness["packing_correlation"] is packing["exact"]
+
+
 def test_cli_init_instance_roundtrip(tmp_path):
     out = tmp_path / "inst.json"
     assert run("init-instance", "--topology", "ring", "--size", "5",

@@ -9,11 +9,13 @@ from planarfab.core import DrugCatalog, InstanceConfig
 from planarfab.ordergen import DemandVector
 from planarfab.packing import (
     EPS,
+    MAX_PASSES,
     PackingInfeasible,
+    _screen_margin,
+    _without,
     correlation_sum,
     pack_correlation,
     pack_min_load,
-    tile_utilization,
     validate_packing,
 )
 
@@ -157,6 +159,15 @@ def test_heuristic_mode_feasible_and_bounded():
     assert not p.exact
     assert validate_packing(p, config, DemandVector(u)) == []
     assert p.mu_max >= p.lower_bound - 1e-9
+
+
+def tile_utilization(packing, demand):
+    """Per-tile (drug, contribution) breakdown and its sum."""
+    out = []
+    for t in packing.tiles:
+        parts = [(g, float(demand[g]) / packing.z[g] if packing.z[g] else 0.0) for g in t]
+        out.append((parts, sum(c for _, c in parts)))
+    return out
 
 
 def test_tile_utilization_breakdown():
@@ -887,6 +898,345 @@ def test_lpt_fill_and_relocations_match_per_tile_reference():
         spread += len(got) > len(tiles)
         checked += 1
     assert checked >= 300 and scanned >= 25 and spread >= 100
+
+
+# --- array passes vs the scalar searches -------------------------------------------
+#
+# scalar_improve_min_load and scalar_local_search_correlation are the searches
+# as they were before stage 1 decided a trial from the two entries it changes
+# and stage 2 screened each pass as one array pass, kept verbatim: one trial
+# at a time, each rejected trial moving its items last and re-summing.
+
+def scalar_improve_min_load(tiles, pi, n_tiles, d_max):
+    tiles = [list(t) for t in tiles]
+    loads = [sum(pi[g] for g in t) for t in tiles]
+
+    def to_end(ti, g):
+        # what a rejected trial leaves behind: g last on its tile
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            loads[ti] = sum(pi[h] for h in tiles[ti])
+
+    def lowers(cur, peak, ti, at_peak, at_ti):
+        # commits the trial leaving at_peak on the peak and at_ti on tile ti
+        # (a new tile when ti == len(tiles)) if its load profile, with those
+        # two loads summed in list order, sorts before cur
+        new = sum(pi[h] for h in at_ti)
+        if new > cur[0]:  # it would lead the profile, which then sorts after cur
+            return False
+        after = loads[:] if ti < len(tiles) else [*loads, new]
+        after[peak], after[ti] = sum(pi[h] for h in at_peak), new
+        if not tuple(sorted(after, reverse=True)) < cur:
+            return False
+        if ti == len(tiles):
+            tiles.append(at_ti)
+        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
+        return True
+
+    # relative rounding allowance of the relocation screen: a float sum of
+    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
+    # sum), is within k unit roundoffs u of the real sum, so two such sums
+    # differ by at most 2 k u; this allows 8 u per term and two terms more
+    slack = (d_max + 2) * 2.0**-50
+    for _ in range(MAX_PASSES):
+        cur = tuple(sorted(loads, reverse=True))
+        improved = False
+        peak = max(range(len(tiles)), key=loads.__getitem__)
+        # relocate one dispenser off the peak tile.  Until a move is accepted
+        # the other tiles keep their lists, so each g's eligible tiles and
+        # screen values are taken for all tiles at once: room and no g (which
+        # rules out the peak)
+        room = np.array([len(t) < d_max for t in tiles])
+        load = np.array(loads)
+        spare = [len(tiles)] if len(tiles) < n_tiles else []
+        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
+            eligible = room & np.array([g not in t for t in tiles])
+            if not (spare or eligible.any()):
+                continue
+            # screen: ti's load after the move, summed with g appended, above
+            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
+            # rounding, so only tiles above cur[0] by more than ``slack``
+            # relative are skipped; a new tile is never screened (its load
+            # pi[g] is at most the peak's).  Every trial of g, skipped or
+            # rejected, leaves g last on the peak
+            after = load + pi[g]
+            eligible &= after - cur[0] <= after * slack
+            to_end(peak, g)
+            at_peak = _without(tiles[peak], g)
+            improved = any(
+                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
+                for ti in np.flatnonzero(eligible).tolist() + spare
+            )
+            if improved:
+                break
+        if improved:
+            continue
+        # pairwise swap involving the peak tile
+        for g in list(tiles[peak]):
+            for ti in range(len(tiles)):
+                if ti == peak:
+                    continue
+                for h in list(tiles[ti]):
+                    if h == g or pi[h] >= pi[g]:
+                        continue
+                    if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    if lowers(
+                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
+                    ):
+                        improved = True
+                        break
+                    to_end(peak, g)
+                    to_end(ti, h)
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    tiles = [t for t in tiles if t]
+    return [tuple(t) for t in tiles]
+
+
+def scalar_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
+    corr = catalog.correlation.tolist()
+    idx = {g: catalog.index(g) for t in tiles for g in t}
+    tiles = [list(t) for t in tiles]
+
+    def tile_score(t):
+        return sum(
+            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
+        )
+
+    def load(t):
+        return sum(pi[g] for g in t)
+
+    scores = [tile_score(t) for t in tiles]
+    loads = [load(t) for t in tiles]
+
+    def to_end(ti, g):
+        # what a rejected trial leaves behind: g last on its tile
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            scores[ti], loads[ti] = tile_score(tiles[ti]), load(tiles[ti])
+
+    def raises(cur, a, b, at_a, at_b):
+        # commits the trial leaving at_a on tile a and at_b on tile b (a new
+        # tile when b == len(tiles)) if the total score, with those two tiles'
+        # pair sums taken in list order, exceeds cur + EPS
+        after = scores[:] if b < len(tiles) else [*scores, 0]
+        after[a], after[b] = tile_score(at_a), tile_score(at_b)
+        if not sum(after) > cur + EPS:
+            return False
+        if b == len(tiles):
+            tiles.append(at_b)
+            loads.append(0)
+        tiles[a], tiles[b], scores[:] = at_a, at_b, after
+        loads[a], loads[b] = load(at_a), load(at_b)
+        return True
+
+    # screen: a trial's gain is estimated from partner sums, part[t][col[x]]
+    # being x's correlation with the drugs of tile t other than x; when the
+    # estimate is at most EPS - margin (_screen_margin), the trial must fail.
+    # The partner sums hold between accepted moves, since a rejected trial
+    # only reorders lists
+    col = {g: i for i, g in enumerate(idx)}
+    sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
+    partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
+    floor = EPS - _screen_margin(sub, n_tiles, d_max)
+
+    improved = True
+    while improved:
+        improved = False
+        cur = sum(scores)
+        member = [[col[g] for g in t] + [len(col)] * (d_max - len(t)) for t in tiles]
+        part = partner[member].sum(axis=1).tolist()
+        for a in range(len(tiles)):
+            for g in list(tiles[a]):
+                # relocation
+                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
+                    if b == a:
+                        continue
+                    if b < len(tiles) and (
+                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
+                    ):
+                        continue
+                    ig = col[g]  # gain: g's partners on b less its partners on a
+                    gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
+                    if gain > floor and raises(
+                        cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
+                    ):
+                        improved = True
+                        kept = [i for i, t in enumerate(tiles) if t]
+                        tiles[:] = [tiles[i] for i in kept]
+                        scores[:] = [scores[i] for i in kept]
+                        loads[:] = [loads[i] for i in kept]
+                        break
+                    to_end(a, g)
+                if improved:
+                    break
+                # swaps
+                for b in range(len(tiles)):
+                    if b == a:
+                        continue
+                    for h in list(tiles[b]):
+                        if h == g or h in tiles[a] or g in tiles[b]:
+                            continue
+                        if loads[a] - pi[g] + pi[h] > mu_cap:
+                            continue
+                        if loads[b] - pi[h] + pi[g] > mu_cap:
+                            continue
+                        # gain: h joins a's partners other than g, g joins
+                        # b's other than h; part counts g-h on both sides
+                        ig, ih = col[g], col[h]
+                        gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
+                        if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
+                            cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
+                        ):
+                            improved = True
+                            break
+                        to_end(a, g)
+                        to_end(b, h)
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return [tuple(t) for t in tiles if t], sum(scores)
+
+
+def grid_instances(seed, count):
+    """Stage-2 inputs shaped like the 8x8~2 reference: 62 tiles, 40 drugs, 82
+    dispensers, d_max 4 with a tile of three; pi drawn from a few exact
+    values, zero and irrational ones; a catalog symmetric only up to rounding
+    (one unit in the last place); and mu_cap alternately the peak + EPS, as
+    pack_correlation sets it, and the load of the tile of three summed in
+    one of its orders, which a re-sum in another order reads on either side."""
+    rng = np.random.default_rng(seed)
+    drugs = [f"g{i:02d}" for i in range(40)]
+    made = 0
+    while made < count:
+        dispensers = drugs + [drugs[i] for i in rng.integers(0, 40, 42)]
+        dispensers = [dispensers[i] for i in rng.permutation(82)]
+        tiles = [[g] for g in dispensers[:62]]
+        big = tiles[int(rng.integers(2))]  # reordered early in every pass
+        for g in dispensers[62:]:
+            room = [t for t in tiles if len(t) < 4 and g not in t and t is not big]
+            if len(big) < 3 and g not in big:
+                big.append(g)
+            elif room:
+                room[int(rng.integers(len(room)))].append(g)
+        if len(big) < 3 or sum(map(len, tiles)) < 82:
+            continue
+        pi = {g: float(rng.choice([0.0, 0.0, 0.5, 1 / 3, 0.7, 2.2, float(rng.uniform(0, 3))]))
+              for g in drugs}
+        for g in big:
+            pi[g] = float(rng.uniform(0, 3))
+        # the tile of three in the order of its smallest sum, among several
+        orders = sorted(itertools.permutations(big), key=lambda p: sum(pi[g] for g in p))
+        if len({sum(pi[g] for g in p) for p in orders}) < 2:
+            continue
+        big[:] = orders[0]
+        corr = make_catalog(40, seed=int(rng.integers(1 << 30)), corr_scale=0.25).correlation
+        lower = np.tril(rng.random((40, 40)) < 0.5, -1)
+        corr = np.where(lower, np.nextafter(corr, np.inf), corr)
+        catalog = DrugCatalog(tuple(drugs), (0.5,) * 40, corr)
+        if made % 2:
+            mu_cap = sum(pi[g] for g in big)
+        else:
+            mu_cap = max(sum(pi[g] for g in t) for t in tiles) + EPS
+        made += 1
+        yield [tuple(t) for t in tiles], pi, catalog, mu_cap
+
+
+def near_cap_instances(seed, count):
+    """Small packings whose mu_cap is the load of a tile of three summed in
+    its order of smallest sum, other orders summing higher; the other drugs
+    take zero, one of that tile's pi or a random pi, so load tests of
+    relocations onto the tile and swaps with it read mu_cap on either side
+    as the tile is reordered and re-summed within a pass."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n_drugs = int(rng.integers(5, 8))
+        drugs = [f"d{i}" for i in range(n_drugs)]
+        pi = {g: float(rng.uniform(0.05, 1.0)) for g in drugs[:3]}
+        orders = sorted(itertools.permutations(drugs[:3]), key=lambda p: sum(pi[g] for g in p))
+        if sum(pi[g] for g in orders[0]) == sum(pi[g] for g in orders[-1]):
+            continue
+        for g in drugs[3:]:
+            pi[g] = float(rng.choice([0.0, pi["d0"], pi["d1"], float(rng.uniform(0, 1))]))
+        copies = {g: 1 for g in drugs[3:]}
+        for i in rng.integers(0, n_drugs, int(rng.integers(0, 3))):
+            copies[drugs[i]] = copies.get(drugs[i], 0) + 1
+        others = random_tiles(rng, list(copies), copies, int(rng.integers(1, 4)), 4)
+        if others is None:
+            continue
+        at = int(rng.integers(0, 2))
+        tiles = [*others[:at], orders[0], *others[at:]]
+        corr = rng.choice([-0.5, -0.2, 0.0, 0.3, 0.6], size=(n_drugs, n_drugs))
+        corr = np.triu(corr, 1) + np.triu(corr, 1).T
+        catalog = DrugCatalog(tuple(drugs), (0.5,) * n_drugs, corr)
+        made += 1
+        yield tiles, pi, catalog, len(tiles) + int(rng.integers(0, 2)), sum(pi[g] for g in orders[0])
+
+
+def test_array_pass_searches_match_scalar_reference():
+    from planarfab.packing import _improve_min_load, _loads, _local_search_correlation
+
+    checked = moved = 0
+    for tiles, pi, n_tiles, d_max, catalog in screen_instances(27, 200):
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        want = scalar_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == want
+        assert _loads(got, pi) == _loads(want, pi)
+        peak = max(_loads(got, pi))
+        for mu_cap in (peak + EPS, 2 * peak + EPS):
+            got_c = _local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
+            want_c = scalar_local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
+            assert got_c[0] == want_c[0]
+            assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
+            assert got_c[1] == want_c[1]
+            checked += 1
+            moved += got_c[0] != got
+    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(28, 150):
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        want = scalar_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == want
+        assert _loads(got, pi) == _loads(want, pi)
+        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
+        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
+        mu_cap = max(_loads(tiles, pi)) * float(rng.choice([1.0, 1.2, 2.0])) + EPS
+        got_c = _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+        want_c = scalar_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+        assert got_c[0] == want_c[0]
+        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
+        assert got_c[1] == want_c[1]
+        checked += 1
+        moved += got_c[0] != tiles
+    grid = 0
+    for tiles, pi, catalog, mu_cap in grid_instances(29, 12):
+        got = _improve_min_load(tiles, pi, 62, 4)
+        assert got == scalar_improve_min_load(tiles, pi, 62, 4)
+        got_c = _local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
+        want_c = scalar_local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
+        assert got_c[0] == want_c[0]
+        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
+        assert got_c[1] == want_c[1]
+        grid += 1
+        moved += got_c[0] != tiles
+    for tiles, pi, catalog, n_tiles, mu_cap in near_cap_instances(30, 400):
+        got_c = _local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
+        want_c = scalar_local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
+        assert got_c[0] == want_c[0]
+        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
+        assert got_c[1] == want_c[1]
+        checked += 1
+        moved += got_c[0] != tiles
+    assert checked == 950 and grid == 12 and moved >= 500
 
 
 # sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the

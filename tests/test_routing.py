@@ -319,6 +319,32 @@ def test_assign_respects_gap_reachability():
         assign_resting_sites([tr], [far], pl)
 
 
+def test_assign_failure_names_what_was_found():
+    # two overlapping transits that reach only the near site: no clique
+    # outnumbers the two sites, yet no assignment exists (Hall's condition)
+    pl = line_placement(["IF", ("a",), ("b",), ("c",), ("d",)])
+    near = RestingSite(Coord(1, 1), Coord(1, 2))
+    far = RestingSite(Coord(1, 4), Coord(1, 5))  # a round trip of 6 > gap 4
+    pair = [Transit(m, 2 * m, 2 * m + 1, Coord(1, 1), Coord(1, 1), m, m + 4, 0) for m in range(2)]
+    with pytest.raises(RoutingInfeasible, match="no assignment exists") as err:
+        assign_resting_sites(pair, [near, far], pl)
+    assert err.value.clique == [0, 1]
+
+    # the same pair among more than ASSIGN_EXACT_LIMIT transits: the regret
+    # greedy gives transit 0 the near site and meets a dead end at transit 1
+    later = [
+        Transit(m, 2 * m, 2 * m + 1, Coord(1, 1), Coord(1, 1), 10 * m, 10 * m + 4, 0)
+        for m in range(2, ASSIGN_EXACT_LIMIT + 1)
+    ]
+    with pytest.raises(RoutingInfeasible, match=r"greedy dead end at transit 1 \(mover 1\), not a proof"):
+        assign_resting_sites(pair + later, [near, far], pl)
+
+    # only a clique larger than the sites is reported as one
+    three = [Transit(m, 2 * m, 2 * m + 1, Coord(1, 1), Coord(1, 1), 0, 4, 0) for m in range(3)]
+    with pytest.raises(RoutingInfeasible, match="3 mutually overlapping transits exceed 2 available sites"):
+        assign_resting_sites(three, [near, far], pl)
+
+
 def reference_assign_greedy(options, overlap):
     """The regret greedy that recomputes every pending regret in every round."""
     assign: dict[int, int] = {}
@@ -374,7 +400,9 @@ def test_incremental_greedy_matches_full_recompute():
                         overlap[i].append(k)
                         overlap[k].append(i)
         want = reference_assign_greedy(options, overlap)
-        assert _assign_greedy(list(range(n)), options, overlap) == want, seed
+        got, stuck = _assign_greedy(list(range(n)), options, overlap)
+        assert got == want, seed
+        assert (stuck is None) == (want is not None), seed
         outcomes["infeasible" if want is None else "assigned"] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
