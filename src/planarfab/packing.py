@@ -16,27 +16,33 @@ one-dispenser-per-tile floor is unsatisfiable, so tiles are treated as "up to
 n_tiles usable".
 
 Both local searches (stage-1 improvement, stage-2 correlation search) keep
-each tile's load (and stage-2 pair-correlation score) in a list.  A trial
-move never edits a tile: it builds the lists the move would leave on the one
-or two tiles it touches, sums them in that list order, and compares the load
-profile (stage 1) or the total score (stage 2) with only those entries
-replaced.  An accepted trial commits its lists.  A rejected one only moves
-its items last on their tiles, as undoing the move would, and re-sums those
-tiles, since a tile's sum follows its list order.  Every comparison
+each tile's load (and stage-2 pair-correlation score) in an array (stage 1)
+or a list (stage 2).  A trial move never edits a tile: it builds the lists
+the move would leave on the one or two tiles it touches, sums them in that
+list order, and compares the load profile (stage 1) or the total score
+(stage 2) with only those entries replaced.  An accepted trial commits its
+lists.  A rejected one only moves its items last on their tiles, as undoing
+the move would, and re-sums those tiles, since a tile's sum follows its list
+order (a tile of two sums alike in either order).  Every comparison
 therefore sees the floats a full re-sum would give, and the searches return
 the groupings they returned when every trial re-summed every tile.
 
-Both searches also screen each trial before building its lists: when a
-cheap test proves that the exact comparison must fail, the trial is
-rejected unsummed, leaving what any rejected trial leaves.  Stage 1 screens
-all of a dispenser's relocations off the peak tile at once, one array pass
-over the tiles; the screen allows for the rounding of Python's float
-``sum`` (recursive, or compensated from Python 3.12 on), so it never skips a
-trial that the exact test could accept.  A stage-1 trial changes two entries
-of the load profile; while the loads still hold the pass's profile (no
-rejected trial's re-sum has changed a value), the new profile sorts first
-exactly when the largest value whose count changes loses a copy, which those
-two entries decide without sorting the profile.
+Both searches also decide or screen trials before building their lists:
+when a cheap test proves that the exact comparison must fail, the trial is
+rejected unsummed, leaving what any rejected trial leaves.  A stage-1 trial
+changes two entries of the load profile; while the loads still hold the
+pass's profile (no rejected trial's re-sum has changed a value), the new
+profile sorts first exactly when the largest value whose count changes
+loses a copy, which those two entries decide without sorting the profile.
+Stage 1 keeps its tiles in arrays across passes and decides the relocations
+of a pass, and each swap scan of a peak dispenser, in one numpy pass over
+the tiles with those two entries (``_improve_min_load``).  Python's float
+``sum`` is recursive before Python 3.12 and compensated from it on, so a
+trial whose sums have three or more terms is decided in numpy only where
+the interpreter sums left to right; elsewhere a screen that allows for
+either rounding skips only the trials the exact test must reject.  The
+multiplicities and the starting fill of each restart (Graham's LPT rule)
+take their next drug and next tile from heaps.
 
 Stage 2 runs each pass, the stretch between two accepted moves, as one array
 pass.  Within a pass no tile changes its members, sizes or partner sums, so
@@ -57,10 +63,11 @@ through the scan, one trial at a time.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import accumulate, compress, zip_longest
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +77,10 @@ from .core import DrugCatalog, InstanceConfig
 EPS = 1e-9
 NODE_CAP = 500_000  # search nodes of each exact packing search before it gives up
 MAX_PASSES = 200  # improvement passes of the stage-1 local search
+# whether this interpreter's float sum() adds left to right, as Python does
+# before 3.12; from 3.12 on it is compensated, and a sum of three or more
+# floats can differ from the left-to-right one (two floats sum alike)
+_LEFT_TO_RIGHT = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class PackingInfeasible(ValueError):
@@ -89,6 +100,10 @@ class Packing:
     exact: bool
     n_tiles_available: int
     correlation_objective: float | None = None
+    # why the first stage's peak load is not proven minimal: "size guard"
+    # (auto mode above 12 drugs or 12 tiles), "node cap" (the exact search
+    # gave up at NODE_CAP) or "heuristic mode" (forced); None when exact
+    fallback: str | None = None
 
     @property
     def n_dispensers_used(self) -> int:
@@ -103,7 +118,7 @@ def _loads(tiles, pi) -> list[float]:
     return [sum(pi[g] for g in t) for t in tiles]
 
 
-def _make_packing(tiles, z, pi, lower, exact, n_tiles, corr=None) -> Packing:
+def _make_packing(tiles, z, pi, lower, exact, n_tiles, fallback=None) -> Packing:
     tiles = _canonical(list(tiles))
     mu = _loads(tiles, pi)
     return Packing(
@@ -115,7 +130,7 @@ def _make_packing(tiles, z, pi, lower, exact, n_tiles, corr=None) -> Packing:
         lower,
         exact,
         n_tiles,
-        corr,
+        fallback=fallback,
     )
 
 
@@ -151,6 +166,9 @@ def validate_packing(packing: Packing, config: InstanceConfig, demand=None) -> l
             issues.append("stored tile load disagrees with recomputation")
     if loads and abs(max(loads) - packing.mu_max) > 1e-6:
         issues.append("stored mu_max disagrees with recomputation")
+    # a certified bound cannot exceed a peak load some packing achieves
+    if loads and packing.lower_bound > max(loads) + 1e-6 * max(1.0, max(loads)):
+        issues.append("stored lower_bound exceeds the recomputed peak load")
     return issues
 
 
@@ -178,8 +196,11 @@ def pack_min_load(
     """Choose multiplicities and tile groups minimizing the peak tile load.
 
     mode: "exact" forces branch and bound, "heuristic" forces local search,
-    "auto" is exact up to 12 drugs x 12 tiles.
+    "auto" is exact up to 12 drugs x 12 tiles.  A packing that is not exact
+    names the reason in ``fallback``.
     """
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ValueError(f"unknown packing mode {mode!r} (auto, exact or heuristic)")
     if drugs is None:
         drugs = sorted(demand.u)
     drugs = sorted(set(drugs))
@@ -200,18 +221,22 @@ def pack_min_load(
     budget = min(config.n_dispensers, n_tiles * config.d_max)
     lower = _certified_lower_bound(u, drugs, n_tiles, z_cap, budget)
 
-    use_exact = mode == "exact" or (mode == "auto" and n_drugs <= 12 and n_tiles <= 12)
-    if use_exact:
+    if mode == "heuristic":
+        fallback = "heuristic mode"
+    elif mode == "auto" and (n_drugs > 12 or n_tiles > 12):
+        fallback = "size guard"
+    else:
         result = _exact_min_load(u, drugs, n_tiles, config.d_max, z_cap, budget, lower)
         if result is not None:
             tiles, z = result
             pi = {g: (u[g] / z[g] if z[g] else 0.0) for g in drugs}
             return _make_packing(tiles, z, pi, lower, True, n_tiles)
+        fallback = "node cap"
     tiles, z = _heuristic_min_load(
         u, drugs, n_tiles, config.d_max, z_cap, budget, seed, restarts
     )
     pi = {g: (u[g] / z[g] if z[g] else 0.0) for g in drugs}
-    return _make_packing(tiles, z, pi, lower, False, n_tiles)
+    return _make_packing(tiles, z, pi, lower, False, n_tiles, fallback)
 
 
 def _certified_lower_bound(u, drugs, n_tiles, z_cap, budget) -> float:
@@ -222,6 +247,8 @@ def _certified_lower_bound(u, drugs, n_tiles, z_cap, budget) -> float:
 
 
 def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower):
+    """Optimal (tiles, z), or None when the search gave up at NODE_CAP: one
+    dispenser per drug always packs, so an uncapped search finds one."""
     order = sorted(drugs, key=lambda g: (-u[g], g))
     best = {"mu": math.inf, "tiles": None, "z": None, "nodes": 0}
 
@@ -328,60 +355,85 @@ def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter):
 
 
 def _heuristic_min_load(u, drugs, n_tiles, d_max, z_cap, budget, seed, restarts):
-    # multiplicity: repeatedly add a dispenser to the currently heaviest drug
-    z = {g: 1 for g in drugs}
-    spent = len(drugs)
-    while spent < budget:
-        cand = max(drugs, key=lambda g: (u[g] / z[g], g))
-        if z[cand] >= z_cap or u[cand] == 0.0:
-            break
-        z[cand] += 1
-        spent += 1
-    pi = {g: u[g] / z[g] for g in drugs}
-    items = [g for g in drugs for _ in range(z[g])]
+    # the restarts work on drug ids in name order, which sort as the names do
+    z = _multiplicities(u, drugs, z_cap, budget)
+    names = sorted(drugs)
+    pv = [u[g] / z[g] for g in names]
+    items = sorted((i for i, g in enumerate(names) for _ in range(z[g])), key=lambda i: (-pv[i], i))
 
     rng = random.Random(seed)
     best_tiles, best_profile = None, None
     for attempt in range(max(1, restarts)):
-        ordered = sorted(items, key=lambda g: (-pi[g], g))
+        ordered = list(items)
         if attempt:
             rng.shuffle(ordered)
-        tiles = _lpt_fill(ordered, pi, n_tiles, d_max)
+        tiles = _lpt_fill(ordered, pv, n_tiles, d_max)
         if tiles is None:
             continue
-        tiles = _improve_min_load(tiles, pi, n_tiles, d_max)
-        profile = tuple(sorted((_loads(tiles, pi)), reverse=True))
+        loads, found = _improve(tiles, pv, n_tiles, d_max)
+        profile = tuple(sorted(loads, reverse=True))
         if best_profile is None or profile < best_profile:
-            best_profile, best_tiles = profile, tiles
+            best_profile, best_tiles = profile, found()
     if best_tiles is None:
         raise PackingInfeasible("could not fit dispensers into tiles")
-    return best_tiles, z
+    return [tuple(names[i] for i in t) for t in best_tiles], z
+
+
+def _multiplicities(u, drugs, z_cap, budget):
+    """One dispenser per drug, then one more at a time for the heaviest drug,
+    the largest (u/z, drug), until the budget is spent, that drug has z_cap
+    dispensers or no demand.  A heap keyed on (-(u/z), -rank) pops that drug."""
+    z = {g: 1 for g in drugs}
+    rank = {g: i for i, g in enumerate(sorted(drugs))}
+    heap = [(-u[g], -rank[g], g) for g in drugs]
+    heapq.heapify(heap)
+    for _ in range(budget - len(drugs)):
+        g = heap[0][2]
+        if z[g] >= z_cap or u[g] == 0.0:
+            break
+        z[g] += 1
+        heapq.heapreplace(heap, (-(u[g] / z[g]), -rank[g], g))
+    return z
 
 
 def _lpt_fill(items, pi, n_tiles, d_max):
+    """Graham's LPT rule: each item in turn joins the open tile of least
+    (load, index) that has room and lacks its drug, or opens a new tile,
+    whose key is (0.0, number of tiles); None when neither exists.
+
+    A heap holds (load, index) of the tiles with room.  Tiles already holding
+    the item's drug are popped, set aside and pushed back.  An open tile's
+    key beats the new tile's exactly when its load is at most 0.0, its index
+    being the smaller.
+
+    Exactness rule: a tile's load grows by one float addition per item, in
+    the order the items join, as the scan's did; it never goes through
+    ``sum``, whose rounding differs from Python 3.12 on, so the fill is the
+    scan's tile for tile on every Python.
+    """
     bins: list[list[str]] = []
-    loads: list[float] = []
+    heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     for g in items:
-        if len(bins) < n_tiles and min(loads, default=1.0) > 0.0:
-            # a new bin's key (0.0, len(bins)) beats every open bin's
-            pick = -1
-        else:
-            cands = [
-                i for i in range(len(bins)) if len(bins[i]) < d_max and g not in bins[i]
-            ]
-            if len(bins) < n_tiles:
-                cands.append(-1)
-            if not cands:
-                return None
-            pick = min(
-                cands, key=lambda i: (loads[i] if i >= 0 else 0.0, i if i >= 0 else len(bins))
-            )
-        if pick == -1:
+        aside = None
+        if heap and g in bins[heap[0][1]]:
+            aside = [pop(heap)]
+            while heap and g in bins[heap[0][1]]:
+                aside.append(pop(heap))
+        if len(bins) < n_tiles and not (heap and heap[0][0] <= 0.0):
+            key = (pi[g], len(bins))
             bins.append([g])
-            loads.append(pi[g])
+        elif heap:
+            load, i = pop(heap)
+            bins[i].append(g)
+            key = (load + pi[g], i)
         else:
-            bins[pick].append(g)
-            loads[pick] += pi[g]
+            return None
+        if len(bins[key[1]]) < d_max:
+            push(heap, key)
+        if aside:
+            for entry in aside:
+                push(heap, entry)
     return [tuple(b) for b in bins]
 
 
@@ -390,43 +442,137 @@ def _without(t, g):
     return [x for x in t if x != g]
 
 
-def _improve_min_load(tiles, pi, n_tiles, d_max):
-    tiles = [list(t) for t in tiles]
-    loads = [sum(pi[g] for g in t) for t in tiles]
-    steady = True  # loads holds the floats of the pass's profile cur
+def _pair_lowers(rest, new, top, load):
+    """Elementwise lowers's pair test: sorted((rest, new), reverse=True) <
+    [top, load], for a trial leaving rest on the peak, whose load top is the
+    largest, and new on a tile of load ``load``: the larger of rest and new
+    below top, or at top with the smaller below load."""
+    return np.maximum(rest, new) < np.where(
+        np.minimum(rest, new) < load, math.nextafter(top, math.inf), top
+    )
 
-    def to_end(ti, g):
+
+def _improve_min_load(tiles, pi, n_tiles, d_max):
+    """Local search on the peak tile: relocate one of its dispensers, else
+    swap one for a lighter dispenser of another tile, while the sorted load
+    profile falls.  ``_improve`` does the work, on drug ids in name order.
+
+    The tiles live in arrays across passes: each tile's drugs in list order
+    (``slots``), its size, its load (the float ``sum`` of its list, in order)
+    and a drug x tile membership matrix, updated by each accepted move and
+    each ``to_end``.  The relocation scans of a pass and each swap scan of a
+    peak dispenser are decided in one numpy pass over the tiles, in the
+    float expressions of ``lowers``.  A rejected relocation leaves nothing
+    behind, and a rejected swap only moves its partner last on a tile whose
+    load no order changes, which is replayed once the scan is done.  Only
+    the trials the numpy pass cannot decide exactly go to ``lowers``, in
+    scan order.
+
+    Exactness rule: a sum of two floats is the same in any order and on
+    every Python, but ``sum`` is compensated from Python 3.12 on, so a trial
+    whose ``lowers`` sums three or more terms is decided in numpy only where
+    the interpreter sums left to right (``_LEFT_TO_RIGHT``), and by
+    ``lowers`` elsewhere.  A swap onto a tile of four or more, or of three
+    whose load some order changes, always goes to ``lowers``, since its
+    rejection re-sums that tile; so does every trial once a re-sum has
+    moved a load within the pass.
+    """
+    names = sorted({g for t in tiles for g in t})
+    ids = {g: i for i, g in enumerate(names)}
+    tiles = [[ids[g] for g in t] for t in tiles]
+    _, found = _improve(tiles, [pi[g] for g in names], n_tiles, d_max)
+    return [tuple(names[i] for i in t) for t in found()]
+
+
+def _improve(tiles, pv, n_tiles, d_max):
+    """_improve_min_load on tiles of drug ids 0..len(pv) - 1, pv[i] being
+    drug i's pi.  Returns the loads of the tiles found and a function that
+    lists those tiles."""
+    pad = len(pv)  # the id of an empty slot, whose pi is 0.0
+    pv = [*pv, 0.0]
+    pis = np.array(pv)
+    n = len(tiles)
+    width = max(3, d_max, *map(len, tiles))
+    slots = np.full((max(n, n_tiles), width), pad)
+    slots.T[: max(map(len, tiles)), :n] = list(zip_longest(*tiles, fillvalue=pad))
+    size = np.zeros(len(slots), dtype=np.intp)
+    size[:n] = list(map(len, tiles))
+    member = np.zeros((pad + 1, len(slots)), dtype=bool)  # member[g, t]: drug g on tile t
+    member[slots, np.arange(len(slots))[:, None]] = True
+    member[pad] = False
+    room = size < d_max
+    ph = pis.take(slots)
+    if _LEFT_TO_RIGHT:  # the column sums in order are sum()'s, pads adding 0.0
+        loads = ph[:, 0] + ph[:, 1]
+        for j in range(2, width):
+            loads += ph[:, j]
+    else:
+        loads = np.zeros(len(slots))
+        loads[:n] = [sum(map(pv.__getitem__, t)) for t in tiles]
+    steady = True  # loads holds the pass's profile
+
+    def settles(row):
+        # whether a numpy pass decides the swaps onto a tile: a tile of two,
+        # or of three summed left to right whose three orders sum alike, so
+        # that re-summing it in any order keeps its load
+        if len(row) != 3:
+            return len(row) <= 2
+        a, b, c = map(pv.__getitem__, row)
+        return _LEFT_TO_RIGHT and (a + b) + c == (a + c) + b == (b + c) + a
+
+    decided = size <= 2
+    for t in (size == 3).nonzero()[0].tolist():
+        decided[t] = settles(slots[t, :3].tolist())
+
+    def total(row):
+        return sum(map(pv.__getitem__, row))
+
+    def listed(t):
+        return slots[t, : size[t]].tolist()
+
+    def put(t, row, value):
+        member[:, t] = False
+        member[:, t][row] = True
+        slots[t] = [*row, *[pad] * (width - len(row))]
+        size[t], loads[t], room[t], decided[t] = len(row), value, len(row) < d_max, settles(row)
+
+    def to_end(t, g):
         # what a rejected trial leaves behind: g last on its tile
         nonlocal steady
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            was, loads[ti] = loads[ti], sum(pi[h] for h in tiles[ti])
-            steady = steady and loads[ti] == was
+        row = listed(t)
+        if row[-1] != g:
+            row.remove(g)
+            row.append(g)
+            slots[t, : len(row)] = row
+            if len(row) > 2:  # two floats sum alike in either order
+                was, loads[t] = loads[t], total(row)
+                steady = steady and bool(loads[t] == was)
 
-    def lowers(cur, peak, ti, at_peak, at_ti):
+    def lowers(peak, ti, at_peak, at_ti):
         # commits the trial leaving at_peak on the peak and at_ti on tile ti
-        # (a new tile when ti == len(tiles)) if its load profile, with those
-        # two loads summed in list order, sorts before cur
-        new = sum(pi[h] for h in at_ti)
-        if new > cur[0]:  # it would lead the profile, which then sorts after cur
+        # (a new tile when ti == n) if its load profile, with those two loads
+        # summed in list order, sorts before the pass's profile
+        nonlocal n
+        new = total(at_ti)
+        if new > top:  # it would lead the profile, which then sorts after
             return False
-        rest = sum(pi[h] for h in at_peak)
-        # while loads holds cur's floats, the entries the trial replaces
-        # decide: the profile sorts first iff the largest value whose count
-        # changes loses a copy, that is iff the new entries sort first (a
-        # new tile's entry counts as added)
+        rest = total(at_peak)
+        # while loads holds the profile's floats, the entries the trial
+        # replaces decide: the profile sorts first iff the largest value
+        # whose count changes loses a copy, that is iff the new entries sort
+        # first (a new tile's entry counts as added)
         if steady and not sorted((rest, new), reverse=True) < sorted(
-            (loads[peak], loads[ti]) if ti < len(tiles) else (loads[peak],), reverse=True
+            (loads[peak], loads[ti]) if ti < n else (loads[peak],), reverse=True
         ):
             return False
-        after = loads[:] if ti < len(tiles) else [*loads, new]
-        after[peak], after[ti] = rest, new
-        if not (steady or tuple(sorted(after, reverse=True)) < cur):
-            return False
-        if ti == len(tiles):
-            tiles.append(at_ti)
-        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
+        if not steady:
+            after = loads[: max(n, ti + 1)].tolist()
+            after[peak], after[ti] = rest, new
+            if not sorted(after, reverse=True) < sorted(profile.tolist(), reverse=True):
+                return False
+        put(peak, at_peak, rest)
+        put(ti, at_ti, new)
+        n = max(n, ti + 1)
         return True
 
     # relative rounding allowance of the relocation screen: a float sum of
@@ -434,65 +580,143 @@ def _improve_min_load(tiles, pi, n_tiles, d_max):
     # sum), is within k unit roundoffs u of the real sum, so two such sums
     # differ by at most 2 k u; this allows 8 u per term and two terms more
     slack = (d_max + 2) * 2.0**-50
+
+    def relocations(new, rests):
+        # the relocations lowers may accept, new being the loads they leave
+        # on the tiles and rests those on the peak, a column.  new is exact
+        # summed left to right or onto a tile of at most one, and there,
+        # while steady, these are the trials lowers accepts; elsewhere a
+        # screen skips only tiles above top by more than ``slack`` relative
+        rest = np.array(rests)[:, None]
+        if not steady:
+            keep = new <= top
+        elif max(rests) < top:  # _pair_lowers, rest being the smaller at top
+            keep = new < np.where(rest < load, up, top)
+        else:
+            keep = _pair_lowers(rest, new, top, load)
+        if not _LEFT_TO_RIGHT:
+            keep = np.where(size[:n] <= 1, keep, new - top <= new * slack)
+        return keep
+
+    def replay(before, elig, touched, upto):
+        # the decided tiles before upto end as they were (before), their
+        # partners tried (elig) moved last, in order
+        back = [t for t in touched if t < upto]
+        if back:
+            slots[back] = before[back]
+        flip = ((elig[:upto, 0] > elig[:upto, 1]) & twos[:upto]).nonzero()[0]
+        if len(flip):
+            slots[flip, :2] = before[flip, 1::-1]
+        for t in trios:  # the peak, whose list the scan moves, has no trials
+            if t < upto and elig[t].any():
+                row = before[t, :3].tolist()
+                tried = [x for j, x in enumerate(row) if elig[t, j]]
+                slots[t, :3] = [x for x in row if x not in tried] + tried
+
+    cycle = np.array([0, 1, 2, 0, 1])  # slot j's partners on a tile of three: j + 1, j + 2
     for _ in range(MAX_PASSES):
-        cur = tuple(sorted(loads, reverse=True))
+        load = loads[:n]
+        profile = load.copy()
+        peak = int(load.argmax())
+        top = float(load[peak])
+        up = math.nextafter(top, math.inf)
         steady = True
         improved = False
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile.  Until a move is accepted
-        # the other tiles keep their lists, so each g's eligible tiles and
-        # screen values are taken for all tiles at once: room and no g (which
-        # rules out the peak)
-        room = np.array([len(t) < d_max for t in tiles])
-        load = np.array(loads)
-        spare = [len(tiles)] if len(tiles) < n_tiles else []
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            eligible = room & np.array([g not in t for t in tiles])
-            if not (spare or eligible.any()):
+        # relocate one dispenser g off the peak tile, heaviest first, onto a
+        # tile with room and no copy of g, or a new tile (spare); every trial
+        # of g leaves g last on the peak.  All of them are decided at once,
+        # with each g's rest summed in the peak's present order; a row is
+        # decided again if its rest has changed or steady no longer holds
+        peak_list = listed(peak)
+        gs = sorted(peak_list, key=lambda g: (-pv[g], g))
+        spare = [n] if n < n_tiles else []
+        eligible = room[:n] > member.take(gs, axis=0)[:, :n]
+        new = load + pis.take(gs)[:, None]
+        rests = [total([h for h in peak_list if h != g]) for g in gs]
+        keep = eligible & relocations(new, rests)
+        hits = keep.any(1).tolist()
+        for i, g in enumerate(gs):
+            if not (spare or hits[i] or eligible[i].any()):
                 continue
-            # screen: ti's load after the move, summed with g appended, above
-            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
-            # rounding, so only tiles above cur[0] by more than ``slack``
-            # relative are skipped; a new tile is never screened (its load
-            # pi[g] is at most the peak's).  Every trial of g, skipped or
-            # rejected, leaves g last on the peak
-            after = load + pi[g]
-            eligible &= after - cur[0] <= after * slack
             to_end(peak, g)
-            at_peak = _without(tiles[peak], g)
+            # a rest of two terms or fewer is the same in any order
+            if not steady or len(peak_list) > 3:
+                rest = total(_without(listed(peak), g))
+                if not steady or rest != rests[i]:
+                    keep[i] = eligible[i] & relocations(new[i : i + 1], [rest])
+                    hits[i] = keep[i].any()
+            if not (hits[i] or spare):
+                continue
+            at_peak = _without(listed(peak), g)
             improved = any(
-                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
-                for ti in np.flatnonzero(eligible).tolist() + spare
+                lowers(peak, ti, at_peak, [*listed(ti), g] if ti < n else [g])
+                for ti in keep[i].nonzero()[0].tolist() + spare
             )
             if improved:
                 break
         if improved:
             continue
-        # pairwise swap involving the peak tile
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    if lowers(
-                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
-                    ):
-                        improved = True
-                        break
-                    to_end(peak, g)
-                    to_end(ti, h)
-                if improved:
+        # swap g on the peak with each lighter h of another tile, in tile and
+        # list order, that is not on the peak while g is not on h's tile.  On
+        # a decided tile, new is the sum of h's partners plus pi[g] (x + y is
+        # y + x), exact summed left to right or on a tile of two; rest,
+        # sum(peak less g) + pi[h], is exact summed left to right or off a
+        # peak of two.  A rejected swap moves h last on its tile, which
+        # keeps a decided tile's load: those moves are replayed at the end
+        offpeak = ~member[:, peak]
+        offpeak[pad] = False
+        undecided = ~decided[:n, None]
+        twos = size[:n] == 2
+        trios = (decided & (size == 3))[:n].nonzero()[0].tolist()
+        for g in listed(peak):
+            before = slots[:n].copy()  # each tile's list as g's trials reach it
+            elig = ((pis < pv[g]) & offpeak).take(before) & ~member[g, :n, None]
+            if not elig.any():
+                continue
+            at_peak = _without(listed(peak), g)
+            ph = pis.take(before[:, cycle])
+            new = ph[:, 1:4] + ph[:, 2:5] + pv[g]
+            if steady and (_LEFT_TO_RIGHT or len(at_peak) <= 1):
+                keep = _pair_lowers(total(at_peak) + ph[:, :3], new, top, load[:, None])
+            else:
+                keep = new <= top
+            special = elig.copy()
+            special[:, :3] &= undecided | keep
+            if size[peak] > 2 and listed(peak)[-1] != g:
+                special.flat[elig.argmax()] = True  # its rejection re-sums the peak
+            touched = []  # decided tiles whose order a rejected special moved
+            stops = special.ravel().nonzero()[0].tolist()
+            while stops:
+                at = stops.pop(0)
+                ti, col = divmod(at, width)
+                h = int(before[ti, col])
+                if ti in trios and elig[ti, :col].any():  # its partners tried before h last
+                    row = before[ti, :3].tolist()
+                    tried = [x for j, x in enumerate(row) if j < col and elig[ti, j]]
+                    slots[ti, :3] = [x for x in row if x not in tried] + tried
+                if lowers(peak, ti, [*at_peak, h], [*_without(listed(ti), h), g]):
+                    improved = True
+                    replay(before, elig, touched, ti)
                     break
+                was = steady
+                to_end(peak, g)
+                to_end(ti, h)
+                if decided[ti]:
+                    touched.append(ti)
+                if was and not steady:  # loads moved: lowers sorts the whole profile
+                    special[:, :3] = elig[:, :3] & (undecided | (new <= top))
+                    stops = [k for k in special.ravel().nonzero()[0].tolist() if k > at]
             if improved:
                 break
+            replay(before, elig, touched, n)
+            to_end(peak, g)
         if not improved:
             break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
+
+    def found():
+        return [row[:m] for row, m in zip(slots.tolist(), size[:n].tolist()) if m]
+
+    return loads[:n][size[:n] > 0].tolist(), found
 
 
 # --- stage 2: maximize pairwise correlations at fixed load -----------------------
@@ -545,6 +769,7 @@ def pack_correlation(
         exact,
         n_tiles,
         correlation_objective=objective,
+        fallback=stage1.fallback,
     )
 
 

@@ -52,6 +52,7 @@ class RunReport:
     stage_values: dict
     wall_times: dict
     exactness: dict
+    validation: dict = field(default_factory=dict)  # stage -> what its self-check reported
 
     @property
     def overhead_pct(self):
@@ -71,6 +72,8 @@ class RunReport:
             "wall_times_s": {k: round(v, 4) for k, v in self.wall_times.items()},
             "exactness": self.exactness,
         }
+        if self.validation:
+            doc["validation"] = self.validation
         return json.dumps(doc, indent=2)
 
 
@@ -126,6 +129,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
     values: dict = {}
     times: dict = {}
     exact: dict = {}
+    checked: dict = {}
     out = Path(pc.out_dir) if pc.out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -174,6 +178,13 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                 demand, pc.layout.n_tiles, pc.config, drugs=pc.catalog.drugs
             )
             stage2 = packing.pack_correlation(stage1, pc.catalog, pc.config)
+            # self-check of both stages: the stage fails on anything validate_packing reports
+            checked["packing"] = [
+                *packing.validate_packing(stage1, pc.config, demand),
+                *packing.validate_packing(stage2, pc.config, demand),
+            ]
+            if checked["packing"]:
+                raise ValueError(f"packing failed validate_packing: {checked['packing']}")
             return stage1, stage2
 
         stage1, packed = run_stage("pack", pack)
@@ -182,6 +193,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["correlation_objective"] = packed.correlation_objective
         values["correlation_baseline"] = packing.correlation_sum(stage1.tiles, pc.catalog)
         exact["packing"] = stage1.exact
+        exact["packing_fallback"] = stage1.fallback
         exact["packing_correlation"] = packed.exact
         save("packing.json", lambda: packing_to_json(packed))
 
@@ -284,7 +296,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         save("layout_sites.svg", lambda: render_layout(placed, sites=plan.sites.sites))
 
     times["artifacts"] = artifacts
-    report = RunReport(seeds, values, times, exact)
+    report = RunReport(seeds, values, times, exact, checked)
     save("report.json", report.to_json)
     return report
 

@@ -382,6 +382,43 @@ def test_cli_report_names_each_packing_stage_exactness(tmp_path):
     assert exactness["packing_correlation"] is packing["exact"]
 
 
+def test_cli_report_names_why_the_first_packing_stage_is_not_exact(tmp_path):
+    # the CI ring instance has 18 tiles: auto mode skips the exact search
+    inst, out_dir = tmp_path / "ring.json", tmp_path / "ring"
+    assert run("init-instance", "--topology", "ring", "--size", "6",
+               "--marginals", "0.3,0.4,0.2,0.5,0.35,0.25", "--dispensers", "12",
+               "--movers", "3", "--out", inst) == OK
+    assert run("pipeline", "--instance", inst, "--n-orders", "12", "--size-min", "1",
+               "--size-max", "3", "--population", "6", "--max-evaluations", "12",
+               "--episodes", "2", "--iterations", "3", "--out-dir", out_dir) == OK
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["exactness"]["packing"] is False
+    assert report["exactness"]["packing_fallback"] == "size guard"
+    assert report["validation"] == {"packing": []}
+    assert "fallback" not in json.loads((out_dir / "packing.json").read_text())
+
+
+def test_cli_pipeline_fails_a_packing_that_fails_its_self_check(tmp_path, instance_file,
+                                                                 monkeypatch):
+    import dataclasses
+
+    from planarfab import packing
+
+    real = packing.pack_correlation
+
+    def broken(stage1, catalog, config, mode="auto"):
+        packed = real(stage1, catalog, config, mode)
+        return dataclasses.replace(packed, lower_bound=packed.mu_max + 1.0)
+
+    monkeypatch.setattr(packing, "pack_correlation", broken)
+    out_dir = tmp_path / "run"
+    assert run("pipeline", "--instance", instance_file, "--n-orders", "5",
+               "--size-min", "1", "--size-max", "3", "--population", "6",
+               "--max-evaluations", "12", "--episodes", "2",
+               "--iterations", "3", "--out-dir", out_dir) == INFEASIBLE
+    assert not (out_dir / "report.json").exists()
+
+
 def test_cli_init_instance_roundtrip(tmp_path):
     out = tmp_path / "inst.json"
     assert run("init-instance", "--topology", "ring", "--size", "5",

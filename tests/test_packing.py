@@ -194,6 +194,40 @@ def test_validator_flags_broken_packings():
     assert validate_packing(crowded, config, demand) != []
 
 
+def test_validator_flags_a_lower_bound_above_the_peak_load():
+    import dataclasses
+
+    demand = DemandVector({"a": 9.0, "b": 3.0})
+    config = cfg(3, m_max=2, d_max=2)
+    p = pack_min_load(demand, 2, config)
+    assert validate_packing(p, config, demand) == []
+    assert validate_packing(dataclasses.replace(p, lower_bound=p.mu_max), config, demand) == []
+    doctored = dataclasses.replace(p, lower_bound=p.mu_max * 1.01)
+    assert validate_packing(doctored, config, demand) == [
+        "stored lower_bound exceeds the recomputed peak load"
+    ]
+
+
+def test_packing_names_why_stage_one_is_not_exact(monkeypatch):
+    from planarfab import packing
+
+    small = DemandVector({"a": 9.0, "b": 3.0, "c": 4.0})
+    config = cfg(6, m_max=2, d_max=2)
+    assert pack_min_load(small, 3, config).fallback is None
+    assert pack_min_load(small, 3, config, mode="heuristic").fallback == "heuristic mode"
+    assert pack_min_load(small, 13, config).fallback == "size guard"
+    wide = DemandVector({f"g{i:02d}": float(i + 1) for i in range(13)})
+    assert pack_min_load(wide, 8, cfg(16, m_max=2, d_max=2)).fallback == "size guard"
+    monkeypatch.setattr(packing, "NODE_CAP", 3)
+    capped = pack_min_load(small, 3, config, mode="exact")
+    assert not capped.exact and capped.fallback == "node cap"
+    # the second stage keeps the first stage's reason
+    catalog = DrugCatalog(("a", "b", "c"), (0.5,) * 3, np.zeros((3, 3)))
+    assert pack_correlation(capped, catalog, config).fallback == "node cap"
+    with pytest.raises(ValueError, match="unknown packing mode"):
+        pack_min_load(small, 3, config, mode="greedy")
+
+
 # --- stage 2: correlation ---------------------------------------------------------
 
 def catalog_for(pairs, drugs):
@@ -1237,6 +1271,288 @@ def test_array_pass_searches_match_scalar_reference():
         checked += 1
         moved += got_c[0] != tiles
     assert checked == 950 and grid == 12 and moved >= 500
+
+
+# --- heap fill, heap multiplicities and array passes vs the scalar stage 1 ----------
+#
+# scalar_lpt_fill, scalar_multiplicities (the multiplicity loop of
+# _heuristic_min_load) and steady_improve_min_load are stage 1 as it was
+# before the fill and the multiplicities used heaps and the search kept its
+# tiles in arrays across passes, kept verbatim.
+
+def scalar_lpt_fill(items, pi, n_tiles, d_max):
+    bins: list[list[str]] = []
+    loads: list[float] = []
+    for g in items:
+        if len(bins) < n_tiles and min(loads, default=1.0) > 0.0:
+            # a new bin's key (0.0, len(bins)) beats every open bin's
+            pick = -1
+        else:
+            cands = [
+                i for i in range(len(bins)) if len(bins[i]) < d_max and g not in bins[i]
+            ]
+            if len(bins) < n_tiles:
+                cands.append(-1)
+            if not cands:
+                return None
+            pick = min(
+                cands, key=lambda i: (loads[i] if i >= 0 else 0.0, i if i >= 0 else len(bins))
+            )
+        if pick == -1:
+            bins.append([g])
+            loads.append(pi[g])
+        else:
+            bins[pick].append(g)
+            loads[pick] += pi[g]
+    return [tuple(b) for b in bins]
+
+
+
+def scalar_multiplicities(u, drugs, z_cap, budget):
+    # multiplicity: repeatedly add a dispenser to the currently heaviest drug
+    z = {g: 1 for g in drugs}
+    spent = len(drugs)
+    while spent < budget:
+        cand = max(drugs, key=lambda g: (u[g] / z[g], g))
+        if z[cand] >= z_cap or u[cand] == 0.0:
+            break
+        z[cand] += 1
+        spent += 1
+    return z
+
+
+def steady_improve_min_load(tiles, pi, n_tiles, d_max):
+    tiles = [list(t) for t in tiles]
+    loads = [sum(pi[g] for g in t) for t in tiles]
+    steady = True  # loads holds the floats of the pass's profile cur
+
+    def to_end(ti, g):
+        # what a rejected trial leaves behind: g last on its tile
+        nonlocal steady
+        if tiles[ti][-1] != g:
+            tiles[ti].remove(g)
+            tiles[ti].append(g)
+            was, loads[ti] = loads[ti], sum(pi[h] for h in tiles[ti])
+            steady = steady and loads[ti] == was
+
+    def lowers(cur, peak, ti, at_peak, at_ti):
+        # commits the trial leaving at_peak on the peak and at_ti on tile ti
+        # (a new tile when ti == len(tiles)) if its load profile, with those
+        # two loads summed in list order, sorts before cur
+        new = sum(pi[h] for h in at_ti)
+        if new > cur[0]:  # it would lead the profile, which then sorts after cur
+            return False
+        rest = sum(pi[h] for h in at_peak)
+        # while loads holds cur's floats, the entries the trial replaces
+        # decide: the profile sorts first iff the largest value whose count
+        # changes loses a copy, that is iff the new entries sort first (a
+        # new tile's entry counts as added)
+        if steady and not sorted((rest, new), reverse=True) < sorted(
+            (loads[peak], loads[ti]) if ti < len(tiles) else (loads[peak],), reverse=True
+        ):
+            return False
+        after = loads[:] if ti < len(tiles) else [*loads, new]
+        after[peak], after[ti] = rest, new
+        if not (steady or tuple(sorted(after, reverse=True)) < cur):
+            return False
+        if ti == len(tiles):
+            tiles.append(at_ti)
+        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
+        return True
+
+    # relative rounding allowance of the relocation screen: a float sum of
+    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
+    # sum), is within k unit roundoffs u of the real sum, so two such sums
+    # differ by at most 2 k u; this allows 8 u per term and two terms more
+    slack = (d_max + 2) * 2.0**-50
+    for _ in range(MAX_PASSES):
+        cur = tuple(sorted(loads, reverse=True))
+        steady = True
+        improved = False
+        peak = max(range(len(tiles)), key=loads.__getitem__)
+        # relocate one dispenser off the peak tile.  Until a move is accepted
+        # the other tiles keep their lists, so each g's eligible tiles and
+        # screen values are taken for all tiles at once: room and no g (which
+        # rules out the peak)
+        room = np.array([len(t) < d_max for t in tiles])
+        load = np.array(loads)
+        spare = [len(tiles)] if len(tiles) < n_tiles else []
+        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
+            eligible = room & np.array([g not in t for t in tiles])
+            if not (spare or eligible.any()):
+                continue
+            # screen: ti's load after the move, summed with g appended, above
+            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
+            # rounding, so only tiles above cur[0] by more than ``slack``
+            # relative are skipped; a new tile is never screened (its load
+            # pi[g] is at most the peak's).  Every trial of g, skipped or
+            # rejected, leaves g last on the peak
+            after = load + pi[g]
+            eligible &= after - cur[0] <= after * slack
+            to_end(peak, g)
+            at_peak = _without(tiles[peak], g)
+            improved = any(
+                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
+                for ti in np.flatnonzero(eligible).tolist() + spare
+            )
+            if improved:
+                break
+        if improved:
+            continue
+        # pairwise swap involving the peak tile
+        for g in list(tiles[peak]):
+            for ti in range(len(tiles)):
+                if ti == peak:
+                    continue
+                for h in list(tiles[ti]):
+                    if h == g or pi[h] >= pi[g]:
+                        continue
+                    if h in tiles[peak] or g in tiles[ti]:
+                        continue
+                    if lowers(
+                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
+                    ):
+                        improved = True
+                        break
+                    to_end(peak, g)
+                    to_end(ti, h)
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    tiles = [t for t in tiles if t]
+    return [tuple(t) for t in tiles]
+
+
+
+def compensated_sum(values, start=0):
+    """A float sum that, like Python 3.12's sum(), need not add left to right
+    (math.fsum: correctly rounded), while a sum of two floats is the same."""
+    values = list(values)
+    return math.fsum(values) if values else start
+
+
+def sum_left_to_right(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def fuzzed_fills(seed, count):
+    """LPT fills of a few drugs with zero demands and ties, d_max from 1 to
+    4, the items in search order or shuffled, and tile counts near the least
+    that fits, so that about half the fills find no room."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d_max = rng.randint(1, 4)
+        drugs = [f"g{i}" for i in range(rng.randint(1, 7))]
+        pi = {g: rng.choice([0.0, 0.0, 0.5, 1.0, 1 / 3, 2.2, rng.uniform(0, 3)]) for g in drugs}
+        copies = {g: rng.randint(1, 4) for g in drugs}
+        items = sorted((g for g in drugs for _ in range(copies[g])), key=lambda g: (-pi[g], g))
+        if rng.random() < 0.8:
+            rng.shuffle(items)
+        least = max(max(copies.values()), -(-len(items) // d_max))
+        yield items, pi, max(1, least + rng.randint(-1, 1)), d_max
+
+
+def test_heap_fill_matches_reference_and_scalar_fills():
+    from planarfab.packing import _lpt_fill
+
+    fills = none = 0
+    for items, pi, n_tiles, d_max in fuzzed_fills(31, 20_000):
+        got = _lpt_fill(items, pi, n_tiles, d_max)
+        assert got == reference_lpt_fill(items, pi, n_tiles, d_max)
+        assert got == scalar_lpt_fill(items, pi, n_tiles, d_max)
+        fills += 1
+        none += got is None
+    assert fills == 20_000 and 0.3 < none / fills < 0.7
+
+
+def test_heap_multiplicities_match_scalar_loop():
+    from planarfab.packing import _multiplicities
+
+    rng = random.Random(32)
+    capped = idle = 0
+    for _ in range(3000):
+        drugs = sorted(f"g{i}" for i in range(rng.randint(1, 9)))
+        # integer demands tie u/z often; zeros stop the loop
+        u = {g: float(rng.choice([0, 0, 0, 1, 2, 3, 4, 6, 12, rng.randint(1, 50)])) for g in drugs}
+        z_cap = rng.randint(1, 5)
+        budget = rng.randint(len(drugs) - 1, 6 * len(drugs))
+        got = _multiplicities(u, drugs, z_cap, budget)
+        assert got == scalar_multiplicities(u, drugs, z_cap, budget)
+        spent = sum(got.values())
+        if spent < budget:  # the loop broke: its drug was at z_cap or had no demand
+            top = max(drugs, key=lambda g: (u[g] / got[g], g))
+            capped += got[top] >= z_cap and u[top] > 0.0
+            idle += u[top] == 0.0
+    assert capped >= 1000 and idle >= 50
+
+
+def peak_instances(seed, count):
+    """Stage-1 searches built around the peak: tiles of three or four drugs,
+    a zero-demand drug on the heaviest tile, loads tied at the peak (pi drawn
+    from a few exact values, whose sums of three differ by order) and spare
+    tiles."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        d_max = 3 + made % 2
+        drugs = [f"g{i}" for i in range(int(rng.integers(3, 10)))]
+        copies = {g: int(rng.integers(1, 4)) for g in drugs}
+        tiles = random_tiles(rng, drugs, copies, int(rng.integers(1, 7)), d_max)
+        if tiles is None:
+            continue
+        pool = [0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 1.0]
+        pi = {g: float(rng.choice(pool)) for g in drugs}
+        heaviest = max(tiles, key=lambda t: (len(t), sum(pi[g] for g in t)))
+        if made % 2:
+            pi[heaviest[int(rng.integers(len(heaviest)))]] = 0.0
+        made += 1
+        yield tiles, pi, len(tiles) + int(rng.integers(0, 3)), d_max
+
+
+def test_array_improve_matches_reference_and_screened_searches():
+    from planarfab.packing import _improve_min_load, _loads
+
+    ties = zeros = big = moved = 0
+    for tiles, pi, n_tiles, d_max in peak_instances(33, 600):
+        loads = _loads(tiles, pi)
+        peak = tiles[loads.index(max(loads))]
+        ties += loads.count(max(loads)) > 1
+        zeros += any(pi[g] == 0.0 for g in peak)
+        big += max(map(len, tiles)) >= 3
+        got = _improve_min_load(tiles, pi, n_tiles, d_max)
+        want = steady_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == want and _loads(got, pi) == _loads(want, pi)
+        assert got == reference_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == screened_improve_min_load(tiles, pi, n_tiles, d_max)
+        moved += got != tiles
+    assert ties >= 100 and zeros >= 150 and big >= 400 and moved >= 300
+
+
+@pytest.mark.parametrize("seed", [34, 35])
+def test_array_improve_matches_scalar_reference_under_compensated_sum(seed, monkeypatch):
+    # where sum() is compensated (Python 3.12 on), a trial summing three or
+    # more floats must go to lowers: simulate that interpreter on any Python
+    import sys
+
+    from planarfab import packing
+
+    monkeypatch.setattr(packing, "_LEFT_TO_RIGHT", False)
+    monkeypatch.setattr(packing, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(sys.modules[__name__], "sum", compensated_sum, raising=False)
+    differ = 0
+    for tiles, pi, n_tiles, d_max in peak_instances(seed, 300):
+        got = packing._improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == steady_improve_min_load(tiles, pi, n_tiles, d_max)
+        assert got == scalar_improve_min_load(tiles, pi, n_tiles, d_max)
+        differ += any(math.fsum(pi[g] for g in t) != sum_left_to_right(pi[g] for g in t)
+                      for t in got)
+    assert differ >= 20
 
 
 # sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the
