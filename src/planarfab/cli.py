@@ -234,11 +234,6 @@ def cmd_lower_bound(args):
     }
     if args.out:
         _write(args.out, json.dumps(doc, indent=2))
-    if args.dump_gtsp:
-        from . import shppn
-
-        dumps = [shppn.transform_dump(o, placed) for o in orders]
-        _write(args.dump_gtsp, json.dumps(dumps, indent=2))
     print(json.dumps(doc if args.verbose else {"value": lb.value, "exact": lb.exact}))
     return OK
 
@@ -393,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--placement", required=True)
     sp.add_argument("--movers", type=int)
     sp.add_argument("--verbose", action="store_true")
-    sp.add_argument("--dump-gtsp", help="write the transformed per-order matrices (debug)")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_lower_bound)
 

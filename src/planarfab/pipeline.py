@@ -224,12 +224,9 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
 
     lb = None
     if "lower-bound" in stages:
-        eta = pc.config.eta_interface
-
         def bound():
-            t_values = {o.id: 2 * eta + k + o.total_dispensing for o, k in zip(orders, kappas)}
             return scheduling.lower_bound(
-                orders, placed, pc.config.n_movers, eta, t_values=t_values
+                orders, placed, pc.config.n_movers, pc.config.eta_interface, kappas=kappas
             )
 
         lb = run_stage("lower-bound", bound)

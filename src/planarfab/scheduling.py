@@ -393,17 +393,22 @@ def _lpt(times, m):
 
 
 def lower_bound(orders, placement, n_movers: int, eta: int,
-                t_values: dict[int, int] | None = None) -> LowerBoundResult:
+                t_values: dict[int, int] | None = None,
+                kappas: list[int] | None = None) -> LowerBoundResult:
     """Relaxation bound: exact per-order path times fed into parallel machines.
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
-    t_values: path times 2 * eta + κ + dispensing already computed on the same
-    placement and eta for a superset of these orders; κ is not solved again.
+    An order's path time T_p is 2 * eta + κ + its total dispensing; this is the
+    one place that computes it.  κ is not solved again when it is given:
+    t_values holds the path times of a superset of these orders, from an
+    earlier lower_bound on the same placement and eta; kappas holds the κ of
+    each order, in order.
     """
     orders = list(orders)
     if t_values is None:
-        kappas = per_order_kappa(placement, orders)
+        if kappas is None:
+            kappas = per_order_kappa(placement, orders)
         t_values = {o.id: 2 * eta + k + o.total_dispensing for o, k in zip(orders, kappas)}
     t_values = {o.id: t_values[o.id] for o in orders}
 

@@ -1,4 +1,4 @@
-"""Exact solvers for the inner path problems.
+"""The exact solver of the inner path problem κ.
 
 An order's travel component κ is the shortest interface-to-interface path
 that visits one dispenser alternative per required drug.  It is solved for
@@ -9,12 +9,8 @@ time; its cost grows as 2^drugs, not with the number of visiting sequences.
 ``kappa_batch`` gives the κ values of many drug sets with one DP per drug
 count, batched over the sets (padded to the largest); ``kappa`` runs the DP
 on a batch of one and backtracks the path.  ``order_graph`` builds one
-order's slice.
-
-The Noon-Bean reduction of a generalized (clustered) TSP to an asymmetric TSP
-is kept as an API (``noon_bean``, ``solve_gtsp``, ``transform_dump``); the
-exact TSP behind it is Held-Karp up to HELD_KARP_LIMIT = 18 vertices.  All
-arithmetic is integer; every result is exact.
+order's slice.  This DP is the planner's only κ solver.  All arithmetic is
+integer; every result is exact.
 """
 
 from __future__ import annotations
@@ -26,29 +22,8 @@ import numpy as np
 
 from .core import Coord
 
-HELD_KARP_LIMIT = 18
 _KAPPA_PASS = 1 << 16  # (graph, mask, vertex, vertex) entries relaxed per numpy pass of κ
 _INF = np.iinfo(np.int64).max // 4  # unreached state or padding; two of them still add up
-
-
-@dataclass(frozen=True)
-class GtspInstance:
-    """Clustered TSP: visit exactly one vertex of every cluster, in a cycle.
-
-    ``clusters`` partitions range(n); ``cost`` is an n x n integer matrix
-    (asymmetric allowed, may contain ``inf_cost`` markers for forbidden arcs).
-    """
-
-    clusters: tuple[tuple[int, ...], ...]
-    cost: np.ndarray
-
-    def __post_init__(self):
-        n = self.cost.shape[0]
-        seen = sorted(v for c in self.clusters for v in c)
-        if seen != list(range(n)):
-            raise ValueError("clusters must partition the vertex set")
-        if any(len(c) == 0 for c in self.clusters):
-            raise ValueError("empty cluster")
 
 
 @dataclass(frozen=True)
@@ -56,138 +31,6 @@ class PathResult:
     kappa: int
     sequence: tuple[tuple[str, Coord], ...]  # (drug or "interface", coord)
 
-
-@dataclass(frozen=True)
-class NoonBeanResult:
-    matrix: np.ndarray
-    shift: int  # M, added once per inter-cluster arc
-    cluster_of: tuple[int, ...]
-    successor: tuple[int, ...]  # next vertex in the intra-cluster zero cycle
-    n_clusters: int
-
-    def decode(self, tour: list[int]) -> tuple[int, list[int]]:
-        """Recover the GTSP cost and one chosen vertex per cluster (cycle order)."""
-        chosen = []
-        for idx, v in enumerate(tour):
-            prev = tour[idx - 1]
-            if self.cluster_of[prev] != self.cluster_of[v]:
-                chosen.append(v)  # entry vertex of its cluster block
-        if len(chosen) != self.n_clusters:
-            raise ValueError("tour does not traverse clusters contiguously")
-        total = 0
-        for idx, v in enumerate(chosen):
-            w = chosen[(idx + 1) % len(chosen)]
-            total += int(self.matrix_cost_original(v, w))
-        return total, chosen
-
-    def matrix_cost_original(self, v: int, w: int) -> int:
-        # original inter-cluster cost: transformed arc leaves from the cluster
-        # predecessor of v, i.e. the vertex whose successor is v
-        pred = self.successor.index(v) if v in self.successor else v
-        return int(self.matrix[pred, w]) - self.shift
-
-
-def noon_bean(instance: GtspInstance) -> NoonBeanResult:
-    """Standard Noon-Bean reduction of a clustered TSP to an asymmetric TSP.
-
-    Intra-cluster arcs form zero-cost cycles; every inter-cluster arc is
-    shifted by M = 1 + sum of finite costs and re-rooted at the cluster
-    successor, which forces optimal tours to sweep each cluster contiguously.
-    """
-    n = instance.cost.shape[0]
-    finite = instance.cost[np.isfinite(instance.cost)]
-    M = int(finite[finite >= 0].sum()) + 1
-    inf_cost = M * (n + 2)
-
-    cluster_of = [0] * n
-    successor = list(range(n))
-    for ci, cluster in enumerate(instance.clusters):
-        for idx, v in enumerate(cluster):
-            cluster_of[v] = ci
-            successor[v] = cluster[(idx + 1) % len(cluster)]
-
-    out = np.full((n, n), inf_cost, dtype=np.int64)
-    for u in range(n):
-        for w in range(n):
-            if u == w:
-                continue
-            if cluster_of[u] == cluster_of[w]:
-                if successor[u] == w:
-                    out[u, w] = 0
-            else:
-                c = instance.cost[successor[u], w]
-                if np.isfinite(c):
-                    out[u, w] = int(c) + M
-    return NoonBeanResult(
-        out, M, tuple(cluster_of), tuple(successor), len(instance.clusters)
-    )
-
-
-def solve_gtsp(instance: GtspInstance) -> tuple[int, list[int]]:
-    """Exact clustered-TSP cycle via Noon-Bean + exact TSP."""
-    if len(instance.clusters) == 1:
-        v = min(instance.clusters[0])
-        return 0, [v]
-    nb = noon_bean(instance)
-    _, tour = solve_tsp(nb.matrix)
-    return nb.decode(tour)
-
-
-# --- exact TSP -------------------------------------------------------------------
-
-def solve_tsp(cost: np.ndarray) -> tuple[int, list[int]]:
-    """Exact minimum Hamiltonian cycle; returns (cost, tour starting at 0)."""
-    cost = np.asarray(cost, dtype=np.int64)
-    n = cost.shape[0]
-    if n > HELD_KARP_LIMIT:
-        raise ValueError(f"TSP size {n} exceeds exact-solver guard {HELD_KARP_LIMIT}")
-    if n == 1:
-        return 0, [0]
-    if n == 2:
-        return int(cost[0, 1] + cost[1, 0]), [0, 1]
-    return _held_karp(cost)
-
-
-def _held_karp(cost: np.ndarray) -> tuple[int, list[int]]:
-    n = cost.shape[0]
-    size = 1 << (n - 1)
-    big = np.iinfo(np.int64).max // 4
-    dp = np.full((size, n - 1), big, dtype=np.int64)
-    parent = np.full((size, n - 1), -1, dtype=np.int8)
-    for j in range(1, n):
-        dp[1 << (j - 1), j - 1] = cost[0, j]
-    sub = cost[1:, 1:]
-    for mask in range(1, size):
-        row = dp[mask]
-        if row.min() >= big:
-            continue
-        ext = row[:, None] + sub
-        best = ext.min(axis=0)
-        arg = ext.argmin(axis=0)
-        for j in range(n - 1):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            t = mask | bit
-            if best[j] < dp[t, j]:
-                dp[t, j] = best[j]
-                parent[t, j] = arg[j]
-    full = size - 1
-    closing = dp[full] + cost[1:, 0]
-    last = int(np.argmin(closing))
-    total = int(closing[last])
-    tour = [last + 1]
-    mask = full
-    while parent[mask, tour[-1] - 1] >= 0:
-        p = int(parent[mask, tour[-1] - 1])
-        mask ^= 1 << (tour[-1] - 1)
-        tour.append(p + 1)
-    tour.append(0)
-    tour.reverse()
-    return total, tour
-
-
-# --- order-level path value ------------------------------------------------------
 
 def order_graph(order, placement):
     """The path graph of one order on the layout's distance table.
@@ -338,35 +181,3 @@ def _subset_dp(bits, d, nearest, n_drugs: int, parents: bool = False):
             if parents:
                 parent[b, to, w] = ext.argmin(axis=1)
     return dp, parent
-
-
-def order_time_bound(order, placement, eta: int) -> int:
-    """Per-order processing-time lower bound: 2*eta + kappa + total dispensing."""
-    return 2 * eta + kappa(order, placement).kappa + order.total_dispensing
-
-
-def transform_dump(order, placement) -> dict:
-    """Debug view of the transformed instance for one order (CLI --dump-gtsp)."""
-    interfaces = sorted(placement.interfaces)
-    alts = [(g, sorted(placement.dispensers_for(g))) for g in order.drugs]
-    vertices = (
-        [("interface/start", i) for i in interfaces]
-        + [(g, t) for g, tiles in alts for t in tiles]
-        + [("interface/end", i) for i in interfaces]
-    )
-    clusters = [tuple(range(len(interfaces)))]
-    v = len(interfaces)
-    for _, tiles in alts:
-        clusters.append(tuple(range(v, v + len(tiles))))
-        v += len(tiles)
-    clusters.append(tuple(range(v, v + len(interfaces))))
-    cost = placement.layout.distances([c for _, c in vertices])
-    instance = GtspInstance(tuple(clusters), cost.astype(float))
-    nb = noon_bean(instance)
-    return {
-        "order": order.id,
-        "vertices": [[label, [c.x, c.y]] for label, c in vertices],
-        "clusters": [list(c) for c in instance.clusters],
-        "shift": nb.shift,
-        "matrix": nb.matrix.tolist(),
-    }

@@ -31,7 +31,7 @@ from conftest import make_catalog, random_orders, random_placement
 from test_packing import brute_force_min_load
 from test_routing import matching_oracle_max_sites
 from test_scheduling import oracle_best_makespan
-from test_shppn import brute_force_gtsp
+from test_shppn import brute_force_kappa
 
 pytestmark = pytest.mark.acceptance
 
@@ -73,27 +73,35 @@ def test_criterion_1_golden_fig6(golden_placement, golden_orders):
 
 
 def test_criterion_2_shppn_oracle_equivalence():
+    # the planner's κ (kappa_batch, and kappa on one order) against brute force
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    for trial in range(200):
-        n_clusters = int(rng.integers(2, 5))
-        sizes = rng.integers(1, 11 - n_clusters, n_clusters)
-        while sizes.sum() > 10:
-            sizes = rng.integers(1, 11 - n_clusters, n_clusters)
-        n = int(sizes.sum())
-        clusters, v = [], 0
-        for s in sizes:
-            clusters.append(tuple(range(v, v + int(s))))
-            v += int(s)
-        C = rng.integers(0, 21, (n, n)).astype(float)
-        np.fill_diagonal(C, 0)
-        inst = shppn.GtspInstance(tuple(clusters), C)
-        got, chosen = shppn.solve_gtsp(inst)
-        want = brute_force_gtsp(clusters, C)
-        assert got == int(want), (trial, got, want)
+    layouts = [
+        build_layout("square", (5, 5), 2),
+        build_layout("ring", 5, 2),
+        build_layout("line", 12, 2),
+        build_layout("doubleline", 8, 2),
+    ]
+    drugs = [f"d{i}" for i in range(6)]
+    n_orders = padded = 0
+    for trial in range(40):
+        layout = layouts[trial % len(layouts)]
+        pl = random_placement(layout, drugs, seed=trial, max_alternatives=3)
+        orders = random_orders(drugs, 5, seed=trial, size_range=(1, 5))
+        # sets of one drug count but different vertex counts share a padded chunk
+        widths = {}
+        for o in orders:
+            widths.setdefault(len(o.drugs), set()).add(
+                sum(len(pl.dispensers_for(g)) for g in o.drugs))
+        padded += sum(len(w) > 1 for w in widths.values())
+        want = [brute_force_kappa(o, pl) for o in orders]
+        assert shppn.kappa_batch([o.drugs for o in orders], pl) == want, trial
+        assert [shppn.kappa(o, pl).kappa for o in orders] == want, trial
+        n_orders += len(orders)
     elapsed = time.perf_counter() - t0
+    assert n_orders == 200 and padded >= 30
     assert elapsed < 30.0
-    report(2, f"200 GTSP instances: Noon-Bean + exact TSP == brute force, {elapsed:.1f}s")
+    report(2, f"{n_orders} orders on 4 topologies: kappa_batch and kappa == brute force, "
+              f"{elapsed:.1f}s")
 
 
 def test_criterion_3_p_cmax_exactness():

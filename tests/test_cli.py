@@ -310,6 +310,18 @@ def test_cli_movers_below_one_is_config_error(tmp_path, instance_file, capsys, c
     assert not out.exists()
 
 
+def test_cli_lower_bound_dump_gtsp_is_a_usage_error(tmp_path, instance_file, capsys):
+    # κ has one solver, the subset DP; the clustered-TSP debug dump is gone
+    placement, orders = _schedule_inputs(tmp_path)
+    dump = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exit_:
+        run("lower-bound", "--instance", instance_file, "--orders", orders,
+            "--placement", placement, "--dump-gtsp", dump)
+    assert exit_.value.code == CONFIG_ERROR == 2
+    assert "unrecognized arguments: --dump-gtsp" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_cli_seed_env_override(tmp_path, instance_file, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -6,33 +6,10 @@ import pytest
 
 from planarfab import shppn
 from planarfab.core import Coord, Order, build_layout
-from planarfab.shppn import (
-    GtspInstance,
-    kappa,
-    noon_bean,
-    order_time_bound,
-    solve_gtsp,
-    solve_tsp,
-)
+from planarfab.scheduling import lower_bound
+from planarfab.shppn import kappa
 
 from conftest import random_placement
-
-
-def brute_force_tsp(C):
-    n = C.shape[0]
-    return min(
-        C[0, p[0]] + sum(C[p[i], p[i + 1]] for i in range(len(p) - 1)) + C[p[-1], 0]
-        for p in itertools.permutations(range(1, n))
-    )
-
-
-def brute_force_gtsp(clusters, C):
-    best = math.inf
-    for perm in itertools.permutations(range(len(clusters))):
-        for combo in itertools.product(*(clusters[p] for p in perm)):
-            cost = sum(C[combo[i], combo[(i + 1) % len(combo)]] for i in range(len(combo)))
-            best = min(best, cost)
-    return best
 
 
 def brute_force_kappa(order, placement):
@@ -49,84 +26,9 @@ def brute_force_kappa(order, placement):
     return best
 
 
-# --- solve_tsp ---------------------------------------------------------------------
+# --- kappa ---------------------------------------------------------------------------
 
-def test_tsp_trivial_sizes():
-    assert solve_tsp(np.zeros((1, 1), dtype=int))[0] == 0
-    C = np.array([[0, 3], [7, 0]])
-    assert solve_tsp(C)[0] == 10
-
-
-def test_tsp_triangle_symmetric():
-    C = np.array([[0, 2, 4], [2, 0, 3], [4, 3, 0]])
-    assert solve_tsp(C)[0] == 9
-
-
-def test_tsp_matches_bruteforce_n9_many_seeds():
-    # vectorized permutation oracle reused across seeds
-    n = 9
-    perms = np.array(list(itertools.permutations(range(1, n))))
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        C = rng.integers(1, 40, (n, n)).astype(np.int64)
-        np.fill_diagonal(C, 0)
-        costs = C[0, perms[:, 0]] + C[perms[:, -1], 0]
-        for i in range(n - 2):
-            costs = costs + C[perms[:, i], perms[:, i + 1]]
-        got, tour = solve_tsp(C)
-        assert got == int(costs.min()), seed
-        assert sorted(tour) == list(range(n))
-        assert sum(C[tour[i], tour[(i + 1) % n]] for i in range(n)) == got
-
-
-def test_tsp_size_guard():
-    with pytest.raises(ValueError):
-        solve_tsp(np.zeros((shppn.HELD_KARP_LIMIT + 1,) * 2, dtype=int))
-
-
-# --- noon_bean ----------------------------------------------------------------------
-
-def test_noon_bean_singleton_clusters_degenerate_to_tsp():
-    rng = np.random.default_rng(5)
-    n = 6
-    C = rng.integers(1, 20, (n, n)).astype(float)
-    np.fill_diagonal(C, 0)
-    inst = GtspInstance(tuple((i,) for i in range(n)), C)
-    got, chosen = solve_gtsp(inst)
-    assert got == int(brute_force_tsp(C.astype(int)))
-    assert sorted(chosen) == list(range(n))
-
-
-def test_noon_bean_matches_bruteforce_100_seeds():
-    sizes = [2, 1, 2]
-    clusters = []
-    v = 0
-    for s in sizes:
-        clusters.append(tuple(range(v, v + s)))
-        v += s
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        C = rng.integers(1, 11, (v, v)).astype(float)
-        np.fill_diagonal(C, 0)
-        inst = GtspInstance(tuple(clusters), C)
-        got, chosen = solve_gtsp(inst)
-        assert got == int(brute_force_gtsp(clusters, C))
-        assert len(chosen) == len(clusters)
-
-
-def test_noon_bean_shift_and_structure():
-    C = np.array([[0.0, 4, 2], [4, 0, 1], [2, 1, 0]])
-    inst = GtspInstance(((0, 1), (2,)), C)
-    nb = noon_bean(inst)
-    assert nb.shift == int(C.sum()) + 1
-    # intra-cluster zero cycle between 0 and 1
-    assert nb.matrix[0, 1] == 0 and nb.matrix[1, 0] == 0
-    # inter-cluster arcs rerooted at the successor and shifted by M
-    assert nb.matrix[0, 2] == C[1, 2] + nb.shift  # leaving 0 means entered at 1
-    assert nb.matrix[1, 2] == C[0, 2] + nb.shift
-
-
-def test_gtsp_single_cluster_plus_interfaces_closed_form(golden_placement):
+def test_kappa_single_drug_closed_form(golden_placement):
     # with one drug the optimum is min over (interface, tile, interface)
     order = Order(0, (("OMEPRAZOLE", 5),))
     got = kappa(order, golden_placement)
@@ -138,8 +40,6 @@ def test_gtsp_single_cluster_plus_interfaces_closed_form(golden_placement):
     )
     assert got.kappa == want == 6
 
-
-# --- kappa ---------------------------------------------------------------------------
 
 def test_kappa_fig6_values(golden_placement, golden_orders):
     assert [kappa(o, golden_placement).kappa for o in golden_orders] == [3, 6, 3]
@@ -329,20 +229,21 @@ def test_kappa_errors(golden_placement):
         kappa(Order(0, (("a", 1),)), pl)
 
 
-def test_order_time_bound_formula(golden_placement):
+def test_lower_bound_path_time_formula(golden_placement):
     order = Order(0, (("ATORVASTATIN", 5), ("HYDROCHLOROTHIAZIDE", 5)))
-    assert order_time_bound(order, golden_placement, eta=2) == 2 * 2 + 3 + 10
+    assert lower_bound([order], golden_placement, 1, eta=2).t_values == {0: 2 * 2 + 3 + 10}
 
     # all drugs on one interface-adjacent tile
     order2 = Order(1, (("LOSARTAN", 7), ("AMLODIPINE", 3)))
     k = kappa(order2, golden_placement).kappa
-    assert order_time_bound(order2, golden_placement, eta=2) == 4 + k + 10
+    assert lower_bound([order2], golden_placement, 1, eta=2).t_values == {1: 4 + k + 10}
 
 
-def test_order_time_bound_matches_kappa_recomputation(golden_placement):
+def test_lower_bound_path_times_match_kappa_recomputation(golden_placement):
     from conftest import random_orders
 
     drugs = ["LISINOPRIL", "SIMVASTATIN", "OMEPRAZOLE", "ATORVASTATIN"]
-    for o in random_orders(drugs, 10, seed=3, size_range=(1, 3)):
-        want = 2 * 5 + brute_force_kappa(o, golden_placement) + o.total_dispensing
-        assert order_time_bound(o, golden_placement, eta=5) == want
+    orders = random_orders(drugs, 10, seed=3, size_range=(1, 3))
+    want = {o.id: 2 * 5 + brute_force_kappa(o, golden_placement) + o.total_dispensing
+            for o in orders}
+    assert lower_bound(orders, golden_placement, 2, eta=5).t_values == want
