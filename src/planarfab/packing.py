@@ -17,32 +17,26 @@ n_tiles usable".
 
 Both local searches (stage-1 improvement, stage-2 correlation search) keep
 each tile's load (and stage-2 pair-correlation score) in an array (stage 1)
-or a list (stage 2).  A trial move never edits a tile: it builds the lists
-the move would leave on the one or two tiles it touches, sums them in that
-list order, and compares the load profile (stage 1) or the total score
-(stage 2) with only those entries replaced.  An accepted trial commits its
-lists.  A rejected one only moves its items last on their tiles, as undoing
-the move would, and re-sums those tiles, since a tile's sum follows its list
-order (a tile of two sums alike in either order).  Every comparison
-therefore sees the floats a full re-sum would give, and the searches return
-the groupings they returned when every trial re-summed every tile.
+or a list (stage 2), and score a trial move on the lists it would leave on
+the one or two tiles it touches, without editing a tile for it.
 
-Both searches also decide or screen trials before building their lists:
-when a cheap test proves that the exact comparison must fail, the trial is
-rejected unsummed, leaving what any rejected trial leaves.  A stage-1 trial
-changes two entries of the load profile; while the loads still hold the
-pass's profile (no rejected trial's re-sum has changed a value), the new
-profile sorts first exactly when the largest value whose count changes
-loses a copy, which those two entries decide without sorting the profile.
-Stage 1 keeps its tiles in arrays across passes and decides the relocations
-of a pass, and each swap scan of a peak dispenser, in one numpy pass over
-the tiles with those two entries (``_improve_min_load``).  Python's float
-``sum`` is recursive before Python 3.12 and compensated from it on, so a
-trial whose sums have three or more terms is decided in numpy only where
-the interpreter sums left to right; elsewhere a screen that allows for
-either rounding skips only the trials the exact test must reject.  The
-multiplicities and the starting fill of each restart (Graham's LPT rule)
-take their next drug and next tile from heaps.
+Stage 1 (``_improve_min_load``) changes its tiles only when it takes a move:
+a trial it turns down leaves every list and load as it was.  A tile's load
+is the float sum of its list added left to right (``_left_to_right``), so
+the search makes no decision through ``sum`` (compensated from Python 3.12
+on) and returns the same tiles on every Python.  Each pass checks all its
+relocations in one numpy pass and, if none is taken, all its swaps in
+another.  The multiplicities and the starting fill of each restart
+(Graham's LPT rule) take their next drug and next tile from heaps.
+
+Stage 2 (``_local_search_correlation``) keeps the rule of its undo-based
+form: an accepted trial commits its lists, and a rejected one moves its
+items last on their tiles, as undoing the move would, and re-sums those
+tiles, since a tile's sums follow its list order (a tile of two sums alike
+in either order).  Every comparison therefore sees the floats a full re-sum
+would give.  It also screens trials before building their lists: when a
+cheap test proves that the exact comparison must fail, the trial is
+rejected unsummed, leaving what any rejected trial leaves.
 
 Stage 2 runs each pass, the stretch between two accepted moves, as one array
 pass.  Within a pass no tile changes its members, sizes or partner sums, so
@@ -65,10 +59,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from bisect import bisect_left
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, compress, product, zip_longest
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,10 +73,6 @@ from .core import DrugCatalog, InstanceConfig
 EPS = 1e-9
 NODE_CAP = 500_000  # search nodes of each exact packing search before it gives up
 MAX_PASSES = 200  # improvement passes of the stage-1 local search
-# whether this interpreter's float sum() adds left to right, as Python does
-# before 3.12; from 3.12 on it is compensated, and a sum of three or more
-# floats can differ from the left-to-right one (two floats sum alike)
-_LEFT_TO_RIGHT = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class PackingInfeasible(ValueError):
@@ -199,8 +191,7 @@ def pack_min_load(
     "auto" is exact up to 12 drugs x 12 tiles.  A packing that is not exact
     names the reason in ``fallback``.
     """
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ValueError(f"unknown packing mode {mode!r} (auto, exact or heuristic)")
+    _check_mode(mode)
     if drugs is None:
         drugs = sorted(demand.u)
     drugs = sorted(set(drugs))
@@ -237,6 +228,11 @@ def pack_min_load(
     )
     pi = {g: (u[g] / z[g] if z[g] else 0.0) for g in drugs}
     return _make_packing(tiles, z, pi, lower, False, n_tiles, fallback)
+
+
+def _check_mode(mode):
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ValueError(f"unknown packing mode {mode!r} (auto, exact or heuristic)")
 
 
 def _certified_lower_bound(u, drugs, n_tiles, z_cap, budget) -> float:
@@ -442,11 +438,18 @@ def _without(t, g):
     return [x for x in t if x != g]
 
 
+def _left_to_right(values):
+    """The float sum (or numpy column sum) of values added left to right, as
+    ``sum`` adds floats before Python 3.12 (from 3.12 on it is compensated)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _pair_lowers(rest, new, top, load):
-    """Elementwise lowers's pair test: sorted((rest, new), reverse=True) <
-    [top, load], for a trial leaving rest on the peak, whose load top is the
-    largest, and new on a tile of load ``load``: the larger of rest and new
-    below top, or at top with the smaller below load."""
+    """Elementwise: whether a trial leaving rest on the peak tile, whose load
+    top is the largest, and new on a tile of load ``load`` (0.0 for a new
+    tile) sorts the load profile first, that is sorted((rest, new),
+    reverse=True) < [top, load]: the larger of rest and new below top, or at
+    top with the smaller below load."""
     return np.maximum(rest, new) < np.where(
         np.minimum(rest, new) < load, math.nextafter(top, math.inf), top
     )
@@ -457,25 +460,24 @@ def _improve_min_load(tiles, pi, n_tiles, d_max):
     swap one for a lighter dispenser of another tile, while the sorted load
     profile falls.  ``_improve`` does the work, on drug ids in name order.
 
-    The tiles live in arrays across passes: each tile's drugs in list order
-    (``slots``), its size, its load (the float ``sum`` of its list, in order)
-    and a drug x tile membership matrix, updated by each accepted move and
-    each ``to_end``.  The relocation scans of a pass and each swap scan of a
-    peak dispenser are decided in one numpy pass over the tiles, in the
-    float expressions of ``lowers``.  A rejected relocation leaves nothing
-    behind, and a rejected swap only moves its partner last on a tile whose
-    load no order changes, which is replayed once the scan is done.  Only
-    the trials the numpy pass cannot decide exactly go to ``lowers``, in
-    scan order.
+    Each pass takes the first trial in scan order whose load profile sorts
+    before the pass's.  First the relocations: each dispenser g of the peak,
+    heaviest first, onto each tile with room and no copy of g in index
+    order, then onto a new tile.  If none is taken, the swaps: each g in the
+    peak's list order with each lighter h of another tile, in tile and list
+    order, that is not on the peak while g is not on h's tile.  A taken
+    trial drops g (then appends h) on the peak and appends g to the other
+    tile (less h).  A trial that is turned down changes nothing: tile lists,
+    loads and the drug x tile membership change only when a move is taken.
 
-    Exactness rule: a sum of two floats is the same in any order and on
-    every Python, but ``sum`` is compensated from Python 3.12 on, so a trial
-    whose ``lowers`` sums three or more terms is decided in numpy only where
-    the interpreter sums left to right (``_LEFT_TO_RIGHT``), and by
-    ``lowers`` elsewhere.  A swap onto a tile of four or more, or of three
-    whose load some order changes, always goes to ``lowers``, since its
-    rejection re-sums that tile; so does every trial once a re-sum has
-    moved a load within the pass.
+    Each load is the left-to-right float sum of its tile's list, so it is
+    the same float on every Python.  The loads thus always hold the pass's
+    profile, and a trial replaces two of its entries, the peak's and the
+    other tile's (0.0 for a new tile): the new profile sorts first exactly
+    when its two new entries sort before the two they replace, since the
+    largest value whose count changes decides (``_pair_lowers``).  So each
+    pass checks all its relocations in one numpy pass, and all its swaps in
+    another, from a table of each tile's list less one slot.
     """
     names = sorted({g for t in tiles for g in t})
     ids = {g: i for i, g in enumerate(names)}
@@ -489,10 +491,9 @@ def _improve(tiles, pv, n_tiles, d_max):
     drug i's pi.  Returns the loads of the tiles found and a function that
     lists those tiles."""
     pad = len(pv)  # the id of an empty slot, whose pi is 0.0
-    pv = [*pv, 0.0]
-    pis = np.array(pv)
+    pis = np.array([*pv, 0.0])
     n = len(tiles)
-    width = max(3, d_max, *map(len, tiles))
+    width = max(d_max, *map(len, tiles))
     slots = np.full((max(n, n_tiles), width), pad)
     slots.T[: max(map(len, tiles)), :n] = list(zip_longest(*tiles, fillvalue=pad))
     size = np.zeros(len(slots), dtype=np.intp)
@@ -500,221 +501,61 @@ def _improve(tiles, pv, n_tiles, d_max):
     member = np.zeros((pad + 1, len(slots)), dtype=bool)  # member[g, t]: drug g on tile t
     member[slots, np.arange(len(slots))[:, None]] = True
     member[pad] = False
-    room = size < d_max
-    ph = pis.take(slots)
-    if _LEFT_TO_RIGHT:  # the column sums in order are sum()'s, pads adding 0.0
-        loads = ph[:, 0] + ph[:, 1]
-        for j in range(2, width):
-            loads += ph[:, j]
-    else:
-        loads = np.zeros(len(slots))
-        loads[:n] = [sum(map(pv.__getitem__, t)) for t in tiles]
-    steady = True  # loads holds the pass's profile
-
-    def settles(row):
-        # whether a numpy pass decides the swaps onto a tile: a tile of two,
-        # or of three summed left to right whose three orders sum alike, so
-        # that re-summing it in any order keeps its load
-        if len(row) != 3:
-            return len(row) <= 2
-        a, b, c = map(pv.__getitem__, row)
-        return _LEFT_TO_RIGHT and (a + b) + c == (a + c) + b == (b + c) + a
-
-    decided = size <= 2
-    for t in (size == 3).nonzero()[0].tolist():
-        decided[t] = settles(slots[t, :3].tolist())
-
-    def total(row):
-        return sum(map(pv.__getitem__, row))
+    loads = _left_to_right(pis.take(slots).T)  # by columns, empty slots adding 0.0
 
     def listed(t):
         return slots[t, : size[t]].tolist()
 
     def put(t, row, value):
         member[:, t] = False
-        member[:, t][row] = True
-        slots[t] = [*row, *[pad] * (width - len(row))]
-        size[t], loads[t], room[t], decided[t] = len(row), value, len(row) < d_max, settles(row)
+        member[row, t] = True
+        slots[t] = pad
+        slots[t, : len(row)] = row
+        size[t], loads[t] = len(row), value
 
-    def to_end(t, g):
-        # what a rejected trial leaves behind: g last on its tile
-        nonlocal steady
-        row = listed(t)
-        if row[-1] != g:
-            row.remove(g)
-            row.append(g)
-            slots[t, : len(row)] = row
-            if len(row) > 2:  # two floats sum alike in either order
-                was, loads[t] = loads[t], total(row)
-                steady = steady and bool(loads[t] == was)
-
-    def lowers(peak, ti, at_peak, at_ti):
-        # commits the trial leaving at_peak on the peak and at_ti on tile ti
-        # (a new tile when ti == n) if its load profile, with those two loads
-        # summed in list order, sorts before the pass's profile
-        nonlocal n
-        new = total(at_ti)
-        if new > top:  # it would lead the profile, which then sorts after
-            return False
-        rest = total(at_peak)
-        # while loads holds the profile's floats, the entries the trial
-        # replaces decide: the profile sorts first iff the largest value
-        # whose count changes loses a copy, that is iff the new entries sort
-        # first (a new tile's entry counts as added)
-        if steady and not sorted((rest, new), reverse=True) < sorted(
-            (loads[peak], loads[ti]) if ti < n else (loads[peak],), reverse=True
-        ):
-            return False
-        if not steady:
-            after = loads[: max(n, ti + 1)].tolist()
-            after[peak], after[ti] = rest, new
-            if not sorted(after, reverse=True) < sorted(profile.tolist(), reverse=True):
-                return False
-        put(peak, at_peak, rest)
-        put(ti, at_ti, new)
-        n = max(n, ti + 1)
-        return True
-
-    # relative rounding allowance of the relocation screen: a float sum of
-    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
-    # sum), is within k unit roundoffs u of the real sum, so two such sums
-    # differ by at most 2 k u; this allows 8 u per term and two terms more
-    slack = (d_max + 2) * 2.0**-50
-
-    def relocations(new, rests):
-        # the relocations lowers may accept, new being the loads they leave
-        # on the tiles and rests those on the peak, a column.  new is exact
-        # summed left to right or onto a tile of at most one, and there,
-        # while steady, these are the trials lowers accepts; elsewhere a
-        # screen skips only tiles above top by more than ``slack`` relative
-        rest = np.array(rests)[:, None]
-        if not steady:
-            keep = new <= top
-        elif max(rests) < top:  # _pair_lowers, rest being the smaller at top
-            keep = new < np.where(rest < load, up, top)
-        else:
-            keep = _pair_lowers(rest, new, top, load)
-        if not _LEFT_TO_RIGHT:
-            keep = np.where(size[:n] <= 1, keep, new - top <= new * slack)
-        return keep
-
-    def replay(before, elig, touched, upto):
-        # the decided tiles before upto end as they were (before), their
-        # partners tried (elig) moved last, in order
-        back = [t for t in touched if t < upto]
-        if back:
-            slots[back] = before[back]
-        flip = ((elig[:upto, 0] > elig[:upto, 1]) & twos[:upto]).nonzero()[0]
-        if len(flip):
-            slots[flip, :2] = before[flip, 1::-1]
-        for t in trios:  # the peak, whose list the scan moves, has no trials
-            if t < upto and elig[t].any():
-                row = before[t, :3].tolist()
-                tried = [x for j, x in enumerate(row) if elig[t, j]]
-                slots[t, :3] = [x for x in row if x not in tried] + tried
-
-    cycle = np.array([0, 1, 2, 0, 1])  # slot j's partners on a tile of three: j + 1, j + 2
     for _ in range(MAX_PASSES):
-        load = loads[:n]
-        profile = load.copy()
+        m = n + (n < n_tiles)  # the tiles a relocation may reach, a new one last
+        load = loads[:m]
         peak = int(load.argmax())
         top = float(load[peak])
-        up = math.nextafter(top, math.inf)
-        steady = True
-        improved = False
-        # relocate one dispenser g off the peak tile, heaviest first, onto a
-        # tile with room and no copy of g, or a new tile (spare); every trial
-        # of g leaves g last on the peak.  All of them are decided at once,
-        # with each g's rest summed in the peak's present order; a row is
-        # decided again if its rest has changed or steady no longer holds
-        peak_list = listed(peak)
-        gs = sorted(peak_list, key=lambda g: (-pv[g], g))
-        spare = [n] if n < n_tiles else []
-        eligible = room[:n] > member.take(gs, axis=0)[:, :n]
+        row = listed(peak)
+        rests = [_left_to_right(pv[x] for x in row if x != g) for g in row]
+        js = sorted(range(len(row)), key=lambda j: (-pv[row[j]], row[j]))
+        gs = [row[j] for j in js]
         new = load + pis.take(gs)[:, None]
-        rests = [total([h for h in peak_list if h != g]) for g in gs]
-        keep = eligible & relocations(new, rests)
-        hits = keep.any(1).tolist()
-        for i, g in enumerate(gs):
-            if not (spare or hits[i] or eligible[i].any()):
-                continue
-            to_end(peak, g)
-            # a rest of two terms or fewer is the same in any order
-            if not steady or len(peak_list) > 3:
-                rest = total(_without(listed(peak), g))
-                if not steady or rest != rests[i]:
-                    keep[i] = eligible[i] & relocations(new[i : i + 1], [rest])
-                    hits[i] = keep[i].any()
-            if not (hits[i] or spare):
-                continue
-            at_peak = _without(listed(peak), g)
-            improved = any(
-                lowers(peak, ti, at_peak, [*listed(ti), g] if ti < n else [g])
-                for ti in keep[i].nonzero()[0].tolist() + spare
-            )
-            if improved:
-                break
-        if improved:
+        keep = (size[:m] < d_max) & ~member[gs, :m] & _pair_lowers(
+            np.array([rests[j] for j in js])[:, None], new, top, load
+        )
+        if keep.any():
+            i, ti = divmod(int(keep.argmax()), m)
+            put(peak, _without(row, gs[i]), rests[js[i]])
+            put(ti, [*listed(ti), gs[i]], float(new[i, ti]))
+            n = max(n, ti + 1)
             continue
-        # swap g on the peak with each lighter h of another tile, in tile and
-        # list order, that is not on the peak while g is not on h's tile.  On
-        # a decided tile, new is the sum of h's partners plus pi[g] (x + y is
-        # y + x), exact summed left to right or on a tile of two; rest,
-        # sum(peak less g) + pi[h], is exact summed left to right or off a
-        # peak of two.  A rejected swap moves h last on its tile, which
-        # keeps a decided tile's load: those moves are replayed at the end
-        offpeak = ~member[:, peak]
-        offpeak[pad] = False
-        undecided = ~decided[:n, None]
-        twos = size[:n] == 2
-        trios = (decided & (size == 3))[:n].nonzero()[0].tolist()
-        for g in listed(peak):
-            before = slots[:n].copy()  # each tile's list as g's trials reach it
-            elig = ((pis < pv[g]) & offpeak).take(before) & ~member[g, :n, None]
-            if not elig.any():
-                continue
-            at_peak = _without(listed(peak), g)
-            ph = pis.take(before[:, cycle])
-            new = ph[:, 1:4] + ph[:, 2:5] + pv[g]
-            if steady and (_LEFT_TO_RIGHT or len(at_peak) <= 1):
-                keep = _pair_lowers(total(at_peak) + ph[:, :3], new, top, load[:, None])
-            else:
-                keep = new <= top
-            special = elig.copy()
-            special[:, :3] &= undecided | keep
-            if size[peak] > 2 and listed(peak)[-1] != g:
-                special.flat[elig.argmax()] = True  # its rejection re-sums the peak
-            touched = []  # decided tiles whose order a rejected special moved
-            stops = special.ravel().nonzero()[0].tolist()
-            while stops:
-                at = stops.pop(0)
-                ti, col = divmod(at, width)
-                h = int(before[ti, col])
-                if ti in trios and elig[ti, :col].any():  # its partners tried before h last
-                    row = before[ti, :3].tolist()
-                    tried = [x for j, x in enumerate(row) if j < col and elig[ti, j]]
-                    slots[ti, :3] = [x for x in row if x not in tried] + tried
-                if lowers(peak, ti, [*at_peak, h], [*_without(listed(ti), h), g]):
-                    improved = True
-                    replay(before, elig, touched, ti)
-                    break
-                was = steady
-                to_end(peak, g)
-                to_end(ti, h)
-                if decided[ti]:
-                    touched.append(ti)
-                if was and not steady:  # loads moved: lowers sorts the whole profile
-                    special[:, :3] = elig[:, :3] & (undecided | (new <= top))
-                    stops = [k for k in special.ravel().nonzero()[0].tolist() if k > at]
-            if improved:
-                break
-            replay(before, elig, touched, n)
-            to_end(peak, g)
-        if not improved:
+        # swap g = row[i] with h = slots[ti, j], leaving rest[i, ti, j] on the
+        # peak and new[i, ti, j] on tile ti; less[ti, j]: ti's list less slot j
+        ph = pis.take(slots[:n])
+        less = np.zeros((n, width))
+        for j, k in product(range(width), repeat=2):
+            if j != k:
+                less[:, j] += ph[:, k]
+        away = ~member[:, peak]
+        away[pad] = False
+        gv = pis.take(row)[:, None, None]
+        rest = np.array(rests)[:, None, None] + ph
+        new = less + gv
+        keep = (ph < gv) & away.take(slots[:n]) & ~member[row, :n, None] & _pair_lowers(
+            rest, new, top, load[:n, None]
+        )
+        if not keep.any():
             break
+        i, ti, j = np.unravel_index(int(keep.argmax()), keep.shape)
+        h = int(slots[ti, j])
+        put(peak, [*_without(row, row[i]), h], float(rest[i, ti, j]))
+        put(ti, [*_without(listed(ti), h), row[i]], float(new[i, ti, j]))
 
     def found():
-        return [row[:m] for row, m in zip(slots.tolist(), size[:n].tolist()) if m]
+        return [t[:k] for t, k in zip(slots.tolist(), size[:n].tolist()) if k]
 
     return loads[:n][size[:n] > 0].tolist(), found
 
@@ -732,7 +573,12 @@ def pack_correlation(
     Multiplicities, per-dispenser loads and the stage-1 peak load are frozen;
     the result's objective never falls below the stage-1 grouping's own score.
     Both searches are deterministic.
+
+    mode: "exact" forces the exact search, "heuristic" the local search,
+    "auto" is exact up to 12 drugs; the exact search falls back to the
+    local search at NODE_CAP.
     """
+    _check_mode(mode)
     issues = validate_packing(stage1, config)
     if issues:
         raise ValueError(f"stage-1 packing invalid: {issues}")
@@ -911,7 +757,10 @@ def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     asym = not np.array_equal(sub, sub.T)
     twice = 2 * sub
     pis = np.array([pi[g] for g in col], dtype=float)
-    slack = (d_max + 2) * 2.0**-50  # stage 1's allowance for two orders of a sum
+    # relative allowance for a load summed in two orders: a float sum of k <=
+    # d_max nonnegative terms, recursive or compensated (Python 3.12's sum), is
+    # within k u of the real sum (u = 2**-53), so two differ by < 8 u (k + 2)
+    slack = (d_max + 2) * 2.0**-50
     steadies = {}
 
     def steady(t, at):

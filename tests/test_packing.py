@@ -226,6 +226,8 @@ def test_packing_names_why_stage_one_is_not_exact(monkeypatch):
     assert pack_correlation(capped, catalog, config).fallback == "node cap"
     with pytest.raises(ValueError, match="unknown packing mode"):
         pack_min_load(small, 3, config, mode="greedy")
+    with pytest.raises(ValueError, match="unknown packing mode"):
+        pack_correlation(capped, catalog, config, mode="exactt")
 
 
 # --- stage 2: correlation ---------------------------------------------------------
@@ -305,76 +307,70 @@ def test_correlation_direction_matches_reference_improvement():
     assert q.correlation_objective >= correlation_sum(stage1.tiles, catalog) - 1e-12
 
 
-# --- touched-tile re-sums vs the full re-sum searches ------------------------------
+# --- the searches vs their full re-sum references --------------------------------
 
-def reference_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
-    """Stage-1 improvement as it was before it cached tile loads: every trial
-    move re-sums every tile."""
+def sum_left_to_right(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def reference_improve_min_load(tiles, pi, n_tiles, d_max):
+    """Stage-1 improvement one trial at a time: each pass takes the first
+    trial in scan order whose whole sorted load profile, every tile summed
+    left to right, sorts before the pass's.  A trial that is turned down
+    changes nothing."""
     tiles = [list(t) for t in tiles]
 
-    def profile():
-        return tuple(sorted((sum(pi[g] for g in t) for t in tiles), reverse=True))
+    def load(t):
+        return sum_left_to_right(pi[g] for g in t)
 
-    for _ in range(max_passes):
-        cur = profile()
-        improved = False
-        loads = [sum(pi[g] for g in t) for t in tiles]
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                if ti == peak:
-                    continue
-                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
-                    continue
-                tiles[peak].remove(g)
+    def trials(peak):
+        # (tile, the peak's list after, that tile's list after) in scan order:
+        # every relocation off the peak, then every swap with a peak dispenser
+        on_peak = tiles[peak]
+        for g in sorted(on_peak, key=lambda g: (-pi[g], g)):
+            rest = [x for x in on_peak if x != g]
+            for ti, t in enumerate(tiles + [[]] * (len(tiles) < n_tiles)):
+                if len(t) < d_max and g not in t:
+                    yield ti, rest, [*t, g]
+        for g in on_peak:
+            rest = [x for x in on_peak if x != g]
+            for ti, t in enumerate(tiles):
+                for h in t:
+                    if pi[h] < pi[g] and h not in on_peak and g not in t:
+                        yield ti, [*rest, h], [x for x in t if x != h] + [g]
+
+    for _ in range(MAX_PASSES):
+        loads = [load(t) for t in tiles]
+        peak = loads.index(max(loads))
+        for ti, at_peak, at_ti in trials(peak):
+            after = loads + [0.0] * (ti == len(tiles))
+            after[peak], after[ti] = load(at_peak), load(at_ti)
+            if sorted(after, reverse=True) < sorted(loads, reverse=True):
                 if ti == len(tiles):
-                    tiles.append([g])
-                else:
-                    tiles[ti].append(g)
-                if profile() < cur:
-                    improved = True
-                else:
-                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
-                        tiles.pop()
-                    else:
-                        tiles[ti].remove(g)
-                    tiles[peak].append(g)
-                if improved:
-                    break
-            if improved:
+                    tiles.append([])
+                tiles[peak], tiles[ti] = at_peak, at_ti
                 break
-        if improved:
-            continue
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    tiles[peak].remove(g)
-                    tiles[peak].append(h)
-                    tiles[ti].remove(h)
-                    tiles[ti].append(g)
-                    if profile() < cur:
-                        improved = True
-                    else:
-                        tiles[peak].remove(h)
-                        tiles[peak].append(g)
-                        tiles[ti].remove(g)
-                        tiles[ti].append(h)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
+        else:
             break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
+    return [tuple(t) for t in tiles if t]
+
+
+def improve_as_reference(tiles, pi, n_tiles, d_max):
+    """_improve_min_load's tiles, asserted equal to the reference's, tile lists
+    and loads (each summed left to right)."""
+    from planarfab.packing import _improve, _improve_min_load
+
+    got = _improve_min_load(tiles, pi, n_tiles, d_max)
+    want = reference_improve_min_load(tiles, pi, n_tiles, d_max)
+    assert got == want
+    names = sorted({g for t in tiles for g in t})
+    loads, _ = _improve([[names.index(g) for g in t] for t in tiles],
+                        [pi[g] for g in names], n_tiles, d_max)
+    assert loads == [sum_left_to_right(pi[g] for g in t) for t in want]
+    return got
 
 
 def reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
@@ -488,12 +484,9 @@ def random_search_instances(seed, count):
 
 
 def test_improve_min_load_matches_full_resum_reference():
-    from planarfab.packing import _improve_min_load
-
     checked = moved = 0
     for _, _, tiles, pi, n_tiles, d_max in random_search_instances(21, 150):
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == reference_improve_min_load(tiles, pi, n_tiles, d_max)
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
         checked += 1
         moved += got != tiles
     assert checked == 150 and moved >= 30
@@ -517,94 +510,12 @@ def test_local_search_correlation_matches_full_resum_reference():
     assert checked == 150 and moved >= 30
 
 
-# --- screened trials vs the searches they screen -----------------------------------
+# --- screened trials vs the search they screen ------------------------------------
 #
-# The two functions below are the searches as they were before they screened
-# trial moves (touched-tile re-sums, every trial mutated, compared and undone),
-# kept verbatim.  The screened searches must return exactly what they return.
-
-def cached_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
-    tiles = [list(t) for t in tiles]
-    loads = [sum(pi[g] for g in t) for t in tiles]
-
-    def resum(*touched):
-        # a tile's load is the sum over its list order, which a move or an
-        # undo (re-appending an item) changes; other tiles keep theirs
-        for ti in touched:
-            if ti < len(tiles):
-                loads[ti] = sum(pi[g] for g in tiles[ti])
-
-    def profile():
-        return tuple(sorted(loads, reverse=True))
-
-    for _ in range(max_passes):
-        cur = profile()
-        improved = False
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                if ti == peak:
-                    continue
-                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
-                    continue
-                tiles[peak].remove(g)
-                if ti == len(tiles):
-                    tiles.append([g])
-                    loads.append(0.0)
-                else:
-                    tiles[ti].append(g)
-                resum(peak, ti)
-                if profile() < cur:
-                    improved = True
-                else:
-                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
-                        tiles.pop()
-                        loads.pop()
-                    else:
-                        tiles[ti].remove(g)
-                    tiles[peak].append(g)
-                    resum(peak, ti)
-                if improved:
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        # pairwise swap involving the peak tile
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    tiles[peak].remove(g)
-                    tiles[peak].append(h)
-                    tiles[ti].remove(h)
-                    tiles[ti].append(g)
-                    resum(peak, ti)
-                    if profile() < cur:
-                        improved = True
-                    else:
-                        tiles[peak].remove(h)
-                        tiles[peak].append(g)
-                        tiles[ti].remove(g)
-                        tiles[ti].append(h)
-                        resum(peak, ti)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
-
+# cached_local_search_correlation is the stage-2 search as it was before it
+# screened trial moves (touched-tile re-sums, every trial mutated, compared and
+# undone), kept verbatim.  The screened search must return exactly what it
+# returns.
 
 def cached_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     corr = catalog.correlation.tolist()
@@ -731,7 +642,7 @@ def screen_instances(seed, count):
 
 
 def test_screened_searches_match_unscreened_reference():
-    from planarfab.packing import _improve_min_load, _loads, _local_search_correlation
+    from planarfab.packing import _loads, _local_search_correlation
 
     ties = zeros = moved = 0
     for tiles, pi, n_tiles, d_max, catalog in screen_instances(23, 400):
@@ -739,10 +650,7 @@ def test_screened_searches_match_unscreened_reference():
         ties += loads.count(max(loads)) > 1
         zeros += any(pi[g] == 0.0 for t in tiles for g in t)
 
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        want = cached_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == want
-        assert _loads(got, pi) == _loads(want, pi)
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
         moved += got != tiles
 
         peak = max(_loads(got, pi))
@@ -758,9 +666,8 @@ def test_screened_searches_match_unscreened_reference():
 
 # --- LPT fill and array-form relocations vs the per-tile loops --------------------
 #
-# reference_lpt_fill and screened_improve_min_load are the stage-1 fill and
-# search as they were before the fill opened new bins directly and the search
-# screened each dispenser's relocations in one array pass, kept verbatim.
+# reference_lpt_fill is the stage-1 fill as it was before it opened new bins
+# directly, kept verbatim.
 
 def reference_lpt_fill(items, pi, n_tiles, d_max):
     bins: list[list[str]] = []
@@ -785,109 +692,6 @@ def reference_lpt_fill(items, pi, n_tiles, d_max):
     return [tuple(b) for b in bins]
 
 
-def screened_improve_min_load(tiles, pi, n_tiles, d_max, max_passes=200):
-    tiles = [list(t) for t in tiles]
-    loads = [sum(pi[g] for g in t) for t in tiles]
-
-    def resum(*touched):
-        # a tile's load is the sum over its list order, which a move or an
-        # undo (re-appending an item) changes; other tiles keep theirs
-        for ti in touched:
-            if ti < len(tiles):
-                loads[ti] = sum(pi[g] for g in tiles[ti])
-
-    def to_end(ti, g):
-        # what a rejected trial's undo leaves behind: g re-appended last
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            resum(ti)
-
-    def profile():
-        return tuple(sorted(loads, reverse=True))
-
-    for _ in range(max_passes):
-        cur = profile()
-        improved = False
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            for ti in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                if ti == peak:
-                    continue
-                if ti < len(tiles) and (len(tiles[ti]) >= d_max or g in tiles[ti]):
-                    continue
-                # screen: ti's load after the move, summed in the order resum
-                # sums it (g appended); above cur[0] it leads the new profile,
-                # which then sorts after cur, so profile() < cur must fail.  A
-                # new or empty tile is never screened: its load is pi[g], at
-                # most the peak's
-                if ti < len(tiles) and sum(pi[h] for h in (*tiles[ti], g)) > cur[0]:
-                    to_end(peak, g)
-                    continue
-                tiles[peak].remove(g)
-                if ti == len(tiles):
-                    tiles.append([g])
-                    loads.append(0.0)
-                else:
-                    tiles[ti].append(g)
-                resum(peak, ti)
-                if profile() < cur:
-                    improved = True
-                else:
-                    if ti == len(tiles) - 1 and len(tiles[ti]) == 1 and tiles[ti][0] == g:
-                        tiles.pop()
-                        loads.pop()
-                    else:
-                        tiles[ti].remove(g)
-                    tiles[peak].append(g)
-                    resum(peak, ti)
-                if improved:
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        # pairwise swap involving the peak tile
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    # screen: as for a relocation, ti's load after the swap
-                    if sum(pi[x] for x in (*tiles[ti], g) if x != h) > cur[0]:
-                        to_end(peak, g)
-                        to_end(ti, h)
-                        continue
-                    tiles[peak].remove(g)
-                    tiles[peak].append(h)
-                    tiles[ti].remove(h)
-                    tiles[ti].append(g)
-                    resum(peak, ti)
-                    if profile() < cur:
-                        improved = True
-                    else:
-                        tiles[peak].remove(h)
-                        tiles[peak].append(g)
-                        tiles[ti].remove(g)
-                        tiles[ti].append(h)
-                        resum(peak, ti)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
-
-
 def fill_instances():
     """Both instance generators above, plus packings with a zero-demand drug
     (an open bin of load 0.0 sends the fill back to its scan) and with spare
@@ -909,7 +713,7 @@ def fill_instances():
 
 
 def test_lpt_fill_and_relocations_match_per_tile_reference():
-    from planarfab.packing import _improve_min_load, _loads, _lpt_fill
+    from planarfab.packing import _lpt_fill
 
     scanned = spread = checked = 0
     for tiles, pi, n_tiles, d_max in fill_instances():
@@ -925,10 +729,7 @@ def test_lpt_fill_and_relocations_match_per_tile_reference():
             scanned += (got is not None and len(got) < n_tiles
                         and 0.0 in (pi[g] for g in items[:-1]))
 
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        want = screened_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == want
-        assert _loads(got, pi) == _loads(want, pi)
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
         spread += len(got) > len(tiles)
         checked += 1
     assert checked >= 300 and scanned >= 25 and spread >= 100
@@ -936,102 +737,10 @@ def test_lpt_fill_and_relocations_match_per_tile_reference():
 
 # --- array passes vs the scalar searches -------------------------------------------
 #
-# scalar_improve_min_load and scalar_local_search_correlation are the searches
-# as they were before stage 1 decided a trial from the two entries it changes
-# and stage 2 screened each pass as one array pass, kept verbatim: one trial
-# at a time, each rejected trial moving its items last and re-summing.
-
-def scalar_improve_min_load(tiles, pi, n_tiles, d_max):
-    tiles = [list(t) for t in tiles]
-    loads = [sum(pi[g] for g in t) for t in tiles]
-
-    def to_end(ti, g):
-        # what a rejected trial leaves behind: g last on its tile
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            loads[ti] = sum(pi[h] for h in tiles[ti])
-
-    def lowers(cur, peak, ti, at_peak, at_ti):
-        # commits the trial leaving at_peak on the peak and at_ti on tile ti
-        # (a new tile when ti == len(tiles)) if its load profile, with those
-        # two loads summed in list order, sorts before cur
-        new = sum(pi[h] for h in at_ti)
-        if new > cur[0]:  # it would lead the profile, which then sorts after cur
-            return False
-        after = loads[:] if ti < len(tiles) else [*loads, new]
-        after[peak], after[ti] = sum(pi[h] for h in at_peak), new
-        if not tuple(sorted(after, reverse=True)) < cur:
-            return False
-        if ti == len(tiles):
-            tiles.append(at_ti)
-        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
-        return True
-
-    # relative rounding allowance of the relocation screen: a float sum of
-    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
-    # sum), is within k unit roundoffs u of the real sum, so two such sums
-    # differ by at most 2 k u; this allows 8 u per term and two terms more
-    slack = (d_max + 2) * 2.0**-50
-    for _ in range(MAX_PASSES):
-        cur = tuple(sorted(loads, reverse=True))
-        improved = False
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile.  Until a move is accepted
-        # the other tiles keep their lists, so each g's eligible tiles and
-        # screen values are taken for all tiles at once: room and no g (which
-        # rules out the peak)
-        room = np.array([len(t) < d_max for t in tiles])
-        load = np.array(loads)
-        spare = [len(tiles)] if len(tiles) < n_tiles else []
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            eligible = room & np.array([g not in t for t in tiles])
-            if not (spare or eligible.any()):
-                continue
-            # screen: ti's load after the move, summed with g appended, above
-            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
-            # rounding, so only tiles above cur[0] by more than ``slack``
-            # relative are skipped; a new tile is never screened (its load
-            # pi[g] is at most the peak's).  Every trial of g, skipped or
-            # rejected, leaves g last on the peak
-            after = load + pi[g]
-            eligible &= after - cur[0] <= after * slack
-            to_end(peak, g)
-            at_peak = _without(tiles[peak], g)
-            improved = any(
-                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
-                for ti in np.flatnonzero(eligible).tolist() + spare
-            )
-            if improved:
-                break
-        if improved:
-            continue
-        # pairwise swap involving the peak tile
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    if lowers(
-                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
-                    ):
-                        improved = True
-                        break
-                    to_end(peak, g)
-                    to_end(ti, h)
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
-
+# scalar_local_search_correlation is the stage-2 search as it was before it
+# screened each pass as one array pass, kept verbatim: one trial at a time,
+# each rejected trial moving its items last and re-summing.  Stage 1 is
+# checked against its reference on the same inputs.
 
 def scalar_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
     corr = catalog.correlation.tolist()
@@ -1219,14 +928,11 @@ def near_cap_instances(seed, count):
 
 
 def test_array_pass_searches_match_scalar_reference():
-    from planarfab.packing import _improve_min_load, _loads, _local_search_correlation
+    from planarfab.packing import _loads, _local_search_correlation
 
     checked = moved = 0
     for tiles, pi, n_tiles, d_max, catalog in screen_instances(27, 200):
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        want = scalar_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == want
-        assert _loads(got, pi) == _loads(want, pi)
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
         peak = max(_loads(got, pi))
         for mu_cap in (peak + EPS, 2 * peak + EPS):
             got_c = _local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
@@ -1237,10 +943,7 @@ def test_array_pass_searches_match_scalar_reference():
             checked += 1
             moved += got_c[0] != got
     for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(28, 150):
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        want = scalar_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == want
-        assert _loads(got, pi) == _loads(want, pi)
+        improve_as_reference(tiles, pi, n_tiles, d_max)
         catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
         catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
         mu_cap = max(_loads(tiles, pi)) * float(rng.choice([1.0, 1.2, 2.0])) + EPS
@@ -1253,8 +956,7 @@ def test_array_pass_searches_match_scalar_reference():
         moved += got_c[0] != tiles
     grid = 0
     for tiles, pi, catalog, mu_cap in grid_instances(29, 12):
-        got = _improve_min_load(tiles, pi, 62, 4)
-        assert got == scalar_improve_min_load(tiles, pi, 62, 4)
+        improve_as_reference(tiles, pi, 62, 4)
         got_c = _local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
         want_c = scalar_local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
         assert got_c[0] == want_c[0]
@@ -1263,6 +965,7 @@ def test_array_pass_searches_match_scalar_reference():
         grid += 1
         moved += got_c[0] != tiles
     for tiles, pi, catalog, n_tiles, mu_cap in near_cap_instances(30, 400):
+        improve_as_reference(tiles, pi, n_tiles, 4)
         got_c = _local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
         want_c = scalar_local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
         assert got_c[0] == want_c[0]
@@ -1273,12 +976,11 @@ def test_array_pass_searches_match_scalar_reference():
     assert checked == 950 and grid == 12 and moved >= 500
 
 
-# --- heap fill, heap multiplicities and array passes vs the scalar stage 1 ----------
+# --- heap fill and heap multiplicities vs the scalar stage 1 -----------------------
 #
-# scalar_lpt_fill, scalar_multiplicities (the multiplicity loop of
-# _heuristic_min_load) and steady_improve_min_load are stage 1 as it was
-# before the fill and the multiplicities used heaps and the search kept its
-# tiles in arrays across passes, kept verbatim.
+# scalar_lpt_fill and scalar_multiplicities (the multiplicity loop of
+# _heuristic_min_load) are stage 1 as it was before the fill and the
+# multiplicities used heaps, kept verbatim.
 
 def scalar_lpt_fill(items, pi, n_tiles, d_max):
     bins: list[list[str]] = []
@@ -1321,124 +1023,11 @@ def scalar_multiplicities(u, drugs, z_cap, budget):
     return z
 
 
-def steady_improve_min_load(tiles, pi, n_tiles, d_max):
-    tiles = [list(t) for t in tiles]
-    loads = [sum(pi[g] for g in t) for t in tiles]
-    steady = True  # loads holds the floats of the pass's profile cur
-
-    def to_end(ti, g):
-        # what a rejected trial leaves behind: g last on its tile
-        nonlocal steady
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            was, loads[ti] = loads[ti], sum(pi[h] for h in tiles[ti])
-            steady = steady and loads[ti] == was
-
-    def lowers(cur, peak, ti, at_peak, at_ti):
-        # commits the trial leaving at_peak on the peak and at_ti on tile ti
-        # (a new tile when ti == len(tiles)) if its load profile, with those
-        # two loads summed in list order, sorts before cur
-        new = sum(pi[h] for h in at_ti)
-        if new > cur[0]:  # it would lead the profile, which then sorts after cur
-            return False
-        rest = sum(pi[h] for h in at_peak)
-        # while loads holds cur's floats, the entries the trial replaces
-        # decide: the profile sorts first iff the largest value whose count
-        # changes loses a copy, that is iff the new entries sort first (a
-        # new tile's entry counts as added)
-        if steady and not sorted((rest, new), reverse=True) < sorted(
-            (loads[peak], loads[ti]) if ti < len(tiles) else (loads[peak],), reverse=True
-        ):
-            return False
-        after = loads[:] if ti < len(tiles) else [*loads, new]
-        after[peak], after[ti] = rest, new
-        if not (steady or tuple(sorted(after, reverse=True)) < cur):
-            return False
-        if ti == len(tiles):
-            tiles.append(at_ti)
-        tiles[peak], tiles[ti], loads[:] = at_peak, at_ti, after
-        return True
-
-    # relative rounding allowance of the relocation screen: a float sum of
-    # k <= d_max nonnegative terms, recursive or compensated (Python 3.12's
-    # sum), is within k unit roundoffs u of the real sum, so two such sums
-    # differ by at most 2 k u; this allows 8 u per term and two terms more
-    slack = (d_max + 2) * 2.0**-50
-    for _ in range(MAX_PASSES):
-        cur = tuple(sorted(loads, reverse=True))
-        steady = True
-        improved = False
-        peak = max(range(len(tiles)), key=loads.__getitem__)
-        # relocate one dispenser off the peak tile.  Until a move is accepted
-        # the other tiles keep their lists, so each g's eligible tiles and
-        # screen values are taken for all tiles at once: room and no g (which
-        # rules out the peak)
-        room = np.array([len(t) < d_max for t in tiles])
-        load = np.array(loads)
-        spare = [len(tiles)] if len(tiles) < n_tiles else []
-        for g in sorted(tiles[peak], key=lambda g: (-pi[g], g)):
-            eligible = room & np.array([g not in t for t in tiles])
-            if not (spare or eligible.any()):
-                continue
-            # screen: ti's load after the move, summed with g appended, above
-            # cur[0] makes the trial fail.  load + pi[g] is that sum up to
-            # rounding, so only tiles above cur[0] by more than ``slack``
-            # relative are skipped; a new tile is never screened (its load
-            # pi[g] is at most the peak's).  Every trial of g, skipped or
-            # rejected, leaves g last on the peak
-            after = load + pi[g]
-            eligible &= after - cur[0] <= after * slack
-            to_end(peak, g)
-            at_peak = _without(tiles[peak], g)
-            improved = any(
-                lowers(cur, peak, ti, at_peak, [*tiles[ti], g] if ti < len(tiles) else [g])
-                for ti in np.flatnonzero(eligible).tolist() + spare
-            )
-            if improved:
-                break
-        if improved:
-            continue
-        # pairwise swap involving the peak tile
-        for g in list(tiles[peak]):
-            for ti in range(len(tiles)):
-                if ti == peak:
-                    continue
-                for h in list(tiles[ti]):
-                    if h == g or pi[h] >= pi[g]:
-                        continue
-                    if h in tiles[peak] or g in tiles[ti]:
-                        continue
-                    if lowers(
-                        cur, peak, ti, [*_without(tiles[peak], g), h], [*_without(tiles[ti], h), g]
-                    ):
-                        improved = True
-                        break
-                    to_end(peak, g)
-                    to_end(ti, h)
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    tiles = [t for t in tiles if t]
-    return [tuple(t) for t in tiles]
-
-
-
 def compensated_sum(values, start=0):
     """A float sum that, like Python 3.12's sum(), need not add left to right
     (math.fsum: correctly rounded), while a sum of two floats is the same."""
     values = list(values)
     return math.fsum(values) if values else start
-
-
-def sum_left_to_right(values):
-    total = 0.0
-    for x in values:
-        total += x
-    return total
 
 
 def fuzzed_fills(seed, count):
@@ -1515,8 +1104,8 @@ def peak_instances(seed, count):
         yield tiles, pi, len(tiles) + int(rng.integers(0, 3)), d_max
 
 
-def test_array_improve_matches_reference_and_screened_searches():
-    from planarfab.packing import _improve_min_load, _loads
+def test_array_improve_matches_reference_on_peak_instances():
+    from planarfab.packing import _loads
 
     ties = zeros = big = moved = 0
     for tiles, pi, n_tiles, d_max in peak_instances(33, 600):
@@ -1525,33 +1114,26 @@ def test_array_improve_matches_reference_and_screened_searches():
         ties += loads.count(max(loads)) > 1
         zeros += any(pi[g] == 0.0 for g in peak)
         big += max(map(len, tiles)) >= 3
-        got = _improve_min_load(tiles, pi, n_tiles, d_max)
-        want = steady_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == want and _loads(got, pi) == _loads(want, pi)
-        assert got == reference_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == screened_improve_min_load(tiles, pi, n_tiles, d_max)
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
         moved += got != tiles
     assert ties >= 100 and zeros >= 150 and big >= 400 and moved >= 300
 
 
 @pytest.mark.parametrize("seed", [34, 35])
 def test_array_improve_matches_scalar_reference_under_compensated_sum(seed, monkeypatch):
-    # where sum() is compensated (Python 3.12 on), a trial summing three or
-    # more floats must go to lowers: simulate that interpreter on any Python
-    import sys
-
+    # stage 1 makes no decision through sum(), so an interpreter whose sum()
+    # is compensated (Python 3.12 on) finds the same tiles: simulate one
     from planarfab import packing
 
-    monkeypatch.setattr(packing, "_LEFT_TO_RIGHT", False)
+    cases = list(peak_instances(seed, 300))
+    plain = [packing._improve_min_load(*case) for case in cases]
     monkeypatch.setattr(packing, "sum", compensated_sum, raising=False)
-    monkeypatch.setattr(sys.modules[__name__], "sum", compensated_sum, raising=False)
     differ = 0
-    for tiles, pi, n_tiles, d_max in peak_instances(seed, 300):
-        got = packing._improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == steady_improve_min_load(tiles, pi, n_tiles, d_max)
-        assert got == scalar_improve_min_load(tiles, pi, n_tiles, d_max)
+    for case, want in zip(cases, plain):
+        assert packing._improve_min_load(*case) == want == reference_improve_min_load(*case)
+        pi = case[1]
         differ += any(math.fsum(pi[g] for g in t) != sum_left_to_right(pi[g] for g in t)
-                      for t in got)
+                      for t in want)
     assert differ >= 20
 
 
