@@ -124,3 +124,44 @@ def test_estimate_demand_linearity():
     da, db, dab = estimate_demand(a), estimate_demand(b), estimate_demand(a + b)
     for g in set(da.u) | set(db.u):
         assert dab[g] == da[g] + db[g]
+
+
+
+# sha256 of orders_to_csv(sample_orders(...).orders) per (copula mode, seed, n_orders,
+# size range), recorded while the sampler still drew one trial order per call: "raw"
+# cases on the 40-drug catalog of the 8x8~2 reference, the "tetrachoric" case on a
+# 4-drug catalog (each drug pair costs a tetrachoric solve)
+ORDER_DIGESTS = {
+    ("raw", 1, 30, (3, 6)): "3b05d1c2eb11591276247f1f5ed3491ff00bd3271c51a1a34ac04ce2011cf713",
+    ("raw", 1, 100, (3, 6)): "b279acdb3c23690e9f555deda2a7604a749d761fb4ac2b9717e77d0ab0219166",
+    ("raw", 1, 500, (3, 8)): "5da493449293f7166dbf5db4a9ee3e375c528f5375a2f708b6ce1b7a0f7d2495",
+    ("raw", 2, 30, (3, 6)): "a4b3acddbdf336fbaccbcbd50ca2c763c15dad3c6d37b87d03553031fc022c38",
+    ("raw", 2, 100, (3, 6)): "71f789fe47561b3d87b98ba38273329559dce69fd0b2c357bc7ea36d71c1e052",
+    ("raw", 2, 500, (3, 8)): "7d6461763a0108fb0081ed626b595b3f8e95a67ee1c98f4d6fa496bab956ab72",
+    ("raw", 3, 30, (3, 6)): "ef093b1c4dd4c238379b9ea2da2edcd35d58e1ddff8716858a9eeea565dfbf25",
+    ("raw", 3, 100, (3, 6)): "f0800a67d2c0279d5d45bbe81e3db56cb93644231eeada69c3f2448ef74e9d06",
+    ("raw", 3, 500, (3, 8)): "35768888c9b0e4638ee948795d688e9f9f913ad52999965aa567ec6c3e710afd",
+    ("raw", 4, 30, (3, 6)): "8a0c7cf416a057eea77e7540dfcb703402fc12d2ede210d4cba7cdf7f61c987c",
+    ("raw", 4, 100, (3, 6)): "da4c9d5d33586a62d1e31d511d0af0729db4af3f499c38a68e194caf4c6138f7",
+    ("raw", 4, 500, (3, 8)): "0d4f7b3c4580fd6077c8f2ac2a8894bd5f039f6e49be4b1223d09f24adf651e3",
+    ("raw", 5, 30, (3, 6)): "9b7a530ed68b2d99e249a3e512a7d13013983d825b132ed32e3d999ec827adfe",
+    ("raw", 5, 100, (3, 6)): "df85c33caf68739b4318ad066155872f6176799bd35f1588d0859119eb16726e",
+    ("raw", 5, 500, (3, 8)): "0e411a816a639372180be19a2e001d5e0cb8f0a7c30f2ac6952d3a25ae47b66c",
+    ("tetrachoric", 7, 50, (1, 3)): "6b66289188359c2c3839086f905b9b457970e7578f5805ff506b8728315c7989",
+}
+
+
+@pytest.mark.parametrize("copula_mode, seed, n_orders, size_range", list(ORDER_DIGESTS))
+def test_sample_orders_match_pinned_digests(copula_mode, seed, n_orders, size_range):
+    import hashlib
+
+    from planarfab.core import orders_to_csv
+
+    if copula_mode == "raw":
+        catalog = make_catalog(40, seed=1000, corr_scale=0.25, marg_range=(0.08, 0.45))
+    else:
+        catalog = make_catalog(4, seed=3, corr_scale=0.4)
+    oset = sample_orders(catalog, n_orders, size_range, seed=seed, dispensing_speed=100,
+                         copula_mode=copula_mode)
+    digest = hashlib.sha256(orders_to_csv(oset.orders).encode()).hexdigest()
+    assert digest == ORDER_DIGESTS[copula_mode, seed, n_orders, size_range]
