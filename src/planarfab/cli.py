@@ -121,7 +121,7 @@ def cmd_gen_orders(args):
     layout, catalog, config = _load_instance(args.instance)
     oset = ordergen.sample_orders(
         catalog,
-        args.n,
+        _at_least_one("--n", args.n),
         (args.size_min, args.size_max),
         duration_rule=args.duration_rule,
         seed=args.seed if args.seed is not None else config.seed,
@@ -159,18 +159,11 @@ def _ga_params(args) -> GaParams:
         raise CliError(f"bad GA parameters: {e}", CONFIG_ERROR) from None
 
 
-def _batch_size(args):
-    """--batch-size, or None when not given."""
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CliError("--batch-size must be >= 1", CONFIG_ERROR)
-    return args.batch_size
-
-
-def _movers(args, config):
-    """--movers, or the instance's fleet when not given."""
-    if args.movers is not None and args.movers < 1:
-        raise CliError("--movers must be >= 1", CONFIG_ERROR)
-    return args.movers or config.n_movers
+def _at_least_one(flag, value):
+    """A count flag's value (None when not given); below 1 is a configuration error."""
+    if value is not None and value < 1:
+        raise CliError(f"{flag} must be >= 1", CONFIG_ERROR)
+    return value
 
 
 def cmd_place(args):
@@ -192,9 +185,9 @@ def cmd_schedule(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
     placed = _load("placement", args.placement, Placement.from_json)
-    movers = _movers(args, config)
+    movers = _at_least_one("--movers", args.movers) or config.n_movers
     seed = args.seed if args.seed is not None else config.seed
-    batch_size = _batch_size(args)
+    batch_size = _at_least_one("--batch-size", args.batch_size)
     if batch_size and len(orders) > batch_size:
         sched, _ = schedule_batched(
             orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
@@ -224,7 +217,7 @@ def cmd_lower_bound(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
     placed = _load("placement", args.placement, Placement.from_json)
-    movers = _movers(args, config)
+    movers = _at_least_one("--movers", args.movers) or config.n_movers
     lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
     doc = {
         "value": lb.value,
@@ -285,12 +278,12 @@ def cmd_pipeline(args):
         layout=layout,
         catalog=catalog,
         config=config,
-        n_orders=args.n_orders,
+        n_orders=_at_least_one("--n-orders", args.n_orders),
         size_range=(args.size_min, args.size_max),
         ga=_ga_params(args),
         schedule_time_limit=args.time_limit,
         schedule_iterations=args.iterations,
-        batch_size=_batch_size(args),
+        batch_size=_at_least_one("--batch-size", args.batch_size),
         out_dir=Path(args.out_dir),
     )
     print(run_pipeline(pc).to_json())

@@ -7,8 +7,10 @@ Order sizes are enforced by rejection (resampling the whole order), which
 preserves the conditional dependence structure at the cost of a marginal shift
 that ``achieved_marginals`` reports.
 
-Randomness comes from numpy's default PCG64 bit generator seeded through
-``SeedSequence``, so regeneration is portable across platforms.
+Randomness comes from numpy's PCG64 seeded through ``SeedSequence``, whose
+normal stream is portable across platforms. Inclusion compares a BLAS product
+with the thresholds, so an order could differ across BLAS builds only where a
+latent value lies within rounding of its threshold.
 """
 
 from __future__ import annotations
@@ -80,17 +82,13 @@ def _std_normal_cdf(v: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(v / math.sqrt(2.0)))
 
 
-def _bivariate_normal_cdf(t1: float, t2: float, rho: float, grid=None) -> float:
-    # P(Z1 <= t1, Z2 <= t2) by quadrature over the first component.
+def _bivariate_normal_cdf(t1: float, t2: float, rho: float, grid) -> float:
+    # P(Z1 <= t1, Z2 <= t2) by quadrature over the first component, on grid = (xs, pdf(xs))
     if abs(rho) >= 1.0 - 1e-12:
         if rho > 0:
             return _NORMAL.cdf(min(t1, t2))
         return max(0.0, _NORMAL.cdf(t1) - _NORMAL.cdf(-t2))
-    if grid is None:
-        xs = np.linspace(-8.0, t1, 1001)
-        phi = np.exp(-0.5 * xs**2) / math.sqrt(2 * math.pi)
-    else:
-        xs, phi = grid
+    xs, phi = grid
     inner = _std_normal_cdf((t2 - rho * xs) / math.sqrt(1 - rho**2))
     return float(np.trapezoid(phi * inner, xs))
 
@@ -141,11 +139,7 @@ def _copula_matrix(catalog: DrugCatalog, mode: str) -> np.ndarray:
 
 
 def _latent_model(catalog: DrugCatalog, copula_mode: str):
-    """Factor F and thresholds of the latent normal model.
-
-    A draw is ``F @ standard_normal(k)``; drug g is included when its
-    component is at most its threshold, the normal quantile of its marginal.
-    """
+    """Factor F and thresholds of the latent normal model (see ``_inclusion``)."""
     sigma = _copula_matrix(catalog, copula_mode)
     eigval, eigvec = np.linalg.eigh(sigma)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
@@ -154,6 +148,11 @@ def _latent_model(catalog: DrugCatalog, copula_mode: str):
          for p in catalog.marginals]
     )
     return factor, thresholds
+
+
+def _inclusion(rng, factor, thresholds, rows: int) -> np.ndarray:
+    """Masks of ``rows`` draws ``F @ standard_normal(k)``: each component at most its threshold."""
+    return rng.standard_normal((rows, factor.shape[0])) @ factor.T <= thresholds
 
 
 def sample_orders(
@@ -167,48 +166,49 @@ def sample_orders(
 ) -> OrderSet:
     """Draw ``n_orders`` prescriptions matching the catalog's marginals/correlation.
 
-    duration_rule: "fixed" gives every item ``dispensing_speed`` ticks (one
-    cartridge fill); "dose" multiplies by a per-item integer dose in 1..3.
+    Trial orders come in blocks of ``max(16, 8 * missing)`` rows, at most
+    ``MAX_REJECTIONS``, with one latent product and one size test per block; the
+    in-range rows are taken in stream order (a block holds the normals of that
+    many single draws). Sampling fails once one order has seen ``MAX_REJECTIONS``
+    consecutive rejected draws. duration_rule: "fixed" gives every item
+    ``dispensing_speed`` ticks (one cartridge fill); "dose" multiplies by a
+    per-item dose in 1..3, drawn after the orders, so the drug sets are "fixed"'s.
     """
     lo, hi = size_range
     if lo < 1 or hi > catalog.n_drugs or lo > hi:
         raise ValueError(f"size range {size_range} infeasible for {catalog.n_drugs} drugs")
     if duration_rule not in ("fixed", "dose"):
         raise ValueError(f"unknown duration rule {duration_rule!r}")
+    if n_orders < 0:
+        raise ValueError(f"n_orders must be >= 0, got {n_orders}")
 
     factor, thresholds = _latent_model(catalog, copula_mode)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    k = catalog.n_drugs
-    orders = []
-    for oid in range(n_orders):
-        for _ in range(MAX_REJECTIONS):
-            z = factor @ rng.standard_normal(k)
-            mask = z <= thresholds
-            size = int(mask.sum())
-            if lo <= size <= hi:
-                break
-        else:
-            raise ValueError(
-                f"rejection sampling failed to hit sizes {size_range} "
-                f"within {MAX_REJECTIONS} draws; marginals too extreme"
-            )
-        items = []
-        for gi in np.flatnonzero(mask):
-            dur = dispensing_speed
-            if duration_rule == "dose":
-                dur *= int(rng.integers(1, 4))
-            items.append((catalog.drugs[gi], dur))
-        orders.append(Order(oid, tuple(items)))
+    accepted = np.empty((n_orders, catalog.n_drugs), dtype=bool)
+    done = rejected = 0  # orders accepted; draws rejected since the last acceptance
+    while done < n_orders:
+        rows = min(MAX_REJECTIONS, max(16, 8 * (n_orders - done)))
+        mask = _inclusion(rng, factor, thresholds, rows)
+        sizes = mask.sum(axis=1)
+        hits = np.flatnonzero((lo <= sizes) & (sizes <= hi))
+        if rejected + (hits[0] if hits.size else rows) >= MAX_REJECTIONS:
+            raise ValueError(f"rejection sampling failed to hit sizes {size_range} within "
+                             f"{MAX_REJECTIONS} draws; marginals too extreme")
+        rejected = rows - 1 - hits[-1] if hits.size else rejected + rows
+        take = hits[: n_orders - done]
+        accepted[done : done + take.size] = mask[take]
+        done += take.size
 
-    provenance = {
-        "seed": seed,
-        "n_orders": n_orders,
-        "size_range": [lo, hi],
-        "duration_rule": duration_rule,
-        "dispensing_speed": dispensing_speed,
-        "copula_mode": copula_mode,
-        "bit_generator": "PCG64",
-    }
+    drug_of = np.nonzero(accepted)[1]
+    doses = rng.integers(1, 4, size=drug_of.size) if duration_rule == "dose" else 1
+    durations = (np.full(drug_of.size, dispensing_speed) * doses).tolist()
+    items = list(zip([catalog.drugs[g] for g in drug_of.tolist()], durations))
+    ends = np.cumsum(accepted.sum(axis=1)).tolist()
+    orders = [Order(oid, tuple(items[a:b])) for oid, (a, b) in enumerate(zip([0, *ends], ends))]
+    provenance = dict(
+        seed=seed, n_orders=n_orders, size_range=[lo, hi], duration_rule=duration_rule,
+        dispensing_speed=dispensing_speed, copula_mode=copula_mode, bit_generator="PCG64",
+    )
     return OrderSet(tuple(orders), provenance)
 
 
@@ -220,9 +220,8 @@ def sample_inclusion_matrix(
     Used to check marginal fidelity before rejection sampling distorts it.
     """
     factor, thresholds = _latent_model(catalog, copula_mode)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = rng.standard_normal((n_samples, catalog.n_drugs)) @ factor.T
-    return z <= thresholds
+    return _inclusion(np.random.default_rng(np.random.SeedSequence(seed)), factor, thresholds,
+                      n_samples)
 
 
 def estimate_demand(history) -> DemandVector:

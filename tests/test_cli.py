@@ -299,6 +299,22 @@ def test_cli_batch_size_below_one_is_config_error(tmp_path, instance_file, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("command", ["gen-orders", "pipeline"])
+def test_cli_order_count_below_one_is_config_error(tmp_path, instance_file, capsys, command, n):
+    out = tmp_path / "out"
+    if command == "gen-orders":
+        argv = ("gen-orders", "--instance", instance_file, "--n", n, "--orders-out", out)
+        flag = "--n"
+    else:
+        argv = ("pipeline", "--instance", instance_file, "--n-orders", n,
+                "--size-min", "1", "--size-max", "2", "--out-dir", out)
+        flag = "--n-orders"
+    assert run(*argv) == CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be >= 1"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("movers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["schedule", "lower-bound"])
 def test_cli_movers_below_one_is_config_error(tmp_path, instance_file, capsys, command, movers):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from planarfab.core import DrugCatalog, Order
+from planarfab import ordergen
 from planarfab.ordergen import (
+    MAX_REJECTIONS,
+    _latent_model,
     estimate_demand,
     nearest_psd,
     sample_inclusion_matrix,
@@ -63,6 +66,75 @@ def test_dose_rule_multiplies_duration():
     durs = {d for o in oset for _, d in o.items}
     assert durs <= {10, 20, 30}
     assert len(durs) > 1
+
+
+def test_dose_rule_keeps_the_fixed_rule_drug_sets():
+    catalog = make_catalog(10, seed=8, marg_range=(0.2, 0.5))
+    fixed = sample_orders(catalog, 80, (2, 5), seed=5, dispensing_speed=7)
+    dose = sample_orders(catalog, 80, (2, 5), seed=5, duration_rule="dose", dispensing_speed=7)
+    assert [o.drugs for o in dose] == [o.drugs for o in fixed]
+    durs = [d for o in dose for _, d in o.items]
+    assert set(durs) == {7, 14, 21}
+
+
+def one_draw_at_a_time(catalog, n_orders, size_range, seed, max_rejections):
+    """Drug index sets of the per-trial rejection loop, or None where it gives up."""
+    factor, thresholds = _latent_model(catalog, "raw")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    orders = []
+    for _ in range(n_orders):
+        for _ in range(max_rejections):
+            mask = factor @ rng.standard_normal(catalog.n_drugs) <= thresholds
+            if size_range[0] <= mask.sum() <= size_range[1]:
+                break
+        else:
+            return None
+        orders.append(tuple(np.flatnonzero(mask)))
+    return orders
+
+
+def test_unreachable_size_range_raises_after_max_rejections():
+    catalog = DrugCatalog(("a", "b"), (0.0, 0.0), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=f"within {MAX_REJECTIONS} draws"):
+        sample_orders(catalog, 3, (1, 1), seed=0)
+
+
+def test_rare_size_range_returns_its_orders():
+    # independent drugs: the latent factor is the identity, so a block's draws are
+    # exactly the single draws; all three at 0.1 is one trial in a thousand
+    catalog = DrugCatalog(("a", "b", "c"), (0.1, 0.1, 0.1), np.zeros((3, 3)))
+    oset = sample_orders(catalog, 5, (3, 3), seed=2)
+    assert [o.drugs for o in oset] == [("a", "b", "c")] * 5
+    want = one_draw_at_a_time(catalog, 5, (3, 3), 2, MAX_REJECTIONS)
+    assert [tuple(catalog.drugs.index(g) for g in o.drugs) for o in oset] == want
+
+
+@pytest.mark.parametrize("max_rejections", [1, 40, 60, 100, 150])
+def test_rejection_guard_counts_consecutive_draws_across_blocks(monkeypatch, max_rejections):
+    # p(size 3) = 0.027, so an order often needs more draws than a block holds (48 rows
+    # for 6 missing orders, capped at max_rejections) and the guard trips on 1-40 of the
+    # 40 seeds, depending on max_rejections
+    catalog = DrugCatalog(("a", "b", "c"), (0.3, 0.3, 0.3), np.zeros((3, 3)))
+    monkeypatch.setattr(ordergen, "MAX_REJECTIONS", max_rejections)
+    outcomes = set()
+    for seed in range(40):
+        want = one_draw_at_a_time(catalog, 6, (3, 3), seed, max_rejections)
+        try:
+            oset = sample_orders(catalog, 6, (3, 3), seed=seed)
+        except ValueError:
+            got = None
+        else:
+            got = [tuple(catalog.drugs.index(g) for g in o.drugs) for o in oset]
+        assert got == want, seed
+        outcomes.add(got is None)
+    assert outcomes == ({True} if max_rejections == 1 else {True, False})
+
+
+def test_negative_order_count_rejected():
+    catalog = make_catalog(4)
+    assert len(sample_orders(catalog, 0, (1, 2))) == 0
+    with pytest.raises(ValueError, match="n_orders"):
+        sample_orders(catalog, -1, (1, 2))
 
 
 def test_bad_size_range_rejected():
