@@ -83,11 +83,7 @@ def _std_normal_cdf(v: np.ndarray) -> np.ndarray:
 
 
 def _bivariate_normal_cdf(t1: float, t2: float, rho: float, grid) -> float:
-    # P(Z1 <= t1, Z2 <= t2) by quadrature over the first component, on grid = (xs, pdf(xs))
-    if abs(rho) >= 1.0 - 1e-12:
-        if rho > 0:
-            return _NORMAL.cdf(min(t1, t2))
-        return max(0.0, _NORMAL.cdf(t1) - _NORMAL.cdf(-t2))
+    # P(Z1 <= t1, Z2 <= t2) by quadrature over grid = (xs, pdf(xs)); callers keep |rho| < 1
     xs, phi = grid
     inner = _std_normal_cdf((t2 - rho * xs) / math.sqrt(1 - rho**2))
     return float(np.trapezoid(phi * inner, xs))
@@ -151,7 +147,7 @@ def _latent_model(catalog: DrugCatalog, copula_mode: str):
 
 
 def _inclusion(rng, factor, thresholds, rows: int) -> np.ndarray:
-    """Masks of ``rows`` draws ``F @ standard_normal(k)``: each component at most its threshold."""
+    """Inclusion masks of ``rows`` draws ``F @ standard_normal(k)``: component <= threshold."""
     return rng.standard_normal((rows, factor.shape[0])) @ factor.T <= thresholds
 
 
@@ -172,7 +168,7 @@ def sample_orders(
     many single draws). Sampling fails once one order has seen ``MAX_REJECTIONS``
     consecutive rejected draws. duration_rule: "fixed" gives every item
     ``dispensing_speed`` ticks (one cartridge fill); "dose" multiplies by a
-    per-item dose in 1..3, drawn after the orders, so the drug sets are "fixed"'s.
+    per-item dose in 1..3, drawn after the orders, so the drug sets stay the same.
     """
     lo, hi = size_range
     if lo < 1 or hi > catalog.n_drugs or lo > hi:
@@ -205,10 +201,15 @@ def sample_orders(
     items = list(zip([catalog.drugs[g] for g in drug_of.tolist()], durations))
     ends = np.cumsum(accepted.sum(axis=1)).tolist()
     orders = [Order(oid, tuple(items[a:b])) for oid, (a, b) in enumerate(zip([0, *ends], ends))]
-    provenance = dict(
-        seed=seed, n_orders=n_orders, size_range=[lo, hi], duration_rule=duration_rule,
-        dispensing_speed=dispensing_speed, copula_mode=copula_mode, bit_generator="PCG64",
-    )
+    provenance = {
+        "seed": seed,
+        "n_orders": n_orders,
+        "size_range": [lo, hi],
+        "duration_rule": duration_rule,
+        "dispensing_speed": dispensing_speed,
+        "copula_mode": copula_mode,
+        "bit_generator": "PCG64",
+    }
     return OrderSet(tuple(orders), provenance)
 
 
@@ -220,8 +221,8 @@ def sample_inclusion_matrix(
     Used to check marginal fidelity before rejection sampling distorts it.
     """
     factor, thresholds = _latent_model(catalog, copula_mode)
-    return _inclusion(np.random.default_rng(np.random.SeedSequence(seed)), factor, thresholds,
-                      n_samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return _inclusion(rng, factor, thresholds, n_samples)
 
 
 def estimate_demand(history) -> DemandVector:
