@@ -43,6 +43,9 @@ from .render import render_gantt, render_layout
 
 OK, CONFIG_ERROR, INFEASIBLE = 0, 2, 3
 MAX_ISSUES = 20  # schedule issues printed before the rest are counted
+# rows that route --paths-csv writes at most (about 250 MB of CSV): a valid
+# schedule may idle a mover for 2**62 ticks, one row per tick
+MAX_PATH_ROWS = 10_000_000
 
 
 class CliError(Exception):
@@ -245,6 +248,13 @@ def cmd_route(args):
     sched = _load("schedule", args.schedule, scheduling.Schedule.from_json)
     _reject(scheduling.schedule_issues(sched, placed, config.n_movers))
     plan = routing.route_schedule(sched, placed)
+    if args.paths_csv:
+        rows = sum(t1 - t0 for runs in plan.paths.values() for t0, t1, _ in runs)
+        if rows > MAX_PATH_ROWS:
+            raise CliError(
+                f"--paths-csv would write {rows} rows, above the limit of {MAX_PATH_ROWS:,}",
+                CONFIG_ERROR,
+            )
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:
         _write(args.paths_csv, paths_to_csv(plan))

@@ -10,14 +10,25 @@ the nearest dispenser is busy.
 
 The genetic search is permutation-encoded: every layout coordinate receives
 exactly one of {packed tile, interface, empty filler}, so order crossover and
-inversion mutation keep individuals valid by construction.
+inversion mutation keep individuals valid by construction.  A gene is an
+index into that list of contents, and position i of a permutation is table
+row i of the layout (``sorted_tiles()``, the ``index_table`` order).
 
 A generation's children are bred from the previous generation's scores only,
-so ``ga_place`` breeds the whole generation first and scores its distinct
-unseen placements in one ``fitness_batch`` call; ``fitness`` is its
-one-placement case.  That call samples every (placement, order) pair of the
-generation together, in one stack per candidate-tile count that holds the
-pairs of every order and placement with that count.  The pairs of a stack
+so ``ga_place`` breeds the whole generation first and keeps it as one int
+array of permutations up to its scores: each child's signature (its cache key
+and seed) is joined from coordinate and content strings built once per call
+(``_signer``), and its distinct unseen placements are scored by ``_score``
+on the array itself.
+Only the returned best is decoded to a ``Placement``.  ``fitness_batch``
+maps its placements onto the same placement x table row -> gene arrays and
+calls the same scorer; ``fitness`` is its one-placement case.
+
+The scorer samples every (placement, order) pair of its batch together, in
+one stack per candidate-tile count that holds the pairs of every order and
+placement with that count.  Each order's candidate tiles come from one
+gather of an order x gene bitmask table, which is built once per call from
+the gene x drug membership (``_Genes``, ``_stacks``).  The pairs of a stack
 may come in any order: each draws from its own stream and sums its own
 weight rows.  Each chunk of a stack gathers once, per pair, the distances
 from its interfaces and candidates (its slots) to its candidates and
@@ -47,6 +58,10 @@ import numpy as np
 
 from . import shppn
 from .core import INTERFACE, Coord, Layout, check_json
+
+# the contents of GA genes that are no packed tile, compared by identity
+_EMPTY = ("__empty__",)
+_IFACE = ("__interface__",)
 
 
 @dataclass(frozen=True)
@@ -124,9 +139,29 @@ class Placement:
         return Placement(layout, drug_tiles, frozenset(interfaces))
 
     def signature(self) -> bytes:
-        parts = [f"{c.x},{c.y}:{'|'.join(d)}" for c, d in sorted(self.drug_tiles.items())]
-        parts += [f"I{c.x},{c.y}" for c in sorted(self.interfaces)]
-        return hashlib.sha256(";".join(parts).encode()).digest()
+        """The GA's cache key and seed source for this placement (``_signatures``)."""
+        tiles, interfaces = sorted(self.drug_tiles), sorted(self.interfaces)
+        xy, drugs = _signature_strings(tiles + interfaces, [self.drug_tiles[c] for c in tiles])
+        return _signatures(xy[None, : len(tiles)], drugs[None], xy[None, len(tiles) :])[0]
+
+
+def _signature_strings(coords, contents):
+    """Object arrays of the strings that signatures join: each coordinate's
+    ``x,y`` and each content's ``:`` and drugs joined by ``|``."""
+    xy, drugs = np.empty(len(coords), dtype=object), np.empty(len(contents), dtype=object)
+    xy[:] = [f"{c.x},{c.y}" for c in coords]
+    drugs[:] = [":" + "|".join(d) for d in contents]
+    return xy, drugs
+
+
+def _signatures(tile_xy, tile_drugs, interface_xy) -> list[bytes]:
+    """sha256 of each row's parts joined by ``;``: its drug tiles'
+    ``x,y:drugs``, then its interfaces' ``Ix,y``, each in sorted ``Coord``
+    order (object arrays, one row per placement).  Drug names hold neither
+    ``|`` nor ``;`` (``ga_place`` checks), so distinct placements have
+    distinct signatures."""
+    tiles, interfaces = (tile_xy + tile_drugs).tolist(), ("I" + interface_xy).tolist()
+    return [hashlib.sha256(";".join(t + i).encode()).digest() for t, i in zip(tiles, interfaces)]
 
 
 @dataclass(frozen=True)
@@ -170,7 +205,7 @@ def fitness(placement: Placement, history, episodes: int, seed: int) -> Placemen
 # may start at any pair, as the pairs of a stack are independent
 _CHUNK = 1 << 15
 # uniforms drawn per stream pass over consecutive chunks, of one stack or
-# more: bounds the block that fitness_batch holds
+# more: bounds the block that _score holds
 _STREAM = 1 << 16
 
 
@@ -178,23 +213,11 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
     """``fitness`` of each placement under its own seed, sampled in one pass.
 
     The placements share one layout; seeds are integers in [0, 2**128), one
-    per placement.  Every (placement, order) pair keeps its own stream, what
-    ``default_rng(SeedSequence(seed, spawn_key=(order index,)))`` would draw:
-    the start interfaces (``integers``), then one block of uniforms
-    (``random``) that the steps consume in order; PCG64 doubles are not
-    buffered, so this equals one draw per step.  The streams of a run of
-    chunks (about ``_STREAM`` uniforms) are seeded, jumped and stepped
-    together in numpy (``_Uniforms``); no generator is built per pair.
-
-    All pairs of the batch with the same candidate-tile count n form one
-    stack, across orders and placements (``_stacks``).  Pairs are stacked
-    only with pairs of the same n: padding rows to a common width would
-    regroup numpy's pairwise sum of the weights.  Within a stack the order of
-    the pairs is free, because a pair draws from its own stream and each of
-    its weight rows is summed on its own, so each score is the one its
-    placement gets alone.
+    per placement.  The placements are mapped onto a gene array, placement x
+    table row -> index into a list of contents (``_Genes``), and scored by
+    ``_score``, the scorer that ``ga_place`` calls on its permutation arrays.
     """
-    placements, seeds, orders = list(placements), list(seeds), list(history)
+    placements, seeds = list(placements), list(seeds)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if len(seeds) != len(placements):
@@ -204,16 +227,97 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
     layout = placements[0].layout
     if any(pl.layout != layout for pl in placements):
         raise ValueError("placements of one batch must share a layout")
+    genes, contents = _as_genes(placements, layout.index_table[0])
+    return _score(genes, _Genes(contents, history), layout, episodes, seeds)
+
+
+def _as_genes(placements, index):
+    """Placements as a gene array, placement x table row, and its contents:
+    gene 0 is ``_EMPTY``, gene 1 ``_IFACE``, then each distinct drug tuple."""
+    tiles: dict[tuple, int] = {}
+    genes = np.zeros((len(placements), len(index)), dtype=np.intp)
+    for p, pl in enumerate(placements):
+        for c, drugs in pl.drug_tiles.items():
+            genes[p, index[c]] = tiles.setdefault(drugs, len(tiles) + 2)
+        genes[p, [index[c] for c in pl.interfaces]] = 1
+    return genes, [_EMPTY, _IFACE, *tiles]
+
+
+class _Genes:
+    """What each gene (an index into ``contents``: a drug tuple, ``_IFACE``
+    or ``_EMPTY``) holds, for the orders of one scoring call.
+
+    ``iface`` flags the interface genes.  ``membership`` is the gene x drug
+    membership of the orders' drugs, in order of first appearance;
+    ``masks`` folds it over each order: entry (order, gene) is the bitmask
+    of the order's drugs that the gene dispenses, drug k of the order at
+    bit k, in the narrowest unsigned type that holds an order's bits.
+    """
+
+    def __init__(self, contents, history):
+        self.orders = list(history)
+        self.iface = np.array([c is _IFACE for c in contents])
+        self.drugs = list(dict.fromkeys(g for o in self.orders for g in o.drugs))
+        column = {g: i for i, g in enumerate(self.drugs)}
+        # gene x drug, plus an empty column that pads orders to width
+        membership = np.zeros((len(contents), len(column) + 1), dtype=bool)
+        for gene, content in enumerate(contents):
+            if content is not _IFACE and content is not _EMPTY:
+                membership[gene, [column[g] for g in content if g in column]] = True
+        width = max((len(o.drugs) for o in self.orders), default=0)
+        members = np.full((len(self.orders), width), len(column))
+        for oi, order in enumerate(self.orders):
+            members[oi, : len(order.drugs)] = [column[g] for g in order.drugs]
+        mask_type = np.min_scalar_type((1 << width) - 1)
+        self.masks = np.zeros((len(self.orders), len(contents)), dtype=mask_type)
+        for bit in range(width):
+            self.masks |= membership[:, members[:, bit]].T.astype(mask_type) << bit
+        self.membership = membership[:, :-1]
+
+
+def _score(genes, held: _Genes, layout, episodes, seeds) -> list[PlacementScore]:
+    """``fitness`` of each row of a gene array, under its own seed.
+
+    Row p, column i of ``genes`` is the gene on table row i of placement p
+    (``layout.index_table``, which is ``sorted_tiles()`` order), so a GA
+    permutation is a row as it is.  A placement's interfaces are the
+    positions of its interface genes, ascending.
+
+    Every (placement, order) pair keeps its own stream, what
+    ``default_rng(SeedSequence(seed, spawn_key=(order index,)))`` would draw:
+    the start interfaces (``integers``), then one block of uniforms
+    (``random``) that the steps consume in order; PCG64 doubles are not
+    buffered, so this equals one draw per step.  The streams of a run of
+    chunks (about ``_STREAM`` uniforms) are seeded, jumped and stepped
+    together in numpy (``_Uniforms``); no generator is built per pair.
+
+    All pairs with the same candidate-tile count n form one stack, across
+    orders and placements (``_stacks``).  Pairs are stacked only with pairs
+    of the same n: padding rows to a common width would regroup numpy's
+    pairwise sum of the weights.  Within a stack the order of the pairs is
+    free, because a pair draws from its own stream and each of its weight
+    rows is summed on its own, so each score is the one its placement gets
+    alone.  A placement's mean adds its orders left to right (``cumsum``),
+    as ``sum()`` did before Python 3.12 compensated it.
+    """
+    if not len(genes):
+        return []
     if not layout.n_inter:
         raise ValueError("placement has no interfaces")
-    index, table = layout.index_table
-    interfaces = np.array(
-        [[index[c] for c in sorted(pl.interfaces)] for pl in placements], dtype=np.int64
-    )
-    n_drugs = np.array([len(o.drugs) for o in orders], dtype=np.int64)
-    per_order = np.zeros((len(placements), len(orders)))
     words = _seed_words(seeds)
-    stacks = _stacks(placements, orders, index)
+    present = np.zeros((len(genes), len(held.iface)), dtype=bool)
+    present[np.arange(len(genes))[:, None], genes] = True
+    everywhere = (present @ held.membership).all(axis=0)
+    for g, placed in zip(held.drugs, everywhere.tolist()):
+        if not placed:
+            raise ValueError(f"no dispenser placed for drug {g!r}")
+
+    _, table = layout.index_table
+    orders = held.orders
+    interfaces = np.nonzero(held.iface[genes])[1].reshape(len(genes), layout.n_inter)
+    n_drugs = np.array([len(o.drugs) for o in orders], dtype=np.int64)
+    per_order = np.zeros((len(genes), len(orders)))
+    stacks = _stacks(genes, held.masks)
     for run in _runs(_chunks(stacks, episodes, layout.n_inter), episodes, n_drugs):
         rows, cols = (np.concatenate(f) for f in list(zip(*run))[:2])
         uniforms = _Uniforms(
@@ -229,47 +333,25 @@ def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementSc
             )
             at += len(rows)
 
-    scores = []
-    for steps, seed in zip(per_order.tolist(), seeds):
-        mean = float(sum(steps) / len(steps)) if steps else 0.0
-        scores.append(PlacementScore(mean, tuple(steps), episodes, seed))
-    return scores
+    means = np.cumsum(per_order, axis=1)[:, -1] / len(orders) if orders else np.zeros(len(genes))
+    return [
+        PlacementScore(mean, tuple(steps), episodes, seed)
+        for mean, steps, seed in zip(means.tolist(), per_order.tolist(), seeds)
+    ]
 
 
-def _stacks(placements, orders, index) -> dict[int, tuple]:
+def _stacks(genes, masks) -> dict[int, tuple]:
     """Per candidate-tile count n, every (placement, order) pair with n
     candidates: (placement rows, order indices, candidate tiles, their drug
     bitmasks), one pair per row, candidates ascending in table order.
 
-    A drug's host plane marks, per placement, the table rows that dispense
-    it; an order's served plane ORs the host planes of its k drugs, shifted
-    to bits 0 to k - 1, so each tile holds the bitmask of the order's drugs
-    it dispenses and the nonzero tiles are the pair's candidates.
+    ``genes`` is placement x table row (``_score``), ``masks`` order x gene
+    (``_Genes.masks``).  One gather, ``masks[:, genes]``, gives each order's
+    served plane: per placement and table row, the bitmask of the order's
+    drugs that the tile dispenses.  The nonzero tiles are the pair's
+    candidates.
     """
-    drugs = {g: i for i, g in enumerate(dict.fromkeys(g for o in orders for g in o.drugs))}
-    width = max((len(o.drugs) for o in orders), default=0)
-    mask_type = np.min_scalar_type((1 << width) - 1)
-    # drug x placement x table row, plus an empty plane that pads orders to width
-    hosts = np.zeros((len(drugs) + 1, len(placements), len(index)), dtype=mask_type)
-    held = [
-        (drugs[g], p, index[t])
-        for p, pl in enumerate(placements)
-        for g, tiles in pl._by_drug.items() if g in drugs
-        for t in tiles
-    ]
-    if held:
-        hosts[tuple(np.array(held).T)] = 1
-    everywhere = hosts[:-1].any(axis=2).all(axis=1)
-    for g, i in drugs.items():
-        if not everywhere[i]:
-            raise ValueError(f"no dispenser placed for drug {g!r}")
-
-    members = np.full((len(orders), width), len(drugs))
-    for oi, order in enumerate(orders):
-        members[oi, : len(order.drugs)] = [drugs[g] for g in order.drugs]
-    served = np.zeros((len(orders), len(placements), len(index)), dtype=mask_type)
-    for bit in range(width):
-        served |= hosts[members[:, bit]] << bit
+    served = masks[:, genes]
     counts = np.count_nonzero(served, axis=2)
     stacks = {}
     for n in set(counts.ravel().tolist()):  # not np.unique: it imports numpy.ma (~0.5 MB)
@@ -595,10 +677,6 @@ def per_order_kappa(placement: Placement, history) -> list[int]:
 
 # --- genetic search ---------------------------------------------------------------
 
-_EMPTY = ("__empty__",)
-_IFACE = ("__interface__",)
-
-
 @dataclass
 class GaResult:
     placement: Placement
@@ -617,6 +695,30 @@ def _decode(perm, contents, coords, layout) -> Placement:
         elif content is not _EMPTY:
             drug_tiles[coords[pos]] = content
     return Placement(layout, drug_tiles, frozenset(interfaces))
+
+
+def _signer(contents, coords):
+    """``Placement.signature`` of each row of a permutation array, without
+    decoding it: ``perm[i]`` is the gene on ``coords[i]`` (``sorted_tiles()``).
+
+    The coordinates' and the contents' strings are built once; a row's drug
+    tiles and interfaces are its positions holding such genes, ascending,
+    which is sorted ``Coord`` order.  The rows are permutations of the same
+    genes, so each holds as many drug tiles and interfaces.
+    """
+    xy, drugs = _signature_strings(coords, contents)
+    iface = np.array([c is _IFACE for c in contents])
+    tile = ~iface & np.array([c is not _EMPTY for c in contents])
+
+    def signatures(perms) -> list[bytes]:
+        rows, at = len(perms), np.broadcast_to(xy, perms.shape)
+        tiles, interfaces = tile[perms], iface[perms]
+        return _signatures(
+            at[tiles].reshape(rows, -1), drugs[perms[tiles]].reshape(rows, -1),
+            at[interfaces].reshape(rows, -1),
+        )
+
+    return signatures
 
 
 def order_crossover(p1: list[int], p2: list[int], rng: random.Random) -> list[int]:
@@ -648,21 +750,29 @@ def ga_place(packing, layout: Layout, history, ga_params: GaParams, seed: int) -
             f"{len(used)} packed tiles + {layout.n_inter} interfaces exceed "
             f"{n_cells} layout tiles"
         )
+    for g in dict.fromkeys(g for t in used for g in t):
+        if "|" in g or ";" in g:  # they join the parts of a signature, the GA's cache key
+            raise ValueError(f"drug name {g!r} contains '|' or ';'")
     contents: list[tuple[str, ...]] = list(used)
     contents += [_IFACE] * layout.n_inter
     contents += [_EMPTY] * (n_cells - len(used) - layout.n_inter)
     coords = layout.sorted_tiles()
+    held = _Genes(contents, history)
+    signatures = _signer(contents, coords)
 
     rng = random.Random(seed)
     cache: dict[bytes, float] = {}
 
     def evaluate(perms) -> list[float]:
         # one sampler pass per generation; each unseen placement is scored once
-        placed = [_decode(p, contents, coords, layout) for p in perms]
-        sigs = [pl.signature() for pl in placed]
-        fresh = {sig: pl for sig, pl in zip(sigs, placed) if sig not in cache}
+        perms = np.array(perms, dtype=np.intp)
+        sigs = signatures(perms)
+        fresh: dict[bytes, int] = {}
+        for row, sig in enumerate(sigs):
+            if sig not in cache:
+                fresh.setdefault(sig, row)
         seeds = [int.from_bytes(sig[:4], "big") for sig in fresh]
-        scored = fitness_batch(fresh.values(), history, ga_params.episodes, seeds)
+        scored = _score(perms[list(fresh.values())], held, layout, ga_params.episodes, seeds)
         cache.update(zip(fresh, (s.mean_steps for s in scored)))
         return [cache[sig] for sig in sigs]
 

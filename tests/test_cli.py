@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import planarfab
-from planarfab.cli import CONFIG_ERROR, INFEASIBLE, OK, main
+from planarfab.cli import CONFIG_ERROR, INFEASIBLE, MAX_PATH_ROWS, OK, main
 from planarfab.core import (
     Coord,
     InstanceConfig,
@@ -242,6 +242,24 @@ def test_cli_route_writes_routed_json_as_json_dumps(tmp_path, instance_file):
                           Placement.from_json(placement.read_text()))
     assert plan.sites.sites and plan.interruptions
     assert routed.read_text() == json.dumps(plan_doc(plan), indent=2)
+
+
+def test_cli_route_paths_csv_refuses_more_rows_than_its_limit(tmp_path, instance_file, capsys):
+    # the last op starts at 2**62: routing keeps the mover's idle ticks before
+    # it as one run, but paths.csv would write a row per tick
+    placement, sched = _route_inputs(tmp_path, lambda op: None)
+    doc = json.loads(sched.read_text())
+    last = max(doc["ops"], key=lambda op: op["start"])
+    last["start"] = 2**62
+    doc["makespan"] = last["start"] + last["duration"]
+    sched.write_text(json.dumps(doc))
+    routed, paths = tmp_path / "routed.json", tmp_path / "paths.csv"
+    route = ("route", "--instance", instance_file, "--placement", placement,
+             "--schedule", sched, "--out", routed)
+    assert run(*route, "--paths-csv", paths) == CONFIG_ERROR
+    assert f"above the limit of {MAX_PATH_ROWS:,}" in capsys.readouterr().err
+    assert not routed.exists() and not paths.exists()
+    assert run(*route) == OK
 
 
 @pytest.mark.parametrize("command", ["lower-bound", "schedule"])
@@ -609,8 +627,9 @@ def test_cli_bad_ga_params_are_config_errors(tmp_path, instance_file, capsys, co
     [
         ([(f"drug0{i % 5}",) for i in range(15)], ["drug00"], "15 packed tiles + 2 interfaces"),
         ([("drug00",), ("drug01",)], ["drug00", "drug04"], "no dispenser placed for drug 'drug04'"),
+        ([("drug00",), ("drug01|drug02",)], ["drug00"], "drug name 'drug01|drug02' contains"),
     ],
-    ids=["tiles-exceed-layout", "order-drug-not-packed"],
+    ids=["tiles-exceed-layout", "order-drug-not-packed", "drug-name-with-separator"],
 )
 def test_cli_place_infeasible_inputs(tmp_path, instance_file, capsys, tiles, order_drugs, message):
     packing, orders = _place_inputs(tmp_path, tiles, order_drugs)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +9,23 @@ from hypothesis import example, given, settings, strategies as st
 from planarfab.core import Coord, Order, build_layout
 from planarfab.packing import Packing
 from planarfab.placement import (
+    _EMPTY,
+    _IFACE,
     GaParams,
     Placement,
+    _Genes,
     _Uniforms,
+    _as_genes,
     _choose,
     _chunks,
+    _decode,
     _draw,
     _pcg_raw,
     _pcg_states,
     _sample_pairs,
+    _score,
     _seed_words,
+    _signer,
     _stacks,
     _weights,
     analytical_cost,
@@ -143,7 +151,10 @@ def reference_fitness(placement, history, episodes, seed):
     for oi, order in enumerate(history):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(oi,)))
         per_order.append(reference_order_episodes(placement, order, interfaces, episodes, rng))
-    return (float(sum(per_order) / len(per_order)) if per_order else 0.0), tuple(per_order)
+    total = 0.0
+    for steps in per_order:  # left to right: sum() compensates from Python 3.12 on
+        total += steps
+    return (total / len(per_order) if per_order else 0.0), tuple(per_order)
 
 
 @pytest.mark.parametrize("episodes", [1, 3, 10, 20])
@@ -282,6 +293,12 @@ def wide_batch(topology, size):
     return layout, placements, random_orders(drugs, 12, seed=8, size_range=(1, 9))
 
 
+def stacks_of(placements, orders, index):
+    """``_stacks`` of placements, mapped onto a gene array as fitness_batch maps them."""
+    genes, contents = _as_genes(placements, index)
+    return _stacks(genes, _Genes(contents, orders).masks)
+
+
 def pairs_by_count(stacks):
     """{n: {(placement row, order index): (tiles, masks)}} of stacks given as
     {n: [(placement rows, order indices, tiles, masks), ...]}."""
@@ -299,7 +316,7 @@ def pairs_by_count(stacks):
 def test_stacks_hold_the_per_order_stacks_pairs(topology, size):
     layout, placements, orders = wide_batch(topology, size)
     index, _ = layout.index_table
-    got = _stacks(placements, orders, index)
+    got = stacks_of(placements, orders, index)
     want = {
         n: [(rows, np.full(len(rows), oi), tiles, masks) for rows, oi, _, tiles, masks in parts]
         for n, parts in reference_stacks(placements, orders, index).items()
@@ -328,7 +345,7 @@ def test_sample_pairs_matches_per_step_reference(topology, size, episodes):
         return _Uniforms(_pcg_states(words[rows], cols), layout.n_inter, episodes, width)
 
     got, counts = {}, set()
-    stacks = _stacks(placements, orders, index)
+    stacks = stacks_of(placements, orders, index)
     for rows, cols, tiles, masks in _chunks(stacks, episodes, layout.n_inter):
         full = ((1 << n_drugs[cols]) - 1).astype(masks.dtype)
         steps = _sample_pairs(table, interfaces[rows], tiles, masks, full, uniforms(rows, cols))
@@ -365,7 +382,7 @@ def test_sample_pairs_matches_reference_when_the_block_runs_dry_after_retirement
     pl = line_placement(["IF", ("a",), ("b",), (), ("a",), ("c",), "IF"])
     orders = [Order(0, (("a", 1),)), Order(1, (("b", 1), ("c", 1)))]
     index, table = pl.layout.index_table
-    (rows, cols, tiles, masks), = _stacks([pl], orders, index).values()
+    (rows, cols, tiles, masks), = stacks_of([pl], orders, index).values()
     full = np.array([1, 3], dtype=masks.dtype)[cols]
     assert sorted(full.tolist()) == [1, 3]
     interfaces = np.array([[index[c] for c in sorted(pl.interfaces)]])[rows]
@@ -651,8 +668,6 @@ def test_ga_beats_random_search_at_equal_budget():
 
     # random-search oracle at the same evaluation budget
     rng = random.Random(1)
-    from planarfab.placement import _EMPTY, _IFACE, _decode
-
     used = [tuple(t) for t in packing.tiles]
     contents = used + [_IFACE] * layout.n_inter
     contents += [_EMPTY] * (len(layout.tiles) - len(contents))
@@ -664,6 +679,97 @@ def test_ga_beats_random_search_at_equal_budget():
         pl = _decode(perm, contents, coords, layout)
         best = min(best, fitness(pl, orders, 6, seed=i).mean_steps)
     assert ga.best_fitness <= best + 1e-9
+
+
+# --- permutation arrays: the GA's signatures and scores without decoding ----------
+
+def permutation_batch(topology, size, seed):
+    """A layout, GA contents over 7 drugs (two empty cells), 12 random
+    permutations of them (one repeated, one with two equal tiles swapped)
+    and 9 orders."""
+    layout = build_layout(topology, size, 2)
+    rng = random.Random(seed)
+    drugs = [f"d{i}" for i in range(7)]
+    used = [(g,) for g in drugs] + [("d0",)]
+    used += [tuple(rng.sample(drugs, rng.randint(2, 3))) for _ in range(len(layout.tiles) - 12)]
+    contents = used + [_IFACE] * 2 + [_EMPTY] * 2
+    perms = [rng.sample(range(len(contents)), len(contents)) for _ in range(10)]
+    swapped = list(perms[0])
+    i, j = swapped.index(0), swapped.index(7)  # genes 0 and 7 both hold ("d0",)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    perms += [perms[3], swapped]
+    return layout, contents, perms, random_orders(drugs, 9, seed=seed, size_range=(1, 4))
+
+
+LAYOUTS = [("square", (4, 5)), ("ring", 6), ("line", 14)]
+
+
+@pytest.mark.parametrize("topology, size", LAYOUTS)
+def test_permutation_signatures_equal_decoded_signatures(topology, size):
+    import hashlib
+
+    layout, contents, perms, _ = permutation_batch(topology, size, seed=4)
+    coords = layout.sorted_tiles()
+    placed = [_decode(p, contents, coords, layout) for p in perms]
+    got = _signer(contents, coords)(np.array(perms))
+    assert got == [pl.signature() for pl in placed]
+    assert got[10] == got[3] and got[11] == got[0] and len(set(got)) == 10
+    for pl, sig in zip(placed, got):  # the signature's bytes as first defined
+        parts = [f"{c.x},{c.y}:{'|'.join(d)}" for c, d in sorted(pl.drug_tiles.items())]
+        parts += [f"I{c.x},{c.y}" for c in sorted(pl.interfaces)]
+        assert sig == hashlib.sha256(";".join(parts).encode()).digest()
+
+
+@pytest.mark.parametrize("topology, size", LAYOUTS)
+def test_score_of_permutations_equals_fitness_batch_of_decoded(topology, size):
+    layout, contents, perms, orders = permutation_batch(topology, size, seed=5)
+    coords = layout.sorted_tiles()
+    seeds = [101 * s + 3 for s in range(len(perms))]
+    got = _score(np.array(perms), _Genes(contents, orders), layout, 5, seeds)
+    placed = [_decode(p, contents, coords, layout) for p in perms]
+    assert got == fitness_batch(placed, orders, 5, seeds)
+    for score in got:  # the mean adds left to right on every Python version
+        total = 0.0
+        for steps in score.per_order_steps:
+            total += steps
+        assert score.mean_steps == total / len(orders)
+
+
+def test_ga_place_decodes_only_its_best(monkeypatch):
+    built = []
+    post_init = Placement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(self):
+        raise AssertionError("ga_place signs permutations, not placements")
+
+    monkeypatch.setattr(Placement, "__post_init__", counted)
+    monkeypatch.setattr(Placement, "signature", refuse)
+    packing = small_packing([("a",), ("b",), ("a", "c"), ("d",)])
+    orders = random_orders(["a", "b", "c", "d"], 6, seed=21, size_range=(1, 3))
+    result = ga_place(
+        packing, build_layout("square", (3, 3), 2), orders,
+        GaParams(population=8, max_evaluations=120, episodes=5), seed=5,
+    )
+    assert len(built) == 1 and built[0] is result.placement
+
+
+def test_ga_place_rejects_the_signature_separators_in_drug_names():
+    # a tile of ("a", "b") and one of ("a|b",) sign alike, so a GA over both
+    # would give a swap of the two the other placement's cached score
+    layout = build_layout("square", (2, 2), 1)
+    iface = frozenset({Coord(2, 2)})
+    one = Placement(layout, {Coord(1, 1): ("a", "b"), Coord(1, 2): ("a|b",)}, iface)
+    other = Placement(layout, {Coord(1, 1): ("a|b",), Coord(1, 2): ("a", "b")}, iface)
+    assert one != other and one.signature() == other.signature()
+    orders = [Order(0, (("a", 1), ("b", 1)))]
+    params = GaParams(population=2, max_evaluations=2, episodes=1)
+    for name in ("a|b", "a;b"):
+        with pytest.raises(ValueError, match=re.escape(f"drug name '{name}' contains")):
+            ga_place(small_packing([("a", "b"), (name,), ("a",)]), layout, orders, params, seed=0)
 
 
 def test_ga_trace_monotone_nonincreasing():
