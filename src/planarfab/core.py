@@ -228,6 +228,9 @@ class DrugCatalog:
         k = len(self.drugs)
         if len(set(self.drugs)) != k:
             raise ValueError("duplicate drug identifiers")
+        for g in self.drugs:
+            if "|" in g or ";" in g:  # they join the parts of a placement's signature
+                raise ValueError(f"drug name {g!r} contains '|' or ';'")
         if len(self.marginals) != k:
             raise ValueError("marginals/drugs length mismatch")
         if any(not 0.0 <= p <= 1.0 for p in self.marginals):

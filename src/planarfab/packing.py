@@ -15,44 +15,24 @@ Empty tiles are permitted: when fewer dispensers than tiles exist the model's
 one-dispenser-per-tile floor is unsatisfiable, so tiles are treated as "up to
 n_tiles usable".
 
-Both local searches (stage-1 improvement, stage-2 correlation search) keep
-each tile's load (and stage-2 pair-correlation score) in an array (stage 1)
-or a list (stage 2), and score a trial move on the lists it would leave on
-the one or two tiles it touches, without editing a tile for it.
+Both local searches change their tiles only when they take a move: a trial
+they turn down leaves every list, load and score as it was.  A tile's load,
+and stage 2's pair score, is the float sum of its list added left to right
+(``_left_to_right``), so neither search makes a decision through ``sum``
+(compensated from Python 3.12 on) and both return the same tiles on every
+Python.  Each checks a pass's trials in numpy, from per-tile sums of the
+tile's list less one slot, in the float additions a scan one trial at a time
+would make.
 
-Stage 1 (``_improve_min_load``) changes its tiles only when it takes a move:
-a trial it turns down leaves every list and load as it was.  A tile's load
-is the float sum of its list added left to right (``_left_to_right``), so
-the search makes no decision through ``sum`` (compensated from Python 3.12
-on) and returns the same tiles on every Python.  Each pass checks all its
-relocations in one numpy pass and, if none is taken, all its swaps in
-another.  The multiplicities and the starting fill of each restart
-(Graham's LPT rule) take their next drug and next tile from heaps.
+Stage 1 (``_improve_min_load``) checks all its relocations off the peak tile
+in one numpy pass and, if none is taken, all its swaps in another.  The
+multiplicities and the starting fill of each restart (Graham's LPT rule) take
+their next drug and next tile from heaps.
 
-Stage 2 (``_local_search_correlation``) keeps the rule of its undo-based
-form: an accepted trial commits its lists, and a rejected one moves its
-items last on their tiles, as undoing the move would, and re-sums those
-tiles, since a tile's sums follow its list order (a tile of two sums alike
-in either order).  Every comparison therefore sees the floats a full re-sum
-would give.  It also screens trials before building their lists: when a
-cheap test proves that the exact comparison must fail, the trial is
-rejected unsummed, leaving what any rejected trial leaves.
-
-Stage 2 runs each pass, the stretch between two accepted moves, as one array
-pass.  Within a pass no tile changes its members, sizes or partner sums, so
-every trial's load tests and screen are taken at once for a block of rows
-(dispensers), in the scan's float expressions; Python walks the rows in scan
-order and runs the scan itself only from a row's first trial that passes the
-screen.  For the other rows it replays what their rejected trials leave: the
-dispenser last on its tile when any trial was eligible, and on each other
-tile the eligible swap partners last, in order.  A tile of one never
-changes; a tile of two only needs its order, since float addition commutes
-and, with an exactly symmetric catalog, its pair score is the same either
-way; a tile of three or more (or of two, with an asymmetric catalog) is
-re-summed in its new order before the scan reads a sum.  Such a re-sum can
-move a load by a rounding error, and with it a load test: when a test of a
-tile of three or more lies within that rounding of mu_cap, the pass runs
-through the scan, one trial at a time.
+Stage 2 (``_local_search_correlation``) keeps n_tiles rows, an empty row
+serving as a new tile, and takes in each pass the first relocation or swap
+in scan order that raises the summed pair correlation by more than EPS.
+The rows' sums live across passes; a move sums its two rows again.
 """
 
 from __future__ import annotations
@@ -61,8 +41,7 @@ import heapq
 import math
 import operator
 import random
-from bisect import bisect_left
-from itertools import accumulate, compress, product, zip_longest
+from itertools import product, zip_longest
 from dataclasses import dataclass
 from functools import reduce
 
@@ -107,7 +86,7 @@ def _canonical(tiles: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
 
 
 def _loads(tiles, pi) -> list[float]:
-    return [sum(pi[g] for g in t) for t in tiles]
+    return [_left_to_right(pi[g] for g in t) for t in tiles]
 
 
 def _make_packing(tiles, z, pi, lower, exact, n_tiles, fallback=None) -> Packing:
@@ -238,7 +217,7 @@ def _check_mode(mode):
 def _certified_lower_bound(u, drugs, n_tiles, z_cap, budget) -> float:
     per_drug_cap = min(z_cap, budget - (len(drugs) - 1))
     lb1 = max((u[g] / max(1, per_drug_cap) for g in drugs), default=0.0)
-    lb2 = sum(u.values()) / n_tiles
+    lb2 = _left_to_right(u.values()) / n_tiles
     return max(lb1, lb2)
 
 
@@ -267,7 +246,7 @@ def _exact_min_load(u, drugs, n_tiles, d_max, z_cap, budget, lower):
             if spent > n_tiles * d_max:
                 return
             quick = max((u[g] / z_partial[g] for g in order), default=0.0)
-            quick = max(quick, sum(u.values()) / min(n_tiles, spent) if spent else 0.0)
+            quick = max(quick, _left_to_right(u.values()) / min(n_tiles, spent) if spent else 0.0)
             if quick >= best["mu"] - EPS:
                 return
             pi = {g: u[g] / z_partial[g] for g in order}
@@ -302,7 +281,7 @@ def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter):
     for g in order:
         items.extend([g] * z[g])
     items.sort(key=lambda g: (-pi[g], g))
-    total = sum(pi[g] for g in items)
+    total = _left_to_right(pi[g] for g in items)
     best = {"mu": incumbent_mu, "tiles": None}
     bins: list[list[str]] = []
     loads: list[float] = []
@@ -311,7 +290,7 @@ def _exact_bin_pack(order, z, pi, n_tiles, d_max, incumbent_mu, counter):
         counter["nodes"] += 1
         if counter["nodes"] > NODE_CAP:
             return
-        lb = max(cur_max, (sum(loads) + remaining) / n_tiles)
+        lb = max(cur_max, (_left_to_right(loads) + remaining) / n_tiles)
         if lb >= best["mu"] - EPS:
             return
         if i == len(items):
@@ -629,7 +608,7 @@ def _exact_correlation(
     best_gain = {}
     for g in drugs:
         partners = sorted((max(0.0, corr[idx[g], idx[h]]) for h in drugs if h != g), reverse=True)
-        best_gain[g] = sum(partners[: max(0, d_max - 1)])
+        best_gain[g] = _left_to_right(partners[: max(0, d_max - 1)])
     suffix = [0.0] * (len(items) + 1)
     for i in range(len(items) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + best_gain[items[i]]
@@ -659,7 +638,7 @@ def _exact_correlation(
             if key in tried:
                 continue
             tried.add(key)
-            gain = sum(corr[idx[g], idx[h]] for h in b)
+            gain = _left_to_right(corr[idx[g], idx[h]] for h in b)
             b.append(g)
             loads[bi] += pi[g]
             dfs(i + 1, score + gain)
@@ -678,273 +657,102 @@ def _exact_correlation(
     return best["tiles"], best["obj"], True
 
 
-def _screen_margin(corr, n_tiles, d_max) -> float:
-    """How far the exact test's ``sum(scores) - cur`` can exceed a trial's
-    estimated gain, for the drugs' correlation matrix ``corr``.
-
-    Both totals are float sums of at most ``pairs`` co-located correlations
-    of magnitude at most ``cmax``, each term passing through at most
-    n_tiles + d_max**2 additions; the gain adds four partner sums (d_max
-    terms each, plus padding zeros) and one pair term.  By the recursive
-    summation bound |fl(sum x) - sum x| <= gamma_k * sum |x|, with
-    gamma_k = k u / (1 - k u) <= 2 k u for the unit roundoff u = 2**-53, each
-    lies within the terms below of its real value, and the real totals differ
-    by exactly the real gain.  A catalog symmetric only up to rounding adds
-    ``asym`` per pair, since a tile's sum takes each pair in list order.  The
-    bound is doubled for the rounding of ``EPS - margin`` itself.
-    """
-    if not len(corr):
-        return 0.0
-    cmax = float(np.abs(corr).max())
-    asym = float(np.abs(corr - corr.T).max())
-    pairs = n_tiles * d_max * (d_max - 1) // 2
-    gamma = 2.0**-52  # 2u: gamma_k <= k * gamma while k u <= 1/2
-    total = (n_tiles + d_max * d_max) * gamma * pairs * cmax
-    gain = (len(corr) + 6) * gamma * (4 * d_max + 2) * cmax
-    return 2 * (2 * total + gain + 2 * pairs * asym)
-
-
 def _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
-    corr = catalog.correlation.tolist()
-    idx = {g: catalog.index(g) for t in tiles for g in t}
-    tiles = [list(t) for t in tiles]
+    """Relocate a dispenser onto another tile, or swap two dispensers of
+    different tiles, while the tiles' summed pair correlation rises.
 
-    def tile_score(t):
-        return sum(
-            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
-        )
+    The tiles are n_tiles rows, an empty row serving as a new tile.  Each pass
+    takes the first trial in scan order that is feasible and raises the
+    score: the dispensers (a, s) in row-major order, and for each its
+    relocations onto the rows b in index order, then its swaps with the
+    dispensers (b, t) in row-major order.  A relocation of g appends g to b;
+    a swap with h leaves a's list less g plus h and b's less h plus g.  A
+    trial is feasible when the drug it adds to a tile is not there, the tile
+    has room for a relocation, and the list it leaves on each tile it adds
+    to loads at most mu_cap.  It is taken when (after_a + after_b) -
+    (score_a + score_b) > EPS; a trial turned down changes nothing.
 
-    def load(t):
-        return sum(pi[g] for g in t)
+    A load is the left-to-right float sum of its list's pis and a score that
+    of corr[t[i]][t[j]] over i < j, j the outer loop, so that appending g adds
+    g's pairs last.  Each row keeps its load, its score and, per slot, those
+    of its list less that slot, empty slots adding 0.0; a trial's new loads
+    and scores are these plus its new drug's terms, added in the same order.
+    So a block of dispensers' trials is checked at once in numpy and decides
+    what the scan one trial at a time would.  Only the two rows a move edits
+    are summed again.
+    """
+    names = sorted({g for t in tiles for g in t})
+    ids = {g: i for i, g in enumerate(names)}
+    pad = len(names)  # the id of an empty slot, whose pi and pairs are 0.0
+    cols = [catalog.index(g) for g in names]
+    corr = np.zeros((pad + 1, pad + 1))
+    corr[:pad, :pad] = catalog.correlation[np.ix_(cols, cols)]
+    pis = np.array([*(pi[g] for g in names), 0.0])
+    n, width = max(n_tiles, len(tiles)), max([d_max, *map(len, tiles)])
+    slots = np.full((n, width), pad)
+    for r, t in enumerate(tiles):
+        slots[r, : len(t)] = [ids[g] for g in t]
+    js, is_ = np.tril_indices(width, -1)  # the pairs (i, j), j outer and i inner
+    rows = np.arange(n)
+    size = np.zeros(n, dtype=np.intp)
+    member = np.zeros((pad + 1, n), dtype=bool)  # member[g, b]: drug g on row b
+    loads, scores = np.zeros(n), np.zeros(n)
+    others = np.empty((n, width, width), dtype=np.intp)  # others[b, s]: row b less slot s
+    less_load, less_score = np.zeros((n, width)), np.zeros((n, width))
 
-    scores = [tile_score(t) for t in tiles]
-    loads = [load(t) for t in tiles]
+    def refresh(changed):
+        at = slots[changed]
+        size[changed] = (at != pad).sum(1)
+        member[:, changed] = False
+        member[at, changed[:, None]] = True
+        member[pad] = False
+        others[changed] = np.where(np.eye(width, dtype=bool), pad, at[:, None, :])
+        # by slot: each list less one slot, then the whole list, of each row
+        lists = np.concatenate([others[changed], at[:, None]], axis=1).T
+        load = _left_to_right(pis[lists])
+        score = _left_to_right([np.zeros(lists.shape[1:]), *corr[lists[is_], lists[js]]])
+        less_load[changed], loads[changed] = load[:-1].T, load[-1]
+        less_score[changed], scores[changed] = score[:-1].T, score[-1]
 
-    def to_end(ti, g):
-        # what a rejected trial leaves behind: g last on its tile
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            scores[ti], loads[ti] = tile_score(tiles[ti]), load(tiles[ti])
+    def search():
+        # the pass's first trial taken, as (a, a's list after, b, b's list
+        # after), or None.  Rows are the dispensers (a, s), columns the rows b
+        # to relocate onto, then the dispensers (b, t) to swap with; rows go
+        # in blocks of 16, doubling, since most passes take a trial early
+        flat = slots.ravel()
+        disp = np.flatnonzero(flat != pad)  # a * width + s, in row-major order
+        da, dg = disp // width, flat[disp]
+        od = others.reshape(-1, width)[disp]  # each one's tile list less it
+        ll, ls = less_load.ravel()[disp], less_score.ravel()[disp]
+        lo, step = 0, 16
+        while lo < len(disp):
+            k = slice(lo, lo + step)
+            a, g, pg, sa = da[k, None], dg[k], pis[dg[k], None], scores[da[k], None]
+            onto = _left_to_right([scores, *corr[slots.T[:, None], g[:, None]]])
+            reloc = (size < d_max) & (rows != a) & ~member[g] & (loads + pg <= mu_cap)
+            reloc &= (ls[k, None] + onto) - (sa + scores) > EPS
+            at_a = _left_to_right([ls[k, None], *corr[od[k].T[..., None], dg]])
+            at_b = _left_to_right([ls, *corr[od.T[:, None], g[:, None]]])
+            swap = (da != a) & ~member[dg, a] & ~member[g[:, None], da]
+            swap &= (ll[k, None] + pis[dg] <= mu_cap) & (ll + pg <= mu_cap)
+            swap &= (at_a + at_b) - (sa + scores[da]) > EPS
+            hit = np.hstack([reloc, swap])
+            if hit.any():
+                r, c = divmod(int(hit.argmax()), n + len(disp))
+                rest = [x for x in od[lo + r] if x != pad]
+                if c < n:
+                    return da[lo + r], rest, c, [*slots[c, : size[c]], g[r]]
+                c -= n
+                return da[lo + r], [*rest, dg[c]], da[c], [*(x for x in od[c] if x != pad), g[r]]
+            lo, step = lo + step, 2 * step
+        return None
 
-    def raises(cur, a, b, at_a, at_b):
-        # commits the trial leaving at_a on tile a and at_b on tile b (a new
-        # tile when b == len(tiles)) if the total score, with those two tiles'
-        # pair sums taken in list order, exceeds cur + EPS
-        after = scores[:] if b < len(tiles) else [*scores, 0]
-        after[a], after[b] = tile_score(at_a), tile_score(at_b)
-        if not sum(after) > cur + EPS:
-            return False
-        if b == len(tiles):
-            tiles.append(at_b)
-            loads.append(0)
-        tiles[a], tiles[b], scores[:] = at_a, at_b, after
-        loads[a], loads[b] = load(at_a), load(at_b)
-        return True
-
-    # screen: a trial's gain is estimated from partner sums, part[t][col[x]]
-    # being x's correlation with the drugs of tile t other than x; when the
-    # estimate is at most EPS - margin (_screen_margin), the trial must fail.
-    # The partner sums hold between accepted moves, since a rejected trial
-    # only reorders lists
-    col = {g: i for i, g in enumerate(idx)}
-    sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
-    partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
-    floor = EPS - _screen_margin(sub, n_tiles, d_max)
-    # a reordered tile of two keeps its load (float addition commutes) and,
-    # with an exactly symmetric catalog, its score; a larger tile's sums
-    # follow its order
-    asym = not np.array_equal(sub, sub.T)
-    twice = 2 * sub
-    pis = np.array([pi[g] for g in col], dtype=float)
-    # relative allowance for a load summed in two orders: a float sum of k <=
-    # d_max nonnegative terms, recursive or compensated (Python 3.12's sum), is
-    # within k u of the real sum (u = 2**-53), so two differ by < 8 u (k + 2)
-    slack = (d_max + 2) * 2.0**-50
-    steadies = {}
-
-    def steady(t, at):
-        # whether every load test reads the same for any order of the tile
-        # list t of three or more, given its load at, which a re-sum in
-        # another order moves by less than spread.  The tests, that load
-        # (less one of t's dispensers) plus any dispenser's pi against
-        # mu_cap, are monotone in it, so they are taken at both ends
-        key = (frozenset(t), at)
-        if key not in steadies:
-            spread = slack * sum(abs(pi[g]) for g in t)
-            lo, hi = (np.array([x, *(x - pi[g] for g in t)])[:, None] + pis > mu_cap
-                      for x in (at - spread, at + spread))
-            steadies[key] = bool((lo == hi).all())
-        return steadies[key]
-
-    def trials(cur, part, a, g, relocs, swaps):
-        # g's trials off tile a in scan order: relocations onto the tiles
-        # relocs (len(tiles): a new tile), then swaps with the dispensers of
-        # the tiles swaps; True once one is accepted
-        ig = col[g]
-        for b in relocs:
-            if b == a:
-                continue
-            if b < len(tiles) and (
-                len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
-            ):
-                continue
-            gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
-            if gain > floor and raises(
-                cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
-            ):
-                kept = [i for i, t in enumerate(tiles) if t]
-                tiles[:] = [tiles[i] for i in kept]
-                scores[:] = [scores[i] for i in kept]
-                loads[:] = [loads[i] for i in kept]
-                return True
-            to_end(a, g)
-        for b in swaps:
-            if b == a:
-                continue
-            for h in list(tiles[b]):
-                if h == g or h in tiles[a] or g in tiles[b]:
-                    continue
-                if loads[a] - pi[g] + pi[h] > mu_cap:
-                    continue
-                if loads[b] - pi[h] + pi[g] > mu_cap:
-                    continue
-                # gain: h joins a's partners other than g, g joins b's other
-                # than h; part counts g-h on both sides
-                ih = col[h]
-                gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
-                if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
-                    cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
-                ):
-                    return True
-                to_end(a, g)
-                to_end(b, h)
-        return False
-
-    def sweep(cur):
-        # one pass, up to its first accepted move (True) or to its end.  Rows
-        # r are the dispensers (a, g) in tile order, columns the tiles b or
-        # the dispensers (b, h).  Rows are screened in blocks of whole tiles,
-        # doubling, since most passes accept a move within their first rows
-        n = len(tiles)
-        new = [n] if n < n_tiles else []
-        items = [g for t in tiles for g in t]
-        if not items:
-            return False
-        sizes = [len(t) for t in tiles]
-        first = [0, *accumulate(sizes)]
-        size = np.array(sizes)
-        ta = np.repeat(np.arange(n), size)
-        ca = np.fromiter(map(col.__getitem__, items), np.intp, len(items))
-        pa = np.fromiter(map(pi.__getitem__, items), float, len(items))
-        member = np.full((n, d_max), len(col))
-        member[ta, np.arange(len(items)) - np.array(first)[ta]] = ca
-        part = partner[member].sum(axis=1)
-        has = np.zeros((n, len(col)), dtype=bool)
-        has[ta, ca] = True
-        on = has[:, ca]  # on[b, s]: dispenser s's drug is on tile b
-        across = part[:, ca]  # across[b, s] = part[b][col of s's drug]
-        own = part[ta, ca]  # part[a][col[g]] of each row
-        level = np.array(loads, dtype=float)
-        tail = level[ta] - pa  # each dispenser's tile load less its pi
-        room = size < d_max
-        twos = [(b, first[b]) for b, m in enumerate(sizes) if m == 2]
-        pair = np.array([k for _, k in twos], dtype=np.intp)  # first dispenser of each
-        bigs = [b for b, m in enumerate(sizes) if m > 2]
-        inbig = [k for b in bigs for k in range(first[b], first[b + 1])]
-        ends = list(accumulate(sizes[b] for b in bigs))
-        spans = list(zip(bigs, [0, *ends], ends))  # each one's dispensers in inbig
-        dealt = [items[k] for k in inbig]
-        sensitive = [b for b, m in enumerate(sizes) if m > 2 or asym and m == 2]
-
-        def resum():
-            for t in sensitive:
-                scores[t], loads[t] = tile_score(tiles[t]), load(tiles[t])
-
-        def replay(flip, last, deal, below):
-            # a rejected swap moves its partner h last on h's tile: the moves
-            # of one row's rejected swaps onto the tiles before below.  A tile
-            # of two changes when one of its dispensers is an eligible
-            # partner (flip; last: the second one), a larger tile when some
-            # are (deal)
-            for (b, k), second in compress(zip(twos, last), flip):
-                if b >= below:
-                    break
-                t = tiles[b]
-                if t[1] != items[k + second]:
-                    t.reverse()
-            for b, lo, hi in spans:
-                if b < below:
-                    s = set(compress(dealt[lo:hi], deal[lo:hi]))
-                    t = tiles[b]
-                    tiles[b] = [x for x in t if x not in s] + [x for x in t if x in s]
-
-        if not all(steady(tiles[b], loads[b]) for b in bigs):
-            for a in range(n):
-                for g in list(tiles[a]):
-                    if trials(cur, part, a, g, range(n + len(new)), range(n)):
-                        return True
-            return False
-
-        a0, width = 0, 16
-        while a0 < n:
-            a1 = min(n, bisect_left(first, first[a0] + width))
-            rows = slice(first[a0], first[a1])
-            ra, rc, rp, mine = ta[rows], ca[rows], pa[rows], own[rows]
-            # every test of the scan, then its screen, in the scan's float
-            # expressions, for each trial of the block's rows
-            g_on = on[:, rows].T  # g's drug on tile b
-            reloc = ~(g_on | (level + rp[:, None] > mu_cap)) & room
-            swap = ~(
-                on[ra] | g_on[:, ta] | (tail[rows][:, None] + pa > mu_cap)
-                | (tail + rp[:, None] > mu_cap)
-            )
-            onto = across[:, rows].T  # part[b][col[g]]
-            hop = reloc & (onto - mine[:, None] > floor)
-            gain = across[ra] - mine[:, None] + onto[:, ta] - own - twice[rc][:, ca]
-            jump = swap & (gain > floor)
-            hit = hop.any(1) | jump.any(1)
-            busy = reloc.any(1) | swap.any(1)
-            if new:
-                fresh = 0.0 - mine > floor  # onto a new tile
-                hit |= fresh
-                busy[:] = True
-            hit, busy = hit.tolist(), busy.tolist()
-            last = swap[:, pair + 1]
-            flips = (swap[:, pair] != last).tolist()
-            lasts, deals = last.tolist(), swap[:, inbig].tolist()
-            for a in range(a0, a1):
-                for g in list(tiles[a]):
-                    r = items.index(g, first[a], first[a + 1]) - first[a0]  # g's row
-                    if not hit[r]:
-                        # every trial fails: replay what the rejected trials leave
-                        t = tiles[a]
-                        if busy[r] and t[-1] != g:
-                            t.remove(g)
-                            t.append(g)
-                        replay(flips[r], lasts[r], deals[r], n)
-                        continue
-                    # a trial passes the screen.  The row's trials before the
-                    # first such one leave g last on a, as the first will,
-                    # and their swap partners last: replay those, then scan
-                    # the rest of the row
-                    to_end(a, g)
-                    relocs = np.flatnonzero(reloc[r]).tolist() + new
-                    swaps = list(dict.fromkeys(ta[swap[r]].tolist()))
-                    hops = np.flatnonzero(hop[r]).tolist() + (new if new and fresh[r] else [])
-                    if hops:
-                        relocs = relocs[relocs.index(hops[0]):]
-                    else:
-                        b0 = int(ta[np.argmax(jump[r])])
-                        replay(flips[r], lasts[r], deals[r], b0)
-                        relocs, swaps = [], swaps[swaps.index(b0):]
-                    resum()
-                    if trials(cur, part, a, g, relocs, swaps):
-                        return True
-            a0, width = a1, 2 * width
-        resum()
-        return False
-
-    while sweep(sum(scores)):
-        pass
-    return [tuple(t) for t in tiles if t], sum(scores)
+    refresh(rows)
+    while (move := search()) is not None:
+        a, at_a, b, at_b = move
+        for row, at in ((a, at_a), (b, at_b)):
+            slots[row] = pad
+            slots[row, : len(at)] = at
+        refresh(np.array([a, b]))
+    found = [tuple(names[x] for x in row[:k]) for row, k in zip(slots.tolist(), size.tolist()) if k]
+    return found, _left_to_right(scores.tolist())

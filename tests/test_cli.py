@@ -497,6 +497,23 @@ def test_cli_init_instance_bad_arguments_are_config_errors(tmp_path, capsys, top
     assert not out.exists()
 
 
+def test_cli_drug_names_with_separators_are_config_errors(tmp_path, instance_file, capsys):
+    # '|' and ';' join the parts of a placement's signature: an instance that
+    # names such a drug is refused when it is built or read, before any stage
+    out = tmp_path / "inst.json"
+    assert run("init-instance", "--topology", "square", "--size", "4",
+               "--marginals", "0.3,0.4,0.5,0.2", "--drugs", "a|b,c,d,e",
+               "--dispensers", "4", "--out", out) == CONFIG_ERROR
+    assert not out.exists()
+    bad = tmp_path / "bad.json"
+    bad.write_text(instance_file.read_text().replace('"drug00"', '"drug;00"'))
+    capsys.readouterr()
+    assert run("pipeline", "--instance", bad, "--n-orders", "4",
+               "--out-dir", tmp_path / "run") == CONFIG_ERROR
+    assert "contains '|' or ';'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+
 # --- renders -------------------------------------------------------------------------
 
 def test_render_gantt_structure():

@@ -11,8 +11,6 @@ from planarfab.packing import (
     EPS,
     MAX_PASSES,
     PackingInfeasible,
-    _screen_margin,
-    _without,
     correlation_sum,
     pack_correlation,
     pack_min_load,
@@ -374,81 +372,65 @@ def improve_as_reference(tiles, pi, n_tiles, d_max):
 
 
 def reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
-    """Stage-2 local search as it was before it cached tile scores and loads:
-    every trial move re-sums every tile's correlations through numpy scalars."""
-    corr = catalog.correlation
+    """Stage-2 local search one trial at a time.  The tiles are n_tiles rows,
+    an empty row serving as a new tile.  Each pass takes the first trial that
+    is feasible and raises the score by more than EPS: the dispensers (a, s)
+    in row-major order, each with its relocations onto the rows b in index
+    order, then its swaps with the dispensers (b, t) in row-major order.
+    Loads and scores are left-to-right sums of the lists, a score adding
+    corr[t[i]][t[j]] with j the outer loop.  A trial that is turned down
+    changes nothing."""
+    corr = catalog.correlation.tolist()
     idx = {g: catalog.index(g) for t in tiles for g in t}
-    tiles = [list(t) for t in tiles]
-
-    def tile_score(t):
-        return sum(
-            corr[idx[t[i]], idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
-        )
-
-    def total():
-        return sum(tile_score(t) for t in tiles)
+    rows = [list(t) for t in tiles] + [[] for _ in range(n_tiles - len(tiles))]
 
     def load(t):
-        return sum(pi[g] for g in t)
+        return sum_left_to_right(pi[g] for g in t)
 
-    improved = True
-    while improved:
-        improved = False
-        cur = total()
-        for a in range(len(tiles)):
-            for g in list(tiles[a]):
-                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                    if b == a:
-                        continue
-                    if b < len(tiles) and (
-                        len(tiles[b]) >= d_max or g in tiles[b] or load(tiles[b]) + pi[g] > mu_cap
-                    ):
-                        continue
-                    tiles[a].remove(g)
-                    new_tile = b == len(tiles)
-                    if new_tile:
-                        tiles.append([g])
-                    else:
-                        tiles[b].append(g)
-                    if total() > cur + EPS:
-                        improved = True
-                        tiles[:] = [t for t in tiles if t]
-                        break
-                    if new_tile:
-                        tiles.pop()
-                    else:
-                        tiles[b].remove(g)
-                    tiles[a].append(g)
-                if improved:
-                    break
-                for b in range(len(tiles)):
-                    if b == a:
-                        continue
-                    for h in list(tiles[b]):
-                        if h == g or h in tiles[a] or g in tiles[b]:
-                            continue
-                        if load(tiles[a]) - pi[g] + pi[h] > mu_cap:
-                            continue
-                        if load(tiles[b]) - pi[h] + pi[g] > mu_cap:
-                            continue
-                        tiles[a].remove(g)
-                        tiles[a].append(h)
-                        tiles[b].remove(h)
-                        tiles[b].append(g)
-                        if total() > cur + EPS:
-                            improved = True
-                            break
-                        tiles[a].remove(h)
-                        tiles[a].append(g)
-                        tiles[b].remove(g)
-                        tiles[b].append(h)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return [tuple(t) for t in tiles if t], total()
+    def score(t):
+        return sum_left_to_right(
+            corr[idx[t[i]]][idx[t[j]]] for j in range(len(t)) for i in range(j)
+        )
+
+    def trials(a, s):
+        # (b, a's list after, b's list after) of each feasible trial, in order
+        g, rest = rows[a][s], rows[a][:s] + rows[a][s + 1:]
+        for b, t in enumerate(rows):
+            if b != a and len(t) < d_max and g not in t and load([*t, g]) <= mu_cap:
+                yield b, rest, [*t, g]
+        for b, t in enumerate(rows):
+            for k, h in enumerate(t):
+                if b != a and h not in rows[a] and g not in t:
+                    at_a, at_b = [*rest, h], [*t[:k], *t[k + 1:], g]
+                    if load(at_a) <= mu_cap and load(at_b) <= mu_cap:
+                        yield b, at_a, at_b
+
+    def first_taken():
+        for a, t in enumerate(rows):
+            for s in range(len(t)):
+                for b, at_a, at_b in trials(a, s):
+                    if (score(at_a) + score(at_b)) - (scores[a] + scores[b]) > EPS:
+                        return a, at_a, b, at_b
+        return None
+
+    scores = [score(t) for t in rows]
+    while (move := first_taken()) is not None:
+        a, at_a, b, at_b = move
+        rows[a], rows[b], scores[a], scores[b] = at_a, at_b, score(at_a), score(at_b)
+    return [tuple(t) for t in rows if t], sum_left_to_right(scores)
+
+
+def search_as_reference(tiles, pi, catalog, n_tiles, d_max, mu_cap):
+    """_local_search_correlation's tiles and objective, asserted equal to the
+    reference's bit for bit, tile loads included."""
+    from planarfab.packing import _loads, _local_search_correlation
+
+    got = _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+    want = reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
+    assert got[0] == want[0]
+    assert _loads(got[0], pi) == _loads(want[0], pi)
+    assert got[1] == want[1]
+    return got[0]
 
 
 def random_tiles(rng, drugs, copies, n_used, d_max):
@@ -492,133 +474,10 @@ def test_improve_min_load_matches_full_resum_reference():
     assert checked == 150 and moved >= 30
 
 
-def test_local_search_correlation_matches_full_resum_reference():
-    from planarfab.packing import _local_search_correlation
-
-    checked = moved = 0
-    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(22, 150):
-        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
-        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
-        peak = max(sum(pi[g] for g in t) for t in tiles)
-        mu_cap = peak * float(rng.choice([1.0, 1.2, 2.0])) + EPS
-        got = _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
-        want = reference_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
-        assert got[0] == want[0]
-        assert got[1] == want[1]  # same objective, bit for bit
-        checked += 1
-        moved += got[0] != tiles
-    assert checked == 150 and moved >= 30
-
-
-# --- screened trials vs the search they screen ------------------------------------
-#
-# cached_local_search_correlation is the stage-2 search as it was before it
-# screened trial moves (touched-tile re-sums, every trial mutated, compared and
-# undone), kept verbatim.  The screened search must return exactly what it
-# returns.
-
-def cached_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
-    corr = catalog.correlation.tolist()
-    idx = {g: catalog.index(g) for t in tiles for g in t}
-    tiles = [list(t) for t in tiles]
-
-    def tile_score(t):
-        return sum(
-            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
-        )
-
-    def load(t):
-        return sum(pi[g] for g in t)
-
-    scores = [tile_score(t) for t in tiles]
-    loads = [load(t) for t in tiles]
-
-    def resum(*touched):
-        # pair sums and loads follow the tile's list order, which a move or
-        # an undo (re-appending an item) changes; other tiles keep theirs
-        for ti in touched:
-            if ti < len(tiles):
-                scores[ti] = tile_score(tiles[ti])
-                loads[ti] = load(tiles[ti])
-
-    improved = True
-    while improved:
-        improved = False
-        cur = sum(scores)
-        for a in range(len(tiles)):
-            for g in list(tiles[a]):
-                # relocation
-                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                    if b == a:
-                        continue
-                    if b < len(tiles) and (
-                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
-                    ):
-                        continue
-                    tiles[a].remove(g)
-                    new_tile = b == len(tiles)
-                    if new_tile:
-                        tiles.append([g])
-                        scores.append(0)
-                        loads.append(0)
-                    else:
-                        tiles[b].append(g)
-                    resum(a, b)
-                    if sum(scores) > cur + EPS:
-                        improved = True
-                        kept = [i for i, t in enumerate(tiles) if t]
-                        tiles[:] = [tiles[i] for i in kept]
-                        scores[:] = [scores[i] for i in kept]
-                        loads[:] = [loads[i] for i in kept]
-                        break
-                    if new_tile:
-                        tiles.pop()
-                        scores.pop()
-                        loads.pop()
-                    else:
-                        tiles[b].remove(g)
-                    tiles[a].append(g)
-                    resum(a, b)
-                if improved:
-                    break
-                # swaps
-                for b in range(len(tiles)):
-                    if b == a:
-                        continue
-                    for h in list(tiles[b]):
-                        if h == g or h in tiles[a] or g in tiles[b]:
-                            continue
-                        if loads[a] - pi[g] + pi[h] > mu_cap:
-                            continue
-                        if loads[b] - pi[h] + pi[g] > mu_cap:
-                            continue
-                        tiles[a].remove(g)
-                        tiles[a].append(h)
-                        tiles[b].remove(h)
-                        tiles[b].append(g)
-                        resum(a, b)
-                        if sum(scores) > cur + EPS:
-                            improved = True
-                            break
-                        tiles[a].remove(h)
-                        tiles[a].append(g)
-                        tiles[b].remove(g)
-                        tiles[b].append(h)
-                        resum(a, b)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return [tuple(t) for t in tiles if t], sum(scores)
-
-
 def screen_instances(seed, count):
-    """Small packings built to hit the screens' edge cases: loads tied at the
-    peak (pi drawn from a few exact values), zero-demand drugs, correlations
-    tied at zero gain, a correlation matrix symmetric only up to rounding,
-    and d_max from 1 to 4."""
+    """Small packings with loads tied at the peak (pi drawn from a few exact
+    values), zero-demand drugs, correlations tied at zero gain, a correlation
+    matrix symmetric only up to rounding, and d_max from 1 to 4."""
     rng = np.random.default_rng(seed)
     made = 0
     while made < count:
@@ -641,27 +500,178 @@ def screen_instances(seed, count):
         yield tiles, pi, n_tiles, d_max, catalog
 
 
-def test_screened_searches_match_unscreened_reference():
-    from planarfab.packing import _loads, _local_search_correlation
+def grid_instances(seed, count):
+    """Stage-2 inputs shaped like the 8x8~2 reference: 62 tiles, 40 drugs, 82
+    dispensers, d_max 4 with a tile of three; pi drawn from a few exact
+    values, zero and irrational ones; a catalog symmetric only up to rounding
+    (one unit in the last place); and mu_cap alternately the peak + EPS, as
+    pack_correlation sets it, and the load of the tile of three summed in its
+    order of smallest sum, which a list of the same drugs in another order
+    exceeds."""
+    rng = np.random.default_rng(seed)
+    drugs = [f"g{i:02d}" for i in range(40)]
+    made = 0
+    while made < count:
+        dispensers = drugs + [drugs[i] for i in rng.integers(0, 40, 42)]
+        dispensers = [dispensers[i] for i in rng.permutation(82)]
+        tiles = [[g] for g in dispensers[:62]]
+        big = tiles[int(rng.integers(2))]
+        for g in dispensers[62:]:
+            room = [t for t in tiles if len(t) < 4 and g not in t and t is not big]
+            if len(big) < 3 and g not in big:
+                big.append(g)
+            elif room:
+                room[int(rng.integers(len(room)))].append(g)
+        if len(big) < 3 or sum(map(len, tiles)) < 82:
+            continue
+        pi = {g: float(rng.choice([0.0, 0.0, 0.5, 1 / 3, 0.7, 2.2, float(rng.uniform(0, 3))]))
+              for g in drugs}
+        for g in big:
+            pi[g] = float(rng.uniform(0, 3))
+        # the tile of three in the order of its smallest sum, among several
+        orders = sorted(itertools.permutations(big), key=lambda p: sum(pi[g] for g in p))
+        if len({sum(pi[g] for g in p) for p in orders}) < 2:
+            continue
+        big[:] = orders[0]
+        corr = make_catalog(40, seed=int(rng.integers(1 << 30)), corr_scale=0.25).correlation
+        lower = np.tril(rng.random((40, 40)) < 0.5, -1)
+        corr = np.where(lower, np.nextafter(corr, np.inf), corr)
+        catalog = DrugCatalog(tuple(drugs), (0.5,) * 40, corr)
+        if made % 2:
+            mu_cap = sum(pi[g] for g in big)
+        else:
+            mu_cap = max(sum(pi[g] for g in t) for t in tiles) + EPS
+        made += 1
+        yield [tuple(t) for t in tiles], pi, catalog, mu_cap
 
-    ties = zeros = moved = 0
+
+def near_cap_instances(seed, count):
+    """Small packings whose mu_cap is the load of a tile of three summed in
+    its order of smallest sum, other orders summing higher; the other drugs
+    take zero, one of that tile's pi or a random pi, so load tests of
+    relocations and swaps read mu_cap on either side depending on the order
+    of the list a trial leaves."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n_drugs = int(rng.integers(5, 8))
+        drugs = [f"d{i}" for i in range(n_drugs)]
+        pi = {g: float(rng.uniform(0.05, 1.0)) for g in drugs[:3]}
+        orders = sorted(itertools.permutations(drugs[:3]), key=lambda p: sum(pi[g] for g in p))
+        if sum(pi[g] for g in orders[0]) == sum(pi[g] for g in orders[-1]):
+            continue
+        for g in drugs[3:]:
+            pi[g] = float(rng.choice([0.0, pi["d0"], pi["d1"], float(rng.uniform(0, 1))]))
+        copies = {g: 1 for g in drugs[3:]}
+        for i in rng.integers(0, n_drugs, int(rng.integers(0, 3))):
+            copies[drugs[i]] = copies.get(drugs[i], 0) + 1
+        others = random_tiles(rng, list(copies), copies, int(rng.integers(1, 4)), 4)
+        if others is None:
+            continue
+        at = int(rng.integers(0, 2))
+        tiles = [*others[:at], orders[0], *others[at:]]
+        corr = rng.choice([-0.5, -0.2, 0.0, 0.3, 0.6], size=(n_drugs, n_drugs))
+        corr = np.triu(corr, 1) + np.triu(corr, 1).T
+        catalog = DrugCatalog(tuple(drugs), (0.5,) * n_drugs, corr)
+        made += 1
+        yield tiles, pi, catalog, len(tiles) + int(rng.integers(0, 2)), sum(pi[g] for g in orders[0])
+
+
+def test_local_search_correlation_matches_reference_on_screen_instances():
+    from planarfab.packing import _loads
+
+    ties = zeros = singles = moved = 0
     for tiles, pi, n_tiles, d_max, catalog in screen_instances(23, 400):
         loads = _loads(tiles, pi)
         ties += loads.count(max(loads)) > 1
         zeros += any(pi[g] == 0.0 for t in tiles for g in t)
+        singles += d_max == 1
 
         got = improve_as_reference(tiles, pi, n_tiles, d_max)
         moved += got != tiles
 
         peak = max(_loads(got, pi))
         for mu_cap in (peak + EPS, 2 * peak + EPS):
-            got_c = _local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
-            want_c = cached_local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
-            assert got_c[0] == want_c[0]
-            assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
-            assert got_c[1] == want_c[1]  # same objective, bit for bit
-            moved += got_c[0] != got
-    assert ties >= 100 and zeros >= 100 and moved >= 100
+            moved += search_as_reference(got, pi, catalog, n_tiles, d_max, mu_cap) != got
+    assert ties >= 100 and zeros >= 100 and singles == 100 and moved >= 100
+
+
+def test_local_search_correlation_matches_reference():
+    from planarfab.packing import _loads
+
+    checked = moved = 0
+    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(22, 400):
+        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
+        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
+        mu_cap = max(_loads(tiles, pi)) * float(rng.choice([1.0, 1.2, 2.0])) + EPS
+        moved += search_as_reference(tiles, pi, catalog, n_tiles, d_max, mu_cap) != tiles
+        checked += 1
+    for tiles, pi, n_tiles, d_max, catalog in screen_instances(27, 200):
+        got = improve_as_reference(tiles, pi, n_tiles, d_max)
+        peak = max(_loads(got, pi))
+        for mu_cap in (peak + EPS, 2 * peak + EPS):
+            moved += search_as_reference(got, pi, catalog, n_tiles, d_max, mu_cap) != got
+            checked += 1
+    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(28, 150):
+        improve_as_reference(tiles, pi, n_tiles, d_max)
+        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
+        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
+        mu_cap = max(_loads(tiles, pi)) * float(rng.choice([1.0, 1.2, 2.0])) + EPS
+        moved += search_as_reference(tiles, pi, catalog, n_tiles, d_max, mu_cap) != tiles
+        checked += 1
+    for tiles, pi, catalog, n_tiles, mu_cap in near_cap_instances(30, 400):
+        improve_as_reference(tiles, pi, n_tiles, 4)
+        moved += search_as_reference(tiles, pi, catalog, n_tiles, 4, mu_cap) != tiles
+        checked += 1
+    grid = 0
+    for tiles, pi, catalog, mu_cap in grid_instances(29, 2):
+        improve_as_reference(tiles, pi, 62, 4)
+        moved += search_as_reference(tiles, pi, catalog, 62, 4, mu_cap) != tiles
+        grid += 1
+    assert checked == 1350 and grid == 2 and moved >= 900
+
+
+def test_local_search_correlation_with_one_dispenser_per_tile():
+    # d_max = 1: no tile holds a pair, so every score is 0.0 and no trial is taken
+    from planarfab.packing import _local_search_correlation
+
+    catalog = catalog_for({("a", "b"): 0.7, ("b", "c"): 0.4}, ["a", "b", "c"])
+    tiles = [("a",), ("b",), ("c",), ("a",)]
+    pi = {"a": 0.5, "b": 1.0, "c": 1 / 3}
+    assert search_as_reference(tiles, pi, catalog, 6, 1, 1.0 + EPS) == tiles
+    assert _local_search_correlation(tiles, pi, catalog, 6, 1, 1.0 + EPS) == (tiles, 0.0)
+    config = cfg(5, m_max=2, d_max=1)
+    stage1 = pack_min_load(DemandVector({"a": 2.0, "b": 1.0, "c": 1.0}), 6, config)
+    q = pack_correlation(stage1, catalog, config, mode="heuristic")
+    assert q.tiles == stage1.tiles and q.correlation_objective == 0.0
+    assert validate_packing(q, config) == []
+
+
+def test_local_search_correlation_matches_reference_under_compensated_sum(monkeypatch):
+    # stage 2 makes no decision through sum(), so an interpreter whose sum()
+    # is compensated (Python 3.12 on) finds the same tiles and objective:
+    # simulate one
+    from planarfab import packing
+
+    cases = []
+    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(36, 200):
+        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
+        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
+        mu_cap = max(packing._loads(tiles, pi)) * float(rng.choice([1.0, 2.0])) + EPS
+        cases.append((tiles, pi, catalog, n_tiles, d_max, mu_cap))
+    plain = [packing._local_search_correlation(*case) for case in cases]
+    monkeypatch.setattr(packing, "sum", compensated_sum, raising=False)
+    differ = 0
+    for case, want in zip(cases, plain):
+        got = packing._local_search_correlation(*case)
+        assert got == want == reference_local_search_correlation(*case)
+        pi, corr = case[1], case[2].correlation
+        for t in want[0]:
+            ids = [case[2].index(g) for g in t]
+            terms = [corr[ids[i], ids[j]] for j in range(len(t)) for i in range(j)]
+            differ += math.fsum(terms) != sum_left_to_right(terms)
+            differ += math.fsum(pi[g] for g in t) != sum_left_to_right(pi[g] for g in t)
+    assert differ >= 20
 
 
 # --- LPT fill and array-form relocations vs the per-tile loops --------------------
@@ -733,247 +743,6 @@ def test_lpt_fill_and_relocations_match_per_tile_reference():
         spread += len(got) > len(tiles)
         checked += 1
     assert checked >= 300 and scanned >= 25 and spread >= 100
-
-
-# --- array passes vs the scalar searches -------------------------------------------
-#
-# scalar_local_search_correlation is the stage-2 search as it was before it
-# screened each pass as one array pass, kept verbatim: one trial at a time,
-# each rejected trial moving its items last and re-summing.  Stage 1 is
-# checked against its reference on the same inputs.
-
-def scalar_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap):
-    corr = catalog.correlation.tolist()
-    idx = {g: catalog.index(g) for t in tiles for g in t}
-    tiles = [list(t) for t in tiles]
-
-    def tile_score(t):
-        return sum(
-            corr[idx[t[i]]][idx[t[j]]] for i in range(len(t)) for j in range(i + 1, len(t))
-        )
-
-    def load(t):
-        return sum(pi[g] for g in t)
-
-    scores = [tile_score(t) for t in tiles]
-    loads = [load(t) for t in tiles]
-
-    def to_end(ti, g):
-        # what a rejected trial leaves behind: g last on its tile
-        if tiles[ti][-1] != g:
-            tiles[ti].remove(g)
-            tiles[ti].append(g)
-            scores[ti], loads[ti] = tile_score(tiles[ti]), load(tiles[ti])
-
-    def raises(cur, a, b, at_a, at_b):
-        # commits the trial leaving at_a on tile a and at_b on tile b (a new
-        # tile when b == len(tiles)) if the total score, with those two tiles'
-        # pair sums taken in list order, exceeds cur + EPS
-        after = scores[:] if b < len(tiles) else [*scores, 0]
-        after[a], after[b] = tile_score(at_a), tile_score(at_b)
-        if not sum(after) > cur + EPS:
-            return False
-        if b == len(tiles):
-            tiles.append(at_b)
-            loads.append(0)
-        tiles[a], tiles[b], scores[:] = at_a, at_b, after
-        loads[a], loads[b] = load(at_a), load(at_b)
-        return True
-
-    # screen: a trial's gain is estimated from partner sums, part[t][col[x]]
-    # being x's correlation with the drugs of tile t other than x; when the
-    # estimate is at most EPS - margin (_screen_margin), the trial must fail.
-    # The partner sums hold between accepted moves, since a rejected trial
-    # only reorders lists
-    col = {g: i for i, g in enumerate(idx)}
-    sub = catalog.correlation[np.ix_(list(idx.values()), list(idx.values()))]
-    partner = np.vstack([sub - np.diag(np.diag(sub)), np.zeros(len(col))])  # + a padding row
-    floor = EPS - _screen_margin(sub, n_tiles, d_max)
-
-    improved = True
-    while improved:
-        improved = False
-        cur = sum(scores)
-        member = [[col[g] for g in t] + [len(col)] * (d_max - len(t)) for t in tiles]
-        part = partner[member].sum(axis=1).tolist()
-        for a in range(len(tiles)):
-            for g in list(tiles[a]):
-                # relocation
-                for b in range(len(tiles) + (1 if len(tiles) < n_tiles else 0)):
-                    if b == a:
-                        continue
-                    if b < len(tiles) and (
-                        len(tiles[b]) >= d_max or g in tiles[b] or loads[b] + pi[g] > mu_cap
-                    ):
-                        continue
-                    ig = col[g]  # gain: g's partners on b less its partners on a
-                    gain = (part[b][ig] if b < len(tiles) else 0.0) - part[a][ig]
-                    if gain > floor and raises(
-                        cur, a, b, _without(tiles[a], g), [*tiles[b], g] if b < len(tiles) else [g]
-                    ):
-                        improved = True
-                        kept = [i for i, t in enumerate(tiles) if t]
-                        tiles[:] = [tiles[i] for i in kept]
-                        scores[:] = [scores[i] for i in kept]
-                        loads[:] = [loads[i] for i in kept]
-                        break
-                    to_end(a, g)
-                if improved:
-                    break
-                # swaps
-                for b in range(len(tiles)):
-                    if b == a:
-                        continue
-                    for h in list(tiles[b]):
-                        if h == g or h in tiles[a] or g in tiles[b]:
-                            continue
-                        if loads[a] - pi[g] + pi[h] > mu_cap:
-                            continue
-                        if loads[b] - pi[h] + pi[g] > mu_cap:
-                            continue
-                        # gain: h joins a's partners other than g, g joins
-                        # b's other than h; part counts g-h on both sides
-                        ig, ih = col[g], col[h]
-                        gain = part[a][ih] - part[a][ig] + part[b][ig] - part[b][ih]
-                        if gain - 2 * corr[idx[g]][idx[h]] > floor and raises(
-                            cur, a, b, [*_without(tiles[a], g), h], [*_without(tiles[b], h), g]
-                        ):
-                            improved = True
-                            break
-                        to_end(a, g)
-                        to_end(b, h)
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return [tuple(t) for t in tiles if t], sum(scores)
-
-
-def grid_instances(seed, count):
-    """Stage-2 inputs shaped like the 8x8~2 reference: 62 tiles, 40 drugs, 82
-    dispensers, d_max 4 with a tile of three; pi drawn from a few exact
-    values, zero and irrational ones; a catalog symmetric only up to rounding
-    (one unit in the last place); and mu_cap alternately the peak + EPS, as
-    pack_correlation sets it, and the load of the tile of three summed in
-    one of its orders, which a re-sum in another order reads on either side."""
-    rng = np.random.default_rng(seed)
-    drugs = [f"g{i:02d}" for i in range(40)]
-    made = 0
-    while made < count:
-        dispensers = drugs + [drugs[i] for i in rng.integers(0, 40, 42)]
-        dispensers = [dispensers[i] for i in rng.permutation(82)]
-        tiles = [[g] for g in dispensers[:62]]
-        big = tiles[int(rng.integers(2))]  # reordered early in every pass
-        for g in dispensers[62:]:
-            room = [t for t in tiles if len(t) < 4 and g not in t and t is not big]
-            if len(big) < 3 and g not in big:
-                big.append(g)
-            elif room:
-                room[int(rng.integers(len(room)))].append(g)
-        if len(big) < 3 or sum(map(len, tiles)) < 82:
-            continue
-        pi = {g: float(rng.choice([0.0, 0.0, 0.5, 1 / 3, 0.7, 2.2, float(rng.uniform(0, 3))]))
-              for g in drugs}
-        for g in big:
-            pi[g] = float(rng.uniform(0, 3))
-        # the tile of three in the order of its smallest sum, among several
-        orders = sorted(itertools.permutations(big), key=lambda p: sum(pi[g] for g in p))
-        if len({sum(pi[g] for g in p) for p in orders}) < 2:
-            continue
-        big[:] = orders[0]
-        corr = make_catalog(40, seed=int(rng.integers(1 << 30)), corr_scale=0.25).correlation
-        lower = np.tril(rng.random((40, 40)) < 0.5, -1)
-        corr = np.where(lower, np.nextafter(corr, np.inf), corr)
-        catalog = DrugCatalog(tuple(drugs), (0.5,) * 40, corr)
-        if made % 2:
-            mu_cap = sum(pi[g] for g in big)
-        else:
-            mu_cap = max(sum(pi[g] for g in t) for t in tiles) + EPS
-        made += 1
-        yield [tuple(t) for t in tiles], pi, catalog, mu_cap
-
-
-def near_cap_instances(seed, count):
-    """Small packings whose mu_cap is the load of a tile of three summed in
-    its order of smallest sum, other orders summing higher; the other drugs
-    take zero, one of that tile's pi or a random pi, so load tests of
-    relocations onto the tile and swaps with it read mu_cap on either side
-    as the tile is reordered and re-summed within a pass."""
-    rng = np.random.default_rng(seed)
-    made = 0
-    while made < count:
-        n_drugs = int(rng.integers(5, 8))
-        drugs = [f"d{i}" for i in range(n_drugs)]
-        pi = {g: float(rng.uniform(0.05, 1.0)) for g in drugs[:3]}
-        orders = sorted(itertools.permutations(drugs[:3]), key=lambda p: sum(pi[g] for g in p))
-        if sum(pi[g] for g in orders[0]) == sum(pi[g] for g in orders[-1]):
-            continue
-        for g in drugs[3:]:
-            pi[g] = float(rng.choice([0.0, pi["d0"], pi["d1"], float(rng.uniform(0, 1))]))
-        copies = {g: 1 for g in drugs[3:]}
-        for i in rng.integers(0, n_drugs, int(rng.integers(0, 3))):
-            copies[drugs[i]] = copies.get(drugs[i], 0) + 1
-        others = random_tiles(rng, list(copies), copies, int(rng.integers(1, 4)), 4)
-        if others is None:
-            continue
-        at = int(rng.integers(0, 2))
-        tiles = [*others[:at], orders[0], *others[at:]]
-        corr = rng.choice([-0.5, -0.2, 0.0, 0.3, 0.6], size=(n_drugs, n_drugs))
-        corr = np.triu(corr, 1) + np.triu(corr, 1).T
-        catalog = DrugCatalog(tuple(drugs), (0.5,) * n_drugs, corr)
-        made += 1
-        yield tiles, pi, catalog, len(tiles) + int(rng.integers(0, 2)), sum(pi[g] for g in orders[0])
-
-
-def test_array_pass_searches_match_scalar_reference():
-    from planarfab.packing import _loads, _local_search_correlation
-
-    checked = moved = 0
-    for tiles, pi, n_tiles, d_max, catalog in screen_instances(27, 200):
-        got = improve_as_reference(tiles, pi, n_tiles, d_max)
-        peak = max(_loads(got, pi))
-        for mu_cap in (peak + EPS, 2 * peak + EPS):
-            got_c = _local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
-            want_c = scalar_local_search_correlation(got, pi, catalog, n_tiles, d_max, mu_cap)
-            assert got_c[0] == want_c[0]
-            assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
-            assert got_c[1] == want_c[1]
-            checked += 1
-            moved += got_c[0] != got
-    for rng, drugs, tiles, pi, n_tiles, d_max in random_search_instances(28, 150):
-        improve_as_reference(tiles, pi, n_tiles, d_max)
-        catalog = make_catalog(len(drugs), seed=int(rng.integers(1 << 30)), corr_scale=0.6)
-        catalog = DrugCatalog(tuple(drugs), catalog.marginals, catalog.correlation)
-        mu_cap = max(_loads(tiles, pi)) * float(rng.choice([1.0, 1.2, 2.0])) + EPS
-        got_c = _local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
-        want_c = scalar_local_search_correlation(tiles, pi, catalog, n_tiles, d_max, mu_cap)
-        assert got_c[0] == want_c[0]
-        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
-        assert got_c[1] == want_c[1]
-        checked += 1
-        moved += got_c[0] != tiles
-    grid = 0
-    for tiles, pi, catalog, mu_cap in grid_instances(29, 12):
-        improve_as_reference(tiles, pi, 62, 4)
-        got_c = _local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
-        want_c = scalar_local_search_correlation(tiles, pi, catalog, 62, 4, mu_cap)
-        assert got_c[0] == want_c[0]
-        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
-        assert got_c[1] == want_c[1]
-        grid += 1
-        moved += got_c[0] != tiles
-    for tiles, pi, catalog, n_tiles, mu_cap in near_cap_instances(30, 400):
-        improve_as_reference(tiles, pi, n_tiles, 4)
-        got_c = _local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
-        want_c = scalar_local_search_correlation(tiles, pi, catalog, n_tiles, 4, mu_cap)
-        assert got_c[0] == want_c[0]
-        assert _loads(got_c[0], pi) == _loads(want_c[0], pi)
-        assert got_c[1] == want_c[1]
-        checked += 1
-        moved += got_c[0] != tiles
-    assert checked == 950 and grid == 12 and moved >= 500
 
 
 # --- heap fill and heap multiplicities vs the scalar stage 1 -----------------------
@@ -1138,28 +907,25 @@ def test_array_improve_matches_scalar_reference_under_compensated_sum(seed, monk
 
 
 # sha256 of stage-1 (heuristic) and stage-2 (local search) packing.json on the
-# 8x8~2 reference, per (order seed, stage-1 restarts), recorded before either
-# search cached tile sums (seeds 1-3) or before stage 1 stopped moving a
-# rejected trial's drugs last (seeds 4-8 and the 3 restarts the bench's
-# shuffled_8x8 and the acceptance tests' build_8x8_instance run)
+# 8x8~2 reference, per (order seed, stage-1 restarts; 3 is what the bench's
+# shuffled_8x8 and the acceptance tests' build_8x8_instance run).  Stage 1's
+# half was recorded before stage 1 stopped moving a rejected trial's drugs
+# last; the whole text after stage 2 did the same and summed each tile's
+# pairs left to right (seeds 4 and 5 kept their text through that change)
 PACKING_8X8_DIGESTS = {
-    (1, 20): "2c2dda98fe2bfcab2ff90d8a94291d912614453389579533168956d6f5571e57",
-    (2, 20): "bd1d83c88028fea27c9ef236131ba03ac7bfe3e27eff4dea21e5dc9e3e82771c",
-    (3, 20): "febd8833677ca6e743487d7aad9d03840d23923c384cf23db91fb76f0175b6af",
+    (1, 20): "998b928b3d7a31364fd3142fc9766e2aaaa72af8f0f7f36d855168da9d16ef56",
+    (2, 20): "dffd3a0b7613a953928b82e27c224826269c72090b297c6368c5155408e093db",
+    (3, 20): "bd976a740299eaa000846dd71873e3b2f98dbcac70652e5b283525da597298d5",
     (4, 20): "de77cdedb3b212f6243ca006a548b8c86eb9e21219295e045d721656627bd539",
     (5, 20): "5fa12b20398addbbf48bea5703a789863c4b184af7894ceae5e64d36b35639ad",
-    (6, 20): "9e1730f6e34226a56570cdf15966b92b6f0384f522c1a494e4b015d01bc3b608",
-    (7, 20): "3ce6110f1d29b4bc6160a727e631cfe063132066979ddee9cf88dd8e398bc265",
-    (8, 20): "8108f1fdebedc5cd1f485dc85acd00404ff8b37bd111d0004278423aed18c277",
-    (1, 3): "2c2dda98fe2bfcab2ff90d8a94291d912614453389579533168956d6f5571e57",
+    (6, 20): "87a009dcf3863d52a264cf90ec34857041c27319ff29c292f166d9fdbf166a75",
+    (7, 20): "3d47ae6b8a3c8705c2d6892f5f96cff2d96837dd6dd53e6a4b53a737bfe2e49b",
+    (8, 20): "aa92eb2ebf8b6de1acb09559ac52b1d51481290791cbe2560495d1ed74544935",
+    (1, 3): "998b928b3d7a31364fd3142fc9766e2aaaa72af8f0f7f36d855168da9d16ef56",
 }
 
 
-@pytest.mark.parametrize("seed, restarts", [
-    pytest.param(seed, restarts, id=str(seed) if restarts == 20 else f"{seed}-restarts{restarts}")
-    for seed, restarts in PACKING_8X8_DIGESTS
-])
-def test_packing_8x8_matches_pinned_digest(seed, restarts):
+def packing_8x8_digest(seed, restarts):
     import hashlib
 
     from planarfab.core import build_layout
@@ -1176,4 +942,23 @@ def test_packing_8x8_matches_pinned_digest(seed, restarts):
     )
     stage2 = pack_correlation(stage1, catalog, config, mode="heuristic")
     text = packing_to_json(stage1) + packing_to_json(stage2)
-    assert hashlib.sha256(text.encode()).hexdigest() == PACKING_8X8_DIGESTS[seed, restarts]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, restarts", [
+    pytest.param(seed, restarts, id=str(seed) if restarts == 20 else f"{seed}-restarts{restarts}")
+    for seed, restarts in PACKING_8X8_DIGESTS
+])
+def test_packing_8x8_matches_pinned_digest(seed, restarts):
+    assert packing_8x8_digest(seed, restarts) == PACKING_8X8_DIGESTS[seed, restarts]
+
+
+def test_packing_8x8_digest_under_compensated_sum(monkeypatch):
+    # no packing.json number goes through sum(): with the packing module's
+    # sum() compensated, as from Python 3.12 on, the text is the same
+    from planarfab import packing
+
+    monkeypatch.setattr(packing, "sum", compensated_sum, raising=False)
+    assert packing_8x8_digest(1, 3) == PACKING_8X8_DIGESTS[1, 3]
+    # a stored tile load, which fsum rounds to 0.6
+    assert packing._loads([("a", "b", "c")], {"a": 0.1, "b": 0.2, "c": 0.3}) == [0.6000000000000001]
