@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 2 configuration error (bad arguments, unreadable or
 malformed inputs), 3 infeasible instance, or a schedule that ``route`` or
 ``merge`` finds breaking ``scheduling.schedule_issues``.  A time limit stops
-only the search: the best schedule found is returned.  Commands raise;
-``main`` maps each exception to its code once.
+only the search: the best schedule found is returned.  It must be a finite
+number above 0, and ``--iterations`` at least 0 (0: construction only).
+Commands raise; ``main`` maps each exception to its code once.
 PLANARFAB_SEED overrides the instance seed.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,6 +171,16 @@ def _at_least_one(flag, value):
     return value
 
 
+def _check_search_budget(args):
+    """A time limit that is not a finite number above 0, or fewer than 0
+    iterations, is a configuration error: a NaN or infinite limit never
+    stops the search."""
+    if not (math.isfinite(args.time_limit) and args.time_limit > 0):
+        raise CliError("--time-limit must be a finite number > 0", CONFIG_ERROR)
+    if args.iterations is not None and args.iterations < 0:
+        raise CliError("--iterations must be >= 0", CONFIG_ERROR)
+
+
 def cmd_place(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
@@ -185,6 +197,7 @@ def cmd_place(args):
 
 
 def cmd_schedule(args):
+    _check_search_budget(args)
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
     placed = _load("placement", args.placement, Placement.from_json)
@@ -283,6 +296,7 @@ def cmd_merge(args):
 
 
 def cmd_pipeline(args):
+    _check_search_budget(args)
     layout, catalog, config = _load_instance(args.instance)
     pc = PipelineConfig(
         layout=layout,

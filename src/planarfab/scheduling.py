@@ -24,7 +24,11 @@ interval on a tile starts at or after every earlier interval's start there,
 hence at or after its end: the feasible start is max(mover-ready + travel,
 end of the tile's last interval), one "free" tick per tile.  The same order
 lets insertion time the plan without the new order once and resume each
-candidate from the state where its mover reaches the insertion point.
+candidate from the state where its mover reaches the insertion point.  A
+timing run can also stop and resume in the middle: it suspends whenever its
+bound reaches the one it was given and goes on, unchanged, under a higher
+one, which lets insertion advance many candidate runs best first, each only
+while its bound is the least.
 
 The makespan lower bound follows the relaxation route: exact per-order path
 values feed a parallel-machines problem whose optimum (or, above the guard,
@@ -47,6 +51,7 @@ byte-equal to json.dumps(doc, indent=2).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -804,7 +809,25 @@ def _lower_bound(chains, tails, ptr, nxt, makespan, flow) -> tuple[int, int]:
 
 def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
          bound=(_NEVER, _NEVER), placed=None, marks=None, snaps=None):
-    """Commit the remaining ops of chains; return (makespan, flow).
+    """Commit the remaining ops of chains; return (makespan, flow), or None
+    once the run's bound reaches bound.  The driver of _commits, which
+    documents the state and every argument."""
+    run = _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
+                   placed, marks, snaps)
+    try:
+        next(run)
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
+             placed, marks, snaps):
+    """Commit the remaining ops of chains, suspending at bound; the timing engine.
+
+    A generator: it returns (makespan, flow) through StopIteration, and
+    whenever its bound reaches bound it yields that bound and takes the next
+    bound by send, resuming exactly where it stopped.
 
     The state is advanced in place: per mover, ops committed (ptr) and the
     feasible start and tile id of its next op (nxt, wait; _NEVER and -1 once
@@ -820,19 +843,19 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
     occupies the tile it waits for): the makespan part is a running max of
     nxt[m] + span, and the flow part grows by (ops left) x (the delay).  It
     is tested before the first commit and after every change, and the run
-    returns None as soon as it reaches bound; at the end it equals the key.
-    So the run returns None exactly when its (makespan, flow) would be at
-    least bound, and the key otherwise.  With placed, each commit is
-    appended as (op_id, mover, tile id, start).  With marks (a set of op
-    counts per mover), snaps[(m, k)] gets a copy of the state plus the end
-    and tile id of the commit right after mover m commits its k-th op; the
-    run ends once every mark is taken.
+    suspends as soon as it reaches bound; at the end it equals the key.  So
+    the run suspends exactly when its (makespan, flow) would be at least
+    bound, and each bound it yields is the _lower_bound of the suspended
+    state.  With placed, each commit is appended as (op_id, mover, tile id,
+    start).  With marks (a set of op counts per mover), snaps[(m, k)] gets
+    a copy of the state plus the end and tile id of the commit right after
+    mover m commits its k-th op; the run ends once every mark is taken.
     """
-    bound_makespan, bound_flow = bound
     spans = tails[0]
     lb_makespan, lb_flow = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
-    if (lb_makespan, lb_flow) >= bound:
-        return None
+    while (lb_makespan, lb_flow) >= bound:
+        bound = yield lb_makespan, lb_flow
+    bound_makespan, bound_flow = bound
     movers = range(len(chains))
     lens = [len(c) for c in chains]
     remaining = sum(lens) - sum(ptr)
@@ -878,10 +901,11 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
                         lb_makespan = end + spans[o][ptr[o]]
                     nxt[o] = end
                     grew = True
-        if grew and lb_makespan >= bound_makespan and (
-            lb_makespan > bound_makespan or lb_flow >= bound_flow
-        ):
-            return None
+        if grew:
+            while lb_makespan >= bound_makespan and (
+                lb_makespan > bound_makespan or lb_flow >= bound_flow
+            ):
+                bound_makespan, bound_flow = yield lb_makespan, lb_flow
         remaining -= 1
         if marks is not None and k in marks[m]:
             snaps[(m, k)] = (ptr[:], nxt[:], wait[:], free[:], makespan, flow, end, tile)
@@ -932,7 +956,9 @@ def schedule(
     Search: warm-started constructive insertion followed by seeded LNS
     (remove-and-reinsert up to 4 orders, roulette over destroy sizes, restart
     after 500 stale iterations).  Tiny instances are enumerated exhaustively.
-    Deterministic for a fixed (seed, max_iterations); time_limit is wall-clock.
+    Deterministic for a fixed (seed, max_iterations); time_limit is wall-clock
+    seconds, a finite number above 0 (None: no limit), and max_iterations
+    at least 0 (0: construction only).
     """
     orders = list(orders)
     if not orders:
@@ -941,6 +967,10 @@ def schedule(
         raise ValueError("need at least one mover")
     if eta < 1:
         raise ValueError("eta must be >= 1")
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
+        raise ValueError(f"time_limit must be a finite number > 0, not {time_limit}")
+    if max_iterations is not None and max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, not {max_iterations}")
     for o in orders:
         for g in o.drugs:
             if not placement.dispensers_for(g):
@@ -1092,19 +1122,23 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     from there with m's chain spliced.
 
     Best first: each candidate's starting _lower_bound is taken from its
-    resume state, and candidates run in ascending order of (bound, index).
-    A candidate that comes later in the enumeration than the incumbent must
-    beat its key; one that comes earlier also wins on an equal key, so it
-    runs against (makespan, flow + 1) (keys are integers).  _run stops a
-    candidate as soon as its bound reaches that, and the search ends at the
-    first candidate whose starting bound reaches (makespan, flow + 1).
-    Route candidates are fetched in enumeration order, as a cache miss draws
-    from the route cache's rng.
+    resume state, and a heap holds every candidate by (bound, index).  The
+    search pops the least and advances its run (_commits) until its (bound,
+    index) passes the heap top's: the run gets the top's bound, plus one
+    flow tick when the candidate comes earlier in the enumeration, since it
+    also wins an equal key (keys are integers).  A suspended run goes back
+    on the heap with the bound it reached and resumes where it stopped when
+    it is the least again.  The first run to finish is the winner: its
+    (key, index) is below every (bound, index) left on the heap, and a
+    run's bound never exceeds its key, so it is the least (key, index), and
+    no run is advanced once its bound passes the winner's key.  Route candidates
+    are fetched in enumeration order, as a cache miss draws from the route
+    cache's rng.
 
     Cost: a starting bound reads m's spliced tails at k only, O(1) from the
     route's tails and m's (_splice_heads), so queueing a candidate is O(1);
-    only a candidate that runs pays for its spliced chain and tails
-    (_splice_tails).  The movers' (chain, span, flow) come from plan.timing,
+    only a candidate whose run starts pays for its spliced chain and tails
+    (_candidate_run).  The movers' (chain, span, flow) come from plan.timing,
     which rebuilds only the entries reset since they were last built.
     """
     dist = timer.dist
@@ -1127,7 +1161,7 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         _run(chains, (spans, flows), dist, ptr[:], nxt[:], wait[:], free[:], marks=marks,
              snaps=snaps)
 
-    queue = []  # (starting bound, index, m, pos, k, route, first start): no chain built yet
+    queue = []  # (bound, index, m, pos, k, route, first start, run: None until it starts)
     for m in candidates:
         seq = plan.seqs[m]
         base = chains[m]
@@ -1146,35 +1180,45 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
                 start = t0 if t0 > free[tile] else free[tile]
                 lb = (max(others[0], start + span_k),
                       others[1] + (len(route.seg) + left) * start + flow_k)
-                queue.append((lb, len(queue), m, pos, k, route, start))
-    queue.sort()  # by (bound, index): indexes are distinct, so no comparison reads further
+                queue.append((lb, len(queue), m, pos, k, route, start, None))
+    heapq.heapify(queue)  # by (bound, index): indexes are distinct, so no comparison reads further
 
-    best = None
-    best_key = (_NEVER, _NEVER)
-    best_index = len(queue)
-    for lb, index, m, pos, k, route, start in queue:
-        tie_wins = (best_key[0], best_key[1] + 1)
-        if lb >= tie_wins:
+    while True:
+        lb, index, m, pos, k, route, start, run = heapq.heappop(queue)
+        if queue:  # suspend once (bound, index) passes the top's; keys are integers
+            top, top_index = queue[0][0], queue[0][1]
+            bound = (top[0], top[1] + 1) if index < top_index else top
+        else:
+            bound = (_NEVER, _NEVER)
+        try:
+            if run is None:
+                run = _candidate_run(chains, spans, flows, dist, snaps[(m, k)], m, k, route,
+                                     start, bound)
+                lb = next(run)
+            else:
+                lb = run.send(bound)
+        except StopIteration as done:
+            key = done.value
             break
-        bound = tie_wins if index < best_index else best_key
-        if lb >= bound:
-            continue
-        ptr, nxt, wait, free, makespan, flow, _, _ = snaps[(m, k)]
-        base = chains[m]
-        run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
-        run_chains[m] = base[:k] + route.seg + base[k:]
-        run_spans[m], run_flows[m] = _splice_tails(
-            spans[m], flows[m], k, route.tails,
-            dist[route.seg[-1][2]][base[k][2]] if k < len(base) else 0)
-        nxt_m = nxt[:]
-        nxt_m[m] = start
-        wait_m = wait[:]
-        wait_m[m] = route.start
-        key = _run(run_chains, (run_spans, run_flows), dist, ptr[:], nxt_m, wait_m, free[:],
-                   makespan, flow, bound)
-        if key is not None:
-            best, best_key, best_index = (m, pos, route), key, index
-    m, pos, route = best
+        heapq.heappush(queue, (lb, index, m, pos, k, route, start, run))
     plan.seqs[m].insert(pos, (order, route))
     timing[m] = None
-    return best_key
+    return key
+
+
+def _candidate_run(chains, spans, flows, dist, snap, m, k, route, start, bound):
+    """The _commits run of the candidate that splices route into mover m's
+    chain at position k, from snap, the base run's state there."""
+    ptr, nxt, wait, free, makespan, flow, _, _ = snap
+    base = chains[m]
+    run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
+    run_chains[m] = base[:k] + route.seg + base[k:]
+    run_spans[m], run_flows[m] = _splice_tails(
+        spans[m], flows[m], k, route.tails,
+        dist[route.seg[-1][2]][base[k][2]] if k < len(base) else 0)
+    nxt = nxt[:]
+    nxt[m] = start
+    wait = wait[:]
+    wait[m] = route.start
+    return _commits(run_chains, (run_spans, run_flows), dist, ptr[:], nxt, wait, free[:],
+                    makespan, flow, bound, None, None, None)

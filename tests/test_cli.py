@@ -333,6 +333,43 @@ def test_cli_order_count_below_one_is_config_error(tmp_path, instance_file, caps
     assert not out.exists()
 
 
+def _search_argv(tmp_path, instance_file, command, out):
+    if command == "schedule":
+        placement, orders = _schedule_inputs(tmp_path)
+        return ("schedule", "--instance", instance_file, "--orders", orders,
+                "--placement", placement, "--out", out)
+    return ("pipeline", "--instance", instance_file, "--n-orders", "6",
+            "--size-min", "1", "--size-max", "3", "--population", "4",
+            "--max-evaluations", "8", "--episodes", "1", "--out-dir", out)
+
+
+# --iterations 1 keeps a build that accepts these limits from hanging: the
+# search never reaches a NaN or infinite deadline
+@pytest.mark.parametrize("limit", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["schedule", "pipeline"])
+def test_cli_time_limit_not_finite_and_positive_is_config_error(tmp_path, instance_file, capsys,
+                                                                 command, limit):
+    out = tmp_path / "out"
+    argv = _search_argv(tmp_path, instance_file, command, out)
+    assert run(*argv, f"--time-limit={limit}", "--iterations", "1") == CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --time-limit must be a finite number > 0"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "pipeline"])
+def test_cli_iterations_below_zero_is_config_error(tmp_path, instance_file, capsys, command):
+    out = tmp_path / "out"
+    argv = _search_argv(tmp_path, instance_file, command, out)
+    assert run(*argv, "--iterations", "-1") == CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: --iterations must be >= 0"]
+    assert not out.exists()
+    # 0 iterations is construction only
+    assert run(*argv, "--iterations", "0") == OK
+    assert out.exists()
+
+
 @pytest.mark.parametrize("movers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["schedule", "lower-bound"])
 def test_cli_movers_below_one_is_config_error(tmp_path, instance_file, capsys, command, movers):

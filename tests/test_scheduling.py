@@ -24,6 +24,7 @@ from planarfab.scheduling import (
     _Plan,
     _plan_makespan,
     _RouteCache,
+    _commits,
     _lower_bound,
     _run,
     _timing,
@@ -501,6 +502,16 @@ def test_schedule_errors(golden_placement):
         schedule([Order(0, (("OMEPRAZOLE", 1),))], golden_placement, 1, eta=0)
 
 
+@pytest.mark.parametrize("time_limit", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_schedule_refuses_a_time_limit_not_finite_and_positive(golden_placement, time_limit):
+    # a NaN or infinite deadline never stops the search
+    orders = [Order(0, (("OMEPRAZOLE", 1),))]
+    with pytest.raises(ValueError, match="time_limit must be a finite number > 0"):
+        schedule(orders, golden_placement, 1, time_limit=time_limit, max_iterations=1)
+    with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+        schedule(orders, golden_placement, 1, max_iterations=-1)
+
+
 def test_schedule_csv_and_json_roundtrip():
     pl = line_placement(["IF", ("a",)])
     orders = [Order(0, (("a", 10),))]
@@ -704,10 +715,12 @@ def test_plan_timing_entries_match_sequences_around_every_insertion(monkeypatch,
     assert calls["kept"] >= calls["insertions"] * (n_movers - 1)
 
 
-def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
+def _bounded_run_cases():
+    """(case, chains, tails, dist, state) over random plans on four layouts:
+    each plan's origin and the state after some mover's k-th op, the states
+    (ptr, nxt, wait, free, makespan, flow) that a run starts or resumes from."""
     drugs = list("abcdefgh")
     layouts = _engine_layouts() + [build_layout("square", (3, 3), 1)]  # 3x3: shared tiles
-    checked = 0
     for li, layout in enumerate(layouts):
         for seed in range(25):
             rng = random.Random(9000 + 1000 * li + seed)
@@ -728,21 +741,67 @@ def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
             snaps = {}
             _run(chains, tails, timer.dist, *timer.origin(chains), marks=marks, snaps=snaps)
             states.append(snaps[(m, k)][:6])
-            for ptr, nxt, wait, free, makespan, flow in states:
-                def resume(bound=(math.inf, math.inf)):
-                    return _run(chains, tails, timer.dist, ptr[:], nxt[:], wait[:], free[:],
-                                makespan, flow, bound)
+            for state in states:
+                yield (li, seed), chains, tails, timer.dist, state
 
-                key = resume()
-                lb = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
-                assert lb[0] <= key[0] and lb[1] <= key[1], (li, seed)
-                for dm in (-3, -1, 0, 1, 2):
-                    for df in (-40, -1, 0, 1, 25):
-                        bound = (key[0] + dm, key[1] + df)
-                        got = resume(bound)
-                        assert got == (None if key >= bound else key), (li, seed, bound)
-                        checked += 1
+
+def test_bounded_run_returns_none_exactly_when_key_reaches_bound():
+    checked = 0
+    for case, chains, tails, dist, (ptr, nxt, wait, free, makespan, flow) in _bounded_run_cases():
+        def resume(bound=(math.inf, math.inf)):
+            return _run(chains, tails, dist, ptr[:], nxt[:], wait[:], free[:],
+                        makespan, flow, bound)
+
+        key = resume()
+        lb = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
+        assert lb[0] <= key[0] and lb[1] <= key[1], case
+        for dm in (-3, -1, 0, 1, 2):
+            for df in (-40, -1, 0, 1, 25):
+                bound = (key[0] + dm, key[1] + df)
+                got = resume(bound)
+                assert got == (None if key >= bound else key), (case, bound)
+                checked += 1
     assert checked == 4 * 25 * 2 * 25
+
+
+def test_suspended_run_resumes_to_the_uninterrupted_run():
+    """A run suspended at a rising series of bounds and resumed each time
+    commits what an uninterrupted run commits and returns its key.  Every
+    bound it yields is at least the bound it was given and equals the
+    _lower_bound of the suspended state; sent a bound it has already
+    reached, it yields that bound again without a commit."""
+    suspensions = at_origin = 0
+    for case, chains, tails, dist, (ptr, nxt, wait, free, makespan, flow) in _bounded_run_cases():
+        rng = random.Random(repr(case))
+        durations = {op_id: dur for chain in chains for op_id, dur, _ in chain}
+        want = []
+        key = _run(chains, tails, dist, ptr[:], nxt[:], wait[:], free[:], makespan, flow,
+                   placed=want)
+        lb = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
+        state = ptr[:], nxt[:], wait[:], free[:]
+        placed = []
+        bound = lb if rng.random() < 0.3 else (lb[0], lb[1] + rng.randint(1, 20))
+        run = _commits(chains, tails, dist, *state, makespan, flow, bound, placed, None, None)
+        try:
+            got = next(run)
+            while True:
+                assert got >= bound, case
+                ends = [start + durations[op_id] for op_id, _, _, start in placed]
+                assert got == _lower_bound(chains, tails, state[0], state[1],
+                                           max([makespan, *ends]), flow + sum(ends)), case
+                commits = len(placed)
+                assert run.send(got) == got and len(placed) == commits, case
+                suspensions += 1
+                at_origin += not placed
+                if rng.random() < 0.8:
+                    bound = (got[0], got[1] + rng.randint(1, 10))
+                else:
+                    bound = (got[0] + 1, got[1] - rng.randint(0, 40))
+                got = run.send(bound)
+        except StopIteration as done:
+            assert done.value == key, case
+        assert placed == want, case
+    assert suspensions >= 500 and at_origin >= 50
 
 
 # --- route oracle ------------------------------------------------------------------
@@ -1012,6 +1071,17 @@ def test_lns_schedule_8x8_matches_pinned_digest():
     s = schedule(orders, pl, 4, eta=2, seed=11, max_iterations=5)
     assert s.incumbent_trace == (4070, 4070, 4070, 4070, 4070, 4068)
     assert _digest(s) == "1d49b5b0016d2e40efe9fa151e4845e5ff6bb2f562ed495e9c9d7e79dad54b3c"
+
+
+def test_lns_schedule_8x8_with_8_movers_matches_pinned_digest():
+    # with 8 movers many insertion candidates interleave and tie, so the
+    # best-first search suspends and resumes candidate runs often
+    from test_acceptance import build_8x8_instance
+
+    pl, orders, _config = build_8x8_instance(2, 25, movers=8)
+    s = schedule(orders, pl, 8, eta=2, seed=2, max_iterations=5)
+    assert s.incumbent_trace == (1881, 1880, 1880, 1880, 1876, 1875)
+    assert _digest(s) == "3b3520d81aac370067848e59477fb7eb873a80721f51e463e972efd35132b40a"
 
 
 def test_schedules_on_ring_with_empty_tiles_match_pinned_digests():
