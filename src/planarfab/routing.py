@@ -19,20 +19,31 @@ one longest-path pass per round leaves no two of them overlapping.  The ledger
 is monotone and bounded, so the iteration terminates; a cap of 100 guards
 pathological cases.
 
-Each resolve_conflicts call builds what its rounds share once, since only
-the pause ledger changes between rounds: the precedence DAG of the input
-schedule with ledger-free weights (``propagate_starts`` adds each round's
-pauses), and a frame over the layout's distance table (``_Frame``: rows of
-tile ids, and the MOVE cells of every path asked for, keyed by tile id pair).
-Every round reads distances from that table: transit x site round trips are
-four table blocks (``_site_options``), and the regret greedy above 30
-transits updates only the regrets an assignment touches.  A mover's path is a
-sorted list of maximal runs (t0, t1, (x, y, state)), one per stretch of ticks
-on one cell, so building, checking and writing paths costs O(runs), not
-O(horizon): a movement segment is written once as a leg and expanded to one
-run per tick after the first-writer pass, and conflict counting indexes the
-transit-state runs on each dispensing tile and takes, per dispensing window,
-the length of the union of other movers' runs inside it.
+A resolve_conflicts call builds once what its rounds share:
+
+- the resting sites;
+- the precedence DAG of the input schedule with ledger-free weights
+  (``propagate_starts`` adds each round's pauses);
+- a frame (``_Frame``): each mover's ops in ``Schedule.by_mover`` order,
+  which the DAG's same-mover edges keep in every round, the dispensing ops
+  and their tile slots, rows of the layout's distance table by tile id, and
+  the MOVE cells of every path asked for, keyed by tile id pair;
+- the plan's schedule, from the fixpoint's starts.
+
+A round recomputes from its starts and its ledger only, mover by mover in
+the frame's order:
+
+- the realized ops (tile, start, realized end, op);
+- the idle transits between consecutive ops, and their resting sites
+  (transit x site round trips are four table blocks, ``_site_options``;
+  the regret greedy above 30 transits updates only the regrets an
+  assignment touches);
+- the paths, as sorted lists of maximal runs (t0, t1, (x, y, state)), one
+  per stretch of ticks on one cell, so building, checking and writing them
+  costs O(runs), not O(horizon): a movement segment is written once as a
+  leg and expanded to one run per tick after the first-writer pass;
+- the pauses, from the transit-state runs on each dispensing tile: per
+  dispensing window, the length of the union of other movers' runs in it.
 """
 
 from __future__ import annotations
@@ -193,16 +204,21 @@ def generate_resting_sites(layout, interfaces) -> SiteSelection:
 # --- transits and site assignment -------------------------------------------------
 
 class _Frame:
-    """What every round of one resolve_conflicts call reads of the layout:
-    the distance table as rows of tile ids (``Layout.index_table``), one
-    (x, y, state) cell per tile and state, and the MOVE cells of every path
-    asked for so far, keyed by (from, to) tile id.  It lives for one call
-    only, so no path cache outlasts the plan it was built for."""
+    """What every round of one resolve_conflicts call reads of its schedule
+    and layout, built once: each mover's ops in ``Schedule.by_mover`` order
+    (``seqs``), the dispensing ops as (op id, mover, duration, tile slot) in
+    schedule order with the slot of each transit-state cell (MOVE or REST)
+    on their tiles, the distance table as rows of tile ids
+    (``Layout.index_table``), one (x, y, state) cell per tile and state, and
+    the MOVE cells of every path asked for, keyed by (from, to) tile id.  It
+    lives for one call only, so no path cache outlasts the plan it was built
+    for."""
 
-    def __init__(self, placement):
+    def __init__(self, schedule: Schedule, placement):
         layout = placement.layout
         self.placement = placement
         self.layout = layout
+        self.seqs = schedule.by_mover()
         self.index, table = layout.index_table
         self.rows = table.tolist()
         self.tiles = layout.sorted_tiles()  # tile id -> Coord
@@ -211,6 +227,16 @@ class _Frame:
             for state in (MOVE, DISPENSE, SWAP, REST)
         }
         self._steps: dict[tuple[int, int], list] = {}
+        self.dispensing: list[tuple[int, int, int, int]] = []
+        self.slots: dict = {}
+        centers: dict = {}
+        for so in schedule.ops:
+            if so.op.kind == DISPENSING:
+                x, y = float(so.tile.x), float(so.tile.y)
+                slot = centers.setdefault((x, y), len(centers))
+                self.slots[(x, y, MOVE)] = self.slots[(x, y, REST)] = slot
+                self.dispensing.append((so.op.op_id, so.mover, so.op.duration, slot))
+        self.n_slots = len(centers)
 
     def dist(self, a: Coord, b: Coord) -> int:
         index = self.index
@@ -227,45 +253,40 @@ class _Frame:
 
 
 class Realized:
-    """One fixpoint round: a schedule, its pauses and its realized ops
-    (``_realized_ops``), on the frame of the call the round belongs to."""
+    """One fixpoint round on the frame of its call: its starts and pauses
+    (op id -> ticks), and per mover, in the frame's order, its ops realized
+    as (tile, start, realized end, op); ``end`` is the latest realized end."""
 
-    def __init__(self, schedule: Schedule, pauses, frame: _Frame):
-        self.schedule = schedule
+    def __init__(self, starts, pauses, frame: _Frame):
+        self.starts = starts
         self.pauses = pauses
         self.frame = frame
-        self.ops = _realized_ops(schedule, pauses)
+        self.ops: dict[int, list] = {}
+        for m, seq in frame.seqs.items():
+            row = self.ops[m] = []
+            for so in seq:
+                op = so.op
+                s = starts[op.op_id]
+                row.append((so.tile, s, s + op.duration + pauses.get(op.op_id, 0), op))
+        self.end = max((e for row in self.ops.values() for _t, _s, e, _o in row), default=0)
 
 
 def realize(schedule: Schedule, placement, pauses=None) -> Realized:
-    """A schedule realized under ``pauses`` on a frame of its own."""
-    return Realized(schedule, pauses or {}, _Frame(placement))
+    """A schedule's own starts realized under ``pauses`` on a frame of its own."""
+    starts = {so.op.op_id: so.start for so in schedule.ops}
+    return Realized(starts, pauses or {}, _Frame(schedule, placement))
 
 
 def extract_transits(realized: Realized) -> list[Transit]:
-    """Idle transits of a realized schedule (gap exceeding travel), per mover."""
-    return _transits_of(realized.ops, realized.frame.dist)
-
-
-def _realized_ops(schedule: Schedule, pauses):
-    out = {}
-    for so in schedule.ops:
-        pause = pauses.get(so.op.op_id, 0)
-        out[so.op.op_id] = (so.mover, so.tile, so.start, so.end + pause, so.op)
-    return out
-
-
-def _transits_of(realized, dist):
-    by_mover: dict[int, list] = {}
-    for op_id, (m, tile, s, e, op) in realized.items():
-        by_mover.setdefault(m, []).append((s, e, tile, op_id))
+    """Idle transits of a round (gap exceeding travel): each mover's
+    consecutive ops, movers in order."""
+    dist = realized.frame.dist
     transits = []
-    for m, seq in sorted(by_mover.items()):
-        seq.sort()
-        for (s1, e1, t1, id1), (s2, e2, t2, id2) in zip(seq, seq[1:]):
+    for m, seq in realized.ops.items():
+        for (t1, _s1, e1, o1), (t2, s2, _e2, o2) in zip(seq, seq[1:]):
             travel = dist(t1, t2)
             if s2 - e1 > travel:
-                transits.append(Transit(m, id1, id2, t1, t2, e1, s2, travel))
+                transits.append(Transit(m, o1.op_id, o2.op_id, t1, t2, e1, s2, travel))
     return transits
 
 
@@ -515,35 +536,28 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     pass.
 
     ``resting_assignment`` maps a transit's ``(mover, from_op, to_op)`` key to
-    its resting site; ``transits`` defaults to the realized schedule's own.
+    its resting site; ``transits`` defaults to the round's own.
     """
     frame = realized.frame
-    ops_of = realized.ops
     if transits is None:
-        transits = _transits_of(ops_of, frame.dist)
+        transits = extract_transits(realized)
     t_by_key = {(t.mover, t.from_op, t.to_op): t for t in transits}
     site_of = {key: (t_by_key[key], site) for key, site in resting_assignment.items()}
 
-    top = max((e for (_m, _t, _s, e, _o) in ops_of.values()), default=0) + 1
+    top = realized.end + 1
     index, rows, steps = frame.index, frame.rows, frame.steps
     dispense, swap, rest = frame.cells[DISPENSE], frame.cells[SWAP], frame.cells[REST]
 
     paths: dict[int, list] = {}
-    by_mover: dict[int, list] = {}
-    for op_id, rec in ops_of.items():
-        by_mover.setdefault(rec[0], []).append(rec + (op_id,))
-    for m, seq in sorted(by_mover.items()):
-        seq.sort(key=lambda r: r[2])
+    for m, seq in realized.ops.items():
         # ops in reverse: the last writer among them wins
         writes = [
             (s, e, (dispense if op.kind == DISPENSING else swap)[index[tile]])
-            for (_m, tile, s, e, op, _id) in reversed(seq)
+            for (tile, s, e, op) in reversed(seq)
         ]
-        for r1, r2 in zip(seq, seq[1:]):
-            _m1, t1, _s1, e1, _o1, id1 = r1
-            _m2, t2, s2, _e2, _o2, id2 = r2
+        for (t1, _s1, e1, o1), (t2, s2, _e2, o2) in zip(seq, seq[1:]):
             i1, i2 = index[t1], index[t2]
-            assigned = site_of.get((m, id1, id2))
+            assigned = site_of.get((m, o1.op_id, o2.op_id))
             if assigned is not None:
                 tr, site = assigned
                 _detour, _via, (a, b) = _site_cost(tr, site, frame.dist)
@@ -565,41 +579,23 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     return paths
 
 
-def _conflict_index(schedule: Schedule):
-    """What detect_conflicts reads of a schedule apart from its starts: per
-    dispensing op (position in schedule.ops, op id, mover, duration, tile
-    slot), the slot of each transit-state cell (MOVE or REST) on a
-    dispensing tile, and the number of slots.  Every round of one
-    resolve_conflicts call has the same ops in the same order, so the call
-    builds it once."""
-    slots: dict = {}
-    cells: dict = {}
-    dispensing = []
-    for i, so in enumerate(schedule.ops):
-        if so.op.kind == DISPENSING:
-            x, y = float(so.tile.x), float(so.tile.y)
-            slot = slots.setdefault((x, y), len(slots))
-            cells[(x, y, MOVE)] = cells[(x, y, REST)] = slot
-            dispensing.append((i, so.op.op_id, so.mover, so.op.duration, slot))
-    return dispensing, cells, len(slots)
-
-
-def detect_conflicts(paths, schedule: Schedule, pauses=None, index=None) -> dict[int, int]:
-    """Ticks per dispensing op during which another mover transits its tile.
+def detect_conflicts(paths, realized: Realized) -> dict[int, int]:
+    """Ticks per dispensing op of a round during which another mover
+    transits its tile.
 
     Only transit-state occupancy (moving or resting) pauses dispensing; two
     operations parked on one tile are a scheduling overlap, kept apart by the
     realized-duration same-dispenser edges of build_dag, not a routing conflict.
-    ``index`` is ``_conflict_index`` of a schedule with the same ops in the
-    same order (only starts may differ); without it one is built.
+    The dispensing ops and their tile slots are the frame's; each op's window
+    runs from the round's start to its realized end.
     """
-    pauses = pauses or {}
-    dispensing, cells, n_slots = index or _conflict_index(schedule)
+    frame = realized.frame
+    slots = frame.slots
     # per dispensing tile slot: (t0, t1, mover) transit-state runs on it
-    occupancy: list[list] = [[] for _ in range(n_slots)]
+    occupancy: list[list] = [[] for _ in range(frame.n_slots)]
     for m, runs in paths.items():
         for t0, t1, cell in runs:
-            slot = cells.get(cell)
+            slot = slots.get(cell)
             if slot is not None:
                 occupancy[slot].append((t0, t1, m))
     tables = []
@@ -608,14 +604,14 @@ def detect_conflicts(paths, schedule: Schedule, pauses=None, index=None) -> dict
         # reach[k]: the latest end among seq[:k + 1], so runs before
         # bisect_right(reach, s) all end by tick s
         tables.append((seq, [r[0] for r in seq], list(accumulate((r[1] for r in seq), max))))
-    ops = schedule.ops
+    starts, pauses = realized.starts, realized.pauses
     ledger: dict[int, int] = {}
-    for i, op_id, mover, duration, slot in dispensing:
-        seq, starts, reach = tables[slot]
-        start = ops[i].start
+    for op_id, mover, duration, slot in frame.dispensing:
+        seq, begins, reach = tables[slot]
+        start = starts[op_id]
         end = start + duration + pauses.get(op_id, 0)
         covered, done = 0, start  # ticks before `done` are counted or excluded
-        for k in range(bisect_right(reach, start), bisect_left(starts, end)):
+        for k in range(bisect_right(reach, start), bisect_left(begins, end)):
             t0, t1, m = seq[k]
             if m != mover and t1 > done:  # the union of other movers' runs
                 t1 = min(t1, end)
@@ -699,28 +695,20 @@ def _binding_tile_edges(dag: PrecedenceDag, starts, ledger) -> int:
 def resolve_conflicts(schedule: Schedule, placement) -> RoutedPlan:
     """Iterate path building, conflict counting and DAG repropagation to a fixpoint.
 
-    The resting sites, the DAG, the layout frame (distance rows, path cache)
-    and the dispensing index of detect_conflicts are built once per call:
-    between rounds only the ledger changes.
+    The resting sites, the DAG and the frame (mover sequences, dispensing
+    ops, distance rows, path cache) are built once per call: a round reads
+    only its starts and its ledger, and the plan's schedule is built once,
+    from the fixpoint's starts.
     """
     sites = generate_resting_sites(placement.layout, placement.interfaces)
     ledger: dict[int, int] = {}
     dag = build_dag(schedule, placement)
-    frame = _Frame(placement)
-    index = _conflict_index(schedule)
+    frame = _Frame(schedule, placement)
     iterations = 0
     while iterations < MAX_ITERATIONS:
         iterations += 1
         starts = propagate_starts(dag, ledger)
-        current = Schedule(
-            tuple(
-                ScheduledOp(so.op, so.mover, so.tile, starts[so.op.op_id])
-                for so in schedule.ops
-            ),
-            max(starts[so.op.op_id] + so.op.duration for so in schedule.ops),
-            schedule.incumbent_trace,
-        )
-        realized = Realized(current, ledger, frame)
+        realized = Realized(starts, ledger, frame)
         transits = extract_transits(realized)
         assignment = assign_resting_sites(transits, sites.sites, placement) if transits else {}
         key_assignment = {
@@ -728,21 +716,21 @@ def resolve_conflicts(schedule: Schedule, placement) -> RoutedPlan:
             for i, s in assignment.items()
         }
         paths = build_paths(realized, key_assignment, transits)
-        found = detect_conflicts(paths, current, pauses=ledger, index=index)
+        found = detect_conflicts(paths, realized)
         new_ledger = {k: max(ledger.get(k, 0), v) for k, v in found.items() if v > 0}
         for k, v in ledger.items():
             new_ledger[k] = max(new_ledger.get(k, 0), v)
         if new_ledger == ledger:
-            realized_makespan = max(
-                so.end + ledger.get(so.op.op_id, 0) for so in current.ops
+            ops = tuple(
+                ScheduledOp(so.op, so.mover, so.tile, starts[so.op.op_id]) for so in schedule.ops
             )
             return RoutedPlan(
-                current,
+                Schedule(ops, max(so.end for so in ops), schedule.incumbent_trace),
                 ledger,
                 paths,
                 key_assignment,
                 sites,
-                realized_makespan,
+                realized.end,
                 iterations,
                 exclusivity_repairs=_binding_tile_edges(dag, starts, ledger),
                 transits=tuple(transits),

@@ -749,28 +749,27 @@ def _tails(chain, dist) -> tuple[list[int], list[int]]:
 
 
 def _splice_tails(span, flow, k, seg_tails, d):
-    """_tails of chain[:k] + seg + chain[k:] from position k on.
+    """_tails of seg + chain[k:], the spliced chain chain[:k] + seg + chain[k:]
+    from position k on.
 
     span, flow are the chain's _tails, seg_tails the segment's own, and d
     the travel from the segment's last tile to chain[k] (0 when k is the
-    chain's end).  Entries before k stay the chain's: a run resumed at
-    position k never reads them.
+    chain's end).  A run resumed at position k reads no entry before it.
     """
     seg_span, seg_flow = seg_tails
     left = len(span) - 1 - k
     if not left:
-        return span[:k] + seg_span, flow[:k] + seg_flow
+        return seg_span, seg_flow
     after = d + span[k]
     return (
-        span[:k] + [x + after for x in seg_span[:-1]] + span[k:],
-        flow[:k]
-        + [f + left * (x + d) + flow[k] for x, f in zip(seg_span[:-1], seg_flow[:-1])]
+        [x + after for x in seg_span[:-1]] + span[k:],
+        [f + left * (x + d) + flow[k] for x, f in zip(seg_span[:-1], seg_flow[:-1])]
         + flow[k:],
     )
 
 
 def _splice_heads(chain, span, flow, k, routes, dist) -> list[tuple[int, int]]:
-    """Entry k of _splice_tails(span, flow, k, route.tails, d) for each route, O(1) each.
+    """Entry 0 of _splice_tails(span, flow, k, route.tails, d) for each route, O(1) each.
 
     The spliced chain runs the route's segment from position k, then
     chain[k:] after the travel d from the segment's last tile to chain[k]:
@@ -1138,8 +1137,9 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     Cost: a starting bound reads m's spliced tails at k only, O(1) from the
     route's tails and m's (_splice_heads), so queueing a candidate is O(1);
     only a candidate whose run starts pays for its spliced chain and tails
-    (_candidate_run).  The movers' (chain, span, flow) come from plan.timing,
-    which rebuilds only the entries reset since they were last built.
+    from k on (_candidate_run).  The movers' (chain, span, flow) come from
+    plan.timing, which rebuilds only the entries reset since they were last
+    built.
     """
     dist = timer.dist
     timing = plan.timing
@@ -1208,17 +1208,21 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
 
 def _candidate_run(chains, spans, flows, dist, snap, m, k, route, start, bound):
     """The _commits run of the candidate that splices route into mover m's
-    chain at position k, from snap, the base run's state there."""
+    chain at position k, from snap, the base run's state there.  Mover m's
+    first k ops are committed in snap, so the run holds only the rest of its
+    spliced chain, route.seg + chain[k:], from position 0."""
     ptr, nxt, wait, free, makespan, flow, _, _ = snap
     base = chains[m]
     run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
-    run_chains[m] = base[:k] + route.seg + base[k:]
+    run_chains[m] = route.seg + base[k:]
     run_spans[m], run_flows[m] = _splice_tails(
         spans[m], flows[m], k, route.tails,
         dist[route.seg[-1][2]][base[k][2]] if k < len(base) else 0)
+    ptr = ptr[:]
+    ptr[m] = 0
     nxt = nxt[:]
     nxt[m] = start
     wait = wait[:]
     wait[m] = route.start
-    return _commits(run_chains, (run_spans, run_flows), dist, ptr[:], nxt, wait, free[:],
+    return _commits(run_chains, (run_spans, run_flows), dist, ptr, nxt, wait, free[:],
                     makespan, flow, bound, None, None, None)

@@ -211,7 +211,9 @@ def test_criterion_7_routing_fixpoint_and_overhead():
         s = schedule(orders, pl, 8, eta=2, seed=seed, max_iterations=6)
         plan = route_schedule(s, pl)
         assert plan.iterations <= 100
-        found = routing.detect_conflicts(plan.paths, plan.schedule, pauses=plan.interruptions)
+        found = routing.detect_conflicts(
+            plan.paths, routing.realize(plan.schedule, pl, plan.interruptions)
+        )
         assert all(v <= plan.interruptions.get(k, 0) for k, v in found.items())
         overheads.append(100.0 * (plan.makespan - s.makespan) / s.makespan)
     elapsed = time.perf_counter() - t0

@@ -31,10 +31,8 @@ from planarfab.routing import (
     propagate_starts,
     realize,
     _assign_greedy,
-    _realized_ops,
     _site_cost,
     _site_options,
-    _transits_of,
     resolve_conflicts,
     route_schedule,
     site_candidates,
@@ -476,7 +474,7 @@ def test_detect_conflicts_single_mover_zero():
     pl = line_placement(["IF", ("a",)])
     s = schedule([Order(0, (("a", 5),))], pl, 1, eta=2)
     paths = build_paths(realize(s, pl), {})
-    assert all(v == 0 for v in detect_conflicts(paths, s).values())
+    assert all(v == 0 for v in detect_conflicts(paths, realize(s, pl)).values())
 
 
 def hand_crossing_fixture():
@@ -509,7 +507,7 @@ def test_detect_conflicts_constructed_crossing():
     inst = SchedulingInstance(orders, pl, 2, 2)
     assert validate_schedule(s, inst) == []
     paths = build_paths(realize(s, pl), {})
-    ledger = detect_conflicts(paths, s)
+    ledger = detect_conflicts(paths, realize(s, pl))
     disp_a = next(so.op.op_id for so in s.ops if so.op.target == "a")
     assert ledger[disp_a] == 1  # mover 1 crosses (1,2) at tick 8
     assert all(v == 0 for k, v in ledger.items() if k != disp_a)
@@ -550,7 +548,7 @@ def test_detect_conflicts_matches_tick_grid_oracle():
             for i, x in assignment.items()
         }
         paths = build_paths(realize(s, pl), key_assignment, transits)
-        assert detect_conflicts(paths, s) == _tick_grid_conflicts(paths, s, {})
+        assert detect_conflicts(paths, realize(s, pl)) == _tick_grid_conflicts(paths, s, {})
 
     # routed plans, whose paths and schedule carry the fixpoint's pauses, then
     # the same paths under random pauses that stretch windows past the paths
@@ -567,12 +565,12 @@ def test_detect_conflicts_matches_tick_grid_oracle():
             paused += bool(pauses)
             paths = build_paths(realize(plan.schedule, pl, pauses), plan.resting_assignment)
             assert paths == plan.paths
-            assert detect_conflicts(paths, plan.schedule, pauses) == _tick_grid_conflicts(
+            assert detect_conflicts(paths, realize(plan.schedule, pl, pauses)) == _tick_grid_conflicts(
                 paths, plan.schedule, pauses
             )
             rng = random.Random(seed)
             extra = {so.op.op_id: rng.randint(0, 30) for so in plan.schedule.ops}
-            assert detect_conflicts(paths, plan.schedule, extra) == _tick_grid_conflicts(
+            assert detect_conflicts(paths, realize(plan.schedule, pl, extra)) == _tick_grid_conflicts(
                 paths, plan.schedule, extra
             )
     assert paused >= 6
@@ -627,7 +625,7 @@ def test_ledger_and_makespan_monotone_across_iterations():
             for i, x in sel.items()
         }
         paths = build_paths(r, key_sel, transits)
-        found = detect_conflicts(paths, cur, pauses=led)
+        found = detect_conflicts(paths, r)
         led = {k: max(led.get(k, 0), v) for k, v in found.items()}
         assert all(led.get(k, 0) >= v for k, v in prev_led.items())
         assert cur.makespan >= prev_make
@@ -670,7 +668,7 @@ def test_routed_plans_reach_fixpoint_and_validate_fuzz(monkeypatch):
         assert len(rounds) - before == plan.iterations  # one propagation per round
         assert plan.iterations <= 100
         assert plan.makespan >= s.makespan
-        found = detect_conflicts(plan.paths, plan.schedule, pauses=plan.interruptions)
+        found = detect_conflicts(plan.paths, realize(plan.schedule, pl, plan.interruptions))
         assert all(v <= plan.interruptions.get(k, 0) for k, v in found.items())
         inst = SchedulingInstance(tuple(orders), pl, movers, 2)
         assert validate_plan(plan, inst) == [], seed
@@ -911,7 +909,30 @@ def check_rounds_against_repair_loop(monkeypatch):
 #
 # ref_build_paths, ref_detect_conflicts and ref_validate_plan are the tick-list
 # versions that paths as runs replaced (one cell or None per tick), kept as
-# they were to pin the run versions to them.
+# they were to pin the run versions to them; _realized_ops and _transits_of
+# are the per-round regroup-and-sort passes ref_build_paths was written on.
+
+def _realized_ops(schedule: Schedule, pauses):
+    out = {}
+    for so in schedule.ops:
+        pause = pauses.get(so.op.op_id, 0)
+        out[so.op.op_id] = (so.mover, so.tile, so.start, so.end + pause, so.op)
+    return out
+
+
+def _transits_of(realized, dist):
+    by_mover: dict[int, list] = {}
+    for op_id, (m, tile, s, e, op) in realized.items():
+        by_mover.setdefault(m, []).append((s, e, tile, op_id))
+    transits = []
+    for m, seq in sorted(by_mover.items()):
+        seq.sort()
+        for (s1, e1, t1, id1), (s2, e2, t2, id2) in zip(seq, seq[1:]):
+            travel = dist(t1, t2)
+            if s2 - e1 > travel:
+                transits.append(Transit(m, id1, id2, t1, t2, e1, s2, travel))
+    return transits
+
 
 def ref_build_paths(schedule: Schedule, resting_assignment, placement, pauses=None,
                     transits=None):
@@ -1096,6 +1117,13 @@ def _horizon(schedule, pauses):
     return max(so.end + pauses.get(so.op.op_id, 0) for so in schedule.ops) + 1
 
 
+def _round_schedule(realized):
+    """A round's ops at the round's starts, as the schedule the references read."""
+    ops = tuple(ScheduledOp(op, m, tile, s)
+                for m, seq in realized.ops.items() for tile, s, _e, op in seq)
+    return Schedule(ops, max((so.end for so in ops), default=0))
+
+
 def _assert_runs_expand_to(runs_by_mover, ticks_by_mover):
     assert set(runs_by_mover) == set(ticks_by_mover)
     for m, runs in runs_by_mover.items():
@@ -1125,15 +1153,16 @@ def test_runs_match_tick_reference_on_every_fixpoint_iteration(monkeypatch):
 
     def checked_build(realized, assignment, transits=None):
         runs = build(realized, assignment, transits)
-        ref = ref_build_paths(realized.schedule, assignment, realized.frame.placement,
+        ref = ref_build_paths(_round_schedule(realized), assignment, realized.frame.placement,
                               pauses=realized.pauses, transits=transits)
         _assert_runs_expand_to(runs, ref)
         calls["build"] += 1
         return runs
 
-    def checked_detect(paths, s, pauses=None, index=None):
-        ledger = detect(paths, s, pauses=pauses, index=index)
-        n = _horizon(s, pauses or {})
+    def checked_detect(paths, realized):
+        ledger = detect(paths, realized)
+        s, pauses = _round_schedule(realized), realized.pauses
+        n = _horizon(s, pauses)
         ticks = {m: tick_list(runs, n) for m, runs in paths.items()}
         assert ledger == ref_detect_conflicts(ticks, s, pauses=pauses)
         calls["detect"] += 1
@@ -1167,14 +1196,14 @@ def test_runs_match_tick_reference_under_foreign_pauses():
             runs = build_paths(realize(plan.schedule, pl, extra), assignment, given)
             ref = ref_build_paths(plan.schedule, assignment, pl, pauses=extra, transits=given)
             _assert_runs_expand_to(runs, ref)
-            assert detect_conflicts(runs, plan.schedule, extra) == ref_detect_conflicts(
+            assert detect_conflicts(runs, realize(plan.schedule, pl, extra)) == ref_detect_conflicts(
                 ref, plan.schedule, extra
             )
             # paths handed to other movers: a mover's own runs on its tile count now
             ids = sorted(runs)
             moved = dict(zip(ids[1:] + ids[:1], (runs[m] for m in ids)))
             moved_ref = dict(zip(ids[1:] + ids[:1], (ref[m] for m in ids)))
-            assert detect_conflicts(moved, plan.schedule, extra) == ref_detect_conflicts(
+            assert detect_conflicts(moved, realize(plan.schedule, pl, extra)) == ref_detect_conflicts(
                 moved_ref, plan.schedule, extra
             )
             paused = dataclasses.replace(plan, interruptions=extra, paths=runs)

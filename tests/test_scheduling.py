@@ -644,7 +644,8 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
 
 def test_splice_heads_match_spliced_tails_at_every_candidate():
     """The O(1) starting-bound tails of every (mover, position, route)
-    candidate equal _splice_tails at k and the _tails of the spliced chain."""
+    candidate equal entry 0 of _splice_tails and entry k of the _tails of the
+    spliced chain, whose entries from k on _splice_tails returns."""
     drugs = list("abcdef")
     checked = at_end = 0
     for li, layout in enumerate(_engine_layouts()):
@@ -670,7 +671,8 @@ def test_splice_heads_match_spliced_tails_at_every_candidate():
                         d = dist[route.seg[-1][2]][chain[k][2]] if k < len(chain) else 0
                         spliced = _splice_tails(span, flow, k, route.tails, d)
                         full = _tails(chain[:k] + route.seg + chain[k:], dist)
-                        assert head == (spliced[0][k], spliced[1][k]), (li, seed, pos)
+                        assert head == (spliced[0][0], spliced[1][0]), (li, seed, pos)
+                        assert spliced == (full[0][k:], full[1][k:]), (li, seed, pos)
                         assert head == (full[0][k], full[1][k]), (li, seed, pos)
                         checked += 1
                         at_end += k == len(chain)
