@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ordergen, packing, placement as placement_mod, routing, scheduling
+from . import ordergen, packing, placement as placement_mod, routing, scheduling, shppn
 from .core import DrugCatalog, InstanceConfig, Layout, check_json, orders_to_csv
 from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
@@ -85,13 +85,16 @@ class StageError(RuntimeError):
 
 
 def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size: int,
-                     seed: int, time_limit=None, iterations=None, t_values=None):
+                     seed: int, time_limit=None, iterations=None, t_values=None,
+                     route_table=None):
     """Random partition into batches, independent schedules, merged by uniform shifts.
 
     t_values: per-order path times of a lower_bound over these orders (the
     pipeline's lower-bound stage); batch warm starts reuse them instead of
-    solving κ again.  The caller routes the merged schedule
-    (resolve_conflicts) afterwards.
+    solving κ again.  route_table: shppn.kappa_routes over these orders'
+    drug sets, which every batch's schedule reads instead of solving its
+    own.  The caller routes the merged schedule (resolve_conflicts)
+    afterwards.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -116,6 +119,7 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
                 seed=seed + bi,
                 eta=cfg.eta_interface,
                 max_iterations=iterations,
+                route_table=route_table,
             )
         )
     merged = routing.merge_batches(schedules, placed)
@@ -212,11 +216,17 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         save("layout.svg", lambda: render_layout(placed))
     if placed is None and (stages & {"lower-bound", "schedule", "route"}):
         raise StageError("place", "no placement available")
+    route_table = None
     if placed is not None:
-        # κ once per distinct drug set, for the analytical score and the lower bound
+        # κ once per distinct drug set, for the analytical score and the lower
+        # bound; a schedule stage takes its insertion routes from the same DP
         t0 = time.perf_counter()
         try:
-            kappas = placement_mod.per_order_kappa(placed, orders)
+            if "schedule" in stages:
+                route_table = shppn.kappa_routes((o.drugs for o in orders), placed)
+                kappas = [route_table[o.drugs].kappa for o in orders]
+            else:
+                kappas = placement_mod.per_order_kappa(placed, orders)
         except ValueError as e:  # the placement does not serve these orders
             raise StageError("place", e) from e
         times["kappa"] = time.perf_counter() - t0
@@ -247,6 +257,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                     time_limit=pc.schedule_time_limit,
                     iterations=pc.schedule_iterations,
                     t_values=lb.t_values if lb else None,
+                    route_table=route_table,
                 )
                 return merged
             warm = lb.assignment if lb else None
@@ -259,11 +270,11 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                 seed=seeds["lns"],
                 eta=pc.config.eta_interface,
                 max_iterations=pc.schedule_iterations,
+                route_table=route_table,
             )
 
         sched = run_stage("schedule", do_schedule)
         values["makespan_scheduled"] = sched.makespan
-        values["greedy_route_orders"] = scheduling.greedy_route_orders(orders, placed)
         save("schedule.json", sched.to_json)
         save("schedule.csv", sched.to_csv)
         save("gantt.svg", lambda: render_gantt(sched))

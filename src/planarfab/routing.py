@@ -408,6 +408,19 @@ def _assign_exact(transits, options, overlap):
         i = order[pos]
         if cost + rest[pos] >= best["cost"]:
             return
+        # forward check: each transit left takes at least its cheapest site
+        # that no overlapping assigned transit holds, and needs one
+        bound = cost
+        for r in order[pos:]:
+            h = held[r]
+            for detour, j in options[r]:
+                if not h.get(j):
+                    bound += detour
+                    break
+            else:
+                return
+            if bound >= best["cost"]:
+                return
         for detour, j in options[i]:
             if held[i].get(j):
                 continue

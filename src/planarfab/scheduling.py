@@ -37,16 +37,15 @@ below; its machine assignment doubles as the scheduler warm start.
 
 Routes: the scheduler has one tile-id space, the layout's sorted tiles
 (Layout.index_table), shared by the route oracle and the timing engine;
-Coords appear only in the ScheduledOps.  Each schedule() call builds one
-path table per order (_OrderPaths), and every insertion candidate of that
-order is read from it as a Route that carries its chain segment of
-(op_id, duration, tile id) and the segment's tails.  Orders with at most
-ROUTE_ENUM_CAP routes are ranked exactly over their whole route space,
-computed once for all drug permutations; the lead-in leg from the previous
-location is added per call.  Larger orders take nearest-neighbour routes,
-one per start interface, from per-location candidate lists ranked once per
-table.  Schedule documents are written as indent-2 JSON text directly,
-byte-equal to json.dumps(doc, indent=2).
+Coords appear only in the ScheduledOps.  An order's insertion candidates
+come from the κ DP (shppn.kappa_routes), the pass whose κ values also feed
+the lower bound: for each start interface, the order's shortest route from
+there.  Each schedule() call builds every order's Routes once, each
+carrying its chain segment of (op_id, duration, tile id) and the segment's
+tails; from a previous location, the candidates are the CANDIDATES routes
+of least lead-in leg plus length.  Only the exhaustive search enumerates
+every route of its orders.  Schedule documents are written as indent-2
+JSON text directly, byte-equal to json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import shppn
 from .core import INTERFACE, Coord, Order, check_json
 from .placement import per_order_kappa
 
@@ -74,7 +74,6 @@ DISPENSING = "dispensing"
 FINISH = "finish"
 
 EXHAUSTIVE_CAP = 300_000
-ROUTE_ENUM_CAP = 4_000
 P_CMAX_EXACT_LIMIT = 20
 CANDIDATES = 4  # insertion candidates per (order, previous location)
 
@@ -436,9 +435,10 @@ class Route(NamedTuple):
     """One insertion candidate of an order, on the layout's tile ids.
 
     (length, start, stops, end) is its ranking key: the travel from the
-    previous location to the start interface, through the (drug, tile)
-    stops and on to the end interface.  seg is the order's chain segment of
-    (op_id, duration, tile) and tails its _tails.
+    start interface through the (drug, tile) stops and on to the end
+    interface, plus, in a candidate, the lead-in leg from the previous
+    location.  seg is the order's chain segment of (op_id, duration, tile)
+    and tails its _tails.
     """
 
     length: int
@@ -450,64 +450,41 @@ class Route(NamedTuple):
 
 
 def _route_count(order, placement, n_if: int) -> int:
+    """How many routes every_route lists for order: drug orders x dispenser
+    choices x start and end interfaces."""
     count = math.factorial(len(order.drugs)) * n_if * n_if
     for g in order.drugs:
         count *= max(1, len(placement.dispensers_for(g)))
-        if count > 10 * ROUTE_ENUM_CAP:
-            return count
     return count
 
 
-def greedy_route_orders(orders, placement) -> int:
-    """How many orders take insertion candidates from the greedy fallback
-    (more than ROUTE_ENUM_CAP routes) rather than from the exact ranking."""
-    n_if = len(placement.interfaces)
-    return sum(_route_count(o, placement, n_if) > ROUTE_ENUM_CAP for o in orders)
-
-
 class _OrderPaths:
-    """One order's routes on the layout's tile ids; the scheduler builds it once per call.
+    """One order's routes on the layout's tile ids, for one schedule() call.
 
     Tile ids index the layout's sorted tiles (Layout.index_table), as in the
-    timer, so id order is Coord order.  The order's vertices are its (drug,
-    dispenser tile) pairs, drugs in order and tiles sorted.  Route space
-    (exact): route (p, c, s, e) starts at interfaces[s], makes stop j at
-    vertex stops[p, c, j] and ends at interfaces[e]; lengths[p, c, s, e]
-    leaves out the lead-in leg from the previous location.  Index order is
-    the enumeration order: drug permutation, dispenser combination (first
-    stop slowest), start interface, end interface.  The greedy fallback
-    reads distance rows between the order's distinct tiles instead.  Both
-    rank plain (length, start, stops, end) keys; route turns a key into a
-    Route with its segment: the start op at the start interface, one
-    dispensing op per stop, the finish op at the end interface.
+    timer, so id order is Coord order.  route turns a (length, start, stops,
+    end) key into a Route with its segment: the start op at the start
+    interface, one dispensing op per (drug, tile) stop, the finish op at the
+    end interface.  The exhaustive search alone reads the whole route space
+    (space, every_route): route (p, c, s, e) starts at interfaces[s], makes
+    stop j at vertex stops[p, c, j] and ends at interfaces[e], where the
+    order's vertices are its (drug, dispenser tile) pairs, drugs in order and
+    tiles sorted.  Index order is the enumeration order: drug permutation,
+    dispenser combination (first stop slowest), start interface, end
+    interface.
     """
 
     def __init__(self, order, timer):
         placement = timer.placement
         index, self._table = placement.layout.index_table
         self.interfaces = sorted(index[c] for c in placement.interfaces)
-        if not self.interfaces:
-            raise ValueError("placement has no interfaces")
-        self.drugs = order.drugs
-        self.alts = []
-        for g in order.drugs:
-            tiles = placement.dispensers_for(g)
-            if not tiles:
-                raise ValueError(f"no dispenser placed for drug {g!r}")
-            self.alts.append([index[t] for t in tiles])
-        self.greedy = _route_count(order, placement, len(self.interfaces)) > ROUTE_ENUM_CAP
-        self._vertices = [(g, t) for g, ts in zip(self.drugs, self.alts) for t in ts]
+        self.alts = [[index[t] for t in placement.dispensers_for(g)] for g in order.drugs]
+        self._vertices = [(g, t) for g, ts in zip(order.drugs, self.alts) for t in ts]
         self._timer = timer
         ids = timer.op_ids
         self._start_op = ids[(order.id, START, INTERFACE)]
         self._finish_op = ids[(order.id, FINISH, INTERFACE)]
         self._dispensing = {g: (ids[(order.id, DISPENSING, g)], d) for g, d in order.items}
-
-    def lead(self, prev_loc) -> np.ndarray:
-        """Travel from prev_loc to each interface (0 without a previous location)."""
-        if prev_loc is None:
-            return np.zeros(len(self.interfaces), dtype=np.int64)
-        return self._table[prev_loc, self.interfaces]
 
     @cached_property
     def space(self) -> tuple[np.ndarray, np.ndarray]:
@@ -528,12 +505,6 @@ class _OrderPaths:
                    + to_iface[stops[..., -1]][..., None, :])
         return stops, lengths
 
-    def key(self, length: int, p: int, c: int, s: int, e: int) -> tuple:
-        """(length, start, stops, end) of route (p, c, s, e) of the route space."""
-        vertices = self._vertices
-        stops = tuple(vertices[v] for v in self.space[0][p, c].tolist())
-        return length, self.interfaces[s], stops, self.interfaces[e]
-
     def route(self, length: int, start: int, stops, end: int) -> Route:
         """The Route of a ranking key, with its segment and the segment's _tails."""
         eta, dispensing = self._timer.eta, self._dispensing
@@ -543,110 +514,25 @@ class _OrderPaths:
 
     def every_route(self) -> list[Route]:
         """Every route in enumeration order, without a lead-in leg."""
-        lengths = self.space[1]
-        return [self.route(*self.key(int(lengths[i]), *i)) for i in np.ndindex(lengths.shape)]
-
-    @cached_property
-    def _greedy_tables(self):
-        """(tiles, back, hosts, ranked) over the order's distinct tiles u (sorted).
-
-        back[u] is the travel from u to each interface and hosts[u] the
-        drugs u hosts.  The candidate (distance, tile u, drug i) ranks as one
-        integer (distance * len(tiles) + u) * len(drugs) + i; ranked[r]
-        lists every candidate from location r in rank order: from interface
-        r for r < len(interfaces), else from tile r - len(interfaces).
-        """
-        tiles = sorted({t for ts in self.alts for t in ts})
-        local = {t: u for u, t in enumerate(tiles)}
-        hosts = [set() for _ in tiles]
-        pairs = []  # (u, i) per vertex
-        for i, ts in enumerate(self.alts):
-            for t in ts:
-                hosts[local[t]].add(i)
-                pairs += (local[t], i)
-        u, i = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        rows = np.array(self.interfaces + tiles, dtype=np.int64)
-        ids = rows[len(self.interfaces):]
-        ranked = np.sort((self._table[rows[:, None], ids[u]] * len(tiles) + u) * len(self.drugs) + i,
-                         axis=1)
-        back = self._table[ids[:, None], self.interfaces].tolist()
-        return tiles, back, hosts, ranked.tolist()
-
-    def greedy_routes(self, lead, rng: random.Random | None = None) -> list[tuple]:
-        """(length, start, stops, end) of the nearest-neighbour route from each
-        start interface, length from the previous location.
-
-        From the current location, the next stop is the least candidate
-        (distance, tile, drug) over the drugs left, or with rng, the second
-        least with probability 0.3; every drug left that the tile hosts is
-        served there, in the order of the drugs left.  rng shuffles the drugs
-        once per start interface and draws only when two candidates or more
-        are left.
-        """
-        tiles, back, hosts, ranked = self._greedy_tables
-        k = len(self.drugs)
-        span = len(tiles) * k
-        n_if = len(self.interfaces)
-        out = []
-        for s, start in enumerate(self.interfaces):
-            left = list(range(k))
-            if rng is not None:
-                rng.shuffle(left)
-            alive = [True] * k
-            r = s
-            length = lead[s]
-            stops = []
-            while left:
-                first = second = -1
-                for key in ranked[r]:
-                    if alive[key % k]:
-                        if first < 0:
-                            first = key
-                            if rng is None:
-                                break
-                        else:
-                            second = key
-                            break
-                if second >= 0 and rng.random() < 0.3:
-                    first = second
-                u = first % span // k
-                hosted = hosts[u]
-                for i in left:
-                    if i in hosted:
-                        stops.append((self.drugs[i], tiles[u]))
-                        alive[i] = False
-                left = [i for i in left if alive[i]]
-                length += first // span
-                r = n_if + u
-            to_iface = back[u]
-            e = to_iface.index(min(to_iface))
-            out.append((length + to_iface[e], start, tuple(stops), self.interfaces[e]))
-        return out
-
-
-def candidate_routes(paths: _OrderPaths, prev_loc: int | None, limit: int,
-                     rng: random.Random | None = None) -> list[Route]:
-    """The limit shortest routes of paths' order from tile prev_loc, ties by
-    (start, stops, end).
-
-    Orders with at most ROUTE_ENUM_CAP routes are ranked exactly: the
-    order's route lengths plus the lead-in leg, with keys built only for
-    routes no longer than the limit-th smallest length.  Above the cap the
-    ranking is over the greedy routes.  Only the kept keys become Routes.
-    """
-    lead = paths.lead(prev_loc)
-    if paths.greedy:
-        ranked = paths.greedy_routes(lead.tolist(), rng)
-    else:
-        lengths = paths.space[1] + lead[:, None]
-        flat = lengths.ravel()
-        cut = np.partition(flat, limit - 1)[limit - 1] if limit < flat.size else flat.max()
-        ranked = [
-            paths.key(int(flat[i]), *np.unravel_index(i, lengths.shape))
-            for i in np.flatnonzero(flat <= cut)
+        all_stops, lengths = self.space
+        vertices, interfaces = self._vertices, self.interfaces
+        return [
+            self.route(int(lengths[p, c, s, e]), interfaces[s],
+                       tuple(vertices[v] for v in all_stops[p, c].tolist()), interfaces[e])
+            for p, c, s, e in np.ndindex(lengths.shape)
         ]
-    ranked.sort()
-    return [paths.route(*key) for key in ranked[:limit]]
+
+
+def candidate_routes(routes: list[Route], lead: list[int], limit: int) -> list[Route]:
+    """The limit shortest of an order's routes from a previous location.
+
+    routes holds the order's shortest route from each start interface
+    (shppn.kappa_routes), lead the travel from the previous location to
+    each tile.  Each route counts lead[start] + its length, ties by start;
+    the starts are distinct, so no tie reads further.
+    """
+    ranked = sorted((lead[r.start] + r.length, r.start, i) for i, r in enumerate(routes))
+    return [routes[i]._replace(length=n) for n, _, i in ranked[:limit]]
 
 
 # --- timing engine ----------------------------------------------------------------
@@ -949,6 +835,7 @@ def schedule(
     seed: int = 0,
     eta: int = 2,
     max_iterations: int | None = None,
+    route_table: dict | None = None,
 ) -> Schedule:
     """Best-found valid schedule for the order set.
 
@@ -957,7 +844,10 @@ def schedule(
     after 500 stale iterations).  Tiny instances are enumerated exhaustively.
     Deterministic for a fixed (seed, max_iterations); time_limit is wall-clock
     seconds, a finite number above 0 (None: no limit), and max_iterations
-    at least 0 (0: construction only).
+    at least 0 (0: construction only).  route_table is shppn.kappa_routes
+    over a superset of the orders' drug sets on this placement (the
+    pipeline's); without it the search solves one over its own orders.
+    The schedule does not depend on which.
     """
     orders = list(orders)
     if not orders:
@@ -982,8 +872,11 @@ def schedule(
     if exhaustive is not None and exhaustive <= EXHAUSTIVE_CAP:
         plan, trace = _exhaustive_search(orders, n_movers, timer)
     else:
+        if route_table is None:
+            route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
         plan, trace = _lns_search(
-            orders, n_movers, timer, warm_start, seed, time_limit, max_iterations
+            orders, n_movers, timer, _RouteCache(timer, route_table), warm_start, seed,
+            time_limit, max_iterations
         )
     return _plan_to_schedule(plan, timer, trace)
 
@@ -1030,31 +923,40 @@ def _exhaustive_search(orders, n_movers, timer):
 
 
 class _RouteCache:
-    """Insertion candidates per (order, previous location), on one _OrderPaths per order."""
+    """Insertion candidates per (order, previous location).
 
-    def __init__(self, timer, rng):
+    table maps each order's drug set to its shppn.RouteSet.  An order's
+    Routes, one per start interface, are built once, with their segments
+    and tails; each previous location only ranks them (candidate_routes).
+    """
+
+    def __init__(self, timer, table):
         self.timer = timer
-        self.rng = rng
+        self.table = table
         self.store: dict[tuple, list[Route]] = {}
-        self.paths: dict[int, _OrderPaths] = {}
+        self.routes: dict[int, list[Route]] = {}
 
     def get(self, order, prev_loc):
         key = (order.id, prev_loc)
-        routes = self.store.get(key)
-        if routes is None:
-            paths = self.paths.get(order.id)
-            if paths is None:
-                paths = self.paths[order.id] = _OrderPaths(order, self.timer)
-            routes = self.store[key] = candidate_routes(paths, prev_loc, CANDIDATES, self.rng)
-        return routes
+        out = self.store.get(key)
+        if out is None:
+            routes = self.routes.get(order.id)
+            if routes is None:
+                paths = _OrderPaths(order, self.timer)
+                routes = self.routes[order.id] = [
+                    paths.route(*r) for r in self.table[order.drugs].routes
+                ]
+            dist = self.timer.dist
+            lead = dist[-1 if prev_loc is None else prev_loc]  # the origin row is all 0
+            out = self.store[key] = candidate_routes(routes, lead, CANDIDATES)
+        return out
 
 
-def _lns_search(orders, n_movers, timer, warm_start, seed, time_limit, max_iterations):
+def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, max_iterations):
     rng = random.Random(seed)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if max_iterations is None:
         max_iterations = 10_000_000 if time_limit is not None else 2_000
-    routes = _RouteCache(timer, random.Random(seed + 1))
 
     if warm_start is None:
         rough = {
@@ -1130,9 +1032,7 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     it is the least again.  The first run to finish is the winner: its
     (key, index) is below every (bound, index) left on the heap, and a
     run's bound never exceeds its key, so it is the least (key, index), and
-    no run is advanced once its bound passes the winner's key.  Route candidates
-    are fetched in enumeration order, as a cache miss draws from the route
-    cache's rng.
+    no run is advanced once its bound passes the winner's key.
 
     Cost: a starting bound reads m's spliced tails at k only, O(1) from the
     route's tails and m's (_splice_heads), so queueing a candidate is O(1);

@@ -1,4 +1,4 @@
-"""The exact solver of the inner path problem κ.
+"""The exact solver of the inner path problem κ, and the routes it leaves.
 
 An order's travel component κ is the shortest interface-to-interface path
 that visits one dispenser alternative per required drug.  It is solved for
@@ -6,17 +6,21 @@ every order size with one subset DP over the drug clusters (Held-Karp on
 clusters, ``_subset_dp``), vectorized over the (drug, tile) vertices on a
 slice of the layout's distance table and over all subsets of one size at a
 time; its cost grows as 2^drugs, not with the number of visiting sequences.
-``kappa_batch`` gives the κ values of many drug sets with one DP per drug
-count, batched over the sets (padded to the largest); ``kappa`` runs the DP
-on a batch of one and backtracks the path.  ``order_graph`` builds one
-order's slice.  This DP is the planner's only κ solver.  All arithmetic is
-integer; every result is exact.
+Both solvers run one DP per drug count, batched over the drug sets of that
+count (padded to the largest).  ``kappa_batch`` gives κ alone.
+``kappa_routes`` keeps the DP's predecessors, and the same pass yields each
+drug set's κ and, for every interface, the shortest route that starts
+there: the scheduler's insertion routes.  ``kappa`` is ``kappa_routes`` on a
+batch of one.  ``order_graph`` builds one order's slice.  This DP is the
+planner's only κ and route solver.  All arithmetic is integer; every result
+is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,48 +59,110 @@ def order_graph(order, placement):
     return interfaces, alts, tiles, layout.distances(tiles), layout.distances(tiles, interfaces)
 
 
+class RouteSet(NamedTuple):
+    """One drug set's κ and, per start interface, its shortest route.
+
+    routes holds (length, start, stops, end) for each interface in sorted
+    order, on the layout's tile ids (Layout.index_table): the route starts
+    at interface start, makes the (drug, tile) stops in turn and ends at
+    the interface nearest its last stop, length ticks in all.  κ is the
+    least length.
+    """
+
+    kappa: int
+    routes: tuple[tuple[int, int, tuple[tuple[str, int], ...], int], ...]
+
+
 def kappa(order, placement) -> PathResult:
     """Exact optimal travel for one order: interface -> one dispenser per drug -> interface.
 
-    The subset DP of _subset_dp on a batch of one, backtracked from the best
-    closing vertex.
+    kappa_routes on a batch of one.  The path is the least route by
+    (length, first stop, start), reversed: the DP's first closing vertex
+    with its nearest interface, since the order's drugs are sorted and its
+    stops therefore compare in vertex order.
     """
-    interfaces, alts, tiles, d, to_iface = order_graph(order, placement)
-    bits = np.array([1 << gi for gi, (_, ts) in enumerate(alts) for _ in ts], dtype=np.int64)
-    nearest = to_iface.min(axis=1)
-    dp, parent = _subset_dp(bits[None], d[None], nearest[None], len(alts), parents=True)
-    dp, parent = dp[0], parent[0]
-
-    full = (1 << len(alts)) - 1
-    closing = dp[full] + nearest
-    v = int(closing.argmin())
-    total = int(closing[v])
-    chain = []
-    mask = full
-    while v >= 0:
-        chain.append(v)
-        v, mask = int(parent[mask, v]), mask ^ int(bits[v])
-    chain.reverse()
-    owner = [g for g, ts in alts for _ in ts]
+    routes = kappa_routes([order.drugs], placement)[order.drugs].routes
+    length, start, stops, end = min(routes, key=lambda r: (r[0], r[2][0], r[1]))
+    tiles = placement.layout.sorted_tiles()
     seq = (
-        (("interface", interfaces[int(to_iface[chain[0]].argmin())]),)
-        + tuple((owner[v], tiles[v]) for v in chain)
-        + (("interface", interfaces[int(to_iface[chain[-1]].argmin())]),)
+        (("interface", tiles[end]),)
+        + tuple((g, tiles[t]) for g, t in reversed(stops))
+        + (("interface", tiles[start]),)
     )
-    return PathResult(total, seq)
+    return PathResult(length, seq)
 
 
 def kappa_batch(drug_sets, placement) -> list[int]:
-    """κ of each drug set (one order's drugs), by one _subset_dp per drug count.
+    """κ of each drug set (one order's drugs), by one _subset_dp per drug count."""
+    drug_sets = list(drug_sets)
+    out = [0] * len(drug_sets)
+    for k, chunk, _, bits, d, nearest, _ in _chunks(drug_sets, placement):
+        dp, _ = _subset_dp(bits, d, nearest, k)
+        closing = (dp[:, -1] + nearest).min(axis=1)
+        for i, value in zip(chunk, closing.tolist()):
+            out[i] = value
+    return out
+
+
+def kappa_routes(drug_sets, placement) -> dict[tuple[str, ...], RouteSet]:
+    """The RouteSet of each distinct drug set, by one _subset_dp per drug count
+    that keeps its predecessors.
+
+    dp[full, v] + travel(v, e) is the shortest route through every drug that
+    ends at interface e, its first minimum over v the DP's closing vertex for
+    e.  Travel is symmetric, so that route reversed is the shortest one that
+    starts at e: backtracking from the closing vertex lists its stops in the
+    reversed order, and it ends at the interface nearest the DP's first
+    vertex (ties by interface order).  The backtrack is one gather per drug,
+    over every set of the chunk and every interface at once.
+    """
+    drug_sets = list(dict.fromkeys(drug_sets))
+    out: dict[tuple[str, ...], RouteSet] = {}
+    if not drug_sets:
+        return out
+    index, table = placement.layout.index_table
+    ifaces = sorted(index[c] for c in placement.interfaces)
+    for k, chunk, tid, bits, d, nearest, real in _chunks(drug_sets, placement):
+        dp, parent = _subset_dp(bits, d, nearest, k, parents=True)
+        to_iface = np.where(real[:, :, None], table[tid[:, :, None], ifaces], _INF)
+        closing = dp[:, -1, :, None] + to_iface  # (set, vertex, interface)
+        lengths = closing.min(axis=1)
+        v = closing.argmin(axis=1)
+        b = np.arange(len(chunk))[:, None]
+        mask = (1 << k) - 1
+        stops = []
+        for _ in range(k):
+            stops.append(v)
+            v, mask = parent[b, mask, v], mask ^ bits[b, v]
+        ends = to_iface[b, stops[-1]].argmin(axis=2)
+        stops = np.stack(stops, axis=2).tolist()
+        for row, i in enumerate(chunk):
+            drugs = drug_sets[i]
+            owner = [g for g in drugs for _ in placement.dispensers_for(g)]
+            vertex = list(zip(owner, tid[row].tolist()))  # padding comes last
+            routes = tuple(
+                (n, ifaces[e], tuple(vertex[u] for u in path), ifaces[end])
+                for e, (n, path, end) in enumerate(
+                    zip(lengths[row].tolist(), stops[row], ends[row].tolist()))
+            )
+            out[drugs] = RouteSet(min(n for n, *_ in routes), routes)
+    return out
+
+
+def _chunks(drug_sets, placement):
+    """The DP inputs of drug_sets, one chunk at a time.
 
     The sets of one drug count share the DP's mask layers.  They are sorted
     by vertex count and cut into chunks whose widest layer pass holds at
     most _KAPPA_PASS (set, mask, vertex, vertex) entries; each set's (drug,
-    tile) vertices are padded to the widest set of its chunk.
+    tile) vertices, drugs in order and tiles sorted, are padded to the
+    widest set of its chunk.  Yields (k, chunk, tid, bits, d, nearest,
+    real): the drug count, the chunk's indexes into drug_sets, each
+    vertex's tile id and drug bit, the travel between vertices and from the
+    nearest interface (_INF at padding) and the mask of real vertices.
     """
-    drug_sets = list(drug_sets)
     if not drug_sets:
-        return []
+        return
     if not placement.interfaces:
         raise ValueError("placement has no interfaces")
     index, table = placement.layout.index_table
@@ -108,7 +174,6 @@ def kappa_batch(drug_sets, placement) -> list[int]:
             raise ValueError(f"no dispenser placed for drug {g!r}")
         tile_ids[g] = [index[t] for t in tiles]
 
-    out = [0] * len(drug_sets)
     by_size: dict[int, list[int]] = {}
     for i, drugs in enumerate(drug_sets):
         by_size.setdefault(len(drugs), []).append(i)
@@ -134,11 +199,7 @@ def kappa_batch(drug_sets, placement) -> list[int]:
             d = np.where(real[:, :, None] & real[:, None, :],
                          table[tid[:, :, None], tid[:, None, :]], _INF)
             nearest = np.where(real, nearest_of[tid], _INF)
-            dp, _ = _subset_dp(bits, d, nearest, k)
-            closing = (dp[:, -1] + nearest).min(axis=1)
-            for i, value in zip(chunk, closing.tolist()):
-                out[i] = value
-    return out
+            yield k, chunk, tid, bits, d, nearest, real
 
 
 def _subset_dp(bits, d, nearest, n_drugs: int, parents: bool = False):

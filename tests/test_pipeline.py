@@ -16,7 +16,7 @@ from planarfab.pipeline import (
 )
 from planarfab.placement import GaParams
 from planarfab.routing import resolve_conflicts, validate_plan
-from planarfab import shppn
+from planarfab import scheduling, shppn
 from planarfab.scheduling import SchedulingInstance, lower_bound, validate_schedule
 
 from conftest import make_catalog, random_orders, random_placement, tick_list
@@ -62,21 +62,24 @@ def test_run_pipeline_produces_consistent_report(tmp_path, golden_placement, gol
         assert isinstance(v["routing_exclusivity_repairs"], int) and v["routing_exclusivity_repairs"] >= 0
         assert doc["exactness"]["resting_sites"] is True
         assert v["resting_sites"] == len(routed["resting_sites"])
-        # orders of at most 3 drugs: every insertion candidate is ranked exactly
-        assert v["greedy_route_orders"] == doc["stage_values"]["greedy_route_orders"] == 0
+        assert "greedy_route_orders" not in v
 
-    # most orders of 3-6 drugs on the 8x8~2 reference outgrow the exact
-    # ranking; the golden 4x4 orders do not
+    # the schedule stage hands its route table to schedule(), which without
+    # one solves its own: both give one plan, on orders of 3-6 drugs on the
+    # 8x8~2 reference and on the golden 4x4 orders
     from test_acceptance import build_8x8_instance
 
     ref_placement, ref_orders, _ = build_8x8_instance(3, 12, movers=2)
-    for placed, orders, greedy in ((ref_placement, ref_orders, True),
-                                   (golden_placement, golden_orders, False)):
+    for placed, orders in ((ref_placement, ref_orders), (golden_placement, golden_orders)):
         pc = small_config()
         pc.layout = placed.layout
         pc.stages = ("schedule",)
-        v = run_pipeline(pc, orders=orders, placed=placed).stage_values
-        assert (v["greedy_route_orders"] > 0) == greedy
+        pc.out_dir = tmp_path / f"schedule{len(orders)}"
+        report = run_pipeline(pc, orders=orders, placed=placed)
+        alone = scheduling.schedule(orders, placed, pc.config.n_movers,
+                                    seed=report.seeds["lns"], eta=pc.config.eta_interface,
+                                    max_iterations=pc.schedule_iterations)
+        assert (pc.out_dir / "schedule.json").read_text() == alone.to_json()
 
 
 def test_report_wall_times_cover_kappa_and_artifacts(tmp_path):
@@ -253,41 +256,43 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5
     )
     lb = lower_bound(orders, golden_placement, 2, eta=2)
-    real_kappa, real_batch = shppn.kappa, shppn.kappa_batch
+    table = shppn.kappa_routes((o.drugs for o in orders), golden_placement)
+    real_kappa, real_batch, real_routes = shppn.kappa, shppn.kappa_batch, shppn.kappa_routes
 
     def no_kappa(*args, **kwargs):
         raise AssertionError("kappa solved again")
 
     monkeypatch.setattr(shppn, "kappa", no_kappa)
     monkeypatch.setattr(shppn, "kappa_batch", no_kappa)
+    monkeypatch.setattr(shppn, "kappa_routes", no_kappa)
     reused, reused_parts = schedule_batched(
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5,
-        t_values=lb.t_values,
+        t_values=lb.t_values, route_table=table,
     )
     assert reused.ops == fresh.ops
     assert [p.ops for p in reused_parts] == [p.ops for p in fresh_parts]
 
-    # a pipeline run solves κ once per distinct drug set, for both the
-    # analytical score and the lower bound: count the drug sets handed to
-    # the batched solver, and any single-order solve besides
-    solved = []
+    # a pipeline run solves κ and the routes with one DP per distinct drug
+    # set, for the analytical score, the lower bound and every batch's
+    # schedule: count the drug sets handed to each solver
+    solved = {"kappa_batch": [], "kappa_routes": []}
 
-    def counting_kappa(order, placement):
-        solved.append(order.drugs)
-        return real_kappa(order, placement)
+    def counting(name, real):
+        def solve(drug_sets, placement):
+            drug_sets = list(drug_sets)
+            solved[name].append(set(drug_sets))
+            return real(drug_sets, placement)
+        return solve
 
-    def counting_batch(drug_sets, placement):
-        drug_sets = list(drug_sets)
-        solved.extend(drug_sets)
-        return real_batch(drug_sets, placement)
-
-    monkeypatch.setattr(shppn, "kappa", counting_kappa)
-    monkeypatch.setattr(shppn, "kappa_batch", counting_batch)
+    monkeypatch.setattr(shppn, "kappa", no_kappa)
+    monkeypatch.setattr(shppn, "kappa_batch", counting("kappa_batch", real_batch))
+    monkeypatch.setattr(shppn, "kappa_routes", counting("kappa_routes", real_routes))
     pc = small_config()
     pc.stages = ("lower-bound", "schedule")
     pc.layout = golden_placement.layout
+    pc.batch_size = 4
     report = run_pipeline(pc, orders=orders, placed=golden_placement)
-    assert sorted(solved) == sorted({o.drugs for o in orders})
+    assert solved == {"kappa_batch": [], "kappa_routes": [{o.drugs for o in orders}]}
     assert len({o.drugs for o in orders}) < len(orders)
     assert report.stage_values["lower_bound"] == lb.value
     want = sum(real_kappa(o, golden_placement).kappa for o in orders) / len(orders)

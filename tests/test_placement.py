@@ -561,9 +561,10 @@ def test_analytical_cost_matches_permutation_oracle():
 
 def test_analytical_cost_exact_beyond_enumeration_size():
     # a 9-drug order with up to 4 alternatives each, far past enumeration:
-    # κ is solved, not refused, and lies between the reach-and-return bound
-    # and every feasible greedy route
-    from planarfab.scheduling import _OrderPaths, _Timer
+    # κ is solved, not refused; it lies above the reach-and-return bound and
+    # is the least of the shortest routes from each start interface, each of
+    # which walks its length on the layout
+    from planarfab import shppn
 
     layout = build_layout("square", (6, 6), 2)
     drugs = [f"d{i}" for i in range(9)]
@@ -573,8 +574,12 @@ def test_analytical_cost_exact_beyond_enumeration_size():
     dist = layout.distance
     required = [t for g in drugs for t in pl.dispensers_for(g)]
     reach = min(dist(i, t) for i in pl.interfaces for t in required)
-    paths = _OrderPaths(big[0], _Timer(pl, big, 2))
-    assert 2 * reach <= cost <= min(n for n, *_ in paths.greedy_routes(paths.lead(None).tolist()))
+    routes = shppn.kappa_routes([big[0].drugs], pl)[big[0].drugs].routes
+    tiles = layout.sorted_tiles()
+    for n, start, stops, end in routes:
+        path = [tiles[start], *(tiles[t] for _, t in stops), tiles[end]]
+        assert sum(map(dist, path, path[1:])) == n
+    assert 2 * reach <= cost == min(n for n, *_ in routes)
     assert cost == analytical_cost(pl, big * 3) == per_order_kappa(pl, big)[0]
 
 

@@ -12,8 +12,8 @@ from planarfab import shppn
 from planarfab.core import Coord, Order, build_layout
 from planarfab.placement import Placement
 from planarfab.scheduling import (
+    CANDIDATES,
     DISPENSING,
-    ROUTE_ENUM_CAP,
     FINISH,
     START,
     Schedule,
@@ -34,7 +34,6 @@ from planarfab.scheduling import (
     _splice_tails,
     _tails,
     build_operations,
-    candidate_routes,
     lower_bound,
     p_cmax,
     schedule,
@@ -72,6 +71,11 @@ def _coords(layout, route):
 
 def _tile_id(layout, tile):
     return None if tile is None else layout.index_table[0][tile]
+
+
+def _route_cache(timer, orders):
+    """The route cache of a schedule() call over orders, on its own route table."""
+    return _RouteCache(timer, shppn.kappa_routes((o.drugs for o in orders), timer.placement))
 
 
 # --- independent exhaustive oracle --------------------------------------------------
@@ -491,6 +495,24 @@ def test_schedule_deterministic_under_seed_and_iterations():
     assert a.ops == b.ops
 
 
+def test_schedule_on_a_given_route_table_matches_its_own():
+    """schedule() given a route table over more drug sets than its orders
+    have, as the pipeline hands one to every batch, returns the plan it
+    finds on the table it solves itself."""
+    layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 5, 3),
+               build_layout("line", 9, 2)]
+    drugs = list("abcdefg")
+    for li, layout in enumerate(layouts):
+        for seed in range(3):
+            pl = random_placement(layout, drugs, seed=20 * li + seed, max_alternatives=3)
+            orders = random_orders(drugs, 24, seed=seed, size_range=(1, 6))
+            table = shppn.kappa_routes((o.drugs for o in orders), pl)
+            mine = orders[seed::2]
+            own = schedule(mine, pl, 3, eta=2, seed=seed, max_iterations=8)
+            given = schedule(mine, pl, 3, eta=2, seed=seed, max_iterations=8, route_table=table)
+            assert given.ops == own.ops and given.incumbent_trace == own.incumbent_trace, (li, seed)
+
+
 def test_schedule_errors(golden_placement):
     with pytest.raises(ValueError):
         schedule([], golden_placement, 1)
@@ -629,15 +651,13 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
         timer = _Timer(pl, orders, eta=rng.randint(1, 3))
         plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
         movers = None if seed % 3 else [rng.randrange(n_movers)]
-        # separate caches with one seed: both must draw routes in the same order
         (m, pos, route), want_key, ties = _naive_insert_best(
-            plan, orders[0], timer, _RouteCache(timer, random.Random(seed)), movers
+            plan, orders[0], timer, _route_cache(timer, orders), movers
         )
         tied += ties > 1
         want = plan.copy()
         want.seqs[m].insert(pos, (orders[0], route))
-        got_key = _insert_best(plan, orders[0], timer, _RouteCache(timer, random.Random(seed)),
-                               movers)
+        got_key = _insert_best(plan, orders[0], timer, _route_cache(timer, orders), movers)
         assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
     assert tied >= 20
 
@@ -649,7 +669,7 @@ def test_splice_heads_match_spliced_tails_at_every_candidate():
     drugs = list("abcdef")
     checked = at_end = 0
     for li, layout in enumerate(_engine_layouts()):
-        for seed in range(20):
+        for seed in range(30):
             rng = random.Random(3000 + 1000 * li + seed)
             pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
             orders = random_orders(drugs, rng.randint(2, 12), seed=seed + 30,
@@ -657,7 +677,7 @@ def test_splice_heads_match_spliced_tails_at_every_candidate():
             n_movers = 8 if seed % 2 else rng.randint(1, 7)
             timer = _Timer(pl, orders, eta=rng.randint(1, 3))
             plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
-            routes = _RouteCache(timer, random.Random(seed))
+            routes = _route_cache(timer, orders)
             dist = timer.dist
             for seq, chain in zip(plan.seqs, timer.chains(plan)):
                 span, flow = _tails(chain, dist)
@@ -807,8 +827,8 @@ def test_suspended_run_resumes_to_the_uninterrupted_run():
 
 
 # --- route oracle ------------------------------------------------------------------
-# The enumerate-and-sort ranking that the vectorized route oracle replaced:
-# build every Route, sort by (length from prev_loc, start, stops, end).
+# Every route of an order, listed in the exhaustive search's enumeration order;
+# the references below rank and check the κ DP's routes against it.
 
 def _reference_enumeration(order, placement):
     interfaces = sorted(placement.interfaces)
@@ -823,33 +843,57 @@ def _reference_enumeration(order, placement):
     return routes
 
 
-def _reference_greedy_routes(order, placement, prev_loc, rng=None):
-    """The nearest-neighbour fallback as a Coord loop through Layout.distance."""
-    interfaces = sorted(placement.interfaces)
-    dist = placement.layout.distance
-    out = []
-    for si in interfaces:
-        remaining = list(order.drugs)
-        if rng is not None:
-            rng.shuffle(remaining)
-        cur = si
-        stops = []
-        while remaining:
-            cands = []
-            for g in remaining:
-                for t in placement.dispensers_for(g):
-                    cands.append((dist(cur, t), t, g))
-            d0, t0, g0 = min(cands)
-            if rng is not None and len(cands) > 1 and rng.random() < 0.3:
-                d0, t0, g0 = sorted(cands)[1]
-            served = [g for g in remaining if t0 in placement.dispensers_for(g)]
-            for g in served:
-                stops.append((g, t0))
-                remaining.remove(g)
-            cur = t0
-        ei = min(interfaces, key=lambda i: (dist(cur, i), i))
-        out.append(Route(si, tuple(stops), ei))
-    return out
+def test_candidate_routes_are_the_shortest_per_start_interface():
+    """The κ DP's candidates from every previous location, against every
+    route of the order: each candidate's length is its lead-in leg plus the
+    least every_route() length among routes with its start interface, and
+    its stops walk that length on the layout, ending at the interface
+    nearest the last stop.  The candidates are the CANDIDATES least (length,
+    start) of those, and the table's κ is kappa_batch's."""
+    layouts = [build_layout("square", (4, 4), 2), build_layout("ring", 5, 3),
+               build_layout("line", 8, 2), build_layout("ring", 4, 1)]
+    drugs = list("abcde")
+    checked = shared = tied = 0
+    for li, layout in enumerate(layouts):
+        dist = layout.distance
+        for seed in range(6):
+            pl = random_placement(layout, drugs, seed=10 * li + seed, max_alternatives=3)
+            orders = random_orders(drugs, 6, seed=seed, size_range=(1, 5))
+            timer = _Timer(pl, orders, 2)
+            table = shppn.kappa_routes((o.drugs for o in orders), pl)
+            sets = list(table)
+            assert [table[g].kappa for g in sets] == shppn.kappa_batch(sets, pl)
+            routes = _RouteCache(timer, table)
+            interfaces = sorted(pl.interfaces)
+            for o in orders:
+                if _route_count(o, pl, len(interfaces)) > 600:
+                    continue
+                tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
+                shared += len(tiles) != len(set(tiles))
+                every = _OrderPaths(o, timer).every_route()
+                want = _reference_enumeration(o, pl)
+                assert [_coords(layout, r) for r in every] == want
+                assert [r.length for r in every] == [r.length(dist) for r in want]
+                best = {i: min(r.length(dist) for r in want if r.start_iface == i)
+                        for i in interfaces}
+                tied += any(sum(r.length(dist) == best[r.start_iface] for r in want
+                                if r.start_iface == i) > 1 for i in interfaces)
+                for prev_loc in [None] + sorted(layout.tiles):
+                    lead = {i: 0 if prev_loc is None else dist(prev_loc, i) for i in interfaces}
+                    got = routes.get(o, _tile_id(layout, prev_loc))
+                    ranked = sorted((lead[i] + best[i], i) for i in interfaces)[:CANDIDATES]
+                    assert [(r.length, _coords(layout, r).start_iface) for r in got] == ranked, (
+                        li, seed, o.id, prev_loc)
+                    for r in got:
+                        path = _coords(layout, r)
+                        assert r.length == path.length(dist, prev_loc), (li, seed, o.id, prev_loc)
+                        assert sorted(g for g, _ in path.stops) == sorted(o.drugs)
+                        assert all(t in pl.dispensers_for(g) for g, t in path.stops)
+                        last = path.stops[-1][1]
+                        assert path.end_iface == min(interfaces, key=lambda i: (dist(last, i), i))
+                        assert [t for *_, t in r.seg] == [r.start, *(t for _, t in r.stops), r.end]
+                        checked += 1
+    assert shared >= 10 and tied >= 20 and checked > 1000
 
 
 def _reference_route_space(order, placement, prev_loc=None):
@@ -869,89 +913,6 @@ def _reference_route_space(order, placement, prev_loc=None):
     return np.stack(stops), np.stack(lengths)
 
 
-def _reference_candidate_routes(order, placement, prev_loc, limit, rng):
-    dist = placement.layout.distance
-    if _route_count(order, placement, len(placement.interfaces)) <= ROUTE_ENUM_CAP:
-        routes = _reference_enumeration(order, placement)
-    else:
-        routes = _reference_greedy_routes(order, placement, prev_loc, rng)
-    routes.sort(key=lambda r: (r.length(dist, prev_loc), r.start_iface, r.stops, r.end_iface))
-    seen = set()
-    out = []
-    for r in routes:
-        key = (r.start_iface, r.stops, r.end_iface)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-        if len(out) >= limit:
-            break
-    return out
-
-
-def test_candidate_routes_match_enumerate_and_sort_reference():
-    layouts = [build_layout("square", (4, 4), 2), build_layout("ring", 5, 3),
-               build_layout("ring", 4, 1)]
-    drugs = list("abcde")
-    checked = shared = greedy = 0
-    for li, layout in enumerate(layouts):
-        dist = layout.distance
-        for seed in range(6):
-            pl = random_placement(layout, drugs, seed=10 * li + seed, max_alternatives=3)
-            orders = random_orders(drugs, 5, seed=seed, size_range=(1, 5))
-            timer = _Timer(pl, orders, 2)
-            for o in orders:
-                tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
-                shared += len(tiles) != len(set(tiles))
-                enumerable = _route_count(o, pl, len(pl.interfaces)) <= ROUTE_ENUM_CAP
-                greedy += not enumerable
-                if enumerable and _route_count(o, pl, len(pl.interfaces)) <= 600:
-                    every = _OrderPaths(o, timer).every_route()
-                    want = _reference_enumeration(o, pl)
-                    assert [_coords(layout, r) for r in every] == want
-                    assert [r.length for r in every] == [r.length(dist) for r in want]
-                for prev_loc in [None] + sorted(pl.interfaces):
-                    # the reference ranking for a smaller limit is a prefix of this one
-                    want = _reference_candidate_routes(o, pl, prev_loc, 6, random.Random(seed))
-                    for limit in range(1, 7):
-                        got = candidate_routes(_OrderPaths(o, timer), _tile_id(layout, prev_loc),
-                                               limit, random.Random(seed))
-                        assert [_coords(layout, r) for r in got] == want[:limit], (
-                            li, seed, o.id, prev_loc, limit)
-                        assert [r.length for r in got] == [
-                            r.length(dist, prev_loc) for r in want[:limit]]
-                        checked += 1
-    assert shared >= 10 and greedy >= 5 and checked > 1000
-
-
-def test_greedy_routes_match_coord_loop_reference():
-    # shared tiles, orders of 1-8 drugs, every previous location; one rng per
-    # order across its calls, as the route cache draws them
-    layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 5, 3),
-               build_layout("ring", 4, 1), build_layout("square", (3, 4), 2)]
-    drugs = [f"d{i}" for i in range(8)]
-    checked = shared = draws = 0
-    for li, layout in enumerate(layouts):
-        dist = layout.distance
-        for seed in range(5):
-            pl = random_placement(layout, drugs, seed=40 * li + seed, max_alternatives=3)
-            for o in random_orders(drugs, 6, seed=seed, size_range=(1, 8)):
-                tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
-                shared += len(tiles) != len(set(tiles))
-                paths = _OrderPaths(o, _Timer(pl, [o], 2))
-                want_rng, got_rng = random.Random(o.id), random.Random(o.id)
-                for prev_loc in [None] + sorted(layout.tiles):
-                    lead = paths.lead(_tile_id(layout, prev_loc)).tolist()
-                    for rng_w, rng_g in ((want_rng, got_rng), (None, None)):
-                        want = _reference_greedy_routes(o, pl, prev_loc, rng_w)
-                        got = paths.greedy_routes(lead, rng_g)
-                        assert [_coords(layout, r) for r in got] == want, (li, seed, o.id, prev_loc)
-                        assert [n for n, *_ in got] == [r.length(dist, prev_loc) for r in want]
-                        checked += 1
-                    assert want_rng.getstate() == got_rng.getstate()
-                draws += want_rng.getstate() != random.Random(o.id).getstate()
-    assert shared >= 20 and draws > 50 and checked > 2000
-
-
 def test_route_space_matches_per_permutation_reference():
     layouts = [build_layout("square", (4, 4), 2), build_layout("ring", 5, 3),
                build_layout("line", 7, 1)]
@@ -961,13 +922,14 @@ def test_route_space_matches_per_permutation_reference():
         for seed in range(5):
             pl = random_placement(layout, drugs, seed=70 * li + seed, max_alternatives=3)
             for o in random_orders(drugs, 5, seed=seed, size_range=(1, 5)):
-                if _route_count(o, pl, len(pl.interfaces)) > ROUTE_ENUM_CAP:
+                if _route_count(o, pl, len(pl.interfaces)) > 4_000:
                     continue
                 paths = _OrderPaths(o, _Timer(pl, [o], 2))
                 stops, lengths = paths.space
                 for prev_loc in [None] + sorted(pl.interfaces) + sorted(layout.tiles)[:3]:
                     want_stops, want = _reference_route_space(o, pl, prev_loc)
-                    lead = paths.lead(_tile_id(layout, prev_loc))
+                    lead = np.zeros(len(pl.interfaces), dtype=np.int64) if prev_loc is None else (
+                        layout.distances([prev_loc], sorted(pl.interfaces))[0])
                     assert np.array_equal(stops, want_stops)
                     assert np.array_equal(lengths + lead[:, None], want)
                     checked += 1
@@ -1037,8 +999,9 @@ def test_exhaustive_count_matches_enumeration_and_picks_the_path(monkeypatch):
 
 
 # --- outputs pinned across engine versions --------------------------------------------
-# sha256 of schedule(...).to_json() as produced by the busy-list timing engine
-# that preceded the free-slot one; the engine must keep every decision.
+# sha256 of schedule(...).to_json(): the exhaustive pins as produced by the
+# busy-list timing engine that preceded the free-slot one, the LNS pins on
+# insertion routes from the κ DP; the engine must keep every decision.
 
 def _digest(s):
     return hashlib.sha256(s.to_json().encode()).hexdigest()
@@ -1062,8 +1025,8 @@ def test_lns_schedule_4x4_matches_pinned_digest():
     orders = random_orders(list("abcd"), 9, seed=9, size_range=(1, 3))
     lb = lower_bound(orders, pl, 2, eta=2)
     s = schedule(orders, pl, 2, eta=2, seed=5, warm_start=lb.assignment, max_iterations=40)
-    assert s.makespan == 115
-    assert _digest(s) == "f238779d4ab02160c766a0c4b926e7d582159e752795dff3583aa49a2d799958"
+    assert s.makespan == 116
+    assert _digest(s) == "e495caef2d6f8b02ab683de4c82ec78b8c9110086db31777bfd87e9e2880a01d"
 
 
 def test_lns_schedule_8x8_matches_pinned_digest():
@@ -1071,8 +1034,8 @@ def test_lns_schedule_8x8_matches_pinned_digest():
 
     pl, orders, _config = build_8x8_instance(3, 30, movers=4)
     s = schedule(orders, pl, 4, eta=2, seed=11, max_iterations=5)
-    assert s.incumbent_trace == (4070, 4070, 4070, 4070, 4070, 4068)
-    assert _digest(s) == "1d49b5b0016d2e40efe9fa151e4845e5ff6bb2f562ed495e9c9d7e79dad54b3c"
+    assert s.incumbent_trace == (4056, 4052, 4052, 4051, 4051, 4051)
+    assert _digest(s) == "84b2a99e3dd774ac146b83f4cc947f4d078d87dd790206d9d01417b45fdf50f4"
 
 
 def test_lns_schedule_8x8_with_8_movers_matches_pinned_digest():
@@ -1082,8 +1045,8 @@ def test_lns_schedule_8x8_with_8_movers_matches_pinned_digest():
 
     pl, orders, _config = build_8x8_instance(2, 25, movers=8)
     s = schedule(orders, pl, 8, eta=2, seed=2, max_iterations=5)
-    assert s.incumbent_trace == (1881, 1880, 1880, 1880, 1876, 1875)
-    assert _digest(s) == "3b3520d81aac370067848e59477fb7eb873a80721f51e463e972efd35132b40a"
+    assert s.incumbent_trace == (1869, 1869, 1869, 1869, 1869, 1869)
+    assert _digest(s) == "15821c229693ec15a5fde1d092326b38e19b35cd35c1a5fe930c744c687f01e6"
 
 
 def test_schedules_on_ring_with_empty_tiles_match_pinned_digests():
@@ -1095,8 +1058,8 @@ def test_schedules_on_ring_with_empty_tiles_match_pinned_digests():
     assert len(pl.coords()) == 6
     orders = random_orders(list("abcd"), 8, seed=6, size_range=(1, 3))
     s = schedule(orders, pl, 2, eta=2, seed=3, max_iterations=30)
-    assert s.makespan == 109
-    assert _digest(s) == "a8af1a0a5ac59298f8a2078dd9cde4b84e05a59ca71457f01501f0d3824d1efc"
+    assert s.makespan == 110
+    assert _digest(s) == "afd0742cbe2bc4dbd534052fbda64c1c67fdb6548cd60974d1f64d7d26466da6"
     s = schedule(orders[:2], pl, 2, eta=2, seed=0)  # exhaustive
     assert s.makespan == 32
     assert _digest(s) == "c1809de364845a588341504d67c563fa4ab240638f0e0a00c198830fc1796e13"
