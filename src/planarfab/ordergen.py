@@ -213,18 +213,6 @@ def sample_orders(
     return OrderSet(tuple(orders), provenance)
 
 
-def sample_inclusion_matrix(
-    catalog: DrugCatalog, n_samples: int, seed: int = 0, copula_mode: str = "raw"
-) -> np.ndarray:
-    """Raw thresholded draws with no size filtering, as a boolean matrix.
-
-    Used to check marginal fidelity before rejection sampling distorts it.
-    """
-    factor, thresholds = _latent_model(catalog, copula_mode)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _inclusion(rng, factor, thresholds, n_samples)
-
-
 def estimate_demand(history) -> DemandVector:
     """u_g = total dispensing ticks requested for drug g across the history."""
     u: dict[str, float] = {}

@@ -271,12 +271,6 @@ class Realized:
         self.end = max((e for row in self.ops.values() for _t, _s, e, _o in row), default=0)
 
 
-def realize(schedule: Schedule, placement, pauses=None) -> Realized:
-    """A schedule's own starts realized under ``pauses`` on a frame of its own."""
-    starts = {so.op.op_id: so.start for so in schedule.ops}
-    return Realized(starts, pauses or {}, _Frame(schedule, placement))
-
-
 def extract_transits(realized: Realized) -> list[Transit]:
     """Idle transits of a round (gap exceeding travel): each mover's
     consecutive ops, movers in order."""

@@ -23,12 +23,15 @@ least one tick (eta >= 1 is enforced here, dispensing >= 1 by Order), so a new
 interval on a tile starts at or after every earlier interval's start there,
 hence at or after its end: the feasible start is max(mover-ready + travel,
 end of the tile's last interval), one "free" tick per tile.  The same order
-lets insertion time the plan without the new order once and resume each
-candidate from the state where its mover reaches the insertion point.  A
-timing run can also stop and resume in the middle: it suspends whenever its
-bound reaches the one it was given and goes on, unchanged, under a higher
-one, which lets insertion advance many candidate runs best first, each only
-while its bound is the least.
+lets a plan keep its timeline, the timing state wherever a mover ends an
+order: a state stays valid until an edit reaches an op that it has
+committed or waits for, so insertion resumes the plan without the new order
+from the latest state still valid, and each candidate from the state where
+its mover reaches the insertion point.  A timing run can also stop and
+resume in the middle: it suspends whenever its bound reaches the one it was
+given and goes on, unchanged, under a higher one, which lets insertion
+advance many candidate runs best first, each only while its bound is the
+least.
 
 The makespan lower bound follows the relaxation route: exact per-order path
 values feed a parallel-machines problem whose optimum (or, above the guard,
@@ -545,24 +548,64 @@ class _Plan:
 
     timing[m] keeps mover m's timing inputs (chain, span, flow), its chain
     and the chain's _tails, across insertions; None means not built.
-    _insert_best builds every None entry.  Whoever changes seqs[m]
-    resets timing[m] to None: _insert_best the winner's mover after
+    _insert_best builds every None entry.
+
+    The timeline is the plan's timing run, kept where movers end orders:
+    timeline[m][j] is the state right after mover m commits the finish op
+    of its order j, a _commits snapshot (ptr, nxt, wait, free, makespan,
+    flow, end, tile).  States are never changed in place, and copy() shares
+    them.  Each list holds a prefix of the run: _insert_best drops (prune)
+    and extends it.  change[m] is the op count from which mover m's chain
+    has changed since the states were taken (_NEVER: unchanged).
+
+    Whoever changes seqs[m] calls edited(m, k), which resets timing[m] and
+    records the change point k: _insert_best the winner's mover after
     inserting, _lns_search every mover that a removal shortened.  _timing
     and _plan_makespan read seqs alone, so a plan whose seqs are edited
     directly is still timed right.
     """
 
-    __slots__ = ("seqs", "timing")
+    __slots__ = ("seqs", "timing", "timeline", "change")
 
     def __init__(self, n_movers: int):
         self.seqs: list[list[tuple[Order, Route]]] = [[] for _ in range(n_movers)]
         self.timing: list[tuple | None] = [None] * n_movers
+        self.timeline: list[list[tuple]] = [[] for _ in range(n_movers)]
+        self.change: list[float] = [_NEVER] * n_movers
 
-    def copy(self) -> "_Plan":
+    def copy(self, timeline: bool = True) -> "_Plan":
+        """A copy that shares the states; without timeline, one that keeps
+        none, so that its next insertion runs from the origin."""
         p = _Plan(len(self.seqs))
         p.seqs = [list(s) for s in self.seqs]
         p.timing = self.timing[:]
+        if timeline:
+            p.timeline = [list(s) for s in self.timeline]
+            p.change = self.change[:]
         return p
+
+    def edited(self, m: int, k: int) -> None:
+        """Record that mover m's chain changed from its op k on."""
+        self.timing[m] = None
+        if k < self.change[m]:
+            self.change[m] = k
+
+    def prune(self) -> None:
+        """Drop every state that the changes since made stale.
+
+        A state in which each changed mover c has committed fewer than
+        change[c] ops is one that a run over the current chains reaches
+        step for step: every op it has committed, and every next op it
+        waits for, is unchanged.  ptr only grows along a run, so the states
+        left are a prefix of it, and each list loses a suffix.
+        """
+        changed = [(c, k) for c, k in enumerate(self.change) if k != _NEVER]
+        if not changed:
+            return
+        for states in self.timeline:
+            while states and any(states[-1][0][c] >= k for c, k in changed):
+                states.pop()
+        self.change = [_NEVER] * len(self.change)
 
 
 class _Timer:
@@ -572,12 +615,15 @@ class _Timer:
     ids that each order's path table builds its Routes on.  dist is the
     layout's distance table as lists, with an extra last row: the "no
     location yet" origin, 0 ticks from every tile.  A plan's chains are its
-    Routes' segments, built once per route by the path table.
+    Routes' segments, built once per route by the path table.  finishes
+    holds the op ids that end an order, where a plan's timeline keeps a
+    state.
     """
 
     def __init__(self, placement, orders, eta: int):
         specs = build_operations(orders, eta)
         self.ops_by_id = {op.op_id: op for op in specs}
+        self.finishes = frozenset(op.op_id for op in specs if op.kind == FINISH)
         self.op_ids = {
             (op.order_id, op.kind, op.target if op.kind == DISPENSING else INTERFACE): op.op_id
             for op in specs
@@ -693,12 +739,12 @@ def _lower_bound(chains, tails, ptr, nxt, makespan, flow) -> tuple[int, int]:
 
 
 def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
-         bound=(_NEVER, _NEVER), placed=None, marks=None, snaps=None):
+         bound=(_NEVER, _NEVER), placed=None, marks=None, snaps=None, until=()):
     """Commit the remaining ops of chains; return (makespan, flow), or None
     once the run's bound reaches bound.  The driver of _commits, which
     documents the state and every argument."""
     run = _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
-                   placed, marks, snaps)
+                   placed, marks, snaps, until)
     try:
         next(run)
     except StopIteration as done:
@@ -707,7 +753,7 @@ def _run(chains, tails, dist, ptr, nxt, wait, free, makespan=0, flow=0,
 
 
 def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
-             placed, marks, snaps):
+             placed=None, marks=None, snaps=None, until=()):
     """Commit the remaining ops of chains, suspending at bound; the timing engine.
 
     A generator: it returns (makespan, flow) through StopIteration, and
@@ -732,9 +778,10 @@ def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
     the run suspends exactly when its (makespan, flow) would be at least
     bound, and each bound it yields is the _lower_bound of the suspended
     state.  With placed, each commit is appended as (op_id, mover, tile id,
-    start).  With marks (a set of op counts per mover), snaps[(m, k)] gets
-    a copy of the state plus the end and tile id of the commit right after
-    mover m commits its k-th op; the run ends once every mark is taken.
+    start).  With marks (a set of op ids), snaps[m] gets a copy of the state
+    plus the end and tile id of the commit appended right after mover m
+    commits one of them, and the run ends once every mover in until (a set)
+    has committed a marked last op.
     """
     spans = tails[0]
     lb_makespan, lb_flow = _lower_bound(chains, tails, ptr, nxt, makespan, flow)
@@ -744,7 +791,7 @@ def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
     movers = range(len(chains))
     lens = [len(c) for c in chains]
     remaining = sum(lens) - sum(ptr)
-    pending = sum(map(len, marks)) if marks is not None else 0
+    pending = len(until)
     while remaining:
         t = min(nxt)
         m = nxt.index(t)
@@ -792,11 +839,12 @@ def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
             ):
                 bound_makespan, bound_flow = yield lb_makespan, lb_flow
         remaining -= 1
-        if marks is not None and k in marks[m]:
-            snaps[(m, k)] = (ptr[:], nxt[:], wait[:], free[:], makespan, flow, end, tile)
-            pending -= 1
-            if not pending:
-                break
+        if marks is not None and op_id in marks:
+            snaps[m].append((ptr[:], nxt[:], wait[:], free[:], makespan, flow, end, tile))
+            if k == n and m in until:
+                pending -= 1
+                if not pending:
+                    break
     return makespan, flow
 
 
@@ -971,7 +1019,7 @@ def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, m
     for o in sorted(orders, key=lambda o: (-(o.total_dispensing), o.id)):
         m = warm_start.get(o.id, 0) % n_movers
         best_key = _insert_best(plan, o, timer, routes, movers=[m])
-    best = plan.copy()
+    best = plan.copy(timeline=False)  # no states of its own: a restart resumes from the origin
     trace = [best_key[0]]
 
     stale = 0
@@ -990,12 +1038,13 @@ def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, m
         for m, seq in enumerate(work.seqs):
             kept = [(o, r) for o, r in seq if o.id not in removed_ids]
             if len(kept) < len(seq):
+                first = next(i for i, (o, _) in enumerate(seq) if o.id in removed_ids)
                 work.seqs[m] = kept
-                work.timing[m] = None
+                work.edited(m, sum(len(r.seg) for _, r in seq[:first]))
         for o in sorted(removed, key=lambda o: (-(o.total_dispensing), o.id)):
             key = _insert_best(work, o, timer, routes)
         if key < best_key:
-            best, best_key = work.copy(), key
+            best, best_key = work.copy(timeline=False), key
             plan = work
             size_weights[k] = min(8.0, size_weights[k] * 1.3)
             stale = 0
@@ -1016,11 +1065,14 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     """Insert order where the plan's (makespan, flow) is least; return that key.
 
     The winner is the least key, ties by enumeration index (mover, position,
-    route): the first strict minimum of the enumeration.  The plan without
-    the order is timed once, keeping the state right after each candidate
-    mover m has committed the ops of its first pos orders.  A candidate at
-    (m, pos) takes exactly the same steps up to that point, so it resumes
-    from there with m's chain spliced.
+    route): the first strict minimum of the enumeration.  A candidate at
+    (m, pos) takes exactly the same steps as the run of the plan without
+    the order up to the state right after mover m ends its first pos orders
+    (the origin at pos 0), so it resumes from there with m's chain spliced.
+    Those states are the plan's timeline: the stale ones are dropped
+    (_Plan.prune), then one run resumes from the latest state left and
+    keeps a state wherever a mover ends an order, until every candidate
+    mover has ended its last.
 
     Best first: each candidate's starting _lower_bound is taken from its
     resume state, and a heap holds every candidate by (bound, index).  The
@@ -1034,10 +1086,13 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
     run's bound never exceeds its key, so it is the least (key, index), and
     no run is advanced once its bound passes the winner's key.
 
-    Cost: a starting bound reads m's spliced tails at k only, O(1) from the
-    route's tails and m's (_splice_heads), so queueing a candidate is O(1);
-    only a candidate whose run starts pays for its spliced chain and tails
-    from k on (_candidate_run).  The movers' (chain, span, flow) come from
+    Cost: the timeline run commits only the ops after the latest state
+    that the edits since the last call left valid: after the previous
+    winner's insertion point, or an LNS removal's, on its mover.  A
+    starting bound reads m's spliced tails at k only, O(1) from the route's
+    tails and m's (_splice_heads), so queueing a candidate is O(1); only a
+    candidate whose run starts pays for its spliced chain and tails from k
+    on (_candidate_run).  The movers' (chain, span, flow) come from
     plan.timing, which rebuilds only the entries reset since they were last
     built.
     """
@@ -1048,27 +1103,27 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
             chain = _chain(plan.seqs[m])
             timing[m] = (chain, *_tails(chain, dist))
     chains, spans, flows = (list(x) for x in zip(*timing))
-    candidates = range(len(plan.seqs)) if movers is None else movers
-    boundaries = {  # ops before each position, per candidate mover
-        m: list(itertools.accumulate((len(r.seg) for _, r in plan.seqs[m]), initial=0))
-        for m in candidates
-    }
-    ptr, nxt, wait, free, _, _ = timer.origin(chains)
-    nowhere = len(dist) - 1
-    snaps = {(m, 0): (ptr, nxt, wait, free, 0, 0, 0, nowhere) for m in candidates}
-    marks = [set(boundaries.get(m, (0,))[1:]) for m in range(len(chains))]
-    if any(marks):
-        _run(chains, (spans, flows), dist, ptr[:], nxt[:], wait[:], free[:], marks=marks,
-             snaps=snaps)
+    candidates = range(len(chains)) if movers is None else movers
+    origin = (*timer.origin(chains), 0, len(dist) - 1)  # ready at tick 0, from nowhere
+    plan.prune()
+    timeline = plan.timeline
+    latest = max((states[-1] for states in timeline if states), key=lambda s: sum(s[0]),
+                 default=origin)
+    until = {m for m in candidates if latest[0][m] < len(chains[m])}
+    if until:
+        ptr, nxt, wait, free, makespan, flow, _, _ = latest
+        _run(chains, (spans, flows), dist, ptr[:], nxt[:], wait[:], free[:], makespan, flow,
+             marks=timer.finishes, snaps=timeline, until=until)
 
-    queue = []  # (bound, index, m, pos, k, route, first start, run: None until it starts)
+    queue = []  # (bound, index, m, pos, snap, route, first start, run: None until it starts)
     for m in candidates:
         seq = plan.seqs[m]
         base = chains[m]
-        for pos, k in enumerate(boundaries[m]):
+        for pos, snap in enumerate([origin, *timeline[m]]):
             prev_loc = seq[pos - 1][1].end if pos > 0 else None
             options = routes.get(order, prev_loc)
-            ptr, nxt, wait, free, makespan, flow, ready, loc = snaps[(m, k)]
+            ptr, nxt, wait, free, makespan, flow, ready, loc = snap
+            k = ptr[m]
             # the bound of the other movers: m counts as done here
             others = _lower_bound(chains, (spans, flows), ptr[:m] + [len(base)] + ptr[m + 1:],
                                   nxt, makespan, flow)
@@ -1080,11 +1135,11 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
                 start = t0 if t0 > free[tile] else free[tile]
                 lb = (max(others[0], start + span_k),
                       others[1] + (len(route.seg) + left) * start + flow_k)
-                queue.append((lb, len(queue), m, pos, k, route, start, None))
+                queue.append((lb, len(queue), m, pos, snap, route, start, None))
     heapq.heapify(queue)  # by (bound, index): indexes are distinct, so no comparison reads further
 
     while True:
-        lb, index, m, pos, k, route, start, run = heapq.heappop(queue)
+        lb, index, m, pos, snap, route, start, run = heapq.heappop(queue)
         if queue:  # suspend once (bound, index) passes the top's; keys are integers
             top, top_index = queue[0][0], queue[0][1]
             bound = (top[0], top[1] + 1) if index < top_index else top
@@ -1092,27 +1147,27 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
             bound = (_NEVER, _NEVER)
         try:
             if run is None:
-                run = _candidate_run(chains, spans, flows, dist, snaps[(m, k)], m, k, route,
-                                     start, bound)
+                run = _candidate_run(chains, spans, flows, dist, snap, m, route, start, bound)
                 lb = next(run)
             else:
                 lb = run.send(bound)
         except StopIteration as done:
             key = done.value
             break
-        heapq.heappush(queue, (lb, index, m, pos, k, route, start, run))
+        heapq.heappush(queue, (lb, index, m, pos, snap, route, start, run))
     plan.seqs[m].insert(pos, (order, route))
-    timing[m] = None
+    plan.edited(m, snap[0][m])
     return key
 
 
-def _candidate_run(chains, spans, flows, dist, snap, m, k, route, start, bound):
+def _candidate_run(chains, spans, flows, dist, snap, m, route, start, bound):
     """The _commits run of the candidate that splices route into mover m's
-    chain at position k, from snap, the base run's state there.  Mover m's
-    first k ops are committed in snap, so the run holds only the rest of its
-    spliced chain, route.seg + chain[k:], from position 0."""
+    chain from snap, the timeline state after m's first k ops.  Those ops
+    are committed in snap, so the run holds only the rest of its spliced
+    chain, route.seg + chain[k:], from position 0."""
     ptr, nxt, wait, free, makespan, flow, _, _ = snap
     base = chains[m]
+    k = ptr[m]
     run_chains, run_spans, run_flows = chains[:], spans[:], flows[:]
     run_chains[m] = route.seg + base[k:]
     run_spans[m], run_flows[m] = _splice_tails(
@@ -1125,4 +1180,4 @@ def _candidate_run(chains, spans, flows, dist, snap, m, k, route, start, bound):
     wait = wait[:]
     wait[m] = route.start
     return _commits(run_chains, (run_spans, run_flows), dist, ptr, nxt, wait, free[:],
-                    makespan, flow, bound, None, None, None)
+                    makespan, flow, bound)

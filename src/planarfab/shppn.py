@@ -8,12 +8,12 @@ slice of the layout's distance table and over all subsets of one size at a
 time; its cost grows as 2^drugs, not with the number of visiting sequences.
 Both solvers run one DP per drug count, batched over the drug sets of that
 count (padded to the largest).  ``kappa_batch`` gives κ alone.
-``kappa_routes`` keeps the DP's predecessors, and the same pass yields each
-drug set's κ and, for every interface, the shortest route that starts
-there: the scheduler's insertion routes.  ``kappa`` is ``kappa_routes`` on a
-batch of one.  ``order_graph`` builds one order's slice.  This DP is the
-planner's only κ and route solver.  All arithmetic is integer; every result
-is exact.
+``kappa_routes`` backtracks through the DP's layers, and the same pass
+yields each drug set's κ and, for every interface, the shortest route that
+starts there: the scheduler's insertion routes.  ``kappa`` is
+``kappa_routes`` on a batch of one.  ``order_graph`` builds one order's
+slice.  This DP is the planner's only κ and route solver.  All arithmetic
+is integer; every result is exact.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def kappa_batch(drug_sets, placement) -> list[int]:
     drug_sets = list(drug_sets)
     out = [0] * len(drug_sets)
     for k, chunk, _, bits, d, nearest, _ in _chunks(drug_sets, placement):
-        dp, _ = _subset_dp(bits, d, nearest, k)
+        dp = _subset_dp(bits, d, nearest, k)
         closing = (dp[:, -1] + nearest).min(axis=1)
         for i, value in zip(chunk, closing.tolist()):
             out[i] = value
@@ -105,16 +105,17 @@ def kappa_batch(drug_sets, placement) -> list[int]:
 
 
 def kappa_routes(drug_sets, placement) -> dict[tuple[str, ...], RouteSet]:
-    """The RouteSet of each distinct drug set, by one _subset_dp per drug count
-    that keeps its predecessors.
+    """The RouteSet of each distinct drug set, by one _subset_dp per drug count.
 
     dp[full, v] + travel(v, e) is the shortest route through every drug that
     ends at interface e, its first minimum over v the DP's closing vertex for
     e.  Travel is symmetric, so that route reversed is the shortest one that
     starts at e: backtracking from the closing vertex lists its stops in the
     reversed order, and it ends at the interface nearest the DP's first
-    vertex (ties by interface order).  The backtrack is one gather per drug,
-    over every set of the chunk and every interface at once.
+    vertex (ties by interface order).  The backtrack recomputes each
+    predecessor as the DP took it, the first minimum over u of dp[mask
+    without v's drug, u] + travel(u, v): one gather per drug, over every set
+    of the chunk and every interface at once.
     """
     drug_sets = list(dict.fromkeys(drug_sets))
     out: dict[tuple[str, ...], RouteSet] = {}
@@ -123,17 +124,19 @@ def kappa_routes(drug_sets, placement) -> dict[tuple[str, ...], RouteSet]:
     index, table = placement.layout.index_table
     ifaces = sorted(index[c] for c in placement.interfaces)
     for k, chunk, tid, bits, d, nearest, real in _chunks(drug_sets, placement):
-        dp, parent = _subset_dp(bits, d, nearest, k, parents=True)
+        dp = _subset_dp(bits, d, nearest, k)
         to_iface = np.where(real[:, :, None], table[tid[:, :, None], ifaces], _INF)
         closing = dp[:, -1, :, None] + to_iface  # (set, vertex, interface)
         lengths = closing.min(axis=1)
         v = closing.argmin(axis=1)
         b = np.arange(len(chunk))[:, None]
+        into = d.transpose(0, 2, 1)  # into[b, v, u] = d[b, u, v]
         mask = (1 << k) - 1
-        stops = []
-        for _ in range(k):
+        stops = [v]
+        for _ in range(k - 1):
+            mask = mask ^ bits[b, v]
+            v = (dp[b, mask] + into[b, v]).argmin(axis=2)
             stops.append(v)
-            v, mask = parent[b, mask, v], mask ^ bits[b, v]
         ends = to_iface[b, stops[-1]].argmin(axis=2)
         stops = np.stack(stops, axis=2).tolist()
         for row, i in enumerate(chunk):
@@ -202,7 +205,7 @@ def _chunks(drug_sets, placement):
             yield k, chunk, tid, bits, d, nearest, real
 
 
-def _subset_dp(bits, d, nearest, n_drugs: int, parents: bool = False):
+def _subset_dp(bits, d, nearest, n_drugs: int):
     """The layered subset DP over a batch of order graphs of n_drugs drugs each.
 
     bits (B, V) holds each vertex's drug bit, d (B, V, V) the travel times
@@ -214,15 +217,13 @@ def _subset_dp(bits, d, nearest, n_drugs: int, parents: bool = False):
     every (graph, mask of the layer, vertex w whose drug is not in mask) it
     takes the minimum over the predecessor v of dp[mask, v] + d[v, w], in
     passes over at most _KAPPA_PASS (graph, mask, vertex, vertex) entries,
-    and writes it to the next layer.  With parents, the predecessor (the
-    first minimum, as a mask-by-mask pass would take it) is kept too.
-    Returns (dp, parent), parent None without parents.
+    and writes it to the next layer.  A layer is final once the next one
+    reads it.  Returns dp.
     """
     n, width = bits.shape
     full = (1 << n_drugs) - 1
     real = bits > 0
     dp = np.full((n, full + 1, width), _INF, dtype=np.int64)
-    parent = np.full((n, full + 1, width), -1, dtype=np.int64) if parents else None
     b, w = np.nonzero(real)
     dp[b, bits[b, w], w] = nearest[b, w]
     into = d.transpose(0, 2, 1)  # into[b, w, v] = d[b, v, w]
@@ -239,6 +240,4 @@ def _subset_dp(bits, d, nearest, n_drugs: int, parents: bool = False):
             ext = dp[b, m] + into[b, w]
             to = m | bits[b, w]
             dp[b, to, w] = ext.min(axis=1)
-            if parents:
-                parent[b, to, w] = ext.argmin(axis=1)
-    return dp, parent
+    return dp

@@ -3,6 +3,7 @@ import pytest
 
 from planarfab.core import Coord, DrugCatalog, Order, build_layout
 from planarfab.placement import Placement
+from planarfab.routing import Realized, _Frame
 
 
 @pytest.fixture
@@ -90,3 +91,9 @@ def tick_list(runs, length=None):
     for t0, t1, cell in runs:
         pos[t0:t1] = [cell] * (t1 - t0)
     return pos
+
+
+def realize(schedule, placement, pauses=None):
+    """A schedule's own starts realized under pauses on a frame of its own."""
+    starts = {so.op.op_id: so.start for so in schedule.ops}
+    return Realized(starts, pauses or {}, _Frame(schedule, placement))

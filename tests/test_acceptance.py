@@ -15,7 +15,7 @@ import pytest
 
 from planarfab import ordergen, packing, routing, scheduling, shppn
 from planarfab.core import Coord, InstanceConfig, Order, build_layout
-from planarfab.ordergen import estimate_demand, sample_inclusion_matrix, sample_orders
+from planarfab.ordergen import estimate_demand, sample_orders
 from planarfab.packing import correlation_sum, pack_correlation, pack_min_load
 from planarfab.placement import _EMPTY, _IFACE, GaParams, _decode, analytical_cost, ga_place, per_order_kappa
 from planarfab.routing import generate_resting_sites, resolve_conflicts, route_schedule
@@ -27,7 +27,8 @@ from planarfab.scheduling import (
     validate_schedule,
 )
 
-from conftest import make_catalog, random_orders, random_placement
+from conftest import make_catalog, random_orders, random_placement, realize
+from test_ordergen import sample_inclusion_matrix
 from test_packing import brute_force_min_load
 from test_routing import matching_oracle_max_sites
 from test_scheduling import oracle_best_makespan
@@ -212,7 +213,7 @@ def test_criterion_7_routing_fixpoint_and_overhead():
         plan = route_schedule(s, pl)
         assert plan.iterations <= 100
         found = routing.detect_conflicts(
-            plan.paths, routing.realize(plan.schedule, pl, plan.interruptions)
+            plan.paths, realize(plan.schedule, pl, plan.interruptions)
         )
         assert all(v <= plan.interruptions.get(k, 0) for k, v in found.items())
         overheads.append(100.0 * (plan.makespan - s.makespan) / s.makespan)

@@ -22,7 +22,7 @@ from planarfab.render import render_gantt, render_layout
 from planarfab.routing import generate_resting_sites
 from planarfab.scheduling import Schedule, schedule
 
-from conftest import make_catalog
+from conftest import make_catalog, realize
 from test_placement import line_placement
 
 
@@ -569,7 +569,7 @@ def test_render_gantt_structure():
 
 
 def test_render_gantt_transit_hatching():
-    from planarfab.routing import extract_transits, realize
+    from planarfab.routing import extract_transits
     from planarfab.scheduling import OperationSpec, ScheduledOp, START, DISPENSING, FINISH
 
     pl = line_placement(["IF", ("a",)])
@@ -587,7 +587,7 @@ def test_render_gantt_transit_hatching():
 
 def test_render_gantt_four_mover_rows_with_hatches():
     # four movers, one idle transit each
-    from planarfab.routing import extract_transits, realize
+    from planarfab.routing import extract_transits
     from planarfab.scheduling import OperationSpec, ScheduledOp, START, DISPENSING, FINISH
 
     pl = line_placement(["IF", ("a",), ("b",), ("c",), ("d",), "IF"])

@@ -5,15 +5,23 @@ from planarfab.core import DrugCatalog, Order
 from planarfab import ordergen
 from planarfab.ordergen import (
     MAX_REJECTIONS,
+    _inclusion,
     _latent_model,
     estimate_demand,
     nearest_psd,
-    sample_inclusion_matrix,
     sample_orders,
     tetrachoric_correlation,
 )
 
 from conftest import make_catalog
+
+
+def sample_inclusion_matrix(catalog, n_samples: int, seed: int = 0, copula_mode: str = "raw"):
+    """Raw thresholded draws with no size filtering, as a boolean matrix:
+    the marginals before rejection sampling distorts them."""
+    factor, thresholds = _latent_model(catalog, copula_mode)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return _inclusion(rng, factor, thresholds, n_samples)
 
 
 def test_forced_marginal_gives_singleton_orders():

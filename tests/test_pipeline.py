@@ -19,7 +19,7 @@ from planarfab.routing import resolve_conflicts, validate_plan
 from planarfab import scheduling, shppn
 from planarfab.scheduling import SchedulingInstance, lower_bound, validate_schedule
 
-from conftest import make_catalog, random_orders, random_placement, tick_list
+from conftest import make_catalog, random_orders, random_placement, realize, tick_list
 
 
 def small_config(seed=5):
@@ -202,7 +202,7 @@ def test_routed_gantt_hatches_the_final_rounds_idle_transits(tmp_path, monkeypat
     assert idle > 0
     assert (tmp_path / "gantt_routed.svg").read_text().count('class="transit"') == idle
     # the final round's transits are those of the routed schedule under its pauses
-    realized = routing.realize(plan.schedule, placed, plan.interruptions)
+    realized = realize(plan.schedule, placed, plan.interruptions)
     assert list(plan.transits) == routing.extract_transits(realized)
 
 

@@ -29,7 +29,6 @@ from planarfab.routing import (
     generate_resting_sites,
     merge_batches,
     propagate_starts,
-    realize,
     _assign_greedy,
     _site_cost,
     _site_options,
@@ -51,7 +50,7 @@ from planarfab.scheduling import (
     validate_schedule,
 )
 
-from conftest import random_orders, random_placement, tick_list
+from conftest import random_orders, random_placement, realize, tick_list
 from test_placement import line_placement
 
 

@@ -737,6 +737,150 @@ def test_plan_timing_entries_match_sequences_around_every_insertion(monkeypatch,
     assert calls["kept"] >= calls["insertions"] * (n_movers - 1)
 
 
+def _timeline_from_origin(plan, timer):
+    """The state after every finish op of a run from the origin over the
+    plan's current chains, per mover: what its timeline may keep."""
+    chains = timer.chains(plan)
+    states = [[] for _ in chains]
+    _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains),
+         marks=timer.finishes, snaps=states)
+    return states
+
+
+@pytest.mark.parametrize("topology", ["square", "ring", "line"])
+@pytest.mark.parametrize("n_movers", [1, 4, 8])
+def test_plan_timeline_matches_a_run_from_the_origin_around_every_insertion(
+        monkeypatch, topology, n_movers):
+    """Every state that a plan keeps past pruning equals the state of a run
+    from the origin over its current chains, before and after each insertion
+    of the construction and of 25 LNS iterations: after every removal, after
+    every reinsertion, and after the states of its own runs are added."""
+    import planarfab.scheduling as scheduling
+
+    insert = scheduling._insert_best
+    calls = {"insertions": 0, "kept": 0, "dropped": 0}
+
+    def check(plan, timer):
+        pruned = plan.copy()
+        pruned.prune()
+        assert pruned.change == [math.inf] * n_movers
+        want = _timeline_from_origin(plan, timer)
+        for m, states in enumerate(pruned.timeline):
+            assert states == want[m][:len(states)], m
+            calls["kept"] += len(states)
+            calls["dropped"] += len(plan.timeline[m]) - len(states)
+
+    def checked_insert(plan, order, timer, routes, movers=None):
+        check(plan, timer)
+        key = insert(plan, order, timer, routes, movers)
+        check(plan, timer)
+        calls["insertions"] += 1
+        return key
+
+    monkeypatch.setattr(scheduling, "_insert_best", checked_insert)
+    layout = {"square": build_layout("square", (5, 5), 2), "ring": build_layout("ring", 6, 2),
+              "line": build_layout("line", 14, 2)}[topology]
+    drugs = list("abcdefgh")
+    pl = random_placement(layout, drugs, seed=6, max_alternatives=3)
+    orders = random_orders(drugs, 16, seed=7, size_range=(1, 4), dur_range=(1, 9))
+    got = schedule(orders, pl, n_movers, seed=2, max_iterations=25)
+    assert validate_schedule(got, SchedulingInstance(tuple(orders), pl, n_movers, 2)) == []
+    assert len(got.incumbent_trace) == 26  # the construction, then 25 LNS iterations
+    assert calls["insertions"] > len(orders) + 25
+    assert calls["kept"] >= 2 * calls["insertions"] and calls["dropped"] >= calls["insertions"]
+
+
+def test_insertion_resumes_from_the_latest_state_left_valid(monkeypatch):
+    """An insertion's timeline run starts at the latest state that the
+    previous winner's splice left valid: after a tail insertion that is
+    past the origin, so it commits fewer ops than a run from the origin;
+    after an insertion at position 0 of a mover, the origin itself.  A copy
+    of the plan shares the states."""
+    import planarfab.scheduling as scheduling
+
+    run = scheduling._run
+    starts = []
+
+    def recorded_run(chains, tails, dist, ptr, *args, marks=None, **kwargs):
+        if marks is not None:
+            starts.append(sum(ptr))
+        return run(chains, tails, dist, ptr, *args, marks=marks, **kwargs)
+
+    monkeypatch.setattr(scheduling, "_run", recorded_run)
+    drugs = list("abcdefgh")
+    tail = head = 0
+    for li, layout in enumerate(_engine_layouts()):
+        for seed in range(10):
+            rng = random.Random(5000 + 100 * li + seed)
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+            orders = random_orders(drugs, 10, seed=seed + 90, size_range=(1, 4),
+                                   dur_range=(1, 9))
+            n_movers = rng.randint(1, 4)
+            timer = _Timer(pl, orders, eta=2)
+            routes = _route_cache(timer, orders)
+            plan = _Plan(n_movers)
+            last = None  # (mover, position, length) of the previous winner
+            for order in orders:
+                movers = None if rng.random() < 0.5 else [rng.randrange(n_movers)]
+                if last is not None:
+                    latest = plan.copy()
+                    latest.prune()
+                    states = [s[-1] for s in latest.timeline if s]
+                    want = max((sum(s[0]) for s in states), default=0)
+                total = sum(map(len, timer.chains(plan)))
+                del starts[:]
+                seqs = [list(seq) for seq in plan.seqs]
+                _insert_best(plan, order, timer, routes, movers)
+                m = next(m for m, (a, b) in enumerate(zip(seqs, plan.seqs)) if len(a) < len(b))
+                pos = next(i for i, (o, _) in enumerate(plan.seqs[m]) if o is order)
+                assert plan.change[m] == sum(len(r.seg) for _, r in plan.seqs[m][:pos])
+                if last is not None and starts:
+                    assert starts == [want], (li, seed)
+                    if last[1] == 0:
+                        assert want == 0, (li, seed)
+                        head += 1
+                    if last[1] == last[2] >= 2:  # a state after the mover's first order is left
+                        assert 0 < want < total, (li, seed)
+                        tail += 1
+                last = (m, pos, len(plan.seqs[m]) - 1)
+            copy = plan.copy()
+            for mine, theirs in zip(copy.timeline, plan.timeline):
+                assert mine is not theirs and mine == theirs
+                assert all(a is b for a, b in zip(mine, theirs))
+    assert tail >= 20 and head >= 20
+
+
+def test_lns_restart_with_a_bare_best_matches_retiming_from_the_origin(monkeypatch):
+    """The LNS keeps its best plan without a timeline, so a restart after
+    500 stale iterations resumes from the origin; every schedule equals the
+    one found when each insertion drops every state first."""
+    import planarfab.scheduling as scheduling
+
+    copy = scheduling._Plan.copy
+    bare = [0]
+
+    def counted_copy(plan, timeline=True):
+        bare[0] += any(plan.seqs) and not any(plan.timeline)
+        return copy(plan, timeline)
+
+    def drop_all(plan):
+        plan.timeline = [[] for _ in plan.seqs]
+        plan.change = [math.inf] * len(plan.seqs)
+
+    drugs = list("abcdef")
+    for seed, layout in enumerate(_engine_layouts()):
+        pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+        orders = random_orders(drugs, 10, seed=seed + 20, size_range=(1, 3), dur_range=(1, 9))
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduling._Plan, "copy", counted_copy)
+            got = schedule(orders, pl, 2, seed=seed, max_iterations=700)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduling._Plan, "prune", drop_all)
+            want = schedule(orders, pl, 2, seed=seed, max_iterations=700)
+        assert got == want, seed
+    assert bare[0] >= 1  # some search restarted from its best plan
+
+
 def _bounded_run_cases():
     """(case, chains, tails, dist, state) over random plans on four layouts:
     each plan's origin and the state after some mover's k-th op, the states
@@ -759,10 +903,10 @@ def _bounded_run_cases():
             busy = [m for m, c in enumerate(chains) if c]
             m = rng.choice(busy)
             k = rng.randint(1, len(chains[m]))
-            marks = [{k} if o == m else set() for o in range(n_movers)]
-            snaps = {}
-            _run(chains, tails, timer.dist, *timer.origin(chains), marks=marks, snaps=snaps)
-            states.append(snaps[(m, k)][:6])
+            snaps = [[] for _ in range(n_movers)]
+            _run(chains, tails, timer.dist, *timer.origin(chains), marks={chains[m][k - 1][0]},
+                 snaps=snaps)
+            states.append(snaps[m][0][:6])
             for state in states:
                 yield (li, seed), chains, tails, timer.dist, state
 

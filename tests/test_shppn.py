@@ -139,6 +139,78 @@ def test_layered_kappa_matches_mask_by_mask_dp():
     assert shared >= 10
 
 
+def parent_table_routes(drug_sets, placement, ties):
+    """kappa_routes as a DP that keeps a predecessor table and backtracks
+    through it; ties counts the layer entries with more than one predecessor
+    at the minimum."""
+    drug_sets = list(dict.fromkeys(drug_sets))
+    out = {}
+    index, table = placement.layout.index_table
+    ifaces = sorted(index[c] for c in placement.interfaces)
+    for k, chunk, tid, bits, d, nearest, real in shppn._chunks(drug_sets, placement):
+        n, width = bits.shape
+        full = (1 << k) - 1
+        dp = np.full((n, full + 1, width), shppn._INF, dtype=np.int64)
+        parent = np.full((n, full + 1, width), -1, dtype=np.int64)
+        b, w = np.nonzero(real)
+        dp[b, bits[b, w], w] = nearest[b, w]
+        into = d.transpose(0, 2, 1)
+        masks = np.arange(full + 1, dtype=np.int64)
+        popcount = ((masks[:, None] >> np.arange(k)) & 1).sum(axis=1)
+        for layer in range(1, k):
+            m = masks[popcount == layer]
+            b, r, w = np.nonzero(((m[:, None] & bits[:, None, :]) == 0) & real[:, None, :])
+            m = m[r]
+            ext = dp[b, m] + into[b, w]
+            to = m | bits[b, w]
+            dp[b, to, w] = ext.min(axis=1)
+            parent[b, to, w] = ext.argmin(axis=1)
+            ties[0] += int(((ext == ext.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        to_iface = np.where(real[:, :, None], table[tid[:, :, None], ifaces], shppn._INF)
+        closing = dp[:, -1, :, None] + to_iface
+        lengths = closing.min(axis=1)
+        v = closing.argmin(axis=1)
+        b = np.arange(len(chunk))[:, None]
+        mask = full
+        stops = []
+        for _ in range(k):
+            stops.append(v)
+            v, mask = parent[b, mask, v], mask ^ bits[b, v]
+        ends = to_iface[b, stops[-1]].argmin(axis=2)
+        stops = np.stack(stops, axis=2).tolist()
+        for row, i in enumerate(chunk):
+            drugs = drug_sets[i]
+            owner = [g for g in drugs for _ in placement.dispensers_for(g)]
+            vertex = list(zip(owner, tid[row].tolist()))
+            routes = tuple(
+                (n_, ifaces[e], tuple(vertex[u] for u in path), ifaces[end])
+                for e, (n_, path, end) in enumerate(
+                    zip(lengths[row].tolist(), stops[row], ends[row].tolist()))
+            )
+            out[drugs] = shppn.RouteSet(min(r[0] for r in routes), routes)
+    return out
+
+
+def test_kappa_routes_match_the_parent_table_backtrack():
+    """Backtracking by recomputing each predecessor's first minimum gives
+    the routes of a DP that keeps its predecessor table, ties included."""
+    from conftest import random_orders
+
+    layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 6, 3),
+               build_layout("line", 12, 2)]
+    drugs = [f"d{i}" for i in range(7)]
+    ties = [0]
+    checked = 0
+    for li, layout in enumerate(layouts):
+        for seed in range(8):
+            pl = random_placement(layout, drugs, seed=40 * li + seed, max_alternatives=3)
+            sets = [o.drugs for o in random_orders(drugs, 25, seed=seed, size_range=(1, 6))]
+            got = shppn.kappa_routes(sets, pl)
+            assert got == parent_table_routes(sets, pl, ties), (layout.topology, seed)
+            checked += len(got)
+    assert checked >= 400 and ties[0] >= 1000
+
+
 def per_order_kappa_loop(placement, orders):
     """κ of each order by one single-order kappa per distinct drug set."""
     solved = {}
