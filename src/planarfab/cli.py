@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import ordergen, packing, routing, scheduling
+from . import ordergen, packing, routing, scheduling, shppn
 from . import placement as placement_mod
 from .core import (
     InstanceConfig,
@@ -204,15 +204,18 @@ def cmd_schedule(args):
     movers = _at_least_one("--movers", args.movers) or config.n_movers
     seed = args.seed if args.seed is not None else config.seed
     batch_size = _at_least_one("--batch-size", args.batch_size)
+    # one κ DP per distinct drug set, read by the warm start and every schedule call
+    table = shppn.kappa_routes((o.drugs for o in orders), placed)
     if batch_size and len(orders) > batch_size:
         sched, _ = schedule_batched(
             orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
-            time_limit=args.time_limit, iterations=args.iterations,
+            time_limit=args.time_limit, iterations=args.iterations, route_table=table,
         )
     else:
         warm = None
         if args.warm_start:
-            lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
+            lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface,
+                                        route_table=table)
             warm = lb.assignment
         sched = scheduling.schedule(
             orders, placed, movers,
@@ -221,6 +224,7 @@ def cmd_schedule(args):
             seed=seed,
             eta=config.eta_interface,
             max_iterations=args.iterations,
+            route_table=table,
         )
     _write(args.out, sched.to_json())
     if args.csv_out:

@@ -127,6 +127,10 @@ def validate_packing(packing: Packing, config: InstanceConfig, demand=None) -> l
             want = float(demand[g])
             if abs(packing.pi[g] * zg - want) > 1e-6 * max(1.0, want):
                 issues.append(f"drug {g}: pi*z != demand")
+    if demand is not None:
+        for g in sorted(set(demand.u) - set(packing.z)):
+            if demand[g] > 0:
+                issues.append(f"drug {g}: demanded but has no dispenser")
     if packing.n_dispensers_used > config.n_dispensers:
         issues.append("dispenser budget exceeded")
     if len(packing.tiles) > packing.n_tiles_available:
@@ -166,6 +170,8 @@ def pack_min_load(
 ) -> Packing:
     """Choose multiplicities and tile groups minimizing the peak tile load.
 
+    drugs: the drugs to pack (default: those of the demand); demand for a
+    drug outside them is infeasible, since no dispenser could serve it.
     mode: "exact" forces branch and bound, "heuristic" forces local search,
     "auto" is exact up to 12 drugs x 12 tiles.  A packing that is not exact
     names the reason in ``fallback``.
@@ -174,6 +180,9 @@ def pack_min_load(
     if drugs is None:
         drugs = sorted(demand.u)
     drugs = sorted(set(drugs))
+    unserved = [g for g in sorted(demand.u) if demand[g] > 0 and g not in drugs]
+    if unserved:
+        raise PackingInfeasible(f"demanded drugs outside the drugs to pack: {unserved}")
     u = {g: float(demand[g]) for g in drugs}
     n_drugs = len(drugs)
     if n_drugs == 0:

@@ -85,20 +85,19 @@ class StageError(RuntimeError):
 
 
 def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size: int,
-                     seed: int, time_limit=None, iterations=None, t_values=None,
-                     route_table=None):
+                     seed: int, time_limit=None, iterations=None, route_table=None):
     """Random partition into batches, independent schedules, merged by uniform shifts.
 
-    t_values: per-order path times of a lower_bound over these orders (the
-    pipeline's lower-bound stage); batch warm starts reuse them instead of
-    solving κ again.  route_table: shppn.kappa_routes over these orders'
-    drug sets, which every batch's schedule reads instead of solving its
-    own.  The caller routes the merged schedule (resolve_conflicts)
-    afterwards.
+    route_table: shppn.kappa_routes over these orders' drug sets (without
+    it, one is solved here), which every batch's warm-start lower_bound and
+    schedule read instead of solving their own.  The caller routes the
+    merged schedule (resolve_conflicts) afterwards.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     orders = list(orders)
+    if route_table is None:
+        route_table = shppn.kappa_routes((o.drugs for o in orders), placed)
     rng = random.Random(seed)
     shuffled = list(orders)
     rng.shuffle(shuffled)
@@ -107,7 +106,7 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
     schedules = []
     for bi, batch in enumerate(batches):
         lb = scheduling.lower_bound(
-            batch, placed, cfg.n_movers, cfg.eta_interface, t_values=t_values
+            batch, placed, cfg.n_movers, cfg.eta_interface, route_table=route_table
         )
         schedules.append(
             scheduling.schedule(
@@ -218,25 +217,23 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         raise StageError("place", "no placement available")
     route_table = None
     if placed is not None:
-        # κ once per distinct drug set, for the analytical score and the lower
-        # bound; a schedule stage takes its insertion routes from the same DP
+        # one κ DP per distinct drug set: its table gives the analytical
+        # score, the lower bound's path times and the schedule's routes
         t0 = time.perf_counter()
         try:
-            if "schedule" in stages:
-                route_table = shppn.kappa_routes((o.drugs for o in orders), placed)
-                kappas = [route_table[o.drugs].kappa for o in orders]
-            else:
-                kappas = placement_mod.per_order_kappa(placed, orders)
+            route_table = shppn.kappa_routes((o.drugs for o in orders), placed)
         except ValueError as e:  # the placement does not serve these orders
             raise StageError("place", e) from e
         times["kappa"] = time.perf_counter() - t0
+        kappas = [route_table[o.drugs].kappa for o in orders]
         values["placement_analytical"] = sum(kappas) / len(kappas) if kappas else 0.0
 
     lb = None
     if "lower-bound" in stages:
         def bound():
             return scheduling.lower_bound(
-                orders, placed, pc.config.n_movers, pc.config.eta_interface, kappas=kappas
+                orders, placed, pc.config.n_movers, pc.config.eta_interface,
+                route_table=route_table,
             )
 
         lb = run_stage("lower-bound", bound)
@@ -256,7 +253,6 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                     seeds["batch"],
                     time_limit=pc.schedule_time_limit,
                     iterations=pc.schedule_iterations,
-                    t_values=lb.t_values if lb else None,
                     route_table=route_table,
                 )
                 return merged

@@ -4,9 +4,12 @@ Two scorers are exposed: a stochastic fitness that simulates episodes of a
 mover greedily-but-noisily visiting dispensers (next stop sampled with weight
 1/distance, distance 0 weighing as 1, so co-located drugs are dispensed in one
 visit), and an exact analytical cost that averages the optimal per-order path
-value.  The stochastic scorer regularises towards placements whose second-best
-routes are also short, which is what the operational level ends up using when
-the nearest dispenser is busy.
+value.  What was measured of the two (30-order history, 300 GA evaluations,
+100 held-out orders scheduled on 8 movers, seeds 1-4): on an 8x8 square
+grid and a 64-tile line, a GA on the sampler gives a summed makespan no
+worse than a GA on the exact cost (30,307 against 30,340 and 32,174 against
+32,372), and only 0.4% and 1.4% below a random shuffle of the packed tiles.
+At 4 movers the sampler was no worse than the exact cost either.
 
 The genetic search is permutation-encoded: every layout coordinate receives
 exactly one of {packed tile, interface, empty filler}, so order crossover and
@@ -668,11 +671,11 @@ def analytical_cost(placement: Placement, history) -> float:
 
 
 def per_order_kappa(placement: Placement, history) -> list[int]:
-    """Exact κ of each order, solved once per distinct drug set (shppn.kappa_batch)."""
+    """Exact κ of each order, read from one shppn.kappa_routes table over
+    the orders' drug sets."""
     orders = list(history)
-    sets = list(dict.fromkeys(o.drugs for o in orders))
-    solved = dict(zip(sets, shppn.kappa_batch(sets, placement)))
-    return [solved[o.drugs] for o in orders]
+    table = shppn.kappa_routes((o.drugs for o in orders), placement)
+    return [table[o.drugs].kappa for o in orders]
 
 
 # --- genetic search ---------------------------------------------------------------

@@ -61,14 +61,10 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from . import shppn
 from .core import INTERFACE, Coord, Order, check_json
-from .placement import per_order_kappa
 
 _str = json.encoder.encode_basestring_ascii  # json.dumps's string escaping (ensure_ascii)
 
@@ -400,24 +396,20 @@ def _lpt(times, m):
 
 
 def lower_bound(orders, placement, n_movers: int, eta: int,
-                t_values: dict[int, int] | None = None,
-                kappas: list[int] | None = None) -> LowerBoundResult:
+                route_table: dict | None = None) -> LowerBoundResult:
     """Relaxation bound: exact per-order path times fed into parallel machines.
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
     An order's path time T_p is 2 * eta + κ + its total dispensing; this is the
-    one place that computes it.  κ is not solved again when it is given:
-    t_values holds the path times of a superset of these orders, from an
-    earlier lower_bound on the same placement and eta; kappas holds the κ of
-    each order, in order.
+    one place that computes it.  route_table is shppn.kappa_routes over a
+    superset of the orders' drug sets on this placement, as schedule() takes
+    it; without it the bound solves one over its own orders.
     """
     orders = list(orders)
-    if t_values is None:
-        if kappas is None:
-            kappas = per_order_kappa(placement, orders)
-        t_values = {o.id: 2 * eta + k + o.total_dispensing for o, k in zip(orders, kappas)}
-    t_values = {o.id: t_values[o.id] for o in orders}
+    if route_table is None:
+        route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
+    t_values = {o.id: 2 * eta + route_table[o.drugs].kappa + o.total_dispensing for o in orders}
 
     ids = [o.id for o in orders]
     times = [t_values[i] for i in ids]
@@ -468,45 +460,17 @@ class _OrderPaths:
     timer, so id order is Coord order.  route turns a (length, start, stops,
     end) key into a Route with its segment: the start op at the start
     interface, one dispensing op per (drug, tile) stop, the finish op at the
-    end interface.  The exhaustive search alone reads the whole route space
-    (space, every_route): route (p, c, s, e) starts at interfaces[s], makes
-    stop j at vertex stops[p, c, j] and ends at interfaces[e], where the
-    order's vertices are its (drug, dispenser tile) pairs, drugs in order and
-    tiles sorted.  Index order is the enumeration order: drug permutation,
-    dispenser combination (first stop slowest), start interface, end
-    interface.
+    end interface.  The exhaustive search alone lists every route of an
+    order (every_route).
     """
 
     def __init__(self, order, timer):
-        placement = timer.placement
-        index, self._table = placement.layout.index_table
-        self.interfaces = sorted(index[c] for c in placement.interfaces)
-        self.alts = [[index[t] for t in placement.dispensers_for(g)] for g in order.drugs]
-        self._vertices = [(g, t) for g, ts in zip(order.drugs, self.alts) for t in ts]
+        self._drugs = order.drugs
         self._timer = timer
         ids = timer.op_ids
         self._start_op = ids[(order.id, START, INTERFACE)]
         self._finish_op = ids[(order.id, FINISH, INTERFACE)]
         self._dispensing = {g: (ids[(order.id, DISPENSING, g)], d) for g, d in order.items}
-
-    @cached_property
-    def space(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stops, lengths) of every route, all permutations in one gather."""
-        vertices = [t for ts in self.alts for t in ts]
-        d = self._table[np.ix_(vertices, vertices)]
-        to_iface = self._table[np.ix_(vertices, self.interfaces)]
-        n = np.array([len(ts) for ts in self.alts], dtype=np.int64)
-        offset = np.cumsum(n) - n
-        perms = np.array(list(itertools.permutations(range(len(n)))), dtype=np.int64)
-        sizes = n[perms]
-        strides = np.ones_like(sizes)  # combination c picks (c // stride) % size at each stop
-        strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
-        combos = np.arange(int(n.prod()), dtype=np.int64)[None, :, None]
-        stops = combos // strides[:, None, :] % sizes[:, None, :] + offset[perms][:, None, :]
-        inner = d[stops[..., :-1], stops[..., 1:]].sum(axis=2)
-        lengths = (inner[..., None, None] + to_iface[stops[..., 0]][..., :, None]
-                   + to_iface[stops[..., -1]][..., None, :])
-        return stops, lengths
 
     def route(self, length: int, start: int, stops, end: int) -> Route:
         """The Route of a ranking key, with its segment and the segment's _tails."""
@@ -516,14 +480,23 @@ class _OrderPaths:
         return Route(length, start, stops, end, seg, _tails(seg, self._timer.dist))
 
     def every_route(self) -> list[Route]:
-        """Every route in enumeration order, without a lead-in leg."""
-        all_stops, lengths = self.space
-        vertices, interfaces = self._vertices, self.interfaces
-        return [
-            self.route(int(lengths[p, c, s, e]), interfaces[s],
-                       tuple(vertices[v] for v in all_stops[p, c].tolist()), interfaces[e])
-            for p, c, s, e in np.ndindex(lengths.shape)
-        ]
+        """Every route, without a lead-in leg, in enumeration order: drug
+        permutation, dispenser tile per stop (first stop slowest, tiles
+        sorted), start interface, end interface."""
+        placement, dist, drugs = self._timer.placement, self._timer.dist, self._drugs
+        index = placement.layout.index_table[0]
+        interfaces = sorted(index[c] for c in placement.interfaces)
+        alts = [[index[t] for t in placement.dispensers_for(g)] for g in drugs]
+        out = []
+        for perm in itertools.permutations(range(len(drugs))):
+            for tiles in itertools.product(*(alts[i] for i in perm)):
+                stops = tuple((drugs[i], t) for i, t in zip(perm, tiles))
+                inner = sum(dist[u][v] for u, v in zip(tiles, tiles[1:]))
+                for s in interfaces:
+                    for e in interfaces:
+                        length = dist[s][tiles[0]] + inner + dist[tiles[-1]][e]
+                        out.append(self.route(length, s, stops, e))
+        return out
 
 
 def candidate_routes(routes: list[Route], lead: list[int], limit: int) -> list[Route]:

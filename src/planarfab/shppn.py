@@ -6,14 +6,14 @@ every order size with one subset DP over the drug clusters (Held-Karp on
 clusters, ``_subset_dp``), vectorized over the (drug, tile) vertices on a
 slice of the layout's distance table and over all subsets of one size at a
 time; its cost grows as 2^drugs, not with the number of visiting sequences.
-Both solvers run one DP per drug count, batched over the drug sets of that
-count (padded to the largest).  ``kappa_batch`` gives κ alone.
-``kappa_routes`` backtracks through the DP's layers, and the same pass
-yields each drug set's κ and, for every interface, the shortest route that
-starts there: the scheduler's insertion routes.  ``kappa`` is
-``kappa_routes`` on a batch of one.  ``order_graph`` builds one order's
-slice.  This DP is the planner's only κ and route solver.  All arithmetic
-is integer; every result is exact.
+``kappa_routes`` runs one DP per drug count, batched over the drug sets of
+that count (padded to the largest), and backtracks through its layers: the
+same pass yields each drug set's κ and, for every interface, the shortest
+route that starts there, the scheduler's insertion routes.  Its table
+(drug set -> ``RouteSet``) is the planner's only κ and route source: the
+placement's analytical cost, the lower bound's path times and the
+scheduler's candidates all read it.  ``kappa`` is ``kappa_routes`` on a
+batch of one.  All arithmetic is integer; every result is exact.
 """
 
 from __future__ import annotations
@@ -34,29 +34,6 @@ _INF = np.iinfo(np.int64).max // 4  # unreached state or padding; two of them st
 class PathResult:
     kappa: int
     sequence: tuple[tuple[str, Coord], ...]  # (drug or "interface", coord)
-
-
-def order_graph(order, placement):
-    """The path graph of one order on the layout's distance table.
-
-    Returns (interfaces, alts, tiles, d, to_iface): the sorted interfaces; per
-    drug of the order, its sorted dispenser tiles; the (drug, tile) vertices'
-    tiles in alts order; travel times between vertices; and travel times from
-    each vertex to each interface, which are also those from each interface
-    to each vertex (graph distances are symmetric).
-    """
-    interfaces = sorted(placement.interfaces)
-    if not interfaces:
-        raise ValueError("placement has no interfaces")
-    alts: list[tuple[str, list[Coord]]] = []
-    for g in order.drugs:
-        tiles = placement.dispensers_for(g)
-        if not tiles:
-            raise ValueError(f"no dispenser placed for drug {g!r}")
-        alts.append((g, sorted(tiles)))
-    tiles = [t for _, ts in alts for t in ts]
-    layout = placement.layout
-    return interfaces, alts, tiles, layout.distances(tiles), layout.distances(tiles, interfaces)
 
 
 class RouteSet(NamedTuple):
@@ -90,18 +67,6 @@ def kappa(order, placement) -> PathResult:
         + (("interface", tiles[start]),)
     )
     return PathResult(length, seq)
-
-
-def kappa_batch(drug_sets, placement) -> list[int]:
-    """κ of each drug set (one order's drugs), by one _subset_dp per drug count."""
-    drug_sets = list(drug_sets)
-    out = [0] * len(drug_sets)
-    for k, chunk, _, bits, d, nearest, _ in _chunks(drug_sets, placement):
-        dp = _subset_dp(bits, d, nearest, k)
-        closing = (dp[:, -1] + nearest).min(axis=1)
-        for i, value in zip(chunk, closing.tolist()):
-            out[i] = value
-    return out
 
 
 def kappa_routes(drug_sets, placement) -> dict[tuple[str, ...], RouteSet]:

@@ -74,7 +74,8 @@ def test_criterion_1_golden_fig6(golden_placement, golden_orders):
 
 
 def test_criterion_2_shppn_oracle_equivalence():
-    # the planner's κ (kappa_batch, and kappa on one order) against brute force
+    # the planner's κ (per_order_kappa on the kappa_routes table, and kappa on
+    # one order) against brute force
     t0 = time.perf_counter()
     layouts = [
         build_layout("square", (5, 5), 2),
@@ -95,13 +96,13 @@ def test_criterion_2_shppn_oracle_equivalence():
                 sum(len(pl.dispensers_for(g)) for g in o.drugs))
         padded += sum(len(w) > 1 for w in widths.values())
         want = [brute_force_kappa(o, pl) for o in orders]
-        assert shppn.kappa_batch([o.drugs for o in orders], pl) == want, trial
+        assert per_order_kappa(pl, orders) == want, trial
         assert [shppn.kappa(o, pl).kappa for o in orders] == want, trial
         n_orders += len(orders)
     elapsed = time.perf_counter() - t0
     assert n_orders == 200 and padded >= 30
     assert elapsed < 30.0
-    report(2, f"{n_orders} orders on 4 topologies: kappa_batch and kappa == brute force, "
+    report(2, f"{n_orders} orders on 4 topologies: per_order_kappa and kappa == brute force, "
               f"{elapsed:.1f}s")
 
 

@@ -87,6 +87,17 @@ def test_cli_exit_codes(tmp_path, instance_file):
                "--size-min", "1", "--size-max", "99", "--orders-out", orders) == INFEASIBLE
 
 
+def test_cli_pack_rejects_demand_for_a_drug_outside_the_catalog(tmp_path, instance_file,
+                                                                 capsys):
+    # no dispenser could serve the demand, so packing is infeasible
+    orders = tmp_path / "orders.csv"
+    orders.write_text("order_id,drug,duration_ticks\n0,zzz,100\n")
+    assert run("pack", "--instance", instance_file, "--orders", orders,
+               "--out", tmp_path / "out.json") == INFEASIBLE
+    assert "'zzz'" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def _broken_orders_header(tmp_path, instance_file):
     orders = tmp_path / "orders.csv"
     assert run("gen-orders", "--instance", instance_file, "--n", "3",

@@ -79,6 +79,16 @@ def test_two_drug_example_split():
     assert validate_packing(p, cfg(3, m_max=2, d_max=2), demand) == []
 
 
+def test_demand_outside_the_drugs_to_pack_is_infeasible():
+    demand = DemandVector({"a": 9.0, "b": 3.0, "zzz": 3.0})
+    with pytest.raises(PackingInfeasible, match="'zzz'"):
+        pack_min_load(demand, 2, cfg(3, m_max=2, d_max=2), drugs=["a", "b"])
+    # a packing that gives a demanded drug no dispenser fails validation
+    p = pack_min_load(DemandVector({"a": 9.0, "b": 3.0}), 2, cfg(3, m_max=2, d_max=2))
+    assert validate_packing(p, cfg(3, m_max=2, d_max=2), demand) == [
+        "drug zzz: demanded but has no dispenser"]
+
+
 def test_exact_matches_bruteforce_suite():
     rng = np.random.default_rng(0)
     for trial in range(30):

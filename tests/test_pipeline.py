@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from planarfab.core import InstanceConfig, build_layout
+from planarfab.core import InstanceConfig, build_layout, instance_to_json, orders_from_csv
 from planarfab.packing import Packing
 from planarfab.pipeline import (
     PipelineConfig,
@@ -14,9 +15,9 @@ from planarfab.pipeline import (
     run_pipeline,
     schedule_batched,
 )
-from planarfab.placement import GaParams
+from planarfab.placement import GaParams, Placement
 from planarfab.routing import resolve_conflicts, validate_plan
-from planarfab import scheduling, shppn
+from planarfab import cli, scheduling, shppn
 from planarfab.scheduling import SchedulingInstance, lower_bound, validate_schedule
 
 from conftest import make_catalog, random_orders, random_placement, realize, tick_list
@@ -257,46 +258,85 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
     )
     lb = lower_bound(orders, golden_placement, 2, eta=2)
     table = shppn.kappa_routes((o.drugs for o in orders), golden_placement)
-    real_kappa, real_batch, real_routes = shppn.kappa, shppn.kappa_batch, shppn.kappa_routes
+    real_kappa, real_routes = shppn.kappa, shppn.kappa_routes
 
     def no_kappa(*args, **kwargs):
         raise AssertionError("kappa solved again")
 
     monkeypatch.setattr(shppn, "kappa", no_kappa)
-    monkeypatch.setattr(shppn, "kappa_batch", no_kappa)
     monkeypatch.setattr(shppn, "kappa_routes", no_kappa)
+    assert lower_bound(orders, golden_placement, 2, eta=2, route_table=table) == lb
     reused, reused_parts = schedule_batched(
         orders, golden_placement, config, batch_size=4, seed=1, iterations=5,
-        t_values=lb.t_values, route_table=table,
+        route_table=table,
     )
     assert reused.ops == fresh.ops
     assert [p.ops for p in reused_parts] == [p.ops for p in fresh_parts]
 
     # a pipeline run solves κ and the routes with one DP per distinct drug
     # set, for the analytical score, the lower bound and every batch's
-    # schedule: count the drug sets handed to each solver
-    solved = {"kappa_batch": [], "kappa_routes": []}
+    # schedule: count the drug sets handed to the solver
+    solved = []
 
-    def counting(name, real):
-        def solve(drug_sets, placement):
-            drug_sets = list(drug_sets)
-            solved[name].append(set(drug_sets))
-            return real(drug_sets, placement)
-        return solve
+    def counting(drug_sets, placement):
+        drug_sets = list(drug_sets)
+        solved.append(set(drug_sets))
+        return real_routes(drug_sets, placement)
 
-    monkeypatch.setattr(shppn, "kappa", no_kappa)
-    monkeypatch.setattr(shppn, "kappa_batch", counting("kappa_batch", real_batch))
-    monkeypatch.setattr(shppn, "kappa_routes", counting("kappa_routes", real_routes))
+    monkeypatch.setattr(shppn, "kappa_routes", counting)
     pc = small_config()
     pc.stages = ("lower-bound", "schedule")
     pc.layout = golden_placement.layout
     pc.batch_size = 4
     report = run_pipeline(pc, orders=orders, placed=golden_placement)
-    assert solved == {"kappa_batch": [], "kappa_routes": [{o.drugs for o in orders}]}
+    assert solved == [{o.drugs for o in orders}]
     assert len({o.drugs for o in orders}) < len(orders)
     assert report.stage_values["lower_bound"] == lb.value
     want = sum(real_kappa(o, golden_placement).kappa for o in orders) / len(orders)
     assert report.stage_values["placement_analytical"] == want
+
+
+def test_one_subset_dp_per_drug_count_on_every_path(tmp_path, monkeypatch):
+    """The CLI schedule with a warm start or in batches, a batched pipeline
+    without the lower-bound stage and a tactical-only pipeline each solve
+    one kappa_routes table: one _subset_dp per drug count of the orders."""
+    pc = small_config()
+    pc.out_dir = tmp_path / "run"
+    run_pipeline(pc)
+    instance = tmp_path / "instance.json"
+    instance.write_text(instance_to_json(pc.layout, pc.catalog, pc.config))
+    orders_csv, placement_json = pc.out_dir / "orders.csv", pc.out_dir / "placement.json"
+    orders = orders_from_csv(orders_csv.read_text())
+    placed = Placement.from_json(placement_json.read_text())
+    counts = {len(o.drugs) for o in orders}
+    assert len(orders) > 4 and len(counts) > 1
+
+    calls = Counter()
+    real = shppn._subset_dp
+
+    def counting(bits, d, nearest, n_drugs):
+        calls[n_drugs] += 1
+        return real(bits, d, nearest, n_drugs)
+
+    monkeypatch.setattr(shppn, "_subset_dp", counting)
+    schedule_argv = ["schedule", "--instance", instance, "--orders", orders_csv,
+                     "--placement", placement_json, "--iterations", "3"]
+    paths = {
+        "cli warm start": lambda: cli.main([str(a) for a in (
+            *schedule_argv, "--warm-start", "--out", tmp_path / "warm.json")]),
+        "cli batches": lambda: cli.main([str(a) for a in (
+            *schedule_argv, "--batch-size", "4", "--out", tmp_path / "batched.json")]),
+        "batched pipeline": lambda: run_pipeline(dataclasses.replace(
+            pc, out_dir=None, stages=("schedule",), batch_size=4), orders=orders, placed=placed),
+        "tactical pipeline": lambda: run_pipeline(dataclasses.replace(
+            pc, out_dir=None, stages=("gen-orders", "pack", "place"))),
+    }
+    got = {}
+    for name, path in paths.items():
+        calls.clear()
+        path()
+        got[name] = dict(calls)
+    assert got == {name: {k: 1 for k in counts} for name in paths}
 
 
 # --- artifact JSON written directly -------------------------------------------------

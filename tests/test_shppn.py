@@ -85,9 +85,25 @@ def test_kappa_equals_bruteforce_on_random_instances():
     assert shared >= 10  # drugs sharing a tile are visited at zero distance
 
 
+def order_graph(order, placement):
+    """The path graph of one order on the layout's distance table.
+
+    Returns (interfaces, alts, tiles, d, to_iface): the sorted interfaces; per
+    drug of the order, its sorted dispenser tiles; the (drug, tile) vertices'
+    tiles in alts order; travel times between vertices; and travel times from
+    each vertex to each interface, which are also those from each interface
+    to each vertex (graph distances are symmetric).
+    """
+    interfaces = sorted(placement.interfaces)
+    alts = [(g, sorted(placement.dispensers_for(g))) for g in order.drugs]
+    tiles = [t for _, ts in alts for t in ts]
+    layout = placement.layout
+    return interfaces, alts, tiles, layout.distances(tiles), layout.distances(tiles, interfaces)
+
+
 def mask_by_mask_kappa(order, placement):
     """The subset DP relaxed one mask at a time, in increasing mask order."""
-    interfaces, alts, tiles, d, to_iface = shppn.order_graph(order, placement)
+    interfaces, alts, tiles, d, to_iface = order_graph(order, placement)
     bits = np.array([1 << gi for gi, (_, ts) in enumerate(alts) for _ in ts], dtype=np.int64)
     nearest = to_iface.min(axis=1)
     full = (1 << len(alts)) - 1
@@ -220,7 +236,7 @@ def per_order_kappa_loop(placement, orders):
     return [solved[o.drugs] for o in orders]
 
 
-def test_kappa_batch_matches_per_order_loop():
+def test_per_order_kappa_matches_per_order_loop():
     from planarfab.placement import per_order_kappa
 
     from conftest import random_orders
@@ -241,13 +257,13 @@ def test_kappa_batch_matches_per_order_loop():
             assert len({len(o.drugs) for o in orders}) > 2
             assert per_order_kappa(pl, orders) == per_order_kappa_loop(pl, orders)
     assert multiplicities == {1, 2, 3, 4}
-    assert per_order_kappa(pl, []) == shppn.kappa_batch([], pl) == []
+    assert per_order_kappa(pl, []) == [] and shppn.kappa_routes([], pl) == {}
 
 
-def test_kappa_batch_chunks_match_per_order_loop(monkeypatch):
+def test_kappa_routes_chunks_match_per_order_loop(monkeypatch):
     # 40 distinct 8-drug sets of 16 vertices each: several sets per pass at
     # the real pass size, and one set and a few masks per pass at a tiny one
-    from planarfab.placement import Placement
+    from planarfab.placement import Placement, per_order_kappa
 
     layout = build_layout("square", (8, 8), 2)
     drugs = [f"d{i:02d}" for i in range(12)]
@@ -260,9 +276,9 @@ def test_kappa_batch_chunks_match_per_order_loop(monkeypatch):
     per_pass = shppn._KAPPA_PASS // (math.comb(8, 4) * 16 * 16)
     assert 1 < per_pass < len(orders)
     want = per_order_kappa_loop(pl, orders)
-    assert shppn.kappa_batch([o.drugs for o in orders], pl) == want
+    assert per_order_kappa(pl, orders) == want
     monkeypatch.setattr(shppn, "_KAPPA_PASS", 600)
-    assert shppn.kappa_batch([o.drugs for o in orders[:6]], pl) == want[:6]
+    assert per_order_kappa(pl, orders[:6]) == want[:6]
 
 
 def test_kappa_monotone_in_alternatives(golden_placement):
