@@ -35,18 +35,21 @@ from .pipeline import (
     StageError,
     packing_from_json,
     packing_to_json,
-    paths_to_csv,
+    paths_csv_chunks,
     plan_to_json,
     run_pipeline,
     schedule_batched,
+    write_atomic,
 )
 from .placement import GaParams, Placement
 from .render import render_gantt, render_layout
 
 OK, CONFIG_ERROR, INFEASIBLE = 0, 2, 3
 MAX_ISSUES = 20  # schedule issues printed before the rest are counted
-# rows that route --paths-csv writes at most (about 250 MB of CSV): a valid
-# schedule may idle a mover for 2**62 ticks, one row per tick
+# rows that route --paths-csv writes at most: a bound on disk use (about
+# 250 MB of CSV), not on memory, which follows one mover's rows as the file
+# is written a mover at a time.  A valid schedule may idle a mover for 2**62
+# ticks, one row per tick
 MAX_PATH_ROWS = 10_000_000
 
 
@@ -274,7 +277,8 @@ def cmd_route(args):
             )
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:
-        _write(args.paths_csv, paths_to_csv(plan))
+        Path(args.paths_csv).parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(args.paths_csv, paths_csv_chunks(plan))
     overhead = 100.0 * (plan.makespan - sched.makespan) / max(1, sched.makespan)
     print(
         f"wrote {args.out} (makespan {sched.makespan} -> {plan.makespan}, "

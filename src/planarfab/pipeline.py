@@ -10,6 +10,7 @@ routing module's merge, which shifts each batch uniformly past the one before.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -139,11 +140,11 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
 
     artifacts = 0.0  # seconds spent encoding and writing files
 
-    def save(name, render):
+    def save(name, render):  # render: the file's text, or its chunks
         nonlocal artifacts
         if out:
             t0 = time.perf_counter()
-            (out / name).write_text(render())
+            write_atomic(out / name, render())
             artifacts += time.perf_counter() - t0
 
     stages = set(pc.stages)
@@ -290,7 +291,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["resting_sites"] = len(plan.sites.sites)
         exact["resting_sites"] = plan.sites.exact
         save("routed.json", lambda: plan_to_json(plan))
-        save("paths.csv", lambda: paths_to_csv(plan))
+        save("paths.csv", lambda: paths_csv_chunks(plan))
         save(
             "gantt_routed.svg",
             lambda: render_gantt(
@@ -369,21 +370,58 @@ def plan_to_json(plan: routing.RoutedPlan) -> str:
     )
 
 
-def paths_to_csv(plan: routing.RoutedPlan) -> str:
-    """One row per tick a mover holds a cell, by mover, then tick.
+def paths_csv_chunks(plan: routing.RoutedPlan):
+    """paths.csv as text chunks: the header, then one mover's rows at a time.
 
-    Each run formats its row suffix once; its rows are a join over one shared
-    table of tick strings.  The table stops at the number of rows, so a plan
-    that starts late does not pay for its empty ticks; a run past the table's
-    end formats its own ticks.
+    One row per tick a mover holds a cell, by mover, then tick.  Each run
+    formats its row suffix once.  Tick 1000q + r is written as q followed by
+    r in three digits (r alone when q is 0), so a run's rows within one
+    block of 1,000 ticks are one join over a table of the r's, with q
+    written into the separator.  Encoding holds two tables of 1,000
+    strings and one mover's rows, whatever the plan's horizon.
     """
-    top = max((runs[-1][1] for runs in plan.paths.values() if runs), default=0)
-    rows = sum(t1 - t0 for runs in plan.paths.values() for t0, t1, _ in runs)
-    ticks = list(map(str, range(min(top, rows))))
-    parts = ["tick,mover,x,y,state\n"]
-    for m in sorted(plan.paths):
+    below = list(map(str, range(1000)))  # tick r < 1000
+    last = [f"{r:03d}" for r in range(100)] + below[100:]  # r of tick 1000q + r, q > 0
+
+    def mover_rows(m):
         for t0, t1, (x, y, state) in plan.paths[m]:
             row = f",{m},{x:g},{y:g},{state}\n"
-            parts.append(row.join(ticks[t0:t1] if t1 <= len(ticks) else map(str, range(t0, t1))))
-            parts.append(row)
-    return "".join(parts)
+            while t0 < t1:
+                q, r0 = divmod(t0, 1000)
+                r1 = min(r0 + t1 - t0, 1000)
+                if q:
+                    head = str(q)
+                    yield head
+                    yield (row + head).join(last[r0:r1])
+                else:
+                    yield row.join(below[r0:r1])
+                yield row
+                t0 += r1 - r0
+
+    yield "tick,mover,x,y,state\n"
+    for m in sorted(plan.paths):
+        yield "".join(mover_rows(m))
+
+
+def paths_to_csv(plan: routing.RoutedPlan) -> str:
+    """paths.csv as one string, the join of paths_csv_chunks."""
+    return "".join(paths_csv_chunks(plan))
+
+
+def write_atomic(path, chunks) -> None:
+    """Write text, or an iterable of text chunks, to path.
+
+    The chunks go to path's name plus ".tmp" in the same directory, which
+    replaces path (os.replace) once the last is written.  A chunk that
+    raises removes the temporary file, so path is either left as it was or
+    holds every chunk.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.writelines((chunks,) if isinstance(chunks, str) else chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -31,7 +31,9 @@ A resolve_conflicts call builds once what its rounds share:
 - the plan's schedule, from the fixpoint's starts.
 
 A round recomputes from its starts and its ledger only, mover by mover in
-the frame's order:
+the frame's order, and keeps nothing of the previous round: that round's
+realized ops, transits, paths and pauses are dropped before it starts, so
+at most one round's paths are held at a time:
 
 - the realized ops (tile, start, realized end, op);
 - the idle transits between consecutive ops, and their resting sites
@@ -743,6 +745,8 @@ def resolve_conflicts(schedule: Schedule, placement) -> RoutedPlan:
                 transits=tuple(transits),
             )
         ledger = new_ledger
+        # the next round rebuilds all of these: drop them before it starts
+        del starts, realized, transits, assignment, key_assignment, paths, found
     residual = {k: v for k, v in ledger.items() if v}
     raise RoutingInfeasible(
         f"conflict resolution did not reach a fixpoint in {MAX_ITERATIONS} iterations; "

@@ -13,7 +13,10 @@ route that starts there, the scheduler's insertion routes.  Its table
 (drug set -> ``RouteSet``) is the planner's only κ and route source: the
 placement's analytical cost, the lower bound's path times and the
 scheduler's candidates all read it.  ``kappa`` is ``kappa_routes`` on a
-batch of one.  All arithmetic is integer; every result is exact.
+batch of one.  All arithmetic is int32, half the memory of int64, and
+every result is exact: ``_chunks`` refuses a layout whose diameter times
+(drugs + 2) reaches ``_INF`` (int32 max // 4), so no route length reaches
+``_INF`` and two ``_INF`` still add up without overflow.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .core import Coord
 
 _KAPPA_PASS = 1 << 16  # (graph, mask, vertex, vertex) entries relaxed per numpy pass of κ
-_INF = np.iinfo(np.int64).max // 4  # unreached state or padding; two of them still add up
+_INF = np.iinfo(np.int32).max // 4  # unreached state or padding; two of them still add up
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def kappa_routes(drug_sets, placement) -> dict[tuple[str, ...], RouteSet]:
     ifaces = sorted(index[c] for c in placement.interfaces)
     for k, chunk, tid, bits, d, nearest, real in _chunks(drug_sets, placement):
         dp = _subset_dp(bits, d, nearest, k)
-        to_iface = np.where(real[:, :, None], table[tid[:, :, None], ifaces], _INF)
+        to_iface = np.where(real[:, :, None], table[tid[:, :, None], ifaces], _INF).astype(np.int32)
         closing = dp[:, -1, :, None] + to_iface  # (set, vertex, interface)
         lengths = closing.min(axis=1)
         v = closing.argmin(axis=1)
@@ -126,14 +129,21 @@ def _chunks(drug_sets, placement):
     tile) vertices, drugs in order and tiles sorted, are padded to the
     widest set of its chunk.  Yields (k, chunk, tid, bits, d, nearest,
     real): the drug count, the chunk's indexes into drug_sets, each
-    vertex's tile id and drug bit, the travel between vertices and from the
-    nearest interface (_INF at padding) and the mask of real vertices.
+    vertex's tile id and drug bit, the int32 travel between vertices and
+    from the nearest interface (_INF at padding) and the mask of real
+    vertices.  A route of k drugs is at most k + 1 diameters long, so a
+    layout whose diameter times (k + 2) reaches _INF is refused.
     """
     if not drug_sets:
         return
     if not placement.interfaces:
         raise ValueError("placement has no interfaces")
     index, table = placement.layout.index_table
+    most = max(len(drugs) for drugs in drug_sets)
+    if int(table.max()) * (most + 2) >= _INF:
+        raise ValueError(
+            f"layout diameter {int(table.max())} is too large for int32 routes of {most} drugs"
+        )
     nearest_of = table[:, [index[c] for c in placement.interfaces]].min(axis=1)
     tile_ids: dict[str, list[int]] = {}
     for g in dict.fromkeys(g for drugs in drug_sets for g in drugs):
@@ -165,8 +175,8 @@ def _chunks(drug_sets, placement):
                     v += len(ids)
             real = bits > 0
             d = np.where(real[:, :, None] & real[:, None, :],
-                         table[tid[:, :, None], tid[:, None, :]], _INF)
-            nearest = np.where(real, nearest_of[tid], _INF)
+                         table[tid[:, :, None], tid[:, None, :]], _INF).astype(np.int32)
+            nearest = np.where(real, nearest_of[tid], _INF).astype(np.int32)
             yield k, chunk, tid, bits, d, nearest, real
 
 
@@ -188,7 +198,7 @@ def _subset_dp(bits, d, nearest, n_drugs: int):
     n, width = bits.shape
     full = (1 << n_drugs) - 1
     real = bits > 0
-    dp = np.full((n, full + 1, width), _INF, dtype=np.int64)
+    dp = np.full((n, full + 1, width), _INF, dtype=np.int32)
     b, w = np.nonzero(real)
     dp[b, bits[b, w], w] = nearest[b, w]
     into = d.transpose(0, 2, 1)  # into[b, w, v] = d[b, v, w]

@@ -517,3 +517,103 @@ def test_paths_csv_memory_follows_its_rows_not_the_horizon(golden_placement, gol
     assert len(rows) > 1
     assert text == header + "".join(f"{int(t) + off},{rest}" for t, rest in
                                     (row.split(",", 1) for row in rows))
+
+
+def test_saving_paths_csv_holds_one_movers_rows_not_the_file(tmp_path, monkeypatch):
+    """On a batched 8x8 plan (100 orders, 8 movers) the traced peak while the
+    pipeline encodes and writes paths.csv stays below half the file's size;
+    the file joined into one string first needs over twice its size."""
+    import tracemalloc
+
+    from planarfab import pipeline
+
+    from test_acceptance import build_8x8_instance
+
+    pl, orders, config = build_8x8_instance(3, 100, movers=8)
+    encode, peaks = pipeline.paths_csv_chunks, []
+
+    def traced(plan):
+        tracemalloc.start()
+        try:
+            yield from encode(plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pipeline, "paths_csv_chunks", traced)
+    pc = PipelineConfig(
+        layout=pl.layout, catalog=make_catalog(40, seed=1000), config=config,
+        schedule_time_limit=None, schedule_iterations=1, batch_size=25,
+        stages=("lower-bound", "schedule", "route"), out_dir=tmp_path,
+    )
+    run_pipeline(pc, orders=orders, placed=pl)
+    size = (tmp_path / "paths.csv").stat().st_size
+    assert size > 10**6 and len(peaks) == 1
+    assert peaks[0] < size / 2, (peaks[0], size)
+
+
+def test_a_failed_paths_csv_leaves_no_file_and_keeps_the_previous_one(tmp_path, monkeypatch):
+    """An encoder that raises after its first chunk leaves neither paths.csv
+    nor a temporary file in a fresh directory, and leaves a previous run's
+    paths.csv unchanged, in the pipeline and in route --paths-csv."""
+    from planarfab import pipeline
+
+    pc = small_config()
+    previous, fresh = tmp_path / "previous", tmp_path / "fresh"
+    run_pipeline(dataclasses.replace(pc, out_dir=previous))
+    before = (previous / "paths.csv").read_bytes()
+    assert before.count(b"\n") > 10
+    encode = pipeline.paths_csv_chunks
+
+    def failing(plan):
+        chunks = encode(plan)
+        yield next(chunks)
+        raise OSError("the disk filled up")
+
+    monkeypatch.setattr(pipeline, "paths_csv_chunks", failing)
+    for out in (previous, fresh):
+        with pytest.raises(OSError, match="disk filled up"):
+            run_pipeline(dataclasses.replace(pc, out_dir=out))
+        assert not [p.name for p in out.iterdir() if p.suffix == ".tmp"]
+    assert not (fresh / "paths.csv").exists()
+    assert (previous / "paths.csv").read_bytes() == before
+
+    instance = tmp_path / "instance.json"
+    instance.write_text(instance_to_json(pc.layout, pc.catalog, pc.config))
+    monkeypatch.setattr(cli, "paths_csv_chunks", failing)
+    for target in (previous / "paths.csv", tmp_path / "route" / "paths.csv"):
+        assert cli.main([str(a) for a in (
+            "route", "--instance", instance, "--placement", previous / "placement.json",
+            "--schedule", previous / "schedule.json", "--out", tmp_path / "routed.json",
+            "--paths-csv", target)]) == cli.CONFIG_ERROR
+        assert not list(target.parent.glob("*.tmp"))
+    assert not (tmp_path / "route" / "paths.csv").exists()
+    assert (previous / "paths.csv").read_bytes() == before
+
+
+def test_paths_csv_matches_a_row_per_tick_reference():
+    """Runs that start, end or cross a 1,000-tick block and ticks up to
+    10**12 are written as one formatted row per tick would write them."""
+    import random
+
+    from planarfab.pipeline import paths_to_csv
+    from planarfab.routing import RoutedPlan
+    from planarfab.scheduling import Schedule
+
+    rng = random.Random(7)
+    for _ in range(200):
+        paths = {}
+        for m in range(rng.randint(0, 4)):
+            t = rng.choice([0, rng.randint(990, 1010), 10 ** rng.randint(3, 12) - rng.randint(0, 5)])
+            runs = []
+            for _ in range(rng.randint(0, 5)):
+                t += rng.randint(0, 3)
+                n = rng.choice([1, rng.randint(1, 30), rng.randint(1, 2500)])
+                runs.append((t, t + n, (rng.choice([1, 2.5]), rng.choice([3, 4.5]), "move")))
+                t += n
+            paths[m] = runs
+        want = "tick,mover,x,y,state\n" + "".join(
+            f"{t},{m},{x:g},{y:g},{state}\n"
+            for m in sorted(paths) for t0, t1, (x, y, state) in paths[m] for t in range(t0, t1)
+        )
+        assert paths_to_csv(RoutedPlan(Schedule((), 0, ()), {}, paths, {}, None, 0, 0)) == want

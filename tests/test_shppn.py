@@ -227,6 +227,86 @@ def test_kappa_routes_match_the_parent_table_backtrack():
     assert checked >= 400 and ties[0] >= 1000
 
 
+def int64_reference_kappa_routes(drug_sets, placement):
+    """kappa_routes as its int64 DP computed it: the same layered subset DP,
+    first-minimum backtrack and nearest end interface, in int64 with an
+    int64 infinity, one drug set at a time (no chunks, no padding)."""
+    inf = np.iinfo(np.int64).max // 4
+    index, table = placement.layout.index_table
+    ifaces = sorted(index[c] for c in placement.interfaces)
+    nearest_of = table[:, ifaces].min(axis=1)
+    out = {}
+    for drugs in dict.fromkeys(drug_sets):
+        vertex = [(g, index[t]) for g in drugs for t in placement.dispensers_for(g)]
+        tid = np.array([t for _, t in vertex], dtype=np.int64)
+        bits = np.array([1 << drugs.index(g) for g, _ in vertex], dtype=np.int64)
+        d = table[np.ix_(tid, tid)].astype(np.int64)
+        to_iface = table[np.ix_(tid, ifaces)].astype(np.int64)
+        k = len(drugs)
+        full = (1 << k) - 1
+        dp = np.full((full + 1, len(vertex)), inf, dtype=np.int64)
+        dp[bits, np.arange(len(vertex))] = nearest_of[tid]
+        masks = np.arange(full + 1, dtype=np.int64)
+        popcount = ((masks[:, None] >> np.arange(k)) & 1).sum(axis=1)
+        for layer in range(1, k):
+            m = masks[popcount == layer]
+            r, w = np.nonzero((m[:, None] & bits[None, :]) == 0)
+            m = m[r]
+            ext = dp[m] + d[:, w].T  # ext[i, v] = dp[m_i, v] + d[v, w_i]
+            dp[m | bits[w], w] = ext.min(axis=1)
+        closing = dp[full][:, None] + to_iface  # (vertex, interface)
+        lengths, v = closing.min(axis=0), closing.argmin(axis=0)
+        mask = np.full(len(ifaces), full)
+        stops = [v]
+        for _ in range(k - 1):
+            mask = mask ^ bits[v]
+            v = (dp[mask] + d[:, v].T).argmin(axis=1)
+            stops.append(v)
+        ends = to_iface[stops[-1]].argmin(axis=1)
+        routes = tuple(
+            (int(n), ifaces[e], tuple(vertex[u] for u in path), ifaces[end])
+            for e, (n, path, end) in enumerate(zip(lengths, zip(*stops), ends))
+        )
+        out[drugs] = shppn.RouteSet(min(r[0] for r in routes), routes)
+    return out
+
+
+def test_int32_kappa_routes_match_the_int64_reference():
+    """κ and routes of the int32 DP equal the int64 DP's on square, ring,
+    line 64 (diameter 63) and doubleline, with 8-drug sets among sets of 1-8
+    drugs and up to 6 dispensers per drug."""
+    from conftest import random_orders
+
+    layouts = [build_layout("square", (8, 8), 2), build_layout("ring", 8, 2),
+               build_layout("line", 64, 2), build_layout("doubleline", 16, 2)]
+    drugs = [f"d{i}" for i in range(10)]
+    eight = 0
+    for li, layout in enumerate(layouts):
+        for seed in range(2):
+            pl = random_placement(layout, drugs, seed=70 * li + seed, max_alternatives=6)
+            assert max(len(pl.dispensers_for(g)) for g in drugs) > 3
+            sets = [o.drugs for o in random_orders(drugs, 16, seed=seed, size_range=(8, 8))]
+            sets += [o.drugs for o in random_orders(drugs, 16, seed=seed, size_range=(1, 7))]
+            got = shppn.kappa_routes(sets, pl)
+            assert got == int64_reference_kappa_routes(sets, pl), (layout.topology, seed)
+            eight += sum(len(ds) == 8 for ds in got)
+    assert layouts[2].index_table[1].max() == 63 and eight >= 100
+
+
+def test_kappa_refuses_a_layout_whose_routes_could_reach_inf(golden_placement, golden_orders, monkeypatch):
+    """_chunks refuses a diameter times (drugs + 2) that reaches _INF; just
+    below, κ is unchanged."""
+    diameter = int(golden_placement.layout.index_table[1].max())
+    drug_sets = [o.drugs for o in golden_orders]
+    want = shppn.kappa_routes(drug_sets, golden_placement)
+    most = max(len(ds) for ds in drug_sets)
+    monkeypatch.setattr(shppn, "_INF", diameter * (most + 2))
+    with pytest.raises(ValueError, match="too large for int32 routes"):
+        shppn.kappa_routes(drug_sets, golden_placement)
+    monkeypatch.setattr(shppn, "_INF", diameter * (most + 2) + 1)
+    assert shppn.kappa_routes(drug_sets, golden_placement) == want
+
+
 def per_order_kappa_loop(placement, orders):
     """κ of each order by one single-order kappa per distinct drug set."""
     solved = {}
