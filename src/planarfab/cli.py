@@ -82,9 +82,11 @@ def _load_instance(path):
     return layout, catalog, config
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write text, or text chunks, to path through write_atomic, so a write
+    that fails midway leaves the previous file as it was."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text)
+    write_atomic(path, chunks)
 
 
 def cmd_init_instance(args):
@@ -277,8 +279,7 @@ def cmd_route(args):
             )
     _write(args.out, plan_to_json(plan))
     if args.paths_csv:
-        Path(args.paths_csv).parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(args.paths_csv, paths_csv_chunks(plan))
+        _write(args.paths_csv, paths_csv_chunks(plan))
     overhead = 100.0 * (plan.makespan - sched.makespan) / max(1, sched.makespan)
     print(
         f"wrote {args.out} (makespan {sched.makespan} -> {plan.makespan}, "

@@ -37,21 +37,20 @@ weight rows.  Each chunk of a stack gathers once, per pair, the distances
 from its interfaces and candidates (its slots) to its candidates and
 interfaces, with their weights.  Every step reads whole rows of these tables
 for the alive episodes, kept in flat arrays, and takes their uniforms from
-one cursor per pair.
+one counter per pair.
 
-Each pair keeps its own random stream, numpy's
-``default_rng(SeedSequence(seed, spawn_key=(order index,)))``, so a score
-does not depend on the batch it was sampled in, and the GA trace and
-placement are those of scoring one child at a time.  The streams are not
-built one generator at a time: SeedSequence hashing is uint32 arithmetic and
-PCG64 a 128-bit LCG, so a stream is a pure function of (seed, order) and
-``_pcg_states``/``_draw`` compute a whole run of pairs' streams in a few
-array passes, bit for bit what numpy's generators draw.
+Each pair keeps its own random stream, so a score does not depend on the
+batch it was sampled in, and the GA trace and placement are those of
+scoring one child at a time.  The stream is counter-based (Salmon et al.
+2011): a pair's key is a 64-bit mix of its seed's two halves and its order
+index, and its draw j is SplitMix64's output function (Steele, Lea & Flood
+2014) of key + j * 0x9E3779B97F4A7C15, whose top 53 bits give a uniform.
+Any draw of any pair is one hash of integers, computed for every alive
+episode of a chunk at once, and the same on every platform and Python.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import random
@@ -207,9 +206,6 @@ def fitness(placement: Placement, history, episodes: int, seed: int) -> Placemen
 # candidates, which bounds the episode arrays and the slot tables; a chunk
 # may start at any pair, as the pairs of a stack are independent
 _CHUNK = 1 << 15
-# uniforms drawn per stream pass over consecutive chunks, of one stack or
-# more: bounds the block that _score holds
-_STREAM = 1 << 16
 
 
 def fitness_batch(placements, history, episodes: int, seeds) -> list[PlacementScore]:
@@ -286,28 +282,26 @@ def _score(genes, held: _Genes, layout, episodes, seeds) -> list[PlacementScore]
     permutation is a row as it is.  A placement's interfaces are the
     positions of its interface genes, ascending.
 
-    Every (placement, order) pair keeps its own stream, what
-    ``default_rng(SeedSequence(seed, spawn_key=(order index,)))`` would draw:
-    the start interfaces (``integers``), then one block of uniforms
-    (``random``) that the steps consume in order; PCG64 doubles are not
-    buffered, so this equals one draw per step.  The streams of a run of
-    chunks (about ``_STREAM`` uniforms) are seeded, jumped and stepped
-    together in numpy (``_Uniforms``); no generator is built per pair.
+    Every (placement, order) pair keeps its own counter-based stream, keyed
+    by the placement's seed and the order index (``_pair_keys``): draws 0 to
+    ``episodes - 1`` give the start interfaces, and the steps take the draws
+    after them in the order they ask for them.  Each chunk builds one
+    ``_Uniforms`` that hashes the counters of the draws it hands out; no
+    generator is built and no block of draws is held.
 
     All pairs with the same candidate-tile count n form one stack, across
-    orders and placements (``_stacks``).  Pairs are stacked only with pairs
-    of the same n: padding rows to a common width would regroup numpy's
-    pairwise sum of the weights.  Within a stack the order of the pairs is
-    free, because a pair draws from its own stream and each of its weight
-    rows is summed on its own, so each score is the one its placement gets
-    alone.  A placement's mean adds its orders left to right (``cumsum``),
-    as ``sum()`` did before Python 3.12 compensated it.
+    orders and placements (``_stacks``), so no row is padded.  Within a
+    stack the order of the pairs is free, because a pair draws from its own
+    stream and each of its weight rows is summed on its own, so each score
+    is the one its placement gets alone.  A placement's mean adds its orders
+    left to right (``cumsum``), as ``sum()`` did before Python 3.12
+    compensated it.
     """
     if not len(genes):
         return []
     if not layout.n_inter:
         raise ValueError("placement has no interfaces")
-    words = _seed_words(seeds)
+    keys = _seed_keys(seeds)
     present = np.zeros((len(genes), len(held.iface)), dtype=bool)
     present[np.arange(len(genes))[:, None], genes] = True
     everywhere = (present @ held.membership).all(axis=0)
@@ -321,20 +315,12 @@ def _score(genes, held: _Genes, layout, episodes, seeds) -> list[PlacementScore]
     n_drugs = np.array([len(o.drugs) for o in orders], dtype=np.int64)
     per_order = np.zeros((len(genes), len(orders)))
     stacks = _stacks(genes, held.masks)
-    for run in _runs(_chunks(stacks, episodes, layout.n_inter), episodes, n_drugs):
-        rows, cols = (np.concatenate(f) for f in list(zip(*run))[:2])
-        uniforms = _Uniforms(
-            _pcg_states(words[rows], cols), layout.n_inter, episodes,
-            episodes * (int(n_drugs[cols].max()) + 1),
+    for rows, cols, tiles, masks in _chunks(stacks, episodes, layout.n_inter):
+        full = ((1 << n_drugs[cols]) - 1).astype(masks.dtype)
+        uniforms = _Uniforms(_pair_keys(keys[rows], cols), layout.n_inter, episodes)
+        per_order[rows, cols] = _sample_pairs(
+            table, interfaces[rows], tiles, masks, full, uniforms
         )
-        at = 0
-        for rows, cols, tiles, masks in run:
-            full = ((1 << n_drugs[cols]) - 1).astype(masks.dtype)
-            per_order[rows, cols] = _sample_pairs(
-                table, interfaces[rows], tiles, masks, full,
-                uniforms.rows(at, at + len(rows)),
-            )
-            at += len(rows)
 
     means = np.cumsum(per_order, axis=1)[:, -1] / len(orders) if orders else np.zeros(len(genes))
     return [
@@ -373,21 +359,6 @@ def _chunks(stacks, episodes, n_inter):
         size = max(1, _CHUNK // (n * max(episodes, n_inter + n)))
         for lo in range(0, len(stack[0]), size):
             yield tuple(a[lo : lo + size] for a in stack)
-
-
-def _runs(chunks, episodes, n_drugs):
-    """Consecutive chunks whose streams are drawn in one pass, each run
-    holding about ``_STREAM`` uniforms (at least one chunk)."""
-    run, size = [], 0
-    for chunk in chunks:
-        cost = len(chunk[0]) * episodes * (int(n_drugs[chunk[1]].max()) + 1)
-        if run and size + cost > _STREAM:
-            yield run
-            run, size = [], 0
-        run.append(chunk)
-        size += cost
-    if run:
-        yield run
 
 
 def _sample_pairs(table, interfaces, tiles, masks, full, uniforms) -> np.ndarray:
@@ -439,227 +410,81 @@ def _weights(d) -> np.ndarray:
 
 
 def _choose(w, u) -> np.ndarray:
-    """Per row, the column sampled with the row's weights ``w``."""
-    r = u * w.sum(axis=1)
-    return (np.cumsum(w, axis=1) > r[:, None]).argmax(axis=1)
+    """Per row, the column sampled with the row's weights ``w``.
+
+    ``r`` scales the uniform by the last cumulative weight, not by a
+    separate sum, so it stays below it and the first cumulative weight above
+    ``r`` is always a column of positive weight.
+    """
+    c = np.cumsum(w, axis=1)
+    r = u * c[:, -1]
+    return (c > r[:, None]).argmax(axis=1)
 
 
 # --- per-pair random streams ----------------------------------------------------
 #
-# A pair's stream is numpy's ``default_rng(SeedSequence(seed, spawn_key=(order,)))``.
-# SeedSequence hashes its entropy with uint32 multiply/xor/shift rounds, and
-# PCG64 is a 128-bit LCG with an XSL-RR output permutation (O'Neill 2014), so
-# the stream is a pure function of (seed, order): it is computed here for a
-# whole run of pairs at once, in uint64 halves of the 128-bit state.
+# A counter-based stream (Salmon et al. 2011): draw j of a pair is SplitMix64's
+# output function (Steele, Lea & Flood 2014) of key + j * _GAMMA, so any draw
+# of any pair is computed directly, in wrapping uint64 arithmetic that every
+# platform shares.  The multiplies run on arrays only: a numpy scalar that
+# wraps warns of an overflow.
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's default multiplier
-_PCG_MULT_HALVES = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence constants
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_LANES = 1 << 12  # rows x lanes stepped together by _pcg_raw
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """Each seed's entropy as four uint32 words, low word first."""
+def _mix(z) -> np.ndarray:
+    """SplitMix64's output function of each entry of a uint64 array."""
+    z = (z ^ (z >> 30)) * _MIX_A
+    z = (z ^ (z >> 27)) * _MIX_B
+    return z ^ (z >> 31)
+
+
+def _seed_keys(seeds) -> np.ndarray:
+    """Each seed's 64-bit key: its high half mixed, xor its low half, mixed."""
     seeds = [int(s) for s in seeds]
-    if any(not 0 <= s <= _MASK128 for s in seeds):
+    if any(not 0 <= s < 1 << 128 for s in seeds):
         raise ValueError("seeds must be integers in [0, 2**128)")
-    return np.array(
-        [[(s >> 32 * i) & _MASK32 for i in range(4)] for s in seeds], dtype=np.uint32
-    ).reshape(-1, 4)
+    high = np.array([s >> 64 for s in seeds], dtype=np.uint64)
+    low = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    return _mix(_mix(high) ^ low)
 
 
-def _pcg_states(words, orders):
-    """PCG64 (state, increment) as (high, low) uint64 halves, one per pair.
-
-    ``words`` is pairs x 4 seed words (``_seed_words``), ``orders`` the spawn
-    keys.  A seed below 2**128 fills at most the pool's four words, and numpy
-    zero-pads it there because a spawn key follows, so every pair hashes the
-    same five-word entropy layout and the hash constants run in lockstep.
-    """
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return r ^ (r >> 16)
-
-    orders = np.asarray(orders).astype(np.uint32)
-    pool = [hashmix(words[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for dst in range(4):
-        pool[dst] = mix(pool[dst], hashmix(orders))
-
-    # generate_state(4, uint64): eight hashed pool words, paired low word first
-    hash_const, state = _HASH_INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _HASH_MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    v0, v1, v2, v3 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
-
-    # pcg64_set_seed: inc = (v2:v3) << 1 | 1; state = ((0 * M + inc) + (v0:v1)) * M + inc
-    inc = ((v2 << 1) | (v3 >> 63), (v3 << 1) | 1)
-    state = _add128(*inc, v0, v1)
-    state = _add128(*_mul128(*state, *_PCG_MULT_HALVES), *inc)
-    return state + inc
+def _pair_keys(seed_keys, orders) -> np.ndarray:
+    """The key of each (seed key, order index) pair: output ``order`` of
+    SplitMix64 seeded with the seed key."""
+    return _mix(seed_keys + (np.asarray(orders).astype(np.uint64) + 1) * _GAMMA)
 
 
-def _mulhi64(a, b):
-    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _mul128(ah, al, bh, bl):
-    """(a * b) mod 2**128 in (high, low) uint64 halves."""
-    return ah * bl + al * bh + _mulhi64(al, bl), al * bl
-
-
-def _add128(ah, al, bh, bl):
-    """(a + b) mod 2**128 in (high, low) uint64 halves."""
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _halves(values):
-    """128-bit Python integers as (high, low) uint64 arrays."""
-    values = list(values)
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-
-def _pcg_raw(state, n) -> np.ndarray:
-    """The next ``n`` 64-bit outputs of each stream (``random_raw``), rows x n.
-
-    Few rows with long streams are split into lanes that start ``steps``
-    outputs apart (jump-ahead: after k steps the state is M**k s + G_k inc,
-    G_k = M**(k-1) + ... + 1), so every step advances about ``_LANES`` states
-    at once.
-    """
-    sh, sl, ih, il = state
-    rows = len(sh)
-    lanes = max(1, min(n, _LANES // max(rows, 1)))
-    steps = max(1, -(-n // lanes))
-    lanes = -(-n // steps)
-    mult, grow = 1, 0  # M**steps and G_steps
-    for _ in range(steps):
-        mult, grow = mult * _PCG_MULT & _MASK128, (grow * _PCG_MULT + 1) & _MASK128
-    jump = [(1, 0)]
-    for _ in range(lanes - 1):
-        a, g = jump[-1]
-        jump.append((a * mult & _MASK128, (g * mult + grow) & _MASK128))
-    inc = (ih[:, None], il[:, None])
-    h, lo = _add128(
-        *_mul128(sh[:, None], sl[:, None], *_halves(a for a, _ in jump)),
-        *_mul128(*inc, *_halves(g for _, g in jump)),
-    )
-    inc = tuple(np.broadcast_to(v, h.shape) for v in inc)
-    out = np.empty((rows, lanes, steps), dtype=np.uint64)
-    for t in range(steps):
-        h, lo = _add128(*_mul128(h, lo, *_PCG_MULT_HALVES), *inc)
-        x, rot = h ^ lo, h >> 58  # XSL-RR
-        out[:, :, t] = (x >> rot) | (x << ((64 - rot) & 63))
-    return out.reshape(rows, lanes * steps)[:, :n]
-
-
-def _draw(state, n_interfaces, episodes, width):
-    """Each stream's start interfaces, then its next ``width`` uniforms.
-
-    The same draws as ``rng.integers(0, n_interfaces, episodes)`` followed by
-    ``rng.random(width)``.  ``integers`` draws nothing for one interface and
-    otherwise runs Lemire's method on the generator's buffered uint32 halves,
-    low half first; ``random`` takes whole outputs, ``(x >> 11) * 2**-53``.
-    """
-    rows = len(state[0])
-    skip = (episodes + 1) // 2 if n_interfaces > 1 else 0
-    raw = _pcg_raw(state, skip + width)
-    start = np.zeros((rows, episodes), dtype=np.int64)
-    if n_interfaces > 1:
-        halves = np.stack([raw[:, :skip] & _MASK32, raw[:, :skip] >> 32], axis=2)
-        m = halves.reshape(rows, 2 * skip)[:, :episodes] * np.uint64(n_interfaces)
-        start[:] = m >> 32
-        rejected = ((m & _MASK32) < (1 << 32) % n_interfaces).any(axis=1)
-        for i in np.flatnonzero(rejected):
-            start[i], raw[i, skip:] = _lemire_row(
-                tuple(s[i : i + 1] for s in state), n_interfaces, episodes, width
-            )
-    block = np.right_shift(raw[:, skip:], 11, out=raw[:, skip:]).astype(np.float64)
-    block *= 2.0**-53
-    return start, block
-
-
-def _lemire_row(state, n_interfaces, episodes, width):
-    """One stream whose Lemire draw was rejected: numpy draws another uint32
-    until the low product word reaches 2**32 mod n, so later draws shift."""
-    threshold = (1 << 32) % n_interfaces
-    extra = 1
-    while True:
-        raw = _pcg_raw(state, (episodes + 1) // 2 + extra + width)[0]
-        halves = [w for x in raw.tolist() for w in (x & _MASK32, x >> 32)]
-        start, pos = [], 0
-        while len(start) < episodes and pos < len(halves):
-            m = halves[pos] * n_interfaces
-            pos += 1
-            if m & _MASK32 >= threshold:
-                start.append(m >> 32)
-        skip = (pos + 1) // 2
-        if len(start) == episodes and skip + width <= len(raw):
-            return start, raw[skip : skip + width]
-        extra *= 2
+def _stream(keys, counters) -> np.ndarray:
+    """Draw ``counters`` of the streams ``keys`` as uniforms in [0, 1): the top
+    53 bits of each hash, times 2**-53."""
+    return (_mix(keys + counters.astype(np.uint64) * _GAMMA) >> 11).astype(np.float64) * 2.0**-53
 
 
 class _Uniforms:
     """Each pair's start interfaces and uniforms, handed out in stream order.
 
-    ``state`` holds the pairs' seeded generators (``_pcg_states``); ``width``
-    uniforms per pair are drawn up front, and ``used`` counts each pair's
-    uniforms handed out.  An order of k drugs takes at most
-    k steps per episode plus the return, so ``episodes * (k + 1)`` suffice
-    unless rounding puts a draw past the last cumulative weight: the pick
-    then lands on an unusable tile and costs an extra step.  A block that
-    runs dry is drawn again from the same streams, wider.
+    Draws 0 to ``episodes - 1`` of a pair give its start interfaces,
+    ``floor(u * n_interfaces)``; ``take`` hands out its draws from
+    ``episodes`` on, and ``used`` counts each pair's draws so far.
     """
 
-    def __init__(self, state, n_interfaces, episodes, width):
-        self.state, self.n_interfaces, self.episodes = state, n_interfaces, episodes
-        self.start, self.block = _draw(state, n_interfaces, episodes, width)
-        self.used = np.zeros(len(self.start), dtype=np.int64)
-
-    def rows(self, lo, hi) -> "_Uniforms":
-        """Pairs ``lo`` to ``hi - 1``, handed out on their own."""
-        part = copy.copy(self)
-        part.state = tuple(s[lo:hi] for s in self.state)
-        part.start, part.block, part.used = self.start[lo:hi], self.block[lo:hi], self.used[lo:hi]
-        return part
+    def __init__(self, keys, n_interfaces, episodes):
+        self.keys = keys
+        first = _stream(keys[:, None], np.arange(episodes))
+        self.start = (first * n_interfaces).astype(np.int64)
+        self.used = np.full(len(keys), episodes, dtype=np.int64)
 
     def take(self, rows) -> np.ndarray:
         """Each pair's next uniforms in stream order, one per entry of ``rows``
         (pair indices, ascending)."""
         counts = np.bincount(rows, minlength=len(self.used))
-        need = self.used + counts
-        if need.max(initial=0) > self.block.shape[1]:
-            _, self.block = _draw(self.state, self.n_interfaces, self.episodes, int(need.max()))
-        # entry i of pair r: flat block index r * width + used[r] + i - (r's first entry)
-        skip = np.arange(len(counts)) * self.block.shape[1] + self.used - np.cumsum(counts) + counts
-        self.used = need
-        return self.block.take(skip[rows] + np.arange(len(rows)))
+        # entry i of pair r is its draw used[r] + i - (r's first entry)
+        skip = self.used - np.cumsum(counts) + counts
+        self.used += counts
+        return _stream(self.keys[rows], skip[rows] + np.arange(len(rows)))
 
 
 # --- exact analytical scorer -----------------------------------------------------

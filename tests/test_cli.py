@@ -255,6 +255,41 @@ def test_cli_route_writes_routed_json_as_json_dumps(tmp_path, instance_file):
     assert routed.read_text() == json.dumps(plan_doc(plan), indent=2)
 
 
+def test_a_write_that_fails_midway_keeps_the_previous_output(tmp_path, instance_file, monkeypatch):
+    # every output goes through write_atomic: a write that raises after half
+    # its text (a full disk) leaves the previous file as it was, or none in a
+    # fresh directory, and no temporary file behind
+    from planarfab import pipeline
+
+    previous, fresh = tmp_path / "previous.csv", tmp_path / "new" / "orders.csv"
+    gen = ("gen-orders", "--instance", instance_file, "--size-min", "1", "--size-max", "3")
+    assert run(*gen, "--n", "6", "--orders-out", previous) == OK
+    before = previous.read_bytes()
+    real_open = open
+
+    class HalfWritten:
+        def __init__(self, path, mode):
+            self.f = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def writelines(self, chunks):
+            text = "".join(chunks)
+            self.f.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "open", HalfWritten, raising=False)
+    for target in (previous, fresh):
+        assert run(*gen, "--n", "12", "--orders-out", target) == CONFIG_ERROR
+        assert not list(target.parent.glob("*.tmp"))
+    assert previous.read_bytes() == before
+    assert not fresh.exists()
+
+
 def test_cli_route_paths_csv_refuses_more_rows_than_its_limit(tmp_path, instance_file, capsys):
     # the last op starts at 2**62: routing keeps the mover's idle ticks before
     # it as one run, but paths.csv would write a row per tick
