@@ -121,10 +121,13 @@ def cmd_init_instance(args):
 
 
 def _size_params(args):
-    if args.topology == "square":
-        r, c = (args.size.split("x") + [args.size])[:2] if "x" in args.size else (args.size, args.size)
-        return (int(r), int(c))
-    return int(args.size)
+    """--size: N, or RxC for a square; anything else is a ValueError."""
+    if args.topology != "square":
+        return int(args.size)
+    fields = [int(f) for f in args.size.split("x")]
+    if len(fields) > 2:
+        raise ValueError(f"--size {args.size!r} is neither N nor RxC")
+    return (fields[0], fields[-1])
 
 
 def cmd_gen_orders(args):
@@ -176,6 +179,16 @@ def _at_least_one(flag, value):
     return value
 
 
+def _movers(args, config):
+    """--movers, or the instance's fleet.  Below 1, or above the instance's
+    m_max, is a configuration error."""
+    movers = _at_least_one("--movers", args.movers) or config.n_movers
+    if movers > config.m_max:
+        raise CliError(f"--movers {movers} exceeds the instance's m_max {config.m_max}",
+                       CONFIG_ERROR)
+    return movers
+
+
 def _check_search_budget(args):
     """A time limit that is not a finite number above 0, or fewer than 0
     iterations, is a configuration error: a NaN or infinite limit never
@@ -206,7 +219,7 @@ def cmd_schedule(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
     placed = _load("placement", args.placement, Placement.from_json)
-    movers = _at_least_one("--movers", args.movers) or config.n_movers
+    movers = _movers(args, config)
     seed = args.seed if args.seed is not None else config.seed
     batch_size = _at_least_one("--batch-size", args.batch_size)
     # one κ DP per distinct drug set, read by the warm start and every schedule call
@@ -242,7 +255,7 @@ def cmd_lower_bound(args):
     layout, catalog, config = _load_instance(args.instance)
     orders = _load("orders", args.orders, orders_from_csv)
     placed = _load("placement", args.placement, Placement.from_json)
-    movers = _at_least_one("--movers", args.movers) or config.n_movers
+    movers = _movers(args, config)
     lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface)
     doc = {
         "value": lb.value,

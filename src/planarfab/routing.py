@@ -580,10 +580,8 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
             else:
                 # tight transit (or fallback wait at the previous tile)
                 leave = s2 - rows[i1][i2]
-                p = steps(i1, i2)
-                writes.append((e1, e1 + 1, p[0]))  # departure tick
                 writes.append((e1, leave, rest[i1]))
-                writes.append((leave + 1, s2 + 1, (p, leave)))
+                writes.append((leave, s2 + 1, (steps(i1, i2), leave)))
         paths[m] = _expanded(_first_writer(writes, top))
     return paths
 

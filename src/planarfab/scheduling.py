@@ -34,21 +34,24 @@ advance many candidate runs best first, each only while its bound is the
 least.
 
 The makespan lower bound follows the relaxation route: exact per-order path
-values feed a parallel-machines problem whose optimum (or, above the guard,
-the load bound max(max T, ceil(sum T / m))) bounds every valid schedule from
-below; its machine assignment doubles as the scheduler warm start.
+times T_p = 2 eta + κ + dispensing feed a parallel-machines problem whose
+optimum (or, above the guard, the load bound max(max T, ceil(sum T / m)))
+bounds every valid schedule from below; its machine assignment doubles as
+the scheduler warm start.  Above the guard that assignment is Graham's LPT
+rule over T_p, which is also the search's own warm start.
 
 Routes: the scheduler has one tile-id space, the layout's sorted tiles
 (Layout.index_table), shared by the route oracle and the timing engine;
 Coords appear only in the ScheduledOps.  An order's insertion candidates
 come from the κ DP (shppn.kappa_routes), the pass whose κ values also feed
 the lower bound: for each start interface, the order's shortest route from
-there.  Each schedule() call builds every order's Routes once, each
-carrying its chain segment of (op_id, duration, tile id) and the segment's
-tails; from a previous location, the candidates are the CANDIDATES routes
-of least lead-in leg plus length.  Only the exhaustive search enumerates
-every route of its orders.  Schedule documents are written as indent-2
-JSON text directly, byte-equal to json.dumps(doc, indent=2).
+there.  Each schedule() call has one context (_Timer) that holds the route
+table, builds every order's Routes once, each carrying its chain segment
+of (op_id, duration, tile id) and the segment's tails, and ranks them once
+per previous location: the candidates are the CANDIDATES routes of least
+lead-in leg plus length.  Only the exhaustive search enumerates every
+route of its orders.  Schedule documents are written as indent-2 JSON text
+directly, byte-equal to json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -320,33 +323,40 @@ def validate_schedule(schedule: Schedule, instance: SchedulingInstance, pauses=N
 
 # --- P||Cmax ----------------------------------------------------------------------
 
-def p_cmax(times, m: int, mode: str = "exact") -> tuple[int, list[int]]:
-    """Makespan scheduling on identical machines.
+def _load_bound(times, m: int) -> int:
+    """max(max T, ceil(sum T / m)): no schedule of the jobs on m machines ends earlier."""
+    return max(max(times), math.ceil(sum(times) / m))
 
-    Returns (value, machine index per job).  mode "exact" (n <= 20) gives the
-    optimum, "bound" the valid lower bound max(max, ceil(sum/m)) with no
-    meaningful assignment, "lpt" the longest-processing-time heuristic (an
-    upper estimate: warm-start quality only, never a bound).
-    """
+
+def _lpt(times, m: int) -> tuple[int, list[int]]:
+    """Graham's LPT rule, (makespan, machine per job): by decreasing time, each
+    job onto the least loaded machine, ties by index.  Never a bound."""
+    n = len(times)
+    loads = [0] * m
+    assign = [0] * n
+    for i in sorted(range(n), key=lambda i: (-times[i], i)):
+        mi = min(range(m), key=lambda j: (loads[j], j))
+        loads[mi] += times[i]
+        assign[i] = mi
+    return max(loads), assign
+
+
+def p_cmax(times, m: int) -> tuple[int, list[int]]:
+    """Makespan scheduling on identical machines for at most P_CMAX_EXACT_LIMIT
+    jobs: (optimum, machine index per job), by branch and bound from _lpt."""
     times = [int(t) for t in times]
     n = len(times)
     if m < 1:
         raise ValueError("need at least one machine")
     if n == 0:
         return 0, []
-    if mode == "bound":
-        return max(max(times), math.ceil(sum(times) / m)), [0] * n
-    if mode == "lpt":
-        return _lpt(times, m)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if n > P_CMAX_EXACT_LIMIT:
-        raise ValueError(f"exact mode guard exceeded: {n} > {P_CMAX_EXACT_LIMIT}")
+        raise ValueError(f"exact P||Cmax guard exceeded: {n} > {P_CMAX_EXACT_LIMIT}")
 
     order = sorted(range(n), key=lambda i: -times[i])
     best_val, lpt_assign = _lpt(times, m)
     best = {"val": best_val, "assign": lpt_assign}
-    floor = max(max(times), math.ceil(sum(times) / m))
+    floor = _load_bound(times, m)
     if best_val == floor:
         return best_val, lpt_assign
 
@@ -384,15 +394,10 @@ def p_cmax(times, m: int, mode: str = "exact") -> tuple[int, list[int]]:
     return best["val"], best["assign"]
 
 
-def _lpt(times, m):
-    n = len(times)
-    loads = [0] * m
-    assign = [0] * n
-    for i in sorted(range(n), key=lambda i: (-times[i], i)):
-        mi = min(range(m), key=lambda j: (loads[j], j))
-        loads[mi] += times[i]
-        assign[i] = mi
-    return max(loads), assign
+def _path_time(order, route_table, eta: int) -> int:
+    """T_p = 2 * eta + κ + total dispensing: the order's time on a mover with
+    no tile contention, from the κ route table (shppn.kappa_routes)."""
+    return 2 * eta + route_table[order.drugs].kappa + order.total_dispensing
 
 
 def lower_bound(orders, placement, n_movers: int, eta: int,
@@ -401,27 +406,25 @@ def lower_bound(orders, placement, n_movers: int, eta: int,
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
-    An order's path time T_p is 2 * eta + κ + its total dispensing; this is the
-    one place that computes it.  route_table is shppn.kappa_routes over a
-    superset of the orders' drug sets on this placement, as schedule() takes
-    it; without it the bound solves one over its own orders.
+    The jobs are the orders' _path_time; up to P_CMAX_EXACT_LIMIT orders the
+    bound is their P||Cmax optimum, above it their _load_bound with the _lpt
+    assignment.  route_table is shppn.kappa_routes over a superset of the
+    orders' drug sets on this placement, as schedule() takes it; without it
+    the bound solves one over its own orders.
     """
     orders = list(orders)
+    if n_movers < 1:
+        raise ValueError("need at least one mover")
     if route_table is None:
         route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
-    t_values = {o.id: 2 * eta + route_table[o.drugs].kappa + o.total_dispensing for o in orders}
-
-    ids = [o.id for o in orders]
-    times = [t_values[i] for i in ids]
-    if len(orders) <= P_CMAX_EXACT_LIMIT:
-        value, assign = p_cmax(times, n_movers, mode="exact")
-        exact = True
+    times = [_path_time(o, route_table, eta) for o in orders]
+    exact = len(orders) <= P_CMAX_EXACT_LIMIT
+    if exact:
+        value, assign = p_cmax(times, n_movers)
     else:
-        value, _ = p_cmax(times, n_movers, mode="bound")
-        _, assign = p_cmax(times, n_movers, mode="lpt")
-        exact = False
-    assignment = {oid: assign[i] for i, oid in enumerate(ids)}
-    return LowerBoundResult(t_values, assignment, int(value), exact)
+        value, assign = _load_bound(times, n_movers), _lpt(times, n_movers)[1]
+    return LowerBoundResult({o.id: t for o, t in zip(orders, times)},
+                            {o.id: mi for o, mi in zip(orders, assign)}, value, exact)
 
 
 # --- routes -----------------------------------------------------------------------
@@ -451,52 +454,6 @@ def _route_count(order, placement, n_if: int) -> int:
     for g in order.drugs:
         count *= max(1, len(placement.dispensers_for(g)))
     return count
-
-
-class _OrderPaths:
-    """One order's routes on the layout's tile ids, for one schedule() call.
-
-    Tile ids index the layout's sorted tiles (Layout.index_table), as in the
-    timer, so id order is Coord order.  route turns a (length, start, stops,
-    end) key into a Route with its segment: the start op at the start
-    interface, one dispensing op per (drug, tile) stop, the finish op at the
-    end interface.  The exhaustive search alone lists every route of an
-    order (every_route).
-    """
-
-    def __init__(self, order, timer):
-        self._drugs = order.drugs
-        self._timer = timer
-        ids = timer.op_ids
-        self._start_op = ids[(order.id, START, INTERFACE)]
-        self._finish_op = ids[(order.id, FINISH, INTERFACE)]
-        self._dispensing = {g: (ids[(order.id, DISPENSING, g)], d) for g, d in order.items}
-
-    def route(self, length: int, start: int, stops, end: int) -> Route:
-        """The Route of a ranking key, with its segment and the segment's _tails."""
-        eta, dispensing = self._timer.eta, self._dispensing
-        seg = ((self._start_op, eta, start), *((*dispensing[g], t) for g, t in stops),
-               (self._finish_op, eta, end))
-        return Route(length, start, stops, end, seg, _tails(seg, self._timer.dist))
-
-    def every_route(self) -> list[Route]:
-        """Every route, without a lead-in leg, in enumeration order: drug
-        permutation, dispenser tile per stop (first stop slowest, tiles
-        sorted), start interface, end interface."""
-        placement, dist, drugs = self._timer.placement, self._timer.dist, self._drugs
-        index = placement.layout.index_table[0]
-        interfaces = sorted(index[c] for c in placement.interfaces)
-        alts = [[index[t] for t in placement.dispensers_for(g)] for g in drugs]
-        out = []
-        for perm in itertools.permutations(range(len(drugs))):
-            for tiles in itertools.product(*(alts[i] for i in perm)):
-                stops = tuple((drugs[i], t) for i, t in zip(perm, tiles))
-                inner = sum(dist[u][v] for u, v in zip(tiles, tiles[1:]))
-                for s in interfaces:
-                    for e in interfaces:
-                        length = dist[s][tiles[0]] + inner + dist[tiles[-1]][e]
-                        out.append(self.route(length, s, stops, e))
-        return out
 
 
 def candidate_routes(routes: list[Route], lead: list[int], limit: int) -> list[Route]:
@@ -533,9 +490,9 @@ class _Plan:
 
     Whoever changes seqs[m] calls edited(m, k), which resets timing[m] and
     records the change point k: _insert_best the winner's mover after
-    inserting, _lns_search every mover that a removal shortened.  _timing
-    and _plan_makespan read seqs alone, so a plan whose seqs are edited
-    directly is still timed right.
+    inserting, _lns_search every mover that a removal shortened.
+    _Timer.run reads seqs alone, so a plan whose seqs are edited directly
+    is still timed right.
     """
 
     __slots__ = ("seqs", "timing", "timeline", "change")
@@ -582,29 +539,85 @@ class _Plan:
 
 
 class _Timer:
-    """Timing context of one schedule() call.
+    """The context of one schedule() call: its ops, routes and timing tables.
 
-    Tiles are the layout's tile ids (Layout.index_table, sorted tiles), the
-    ids that each order's path table builds its Routes on.  dist is the
-    layout's distance table as lists, with an extra last row: the "no
-    location yet" origin, 0 ticks from every tile.  A plan's chains are its
-    Routes' segments, built once per route by the path table.  finishes
-    holds the op ids that end an order, where a plan's timeline keeps a
-    state.
+    Tiles are the layout's tile ids (Layout.index_table, sorted tiles), so
+    id order is Coord order.  dist is the layout's distance table as lists,
+    with an extra last row: the "no location yet" origin, 0 ticks from
+    every tile.  op maps (order id, kind, target) to an op's (op_id,
+    duration), and finishes holds the op ids that end an order, where a
+    plan's timeline keeps a state.  table is the κ route table
+    (shppn.kappa_routes), schedule()'s or one over the orders.  Each
+    order's Routes, its shortest from each start interface, are built once
+    and ranked once per previous location (candidates).
     """
 
-    def __init__(self, placement, orders, eta: int):
+    def __init__(self, placement, orders, eta: int, route_table: dict | None = None):
         specs = build_operations(orders, eta)
         self.ops_by_id = {op.op_id: op for op in specs}
         self.finishes = frozenset(op.op_id for op in specs if op.kind == FINISH)
-        self.op_ids = {
-            (op.order_id, op.kind, op.target if op.kind == DISPENSING else INTERFACE): op.op_id
-            for op in specs
-        }
+        self.op = {(op.order_id, op.kind, op.target): (op.op_id, op.duration) for op in specs}
         self.eta = eta
         self.placement = placement
         self.dist = placement.layout.index_table[1].tolist()
         self.dist.append([0] * len(self.dist))
+        if route_table is None:
+            route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
+        self.table = route_table
+        self._routes: dict[int, list[Route]] = {}
+        self._candidates: dict[tuple, list[Route]] = {}
+
+    def route(self, order, length: int, start: int, stops, end: int) -> Route:
+        """The Route of a ranking key, with its segment and the segment's
+        _tails: the start op at the start interface, one dispensing op per
+        (drug, tile) stop, the finish op at the end interface."""
+        op = self.op
+        seg = ((*op[order.id, START, INTERFACE], start),
+               *((*op[order.id, DISPENSING, g], t) for g, t in stops),
+               (*op[order.id, FINISH, INTERFACE], end))
+        return Route(length, start, stops, end, seg, _tails(seg, self.dist))
+
+    def every_route(self, order) -> list[Route]:
+        """Every route of order, without a lead-in leg, in enumeration order:
+        drug permutation, dispenser tile per stop (first stop slowest, tiles
+        sorted), start interface, end interface.  The exhaustive search's."""
+        placement, dist, drugs = self.placement, self.dist, order.drugs
+        index = placement.layout.index_table[0]
+        interfaces = sorted(index[c] for c in placement.interfaces)
+        alts = [[index[t] for t in placement.dispensers_for(g)] for g in drugs]
+        out = []
+        for perm in itertools.permutations(range(len(drugs))):
+            for tiles in itertools.product(*(alts[i] for i in perm)):
+                stops = tuple((drugs[i], t) for i, t in zip(perm, tiles))
+                inner = sum(dist[u][v] for u, v in zip(tiles, tiles[1:]))
+                for s in interfaces:
+                    for e in interfaces:
+                        length = dist[s][tiles[0]] + inner + dist[tiles[-1]][e]
+                        out.append(self.route(order, length, s, stops, e))
+        return out
+
+    def candidates(self, order, prev_loc) -> list[Route]:
+        """Order's insertion candidates after tile id prev_loc (None: first
+        on its mover), the CANDIDATES best of its routes (candidate_routes)."""
+        key = (order.id, prev_loc)
+        out = self._candidates.get(key)
+        if out is None:
+            routes = self._routes.get(order.id)
+            if routes is None:
+                routes = self._routes[order.id] = [
+                    self.route(order, *r) for r in self.table[order.drugs].routes
+                ]
+            lead = self.dist[-1 if prev_loc is None else prev_loc]  # the origin row is all 0
+            out = self._candidates[key] = candidate_routes(routes, lead, CANDIDATES)
+        return out
+
+    def run(self, plan: _Plan, bound=(_NEVER, _NEVER), placed=None):
+        """Time plan from the origin: its (makespan, flow), or None once the
+        run's bound reaches bound.  With placed, each commit is appended as
+        (op_id, mover, tile id, start)."""
+        chains = self.chains(plan)
+        return _run(chains, self.tails(chains), self.dist, *self.origin(chains), bound=bound,
+                    placed=placed)
 
     def chains(self, plan: _Plan) -> list[tuple]:
         return [_chain(seq) for seq in plan.seqs]
@@ -821,28 +834,12 @@ def _commits(chains, tails, dist, ptr, nxt, wait, free, makespan, flow, bound,
     return makespan, flow
 
 
-def _timing(plan: _Plan, timer: _Timer) -> list[tuple[int, int, Coord, int]]:
-    """Deterministic left-shift timing; [(op_id, mover, tile, start)] in commit order."""
-    chains = timer.chains(plan)
-    placed: list[tuple[int, int, int, int]] = []
-    _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains), placed=placed)
-    tiles = timer.placement.layout.sorted_tiles()
-    return [(op_id, m, tiles[tile], start) for op_id, m, tile, start in placed]
-
-
 def _plan_to_schedule(plan: _Plan, timer: _Timer, trace=()) -> Schedule:
-    sos = tuple(
-        ScheduledOp(timer.ops_by_id[op_id], m, tile, start)
-        for op_id, m, tile, start in _timing(plan, timer)
-    )
-    makespan = max(s.end for s in sos) if sos else 0
+    placed: list[tuple[int, int, int, int]] = []
+    makespan, _ = timer.run(plan, placed=placed)
+    tiles, ops = timer.placement.layout.sorted_tiles(), timer.ops_by_id
+    sos = tuple(ScheduledOp(ops[op_id], m, tiles[tile], start) for op_id, m, tile, start in placed)
     return Schedule(sos, makespan, tuple(trace))
-
-
-def _plan_makespan(plan: _Plan, timer: _Timer, bound=(_NEVER, _NEVER)):
-    """(makespan, flow) of the timed plan, or None once it reaches bound."""
-    chains = timer.chains(plan)
-    return _run(chains, timer.tails(chains), timer.dist, *timer.origin(chains), bound=bound)
 
 
 # --- scheduler --------------------------------------------------------------------
@@ -888,17 +885,13 @@ def schedule(
     if not placement.interfaces:
         raise ValueError("placement has no interfaces")
 
-    timer = _Timer(placement, orders, eta)
+    timer = _Timer(placement, orders, eta, route_table)
     exhaustive = _exhaustive_count(orders, placement, n_movers)
     if exhaustive is not None and exhaustive <= EXHAUSTIVE_CAP:
         plan, trace = _exhaustive_search(orders, n_movers, timer)
     else:
-        if route_table is None:
-            route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
-        plan, trace = _lns_search(
-            orders, n_movers, timer, _RouteCache(timer, route_table), warm_start, seed,
-            time_limit, max_iterations
-        )
+        plan, trace = _lns_search(orders, n_movers, timer, warm_start, seed, time_limit,
+                                  max_iterations)
     return _plan_to_schedule(plan, timer, trace)
 
 
@@ -918,7 +911,7 @@ def _exhaustive_count(orders, placement, n_movers):
 
 
 def _exhaustive_search(orders, n_movers, timer):
-    all_routes = [_OrderPaths(o, timer).every_route() for o in orders]
+    all_routes = [timer.every_route(o) for o in orders]
     best = None
     best_key = (_NEVER, _NEVER)
     for assign in itertools.product(range(n_movers), repeat=len(orders)):
@@ -936,62 +929,27 @@ def _exhaustive_search(orders, n_movers, timer):
                     for oi in perm:
                         plan.seqs[m].append((orders[oi], route_combo[ri]))
                         ri += 1
-                key = _plan_makespan(plan, timer, best_key)
+                key = timer.run(plan, best_key)
                 if key is not None:
                     best_key = key
                     best = plan
     return best, (best_key[0],)
 
 
-class _RouteCache:
-    """Insertion candidates per (order, previous location).
-
-    table maps each order's drug set to its shppn.RouteSet.  An order's
-    Routes, one per start interface, are built once, with their segments
-    and tails; each previous location only ranks them (candidate_routes).
-    """
-
-    def __init__(self, timer, table):
-        self.timer = timer
-        self.table = table
-        self.store: dict[tuple, list[Route]] = {}
-        self.routes: dict[int, list[Route]] = {}
-
-    def get(self, order, prev_loc):
-        key = (order.id, prev_loc)
-        out = self.store.get(key)
-        if out is None:
-            routes = self.routes.get(order.id)
-            if routes is None:
-                paths = _OrderPaths(order, self.timer)
-                routes = self.routes[order.id] = [
-                    paths.route(*r) for r in self.table[order.drugs].routes
-                ]
-            dist = self.timer.dist
-            lead = dist[-1 if prev_loc is None else prev_loc]  # the origin row is all 0
-            out = self.store[key] = candidate_routes(routes, lead, CANDIDATES)
-        return out
-
-
-def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, max_iterations):
+def _lns_search(orders, n_movers, timer, warm_start, seed, time_limit, max_iterations):
     rng = random.Random(seed)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if max_iterations is None:
         max_iterations = 10_000_000 if time_limit is not None else 2_000
 
-    if warm_start is None:
-        rough = {
-            o.id: min(r.length for r in routes.get(o, None))
-            + o.total_dispensing + 2 * timer.eta
-            for o in orders
-        }
-        _, assign = p_cmax([rough[o.id] for o in orders], n_movers, mode="lpt")
-        warm_start = {o.id: assign[i] for i, o in enumerate(orders)}
+    if warm_start is None:  # the lower bound's assignment above its exact size
+        times = [_path_time(o, timer.table, timer.eta) for o in orders]
+        warm_start = {o.id: mi for o, mi in zip(orders, _lpt(times, n_movers)[1])}
 
     plan = _Plan(n_movers)
     for o in sorted(orders, key=lambda o: (-(o.total_dispensing), o.id)):
         m = warm_start.get(o.id, 0) % n_movers
-        best_key = _insert_best(plan, o, timer, routes, movers=[m])
+        best_key = _insert_best(plan, o, timer, movers=[m])
     best = plan.copy(timeline=False)  # no states of its own: a restart resumes from the origin
     trace = [best_key[0]]
 
@@ -1015,7 +973,7 @@ def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, m
                 work.seqs[m] = kept
                 work.edited(m, sum(len(r.seg) for _, r in seq[:first]))
         for o in sorted(removed, key=lambda o: (-(o.total_dispensing), o.id)):
-            key = _insert_best(work, o, timer, routes)
+            key = _insert_best(work, o, timer)
         if key < best_key:
             best, best_key = work.copy(timeline=False), key
             plan = work
@@ -1033,8 +991,7 @@ def _lns_search(orders, n_movers, timer, routes, warm_start, seed, time_limit, m
     return best, trace
 
 
-def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
-                 movers=None) -> tuple[int, int]:
+def _insert_best(plan: _Plan, order: Order, timer: _Timer, movers=None) -> tuple[int, int]:
     """Insert order where the plan's (makespan, flow) is least; return that key.
 
     The winner is the least key, ties by enumeration index (mover, position,
@@ -1094,7 +1051,7 @@ def _insert_best(plan: _Plan, order: Order, timer: _Timer, routes: _RouteCache,
         base = chains[m]
         for pos, snap in enumerate([origin, *timeline[m]]):
             prev_loc = seq[pos - 1][1].end if pos > 0 else None
-            options = routes.get(order, prev_loc)
+            options = timer.candidates(order, prev_loc)
             ptr, nxt, wait, free, makespan, flow, ready, loc = snap
             k = ptr[m]
             # the bound of the other movers: m counts as done here

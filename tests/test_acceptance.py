@@ -113,7 +113,7 @@ def test_criterion_3_p_cmax_exactness():
         n = int(rng.integers(1, 11))
         m = int(rng.integers(1, 4))
         times = rng.integers(1, 60, n)
-        val, assign = p_cmax(list(times), m, "exact")
+        val, assign = p_cmax(list(times), m)
         grid = np.indices((m,) * n).reshape(n, -1)
         loads = np.zeros((m, grid.shape[1]), dtype=int)
         for i in range(n):

@@ -427,6 +427,23 @@ def test_cli_movers_below_one_is_config_error(tmp_path, instance_file, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("schedule", "--iterations", "1"),
+                                  ("schedule", "--iterations", "1", "--batch-size", "3"),
+                                  ("lower-bound",)])
+def test_cli_movers_above_m_max_is_config_error(tmp_path, instance_file, capsys, argv):
+    # the instance's m_max is 4: one check refuses 5 movers, batched or not
+    placement, orders = _schedule_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    inputs = ("--instance", instance_file, "--orders", orders, "--placement", placement,
+              "--out", out)
+    assert run(*argv, *inputs, "--movers", "5") == CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --movers 5 exceeds the instance's m_max 4"
+    ]
+    assert not out.exists()
+    assert run(*argv, *inputs, "--movers", "4") == OK
+
+
 def test_cli_lower_bound_dump_gtsp_is_a_usage_error(tmp_path, instance_file, capsys):
     # κ has one solver, the subset DP; the clustered-TSP debug dump is gone
     placement, orders = _schedule_inputs(tmp_path)
@@ -563,12 +580,13 @@ def test_cli_init_instance_roundtrip(tmp_path):
     [
         ("square", "4", ("--marginals", "0.3,abc")),
         ("square", "4xq", ("--marginals", "0.3")),
+        ("square", "4x4x9", ("--marginals", "0.3")),
         ("square", "4", ("--marginals", "0.3,0.4", "--drugs", "a")),
         ("ring", "0", ("--marginals", "0.3")),
         ("line", "-2", ("--marginals", "0.3")),
     ],
-    ids=["bad-marginals", "bad-square-size", "drugs-mismatch", "ring-too-small",
-         "line-negative"],
+    ids=["bad-marginals", "bad-square-size", "square-size-of-three-fields", "drugs-mismatch",
+         "ring-too-small", "line-negative"],
 )
 def test_cli_init_instance_bad_arguments_are_config_errors(tmp_path, capsys, topology, size,
                                                           extra):

@@ -503,6 +503,26 @@ def test_build_paths_staircase():
     assert pos[5][2] == "dispense"
 
 
+def test_build_paths_leave_no_tick_of_a_waiting_transit_empty():
+    """Without a resting site an idle transit waits at its previous tile and
+    leaves just in time, so every tick from a mover's first op start to its
+    last end holds a cell, the leaving tick too."""
+    layout = build_layout("square", (4, 4), 2)
+    drugs = list("abcdef")
+    waits = 0
+    for seed in range(40):
+        pl = random_placement(layout, drugs, seed=seed)
+        orders = random_orders(drugs, 6, seed=seed, size_range=(1, 3))
+        s = schedule(orders, pl, 3, eta=2, seed=seed, max_iterations=2)
+        paths = build_paths(realize(s, pl), {})
+        for m, ops in s.by_mover().items():
+            first, last = ops[0].start, max(so.end for so in ops)
+            pos = tick_list(paths[m], last)
+            assert None not in pos[first:], (seed, m, pos.index(None, first))
+            waits += sum(p[2] == REST for p in pos[first:])
+    assert waits > 100
+
+
 def test_build_paths_segment_lengths_match_distance():
     layout = build_layout("square", (5, 5), 2)
     drugs = list("abc")
@@ -1032,9 +1052,9 @@ def ref_build_paths(schedule: Schedule, resting_assignment, placement, pauses=No
         for (r1, r2) in zip(seq, seq[1:]):
             _m1, t1, _s1, e1, _o1, id1 = r1
             _m2, t2, s2, _e2, _o2, id2 = r2
-            put(e1, (float(t1.x), float(t1.y)), MOVE)  # departure tick
             site = site_of.get((m, id1, id2))
             if site is not None:
+                put(e1, (float(t1.x), float(t1.y)), MOVE)  # departure tick
                 _detour, _via, (a, b) = _site_cost(
                     Transit(m, id1, id2, t1, t2, e1, s2, dist(t1, t2)), site, dist
                 )
@@ -1053,7 +1073,7 @@ def ref_build_paths(schedule: Schedule, resting_assignment, placement, pauses=No
                 leave = s2 - travel
                 fill(e1, leave, (float(t1.x), float(t1.y), REST))
                 p = shortest_path(t1, t2)
-                for j in range(1, len(p)):
+                for j in range(len(p)):  # the first from the leaving tick
                     put(leave + j, (float(p[j].x), float(p[j].y)), MOVE)
         paths[m] = pos
     return paths

@@ -15,19 +15,18 @@ from planarfab.scheduling import (
     CANDIDATES,
     DISPENSING,
     FINISH,
+    P_CMAX_EXACT_LIMIT,
     START,
     Schedule,
     ScheduledOp,
     SchedulingInstance,
     _insert_best,
-    _OrderPaths,
+    _load_bound,
+    _lpt,
     _Plan,
-    _plan_makespan,
-    _RouteCache,
     _commits,
     _lower_bound,
     _run,
-    _timing,
     _Timer,
     _route_count,
     _splice_heads,
@@ -71,11 +70,6 @@ def _coords(layout, route):
 
 def _tile_id(layout, tile):
     return None if tile is None else layout.index_table[0][tile]
-
-
-def _route_cache(timer, orders):
-    """The route cache of a schedule() call over orders, on its own route table."""
-    return _RouteCache(timer, shppn.kappa_routes((o.drugs for o in orders), timer.placement))
 
 
 # --- independent exhaustive oracle --------------------------------------------------
@@ -402,13 +396,13 @@ def test_p_cmax_exact_matches_bruteforce_500():
 
 def test_p_cmax_modes():
     times = [9, 8, 7, 1]
-    exact, _ = p_cmax(times, 2, "exact")
-    bound, _ = p_cmax(times, 2, "bound")
-    lpt, assign = p_cmax(times, 2, "lpt")
+    exact, _ = p_cmax(times, 2)
+    bound = _load_bound(times, 2)
+    lpt, assign = _lpt(times, 2)
     assert bound <= exact <= lpt
     assert bound == max(max(times), math.ceil(sum(times) / 2))
     with pytest.raises(ValueError):
-        p_cmax(list(range(25)), 2, "exact")
+        p_cmax(list(range(25)), 2)
     with pytest.raises(ValueError):
         p_cmax([1], 0)
 
@@ -448,6 +442,28 @@ def test_lower_bound_inexact_mode_above_guard():
     lb = lower_bound(orders, pl, 2, eta=2)
     assert not lb.exact
     assert set(lb.assignment) == {o.id for o in orders}
+
+
+def test_own_warm_start_is_the_lower_bound_assignment_above_the_exact_size():
+    """Above P_CMAX_EXACT_LIMIT orders the bound's assignment is LPT over the
+    path times T_p, which is also the search's own warm start: without a
+    warm start, schedule() returns what it returns from the bound's."""
+    drugs = list("abcdef")
+    layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 6, 2),
+               build_layout("line", 10, 2)]
+    for li, layout in enumerate(layouts):
+        for seed in range(2):
+            rng = random.Random(100 * li + seed)
+            pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
+            orders = random_orders(drugs, rng.randint(P_CMAX_EXACT_LIMIT + 1, 40), seed=seed,
+                                   size_range=(1, 4), dur_range=(1, 9))
+            n_movers = rng.randint(2, 5)
+            lb = lower_bound(orders, pl, n_movers, eta=2)
+            assert not lb.exact
+            own = schedule(orders, pl, n_movers, eta=2, seed=seed, max_iterations=2)
+            warm = schedule(orders, pl, n_movers, eta=2, seed=seed, max_iterations=2,
+                            warm_start=lb.assignment)
+            assert own == warm, (li, seed)
 
 
 # --- optimality and search behaviour -------------------------------------------------
@@ -570,8 +586,8 @@ def _random_plan(rng, timer, orders, n_movers):
         rng.shuffle(drugs)
         stops = tuple((g, rng.choice(sorted(placement.dispensers_for(g)))) for g in drugs)
         route = Route(rng.choice(ifaces), stops, rng.choice(ifaces))
-        plan.seqs[m].append((order, _OrderPaths(order, timer).route(
-            route.length(layout.distance), _tile_id(layout, route.start_iface),
+        plan.seqs[m].append((order, timer.route(
+            order, route.length(layout.distance), _tile_id(layout, route.start_iface),
             tuple((g, _tile_id(layout, t)) for g, t in stops), _tile_id(layout, route.end_iface),
         )))
         dur = dict(order.items)
@@ -599,9 +615,11 @@ def test_timing_matches_busy_list_oracle_on_random_plans():
             eta = rng.randint(1, 3)
             timer = _Timer(pl, orders, eta)
             plan, sequences = _random_plan(rng, timer, orders, n_movers)
-            placed = _timing(plan, timer)
+            placed = []
+            timer.run(plan, placed=placed)
             want = _oracle_timing(sequences, pl, eta)
-            assert [(m, tile, t) for _, m, tile, t in placed] == [
+            tiles = layout.sorted_tiles()
+            assert [(m, tiles[tile], t) for _, m, tile, t in placed] == [
                 (m, tile, t) for m, tile, t, _ in want
             ], (li, seed)
             starts = [t for *_, t in placed]
@@ -610,7 +628,7 @@ def test_timing_matches_busy_list_oracle_on_random_plans():
     assert checked == 180
 
 
-def _naive_insert_best(plan, order, timer, routes, movers=None):
+def _naive_insert_best(plan, order, timer, movers=None):
     """Reference insertion: re-time the whole plan for every candidate.
 
     Returns the first strict minimum and the number of candidates whose key
@@ -621,9 +639,9 @@ def _naive_insert_best(plan, order, timer, routes, movers=None):
         seq = plan.seqs[m]
         for pos in range(len(seq) + 1):
             prev_loc = seq[pos - 1][1].end if pos > 0 else None
-            for route in routes.get(order, prev_loc):
+            for route in timer.candidates(order, prev_loc):
                 seq.insert(pos, (order, route))
-                key = _plan_makespan(plan, timer)
+                key = timer.run(plan)
                 seq.pop(pos)
                 if best_key is None or key < best_key:
                     best, best_key, ties = (m, pos, route), key, 1
@@ -651,13 +669,11 @@ def test_prefix_reusing_insertion_matches_naive_retiming():
         timer = _Timer(pl, orders, eta=rng.randint(1, 3))
         plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
         movers = None if seed % 3 else [rng.randrange(n_movers)]
-        (m, pos, route), want_key, ties = _naive_insert_best(
-            plan, orders[0], timer, _route_cache(timer, orders), movers
-        )
+        (m, pos, route), want_key, ties = _naive_insert_best(plan, orders[0], timer, movers)
         tied += ties > 1
         want = plan.copy()
         want.seqs[m].insert(pos, (orders[0], route))
-        got_key = _insert_best(plan, orders[0], timer, _route_cache(timer, orders), movers)
+        got_key = _insert_best(plan, orders[0], timer, movers)
         assert (plan.seqs, got_key) == (want.seqs, want_key), (li, seed)
     assert tied >= 20
 
@@ -677,14 +693,13 @@ def test_splice_heads_match_spliced_tails_at_every_candidate():
             n_movers = 8 if seed % 2 else rng.randint(1, 7)
             timer = _Timer(pl, orders, eta=rng.randint(1, 3))
             plan, _ = _random_plan(rng, timer, orders[1:], n_movers)
-            routes = _route_cache(timer, orders)
             dist = timer.dist
             for seq, chain in zip(plan.seqs, timer.chains(plan)):
                 span, flow = _tails(chain, dist)
                 k = 0
                 for pos in range(len(seq) + 1):
                     prev_loc = seq[pos - 1][1].end if pos > 0 else None
-                    options = routes.get(orders[0], prev_loc)
+                    options = timer.candidates(orders[0], prev_loc)
                     heads = _splice_heads(chain, span, flow, k, options, dist)
                     assert len(heads) == len(options)
                     for route, head in zip(options, heads):
@@ -719,9 +734,9 @@ def test_plan_timing_entries_match_sequences_around_every_insertion(monkeypatch,
                 assert entry == (chains[m], spans[m], flows[m]), m
                 calls["kept"] += 1
 
-    def checked_insert(plan, order, timer, routes, movers=None):
+    def checked_insert(plan, order, timer, movers=None):
         check(plan, timer)
-        key = insert(plan, order, timer, routes, movers)
+        key = insert(plan, order, timer, movers)
         check(plan, timer)
         calls["insertions"] += 1
         return key
@@ -770,9 +785,9 @@ def test_plan_timeline_matches_a_run_from_the_origin_around_every_insertion(
             calls["kept"] += len(states)
             calls["dropped"] += len(plan.timeline[m]) - len(states)
 
-    def checked_insert(plan, order, timer, routes, movers=None):
+    def checked_insert(plan, order, timer, movers=None):
         check(plan, timer)
-        key = insert(plan, order, timer, routes, movers)
+        key = insert(plan, order, timer, movers)
         check(plan, timer)
         calls["insertions"] += 1
         return key
@@ -817,7 +832,6 @@ def test_insertion_resumes_from_the_latest_state_left_valid(monkeypatch):
                                    dur_range=(1, 9))
             n_movers = rng.randint(1, 4)
             timer = _Timer(pl, orders, eta=2)
-            routes = _route_cache(timer, orders)
             plan = _Plan(n_movers)
             last = None  # (mover, position, length) of the previous winner
             for order in orders:
@@ -830,7 +844,7 @@ def test_insertion_resumes_from_the_latest_state_left_valid(monkeypatch):
                 total = sum(map(len, timer.chains(plan)))
                 del starts[:]
                 seqs = [list(seq) for seq in plan.seqs]
-                _insert_best(plan, order, timer, routes, movers)
+                _insert_best(plan, order, timer, movers)
                 m = next(m for m, (a, b) in enumerate(zip(seqs, plan.seqs)) if len(a) < len(b))
                 pos = next(i for i, (o, _) in enumerate(plan.seqs[m]) if o is order)
                 assert plan.change[m] == sum(len(r.seg) for _, r in plan.seqs[m][:pos])
@@ -1003,16 +1017,15 @@ def test_candidate_routes_are_the_shortest_per_start_interface():
         for seed in range(6):
             pl = random_placement(layout, drugs, seed=10 * li + seed, max_alternatives=3)
             orders = random_orders(drugs, 6, seed=seed, size_range=(1, 5))
-            timer = _Timer(pl, orders, 2)
             table = shppn.kappa_routes((o.drugs for o in orders), pl)
-            routes = _RouteCache(timer, table)
+            timer = _Timer(pl, orders, 2, table)
             interfaces = sorted(pl.interfaces)
             for o in orders:
                 if _route_count(o, pl, len(interfaces)) > 600:
                     continue
                 tiles = [t for g in o.drugs for t in pl.dispensers_for(g)]
                 shared += len(tiles) != len(set(tiles))
-                every = _OrderPaths(o, timer).every_route()
+                every = timer.every_route(o)
                 want = _reference_enumeration(o, pl)
                 assert [_coords(layout, r) for r in every] == want
                 assert [r.length for r in every] == [r.length(dist) for r in want]
@@ -1023,7 +1036,7 @@ def test_candidate_routes_are_the_shortest_per_start_interface():
                                 if r.start_iface == i) > 1 for i in interfaces)
                 for prev_loc in [None] + sorted(layout.tiles):
                     lead = {i: 0 if prev_loc is None else dist(prev_loc, i) for i in interfaces}
-                    got = routes.get(o, _tile_id(layout, prev_loc))
+                    got = timer.candidates(o, _tile_id(layout, prev_loc))
                     ranked = sorted((lead[i] + best[i], i) for i in interfaces)[:CANDIDATES]
                     assert [(r.length, _coords(layout, r).start_iface) for r in got] == ranked, (
                         li, seed, o.id, prev_loc)
