@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import ordergen, packing, routing, scheduling, shppn
+from . import ordergen, packing, routing, scheduling
 from . import placement as placement_mod
 from .core import (
     InstanceConfig,
@@ -222,27 +222,18 @@ def cmd_schedule(args):
     movers = _movers(args, config)
     seed = args.seed if args.seed is not None else config.seed
     batch_size = _at_least_one("--batch-size", args.batch_size)
-    # one κ DP per distinct drug set, read by the warm start and every schedule call
-    table = shppn.kappa_routes((o.drugs for o in orders), placed)
     if batch_size and len(orders) > batch_size:
         sched, _ = schedule_batched(
             orders, placed, dataclasses.replace(config, n_movers=movers), batch_size, seed,
-            time_limit=args.time_limit, iterations=args.iterations, route_table=table,
+            time_limit=args.time_limit, iterations=args.iterations,
         )
     else:
-        warm = None
-        if args.warm_start:
-            lb = scheduling.lower_bound(orders, placed, movers, config.eta_interface,
-                                        route_table=table)
-            warm = lb.assignment
         sched = scheduling.schedule(
             orders, placed, movers,
             time_limit=args.time_limit,
-            warm_start=warm,
             seed=seed,
             eta=config.eta_interface,
             max_iterations=args.iterations,
-            route_table=table,
         )
     _write(args.out, sched.to_json())
     if args.csv_out:
@@ -281,7 +272,7 @@ def cmd_route(args):
     layout, catalog, config = _load_instance(args.instance)
     placed = _load("placement", args.placement, Placement.from_json)
     sched = _load("schedule", args.schedule, scheduling.Schedule.from_json)
-    _reject(scheduling.schedule_issues(sched, placed, config.n_movers))
+    _reject(scheduling.schedule_issues(sched, placed, config.m_max))
     plan = routing.route_schedule(sched, placed)
     if args.paths_csv:
         rows = sum(t1 - t0 for runs in plan.paths.values() for t0, t1, _ in runs)
@@ -308,7 +299,7 @@ def cmd_merge(args):
     _reject([
         f"{path}: {issue}"
         for path, b in zip(args.schedules, batches)
-        for issue in scheduling.schedule_issues(b, placed, config.n_movers)
+        for issue in scheduling.schedule_issues(b, placed, config.m_max)
     ])
     merged = routing.merge_batches(batches, placed)
     plan = routing.route_schedule(merged, placed)
@@ -413,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--movers", type=int)
     sp.add_argument("--time-limit", type=float, default=60.0)
     sp.add_argument("--iterations", type=int, help="deterministic iteration budget")
-    sp.add_argument("--warm-start", action="store_true",
-                    help="seed mover assignment from the lower bound")
     sp.add_argument("--batch-size", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--csv-out")

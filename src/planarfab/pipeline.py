@@ -90,9 +90,9 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
     """Random partition into batches, independent schedules, merged by uniform shifts.
 
     route_table: shppn.kappa_routes over these orders' drug sets (without
-    it, one is solved here), which every batch's warm-start lower_bound and
-    schedule read instead of solving their own.  The caller routes the
-    merged schedule (resolve_conflicts) afterwards.
+    it, one is solved here), which every batch's schedule, and so its warm
+    start, reads instead of solving its own.  The caller routes the merged
+    schedule (resolve_conflicts) afterwards.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -106,16 +106,12 @@ def schedule_batched(orders, placed: Placement, cfg: InstanceConfig, batch_size:
     per_batch_limit = None if time_limit is None else time_limit / len(batches)
     schedules = []
     for bi, batch in enumerate(batches):
-        lb = scheduling.lower_bound(
-            batch, placed, cfg.n_movers, cfg.eta_interface, route_table=route_table
-        )
         schedules.append(
             scheduling.schedule(
                 batch,
                 placed,
                 cfg.n_movers,
                 time_limit=per_batch_limit,
-                warm_start=lb.assignment,
                 seed=seed + bi,
                 eta=cfg.eta_interface,
                 max_iterations=iterations,
@@ -229,7 +225,6 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         kappas = [route_table[o.drugs].kappa for o in orders]
         values["placement_analytical"] = sum(kappas) / len(kappas) if kappas else 0.0
 
-    lb = None
     if "lower-bound" in stages:
         def bound():
             return scheduling.lower_bound(
@@ -257,13 +252,11 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
                     route_table=route_table,
                 )
                 return merged
-            warm = lb.assignment if lb else None
             return scheduling.schedule(
                 orders,
                 placed,
                 pc.config.n_movers,
                 time_limit=pc.schedule_time_limit,
-                warm_start=warm,
                 seed=seeds["lns"],
                 eta=pc.config.eta_interface,
                 max_iterations=pc.schedule_iterations,

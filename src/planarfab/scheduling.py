@@ -36,9 +36,9 @@ least.
 The makespan lower bound follows the relaxation route: exact per-order path
 times T_p = 2 eta + κ + dispensing feed a parallel-machines problem whose
 optimum (or, above the guard, the load bound max(max T, ceil(sum T / m)))
-bounds every valid schedule from below; its machine assignment doubles as
-the scheduler warm start.  Above the guard that assignment is Graham's LPT
-rule over T_p, which is also the search's own warm start.
+bounds every valid schedule from below.  Its machine assignment, the
+P||Cmax optimum up to the guard and Graham's LPT rule over T_p above it, is
+the search's warm start: construction inserts each order on its mover.
 
 Routes: the scheduler has one tile-id space, the layout's sorted tiles
 (Layout.index_table), shared by the route oracle and the timing engine;
@@ -174,7 +174,7 @@ class SchedulingInstance:
 @dataclass(frozen=True)
 class LowerBoundResult:
     t_values: dict[int, int]  # order id -> T_p
-    assignment: dict[int, int]  # order id -> mover (warm-start quality)
+    assignment: dict[int, int]  # order id -> mover: schedule()'s construction follows it
     value: int
     exact: bool
 
@@ -363,8 +363,12 @@ def p_cmax(times, m: int) -> tuple[int, list[int]]:
     loads = [0] * m
     assign = [0] * n
     suffix = [0] * (n + 1)
+    width = min(best_val, 1 << 16)  # reach[i]: bit s set when jobs order[i:] sum to s <= width
+    reach = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + times[order[i]]
+        t = times[order[i]]
+        suffix[i] = suffix[i + 1] + t
+        reach[i] = (reach[i + 1] | reach[i + 1] << min(t, width + 1)) & (2 << width) - 1
 
     def dfs(i):
         if best["val"] == floor:
@@ -378,10 +382,15 @@ def p_cmax(times, m: int) -> tuple[int, list[int]]:
             best["val"] = cur_max
             best["assign"] = assign.copy()
             return
+        # waste: a room below best - 1 takes at most the largest sum of jobs left that fits
+        rooms = (best["val"] - 1 - x for x in loads)
+        if suffix[i] > sum((reach[i] & (2 << r) - 1).bit_length() - 1 if r <= width else r
+                           for r in rooms):
+            return
         t = times[order[i]]
         tried = set()
         for mi in range(m):
-            if loads[mi] in tried:
+            if loads[mi] in tried or loads[mi] + t >= best["val"]:
                 continue
             tried.add(loads[mi])
             loads[mi] += t
@@ -394,30 +403,24 @@ def p_cmax(times, m: int) -> tuple[int, list[int]]:
     return best["val"], best["assign"]
 
 
-def _path_time(order, route_table, eta: int) -> int:
-    """T_p = 2 * eta + κ + total dispensing: the order's time on a mover with
-    no tile contention, from the κ route table (shppn.kappa_routes)."""
-    return 2 * eta + route_table[order.drugs].kappa + order.total_dispensing
-
-
 def lower_bound(orders, placement, n_movers: int, eta: int,
                 route_table: dict | None = None) -> LowerBoundResult:
     """Relaxation bound: exact per-order path times fed into parallel machines.
 
     Valid because any schedule also satisfies every relaxed constraint: it only
     drops tile exclusivity and the travel between consecutive orders' interfaces.
-    The jobs are the orders' _path_time; up to P_CMAX_EXACT_LIMIT orders the
-    bound is their P||Cmax optimum, above it their _load_bound with the _lpt
-    assignment.  route_table is shppn.kappa_routes over a superset of the
-    orders' drug sets on this placement, as schedule() takes it; without it
-    the bound solves one over its own orders.
+    The jobs are the orders' T_p = 2 * eta + κ + total dispensing; up to
+    P_CMAX_EXACT_LIMIT orders the bound is their P||Cmax optimum, above it
+    their _load_bound with the _lpt assignment.  route_table is
+    shppn.kappa_routes over a superset of the orders' drug sets on this
+    placement, as schedule() takes it; without it the bound solves its own.
     """
     orders = list(orders)
     if n_movers < 1:
         raise ValueError("need at least one mover")
     if route_table is None:
         route_table = shppn.kappa_routes((o.drugs for o in orders), placement)
-    times = [_path_time(o, route_table, eta) for o in orders]
+    times = [2 * eta + route_table[o.drugs].kappa + o.total_dispensing for o in orders]
     exact = len(orders) <= P_CMAX_EXACT_LIMIT
     if exact:
         value, assign = p_cmax(times, n_movers)
@@ -849,7 +852,6 @@ def schedule(
     placement,
     n_movers: int,
     time_limit: float | None = None,
-    warm_start: dict[int, int] | None = None,
     seed: int = 0,
     eta: int = 2,
     max_iterations: int | None = None,
@@ -857,9 +859,9 @@ def schedule(
 ) -> Schedule:
     """Best-found valid schedule for the order set.
 
-    Search: warm-started constructive insertion followed by seeded LNS
-    (remove-and-reinsert up to 4 orders, roulette over destroy sizes, restart
-    after 500 stale iterations).  Tiny instances are enumerated exhaustively.
+    Search: insertion of each order on its lower_bound mover, then seeded
+    LNS (remove-and-reinsert up to 4 orders, roulette over destroy sizes,
+    restart after 500 stale iterations).  Tiny instances are enumerated exhaustively.
     Deterministic for a fixed (seed, max_iterations); time_limit is wall-clock
     seconds, a finite number above 0 (None: no limit), and max_iterations
     at least 0 (0: construction only).  route_table is shppn.kappa_routes
@@ -890,8 +892,7 @@ def schedule(
     if exhaustive is not None and exhaustive <= EXHAUSTIVE_CAP:
         plan, trace = _exhaustive_search(orders, n_movers, timer)
     else:
-        plan, trace = _lns_search(orders, n_movers, timer, warm_start, seed, time_limit,
-                                  max_iterations)
+        plan, trace = _lns_search(orders, n_movers, timer, seed, time_limit, max_iterations)
     return _plan_to_schedule(plan, timer, trace)
 
 
@@ -936,20 +937,16 @@ def _exhaustive_search(orders, n_movers, timer):
     return best, (best_key[0],)
 
 
-def _lns_search(orders, n_movers, timer, warm_start, seed, time_limit, max_iterations):
+def _lns_search(orders, n_movers, timer, seed, time_limit, max_iterations):
     rng = random.Random(seed)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if max_iterations is None:
         max_iterations = 10_000_000 if time_limit is not None else 2_000
 
-    if warm_start is None:  # the lower bound's assignment above its exact size
-        times = [_path_time(o, timer.table, timer.eta) for o in orders]
-        warm_start = {o.id: mi for o, mi in zip(orders, _lpt(times, n_movers)[1])}
-
+    warm = lower_bound(orders, timer.placement, n_movers, timer.eta, timer.table).assignment
     plan = _Plan(n_movers)
     for o in sorted(orders, key=lambda o: (-(o.total_dispensing), o.id)):
-        m = warm_start.get(o.id, 0) % n_movers
-        best_key = _insert_best(plan, o, timer, movers=[m])
+        best_key = _insert_best(plan, o, timer, movers=[warm[o.id]])
     best = plan.copy(timeline=False)  # no states of its own: a restart resumes from the origin
     trace = [best_key[0]]
 

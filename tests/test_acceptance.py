@@ -140,10 +140,7 @@ def test_criterion_4_lower_bound_soundness():
             drugs, n_orders, seed=trial + 500, size_range=(1, 4), dur_range=(3, 15)
         )
         lb = lower_bound(orders, pl, movers, eta=2)
-        s = schedule(
-            orders, pl, movers, eta=2, seed=trial, warm_start=lb.assignment,
-            max_iterations=5,
-        )
+        s = schedule(orders, pl, movers, eta=2, seed=trial, max_iterations=5)
         plan = route_schedule(s, pl)
         if lb.value > plan.makespan:
             violations += 1
@@ -160,10 +157,7 @@ def test_criterion_5_gap_envelope():
         pl, orders, config = build_8x8_instance(seed, 25, movers=2)
         lb = lower_bound(orders, pl, 2, eta=2)
         t0 = time.perf_counter()
-        s = schedule(
-            orders, pl, 2, eta=2, seed=seed, warm_start=lb.assignment,
-            time_limit=budget, max_iterations=60,
-        )
+        s = schedule(orders, pl, 2, eta=2, seed=seed, time_limit=budget, max_iterations=60)
         assert time.perf_counter() - t0 <= budget + 5
         gap = 100.0 * (s.makespan - lb.value) / lb.value
         gaps.append(gap)

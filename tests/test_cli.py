@@ -55,7 +55,7 @@ def test_full_cli_chain(tmp_path, instance_file):
                "--trace-out", tmp_path / "trace.csv") == OK
     sched = tmp_path / "schedule.json"
     assert run("schedule", "--instance", instance_file, "--orders", orders,
-               "--placement", placement, "--iterations", "20", "--warm-start",
+               "--placement", placement, "--iterations", "20",
                "--out", sched, "--csv-out", tmp_path / "schedule.csv") == OK
     assert run("lower-bound", "--instance", instance_file, "--orders", orders,
                "--placement", placement, "--out", tmp_path / "lb.json") == OK
@@ -171,7 +171,7 @@ def _tile_order_against_start_order(op):
     "edit, message",
     [
         (lambda op: op.update(tile=[9, 9]), "tile (9, 9) is not on the layout"),
-        (lambda op: op.update(mover=7), "mover 7 is outside the fleet of 2"),
+        (lambda op: op.update(mover=7), "mover 7 is outside the fleet of 4"),
         (_tile_order_against_start_order, "rule 4: tile (1, 1) ops 0,2 overlap"),
         (lambda op: op["op_id"] == 1 and op.update(op_id=0), "rule 1: op id 0 is used 2 times"),
         (lambda op: op["op_id"] == 2 and op.update(kind="swap"), "op 2 kind 'swap' is unknown"),
@@ -206,7 +206,7 @@ def test_cli_prints_the_first_twenty_schedule_issues_one_per_line(tmp_path, inst
                "--schedules", *[sched] * 8, "--out", tmp_path / "routed.json") == INFEASIBLE
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "error: the schedule fails its checks:"
-    assert lines[1:] == [f"  {sched}: rule 1: op {i % 3} mover 7 is outside the fleet of 2"
+    assert lines[1:] == [f"  {sched}: rule 1: op {i % 3} mover 7 is outside the fleet of 4"
                          for i in range(20)] + ["  … and 4 more"]
 
 
@@ -241,8 +241,8 @@ def test_cli_route_writes_routed_json_as_json_dumps(tmp_path, instance_file):
     from test_pipeline import plan_doc
 
     drugs = [f"drug0{i}" for i in range(5)]
-    pl = random_placement(build_layout("square", (4, 4), 2), drugs, seed=3)
-    orders = random_orders(drugs, 8, seed=3, size_range=(1, 3))
+    pl = random_placement(build_layout("square", (4, 4), 2), drugs, seed=9)
+    orders = random_orders(drugs, 8, seed=9, size_range=(1, 3))
     placement, sched = tmp_path / "placement.json", tmp_path / "schedule.json"
     placement.write_text(pl.to_json())
     sched.write_text(schedule(orders, pl, 2, eta=2, max_iterations=5).to_json())
@@ -442,6 +442,20 @@ def test_cli_movers_above_m_max_is_config_error(tmp_path, instance_file, capsys,
     ]
     assert not out.exists()
     assert run(*argv, *inputs, "--movers", "4") == OK
+
+
+def test_cli_route_and_merge_take_a_schedule_on_movers_up_to_m_max(tmp_path, instance_file):
+    # the instance runs 2 movers and allows 4 (m_max): a schedule that
+    # schedule --movers 4 wrote uses movers 2 and 3, and route and merge take it
+    placement, orders = _schedule_inputs(tmp_path)
+    sched = tmp_path / "schedule.json"
+    assert run("schedule", "--instance", instance_file, "--orders", orders,
+               "--placement", placement, "--movers", "4", "--iterations", "1",
+               "--out", sched) == OK
+    assert {op["mover"] for op in json.loads(sched.read_text())["ops"]} == {0, 1, 2, 3}
+    for command, flag in (("route", "--schedule"), ("merge", "--schedules")):
+        assert run(command, "--instance", instance_file, "--placement", placement,
+                   flag, sched, "--out", tmp_path / f"{command}.json") == OK
 
 
 def test_cli_lower_bound_dump_gtsp_is_a_usage_error(tmp_path, instance_file, capsys):

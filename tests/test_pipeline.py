@@ -297,7 +297,7 @@ def test_schedule_batched_reuses_precomputed_path_times(golden_placement, monkey
 
 
 def test_one_subset_dp_per_drug_count_on_every_path(tmp_path, monkeypatch):
-    """The CLI schedule with a warm start or in batches, a batched pipeline
+    """The CLI schedule, unbatched or in batches, a batched pipeline
     without the lower-bound stage and a tactical-only pipeline each solve
     one kappa_routes table: one _subset_dp per drug count of the orders."""
     pc = small_config()
@@ -322,8 +322,8 @@ def test_one_subset_dp_per_drug_count_on_every_path(tmp_path, monkeypatch):
     schedule_argv = ["schedule", "--instance", instance, "--orders", orders_csv,
                      "--placement", placement_json, "--iterations", "3"]
     paths = {
-        "cli warm start": lambda: cli.main([str(a) for a in (
-            *schedule_argv, "--warm-start", "--out", tmp_path / "warm.json")]),
+        "cli schedule": lambda: cli.main([str(a) for a in (
+            *schedule_argv, "--out", tmp_path / "schedule.json")]),
         "cli batches": lambda: cli.main([str(a) for a in (
             *schedule_argv, "--batch-size", "4", "--out", tmp_path / "batched.json")]),
         "batched pipeline": lambda: run_pipeline(dataclasses.replace(

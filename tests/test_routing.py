@@ -856,10 +856,10 @@ def test_routed_small_plan_matches_pinned_digest(monkeypatch):
     plan = route_schedule(s, pl)
     assert len(sizes) == plan.iterations and 0 < max(sizes) <= ASSIGN_EXACT_LIMIT
     assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values()),
-            len(plan.resting_assignment)) == (3, 9, 17, 9)
+            len(plan.resting_assignment)) == (3, 10, 12, 10)
     assert _plan_digests(plan) == (
-        "c8dc02c7c64d8fcaff47f787dce935e944aa63340689842446f474e89ac248f6",
-        "4621d1418c7d2adde3df874300cab65d2119e3c93defee22c9e2e24fd07b6849",
+        "bb2b2a0c6276ff506aa263f396018017049754969f42d490a57d247048d80994",
+        "175b0de55938528d11981c012568789acde70ad366816d8c2b1cce6d3bee57a0",
     )
 
 
@@ -1411,7 +1411,7 @@ def test_validate_plan_matches_tick_reference_on_corrupted_runs():
     orders = random_orders(drugs, 8, seed=8, size_range=(1, 2), dur_range=(2, 5))
     s = schedule(orders, pl, 3, eta=2, seed=8, max_iterations=10)
     plan = route_schedule(s, pl)
-    assert len(plan.resting_assignment) == 5
+    assert len(plan.resting_assignment) == 4
     inst = SchedulingInstance(tuple(orders), pl, 3, 2)
     assert validate_plan(plan, inst) == []
     n = _horizon(plan.schedule, plan.interruptions)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -407,6 +408,25 @@ def test_p_cmax_modes():
         p_cmax([1], 0)
 
 
+@pytest.mark.parametrize("times, optimum, assign", [
+    ([16, 29, 23, 43, 39, 44, 34, 19, 38, 32, 24, 23, 24, 20, 18, 22, 28, 20, 27, 26], 70,
+     [4, 2, 6, 1, 2, 0, 4, 7, 3, 3, 5, 6, 6, 4, 5, 7, 5, 7, 1, 0]),
+    ([36, 33, 16, 44, 28, 37, 22, 29, 39, 16, 32, 23, 40, 30, 31, 33, 23, 27, 23, 37], 76,
+     [1, 3, 4, 0, 7, 2, 7, 5, 2, 5, 0, 6, 1, 6, 5, 4, 6, 4, 7, 3]),
+    ([38, 41, 25, 33, 40, 32, 45, 43, 47, 36, 50, 31, 37, 49, 34, 36, 28, 48, 21, 47], 98,
+     [5, 3, 6, 7, 4, 5, 2, 3, 1, 6, 0, 7, 4, 1, 7, 6, 5, 0, 4, 2]),
+])
+def test_p_cmax_at_the_exact_limit_prunes_by_waste(times, optimum, assign):
+    """Twenty jobs on 8 machines that the branch and bound took 3.6-16 s
+    over (2-core VM) before it pruned machines that cannot take a job below
+    the incumbent and subtrees whose jobs left exceed the usable room; the
+    pruned search returns the same optimum and assignment."""
+    assert len(times) == P_CMAX_EXACT_LIMIT
+    t0 = time.process_time()
+    assert p_cmax(times, 8) == (optimum, assign)
+    assert time.process_time() - t0 < 2.0
+
+
 # --- lower bound ---------------------------------------------------------------------
 
 def test_lower_bound_single_order(golden_placement):
@@ -431,8 +451,7 @@ def test_lower_bound_below_schedule_on_seeded_instances():
         pl = random_placement(layout, drugs, seed=seed, max_alternatives=2)
         orders = random_orders(drugs, 10, seed=seed + 10, size_range=(1, 4), dur_range=(5, 20))
         lb = lower_bound(orders, pl, 2, eta=2)
-        s = schedule(orders, pl, 2, eta=2, seed=seed, warm_start=lb.assignment,
-                     max_iterations=25)
+        s = schedule(orders, pl, 2, eta=2, seed=seed, max_iterations=25)
         assert lb.value <= s.makespan, seed
 
 
@@ -444,26 +463,27 @@ def test_lower_bound_inexact_mode_above_guard():
     assert set(lb.assignment) == {o.id for o in orders}
 
 
-def test_own_warm_start_is_the_lower_bound_assignment_above_the_exact_size():
-    """Above P_CMAX_EXACT_LIMIT orders the bound's assignment is LPT over the
-    path times T_p, which is also the search's own warm start: without a
-    warm start, schedule() returns what it returns from the bound's."""
+def test_construction_puts_each_order_on_its_lower_bound_mover():
+    """The search's warm start is lower_bound's assignment, the P||Cmax
+    optimum up to P_CMAX_EXACT_LIMIT orders and LPT over T_p above: with no
+    LNS iteration, every order runs on its mover there."""
     drugs = list("abcdef")
     layouts = [build_layout("square", (5, 5), 2), build_layout("ring", 6, 2),
                build_layout("line", 10, 2)]
+    not_lpt = 0
     for li, layout in enumerate(layouts):
-        for seed in range(2):
+        for seed, n_orders in enumerate((5, 9, 14, 20, 27, 40)):
             rng = random.Random(100 * li + seed)
             pl = random_placement(layout, drugs, seed=seed, max_alternatives=3)
-            orders = random_orders(drugs, rng.randint(P_CMAX_EXACT_LIMIT + 1, 40), seed=seed,
-                                   size_range=(1, 4), dur_range=(1, 9))
+            orders = random_orders(drugs, n_orders, seed=seed, size_range=(1, 4),
+                                   dur_range=(1, 9))
             n_movers = rng.randint(2, 5)
             lb = lower_bound(orders, pl, n_movers, eta=2)
-            assert not lb.exact
-            own = schedule(orders, pl, n_movers, eta=2, seed=seed, max_iterations=2)
-            warm = schedule(orders, pl, n_movers, eta=2, seed=seed, max_iterations=2,
-                            warm_start=lb.assignment)
-            assert own == warm, (li, seed)
+            s = schedule(orders, pl, n_movers, eta=2, seed=seed, max_iterations=0)
+            assert {so.op.order_id: so.mover for so in s.ops} == lb.assignment, (li, seed)
+            lpt = _lpt([lb.t_values[o.id] for o in orders], n_movers)[1]
+            not_lpt += lpt != [lb.assignment[o.id] for o in orders]
+    assert not_lpt  # the exact assignment is not LPT's on some instances
 
 
 # --- optimality and search behaviour -------------------------------------------------
@@ -1139,8 +1159,7 @@ def test_exhaustive_schedule_matches_pinned_digest():
 def test_lns_schedule_4x4_matches_pinned_digest():
     pl = random_placement(build_layout("square", (4, 4), 2), list("abcd"), seed=8)
     orders = random_orders(list("abcd"), 9, seed=9, size_range=(1, 3))
-    lb = lower_bound(orders, pl, 2, eta=2)
-    s = schedule(orders, pl, 2, eta=2, seed=5, warm_start=lb.assignment, max_iterations=40)
+    s = schedule(orders, pl, 2, eta=2, seed=5, max_iterations=40)
     assert s.makespan == 116
     assert _digest(s) == "e495caef2d6f8b02ab683de4c82ec78b8c9110086db31777bfd87e9e2880a01d"
 
@@ -1174,8 +1193,8 @@ def test_schedules_on_ring_with_empty_tiles_match_pinned_digests():
     assert len(pl.coords()) == 6
     orders = random_orders(list("abcd"), 8, seed=6, size_range=(1, 3))
     s = schedule(orders, pl, 2, eta=2, seed=3, max_iterations=30)
-    assert s.makespan == 110
-    assert _digest(s) == "afd0742cbe2bc4dbd534052fbda64c1c67fdb6548cd60974d1f64d7d26466da6"
+    assert s.makespan == 109
+    assert _digest(s) == "69173d131147aae720b26be2021922f75a3e0149f4d89c8aaf3f1254f82f0de6"
     s = schedule(orders[:2], pl, 2, eta=2, seed=0)  # exhaustive
     assert s.makespan == 32
     assert _digest(s) == "c1809de364845a588341504d67c563fa4ab240638f0e0a00c198830fc1796e13"
