@@ -281,6 +281,7 @@ def run_pipeline(pc: PipelineConfig, orders=None, packed=None, placed=None) -> R
         values["routing_iterations"] = plan.iterations
         values["routing_interruption_ticks"] = sum(plan.interruptions.values())
         values["routing_exclusivity_repairs"] = plan.exclusivity_repairs
+        values["routing_unassigned_transits"] = len(plan.transits) - len(plan.resting_assignment)
         values["resting_sites"] = len(plan.sites.sites)
         exact["resting_sites"] = plan.sites.exact
         save("routed.json", lambda: plan_to_json(plan))

@@ -134,10 +134,14 @@ class Placement:
         interfaces = set()
         for cell in doc["cells"]:
             c = Coord(*cell["coord"])
+            if c in interfaces or c in drug_tiles:
+                raise ValueError(f"cell {tuple(c)} is listed twice")
             if cell["kind"] == INTERFACE:
                 interfaces.add(c)
-            else:
+            elif cell["kind"] == "tile":
                 drug_tiles[c] = tuple(cell["drugs"])
+            else:
+                raise ValueError(f"cell {tuple(c)} has unknown kind {cell['kind']!r}")
         return Placement(layout, drug_tiles, frozenset(interfaces))
 
     def signature(self) -> bytes:

@@ -4,8 +4,9 @@ Movers may share tiles freely while travelling; the one conflict that matters
 is a mover occupying a tile where another mover is actively dispensing, which
 pauses that dispensing.  The pipeline is: generate resting sites (edge
 midpoints where an idle mover obstructs nothing, selected as a maximum
-b-matching of the tile grid by augmenting paths), assign every idle transit
-to a site at minimum round-trip detour, realise tick-level paths (the
+b-matching of the tile grid by augmenting paths), assign idle transits to
+sites at minimum round-trip detour (a transit left without one waits at its
+previous tile, so every schedule gets paths), realise tick-level paths (the
 layout's shortest paths at one tile per tick), count interruption ticks per
 dispensing operation, and push start times right through a precedence DAG
 (longest path from a virtual source) until the interruption ledger stops
@@ -37,9 +38,9 @@ at most one round's paths are held at a time:
 
 - the realized ops (tile, start, realized end, op);
 - the idle transits between consecutive ops, and their resting sites
-  (transit x site round trips are four table blocks, ``_site_options``;
-  the regret greedy above 30 transits updates only the regrets an
-  assignment touches);
+  (transit x site round trips are two table blocks, ``_site_options``;
+  the regret greedy, above 30 transits or where no full assignment exists,
+  updates only the regrets an assignment touches);
 - the paths, as sorted lists of maximal runs (t0, t1, (x, y, state)), one
   per stretch of ticks on one cell, so building, checking and writing them
   costs O(runs), not O(horizon): a movement segment is written once as a
@@ -68,9 +69,7 @@ MOVE, DISPENSE, SWAP, REST = "move", "dispense", "swap", "rest"
 
 
 class RoutingInfeasible(ValueError):
-    def __init__(self, message, clique=None):
-        super().__init__(message)
-        self.clique = clique or []
+    """Conflict resolution reached no fixpoint in MAX_ITERATIONS rounds."""
 
 
 @dataclass(frozen=True, order=True)
@@ -287,81 +286,59 @@ def extract_transits(realized: Realized) -> list[Transit]:
 
 
 def _site_cost(transit: Transit, site: RestingSite, dist):
-    """(detour, via, anchors): whole-tick round trip through the site."""
-    best = None
-    for a in site.tiles:
-        for b in site.tiles:
-            via = dist(transit.from_tile, a) + (0 if a == b else 1) + dist(b, transit.to_tile)
-            if best is None or via < best[0]:
-                best = (via, a, b)
-    via, a, b = best
-    return via - transit.travel, via, (a, b)
+    """(detour, via, anchor): the whole-tick round trip through the site that
+    enters and leaves at its nearer tile, ``tile_a`` on a tie.  The two tiles
+    are neighbours, so entering at one and leaving from the other is never
+    shorter."""
+    a, b = site.tiles
+    via_a = dist(transit.from_tile, a) + dist(a, transit.to_tile)
+    via_b = dist(transit.from_tile, b) + dist(b, transit.to_tile)
+    via, anchor = (via_b, b) if via_b < via_a else (via_a, a)
+    return via - transit.travel, via, anchor
 
 
 def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
-    """Min-detour assignment; overlapping transits never share a site.
+    """Min-detour sites for as many transits as it can; overlapping transits
+    never share a site, and a transit left out waits at its previous tile
+    (``build_paths``).
 
-    Exact branch and bound up to 30 transits, regret-greedy above.  Raises
-    RoutingInfeasible with the largest overlap clique found when no
-    assignment is found; its message says whether that clique outnumbers the
-    sites, the exact search proved that none exists, or the greedy only met a
-    dead end (not a proof).
+    When every transit reaches some site within its gap, up to
+    ASSIGN_EXACT_LIMIT transits, the exact branch and bound gives the least
+    detour over a full assignment.  Where it finds none, or above the limit,
+    the regret greedy assigns what it can.
     """
     if not transits:
         return {}
     sites = list(sites)
-    if not sites:
-        raise RoutingInfeasible("idle transits exist but no resting sites", clique=list(range(len(transits))))
     options = _site_options(transits, sites, placement.layout)
-    for i, opts in enumerate(options):
-        if not opts:
-            raise RoutingInfeasible(
-                f"transit {i} (mover {transits[i].mover}) can reach no resting site in its gap",
-                clique=[i],
-            )
-
     depart = np.array([t.depart for t in transits])
     arrive = np.array([t.arrive for t in transits])
     disjoint = (arrive[None, :] <= depart[:, None]) | (arrive[:, None] <= depart[None, :])
     np.fill_diagonal(disjoint, True)
     overlap = [np.flatnonzero(~row).tolist() for row in disjoint]
 
-    if len(transits) <= ASSIGN_EXACT_LIMIT:
-        assign, stuck = _assign_exact(transits, options, overlap), None
-    else:
-        assign, stuck = _assign_greedy(transits, options, overlap)
+    assign = None
+    if len(transits) <= ASSIGN_EXACT_LIMIT and all(options):
+        assign = _assign_exact(transits, options, overlap)
     if assign is None:
-        clique = _overlap_clique(transits, overlap)
-        if len(clique) > len(sites):
-            why = f"{len(clique)} mutually overlapping transits exceed {len(sites)} available sites"
-        elif stuck is None:
-            why = (
-                f"no assignment exists: the exact search found none for {len(transits)} "
-                f"transits on {len(sites)} sites"
-            )
-        else:
-            why = (
-                f"greedy dead end at transit {stuck} (mover {transits[stuck].mover}), "
-                f"not a proof: no free site left for it among {len(transits)} transits"
-            )
-        raise RoutingInfeasible(why, clique=clique)
+        assign = _assign_greedy(transits, options, overlap)
     return {i: sites[j] for i, j in assign.items()}
 
 
 def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
-    """Per transit, the sorted (detour, site index) of every site within its gap.
+    """Per transit, the sorted (detour, site index) of every site within its
+    gap (possibly none).
 
-    A site's best round trip (``_site_cost``) enters at tile a and leaves from
-    tile b; since the two tiles differ, min over (a, b) of
-    d(from, a) + [a != b] + d(b, to) is the minimum of four table blocks below.
+    A site's round trip (``_site_cost``) goes through its nearer tile, so
+    its length is the minimum of two table blocks, one per tile.
     """
     frm = [t.from_tile for t in transits]
     to = [t.to_tile for t in transits]
-    fa = layout.distances(frm, [s.tile_a for s in sites])
-    fb = layout.distances(frm, [s.tile_b for s in sites])
-    at = layout.distances(to, [s.tile_a for s in sites])
-    bt = layout.distances(to, [s.tile_b for s in sites])
-    via = np.minimum(np.minimum(fa + at, fb + bt), np.minimum(fa, fb) + 1 + np.minimum(at, bt))
+    tiles_a, tiles_b = [s.tile_a for s in sites], [s.tile_b for s in sites]
+    via = np.minimum(
+        layout.distances(frm, tiles_a) + layout.distances(to, tiles_a),
+        layout.distances(frm, tiles_b) + layout.distances(to, tiles_b),
+    )
     detour = via - np.array([t.travel for t in transits])[:, None]
     reachable = via <= np.array([t.gap for t in transits])[:, None]
     options = []
@@ -369,18 +346,6 @@ def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
         js = np.flatnonzero(ok)
         options.append(sorted(zip(d_row[js].tolist(), js.tolist())))
     return options
-
-
-def _overlap_clique(transits, overlap):
-    best = [0] if transits else []
-    for i in range(len(transits)):
-        clique = [i]
-        for j in sorted(overlap[i]):
-            if all(j in overlap[k] or j == k for k in clique):
-                clique.append(j)
-        if len(clique) > len(best):
-            best = clique
-    return sorted(best)
 
 
 def _assign_exact(transits, options, overlap):
@@ -432,12 +397,11 @@ def _assign_exact(transits, options, overlap):
     return best["assign"]
 
 
-def _assign_greedy(transits, options, overlap):
+def _assign_greedy(transits, options, overlap) -> dict[int, int]:
     """Regret heuristic: place the pending transit with the largest spread
     between its two cheapest free sites first (a single free site counts as
-    an infinite spread; ties go to the lowest index) on its cheapest free site.
-    Returns (assignment, None), or (None, i) when pending transit i has no
-    free site left.
+    an infinite spread; ties go to the lowest index) on its cheapest free
+    site.  A pending transit with no free site left is dropped.
 
     A site is free for transit i unless an assigned transit in overlap[i]
     holds it.  Each transit keeps its blocked sites and its regret; overlap
@@ -458,12 +422,7 @@ def _assign_greedy(transits, options, overlap):
         spread = (feas[1][0] - feas[0][0]) if len(feas) > 1 else math.inf
         return ((-spread, i), feas[0][1])
 
-    pending: dict[int, tuple] = {}
-    for i in range(n):
-        r = regret(i)
-        if r is None:
-            return None, i
-        pending[i] = r
+    pending = {i: r for i in range(n) if (r := regret(i)) is not None}
     assign: dict[int, int] = {}
     while pending:
         key, j = min(pending.values())
@@ -475,9 +434,10 @@ def _assign_greedy(transits, options, overlap):
                 blocked[k].add(j)
                 r = regret(k)
                 if r is None:
-                    return None, k
-                pending[k] = r
-    return assign, None
+                    del pending[k]
+                else:
+                    pending[k] = r
+    return assign
 
 
 # --- paths as runs and conflicts --------------------------------------------------
@@ -536,13 +496,15 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
     none, and no run reaches past the latest realized end.
 
     Movement segments are the layout's shortest paths at one tile per tick
-    (x-then-y staircases wherever those are shortest); idle transits detour
-    through their assigned resting site and wait at its midpoint, leaving
-    just in time to arrive at the next operation's start.  The first writer of a tick wins: operations
-    come first (of two that share a tick, the later-starting one), then each
-    transit's segments in order.  A movement segment is written once, as a
-    leg ``(cells, base)`` over its ticks, and expanded after the first-writer
-    pass.
+    (x-then-y staircases wherever those are shortest).  An idle transit with
+    a resting site goes to the site's nearer tile (``_site_cost``), waits at
+    its midpoint and comes back through that tile; any other transit, tight
+    or left without a site, waits at its previous tile.  Either leaves just
+    in time to arrive at the next operation's start.  The first writer of a
+    tick wins: operations come first (of two that share a tick, the
+    later-starting one), then each transit's segments in order.  A movement
+    segment is written once, as a leg ``(cells, base)`` over its ticks, and
+    expanded after the first-writer pass.
 
     ``resting_assignment`` maps a transit's ``(mover, from_op, to_op)`` key to
     its resting site; ``transits`` defaults to the round's own.
@@ -569,16 +531,15 @@ def build_paths(realized: Realized, resting_assignment, transits=None):
             assigned = site_of.get((m, o1.op_id, o2.op_id))
             if assigned is not None:
                 tr, site = assigned
-                _detour, _via, (a, b) = _site_cost(tr, site, frame.dist)
-                ib = index[b]
-                p_in = steps(i1, index[a])  # from the departure tick e1 on
-                arrive_a = e1 + len(p_in)
-                depart_b = s2 - rows[ib][i2]
-                writes.append((e1, arrive_a, (p_in, e1)))
-                writes.append((arrive_a, depart_b, site.location + (REST,)))
-                writes.append((depart_b, s2, (steps(ib, i2), depart_b)))
+                ia = index[_site_cost(tr, site, frame.dist)[2]]
+                p_in = steps(i1, ia)  # from the departure tick e1 on
+                arrive = e1 + len(p_in)
+                depart = s2 - rows[ia][i2]
+                writes.append((e1, arrive, (p_in, e1)))
+                writes.append((arrive, depart, site.location + (REST,)))
+                writes.append((depart, s2, (steps(ia, i2), depart)))
             else:
-                # tight transit (or fallback wait at the previous tile)
+                # a tight transit, or an idle one left without a site
                 leave = s2 - rows[i1][i2]
                 writes.append((e1, leave, rest[i1]))
                 writes.append((leave, s2 + 1, (steps(i1, i2), leave)))
@@ -799,9 +760,7 @@ def validate_plan(plan: RoutedPlan, instance) -> list[str]:
     for so in plan.schedule.ops:
         center = (float(so.tile.x), float(so.tile.y))
         end = so.end + pauses.get(so.op.op_id, 0)
-        runs = plan.paths.get(so.mover)
-        if runs is None:
-            continue
+        runs = plan.paths.get(so.mover, [])
         t = so.start  # first tick of the op not yet seen at its tile
         k = bisect_right(runs, t, key=itemgetter(1))
         while t < end and k < len(runs) and runs[k][0] <= t and runs[k][2][:2] == center:

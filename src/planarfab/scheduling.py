@@ -403,6 +403,16 @@ def p_cmax(times, m: int) -> tuple[int, list[int]]:
     return best["val"], best["assign"]
 
 
+def _distinct_ids(orders) -> list:
+    """The orders as a list; a ValueError when two of them share an id."""
+    orders = list(orders)
+    ids = sorted(o.id for o in orders)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"order id {a} appears twice")
+    return orders
+
+
 def lower_bound(orders, placement, n_movers: int, eta: int,
                 route_table: dict | None = None) -> LowerBoundResult:
     """Relaxation bound: exact per-order path times fed into parallel machines.
@@ -415,7 +425,7 @@ def lower_bound(orders, placement, n_movers: int, eta: int,
     shppn.kappa_routes over a superset of the orders' drug sets on this
     placement, as schedule() takes it; without it the bound solves its own.
     """
-    orders = list(orders)
+    orders = _distinct_ids(orders)
     if n_movers < 1:
         raise ValueError("need at least one mover")
     if route_table is None:
@@ -869,7 +879,7 @@ def schedule(
     pipeline's); without it the search solves one over its own orders.
     The schedule does not depend on which.
     """
-    orders = list(orders)
+    orders = _distinct_ids(orders)
     if not orders:
         raise ValueError("no orders to schedule")
     if n_movers < 1:

@@ -322,6 +322,46 @@ def test_cli_order_naming_unplaced_drug_is_infeasible(tmp_path, instance_file, c
     assert not out.exists()
 
 
+def _cell_repeated(doc):
+    # the drug tile (1, 2) once more, with another drug: it must not replace the first
+    doc["cells"].append({**doc["cells"][1], "drugs": ["drug01"]})
+
+
+def _cell_kind_unknown(doc):
+    doc["cells"][1]["kind"] = "dispenser"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_cell_repeated, "cell (1, 2) is listed twice"),
+     (_cell_kind_unknown, "cell (1, 2) has unknown kind 'dispenser'")],
+    ids=["cell-repeated", "kind-unknown"],
+)
+@pytest.mark.parametrize("command", ["schedule", "lower-bound", "route", "merge", "render"])
+def test_cli_placement_with_a_repeated_cell_or_unknown_kind_is_config_error(
+        tmp_path, instance_file, capsys, command, edit, message):
+    from planarfab.core import orders_to_csv
+
+    placement, sched = _route_inputs(tmp_path, lambda op: None)
+    doc = json.loads(placement.read_text())
+    edit(doc)
+    placement.write_text(json.dumps(doc))
+    orders = tmp_path / "orders.csv"
+    orders.write_text(orders_to_csv([Order(0, (("drug00", 3),))]))
+    out = tmp_path / "out.json"
+    inputs = {
+        "schedule": ("--orders", orders),
+        "lower-bound": ("--orders", orders),
+        "route": ("--schedule", sched),
+        "merge": ("--schedules", sched),
+        "render": (),
+    }[command]
+    instance = () if command == "render" else ("--instance", instance_file)
+    assert run(command, *instance, *inputs, "--placement", placement, "--out", out) == CONFIG_ERROR
+    assert f"cannot read placement {placement}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _schedule_inputs(tmp_path):
     """A placement of the instance's five drugs and six orders on the 4x4 layout."""
     from planarfab.core import orders_to_csv

@@ -99,6 +99,32 @@ def test_report_wall_times_cover_kappa_and_artifacts(tmp_path):
     assert list(doc["wall_times_s"]) == list(stages)
 
 
+def test_report_counts_the_idle_transits_left_without_a_site(tmp_path, monkeypatch):
+    # with no resting site at all every idle transit waits at its previous
+    # tile, and the report counts them; with the sites, none is left out
+    from planarfab import routing
+
+    plans, route = [], routing.route_schedule
+
+    def kept(*args):
+        plans.append(route(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(routing, "route_schedule", kept)
+    pc = small_config(seed=4)  # its plan has an idle transit
+    pc.out_dir = tmp_path / "sites"
+    assert run_pipeline(pc).stage_values["routing_unassigned_transits"] == 0
+    assert plans[-1].transits and plans[-1].resting_assignment
+    monkeypatch.setattr(routing, "generate_resting_sites",
+                        lambda layout, interfaces: routing.SiteSelection((), True))
+    pc.out_dir = tmp_path / "no_sites"
+    run_pipeline(pc)
+    plan = plans[-1]
+    assert plan.resting_assignment == {}
+    doc = json.loads((pc.out_dir / "report.json").read_text())
+    assert doc["stage_values"]["routing_unassigned_transits"] == len(plan.transits) > 0
+
+
 def test_report_to_json_leaves_stage_values_unchanged():
     values = {"makespan_scheduled": 200, "makespan_routed": 210}
     report = RunReport({"lns": 1}, values, {"route": 0.5}, {"packing": True})

@@ -444,6 +444,17 @@ def test_lower_bound_two_equal_orders_two_movers():
     assert lb.value == 16
 
 
+def test_schedule_and_lower_bound_reject_repeated_order_ids():
+    # two orders of id 0 would share op ids in the schedule and one entry
+    # in the bound's t_values and assignment
+    pl = random_placement(build_layout("square", (4, 4), 2), list("abc"), seed=1)
+    orders = [Order(0, (("a", 3),)), Order(1, (("b", 4),)), Order(0, (("c", 2),))]
+    with pytest.raises(ValueError, match="order id 0 appears twice"):
+        schedule(orders, pl, 2, eta=2)
+    with pytest.raises(ValueError, match="order id 0 appears twice"):
+        lower_bound(orders, pl, 2, eta=2)
+
+
 def test_lower_bound_below_schedule_on_seeded_instances():
     layout = build_layout("square", (5, 5), 2)
     drugs = list("abcdef")
