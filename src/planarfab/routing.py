@@ -5,12 +5,12 @@ is a mover occupying a tile where another mover is actively dispensing, which
 pauses that dispensing.  The pipeline is: generate resting sites (edge
 midpoints where an idle mover obstructs nothing, selected as a maximum
 b-matching of the tile grid by augmenting paths), assign idle transits to
-sites at minimum round-trip detour (a transit left without one waits at its
-previous tile, so every schedule gets paths), realise tick-level paths (the
-layout's shortest paths at one tile per tick), count interruption ticks per
-dispensing operation, and push start times right through a precedence DAG
-(longest path from a virtual source) until the interruption ledger stops
-growing.
+sites by a regret greedy on round-trip detour (a transit left without one
+waits at its previous tile, so every schedule gets paths), realise
+tick-level paths (the layout's shortest paths at one tile per tick), count
+interruption ticks per dispensing operation, and push start times right
+through a precedence DAG (longest path from a virtual source) until the
+interruption ledger stops growing.
 
 Starts only ever move later: every operation is anchored at its original start
 by a source edge, mover chains carry interruption + duration + travel weights,
@@ -39,8 +39,7 @@ at most one round's paths are held at a time:
 - the realized ops (tile, start, realized end, op);
 - the idle transits between consecutive ops, and their resting sites
   (transit x site round trips are two table blocks, ``_site_options``;
-  the regret greedy, above 30 transits or where no full assignment exists,
-  updates only the regrets an assignment touches);
+  the regret greedy updates only the regrets an assignment touches);
 - the paths, as sorted lists of maximal runs (t0, t1, (x, y, state)), one
   per stretch of ticks on one cell, so building, checking and writing them
   costs O(runs), not O(horizon): a movement segment is written once as a
@@ -63,7 +62,6 @@ from .core import Coord
 from .scheduling import DISPENSING, OperationSpec, Schedule, ScheduledOp, op_key, validate_schedule
 
 MAX_ITERATIONS = 100
-ASSIGN_EXACT_LIMIT = 30
 
 MOVE, DISPENSE, SWAP, REST = "move", "dispense", "swap", "rest"
 
@@ -298,14 +296,13 @@ def _site_cost(transit: Transit, site: RestingSite, dist):
 
 
 def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
-    """Min-detour sites for as many transits as it can; overlapping transits
-    never share a site, and a transit left out waits at its previous tile
+    """Sites for as many transits as the regret greedy (``_assign_greedy``)
+    places, each on its cheapest free site; overlapping transits never share
+    a site, and a transit left out waits at its previous tile
     (``build_paths``).
 
-    When every transit reaches some site within its gap, up to
-    ASSIGN_EXACT_LIMIT transits, the exact branch and bound gives the least
-    detour over a full assignment.  Where it finds none, or above the limit,
-    the regret greedy assigns what it can.
+    A detour is not part of the makespan, so the least total detour (NP-hard
+    with eligibility sets) is not searched for.
     """
     if not transits:
         return {}
@@ -317,17 +314,14 @@ def assign_resting_sites(transits, sites, placement) -> dict[int, RestingSite]:
     np.fill_diagonal(disjoint, True)
     overlap = [np.flatnonzero(~row).tolist() for row in disjoint]
 
-    assign = None
-    if len(transits) <= ASSIGN_EXACT_LIMIT and all(options):
-        assign = _assign_exact(transits, options, overlap)
-    if assign is None:
-        assign = _assign_greedy(transits, options, overlap)
-    return {i: sites[j] for i, j in assign.items()}
+    return {i: sites[j] for i, j in _assign_greedy(options, overlap).items()}
 
 
 def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
-    """Per transit, the sorted (detour, site index) of every site within its
-    gap (possibly none).
+    """Per transit, the sorted (detour, site index) of every site it can rest
+    at (possibly none): ``build_paths`` holds the site's midpoint for
+    gap - via - 1 ticks, so a round trip of ``via`` ticks needs
+    via + 2 <= gap.
 
     A site's round trip (``_site_cost``) goes through its nearer tile, so
     its length is the minimum of two table blocks, one per tile.
@@ -340,7 +334,7 @@ def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
         layout.distances(frm, tiles_b) + layout.distances(to, tiles_b),
     )
     detour = via - np.array([t.travel for t in transits])[:, None]
-    reachable = via <= np.array([t.gap for t in transits])[:, None]
+    reachable = via + 2 <= np.array([t.gap for t in transits])[:, None]
     options = []
     for d_row, ok in zip(detour, reachable):
         js = np.flatnonzero(ok)
@@ -348,56 +342,7 @@ def _site_options(transits, sites, layout) -> list[list[tuple[int, int]]]:
     return options
 
 
-def _assign_exact(transits, options, overlap):
-    order = sorted(range(len(transits)), key=lambda i: len(options[i]))
-    best = {"cost": math.inf, "assign": None}
-    assign: dict[int, int] = {}
-    # cheapest detours of order[pos:], a bound on what is left to assign
-    rest = [0] * (len(order) + 1)
-    for pos in range(len(order) - 1, -1, -1):
-        rest[pos] = rest[pos + 1] + options[order[pos]][0][0]
-    # held[i][j]: how many transits of overlap[i] hold site j now
-    held: list[dict[int, int]] = [{} for _ in transits]
-
-    def dfs(pos, cost):
-        if cost >= best["cost"]:
-            return
-        if pos == len(order):
-            best["cost"] = cost
-            best["assign"] = dict(assign)
-            return
-        i = order[pos]
-        if cost + rest[pos] >= best["cost"]:
-            return
-        # forward check: each transit left takes at least its cheapest site
-        # that no overlapping assigned transit holds, and needs one
-        bound = cost
-        for r in order[pos:]:
-            h = held[r]
-            for detour, j in options[r]:
-                if not h.get(j):
-                    bound += detour
-                    break
-            else:
-                return
-            if bound >= best["cost"]:
-                return
-        for detour, j in options[i]:
-            if held[i].get(j):
-                continue
-            assign[i] = j
-            for k in overlap[i]:
-                held[k][j] = held[k].get(j, 0) + 1
-            dfs(pos + 1, cost + detour)
-            for k in overlap[i]:
-                held[k][j] -= 1
-            del assign[i]
-
-    dfs(0, 0)
-    return best["assign"]
-
-
-def _assign_greedy(transits, options, overlap) -> dict[int, int]:
+def _assign_greedy(options, overlap) -> dict[int, int]:
     """Regret heuristic: place the pending transit with the largest spread
     between its two cheapest free sites first (a single free site counts as
     an infinite spread; ties go to the lowest index) on its cheapest free
@@ -407,7 +352,7 @@ def _assign_greedy(transits, options, overlap) -> dict[int, int]:
     holds it.  Each transit keeps its blocked sites and its regret; overlap
     is symmetric, so assigning i changes only the regrets in overlap[i].
     """
-    n = len(transits)
+    n = len(options)
     blocked: list[set] = [set() for _ in range(n)]
 
     def regret(i):

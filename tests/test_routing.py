@@ -3,8 +3,9 @@ import functools
 import hashlib
 import math
 import random
+import time
 from bisect import bisect_left
-from itertools import accumulate, groupby, repeat
+from itertools import groupby, repeat
 
 import networkx as nx
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from planarfab.core import Coord, Order, build_layout, manhattan
 from planarfab.placement import Placement
 from planarfab.routing import (
-    ASSIGN_EXACT_LIMIT,
     DISPENSE,
     MOVE,
     REST,
@@ -330,14 +330,14 @@ def test_assign_failure_names_what_was_found():
     pair = [Transit(m, 2 * m, 2 * m + 1, Coord(1, 1), Coord(1, 1), m, m + 4, 0) for m in range(2)]
     assert assign_resting_sites(pair, [near, far], pl) == {0: near}
 
-    # the same pair among more than ASSIGN_EXACT_LIMIT transits: the regret
-    # greedy leaves out transit 1 only
+    # the same pair among 29 disjoint transits: the regret greedy leaves out
+    # transit 1 only
     later = [
         Transit(m, 2 * m, 2 * m + 1, Coord(1, 1), Coord(1, 1), 10 * m, 10 * m + 4, 0)
-        for m in range(2, ASSIGN_EXACT_LIMIT + 1)
+        for m in range(2, 30 + 1)
     ]
     got = assign_resting_sites(pair + later, [near, far], pl)
-    assert sorted(got) == [0] + list(range(2, ASSIGN_EXACT_LIMIT + 1))
+    assert sorted(got) == [0] + list(range(2, 30 + 1))
     assert set(got.values()) == {near}
 
     # three transits on one reachable site: two of them are left out
@@ -379,7 +379,7 @@ def test_incremental_greedy_matches_full_recompute():
     outcomes = {"full": 0, "partial": 0}
     for seed in range(120):
         rng = random.Random(seed)
-        n = rng.randint(ASSIGN_EXACT_LIMIT + 1, ASSIGN_EXACT_LIMIT + 40)
+        n = rng.randint(30 + 1, 30 + 40)
         n_sites = rng.randint(4, 24)
         options = []
         for _ in range(n):
@@ -403,7 +403,7 @@ def test_incremental_greedy_matches_full_recompute():
                         overlap[i].append(k)
                         overlap[k].append(i)
         want = reference_assign_greedy(options, overlap)
-        assert _assign_greedy(list(range(n)), options, overlap) == want, seed
+        assert _assign_greedy(options, overlap) == want, seed
         outcomes["full" if len(want) == n else "partial"] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
@@ -427,7 +427,7 @@ def test_site_options_match_per_site_cost(topology, size):
         want = []
         for j, site in enumerate(sites):
             detour, via, _ = _site_cost(tr, site, layout.distance)
-            if via <= tr.gap:
+            if via + 2 <= tr.gap:  # a round trip that leaves a tick at the site
                 want.append((detour, j))
         assert opts == sorted(want)
         assert all(type(d) is int and type(j) is int for d, j in opts)
@@ -460,58 +460,6 @@ def test_site_cost_nearer_tile_matches_four_pair_reference(topology, size):
                 detour, via, (enter, leave) = _four_pair_site_cost(tr, site, dist)
                 assert enter == leave
                 assert _site_cost(tr, site, dist) == (detour, via, enter)
-
-
-def _reference_assign_exact(options, overlap):
-    """The site search with the cheapest-detour bound alone: order by option
-    count, try each transit's sites in (detour, site) order, prune at the
-    assigned cost plus every unassigned transit's cheapest detour."""
-    order = sorted(range(len(options)), key=lambda i: len(options[i]))
-    rest = list(accumulate((options[i][0][0] for i in reversed(order)), initial=0))[::-1]
-    best = [math.inf, None]
-    assign = {}
-
-    def dfs(pos, cost):
-        if cost + rest[pos] >= best[0]:
-            return
-        if pos == len(order):
-            best[:] = [cost, dict(assign)]
-            return
-        i = order[pos]
-        for detour, j in options[i]:
-            if any(assign.get(k) == j for k in overlap[i]):
-                continue
-            assign[i] = j
-            dfs(pos + 1, cost + detour)
-            del assign[i]
-
-    dfs(0, 0)
-    return best[1]
-
-
-def test_exact_assignment_matches_cheapest_detour_bound_reference():
-    """The exact search returns the assignment of the plain branch and bound
-    on random interval instances, feasible or not, ties included: the
-    forward check prunes only subtrees that cannot improve on the best."""
-    from planarfab.routing import _assign_exact
-
-    found = 0
-    for seed in range(300):
-        rng = random.Random(seed)
-        n, n_sites = rng.randint(1, 9), rng.randint(1, 5)
-        spans = []
-        for _ in range(n):
-            t = rng.randint(0, 30)
-            spans.append((t, t + rng.randint(1, 15)))
-        overlap = [[k for k, (c, d) in enumerate(spans) if k != i and c < b and a < d]
-                   for i, (a, b) in enumerate(spans)]
-        options = [sorted((rng.randint(0, 3), j)
-                          for j in rng.sample(range(n_sites), rng.randint(1, n_sites)))
-                   for _ in range(n)]
-        want = _reference_assign_exact(options, overlap)
-        assert _assign_exact([None] * n, options, overlap) == want, seed
-        found += want is not None
-    assert 100 <= found < 300
 
 
 # --- paths and conflicts -------------------------------------------------------------
@@ -776,6 +724,12 @@ def test_routed_plans_reach_fixpoint_and_validate_fuzz(monkeypatch):
         assert all(v <= plan.interruptions.get(k, 0) for k, v in found.items())
         inst = SchedulingInstance(tuple(orders), pl, movers, 2)
         assert validate_plan(plan, inst) == [], seed
+        # every assigned transit rests at its site's midpoint for a tick or more
+        for tr in plan.transits:
+            site = plan.resting_assignment.get((tr.mover, tr.from_op, tr.to_op))
+            if site is not None:
+                cells = tick_list(plan.paths[tr.mover])[tr.depart : tr.arrive]
+                assert site.location + (REST,) in cells, (seed, tr)
     # a round where pauses push an op into its tile successor: a repair binds
     assert any(ledger and repairs for ledger, repairs in rounds)
 
@@ -855,6 +809,24 @@ def test_valid_schedules_route_with_transits_left_without_sites_fuzz():
     assert left_out >= 20, left_out
 
 
+def test_retimed_ring_plans_route_fast():
+    """Rounds of 20-30 transits on few sites, where an exhaustive search for
+    the least total detour blows up: 40 re-timings of one 7-order ring plan
+    all validate and route in under a second of process CPU together."""
+    layout = build_layout("ring", 4, 2)
+    drugs = list("abcde")
+    pl = random_placement(layout, drugs, seed=65)
+    orders = random_orders(drugs, 7, seed=65, size_range=(1, 3), dur_range=(2, 8))
+    s = schedule(orders, pl, 4, eta=2, seed=65, max_iterations=0)
+    inst = SchedulingInstance(tuple(orders), pl, 4, 2)
+    plans = [_retimed(s, layout.distance, random.Random(r), 30) for r in range(40)]
+    cpu = time.process_time()
+    routed = [route_schedule(p, pl) for p in plans]
+    cpu = time.process_time() - cpu
+    assert all(validate_plan(plan, inst) == [] for plan in routed)
+    assert cpu < 1.0, cpu
+
+
 def test_resting_paths_enter_sites_from_adjacent_tiles_only():
     layout = build_layout("square", (5, 5), 2)
     drugs = list("ab")
@@ -893,14 +865,14 @@ def test_routed_8x8_batched_plan_matches_pinned_digest(monkeypatch):
     rounds = check_rounds_against_repair_loop(monkeypatch)
     plan = resolve_conflicts(merged, pl)
     assert len(rounds) == plan.iterations
-    # the repair loop added 77 edges in the last round; 65 of them set a start
-    assert len(rounds[-1][1]) == 77
-    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (3, 65, 175)
+    # the repair loop added 78 edges in the last round; 66 of them set a start
+    assert len(rounds[-1][1]) == 78
+    assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values())) == (3, 66, 176)
     assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == (
-        "1bbe0222e710b3e0e89f6d2720adc88a5c4298e52bd287735f6d00606ad6dc26"
+        "bbc13dd0330ed03c36ee6872cd48fc0f3738ddef7efafe7e3228193b8f8e3efa"
     )
     assert hashlib.sha256(paths_to_csv(plan).encode()).hexdigest() == (
-        "33af104a9a321d8adbd6be7e74fa275d674dd3ba195c17cc2fd3d984f74029f4"
+        "946158637d67307fe73291dbf177132de2b95a2845caa7930383f4087d4e6d36"
     )
     assert validate_plan(plan, SchedulingInstance(tuple(orders), pl, 8, 2)) == []
 
@@ -936,38 +908,23 @@ def test_routed_ring_plan_matches_pinned_digest(monkeypatch):
     plan = route_schedule(s, pl)
     assert calls
     assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values()),
-            len(plan.resting_assignment)) == (4, 19, 49, 20)
+            len(plan.resting_assignment)) == (4, 20, 50, 19)
     assert _plan_digests(plan) == (
-        "22648dfef8e791d1613cf9bb6d7393f2bea218dbb6c3667a1b1ac39335fe0234",
-        "f495b2719a19b4a2e01ecdcb9731c45efc65abff3bd563c034090dcb9abde404",
+        "6caa880ab884f0148bb8ac0fa6b85fc6151d5b425ded51c530193e940b151903",
+        "a8112e4ce0d89dc5fc4c8200e6d1e10bdb4706a40897e8ffbfe9da020106f0ef",
     )
 
 
-def test_routed_small_plan_matches_pinned_digest(monkeypatch):
-    """Square 6x6, 4 movers, 10 orders: every round assigns at most
-    ASSIGN_EXACT_LIMIT transits, so sites come from the exact search, which
-    the 8x8 pin never reaches.  Recorded with paths rebuilt in every round."""
-    import planarfab.routing as routing
-
-    exact, greedy, sizes = routing._assign_exact, routing._assign_greedy, []
-
-    def counted_exact(transits, *args):
-        sizes.append(len(transits))
-        return exact(transits, *args)
-
-    def no_greedy(*args):
-        raise AssertionError("the regret greedy ran")
-
-    monkeypatch.setattr(routing, "_assign_exact", counted_exact)
-    monkeypatch.setattr(routing, "_assign_greedy", no_greedy)
+def test_routed_small_plan_matches_pinned_digest():
+    """Square 6x6, 4 movers, 10 orders: rounds of a few transits, where the
+    8x8 pin has many.  Recorded with paths rebuilt in every round."""
     pl, s = _pinned_plan("square", (6, 6), 4, 10, "abcdef", 2)
     plan = route_schedule(s, pl)
-    assert len(sizes) == plan.iterations and 0 < max(sizes) <= ASSIGN_EXACT_LIMIT
     assert (plan.iterations, plan.exclusivity_repairs, sum(plan.interruptions.values()),
-            len(plan.resting_assignment)) == (3, 10, 12, 10)
+            len(plan.resting_assignment)) == (3, 10, 13, 8)
     assert _plan_digests(plan) == (
-        "bb2b2a0c6276ff506aa263f396018017049754969f42d490a57d247048d80994",
-        "175b0de55938528d11981c012568789acde70ad366816d8c2b1cce6d3bee57a0",
+        "dc218b1d492ece6f4df05c480db9dd918861e9fcd40fdf64a91c030f716a0c5f",
+        "d68812deaac112fdba7314c754ac7a8cc6e48ceb3f1e38533bca6813d14adb19",
     )
 
 
@@ -1534,7 +1491,7 @@ def test_validate_plan_matches_tick_reference_on_corrupted_runs():
     orders = random_orders(drugs, 8, seed=8, size_range=(1, 2), dur_range=(2, 5))
     s = schedule(orders, pl, 3, eta=2, seed=8, max_iterations=10)
     plan = route_schedule(s, pl)
-    assert len(plan.resting_assignment) == 4
+    assert len(plan.resting_assignment) == 2
     inst = SchedulingInstance(tuple(orders), pl, 3, 2)
     assert validate_plan(plan, inst) == []
     n = _horizon(plan.schedule, plan.interruptions)
